@@ -29,7 +29,6 @@ from .models import (
     jc_doublet_analytic,
     rotate_hamiltonian,
     symmetry_ops,
-    u_phi,
 )
 from .spectra import (
     ConvergenceTable,

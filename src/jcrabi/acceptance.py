@@ -321,14 +321,12 @@ class AcceptanceSuite:
             conn = berry.connection_curve(fam, anchor_component())
             w = berry.wilson_loop(fam)
             gen = berry.generator_phase("rabi", ModelParams(Omega=1.0, g=g), 1, self.berry_cfg)
-            sub = berry._subsample(fam)
-            conn_half = berry.connection_curve(sub, anchor_component())
             d_zero = abs(wrap_phase(conn.gamma))
             d_gen = phase_distance(conn.gamma, gen)
             verdicts.append(d_gen < d_zero)
             lines.append(
                 f"    rabi g={g}: connection(anchor) = {conn.gamma:+.6f} "
-                f"(K/2 grid: {conn_half.gamma:+.6f}, residual {conn.residual:.1e}); "
+                f"(K/2 grid: {conn.gamma_half:+.6f}, residual {conn.residual:.1e}); "
                 f"wilson = {w.gamma:+.6f}; 2pi<n> mod 2pi = {wrap_phase(gen):+.6f}"
             )
             lines.append(

@@ -25,11 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import TruncationConfig, embed, ladder_ops
-from .linalg import EIG_RTOL, ConvergenceError, expectation, hermitian_eig
-from .models import ModelKind, ModelParams, build_hamiltonian, phase_factors
+from .linalg import expectation, hermitian_eig, residual_gate
+from .models import ModelKind, ModelParams, build_hamiltonian, rotate_hamiltonian
 
 TWO_PI = 2.0 * np.pi
 CONTINUITY_THRESHOLD = 0.99
+# Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
+# phase equal to pi up to rounding then reads +pi in every gauge.
+CUT_TOL = 1e-12
 
 
 class TrackingError(RuntimeError):
@@ -51,9 +54,13 @@ class DegenerateLevelError(ValueError):
 
 
 def wrap_phase(gamma: float) -> float:
-    """Reduce a phase to the principal interval (-pi, pi]."""
+    """Reduce a phase to the principal interval (-pi, pi].
+
+    Values up to CUT_TOL above pi are returned as they are, so rounding in
+    the loop sum cannot flip a phase of pi to -pi.
+    """
     w = float(gamma) % TWO_PI
-    return w - TWO_PI if w > np.pi else w
+    return w - TWO_PI if w > np.pi + CUT_TOL else w
 
 
 def phase_distance(a: float, b: float) -> float:
@@ -134,7 +141,9 @@ def eig_family(
 
     ``level`` is the eigenindex at phi = 0 (0 = ground state).  At each
     subsequent node the eigenvector maximizing |<psi_prev|candidate>| is
-    selected; a best overlap below ``threshold`` raises TrackingError.
+    selected; a best overlap below ``threshold`` raises TrackingError.  Only
+    the tracked eigenpair passes the residual gate, so a failure names its
+    phi node.
     """
     kind = _coerce_kind(kind)
     if K < 16:
@@ -144,7 +153,6 @@ def eig_family(
     if not 0 <= level < dim:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     maxabs = float(np.max(np.abs(h0)))
-    residual_bound = EIG_RTOL * max(maxabs, 1.0)
 
     phi_grid = TWO_PI * np.arange(K + 1) / K
     vectors = np.empty((K + 1, dim), dtype=complex)
@@ -153,9 +161,7 @@ def eig_family(
 
     prev = None
     for k, phi in enumerate(phi_grid):
-        d = phase_factors(phi, cfg)
-        hk = d[:, None] * h0 * d.conj()[None, :]
-        hk = 0.5 * (hk + hk.conj().T)
+        hk = rotate_hamiltonian(h0, phi, cfg)
         vals, vecs = np.linalg.eigh(hk)
         if k == 0:
             idx = level
@@ -167,12 +173,7 @@ def eig_family(
                 raise TrackingError(k, overlap, threshold)
             min_overlap = min(min_overlap, overlap)
         v = vecs[:, idx]
-        resid = float(np.max(np.abs(hk @ v - vals[idx] * v)))
-        if resid > residual_bound:
-            raise ConvergenceError(
-                f"eigen-residual {resid:.3e} at phi node {k} exceeds "
-                f"{residual_bound:.3e}"
-            )
+        residual_gate(hk, vals[idx], v, maxabs, f"at phi node {k}")
         vectors[k] = v
         energies[k] = vals[idx]
         prev = v
@@ -215,17 +216,22 @@ class LoopResult:
     """Closed-loop geometric phase plus its accumulation curve.
 
     gamma is reported in (-pi, pi]; gamma_unwrapped is the final value of the
-    partial-phase curve (they agree modulo 2 pi).  residual is the
-    discretization estimate from comparing the full grid against its
-    half-density subsample (nan when the grid cannot be halved).
+    partial-phase curve (they agree modulo 2 pi).  gamma_half is the same
+    estimator on the half-density subsample of the grid, in (-pi, pi] (nan
+    when the grid cannot be halved); residual, their distance modulo 2 pi,
+    is the discretization estimate.
     """
 
     gamma: float
     gamma_unwrapped: float
     curve: np.ndarray  # shape (K + 1, 2): columns (phi, partial phase)
     gauge: str
-    residual: float
+    gamma_half: float
     closure_phase: float = 0.0
+
+    @property
+    def residual(self) -> float:
+        return phase_distance(self.gamma, self.gamma_half)
 
 
 def _subsample(f: TrackedFamily) -> TrackedFamily | None:
@@ -265,11 +271,10 @@ def wilson_loop(f: TrackedFamily) -> LoopResult:
         raise ValueError("wilson_loop needs a closed family spanning phi = 0 ... 2 pi")
     gamma, curve = _wilson_gamma_and_curve(f)
     sub = _subsample(f)
-    residual = float("nan")
+    gamma_half = float("nan")
     if sub is not None:
-        gamma_half, _ = _wilson_gamma_and_curve(sub)
-        residual = phase_distance(gamma, gamma_half)
-    return LoopResult(wrap_phase(gamma), float(gamma), curve, f.gauge.tag, residual)
+        gamma_half = wrap_phase(_wilson_gamma_and_curve(sub)[0])
+    return LoopResult(wrap_phase(gamma), float(gamma), curve, f.gauge.tag, gamma_half)
 
 
 def _connection_gamma_and_curve(f: TrackedFamily):
@@ -309,13 +314,11 @@ def connection_curve(f: TrackedFamily, gauge: GaugeConvention) -> LoopResult:
     fixed = gauge_fix(f, gauge)
     gamma, curve, closure = _connection_gamma_and_curve(fixed)
     sub = _subsample(fixed)
-    residual = float("nan")
+    gamma_half = float("nan")
     if sub is not None:
-        refixed = gauge_fix(sub, gauge)
-        gamma_half, _, _ = _connection_gamma_and_curve(refixed)
-        residual = phase_distance(gamma, gamma_half)
+        gamma_half = wrap_phase(_connection_gamma_and_curve(gauge_fix(sub, gauge))[0])
     return LoopResult(
-        wrap_phase(gamma), float(gamma), curve, fixed.gauge.tag, residual, float(closure)
+        wrap_phase(gamma), float(gamma), curve, fixed.gauge.tag, gamma_half, float(closure)
     )
 
 

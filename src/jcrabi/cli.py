@@ -10,32 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, acceptance, berry, spectra, surfaces
-from .berry import (
-    DegenerateLevelError,
-    GaugeConvention,
-    PARALLEL_TRANSPORT,
-    TrackingError,
-    anchor_component,
-)
+from .berry import GaugeConvention, PARALLEL_TRANSPORT, TrackingError, anchor_component
 from .fock import TruncationConfig
-from .linalg import ConvergenceError, HermiticityError
+from .linalg import ConvergenceError
 from .models import ModelKind, ModelParams
-from .output import fmt, write_csv, write_json, write_svg_heatmap, write_svg_lines
+from .output import write_csv, write_json, write_svg_heatmap, write_svg_lines
 
 
 class UsageError(Exception):
     pass
 
 
-class NumericalFailure(Exception):
-    pass
+# Accepted Python types per RunConfig field annotation (bool is rejected).
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -50,15 +45,22 @@ class RunConfig:
     gauge: str = "anchor"
     level: int = 1
     output_dir: str = "."
-    format: str = "csv"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value!r}")
         if self.model not in ("jc", "rabi", "both"):
             raise UsageError(f"model must be jc, rabi or both, got {self.model!r}")
         if self.omega <= 0:
             raise UsageError(f"omega must be positive, got {self.omega}")
         if self.Omega < 0:
             raise UsageError(f"Omega must be nonnegative, got {self.Omega}")
+        if self.g < 0:
+            raise UsageError(f"g must be nonnegative, got {self.g}")
         if self.n_max < 1:
             raise UsageError(f"nmax must be >= 1, got {self.n_max}")
         if self.k_levels < 1:
@@ -67,10 +69,12 @@ class RunConfig:
             raise UsageError(f"phi-nodes must be >= 16, got {self.phi_nodes}")
         if self.gauge not in ("anchor", "parallel"):
             raise UsageError(f"gauge must be anchor or parallel, got {self.gauge!r}")
-        if self.level < 0:
-            raise UsageError(f"level must be >= 0, got {self.level}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
+        dim = self.cfg().dim_joint
+        if not 0 <= self.level < dim:
+            raise UsageError(
+                f"level must be in [0, 2(nmax+1)) = [0, {dim}) for nmax={self.n_max}, "
+                f"got {self.level}"
+            )
 
     def params(self) -> ModelParams:
         return ModelParams(Omega=self.Omega, g=self.g, omega=self.omega)
@@ -95,6 +99,8 @@ def _load_config(args) -> RunConfig:
             values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -132,6 +138,24 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _check_levels(k_levels: int, n_max: int):
+    dim = TruncationConfig(n_max).dim_joint
+    if k_levels > dim:
+        raise UsageError(
+            f"levels must be <= 2(nmax+1) = {dim} for nmax={n_max}, got {k_levels}"
+        )
+
+
+def _parse_n_list(text: str) -> list:
+    try:
+        n_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"n-list must be comma-separated integers, got {text!r}") from exc
+    if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise UsageError(f"n-list must be strictly ascending integers >= 1, got {text!r}")
+    return n_list
+
+
 def _model_kinds(cfg: RunConfig):
     names = ("jc", "rabi") if cfg.model == "both" else (cfg.model,)
     return [ModelKind.of(name, "lab") for name in names]
@@ -140,6 +164,7 @@ def _model_kinds(cfg: RunConfig):
 def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg: bool) -> int:
     if g_step <= 0 or g_max < g_min:
         raise UsageError("need g-step > 0 and g-max >= g-min")
+    _check_levels(cfg.k_levels, cfg.n_max)
     out = _out_dir(cfg)
     n_steps = int(round((g_max - g_min) / g_step))
     g_grid = np.round(g_min + g_step * np.arange(n_steps + 1), 12)
@@ -173,17 +198,17 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
 def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
     if cfg.model == "both":
         raise UsageError("berry tracks one model at a time; pick --model jc or rabi")
+    for g in g_values:
+        replace(cfg, g=g).validate()
     out = _out_dir(cfg)
     gauge = cfg.gauge_convention()
     runs = []
     curves = []
     for g in g_values:
-        if g < 0:
-            raise UsageError(f"g must be >= 0, got {g}")
         p = ModelParams(Omega=cfg.Omega, g=g, omega=cfg.omega)
         fam = berry.eig_family(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg())
         conn = berry.connection_curve(fam, gauge)
-        wilson = berry.wilson_loop(berry.gauge_fix(fam, gauge))
+        wilson = berry.wilson_loop(fam)
         generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
         summary = {
             "g": g,
@@ -269,6 +294,7 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
 def cmd_convergence(cfg: RunConfig, n_list) -> int:
     if cfg.model == "both":
         raise UsageError("convergence studies one model at a time; pick --model jc or rabi")
+    _check_levels(cfg.k_levels, n_list[0])
     out = _out_dir(cfg)
     kind = ModelKind.of(cfg.model, "lab")
     table = spectra.convergence_study(kind, cfg.params(), cfg.g, cfg.k_levels, n_list)
@@ -399,8 +425,7 @@ def main(argv=None) -> int:
         if args.command == "surfaces":
             return cmd_surfaces(cfg, args.x_range, args.p_range, args.resolution, args.svg)
         if args.command == "convergence":
-            n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-            return cmd_convergence(cfg, n_list)
+            return cmd_convergence(cfg, _parse_n_list(args.n_list))
         if args.command == "crossing":
             return cmd_crossing(cfg, args.g_lo, args.g_hi)
         if args.command == "verify":
@@ -409,10 +434,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (TrackingError, DegenerateLevelError, ConvergenceError, HermiticityError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (TrackingError, ConvergenceError, ValueError) as exc:
+        # ValueError covers DegenerateLevelError and HermiticityError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,8 @@ Conventions, fixed once here to prevent silent sign bugs:
   ``kron(qubit_op, field_op)``.
 * Quadratures: x = (a + a^dag)/sqrt(2) and p = i(a^dag - a)/sqrt(2), the sign
   that gives the canonical [x, p] = +i away from the truncation edge.
+* Number format: real operators (a, n_hat, x, sx, sz, s+, s-) are float64;
+  only p, sy and what is built from them are complex.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def ladder_ops(cfg: TruncationConfig):
     0 instead of n_max + 1.
     """
     ns = np.arange(1, cfg.n_max + 1, dtype=float)
-    a = np.diag(np.sqrt(ns), k=1).astype(complex)
+    a = np.diag(np.sqrt(ns), k=1)
     a_dag = a.conj().T
-    n_hat = np.diag(np.arange(cfg.n_max + 1, dtype=float)).astype(complex)
+    n_hat = np.diag(np.arange(cfg.n_max + 1, dtype=float))
     return a, a_dag, n_hat
 
 
@@ -75,11 +77,11 @@ def quadrature_ops(cfg: TruncationConfig):
 
 def qubit_ops():
     """Pauli and ladder matrices in the (|2>, |1>) basis, sigma_z|2> = +|2>."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    sp = np.array([[0, 1], [0, 0]], dtype=complex)  # |2><1|
-    sm = np.array([[0, 0], [1, 0]], dtype=complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # |2><1|
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]])
     return sx, sy, sz, sp, sm
 
 
@@ -91,18 +93,18 @@ def embed(field_op, qubit_op, cfg: TruncationConfig) -> np.ndarray:
     """
     dim_f = cfg.dim_field
     if field_op is None:
-        field_op = np.eye(dim_f, dtype=complex)
+        field_op = np.eye(dim_f)
     else:
-        field_op = np.asarray(field_op, dtype=complex)
+        field_op = np.asarray(field_op)
         if field_op.shape != (dim_f, dim_f):
             raise ValueError(
                 f"field operator must be {dim_f}x{dim_f} for n_max={cfg.n_max}, "
                 f"got {field_op.shape}"
             )
     if qubit_op is None:
-        qubit_op = np.eye(2, dtype=complex)
+        qubit_op = np.eye(2)
     else:
-        qubit_op = np.asarray(qubit_op, dtype=complex)
+        qubit_op = np.asarray(qubit_op)
         if qubit_op.shape != (2, 2):
             raise ValueError(f"qubit operator must be 2x2, got {qubit_op.shape}")
     return kron(qubit_op, field_op)

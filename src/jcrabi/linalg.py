@@ -1,10 +1,10 @@
-"""Dense complex Hermitian linear algebra with explicit quality gates.
+"""Hermitian linear algebra with explicit quality gates.
 
 Every operator in this toolkit is a small dense matrix (dim <= ~1200), so a
-direct LAPACK eigendecomposition is the right tool.  The wrappers below add
-the checks the physics modules rely on: a Hermiticity gate on input, an
-eigen-residual bound on output, and commutator diagnostics used to verify
-model symmetries.
+direct LAPACK eigendecomposition is the right tool; real symmetric input
+stays real.  The wrappers below add the checks the physics modules rely on:
+a Hermiticity gate on input, one eigen-residual gate on output, and
+commutator diagnostics used to verify model symmetries.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hermiticity gate, relative to max|A| (the ComplexMatrix contract).
+# Hermiticity gate, relative to max|A|.
 HERMITICITY_RTOL = 1e-12
-# Default eigen-residual bound, relative to max|A|.
+# Eigen-residual bound, relative to max|A|.
 EIG_RTOL = 1e-10
 
 
@@ -36,16 +36,11 @@ class ConvergenceError(RuntimeError):
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
     return a
-
-
-def hermiticity_deviation(a) -> float:
-    """max|A[i,j] - conj(A[j,i])| over all entries."""
-    a = _as_square(a)
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -70,13 +65,27 @@ class EigenSystem:
         return len(self.values)
 
 
-def hermitian_eig(a, tol: float = EIG_RTOL) -> EigenSystem:
+def residual_gate(a, values, vectors, maxabs: float, where: str) -> float:
+    """max_i |A v_i - lambda_i v_i|_inf over the given eigenpairs (columns of
+    ``vectors``, or one vector and a scalar value); above EIG_RTOL * max|A|
+    it raises ConvergenceError, with ``where`` naming the matrix."""
+    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
+    bound = EIG_RTOL * maxabs
+    if residual > bound:
+        raise ConvergenceError(
+            f"eigen-residual {residual:.3e} {where} exceeds "
+            f"{EIG_RTOL:.1e} * max|A| = {bound:.3e}"
+        )
+    return residual
+
+
+def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, with contract checks.
 
     The input is gated on Hermiticity (1e-12 relative to max|A|), then
-    symmetrized to (A + A^dag)/2 and decomposed.  The output satisfies
-    ``residual <= tol * max|A|``; a violation or a LAPACK convergence
-    failure raises ConvergenceError naming the dimension.
+    symmetrized to (A + A^dag)/2 and decomposed.  Every eigenpair passes
+    residual_gate; a violation or a LAPACK convergence failure raises
+    ConvergenceError naming the dimension.  Real input yields real vectors.
 
     Deterministic: identical input yields the identical decomposition.
     """
@@ -84,7 +93,7 @@ def hermitian_eig(a, tol: float = EIG_RTOL) -> EigenSystem:
     n = a.shape[0]
     maxabs = float(np.max(np.abs(a)))
     if maxabs == 0.0:
-        return EigenSystem(np.zeros(n), np.eye(n, dtype=complex), 0.0)
+        return EigenSystem(np.zeros(n), np.eye(n, dtype=a.dtype), 0.0)
 
     dev = float(np.max(np.abs(a - a.conj().T)))
     bound = HERMITICITY_RTOL * maxabs
@@ -100,12 +109,7 @@ def hermitian_eig(a, tol: float = EIG_RTOL) -> EigenSystem:
             f"within the solver's iteration cap ({exc})"
         ) from exc
 
-    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
-    if residual > tol * maxabs:
-        raise ConvergenceError(
-            f"eigen-residual {residual:.3e} exceeds {tol:.1e} * max|A| "
-            f"= {tol * maxabs:.3e} for a dim={n} matrix"
-        )
+    residual = residual_gate(a, values, vectors, maxabs, f"for a dim={n} matrix")
     return EigenSystem(values, vectors, residual)
 
 
@@ -116,7 +120,7 @@ def expectation(a, v) -> float:
     below 1e-10; larger values indicate a non-Hermitian A or a broken vector.
     """
     a = _as_square(a)
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.asarray(v).reshape(-1)
     if v.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: A is {a.shape}, v has length {v.shape[0]}")
     norm = np.linalg.norm(v)

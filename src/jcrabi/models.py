@@ -17,8 +17,10 @@ truncation-edge effects only; JC lab and quadrature frames commute (they
 differ by w * N_hat) and share exact eigenvectors.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi); rotated Hamiltonians
-are always computed by explicit conjugation U H U^dag, never by transcribing
-a closed-form rotated expression.
+are always computed by explicit conjugation U H U^dag in rotate_hamiltonian,
+never by transcribing a closed-form rotated expression.  Lab-frame and JC
+quadrature Hamiltonians are real (float64); the Rabi quadrature frame and
+every rotated H'(phi) are complex.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import SQRT2, TruncationConfig, embed, ladder_ops, quadrature_ops, qubit_ops
-from .linalg import hermitian_eig
 
 LAB = "lab"
 QUADRATURE = "quadrature"
@@ -132,18 +133,14 @@ def phase_factors(phi: float, cfg: TruncationConfig) -> np.ndarray:
     return np.concatenate([field_phase, field_phase])
 
 
-def u_phi(phi: float, cfg: TruncationConfig) -> np.ndarray:
-    """Phase-space rotation U(phi) = exp(-i n_hat phi), qubit factor identity."""
-    return np.diag(phase_factors(phi, cfg))
-
-
 def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
     """U(phi) H U(phi)^dag, symmetrized to be exactly Hermitian.
 
     U(phi) is diagonal, so the conjugation is done entrywise in O(dim^2).
-    The spectrum is invariant under the rotation.
+    The spectrum is invariant under the rotation.  The result is complex
+    whatever the dtype of H.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.shape != (cfg.dim_joint, cfg.dim_joint):
         raise ValueError(
             f"H must be {cfg.dim_joint}x{cfg.dim_joint} for n_max={cfg.n_max}, "
@@ -187,7 +184,7 @@ class DressedDoublet:
         idx_lower = dim_f + self.n      # |1>|n>: ground block
         vecs = []
         for amp_upper, amp_lower in self.amplitudes:
-            v = np.zeros(cfg.dim_joint, dtype=complex)
+            v = np.zeros(cfg.dim_joint)
             v[idx_upper] = amp_upper
             v[idx_lower] = amp_lower
             vecs.append(v)
@@ -225,14 +222,7 @@ def symmetry_ops(cfg: TruncationConfig):
     _, _, n_hat = ladder_ops(cfg)
     _, _, sz, _, _ = qubit_ops()
     n_total = embed(n_hat, None, cfg) + 0.5 * embed(None, sz, cfg)
-    field_parity = np.diag((-1.0 + 0j) ** np.arange(cfg.dim_field))
+    field_parity = np.diag((-1.0) ** np.arange(cfg.dim_field))
     parity = embed(field_parity, sz, cfg)
     return n_total, parity
 
-
-def frame_offset_spectrum_check(p: ModelParams, cfg: TruncationConfig, k: int) -> float:
-    """Max deviation of the k lowest Rabi eigenvalues between frames after
-    removing the w/2 vacuum offset from the quadrature frame."""
-    lab = hermitian_eig(build_rabi(p, cfg, LAB)).values[:k]
-    quad = hermitian_eig(build_rabi(p, cfg, QUADRATURE)).values[:k]
-    return float(np.max(np.abs(quad - 0.5 * p.omega - lab)))

@@ -17,7 +17,8 @@ from jcrabi import (
     wrap_phase,
 )
 from jcrabi.berry import TrackedFamily, phase_distance
-from jcrabi.models import phase_factors
+from jcrabi.linalg import ConvergenceError, hermitian_eig
+from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
 
 CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
@@ -39,6 +40,12 @@ def test_wrap_phase_interval():
     assert wrap_phase(-np.pi) == pytest.approx(np.pi)
     assert wrap_phase(2 * np.pi + 0.25) == pytest.approx(0.25)
     assert phase_distance(0.1, 0.1 + 6 * np.pi) <= 1e-12
+
+
+def test_wrap_phase_keeps_rounded_pi_positive():
+    assert wrap_phase(np.pi + 1e-14) > 0
+    assert wrap_phase(-np.pi - 1e-14) > 0
+    assert wrap_phase(np.pi + 1e-9) < 0
 
 
 class TestEigFamily:
@@ -74,6 +81,35 @@ class TestEigFamily:
         # at Delta=0, g=1 the first excited JC level is exactly degenerate
         with pytest.raises(TrackingError):
             eig_family("jc", ModelParams(Omega=1.0, g=1.0), 1, 64, CFG)
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_matches_gated_dense_solve_of_rotated_hamiltonian(self, model):
+        # differential test: the loop's per-node solve against the one gated
+        # eigensolver applied to the one rotation routine
+        p = ModelParams(Omega=1.2, g=0.4)
+        K = 64
+        fam = eig_family(model, p, 1, K, CFG)
+        h0 = build_hamiltonian(ModelKind.of(model), p, CFG)
+        for k in (0, K // 4, K // 2):
+            es = hermitian_eig(rotate_hamiltonian(h0, fam.phi_grid[k], CFG))
+            j = int(np.argmin(np.abs(es.values - fam.energies[k])))
+            assert abs(np.vdot(es.vectors[:, j], fam.vectors[k])) >= 1.0 - 1e-10
+            assert abs(es.values[j] - fam.energies[k]) <= 1e-12
+
+    def test_perturbed_eigenvalue_fails_gate_at_its_node(self, monkeypatch):
+        true_eigh = np.linalg.eigh
+        calls = []
+
+        def perturbed(a):
+            values, vectors = true_eigh(a)
+            calls.append(None)
+            if len(calls) == 6:  # phi node 5
+                values = values + 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match="phi node 5"):
+            eig_family("jc", P_RES, 1, 32, CFG)
 
     def test_tracks_through_detuned_spectrum(self):
         fam = eig_family("jc", ModelParams(Omega=1.5, g=0.3), 1, 64, CFG)
@@ -137,6 +173,12 @@ class TestWilsonLoop:
         base = wilson_loop(rabi_family).gamma
         for gauge in (PARALLEL_TRANSPORT, anchor_component()):
             assert phase_distance(wilson_loop(gauge_fix(rabi_family, gauge)).gamma, base) <= 1e-10
+
+    def test_resonant_pi_sign_same_in_every_gauge(self):
+        # the loop sum lands within rounding of pi on either side of the cut
+        fam = eig_family("jc", P_RES, 1, 128, CFG)
+        for gauge in (RAW, PARALLEL_TRANSPORT, anchor_component()):
+            assert wilson_loop(gauge_fix(fam, gauge)).gamma == pytest.approx(np.pi, abs=1e-9)
 
     def test_matches_generator_oracle(self, rabi_family):
         gen = generator_phase("rabi", rabi_family.params, 1, rabi_family.cfg)

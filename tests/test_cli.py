@@ -182,6 +182,53 @@ class TestExitCodes:
     def test_usage_error_both_models_for_berry(self, tmp_path):
         assert main(["berry", "--model", "both", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("values, key", [
+        ({"n_max": "abc"}, "n_max"),
+        ({"g": [0.1]}, "g"),
+        ({"level": True}, "level"),
+        ({"Omega": float("inf")}, "Omega"),
+    ])
+    def test_usage_error_bad_config_value(self, tmp_path, capsys, values, key):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"usage error: {key} " in capsys.readouterr().err
+
+    def test_usage_error_removed_format_key(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"format": "json"}))
+        assert main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
+
+    def test_usage_error_nan_omega(self, tmp_path, capsys):
+        assert main(["spectrum", "--omega", "nan", "--out", str(tmp_path)]) == 1
+        assert "omega must be finite" in capsys.readouterr().err
+
+    def test_usage_error_nan_berry_coupling(self, tmp_path, capsys):
+        assert main(["berry", "--g", "nan", "--out", str(tmp_path)]) == 1
+        assert "g must be finite" in capsys.readouterr().err
+        assert main(["berry", "--g", "0.1", "--g", "nan", "--out", str(tmp_path)]) == 1
+
+    def test_usage_error_negative_g_from_config(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"g": -0.5}))
+        assert main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert "g must be nonnegative" in capsys.readouterr().err
+
+    def test_usage_error_levels_above_dimension(self, tmp_path):
+        assert main(["spectrum", "--nmax", "3", "--levels", "9", "--out", str(tmp_path)]) == 1
+        assert main([
+            "convergence", "--n-list", "3,20", "--levels", "9", "--out", str(tmp_path),
+        ]) == 1
+
+    def test_usage_error_level_out_of_range(self, tmp_path, capsys):
+        assert main(["berry", "--nmax", "3", "--level", "8", "--out", str(tmp_path)]) == 1
+        assert "level must be in [0, 2(nmax+1)) = [0, 8)" in capsys.readouterr().err
+
+    def test_usage_error_non_ascending_n_list(self, tmp_path, capsys):
+        assert main(["convergence", "--n-list", "40,20", "--out", str(tmp_path)]) == 1
+        assert "strictly ascending" in capsys.readouterr().err
+
     def test_numerical_error_no_crossing(self, tmp_path):
         rc = main([
             "crossing", "--g-lo", "0.1", "--g-hi", "0.2", "--nmax", "30",

@@ -11,9 +11,15 @@ from jcrabi import (
     kron,
 )
 from jcrabi.fock import ladder_ops, quadrature_ops, qubit_ops
-from jcrabi.models import ModelParams, build_jc, symmetry_ops, u_phi
+from jcrabi.linalg import EIG_RTOL, residual_gate
+from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
 
 SX, SY, SZ, SP, SM = qubit_ops()
+
+
+def u_phi(phi, cfg):
+    """Dense U(phi) = exp(-i n_hat phi), qubit factor identity."""
+    return np.diag(phase_factors(phi, cfg))
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -92,6 +98,48 @@ class TestHermitianEig:
     def test_zero_matrix(self):
         es = hermitian_eig(np.zeros((4, 4), dtype=complex))
         assert np.all(es.values == 0)
+
+
+class TestRealInput:
+    def test_real_symmetric_matches_complex_cast(self):
+        rng = np.random.default_rng(8)
+        raw = rng.standard_normal((50, 50))
+        a = 0.5 * (raw + raw.T)
+        real = hermitian_eig(a)
+        cast = hermitian_eig(a.astype(complex))
+        assert real.vectors.dtype == np.float64
+        assert cast.vectors.dtype == np.complex128
+        assert np.max(np.abs(real.values - cast.values)) <= 1e-12
+        overlaps = np.abs(np.sum(real.vectors.conj() * cast.vectors, axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-12
+
+    def test_real_non_symmetric_rejected(self):
+        with pytest.raises(HermiticityError):
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_integer_input_promoted(self):
+        es = hermitian_eig(np.array([[2, 1], [1, 2]]))
+        assert es.values.dtype == np.float64
+        assert np.allclose(es.values, [1.0, 3.0])
+
+
+class TestResidualGate:
+    def test_bound_is_relative_to_max_abs(self):
+        a = np.diag([1.0, 2.0])
+        v = np.array([1.0, 0.0])
+        maxabs = 2.0
+        # a wrong eigenvalue just inside and just outside EIG_RTOL * max|A|
+        inside = 1.0 + 0.5 * EIG_RTOL * maxabs
+        assert residual_gate(a, inside, v, maxabs, "here") == pytest.approx(0.5 * EIG_RTOL * maxabs)
+        with pytest.raises(ConvergenceError, match="here"):
+            residual_gate(a, 1.0 + 2.0 * EIG_RTOL * maxabs, v, maxabs, "here")
+
+    def test_checks_every_column(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        values = np.array([1.0, 2.0, 3.0 + 1e-6])
+        with pytest.raises(ConvergenceError):
+            residual_gate(a, values, np.eye(3), 3.0, "for a dim=3 matrix")
+        assert residual_gate(a, values[:2], np.eye(3)[:, :2], 3.0, "") == 0.0
 
 
 class TestExpectation:

@@ -11,19 +11,32 @@ from jcrabi import (
     jc_doublet_analytic,
     rotate_hamiltonian,
     symmetry_ops,
-    u_phi,
 )
 from jcrabi.fock import SQRT2, embed, ladder_ops, quadrature_ops, qubit_ops
 from jcrabi.models import (
     LAB,
     QUADRATURE,
     ModelKind,
+    build_hamiltonian,
     empty_state_energy,
-    frame_offset_spectrum_check,
+    phase_factors,
 )
 
 CFG = TruncationConfig(40)
 SX, SY, SZ, SP, SM = qubit_ops()
+
+
+def u_phi(phi, cfg):
+    """Dense U(phi) = exp(-i n_hat phi), qubit factor identity."""
+    return np.diag(phase_factors(phi, cfg))
+
+
+def frame_offset_spectrum_check(p, cfg, k):
+    """Max deviation of the k lowest Rabi eigenvalues between frames after
+    removing the w/2 vacuum offset from the quadrature frame."""
+    lab = hermitian_eig(build_rabi(p, cfg, LAB)).values[:k]
+    quad = hermitian_eig(build_rabi(p, cfg, QUADRATURE)).values[:k]
+    return float(np.max(np.abs(quad - 0.5 * p.omega - lab)))
 
 
 def test_params_validation_and_delta():
@@ -48,6 +61,28 @@ def test_model_kind_lookup():
 def test_invalid_frame_tag():
     with pytest.raises(ValueError):
         build_rabi(ModelParams(), CFG, "interaction")
+
+
+class TestNumberFormat:
+    def test_real_operators_are_float64(self):
+        a, a_dag, n_hat = ladder_ops(CFG)
+        x_hat, _ = quadrature_ops(CFG)
+        n_total, parity = symmetry_ops(CFG)
+        for op in (a, a_dag, n_hat, x_hat, SX, SZ, SP, SM, n_total, parity):
+            assert op.dtype == np.float64
+
+    def test_lab_and_jc_quadrature_builders_are_float64(self):
+        p = ModelParams(Omega=1.3, g=0.6)
+        for kind in (ModelKind.JC_LAB, ModelKind.RABI_LAB, ModelKind.JC_QUADRATURE):
+            assert build_hamiltonian(kind, p, CFG).dtype == np.float64
+
+    def test_momentum_and_rotated_family_are_complex(self):
+        p = ModelParams(Omega=1.3, g=0.6)
+        _, p_hat = quadrature_ops(CFG)
+        assert p_hat.dtype == np.complex128 and SY.dtype == np.complex128
+        assert build_rabi(p, CFG, QUADRATURE).dtype == np.complex128
+        rotated = rotate_hamiltonian(build_rabi(p, CFG, LAB), 0.4, CFG)
+        assert rotated.dtype == np.complex128
 
 
 class TestDecoupledLimit:
