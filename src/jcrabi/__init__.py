@@ -27,6 +27,7 @@ from .models import (
     build_rabi,
     empty_state_energy,
     jc_doublet_analytic,
+    parity_chains,
     rotate_hamiltonian,
     symmetry_ops,
 )

@@ -1,9 +1,13 @@
 """Geometric phases of rotated JC/Rabi eigenstates along phi: 0 -> 2 pi.
 
-The loop is generated by U(phi) = exp(-i n_hat phi): the family
-H'(phi) = U(phi) H U(phi)^dag is diagonalized on a uniform phi grid, one
-eigenvector is tracked by maximal overlap, and the closed-loop phase is
-estimated three independent ways:
+The loop is generated by U(phi) = exp(-i n_hat phi): one eigenvector of
+the family H'(phi) = U(phi) H U(phi)^dag is tracked by maximal overlap on a
+uniform phi grid.  Both models conserve parity and U(phi) is diagonal, so
+each parity sector of H'(phi) is a fixed real tridiagonal matrix T
+conjugated by a diagonal unitary D(phi): eig_family solves T once per
+sector, takes the eigenvectors at each node as D(phi_k) W, and gates the
+tracked pair against the full H'(phi_k) at every node.  The closed-loop
+phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
                        gamma = -Im sum_k log <psi_k|psi_k+1>
@@ -25,11 +29,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import TruncationConfig, embed, ladder_ops
-from .linalg import expectation, hermitian_eig, residual_gate
-from .models import ModelKind, ModelParams, build_hamiltonian, rotate_hamiltonian
+from .linalg import HERMITICITY_RTOL, expectation, hermitian_eig, residual_gate
+from .models import (
+    ModelKind,
+    ModelParams,
+    build_hamiltonian,
+    parity_chains,
+    rotate_hamiltonian,
+)
 
 TWO_PI = 2.0 * np.pi
 CONTINUITY_THRESHOLD = 0.99
+# A level closer than this to a neighbour has no single-level phase; both
+# eig_family and generator_phase refuse it.
+DEGENERACY_GAP = 1e-10
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
 # phase equal to pi up to rounding then reads +pi in every gauge.
 CUT_TOL = 1e-12
@@ -38,15 +51,18 @@ CUT_TOL = 1e-12
 class TrackingError(RuntimeError):
     """Eigenpath continuation became ambiguous at some phi node."""
 
-    def __init__(self, node: int, overlap: float, threshold: float):
+    def __init__(self, node: int, reason: str):
         self.node = node
-        self.overlap = float(overlap)
-        super().__init__(
-            f"eigenpath tracking lost at phi node {node}: best overlap "
-            f"{overlap:.6f} is below the continuity threshold {threshold}; "
-            "a true degeneracy may sit on the loop, or the grid is too "
-            "coarse - try a larger K"
-        )
+        super().__init__(f"eigenpath tracking lost at phi node {node}: {reason}")
+
+
+def _overlap_lost(node: int, overlap: float, threshold: float) -> TrackingError:
+    return TrackingError(
+        node,
+        f"best overlap {overlap:.6f} is below the continuity threshold "
+        f"{threshold}; a true degeneracy may sit on the loop, or the grid is "
+        "too coarse - try a larger K",
+    )
 
 
 class DegenerateLevelError(ValueError):
@@ -129,6 +145,52 @@ def _coerce_kind(kind) -> ModelKind:
     return ModelKind.of(str(kind), "lab")
 
 
+def _level_gap(values: np.ndarray, level: int) -> float:
+    """Distance from values[level] to its nearest neighbour (values ascending)."""
+    gaps = []
+    if level > 0:
+        gaps.append(values[level] - values[level - 1])
+    if level < len(values) - 1:
+        gaps.append(values[level + 1] - values[level])
+    return float(min(gaps))
+
+
+def _sector_tridiagonals(h: np.ndarray, chains, maxabs: float):
+    """Real tridiagonal sectors of H in chain order, after checking that H
+    has nothing outside them beyond HERMITICITY_RTOL * max|H|."""
+    inside = np.zeros(h.shape, dtype=bool)
+    for c in chains:
+        inside[c, c] = True
+        inside[c[:-1], c[1:]] = True
+        inside[c[1:], c[:-1]] = True
+    leak = float(np.max(np.abs(h[~inside])))
+    bound = HERMITICITY_RTOL * maxabs
+    if leak > bound:
+        raise ValueError(
+            f"H does not split into the two parity chains: an entry of "
+            f"magnitude {leak:.3e} outside them exceeds {bound:.3e}"
+        )
+    sectors = []
+    for c in chains:
+        off = h[c[:-1], c[1:]].real
+        sectors.append(np.diag(h[c, c].real) + np.diag(off, 1) + np.diag(off, -1))
+    return sectors
+
+
+def _chain_phases(hk: np.ndarray, chain: np.ndarray, t_off: np.ndarray) -> np.ndarray:
+    """Diagonal of the unitary D with D T D^dag equal to the chain sector of hk.
+
+    D_0 = 1 and D_j+1 = D_j * phase(conj(hk[j, j+1]) * T[j, j+1]); a zero
+    link leaves the phase at 1, which only rephases a block of T that no
+    eigenvector of a nondegenerate level straddles.
+    """
+    r = np.conj(hk[chain[:-1], chain[1:]]) * t_off
+    mag = np.abs(r)
+    steps = np.ones_like(r)
+    np.divide(r, mag, out=steps, where=mag > 0.0)
+    return np.concatenate([[1.0 + 0j], np.cumprod(steps)])
+
+
 def eig_family(
     kind,
     p: ModelParams,
@@ -137,13 +199,24 @@ def eig_family(
     cfg: TruncationConfig,
     threshold: float = CONTINUITY_THRESHOLD,
 ) -> TrackedFamily:
-    """Diagonalize H'(phi_k) at K + 1 uniform nodes and track one level.
+    """Track one eigenvector of H'(phi_k) over K + 1 uniform nodes.
 
-    ``level`` is the eigenindex at phi = 0 (0 = ground state).  At each
-    subsequent node the eigenvector maximizing |<psi_prev|candidate>| is
-    selected; a best overlap below ``threshold`` raises TrackingError.  Only
-    the tracked eigenpair passes the residual gate, so a failure names its
+    ``level`` is the eigenindex at phi = 0 (0 = ground state).  Both models
+    conserve parity, so in chain order (models.parity_chains) each parity
+    sector of H'(phi) is D(phi) T D(phi)^dag: T is the real tridiagonal
+    sector of H(0) and D(phi) a diagonal unitary read off the phases of the
+    sector's off-diagonal entries.  Each T is solved once, by hermitian_eig;
+    the eigenvectors of H'(phi_k) in the tracked level's sector are then
+    D(phi_k) W.  At each node D comes from rotate_hamiltonian's H'(phi_k),
+    the candidate maximizing |<psi_prev|candidate>| is selected, and a best
+    overlap below ``threshold`` raises TrackingError.  The tracked pair then
+    passes residual_gate against the full H'(phi_k), so a failure names its
     phi node.
+
+    A level whose gap to its neighbours in the merged two-sector spectrum
+    is below DEGENERACY_GAP has no single-level phase: TrackingError at
+    node 0.  A Hamiltonian that does not split into the two chains is a
+    ValueError.
     """
     kind = _coerce_kind(kind)
     if K < 16:
@@ -154,29 +227,40 @@ def eig_family(
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     maxabs = float(np.max(np.abs(h0)))
 
+    chains = parity_chains(cfg)
+    sectors = _sector_tridiagonals(h0, chains, maxabs)
+    systems = [hermitian_eig(t) for t in sectors]
+    merged = np.concatenate([es.values for es in systems])
+    order = np.argsort(merged, kind="stable")
+    gap = _level_gap(merged[order], level)
+    if gap < DEGENERACY_GAP:
+        raise TrackingError(
+            0,
+            f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}); "
+            "the geometric phase of a single level is undefined there",
+        )
+    sector, col = divmod(int(order[level]), cfg.dim_field)
+    chain, es = chains[sector], systems[sector]
+    t_off = np.diag(sectors[sector], 1)
+
     phi_grid = TWO_PI * np.arange(K + 1) / K
-    vectors = np.empty((K + 1, dim), dtype=complex)
+    vectors = np.zeros((K + 1, dim), dtype=complex)
     energies = np.empty(K + 1)
     min_overlap = 1.0
 
-    prev = None
     for k, phi in enumerate(phi_grid):
         hk = rotate_hamiltonian(h0, phi, cfg)
-        vals, vecs = np.linalg.eigh(hk)
-        if k == 0:
-            idx = level
-        else:
-            amps = vecs.conj().T @ prev
-            idx = int(np.argmax(np.abs(amps)))
-            overlap = float(np.abs(amps[idx]))
+        d = _chain_phases(hk, chain, t_off)
+        if k > 0:
+            amps = (np.conj(vectors[k - 1, chain]) * d) @ es.vectors
+            col = int(np.argmax(np.abs(amps)))
+            overlap = float(np.abs(amps[col]))
             if overlap < threshold:
-                raise TrackingError(k, overlap, threshold)
+                raise _overlap_lost(k, overlap, threshold)
             min_overlap = min(min_overlap, overlap)
-        v = vecs[:, idx]
-        residual_gate(hk, vals[idx], v, maxabs, f"at phi node {k}")
-        vectors[k] = v
-        energies[k] = vals[idx]
-        prev = v
+        vectors[k, chain] = d * es.vectors[:, col]
+        energies[k] = es.values[col]
+        residual_gate(hk, energies[k], vectors[k], maxabs, f"at phi node {k}")
 
     return TrackedFamily(
         phi_grid, vectors, energies, level, min_overlap, kind, p, cfg, RAW
@@ -254,7 +338,7 @@ def _wilson_gamma_and_curve(f: TrackedFamily):
         nxt = f.vectors[0] if k == K - 1 else f.vectors[k + 1]
         overlap = complex(np.vdot(f.vectors[k], nxt))
         if abs(overlap) < 0.5:
-            raise TrackingError(k, abs(overlap), 0.5)
+            raise _overlap_lost(k, abs(overlap), 0.5)
         acc += -np.imag(np.log(overlap))
         partial[k + 1] = acc
     return acc, np.column_stack([f.phi_grid, partial])
@@ -327,21 +411,17 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
 
     Exact for families rotated by U(phi) = exp(-i n_hat phi): the eigenpath
     U(phi)|psi(0)> is single valued with connection <n_hat>.  Meaningless
-    inside a degenerate cluster, so a level gap below 1e-10 is rejected.
+    inside a degenerate cluster, so a level gap below DEGENERACY_GAP is
+    rejected.
     """
     kind = _coerce_kind(kind)
     es = hermitian_eig(build_hamiltonian(kind, p, cfg))
     if not 0 <= level < es.dim:
         raise ValueError(f"level must be in [0, {es.dim}), got {level}")
-    gaps = []
-    if level > 0:
-        gaps.append(es.values[level] - es.values[level - 1])
-    if level < es.dim - 1:
-        gaps.append(es.values[level + 1] - es.values[level])
-    gap = min(gaps)
-    if gap < 1e-10:
+    gap = _level_gap(es.values, level)
+    if gap < DEGENERACY_GAP:
         raise DegenerateLevelError(
-            f"level {level} is degenerate (gap {gap:.3e} < 1e-10): the "
+            f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}): the "
             "geometric phase of a single level is undefined there"
         )
     _, _, n_hat = ladder_ops(cfg)

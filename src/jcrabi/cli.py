@@ -146,6 +146,11 @@ def _check_levels(k_levels: int, n_max: int):
         )
 
 
+def _check_finite(flag: str, value: float):
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+
+
 def _parse_n_list(text: str) -> list:
     try:
         n_list = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -162,6 +167,8 @@ def _model_kinds(cfg: RunConfig):
 
 
 def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg: bool) -> int:
+    for flag, value in (("g-min", g_min), ("g-max", g_max), ("g-step", g_step)):
+        _check_finite(flag, value)
     if g_step <= 0 or g_max < g_min:
         raise UsageError("need g-step > 0 and g-max >= g-min")
     _check_levels(cfg.k_levels, cfg.n_max)
@@ -247,6 +254,8 @@ def _parse_range(text: str, name: str):
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"{name} must look like lo:hi, got {text!r}") from exc
+    _check_finite(name, lo)
+    _check_finite(name, hi)
     if hi <= lo:
         raise UsageError(f"{name}: need hi > lo, got {text!r}")
     return lo, hi
@@ -255,9 +264,9 @@ def _parse_range(text: str, name: str):
 def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, svg: bool) -> int:
     if resolution < 2:
         raise UsageError(f"resolution must be >= 2, got {resolution}")
-    out = _out_dir(cfg)
     x_lo, x_hi = _parse_range(x_range, "x-range")
     p_lo, p_hi = _parse_range(p_range, "p-range")
+    out = _out_dir(cfg)
     x_axis = np.linspace(x_lo, x_hi, resolution)
     p_axis = np.linspace(p_lo, p_hi, resolution)
     for kind in _model_kinds(cfg):
@@ -282,6 +291,13 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
         }
         path = write_json(out / f"degeneracy_{kind.model}.json", payload, meta)
         print(f"wrote {path} (locus={report.locus}, min_gap={report.min_gap:.6g})")
+        if report.locus == "none" and report.min_gap <= report.tol_gap:
+            print(
+                f"note: {kind.model} min_gap {report.min_gap:.3g} is within tol_gap "
+                f"{report.tol_gap:.3g}, but the grid is too coarse to call it a point; "
+                "raise --resolution (about 23 points per axis resolve a cone apex)",
+                file=sys.stderr,
+            )
         if svg:
             path = write_svg_heatmap(
                 out / f"surface_gap_{kind.model}.svg", x_axis, p_axis, grid.gap,
@@ -310,6 +326,10 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
 
 
 def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
+    _check_finite("g-lo", g_lo)
+    _check_finite("g-hi", g_hi)
+    if not 0 <= g_lo < g_hi:
+        raise UsageError(f"need 0 <= g-lo < g-hi, got g-lo={g_lo}, g-hi={g_hi}")
     out = _out_dir(cfg)
     res = spectra.ground_crossing(cfg.params(), cfg.cfg(), g_lo, g_hi)
     payload = {

@@ -5,6 +5,11 @@ direct LAPACK eigendecomposition is the right tool; real symmetric input
 stays real.  The wrappers below add the checks the physics modules rely on:
 a Hermiticity gate on input, one eigen-residual gate on output, and
 commutator diagnostics used to verify model symmetries.
+
+hermitian_eig serves the full joint-space matrices and the real
+tridiagonal parity sectors (dim n_max + 1) that berry.eig_family solves
+once per loop; residual_gate is also applied on its own to single tracked
+eigenpairs, against the full rotated matrix they belong to.
 """
 
 from __future__ import annotations

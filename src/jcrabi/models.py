@@ -226,3 +226,20 @@ def symmetry_ops(cfg: TruncationConfig):
     parity = embed(field_parity, sz, cfg)
     return n_total, parity
 
+
+def parity_chains(cfg: TruncationConfig):
+    """Joint-space indices of the two parity sectors, in chain order.
+
+    Element j of a chain has field occupation j and alternates the qubit:
+    the even chain is |2>|0>, |1>|1>, |2>|2>, ... (parity +1) and the odd
+    chain |1>|0>, |2>|1>, |1>|2>, ... (parity -1).  The coupling of either
+    model links only neighbours in a chain, so each sector of a lab-frame
+    Hamiltonian is a real tridiagonal matrix of size n_max + 1 (the JC
+    coupling skips every other link).  U(phi) is diagonal, so the chains
+    are shared by every rotated H'(phi).
+    """
+    n = np.arange(cfg.dim_field)
+    ground = cfg.dim_field  # offset of the |1> block
+    even = np.where(n % 2 == 0, n, ground + n)
+    odd = np.where(n % 2 == 0, ground + n, n)
+    return even, odd

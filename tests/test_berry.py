@@ -16,7 +16,8 @@ from jcrabi import (
     wilson_loop,
     wrap_phase,
 )
-from jcrabi.berry import TrackedFamily, phase_distance
+import jcrabi.berry as berry_module
+from jcrabi.berry import TWO_PI, TrackedFamily, phase_distance
 from jcrabi.linalg import ConvergenceError, hermitian_eig
 from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
 
@@ -97,19 +98,41 @@ class TestEigFamily:
             assert abs(es.values[j] - fam.energies[k]) <= 1e-12
 
     def test_perturbed_eigenvalue_fails_gate_at_its_node(self, monkeypatch):
-        true_eigh = np.linalg.eigh
-        calls = []
+        # +1e-6 on the |2>|0> diagonal entry of H'(phi_5): the tracked
+        # resonant doublet has weight 1/2 there, so only node 5 fails the gate
+        K = 32
+        true_rotate = berry_module.rotate_hamiltonian
 
-        def perturbed(a):
-            values, vectors = true_eigh(a)
-            calls.append(None)
-            if len(calls) == 6:  # phi node 5
-                values = values + 1e-6
-            return values, vectors
+        def perturbed(h, phi, cfg):
+            hk = true_rotate(h, phi, cfg)
+            if phi == TWO_PI * 5 / K:
+                hk[0, 0] += 1e-6
+            return hk
 
-        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(berry_module, "rotate_hamiltonian", perturbed)
         with pytest.raises(ConvergenceError, match="phi node 5"):
-            eig_family("jc", P_RES, 1, 32, CFG)
+            eig_family("jc", P_RES, 1, K, CFG)
+
+    def test_degenerate_level_refusal_names_level_and_gap(self):
+        with pytest.raises(TrackingError, match=r"phi node 0: level 1 is degenerate \(gap "):
+            eig_family("jc", ModelParams(Omega=1.0, g=1.0), 1, 64, CFG)
+
+    def test_hamiltonian_outside_the_parity_chains_rejected(self, monkeypatch):
+        def parity_breaking(kind, p, cfg):
+            h = build_hamiltonian(kind, p, cfg)
+            h[0, cfg.dim_field] = h[cfg.dim_field, 0] = 1e-3  # |2>|0> <-> |1>|0>
+            return h
+
+        monkeypatch.setattr(berry_module, "build_hamiltonian", parity_breaking)
+        with pytest.raises(ValueError, match="parity chains"):
+            eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 32, CFG)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_every_model_frame_passes_the_sector_split(self, kind):
+        fam = eig_family(kind, ModelParams(Omega=1.2, g=0.4), 1, 16, CFG, threshold=0.9)
+        h0 = build_hamiltonian(kind, fam.params, CFG)
+        es = hermitian_eig(h0)
+        assert fam.energies[0] == pytest.approx(es.values[1], abs=1e-12)
 
     def test_tracks_through_detuned_spectrum(self):
         fam = eig_family("jc", ModelParams(Omega=1.5, g=0.3), 1, 64, CFG)

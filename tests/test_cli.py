@@ -127,6 +127,20 @@ class TestSurfacesCommand:
         assert report["min_gap"] == pytest.approx(1.0, abs=1e-9)
         assert (tmp_path / "surface_gap_rabi.svg").exists()
 
+    @pytest.mark.parametrize("resolution, locus", [(5, "none"), (41, "point")])
+    def test_coarse_grid_contract(self, tmp_path, capsys, resolution, locus):
+        # both grids hold the resonant cone apex (0, 0) exactly
+        rc = main([
+            "surfaces", "--model", "jc", "--resolution", str(resolution),
+            "--x-range=-1:1", "--p-range=-1:1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        report = json.loads((tmp_path / "degeneracy_jc.json").read_text())
+        assert report["min_gap"] == 0.0
+        assert report["locus"] == locus
+        noted = "too coarse to call it a point" in capsys.readouterr().err
+        assert noted == (locus == "none")
+
     def test_small_grid_row_count(self, tmp_path):
         rc = main([
             "surfaces", "--model", "jc", "--resolution", "2", "--out", str(tmp_path),
@@ -228,6 +242,25 @@ class TestExitCodes:
     def test_usage_error_non_ascending_n_list(self, tmp_path, capsys):
         assert main(["convergence", "--n-list", "40,20", "--out", str(tmp_path)]) == 1
         assert "strictly ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--g-min", "nan"], "g-min"),
+        (["spectrum", "--g-max", "inf"], "g-max"),
+        (["spectrum", "--g-step", "nan"], "g-step"),
+        (["crossing", "--g-lo", "nan"], "g-lo"),
+        (["crossing", "--g-hi", "nan"], "g-hi"),
+        (["surfaces", "--x-range", "nan:1"], "x-range"),
+        (["surfaces", "--p-range=-inf:1"], "p-range"),
+    ])
+    def test_usage_error_non_finite_flag(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--nmax", "5", "--out", str(tmp_path)]) == 1
+        assert f"usage error: {flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g_lo, g_hi", [("1.2", "0.3"), ("-0.5", "1.2")])
+    def test_usage_error_crossing_bracket(self, tmp_path, capsys, g_lo, g_hi):
+        argv = ["crossing", f"--g-lo={g_lo}", f"--g-hi={g_hi}", "--nmax", "5"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert "need 0 <= g-lo < g-hi" in capsys.readouterr().err
 
     def test_numerical_error_no_crossing(self, tmp_path):
         rc = main([

@@ -19,6 +19,7 @@ from jcrabi.models import (
     ModelKind,
     build_hamiltonian,
     empty_state_energy,
+    parity_chains,
     phase_factors,
 )
 
@@ -141,6 +142,22 @@ class TestSymmetries:
         ]))
         full = hermitian_eig(h).values
         assert np.max(np.abs(block_vals - full)) <= 1e-10 * max(1.0, np.max(np.abs(h)))
+
+    def test_parity_chains_partition_the_parity_sectors(self):
+        even, odd = parity_chains(CFG)
+        assert len(even) == len(odd) == CFG.dim_field
+        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(CFG.dim_joint))
+        _, parity = symmetry_ops(CFG)
+        signs = np.diag(parity)
+        assert np.all(signs[even] == 1.0)
+        assert np.all(signs[odd] == -1.0)
+
+    def test_chain_sectors_are_tridiagonal(self):
+        h = build_rabi(ModelParams(Omega=1.0, g=0.9), CFG, LAB)
+        for chain in parity_chains(CFG):
+            sector = h[np.ix_(chain, chain)]
+            assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
+            assert np.all(np.diag(sector, 1) > 0.0)
 
 
 class TestFrames:
