@@ -13,6 +13,7 @@ from .linalg import (
     ConvergenceError,
     EigenSystem,
     HermiticityError,
+    block_eig,
     commutator_deviation,
     expectation,
     hermitian_eig,
@@ -28,6 +29,7 @@ from .models import (
     empty_state_energy,
     jc_doublet_analytic,
     parity_chains,
+    parity_sectors,
     rotate_hamiltonian,
     symmetry_ops,
 )

@@ -29,12 +29,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import TruncationConfig, embed, ladder_ops
-from .linalg import HERMITICITY_RTOL, expectation, hermitian_eig, residual_gate
+from .linalg import (
+    HERMITICITY_RTOL,
+    block_eig,
+    expectation,
+    hermitian_eig,
+    residual_gate,
+)
 from .models import (
     ModelKind,
     ModelParams,
     build_hamiltonian,
     parity_chains,
+    parity_sectors,
     rotate_hamiltonian,
 )
 
@@ -155,26 +162,19 @@ def _level_gap(values: np.ndarray, level: int) -> float:
     return float(min(gaps))
 
 
-def _sector_tridiagonals(h: np.ndarray, chains, maxabs: float):
-    """Real tridiagonal sectors of H in chain order, after checking that H
-    has nothing outside them beyond HERMITICITY_RTOL * max|H|."""
-    inside = np.zeros(h.shape, dtype=bool)
-    for c in chains:
-        inside[c, c] = True
-        inside[c[:-1], c[1:]] = True
-        inside[c[1:], c[:-1]] = True
-    leak = float(np.max(np.abs(h[~inside])))
+def _check_sector_split(h: np.ndarray, sectors, chains, maxabs: float):
+    """Raise ValueError unless H equals the sectors placed on their chains,
+    entry by entry, within HERMITICITY_RTOL * max|H|."""
+    split = np.zeros(h.shape)
+    for c, t in zip(chains, sectors):
+        split[np.ix_(c, c)] = t
+    dev = float(np.max(np.abs(h - split)))
     bound = HERMITICITY_RTOL * maxabs
-    if leak > bound:
+    if dev > bound:
         raise ValueError(
-            f"H does not split into the two parity chains: an entry of "
-            f"magnitude {leak:.3e} outside them exceeds {bound:.3e}"
+            f"H does not split into the two parity chains: it differs from "
+            f"models.parity_sectors by {dev:.3e}, above {bound:.3e}"
         )
-    sectors = []
-    for c in chains:
-        off = h[c[:-1], c[1:]].real
-        sectors.append(np.diag(h[c, c].real) + np.diag(off, 1) + np.diag(off, -1))
-    return sectors
 
 
 def _chain_phases(hk: np.ndarray, chain: np.ndarray, t_off: np.ndarray) -> np.ndarray:
@@ -204,8 +204,9 @@ def eig_family(
     ``level`` is the eigenindex at phi = 0 (0 = ground state).  Both models
     conserve parity, so in chain order (models.parity_chains) each parity
     sector of H'(phi) is D(phi) T D(phi)^dag: T is the real tridiagonal
-    sector of H(0) and D(phi) a diagonal unitary read off the phases of the
-    sector's off-diagonal entries.  Each T is solved once, by hermitian_eig;
+    sector of H(0), taken from models.parity_sectors, and D(phi) a diagonal
+    unitary read off the phases of the sector's off-diagonal entries.  Both
+    T are solved once, by linalg.block_eig, which also numbers the levels;
     the eigenvectors of H'(phi_k) in the tracked level's sector are then
     D(phi_k) W.  At each node D comes from rotate_hamiltonian's H'(phi_k),
     the candidate maximizing |<psi_prev|candidate>| is selected, and a best
@@ -215,7 +216,8 @@ def eig_family(
 
     A level whose gap to its neighbours in the merged two-sector spectrum
     is below DEGENERACY_GAP has no single-level phase: TrackingError at
-    node 0.  A Hamiltonian that does not split into the two chains is a
+    node 0.  A dense H(0) that differs from those sectors placed on their
+    chains by more than HERMITICITY_RTOL * max|H| in any entry is a
     ValueError.
     """
     kind = _coerce_kind(kind)
@@ -228,11 +230,10 @@ def eig_family(
     maxabs = float(np.max(np.abs(h0)))
 
     chains = parity_chains(cfg)
-    sectors = _sector_tridiagonals(h0, chains, maxabs)
-    systems = [hermitian_eig(t) for t in sectors]
-    merged = np.concatenate([es.values for es in systems])
-    order = np.argsort(merged, kind="stable")
-    gap = _level_gap(merged[order], level)
+    sectors = parity_sectors(kind, p, cfg)
+    _check_sector_split(h0, sectors, chains, maxabs)
+    merged, systems, order = block_eig(sectors)
+    gap = _level_gap(merged, level)
     if gap < DEGENERACY_GAP:
         raise TrackingError(
             0,

@@ -6,10 +6,14 @@ stays real.  The wrappers below add the checks the physics modules rely on:
 a Hermiticity gate on input, one eigen-residual gate on output, and
 commutator diagnostics used to verify model symmetries.
 
-hermitian_eig serves the full joint-space matrices and the real
-tridiagonal parity sectors (dim n_max + 1) that berry.eig_family solves
-once per loop; residual_gate is also applied on its own to single tracked
-eigenpairs, against the full rotated matrix they belong to.
+The main input of hermitian_eig is the pair of real tridiagonal parity
+sectors (dim n_max + 1) from models.parity_sectors, which block_eig solves
+and merges: every spectrum, sweep and crossing solves them, and
+berry.eig_family solves them once per loop.  The full joint-space matrices
+still come here from the dense oracle paths (generator_phase, the
+acceptance gate's dense checks, the tests).  residual_gate is also applied
+on its own to single tracked eigenpairs, against the full rotated matrix
+they belong to.
 """
 
 from __future__ import annotations
@@ -116,6 +120,21 @@ def hermitian_eig(a) -> EigenSystem:
 
     residual = residual_gate(a, values, vectors, maxabs, f"for a dim={n} matrix")
     return EigenSystem(values, vectors, residual)
+
+
+def block_eig(blocks):
+    """Spectrum of a block-diagonal matrix given by its equal-size blocks.
+
+    Each block goes through hermitian_eig.  Returns (values, systems,
+    order): the ascending merged spectrum, one EigenSystem per block, and
+    the stable merge order, so values[i] is eigenvalue order[i] % m of
+    block order[i] // m for blocks of size m.  Equal values keep block
+    order, which fixes the level numbering of every parity-sector solve.
+    """
+    systems = [hermitian_eig(b) for b in blocks]
+    merged = np.concatenate([es.values for es in systems])
+    order = np.argsort(merged, kind="stable")
+    return merged[order], systems, order
 
 
 def expectation(a, v) -> float:

@@ -16,6 +16,11 @@ The lab and quadrature Rabi frames differ by the vacuum offset w/2 plus
 truncation-edge effects only; JC lab and quadrature frames commute (they
 differ by w * N_hat) and share exact eigenvectors.
 
+parity_sectors gives the structured form every solve uses: the two real
+tridiagonal parity sectors of size n_max + 1, in closed form, in the chain
+order of parity_chains.  The dense joint-space builders are the oracle they
+are tested against, and the input to rotate_hamiltonian.
+
 Phase-space rotations use U(phi) = exp(-i n_hat phi); rotated Hamiltonians
 are always computed by explicit conjugation U H U^dag in rotate_hamiltonian,
 never by transcribing a closed-form rotated expression.  Lab-frame and JC
@@ -243,3 +248,36 @@ def parity_chains(cfg: TruncationConfig):
     even = np.where(n % 2 == 0, n, ground + n)
     odd = np.where(n % 2 == 0, ground + n, n)
     return even, odd
+
+
+def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
+    """The two parity sectors of build_hamiltonian(kind, p, cfg), in closed form.
+
+    Returns the real tridiagonal (n_max + 1)-square matrices of the even
+    and the odd chain (parity_chains order).  Element j has field
+    occupation j and sigma_z = s_j, with s_j = (-1)^j on the even chain and
+    -(-1)^j on the odd one.  The diagonal is w j + (W/2) s_j; the JC
+    quadrature frame keeps only (D/2) s_j, and the Rabi quadrature frame
+    has the field part w (j + 1/2) except w n_max / 2 in the last entry,
+    where truncated p^2 + x^2 loses a a^dag.  The link between j and j + 1
+    is g sqrt(2) sqrt(j + 1); the JC coupling keeps it only where element
+    j is the excited qubit.  The dense builders remain the oracle: the
+    three real frames agree with them exactly, the Rabi quadrature frame up
+    to the rounding of its p^2 + x^2.
+    """
+    j = np.arange(cfg.dim_field)
+    link = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0)
+    if kind.frame == LAB:
+        field = p.omega * j
+    elif kind.model == "rabi":
+        field = p.omega * (j + 0.5)
+        field[-1] = 0.5 * p.omega * cfg.n_max
+    else:
+        field = np.zeros(cfg.dim_field)
+    half_split = 0.5 * (p.delta if kind == ModelKind.JC_QUADRATURE else p.Omega)
+    sectors = []
+    for first in (1.0, -1.0):  # sigma_z of element 0: even chain, odd chain
+        s = first * (-1.0) ** j
+        off = link * (s[:-1] > 0) if kind.model == "jc" else link
+        sectors.append(np.diag(field + half_split * s) + np.diag(off, 1) + np.diag(off, -1))
+    return tuple(sectors)

@@ -1,22 +1,28 @@
 """Spectrum sweeps, Bloch-Siegert quantification, ground-state crossing and
-truncation convergence for the JC and Rabi models."""
+truncation convergence for the JC and Rabi models.
+
+Every one-shot solve here runs on the two parity sectors: the closed-form
+real tridiagonal matrices of models.parity_sectors, each decomposed and
+gated by hermitian_eig and merged into one ascending spectrum by
+linalg.block_eig.  The dense joint-space builders are not called; they
+stay the oracle the tests compare these results with.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import hermitian_eig
+from .linalg import block_eig
 from .models import (
     ModelKind,
     ModelParams,
-    build_hamiltonian,
-    build_jc,
-    build_rabi,
     empty_state_energy,
     jc_doublet_analytic,
+    parity_sectors,
 )
 
 
@@ -49,8 +55,7 @@ def spectrum_sweep(
         raise ValueError(f"k must be in [1, {cfg.dim_joint}], got {k}")
     levels = np.empty((len(g_grid), k))
     for i, g in enumerate(g_grid):
-        h = build_hamiltonian(kind, p.with_g(g), cfg)
-        levels[i] = hermitian_eig(h).values[:k]
+        levels[i] = block_eig(parity_sectors(kind, p.with_g(g), cfg))[0][:k]
     return SpectrumTable(g_grid, levels, kind, p, cfg)
 
 
@@ -62,11 +67,14 @@ def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -
     drops out, leaving the observable level shift).  Returns
     |E_level^Rabi - E_level^JC| / |E_level^JC| with E_level = E(level) - E(0).
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    if not isinstance(level, numbers.Integral) or not 1 <= level < cfg.dim_joint:
+        raise ValueError(
+            f"level must be an integer in [1, {cfg.dim_joint}) for n_max={cfg.n_max}, "
+            f"got {level!r}"
+        )
     pg = p.with_g(g)
-    jc = hermitian_eig(build_jc(pg, cfg)).values
-    rabi = hermitian_eig(build_rabi(pg, cfg)).values
+    jc = block_eig(parity_sectors(ModelKind.JC_LAB, pg, cfg))[0]
+    rabi = block_eig(parity_sectors(ModelKind.RABI_LAB, pg, cfg))[0]
     e_jc = jc[level] - jc[0]
     e_rabi = rabi[level] - rabi[0]
     if abs(e_jc) < 1e-12:
@@ -97,8 +105,18 @@ class CrossingResult:
     note: str
 
 
-def _doublet1_minus_energy(g: float, p: ModelParams) -> float:
-    return jc_doublet_analytic(1, p.with_g(g)).energies[1]
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it around the sign change of f
+    until it is at most tol wide, or until lo and hi are adjacent floats."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f(mid) * f_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def ground_crossing(
@@ -112,46 +130,46 @@ def ground_crossing(
     uncoupled |1>|0> level and stops it being the JC ground state.
 
     Analytic route: bisection on f(g) = E_1^-(g) + Omega/2 to ``tol``.
-    Numerical route: bisection on the diagonalized ground vector's overlap
-    with |1>|0> dropping below 1/2 (the two branches sit in different
-    excitation sectors, so the overlap jumps at the crossing).
+    Numerical route: bisection on the ground vector's weight on |1>|0>
+    dropping below 1/2.  |1>|0> is element 0 of the odd parity chain and
+    the n=1 doublet lies in the even one, so the weight is 0 whenever the
+    ground state sits in the even sector and jumps at the crossing.
+
+    The bracket must be finite with 0 <= g_lo < g_hi, and tol finite and
+    > 0; otherwise ValueError.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not (np.isfinite(g_lo) and np.isfinite(g_hi) and 0 <= g_lo < g_hi):
+        raise ValueError(
+            f"need a finite bracket 0 <= g_lo < g_hi, got g_lo={g_lo}, g_hi={g_hi}"
+        )
+    lo, hi = float(g_lo), float(g_hi)
     e0 = empty_state_energy(p)
-    f_lo = _doublet1_minus_energy(g_lo, p) - e0
-    f_hi = _doublet1_minus_energy(g_hi, p) - e0
+
+    def energy_excess(g: float) -> float:
+        return jc_doublet_analytic(1, p.with_g(g)).energies[1] - e0
+
+    f_lo, f_hi = energy_excess(lo), energy_excess(hi)
     if f_lo * f_hi > 0:
         raise ValueError(
             f"no crossing bracketed in [{g_lo}, {g_hi}]: "
             f"f({g_lo}) = {f_lo:.3e}, f({g_hi}) = {f_hi:.3e}"
         )
-    lo, hi = float(g_lo), float(g_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (_doublet1_minus_energy(mid, p) - e0) * f_lo > 0:
-            lo = mid
-        else:
-            hi = mid
-    analytic = 0.5 * (lo + hi)
+    analytic = _bisect(energy_excess, lo, hi, f_lo, tol)
 
-    idx_empty = cfg.dim_field  # |1>|0> in the qubit-outer ordering
     def overlap_excess(g: float) -> float:
-        es = hermitian_eig(build_jc(p.with_g(g), cfg))
-        return abs(es.vectors[idx_empty, 0]) ** 2 - 0.5
+        _, systems, order = block_eig(parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg))
+        sector, col = divmod(int(order[0]), cfg.dim_field)
+        weight = systems[1].vectors[0, col] ** 2 if sector == 1 else 0.0
+        return weight - 0.5
 
-    lo, hi = float(g_lo), float(g_hi)
-    h_lo = overlap_excess(lo)
-    h_hi = overlap_excess(hi)
+    h_lo, h_hi = overlap_excess(lo), overlap_excess(hi)
     if h_lo * h_hi > 0:
         raise ValueError(
             f"numerical route found no overlap crossing in [{g_lo}, {g_hi}]"
         )
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if overlap_excess(mid) * h_lo > 0:
-            lo = mid
-        else:
-            hi = mid
-    numerical = 0.5 * (lo + hi)
+    numerical = _bisect(overlap_excess, lo, hi, h_lo, 1e-8)
 
     note = (
         f"analytic crossing g* = {analytic:.10f} (closed form sqrt(w W / 2) = "
@@ -180,12 +198,19 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Track the k lowest eigenvalues while refining the Fock cutoff."""
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("n_list must hold at least one cutoff, got an empty list")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly ascending, got {n_list}")
+    dim = 2 * (n_list[0] + 1)
+    if not 1 <= k <= dim:
+        raise ValueError(
+            f"k must be in [1, {dim}] = [1, 2(n_list[0]+1)] for the smallest "
+            f"cutoff {n_list[0]}, got {k}"
+        )
     pg = p.with_g(g)
     levels = np.empty((len(n_list), k))
     for i, n_max in enumerate(n_list):
-        h = build_hamiltonian(kind, pg, TruncationConfig(n_max))
-        levels[i] = hermitian_eig(h).values[:k]
+        levels[i] = block_eig(parity_sectors(kind, pg, TruncationConfig(n_max)))[0][:k]
     changes = np.max(np.abs(np.diff(levels, axis=0)), axis=1)
     return ConvergenceTable(np.asarray(n_list), levels, changes)

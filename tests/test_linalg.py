@@ -11,7 +11,7 @@ from jcrabi import (
     kron,
 )
 from jcrabi.fock import ladder_ops, quadrature_ops, qubit_ops
-from jcrabi.linalg import EIG_RTOL, residual_gate
+from jcrabi.linalg import EIG_RTOL, block_eig, residual_gate
 from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
 
 SX, SY, SZ, SP, SM = qubit_ops()
@@ -140,6 +140,24 @@ class TestResidualGate:
         with pytest.raises(ConvergenceError):
             residual_gate(a, values, np.eye(3), 3.0, "for a dim=3 matrix")
         assert residual_gate(a, values[:2], np.eye(3)[:, :2], 3.0, "") == 0.0
+
+
+class TestBlockEig:
+    def test_merged_spectrum_matches_block_diagonal_matrix(self):
+        rng = np.random.default_rng(7)
+        blocks = [random_hermitian(6, rng).real, random_hermitian(6, rng).real]
+        values, systems, order = block_eig(blocks)
+        full = np.zeros((12, 12))
+        full[:6, :6], full[6:, 6:] = blocks
+        assert np.max(np.abs(values - hermitian_eig(full).values)) <= 1e-12
+        for i, idx in enumerate(order):
+            block, col = divmod(int(idx), 6)
+            assert systems[block].values[col] == values[i]
+
+    def test_ties_keep_block_order(self):
+        values, _, order = block_eig([np.diag([1.0, 3.0]), np.diag([1.0, 2.0])])
+        assert np.array_equal(values, [1.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(order, [0, 2, 3, 1])
 
 
 class TestExpectation:

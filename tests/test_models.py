@@ -20,6 +20,7 @@ from jcrabi.models import (
     build_hamiltonian,
     empty_state_energy,
     parity_chains,
+    parity_sectors,
     phase_factors,
 )
 
@@ -158,6 +159,31 @@ class TestSymmetries:
             sector = h[np.ix_(chain, chain)]
             assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
             assert np.all(np.diag(sector, 1) > 0.0)
+
+
+class TestParitySectors:
+    """The closed-form sectors against the split dense builders."""
+
+    @pytest.mark.parametrize("n_max", [1, 3, 20, 200])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "p", [ModelParams(Omega=1.3, g=0.7), ModelParams(Omega=0.0, g=2.1, omega=0.4)]
+    )
+    def test_every_entry_matches_the_dense_builder(self, kind, n_max, p):
+        cfg = TruncationConfig(n_max)
+        h = build_hamiltonian(kind, p, cfg)
+        split = np.zeros(h.shape)
+        for chain, sector in zip(parity_chains(cfg), parity_sectors(kind, p, cfg)):
+            split[np.ix_(chain, chain)] = sector
+        assert np.max(np.abs(h - split)) <= 1e-14 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_sectors_are_real_symmetric_tridiagonal(self, kind):
+        for sector in parity_sectors(kind, ModelParams(Omega=0.8, g=0.5), CFG):
+            assert sector.dtype == np.float64
+            assert sector.shape == (CFG.dim_field, CFG.dim_field)
+            assert np.array_equal(sector, sector.T)
+            assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
 
 
 class TestFrames:

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,21 @@ from jcrabi.models import ModelKind
 
 CFG = TruncationConfig(60)
 P_RES = ModelParams(Omega=1.0)
+
+
+@contextmanager
+def fails_fast(seconds=5):
+    """Turn a call that would hang into a test failure after ``seconds``."""
+    def timeout(signum, frame):
+        raise AssertionError(f"call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSpectrumSweep:
@@ -73,6 +91,14 @@ class TestBlochSiegert:
         with pytest.raises(ValueError):
             bloch_siegert(P_RES, 0.1, 0, CFG)
 
+    def test_level_beyond_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"level must be an integer in \[1, 12\)"):
+            bloch_siegert(P_RES, 0.1, 50, TruncationConfig(5))
+
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            bloch_siegert(P_RES, 0.1, 2.5, TruncationConfig(5))
+
 
 class TestGroundCrossing:
     def test_resonant_crossing(self):
@@ -95,6 +121,26 @@ class TestGroundCrossing:
         with pytest.raises(ValueError):
             ground_crossing(P_RES, TruncationConfig(40), 0.1, 0.5)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tol_rejected(self, tol):
+        with fails_fast(), pytest.raises(ValueError, match="tol must be finite and > 0"):
+            ground_crossing(P_RES, CFG, 0.3, 1.2, tol=tol)
+
+    def test_tol_below_float_spacing_returns(self):
+        with fails_fast():
+            res = ground_crossing(P_RES, TruncationConfig(40), 0.3, 1.2, tol=1e-300)
+        assert res.analytic_g == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("g_lo, g_hi", [(0.3, float("nan")), (float("-inf"), 1.2)])
+    def test_non_finite_bracket_rejected(self, g_lo, g_hi):
+        with fails_fast(), pytest.raises(ValueError, match="finite bracket"):
+            ground_crossing(P_RES, CFG, g_lo, g_hi)
+
+    @pytest.mark.parametrize("g_lo, g_hi", [(1.2, 0.3), (-0.1, 1.2), (0.5, 0.5)])
+    def test_unordered_bracket_rejected(self, g_lo, g_hi):
+        with fails_fast(), pytest.raises(ValueError, match=r"0 <= g_lo < g_hi"):
+            ground_crossing(P_RES, CFG, g_lo, g_hi)
+
 
 class TestConvergence:
     def test_jc_blocks_decouple(self):
@@ -115,3 +161,15 @@ class TestConvergence:
     def test_requires_ascending_n_list(self):
         with pytest.raises(ValueError):
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 3, [30, 20])
+
+    def test_k_above_smallest_cutoff_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 8\]"):
+            convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 11, [3, 10])
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"k must be in \[1, "):
+            convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 0, [3, 10])
+
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ValueError, match="n_list"):
+            convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 3, [])

@@ -1,0 +1,64 @@
+"""Differential tests of the parity-sector spectra against the dense path.
+
+spectrum_sweep and ground_crossing solve the two closed-form parity sectors;
+the reference is the gated dense solve of the joint-space Hamiltonian.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jcrabi import (
+    ModelParams,
+    TruncationConfig,
+    ground_crossing,
+    hermitian_eig,
+    spectrum_sweep,
+)
+from jcrabi.models import ModelKind, build_hamiltonian, build_jc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["jc", "rabi"]),
+    frame=st.sampled_from(["lab", "quadrature"]),
+    Omega=st.floats(0.0, 2.0),
+    g_grid=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+    n_max=st.integers(1, 40),
+    data=st.data(),
+)
+def test_sweep_rows_match_dense_spectrum(model, frame, Omega, g_grid, n_max, data):
+    kind = ModelKind.of(model, frame)
+    cfg = TruncationConfig(n_max)
+    k = data.draw(st.integers(1, cfg.dim_joint), label="k")
+    p = ModelParams(Omega=Omega)
+    table = spectrum_sweep(kind, p, g_grid, k, cfg)
+    for row, g in zip(table.levels, g_grid):
+        h = build_hamiltonian(kind, p.with_g(g), cfg)
+        dense = hermitian_eig(h).values[:k]
+        assert np.max(np.abs(row - dense)) <= 1e-12 * np.max(np.abs(h)), g
+
+
+def dense_overlap_crossing(p, cfg, g_lo, g_hi):
+    """Bisection to 1e-8 on the dense ground vector's weight on |1>|0>."""
+    def excess(g):
+        es = hermitian_eig(build_jc(p.with_g(g), cfg))
+        return abs(es.vectors[cfg.dim_field, 0]) ** 2 - 0.5
+
+    lo, hi = g_lo, g_hi
+    h_lo = excess(lo)
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) * h_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
+def test_crossing_matches_dense_overlap_bisection(Omega):
+    p, cfg = ModelParams(Omega=Omega), TruncationConfig(60)
+    res = ground_crossing(p, cfg, 0.3, 1.2)
+    assert abs(res.numerical_g - dense_overlap_crossing(p, cfg, 0.3, 1.2)) <= 1e-8
