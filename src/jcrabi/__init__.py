@@ -1,9 +1,11 @@
 """jcrabi: Jaynes-Cummings vs quantum Rabi toolkit.
 
-Dense numerics for the two standard cavity-QED models on a truncated boson
+Numerics for the two standard cavity-QED models on a truncated boson
 space: spectrum sweeps and their counter-rotating deviations, mean-field
 Born-Oppenheimer energy surfaces, and geometric phases of rotated eigenstate
-families computed by three independent estimators.
+families computed by three independent estimators.  Most solves run on the
+two real tridiagonal parity sectors of each Hamiltonian; the dense
+joint-space matrices are the oracle they are checked against.
 """
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ asserted, because the three phase estimators genuinely disagree with the
 folklore expectation there (see the report text).
 
 Expensive tracked families are cached and shared between criteria; the full
-suite fits comfortably in a 15 minute laptop budget.
+suite runs in about 12 s (python -m jcrabi verify, 2 vCPUs, numpy with
+OpenBLAS).
 """
 
 from __future__ import annotations

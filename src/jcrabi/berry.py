@@ -1,13 +1,11 @@
 """Geometric phases of rotated JC/Rabi eigenstates along phi: 0 -> 2 pi.
 
-The loop is generated by U(phi) = exp(-i n_hat phi): one eigenvector of
-the family H'(phi) = U(phi) H U(phi)^dag is tracked by maximal overlap on a
-uniform phi grid.  Both models conserve parity and U(phi) is diagonal, so
-each parity sector of H'(phi) is a fixed real tridiagonal matrix T
-conjugated by a diagonal unitary D(phi): eig_family solves T once per
-sector, takes the eigenvectors at each node as D(phi_k) W, and gates the
-tracked pair against the full H'(phi_k) at every node.  The closed-loop
-phase is estimated three independent ways:
+The loop is generated by U(phi) = exp(-i n_hat phi): the family
+H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
+eigenpath of one level is exactly U(phi)|psi_0>.  eig_family solves the two
+parity sectors of H once, builds the path on a uniform phi grid from
+models.phase_factors, and gates every node against the dense H'(phi_k).
+The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
                        gamma = -Im sum_k log <psi_k|psi_k+1>
@@ -42,6 +40,7 @@ from .models import (
     build_hamiltonian,
     parity_chains,
     parity_sectors,
+    phase_factors,
     rotate_hamiltonian,
 )
 
@@ -56,7 +55,8 @@ CUT_TOL = 1e-12
 
 
 class TrackingError(RuntimeError):
-    """Eigenpath continuation became ambiguous at some phi node."""
+    """The eigenpath is not followed at some phi node: the level is
+    degenerate (refused at node 0) or the phi grid is too coarse."""
 
     def __init__(self, node: int, reason: str):
         self.node = node
@@ -66,9 +66,8 @@ class TrackingError(RuntimeError):
 def _overlap_lost(node: int, overlap: float, threshold: float) -> TrackingError:
     return TrackingError(
         node,
-        f"best overlap {overlap:.6f} is below the continuity threshold "
-        f"{threshold}; a true degeneracy may sit on the loop, or the grid is "
-        "too coarse - try a larger K",
+        f"step overlap {overlap:.6f} is below the continuity threshold "
+        f"{threshold}; the phi grid is too coarse - try a larger K",
     )
 
 
@@ -127,8 +126,8 @@ def anchor_component(index: int | None = None) -> GaugeConvention:
 class TrackedFamily:
     """One eigenvector per node of the uniform phi grid (0 ... 2 pi).
 
-    Identity across nodes is maintained by maximal-overlap continuation, so
-    the tracked level may cross others in energy without being lost.
+    For eig_family, vectors[k] = U(phi_k) vectors[0] and every energy is the
+    level's energy at phi = 0: the rotation leaves the spectrum unchanged.
     """
 
     phi_grid: np.ndarray
@@ -177,20 +176,6 @@ def _check_sector_split(h: np.ndarray, sectors, chains, maxabs: float):
         )
 
 
-def _chain_phases(hk: np.ndarray, chain: np.ndarray, t_off: np.ndarray) -> np.ndarray:
-    """Diagonal of the unitary D with D T D^dag equal to the chain sector of hk.
-
-    D_0 = 1 and D_j+1 = D_j * phase(conj(hk[j, j+1]) * T[j, j+1]); a zero
-    link leaves the phase at 1, which only rephases a block of T that no
-    eigenvector of a nondegenerate level straddles.
-    """
-    r = np.conj(hk[chain[:-1], chain[1:]]) * t_off
-    mag = np.abs(r)
-    steps = np.ones_like(r)
-    np.divide(r, mag, out=steps, where=mag > 0.0)
-    return np.concatenate([[1.0 + 0j], np.cumprod(steps)])
-
-
 def eig_family(
     kind,
     p: ModelParams,
@@ -199,20 +184,17 @@ def eig_family(
     cfg: TruncationConfig,
     threshold: float = CONTINUITY_THRESHOLD,
 ) -> TrackedFamily:
-    """Track one eigenvector of H'(phi_k) over K + 1 uniform nodes.
+    """The eigenpath of one level of H'(phi_k) over K + 1 uniform nodes.
 
-    ``level`` is the eigenindex at phi = 0 (0 = ground state).  Both models
-    conserve parity, so in chain order (models.parity_chains) each parity
-    sector of H'(phi) is D(phi) T D(phi)^dag: T is the real tridiagonal
-    sector of H(0), taken from models.parity_sectors, and D(phi) a diagonal
-    unitary read off the phases of the sector's off-diagonal entries.  Both
-    T are solved once, by linalg.block_eig, which also numbers the levels;
-    the eigenvectors of H'(phi_k) in the tracked level's sector are then
-    D(phi_k) W.  At each node D comes from rotate_hamiltonian's H'(phi_k),
-    the candidate maximizing |<psi_prev|candidate>| is selected, and a best
-    overlap below ``threshold`` raises TrackingError.  The tracked pair then
-    passes residual_gate against the full H'(phi_k), so a failure names its
-    phi node.
+    ``level`` is the eigenindex at phi = 0 (0 = ground state).  The two real
+    tridiagonal parity sectors of H(0) (models.parity_sectors) are solved
+    once by linalg.block_eig, which also numbers the levels; the level's
+    sector vector, placed on its chain (models.parity_chains), is psi_0.
+    Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
+    energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
+    ``threshold`` (a grid too coarse for the level's spread in n) raises
+    TrackingError, and the pair passes residual_gate against the dense
+    rotate_hamiltonian(H(0), phi_k), so a failure names its phi node.
 
     A level whose gap to its neighbours in the merged two-sector spectrum
     is below DEGENERACY_GAP has no single-level phase: TrackingError at
@@ -241,28 +223,25 @@ def eig_family(
             "the geometric phase of a single level is undefined there",
         )
     sector, col = divmod(int(order[level]), cfg.dim_field)
-    chain, es = chains[sector], systems[sector]
-    t_off = np.diag(sectors[sector], 1)
+    energy = systems[sector].values[col]
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[chains[sector]] = systems[sector].vectors[:, col]
 
     phi_grid = TWO_PI * np.arange(K + 1) / K
-    vectors = np.zeros((K + 1, dim), dtype=complex)
-    energies = np.empty(K + 1)
+    vectors = np.empty((K + 1, dim), dtype=complex)
     min_overlap = 1.0
 
     for k, phi in enumerate(phi_grid):
-        hk = rotate_hamiltonian(h0, phi, cfg)
-        d = _chain_phases(hk, chain, t_off)
+        np.multiply(phase_factors(phi, cfg), psi0, out=vectors[k])
         if k > 0:
-            amps = (np.conj(vectors[k - 1, chain]) * d) @ es.vectors
-            col = int(np.argmax(np.abs(amps)))
-            overlap = float(np.abs(amps[col]))
+            overlap = float(abs(np.vdot(vectors[k - 1], vectors[k])))
             if overlap < threshold:
                 raise _overlap_lost(k, overlap, threshold)
             min_overlap = min(min_overlap, overlap)
-        vectors[k, chain] = d * es.vectors[:, col]
-        energies[k] = es.values[col]
-        residual_gate(hk, energies[k], vectors[k], maxabs, f"at phi node {k}")
+        hk = rotate_hamiltonian(h0, phi, cfg)
+        residual_gate(hk, energy, vectors[k], maxabs, f"at phi node {k}")
 
+    energies = np.full(K + 1, energy)
     return TrackedFamily(
         phi_grid, vectors, energies, level, min_overlap, kind, p, cfg, RAW
     )

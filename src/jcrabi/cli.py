@@ -331,7 +331,10 @@ def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
     if not 0 <= g_lo < g_hi:
         raise UsageError(f"need 0 <= g-lo < g-hi, got g-lo={g_lo}, g-hi={g_hi}")
     out = _out_dir(cfg)
-    res = spectra.ground_crossing(cfg.params(), cfg.cfg(), g_lo, g_hi)
+    try:
+        res = spectra.ground_crossing(cfg.params(), cfg.cfg(), g_lo, g_hi)
+    except spectra.NoCrossingError as exc:
+        raise UsageError(str(exc)) from exc
     payload = {
         "analytic_g": res.analytic_g,
         "numerical_g": res.numerical_g,

@@ -12,8 +12,8 @@ and merges: every spectrum, sweep and crossing solves them, and
 berry.eig_family solves them once per loop.  The full joint-space matrices
 still come here from the dense oracle paths (generator_phase, the
 acceptance gate's dense checks, the tests).  residual_gate is also applied
-on its own to single tracked eigenpairs, against the full rotated matrix
-they belong to.
+on its own to each node U(phi_k)|psi_0> of a Berry-loop eigenpath, against
+the dense rotated H'(phi_k).
 """
 
 from __future__ import annotations

@@ -105,6 +105,10 @@ class CrossingResult:
     note: str
 
 
+class NoCrossingError(ValueError):
+    """The analytic crossing condition keeps one sign over the whole bracket."""
+
+
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     """Midpoint of [lo, hi] after halving it around the sign change of f
     until it is at most tol wide, or until lo and hi are adjacent floats."""
@@ -136,7 +140,9 @@ def ground_crossing(
     ground state sits in the even sector and jumps at the crossing.
 
     The bracket must be finite with 0 <= g_lo < g_hi, and tol finite and
-    > 0; otherwise ValueError.
+    > 0; otherwise ValueError.  A bracket where the analytic condition does
+    not change sign raises NoCrossingError (a ValueError); a numerical route
+    that finds no sign change inside a valid bracket is a plain ValueError.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -152,7 +158,7 @@ def ground_crossing(
 
     f_lo, f_hi = energy_excess(lo), energy_excess(hi)
     if f_lo * f_hi > 0:
-        raise ValueError(
+        raise NoCrossingError(
             f"no crossing bracketed in [{g_lo}, {g_hi}]: "
             f"f({g_lo}) = {f_lo:.3e}, f({g_hi}) = {f_hi:.3e}"
         )

@@ -139,6 +139,29 @@ class TestEigFamily:
         assert fam.min_step_overlap >= 0.99
         assert np.max(np.abs(fam.energies - fam.energies[0])) <= 1e-9
 
+    def test_coarse_grid_fails_at_first_step(self):
+        # every step of U(phi)|psi_0> has the same overlap, 0.9696 here
+        with pytest.raises(TrackingError, match="phi node 1: step overlap"):
+            eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 16, CFG)
+
+
+@pytest.mark.parametrize("model, level", [("jc", 1), ("jc", 3), ("jc", 5), ("rabi", 1)])
+class TestEigenpathIsRotatedPsi0:
+    # resonant JC levels 3 and 5 mix field occupations {1, 2} and {2, 3}, so
+    # the unwrapped loop phase 2 pi <n> is 3 pi and 5 pi
+    @pytest.fixture
+    def fam(self, model, level):
+        return eig_family(model, P_RES, level, 64, CFG)
+
+    def test_vectors_are_u_phi_times_psi_0(self, fam):
+        for phi, v in zip(fam.phi_grid, fam.vectors):
+            rotated = phase_factors(phi, CFG) * fam.vectors[0]
+            assert np.max(np.abs(v - rotated)) <= 1e-15
+
+    def test_unwrapped_wilson_sum_is_generator_phase(self, fam, model, level):
+        gen = generator_phase(model, P_RES, level, CFG)
+        assert abs(wilson_loop(fam).gamma_unwrapped - gen) <= 1e-3
+
 
 class TestGaugeFix:
     def test_parallel_transport_overlaps_real_nonnegative(self, rabi_family):

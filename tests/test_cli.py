@@ -262,12 +262,14 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert "need 0 <= g-lo < g-hi" in capsys.readouterr().err
 
-    def test_numerical_error_no_crossing(self, tmp_path):
+    def test_usage_error_no_crossing_in_bracket(self, tmp_path, capsys):
+        # a bracket that holds no crossing is bad input, not a numerical failure
         rc = main([
             "crossing", "--g-lo", "0.1", "--g-hi", "0.2", "--nmax", "30",
             "--out", str(tmp_path),
         ])
-        assert rc == 2
+        assert rc == 1
+        assert "usage error: no crossing bracketed in [0.1, 0.2]" in capsys.readouterr().err
 
     def test_verify_subset(self, tmp_path, capsys):
         rc = main(["verify", "--only", "5,10", "--out", str(tmp_path)])

@@ -14,6 +14,7 @@ from jcrabi import (
     spectrum_sweep,
 )
 from jcrabi.models import ModelKind
+from jcrabi.spectra import NoCrossingError
 
 CFG = TruncationConfig(60)
 P_RES = ModelParams(Omega=1.0)
@@ -118,7 +119,9 @@ class TestGroundCrossing:
         assert "DISAGREES" in res.note
 
     def test_no_crossing_in_bracket(self):
-        with pytest.raises(ValueError):
+        # still a ValueError for library callers; the CLI reports it as a usage error
+        assert issubclass(NoCrossingError, ValueError)
+        with pytest.raises(NoCrossingError, match=r"no crossing bracketed in \[0.1, 0.5\]"):
             ground_crossing(P_RES, TruncationConfig(40), 0.1, 0.5)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
