@@ -1,16 +1,16 @@
 """jcrabi: Jaynes-Cummings vs quantum Rabi toolkit.
 
-Numerics for the two standard cavity-QED models on a truncated boson
-space: spectrum sweeps and their counter-rotating deviations, mean-field
-Born-Oppenheimer energy surfaces, and geometric phases of rotated eigenstate
-families computed by three independent estimators.  Most solves run on the
-two real tridiagonal parity sectors of each Hamiltonian; the dense
-joint-space matrices are the oracle they are checked against.
+Numerics for the two standard cavity-QED models, built in the lab frame on a
+truncated boson space: spectrum sweeps and their counter-rotating
+deviations, mean-field Born-Oppenheimer energy surfaces, and geometric
+phases of rotated eigenstate families computed by three independent
+estimators.  Most solves run on the two real tridiagonal parity sectors of
+each Hamiltonian; the dense joint-space matrices are their oracle.
 """
 
 __version__ = "0.1.0"
 
-from .fock import TruncationConfig, embed, ladder_ops, quadrature_ops, qubit_ops
+from .fock import TruncationConfig, embed, ladder_ops, qubit_ops
 from .linalg import (
     ConvergenceError,
     EigenSystem,
@@ -19,7 +19,6 @@ from .linalg import (
     commutator_deviation,
     expectation,
     hermitian_eig,
-    kron,
 )
 from .models import (
     DressedDoublet,

@@ -38,6 +38,8 @@ SWEEP_NMAX = 200
 BERRY_NMAX = 150
 BERRY_K = 720
 PI = np.pi
+# The criterion numbers, in run order.
+CRITERIA = range(1, 13)
 
 
 @dataclass
@@ -378,11 +380,10 @@ class AcceptanceSuite:
     # -- driver ---------------------------------------------------------------
 
     def run(self, numbers=None):
-        all_numbers = list(range(1, 13))
-        numbers = list(numbers) if numbers else all_numbers
+        numbers = list(numbers) if numbers else list(CRITERIA)
         results = []
         for num in numbers:
-            if num not in all_numbers:
+            if num not in CRITERIA:
                 raise ValueError(f"no criterion {num}; valid: 1..12")
             fn = getattr(self, f"criterion_{num}")
             t0 = time.time()

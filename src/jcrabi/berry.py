@@ -145,12 +145,6 @@ class TrackedFamily:
         return len(self.phi_grid) - 1
 
 
-def _coerce_kind(kind) -> ModelKind:
-    if isinstance(kind, ModelKind):
-        return kind
-    return ModelKind.of(str(kind), "lab")
-
-
 def _level_gap(values: np.ndarray, level: int) -> float:
     """Distance from values[level] to its nearest neighbour (values ascending)."""
     gaps = []
@@ -202,7 +196,7 @@ def eig_family(
     chains by more than HERMITICITY_RTOL * max|H| in any entry is a
     ValueError.
     """
-    kind = _coerce_kind(kind)
+    kind = ModelKind(kind)
     if K < 16:
         raise ValueError(f"K must be >= 16, got {K}")
     h0 = build_hamiltonian(kind, p, cfg)
@@ -394,7 +388,7 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
     inside a degenerate cluster, so a level gap below DEGENERACY_GAP is
     rejected.
     """
-    kind = _coerce_kind(kind)
+    kind = ModelKind(kind)
     es = hermitian_eig(build_hamiltonian(kind, p, cfg))
     if not 0 <= level < es.dim:
         raise ValueError(f"level must be in [0, {es.dim}), got {level}")

@@ -163,7 +163,7 @@ def _parse_n_list(text: str) -> list:
 
 def _model_kinds(cfg: RunConfig):
     names = ("jc", "rabi") if cfg.model == "both" else (cfg.model,)
-    return [ModelKind.of(name, "lab") for name in names]
+    return [ModelKind(name) for name in names]
 
 
 def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg: bool) -> int:
@@ -312,7 +312,7 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
         raise UsageError("convergence studies one model at a time; pick --model jc or rabi")
     _check_levels(cfg.k_levels, n_list[0])
     out = _out_dir(cfg)
-    kind = ModelKind.of(cfg.model, "lab")
+    kind = ModelKind(cfg.model)
     table = spectra.convergence_study(kind, cfg.params(), cfg.g, cfg.k_levels, n_list)
     columns = ["n_max"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)] + ["max_change"]
     rows = []
@@ -326,6 +326,8 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
 
 
 def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
+    if cfg.model != "jc":
+        raise UsageError(f"crossing is a JC quantity; --model must be jc, got {cfg.model}")
     _check_finite("g-lo", g_lo)
     _check_finite("g-hi", g_hi)
     if not 0 <= g_lo < g_hi:
@@ -351,13 +353,15 @@ def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
 
 
 def cmd_verify(cfg: RunConfig, only) -> int:
-    out = _out_dir(cfg)
     numbers = None
-    if only:
+    if only is not None:
         try:
             numbers = [int(tok) for tok in only.split(",") if tok.strip()]
         except ValueError as exc:
             raise UsageError(f"--only expects comma-separated criterion numbers: {exc}") from exc
+        if not numbers or any(n not in acceptance.CRITERIA for n in numbers):
+            raise UsageError(f"--only expects criterion numbers in 1..12, got {only!r}")
+    out = _out_dir(cfg)
     suite, results = acceptance.run_acceptance(numbers, k_nodes=cfg.phi_nodes)
     report = acceptance.format_report(results)
     print(report)
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     add_common(sp)
-    sp.add_argument("--only", type=str, help="comma-separated criterion numbers")
+    sp.add_argument("--only", type=str, help="comma-separated criterion numbers in 1..12")
     return parser
 
 

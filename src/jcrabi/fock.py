@@ -12,8 +12,8 @@ Conventions, fixed once here to prevent silent sign bugs:
   ``kron(qubit_op, field_op)``.
 * Quadratures: x = (a + a^dag)/sqrt(2) and p = i(a^dag - a)/sqrt(2), the sign
   that gives the canonical [x, p] = +i away from the truncation edge.
-* Number format: real operators (a, n_hat, x, sx, sz, s+, s-) are float64;
-  only p, sy and what is built from them are complex.
+* Number format: a, n_hat, sx, sz, s+ and s- are float64; only sy and what
+  is built from it are complex.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import kron
 
 SQRT2 = np.sqrt(2.0)
 
@@ -61,20 +59,6 @@ def ladder_ops(cfg: TruncationConfig):
     return a, a_dag, n_hat
 
 
-def quadrature_ops(cfg: TruncationConfig):
-    """Quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2).
-
-    Both are Hermitian; x is real symmetric, p purely imaginary.  The
-    canonical commutator [x, p] = i I holds exactly except in the last Fock
-    row/column, where the cut leaves a defect -i(n_max + 1) at
-    (n_max, n_max).
-    """
-    a, a_dag, _ = ladder_ops(cfg)
-    x_hat = (a + a_dag) / SQRT2
-    p_hat = 1j * (a_dag - a) / SQRT2
-    return x_hat, p_hat
-
-
 def qubit_ops():
     """Pauli and ladder matrices in the (|2>, |1>) basis, sigma_z|2> = +|2>."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -107,4 +91,4 @@ def embed(field_op, qubit_op, cfg: TruncationConfig) -> np.ndarray:
         qubit_op = np.asarray(qubit_op)
         if qubit_op.shape != (2, 2):
             raise ValueError(f"qubit operator must be 2x2, got {qubit_op.shape}")
-    return kron(qubit_op, field_op)
+    return np.kron(qubit_op, field_op)

@@ -169,10 +169,3 @@ def commutator_deviation(a, b, target) -> float:
             f"dimension mismatch: A {a.shape}, B {b.shape}, target {target.shape}"
         )
     return float(np.linalg.norm(a @ b - b @ a - target, "fro"))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; block (i, j) of the result is A[i, j] * B."""
-    a = _as_square(a, "A")
-    b = _as_square(b, "B")
-    return np.kron(a, b)

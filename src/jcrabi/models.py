@@ -1,20 +1,15 @@
 """Hamiltonian builders for the Jaynes-Cummings and quantum Rabi models.
 
-Model conventions (omega = 1 scaling throughout):
+Model conventions (omega = 1 scaling throughout), both in the lab frame:
 
-* Rabi, lab frame:        H_R  = w a^dag a + (W/2) sz + g sqrt(2) (a + a^dag) sx
-* Rabi, quadrature frame: H_R  = w (p^2 + x^2)/2 + (W/2) sz + 2 g x sx
-* JC, lab frame:          H_JC = w a^dag a + (W/2) sz + g sqrt(2) (a^dag s- + s+ a)
-* JC, quadrature frame:   H_JC = (D/2) sz + g sqrt(2) (a s+ + a^dag s-)
-                               = (D/2) sz + g (x sx - p sy)
+* Rabi: H_R  = w a^dag a + (W/2) sz + g sqrt(2) (a + a^dag) sx
+             = w a^dag a + (W/2) sz + 2 g x sx
+* JC:   H_JC = w a^dag a + (W/2) sz + g sqrt(2) (a^dag s- + s+ a)
+             = w a^dag a + (W/2) sz + g (x sx - p sy)
 
-with detuning D = W - w.  The last identity uses this package's momentum sign
-(p = i(a^dag - a)/sqrt(2), canonical [x, p] = +i); with the opposite sign of p
-the same coupling reads x sx + p sy.
-
-The lab and quadrature Rabi frames differ by the vacuum offset w/2 plus
-truncation-edge effects only; JC lab and quadrature frames commute (they
-differ by w * N_hat) and share exact eigenvectors.
+The x-p forms use this package's momentum sign (p = i(a^dag - a)/sqrt(2),
+canonical [x, p] = +i); with the opposite sign of p the JC coupling reads
+x sx + p sy.
 
 parity_sectors gives the structured form every solve uses: the two real
 tridiagonal parity sectors of size n_max + 1, in closed form, in the chain
@@ -23,9 +18,8 @@ are tested against, and the input to rotate_hamiltonian.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi); rotated Hamiltonians
 are always computed by explicit conjugation U H U^dag in rotate_hamiltonian,
-never by transcribing a closed-form rotated expression.  Lab-frame and JC
-quadrature Hamiltonians are real (float64); the Rabi quadrature frame and
-every rotated H'(phi) are complex.
+never by transcribing a closed-form rotated expression.  Both builders
+return real (float64) matrices; every rotated H'(phi) is complex.
 """
 
 from __future__ import annotations
@@ -35,34 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import SQRT2, TruncationConfig, embed, ladder_ops, quadrature_ops, qubit_ops
-
-LAB = "lab"
-QUADRATURE = "quadrature"
+from .fock import SQRT2, TruncationConfig, embed, ladder_ops, qubit_ops
 
 
 class ModelKind(enum.Enum):
-    """Model and frame tag for the four Hamiltonian builders."""
+    """Model tag; the value is the model name, so ModelKind("jc") looks it up."""
 
-    JC_LAB = ("jc", LAB)
-    JC_QUADRATURE = ("jc", QUADRATURE)
-    RABI_LAB = ("rabi", LAB)
-    RABI_QUADRATURE = ("rabi", QUADRATURE)
+    JC_LAB = "jc"
+    RABI_LAB = "rabi"
 
     @property
     def model(self) -> str:
-        return self.value[0]
-
-    @property
-    def frame(self) -> str:
-        return self.value[1]
-
-    @staticmethod
-    def of(model: str, frame: str = LAB) -> "ModelKind":
-        for kind in ModelKind:
-            if kind.value == (model, frame):
-                return kind
-        raise ValueError(f"unknown model/frame combination {model!r}/{frame!r}")
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -92,44 +70,27 @@ class ModelParams:
         return ModelParams(Omega=self.Omega, g=g, omega=self.omega)
 
 
-def _check_frame(frame: str):
-    if frame not in (LAB, QUADRATURE):
-        raise ValueError(f"frame must be '{LAB}' or '{QUADRATURE}', got {frame!r}")
-
-
-def build_rabi(p: ModelParams, cfg: TruncationConfig, frame: str = LAB) -> np.ndarray:
+def build_rabi(p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
     """Quantum Rabi Hamiltonian on the joint space."""
-    _check_frame(frame)
     a, a_dag, n_hat = ladder_ops(cfg)
     sx, _, sz, _, _ = qubit_ops()
-    coupling = p.g * SQRT2 * embed(a + a_dag, sx, cfg)
-    if frame == LAB:
-        h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
-        return h + coupling
-    x_hat, p_hat = quadrature_ops(cfg)
-    kinetic = 0.5 * p.omega * embed(p_hat @ p_hat + x_hat @ x_hat, None, cfg)
-    # 2 g x sx == g sqrt(2) (a + a^dag) sx, entrywise
-    return kinetic + 0.5 * p.Omega * embed(None, sz, cfg) + coupling
+    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
+    return h + p.g * SQRT2 * embed(a + a_dag, sx, cfg)
 
 
-def build_jc(p: ModelParams, cfg: TruncationConfig, frame: str = LAB) -> np.ndarray:
+def build_jc(p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
     """Jaynes-Cummings Hamiltonian (rotating-wave coupling) on the joint space."""
-    _check_frame(frame)
     a, a_dag, n_hat = ladder_ops(cfg)
     _, _, sz, sp, sm = qubit_ops()
-    coupling = p.g * SQRT2 * (embed(a, sp, cfg) + embed(a_dag, sm, cfg))
-    if frame == LAB:
-        h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
-        return h + coupling
-    # interaction picture: strip w * N_hat, leaving (D/2) sz + the coupling
-    return 0.5 * p.delta * embed(None, sz, cfg) + coupling
+    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
+    return h + p.g * SQRT2 * (embed(a, sp, cfg) + embed(a_dag, sm, cfg))
 
 
 _BUILDERS = {"jc": build_jc, "rabi": build_rabi}
 
 
 def build_hamiltonian(kind: ModelKind, p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
-    return _BUILDERS[kind.model](p, cfg, kind.frame)
+    return _BUILDERS[kind.model](p, cfg)
 
 
 def phase_factors(phi: float, cfg: TruncationConfig) -> np.ndarray:
@@ -238,7 +199,7 @@ def parity_chains(cfg: TruncationConfig):
     Element j of a chain has field occupation j and alternates the qubit:
     the even chain is |2>|0>, |1>|1>, |2>|2>, ... (parity +1) and the odd
     chain |1>|0>, |2>|1>, |1>|2>, ... (parity -1).  The coupling of either
-    model links only neighbours in a chain, so each sector of a lab-frame
+    model links only neighbours in a chain, so each sector of either
     Hamiltonian is a real tridiagonal matrix of size n_max + 1 (the JC
     coupling skips every other link).  U(phi) is diagonal, so the chains
     are shared by every rotated H'(phi).
@@ -256,28 +217,17 @@ def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
     Returns the real tridiagonal (n_max + 1)-square matrices of the even
     and the odd chain (parity_chains order).  Element j has field
     occupation j and sigma_z = s_j, with s_j = (-1)^j on the even chain and
-    -(-1)^j on the odd one.  The diagonal is w j + (W/2) s_j; the JC
-    quadrature frame keeps only (D/2) s_j, and the Rabi quadrature frame
-    has the field part w (j + 1/2) except w n_max / 2 in the last entry,
-    where truncated p^2 + x^2 loses a a^dag.  The link between j and j + 1
-    is g sqrt(2) sqrt(j + 1); the JC coupling keeps it only where element
-    j is the excited qubit.  The dense builders remain the oracle: the
-    three real frames agree with them exactly, the Rabi quadrature frame up
-    to the rounding of its p^2 + x^2.
+    -(-1)^j on the odd one.  The diagonal is w j + (W/2) s_j.  The link
+    between j and j + 1 is g sqrt(2) sqrt(j + 1); the JC coupling keeps it
+    only where element j is the excited qubit.  The dense builders remain
+    the oracle, and both agree with them exactly.
     """
     j = np.arange(cfg.dim_field)
     link = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0)
-    if kind.frame == LAB:
-        field = p.omega * j
-    elif kind.model == "rabi":
-        field = p.omega * (j + 0.5)
-        field[-1] = 0.5 * p.omega * cfg.n_max
-    else:
-        field = np.zeros(cfg.dim_field)
-    half_split = 0.5 * (p.delta if kind == ModelKind.JC_QUADRATURE else p.Omega)
     sectors = []
     for first in (1.0, -1.0):  # sigma_z of element 0: even chain, odd chain
         s = first * (-1.0) ** j
         off = link * (s[:-1] > 0) if kind.model == "jc" else link
-        sectors.append(np.diag(field + half_split * s) + np.diag(off, 1) + np.diag(off, -1))
+        diag = p.omega * j + 0.5 * p.Omega * s
+        sectors.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return tuple(sectors)

@@ -90,7 +90,7 @@ class TestEigFamily:
         p = ModelParams(Omega=1.2, g=0.4)
         K = 64
         fam = eig_family(model, p, 1, K, CFG)
-        h0 = build_hamiltonian(ModelKind.of(model), p, CFG)
+        h0 = build_hamiltonian(ModelKind(model), p, CFG)
         for k in (0, K // 4, K // 2):
             es = hermitian_eig(rotate_hamiltonian(h0, fam.phi_grid[k], CFG))
             j = int(np.argmin(np.abs(es.values - fam.energies[k])))

@@ -26,7 +26,7 @@ MIN_GAP = 1e-3
 )
 def test_every_node_matches_dense_solve_of_rotated_hamiltonian(model, Omega, g, level):
     p = ModelParams(Omega=Omega, g=g)
-    h0 = build_hamiltonian(ModelKind.of(model), p, CFG)
+    h0 = build_hamiltonian(ModelKind(model), p, CFG)
     values = hermitian_eig(h0).values
     assume(min(values[level + 1] - values[level],
                values[level] - values[level - 1] if level else np.inf) > MIN_GAP)

@@ -271,6 +271,23 @@ class TestExitCodes:
         assert rc == 1
         assert "usage error: no crossing bracketed in [0.1, 0.2]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["rabi", "both"])
+    def test_usage_error_crossing_is_jc_only(self, tmp_path, capsys, model):
+        out = tmp_path / "crossing"
+        assert main(["crossing", "--model", model, "--nmax", "5", "--out", str(out)]) == 1
+        assert f"--model must be jc, got {model}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("only", ["99", "0", ",", "1,99"])
+    def test_usage_error_verify_only_outside_criteria(self, tmp_path, capsys, only):
+        # rejected before any criterion runs or the output directory exists
+        out = tmp_path / "verify"
+        assert main(["verify", "--only", only, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"usage error: --only expects criterion numbers in 1..12, got {only!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_verify_subset(self, tmp_path, capsys):
         rc = main(["verify", "--only", "5,10", "--out", str(tmp_path)])
         assert rc == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jcrabi import TruncationConfig, commutator_deviation, embed
-from jcrabi.fock import ladder_ops, quadrature_ops, qubit_ops
+from jcrabi.fock import ladder_ops, qubit_ops
 
 
 def test_truncation_config_validation():
@@ -38,36 +38,6 @@ class TestLadderOps:
         again = ladder_ops(self.cfg)
         for op, ref in zip(again, (self.a, self.a_dag, self.n_hat)):
             assert np.array_equal(op, ref)
-
-
-class TestQuadratureOps:
-    def setup_method(self):
-        self.cfg = TruncationConfig(12)
-        self.x, self.p = quadrature_ops(self.cfg)
-
-    def test_hermitian(self):
-        assert np.max(np.abs(self.x - self.x.conj().T)) <= 1e-14
-        assert np.max(np.abs(self.p - self.p.conj().T)) <= 1e-14
-        assert np.max(np.abs(self.x.imag)) == 0.0
-        assert np.max(np.abs(self.p.real)) == 0.0
-
-    def test_canonical_commutator_away_from_edge(self):
-        n = self.cfg.n_max
-        comm = self.x @ self.p - self.p @ self.x
-        dev = comm - 1j * np.eye(n + 1)
-        assert np.max(np.abs(dev[: n - 1, : n - 1])) <= 1e-12
-
-    def test_edge_defect_confined_to_last_row_col(self):
-        n = self.cfg.n_max
-        dev = self.x @ self.p - self.p @ self.x - 1j * np.eye(n + 1)
-        dev[n, :] = 0.0
-        dev[:, n] = 0.0
-        assert np.max(np.abs(dev)) <= 1e-12
-
-    def test_vacuum_quadrature_variance(self):
-        # <0|x^2|0> = 1/2 by direct matrix product
-        x2 = self.x @ self.x
-        assert x2[0, 0].real == pytest.approx(0.5, abs=1e-14)
 
 
 class TestQubitOps:

@@ -8,9 +8,8 @@ from jcrabi import (
     commutator_deviation,
     expectation,
     hermitian_eig,
-    kron,
 )
-from jcrabi.fock import ladder_ops, quadrature_ops, qubit_ops
+from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import EIG_RTOL, block_eig, residual_gate
 from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
 
@@ -20,6 +19,12 @@ SX, SY, SZ, SP, SM = qubit_ops()
 def u_phi(phi, cfg):
     """Dense U(phi) = exp(-i n_hat phi), qubit factor identity."""
     return np.diag(phase_factors(phi, cfg))
+
+
+def quadratures(cfg):
+    """Field quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
+    a, a_dag, _ = ladder_ops(cfg)
+    return (a + a_dag) / SQRT2, 1j * (a_dag - a) / SQRT2
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -176,7 +181,7 @@ class TestExpectation:
         assert expectation(self.n_hat, v) == pytest.approx(1.0, abs=1e-14)
 
     def test_superposition_quadrature(self):
-        x_hat, _ = quadrature_ops(self.cfg)
+        x_hat, _ = quadratures(self.cfg)
         v = np.zeros(11, dtype=complex)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
         # <x> of (|0> + |1>)/sqrt(2) is 1/sqrt(2), by the matrix elements of
@@ -200,7 +205,7 @@ class TestCommutatorDeviation:
         # [x, p] - i I has the single truncation defect -i(N + 1) at the
         # (N, N) corner, so the Frobenius norm is exactly N + 1.
         cfg = TruncationConfig(10)
-        x_hat, p_hat = quadrature_ops(cfg)
+        x_hat, p_hat = quadratures(cfg)
         dev = commutator_deviation(x_hat, p_hat, 1j * np.eye(cfg.dim_field))
         assert dev == pytest.approx(11.0, abs=1e-12)
 
@@ -214,20 +219,3 @@ class TestCommutatorDeviation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_deviation(SX, np.eye(3), np.zeros((2, 2)))
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_block_structure(self):
-        out = kron(SZ, np.eye(2))
-        assert np.allclose(np.diag(out), [1, 1, -1, -1])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(6)
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12

@@ -12,10 +12,8 @@ from jcrabi import (
     rotate_hamiltonian,
     symmetry_ops,
 )
-from jcrabi.fock import SQRT2, embed, ladder_ops, quadrature_ops, qubit_ops
+from jcrabi.fock import SQRT2, embed, ladder_ops, qubit_ops
 from jcrabi.models import (
-    LAB,
-    QUADRATURE,
     ModelKind,
     build_hamiltonian,
     empty_state_energy,
@@ -33,12 +31,16 @@ def u_phi(phi, cfg):
     return np.diag(phase_factors(phi, cfg))
 
 
-def frame_offset_spectrum_check(p, cfg, k):
-    """Max deviation of the k lowest Rabi eigenvalues between frames after
-    removing the w/2 vacuum offset from the quadrature frame."""
-    lab = hermitian_eig(build_rabi(p, cfg, LAB)).values[:k]
-    quad = hermitian_eig(build_rabi(p, cfg, QUADRATURE)).values[:k]
-    return float(np.max(np.abs(quad - 0.5 * p.omega - lab)))
+def quadratures(cfg):
+    """Field quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
+    a, a_dag, _ = ladder_ops(cfg)
+    return (a + a_dag) / SQRT2, 1j * (a_dag - a) / SQRT2
+
+
+def bare(p, cfg):
+    """The uncoupled part w a^dag a + (W/2) sz shared by both models."""
+    _, _, n_hat = ladder_ops(cfg)
+    return p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, SZ, cfg)
 
 
 def test_params_validation_and_delta():
@@ -54,36 +56,28 @@ def test_params_validation_and_delta():
 
 
 def test_model_kind_lookup():
-    assert ModelKind.of("jc").frame == LAB
-    assert ModelKind.of("rabi", QUADRATURE) is ModelKind.RABI_QUADRATURE
+    assert ModelKind("jc") is ModelKind.JC_LAB
+    assert ModelKind("rabi").model == "rabi"
     with pytest.raises(ValueError):
-        ModelKind.of("dicke")
-
-
-def test_invalid_frame_tag():
-    with pytest.raises(ValueError):
-        build_rabi(ModelParams(), CFG, "interaction")
+        ModelKind("dicke")
 
 
 class TestNumberFormat:
     def test_real_operators_are_float64(self):
         a, a_dag, n_hat = ladder_ops(CFG)
-        x_hat, _ = quadrature_ops(CFG)
         n_total, parity = symmetry_ops(CFG)
-        for op in (a, a_dag, n_hat, x_hat, SX, SZ, SP, SM, n_total, parity):
+        for op in (a, a_dag, n_hat, SX, SZ, SP, SM, n_total, parity):
             assert op.dtype == np.float64
 
-    def test_lab_and_jc_quadrature_builders_are_float64(self):
+    def test_builders_are_float64(self):
         p = ModelParams(Omega=1.3, g=0.6)
-        for kind in (ModelKind.JC_LAB, ModelKind.RABI_LAB, ModelKind.JC_QUADRATURE):
+        for kind in ModelKind:
             assert build_hamiltonian(kind, p, CFG).dtype == np.float64
 
-    def test_momentum_and_rotated_family_are_complex(self):
+    def test_sy_and_rotated_family_are_complex(self):
         p = ModelParams(Omega=1.3, g=0.6)
-        _, p_hat = quadrature_ops(CFG)
-        assert p_hat.dtype == np.complex128 and SY.dtype == np.complex128
-        assert build_rabi(p, CFG, QUADRATURE).dtype == np.complex128
-        rotated = rotate_hamiltonian(build_rabi(p, CFG, LAB), 0.4, CFG)
+        assert SY.dtype == np.complex128
+        rotated = rotate_hamiltonian(build_rabi(p, CFG), 0.4, CFG)
         assert rotated.dtype == np.complex128
 
 
@@ -91,7 +85,7 @@ class TestDecoupledLimit:
     def test_g0_spectrum_is_bare_ladder(self):
         p = ModelParams(Omega=1.0, g=0.0)
         for build in (build_jc, build_rabi):
-            values = hermitian_eig(build(p, CFG, LAB)).values
+            values = hermitian_eig(build(p, CFG)).values
             # n*omega +/- Omega/2: -0.5, 0.5, 0.5, 1.5, 1.5, ...
             expected = np.sort(
                 np.concatenate([np.arange(41) - 0.5, np.arange(41) + 0.5])
@@ -100,22 +94,22 @@ class TestDecoupledLimit:
 
     def test_jc_rabi_agree_at_tiny_coupling(self):
         p = ModelParams(Omega=1.0, g=0.001)
-        jc = hermitian_eig(build_jc(p, CFG, LAB)).values[:11]
-        rabi = hermitian_eig(build_rabi(p, CFG, LAB)).values[:11]
+        jc = hermitian_eig(build_jc(p, CFG)).values[:11]
+        rabi = hermitian_eig(build_rabi(p, CFG)).values[:11]
         assert np.max(np.abs(jc - rabi)) <= 1e-5
 
 
 class TestSymmetries:
     def test_rabi_parity(self):
         p = ModelParams(Omega=1.0, g=0.7)
-        h = build_rabi(p, CFG, LAB)
+        h = build_rabi(p, CFG)
         _, parity = symmetry_ops(CFG)
         zero = np.zeros_like(h)
         assert commutator_deviation(h, parity, zero) <= 1e-12 * np.max(np.abs(h))
 
     def test_jc_excitation_number(self):
         p = ModelParams(Omega=1.2, g=0.4)
-        h = build_jc(p, CFG, LAB)
+        h = build_jc(p, CFG)
         n_total, _ = symmetry_ops(CFG)
         zero = np.zeros_like(h)
         assert commutator_deviation(h, n_total, zero) <= 1e-12 * np.max(np.abs(h))
@@ -129,7 +123,7 @@ class TestSymmetries:
 
     def test_parity_block_structure_reproduces_spectrum(self):
         p = ModelParams(Omega=1.0, g=0.9)
-        h = build_rabi(p, CFG, LAB)
+        h = build_rabi(p, CFG)
         _, parity = symmetry_ops(CFG)
         signs = np.real(np.diag(parity))
         order = np.argsort(-signs, kind="stable")
@@ -154,7 +148,7 @@ class TestSymmetries:
         assert np.all(signs[odd] == -1.0)
 
     def test_chain_sectors_are_tridiagonal(self):
-        h = build_rabi(ModelParams(Omega=1.0, g=0.9), CFG, LAB)
+        h = build_rabi(ModelParams(Omega=1.0, g=0.9), CFG)
         for chain in parity_chains(CFG):
             sector = h[np.ix_(chain, chain)]
             assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
@@ -175,7 +169,7 @@ class TestParitySectors:
         split = np.zeros(h.shape)
         for chain, sector in zip(parity_chains(cfg), parity_sectors(kind, p, cfg)):
             split[np.ix_(chain, chain)] = sector
-        assert np.max(np.abs(h - split)) <= 1e-14 * np.max(np.abs(h))
+        assert np.array_equal(h, split)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_sectors_are_real_symmetric_tridiagonal(self, kind):
@@ -186,29 +180,14 @@ class TestParitySectors:
             assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
 
 
-class TestFrames:
-    def test_rabi_frames_differ_by_vacuum_offset(self):
-        p = ModelParams(Omega=1.3, g=0.6)
-        assert frame_offset_spectrum_check(p, CFG, CFG.n_max // 4) <= 1e-10
-
-    def test_jc_quadrature_equals_interaction_picture_coupling(self):
-        # (Delta/2) sz + g sqrt(2) (a s+ + a^dag s-) entrywise
-        p = ModelParams(Omega=1.4, g=0.35)
-        a, a_dag, _ = ladder_ops(CFG)
-        expected = 0.5 * p.delta * embed(None, SZ, CFG) + p.g * SQRT2 * (
-            embed(a, SP, CFG) + embed(a_dag, SM, CFG)
-        )
-        assert np.max(np.abs(build_jc(p, CFG, QUADRATURE) - expected)) <= 1e-12
-
-    def test_jc_quadrature_in_x_p_form(self):
+class TestCouplingForm:
+    def test_jc_coupling_in_x_p_form(self):
         # with this package's momentum sign the rotating coupling is
         # g (x sx - p sy)
         p = ModelParams(Omega=1.4, g=0.35)
-        x_hat, p_hat = quadrature_ops(CFG)
-        expected = 0.5 * p.delta * embed(None, SZ, CFG) + p.g * (
-            embed(x_hat, SX, CFG) - embed(p_hat, SY, CFG)
-        )
-        assert np.max(np.abs(build_jc(p, CFG, QUADRATURE) - expected)) <= 1e-12
+        x_hat, p_hat = quadratures(CFG)
+        expected = bare(p, CFG) + p.g * (embed(x_hat, SX, CFG) - embed(p_hat, SY, CFG))
+        assert np.max(np.abs(build_jc(p, CFG) - expected)) <= 1e-12
 
 
 class TestRotation:
@@ -224,28 +203,28 @@ class TestRotation:
         assert u[1, 1] == pytest.approx(-1.0)
 
     def test_phi0_is_identity(self):
-        h = build_rabi(ModelParams(Omega=1.0, g=0.5), CFG, QUADRATURE)
+        h = build_rabi(ModelParams(Omega=1.0, g=0.5), CFG)
         assert np.array_equal(rotate_hamiltonian(h, 0.0, CFG), h)
 
     def test_spectrum_invariant(self):
-        h = build_rabi(ModelParams(Omega=1.0, g=0.5), CFG, QUADRATURE)
+        h = build_rabi(ModelParams(Omega=1.0, g=0.5), CFG)
         v0 = hermitian_eig(h).values
         for phi in (0.3, 1.7, 4.4):
             v = hermitian_eig(rotate_hamiltonian(h, phi, CFG)).values
             assert np.max(np.abs(v - v0)) <= 1e-9 * np.max(np.abs(h))
 
     def test_two_pi_periodic(self):
-        h = build_jc(ModelParams(Omega=1.0, g=0.5), CFG, QUADRATURE)
+        h = build_jc(ModelParams(Omega=1.0, g=0.5), CFG)
         d = rotate_hamiltonian(h, 0.9 + 2 * np.pi, CFG) - rotate_hamiltonian(h, 0.9, CFG)
         assert np.max(np.abs(d)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
 
     def test_rotated_rabi_matches_closed_form(self):
-        # U(phi) 2g x sx U(phi)^dag = 2g (cos(phi) x - sin(phi) p) sx
+        # U(phi) 2g x sx U(phi)^dag = 2g (cos(phi) x - sin(phi) p) sx over
+        # the unrotated w n + (W/2) sz
         p = ModelParams(Omega=1.3, g=0.7)
-        x_hat, p_hat = quadrature_ops(CFG)
-        base = 0.5 * p.omega * embed(p_hat @ p_hat + x_hat @ x_hat, None, CFG) + \
-            0.5 * p.Omega * embed(None, SZ, CFG)
-        h = build_rabi(p, CFG, QUADRATURE)
+        x_hat, p_hat = quadratures(CFG)
+        base = bare(p, CFG)
+        h = build_rabi(p, CFG)
         for phi in (np.pi / 2, 0.83):
             rotated = rotate_hamiltonian(h, phi, CFG)
             coupling = 2.0 * p.g * embed(
@@ -257,14 +236,15 @@ class TestRotation:
         assert np.max(np.abs(rotated - base + 2.0 * p.g * embed(p_hat, SX, CFG))) <= 1e-12
 
     def test_rotated_jc_structural_form(self):
-        # conjugation gives (D/2) sz + g[(cos x - sin p) sx - (cos p + sin x) sy];
+        # conjugation gives w n + (W/2) sz
+        #   + g[(cos x - sin p) sx - (cos p + sin x) sy];
         # the sy partner rotates with the opposite sense to the sx one
         p = ModelParams(Omega=1.3, g=0.7)
-        x_hat, p_hat = quadrature_ops(CFG)
-        h = build_jc(p, CFG, QUADRATURE)
+        x_hat, p_hat = quadratures(CFG)
+        h = build_jc(p, CFG)
         for phi in (0.4, 2.9):
             rotated = rotate_hamiltonian(h, phi, CFG)
-            expected = 0.5 * p.delta * embed(None, SZ, CFG) + p.g * (
+            expected = bare(p, CFG) + p.g * (
                 embed(np.cos(phi) * x_hat - np.sin(phi) * p_hat, SX, CFG)
                 - embed(np.cos(phi) * p_hat + np.sin(phi) * x_hat, SY, CFG)
             )
@@ -302,7 +282,7 @@ class TestDressedDoublet:
 
     def test_against_diagonalization(self):
         p = ModelParams(Omega=1.5, g=0.37)
-        h = build_jc(p, CFG, LAB)
+        h = build_jc(p, CFG)
         es = hermitian_eig(h)
         for n in range(1, CFG.n_max // 2):
             d = jc_doublet_analytic(n, p)

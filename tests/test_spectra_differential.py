@@ -22,14 +22,13 @@ from jcrabi.models import ModelKind, build_hamiltonian, build_jc
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(
     model=st.sampled_from(["jc", "rabi"]),
-    frame=st.sampled_from(["lab", "quadrature"]),
     Omega=st.floats(0.0, 2.0),
     g_grid=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
     n_max=st.integers(1, 40),
     data=st.data(),
 )
-def test_sweep_rows_match_dense_spectrum(model, frame, Omega, g_grid, n_max, data):
-    kind = ModelKind.of(model, frame)
+def test_sweep_rows_match_dense_spectrum(model, Omega, g_grid, n_max, data):
+    kind = ModelKind(model)
     cfg = TruncationConfig(n_max)
     k = data.draw(st.integers(1, cfg.dim_joint), label="k")
     p = ModelParams(Omega=Omega)
