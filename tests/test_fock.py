@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from jcrabi import TruncationConfig, commutator_deviation, embed
-from jcrabi.fock import ladder_ops, qubit_ops
+from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
+
+
+def quadratures(cfg):
+    """Field quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
+    a, a_dag, _ = ladder_ops(cfg)
+    return (a + a_dag) / SQRT2, 1j * (a_dag - a) / SQRT2
 
 
 def test_truncation_config_validation():
@@ -38,6 +44,38 @@ class TestLadderOps:
         again = ladder_ops(self.cfg)
         for op, ref in zip(again, (self.a, self.a_dag, self.n_hat)):
             assert np.array_equal(op, ref)
+
+
+class TestQuadratureOps:
+    """The ladder matrix elements seen through the documented x, p convention."""
+
+    def setup_method(self):
+        self.cfg = TruncationConfig(12)
+        self.x, self.p = quadratures(self.cfg)
+
+    def test_hermitian(self):
+        assert np.max(np.abs(self.x - self.x.conj().T)) <= 1e-14
+        assert np.max(np.abs(self.p - self.p.conj().T)) <= 1e-14
+        assert np.max(np.abs(self.x.imag)) == 0.0
+        assert np.max(np.abs(self.p.real)) == 0.0
+
+    def test_canonical_commutator_away_from_edge(self):
+        n = self.cfg.n_max
+        comm = self.x @ self.p - self.p @ self.x
+        dev = comm - 1j * np.eye(n + 1)
+        assert np.max(np.abs(dev[: n - 1, : n - 1])) <= 1e-12
+
+    def test_edge_defect_confined_to_last_row_col(self):
+        n = self.cfg.n_max
+        dev = self.x @ self.p - self.p @ self.x - 1j * np.eye(n + 1)
+        dev[n, :] = 0.0
+        dev[:, n] = 0.0
+        assert np.max(np.abs(dev)) <= 1e-12
+
+    def test_vacuum_quadrature_variance(self):
+        # <0|x^2|0> = 1/2 by direct matrix product
+        x2 = self.x @ self.x
+        assert x2[0, 0].real == pytest.approx(0.5, abs=1e-14)
 
 
 class TestQubitOps:
@@ -77,6 +115,29 @@ class TestEmbed:
         lhs = embed(self.a, self.sp, self.cfg).conj().T
         rhs = embed(self.a_dag, self.sm, self.cfg)
         assert np.array_equal(lhs, rhs)
+
+    def test_identities(self):
+        assert np.array_equal(embed(None, None, self.cfg), np.eye(self.cfg.dim_joint))
+        assert np.array_equal(embed(np.eye(5), np.eye(2), self.cfg), np.eye(10))
+
+    def test_entry_layout_is_qubit_outer(self):
+        # entry (i m, j n) of q (x) f is q[i, j] f[m, n], row index i * dim_f + m
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((5, 5))
+        q = rng.standard_normal((2, 2))
+        out = embed(f, q, self.cfg)
+        for i, j, m, n in ((0, 0, 2, 3), (0, 1, 4, 0), (1, 0, 1, 1), (1, 1, 3, 4)):
+            assert out[5 * i + m, 5 * j + n] == q[i, j] * f[m, n]
+
+    def test_mixed_product_property(self):
+        rng = np.random.default_rng(6)
+        f1, f2 = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                  for _ in range(2))
+        q1, q2 = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                  for _ in range(2))
+        lhs = embed(f1, q1, self.cfg) @ embed(f2, q2, self.cfg)
+        rhs = embed(f1 @ f2, q1 @ q2, self.cfg)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from jcrabi import (
     symmetry_ops,
 )
 from jcrabi.fock import SQRT2, embed, ladder_ops, qubit_ops
+from jcrabi.linalg import block_eig
 from jcrabi.models import (
     ModelKind,
     build_hamiltonian,
@@ -60,6 +61,13 @@ def test_model_kind_lookup():
     assert ModelKind("rabi").model == "rabi"
     with pytest.raises(ValueError):
         ModelKind("dicke")
+
+
+@pytest.mark.parametrize("name", ["dicke", "JC_LAB", "Jc", "both", "lab"])
+def test_unknown_model_name_rejected(name):
+    # member names, other cases, the CLI's "both" and frame tags are not models
+    with pytest.raises(ValueError):
+        ModelKind(name)
 
 
 class TestNumberFormat:
@@ -180,6 +188,33 @@ class TestParitySectors:
             assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
 
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "p", [ModelParams(Omega=1.3, g=0.7), ModelParams(Omega=0.0, g=2.1, omega=0.4)]
+    )
+    def test_diagonal_and_links_follow_the_chain_states(self, kind, p):
+        # element j of a chain is field state j with the qubit read off the
+        # chain index; a link j -> j + 1 is g sqrt(2) sqrt(j + 1), kept by JC
+        # only when it lowers the qubit (a^dag s- takes |2>|j> to |1>|j+1>)
+        cfg = TruncationConfig(9)
+        j = np.arange(cfg.dim_field)
+        for chain, sector in zip(parity_chains(cfg), parity_sectors(kind, p, cfg)):
+            s = np.where(chain < cfg.dim_field, 1.0, -1.0)
+            assert np.array_equal(np.diag(sector), p.omega * j + 0.5 * p.Omega * s)
+            link = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0)
+            if kind is ModelKind.JC_LAB:
+                link = np.where(s[:-1] > 0, link, 0.0)
+            assert np.array_equal(np.diag(sector, 1), link)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_sector_spectra_merge_to_the_dense_spectrum(self, kind):
+        cfg = TruncationConfig(15)
+        p = ModelParams(Omega=1.3, g=0.7)
+        h = build_hamiltonian(kind, p, cfg)
+        values, _, _ = block_eig(parity_sectors(kind, p, cfg))
+        assert np.max(np.abs(values - hermitian_eig(h).values)) <= 1e-12 * np.max(np.abs(h))
+
+
 class TestCouplingForm:
     def test_jc_coupling_in_x_p_form(self):
         # with this package's momentum sign the rotating coupling is
@@ -188,6 +223,29 @@ class TestCouplingForm:
         x_hat, p_hat = quadratures(CFG)
         expected = bare(p, CFG) + p.g * (embed(x_hat, SX, CFG) - embed(p_hat, SY, CFG))
         assert np.max(np.abs(build_jc(p, CFG) - expected)) <= 1e-12
+
+
+    def test_jc_minus_excitation_number_is_interaction_picture_coupling(self):
+        # H_JC - w N = (Delta/2) sz + g sqrt(2) (a s+ + a^dag s-) entrywise
+        p = ModelParams(Omega=1.4, g=0.35)
+        a, a_dag, _ = ladder_ops(CFG)
+        n_total, _ = symmetry_ops(CFG)
+        expected = 0.5 * p.delta * embed(None, SZ, CFG) + p.g * SQRT2 * (
+            embed(a, SP, CFG) + embed(a_dag, SM, CFG)
+        )
+        assert np.max(np.abs(build_jc(p, CFG) - p.omega * n_total - expected)) <= 1e-12
+
+    def test_rabi_coupling_in_x_form(self):
+        p = ModelParams(Omega=1.4, g=0.35)
+        x_hat, _ = quadratures(CFG)
+        expected = bare(p, CFG) + 2.0 * p.g * embed(x_hat, SX, CFG)
+        assert np.max(np.abs(build_rabi(p, CFG) - expected)) <= 1e-12
+
+    def test_rabi_is_jc_plus_counter_rotating_term(self):
+        p = ModelParams(Omega=0.7, g=0.9)
+        a, a_dag, _ = ladder_ops(CFG)
+        counter = p.g * SQRT2 * (embed(a_dag, SP, CFG) + embed(a, SM, CFG))
+        assert np.max(np.abs(build_rabi(p, CFG) - build_jc(p, CFG) - counter)) <= 1e-12
 
 
 class TestRotation:
@@ -249,6 +307,30 @@ class TestRotation:
                 - embed(np.cos(phi) * p_hat + np.sin(phi) * x_hat, SY, CFG)
             )
             assert np.max(np.abs(rotated - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_rotation_keeps_the_parity_chains(self, kind):
+        # U(phi) is diagonal: every entry outside the two chains stays zero
+        h = build_hamiltonian(kind, ModelParams(Omega=1.1, g=0.6), CFG)
+        rotated = rotate_hamiltonian(h, 1.3, CFG)
+        for chain in parity_chains(CFG):
+            rotated[np.ix_(chain, chain)] = 0.0
+        assert np.max(np.abs(rotated)) == 0.0
+
+    def test_jc_rotation_is_a_counter_rotation_of_the_qubit(self):
+        # [H_JC, n + sz/2] = 0, so exp(-i n phi) H exp(i n phi) equals
+        # exp(i sz phi/2) H exp(-i sz phi/2)
+        h = build_jc(ModelParams(Omega=1.3, g=0.7), CFG)
+        for phi in (0.4, 2.9):
+            v = embed(None, np.diag(np.exp([0.5j * phi, -0.5j * phi])), CFG)
+            expected = v @ h @ v.conj().T
+            assert np.max(np.abs(rotate_hamiltonian(h, phi, CFG) - expected)) <= 1e-12
+
+    def test_rabi_half_turn_is_the_qubit_flip_of_the_coupling(self):
+        # parity sz (-1)^n commutes with H_R, so U(pi) H U(pi)^dag = sz H sz
+        h = build_rabi(ModelParams(Omega=1.3, g=0.7), CFG)
+        sz = embed(None, SZ, CFG)
+        assert np.max(np.abs(rotate_hamiltonian(h, np.pi, CFG) - sz @ h @ sz)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
