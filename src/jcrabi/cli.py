@@ -105,16 +105,14 @@ def _load_config(args) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**values)
+    # a subcommand registers only the flags it reads; the rest are absent
     overrides = {
-        "model": args.model,
-        "omega": args.omega,
-        "Omega": args.Omega,
-        "n_max": args.nmax,
-        "k_levels": args.levels,
-        "phi_nodes": args.phi_nodes,
-        "gauge": args.gauge,
-        "level": args.level,
-        "output_dir": args.out,
+        field: getattr(args, dest, None)
+        for field, dest in (
+            ("model", "model"), ("omega", "omega"), ("Omega", "Omega"),
+            ("n_max", "nmax"), ("k_levels", "levels"), ("phi_nodes", "phi_nodes"),
+            ("gauge", "gauge"), ("level", "level"), ("output_dir", "out"),
+        )
     }
     g_flag = getattr(args, "g", None)
     if g_flag is not None:
@@ -271,11 +269,10 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
     p_axis = np.linspace(p_lo, p_hi, resolution)
     for kind in _model_kinds(cfg):
         grid = surfaces.boa_surface(kind, cfg.params(), x_axis, p_axis)
-        rows = [
-            [x, p, grid.lower[i, j], grid.upper[i, j], grid.gap[i, j]]
-            for i, x in enumerate(x_axis)
-            for j, p in enumerate(p_axis)
-        ]
+        rows = np.column_stack([
+            np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
+            grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel(),
+        ])
         meta = cfg.metadata(command="surfaces", x_range=x_range, p_range=p_range,
                             resolution=resolution, this_model=kind.model)
         path = write_csv(out / f"surface_{kind.model}.csv",
@@ -361,6 +358,9 @@ def cmd_verify(cfg: RunConfig, only) -> int:
             raise UsageError(f"--only expects comma-separated criterion numbers: {exc}") from exc
         if not numbers or any(n not in acceptance.CRITERIA for n in numbers):
             raise UsageError(f"--only expects criterion numbers in 1..12, got {only!r}")
+        repeated = sorted({n for n in numbers if numbers.count(n) > 1})
+        if repeated:
+            raise UsageError(f"--only lists criteria {repeated} more than once, got {only!r}")
     out = _out_dir(cfg)
     suite, results = acceptance.run_acceptance(numbers, k_nodes=cfg.phi_nodes)
     report = acceptance.format_report(results)
@@ -384,21 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jcrabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, multi_g=False):
-        sp.add_argument("--model", choices=["jc", "rabi", "both"])
-        if multi_g:
-            sp.add_argument("--g", type=float, action="append")
-        else:
-            sp.add_argument("--g", type=float)
-        sp.add_argument("--omega", type=float)
-        sp.add_argument("--Omega", type=float)
-        sp.add_argument("--nmax", type=int)
-        sp.add_argument("--levels", type=int)
-        sp.add_argument("--phi-nodes", dest="phi_nodes", type=int)
-        sp.add_argument("--gauge", choices=["parallel", "anchor"])
-        sp.add_argument("--level", type=int)
-        sp.add_argument("--out", type=str)
-        sp.add_argument("--config", type=str)
+    common = {
+        "--model": dict(choices=["jc", "rabi", "both"]),
+        "--g": dict(type=float),
+        "--omega": dict(type=float),
+        "--Omega": dict(type=float),
+        "--nmax": dict(type=int),
+        "--levels": dict(type=int),
+        "--phi-nodes": dict(dest="phi_nodes", type=int),
+        "--gauge": dict(choices=["parallel", "anchor"]),
+        "--level": dict(type=int),
+        "--out": dict(type=str),
+        "--config": dict(type=str),
+    }
+
+    def add_common(sp, flags=tuple(common), multi_g=False):
+        for flag in flags:
+            kwargs = common[flag]
+            if flag == "--g" and multi_g:
+                kwargs = dict(kwargs, action="append")
+            sp.add_argument(flag, **kwargs)
 
     sp = sub.add_parser("spectrum", help="lowest-levels sweep over the coupling")
     add_common(sp)
@@ -423,12 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", type=str, default="100,200,300,500")
 
     sp = sub.add_parser("crossing", help="ground-state crossing coupling")
-    add_common(sp)
+    add_common(sp, ("--model", "--omega", "--Omega", "--nmax", "--out", "--config"))
     sp.add_argument("--g-lo", type=float, default=0.3)
     sp.add_argument("--g-hi", type=float, default=1.2)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    add_common(sp)
+    add_common(sp, ("--phi-nodes", "--out", "--config"))
     sp.add_argument("--only", type=str, help="comma-separated criterion numbers in 1..12")
     return parser
 

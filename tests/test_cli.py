@@ -288,6 +288,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("only, repeated", [("5,5", "[5]"), ("10,5,10,5", "[5, 10]")])
+    def test_usage_error_verify_only_duplicates(self, tmp_path, capsys, only, repeated):
+        out = tmp_path / "verify"
+        assert main(["verify", "--only", only, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"usage error: --only lists criteria {repeated} more than once" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--only", "5", "--model", "rabi"], "--model"),
+        (["verify", "--only", "5", "--nmax", "3"], "--nmax"),
+        (["crossing", "--nmax", "5", "--g", "5"], "--g"),
+        (["crossing", "--nmax", "5", "--level", "3"], "--level"),
+    ])
+    def test_usage_error_flag_the_command_does_not_read(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_verify_subset(self, tmp_path, capsys):
         rc = main(["verify", "--only", "5,10", "--out", str(tmp_path)])
         assert rc == 0
