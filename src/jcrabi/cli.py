@@ -92,6 +92,18 @@ class RunConfig:
         return meta
 
 
+# The RunConfig fields each command reads; a config file may set only these.
+_READS = {
+    "spectrum": {"model", "omega", "Omega", "n_max", "k_levels", "output_dir"},
+    "berry": {"model", "omega", "Omega", "g", "n_max", "phi_nodes", "gauge", "level",
+              "output_dir"},
+    "surfaces": {"model", "omega", "Omega", "g", "output_dir"},
+    "convergence": {"model", "omega", "Omega", "g", "k_levels", "output_dir"},
+    "crossing": {"model", "omega", "Omega", "n_max", "output_dir"},
+    "verify": {"phi_nodes", "output_dir"},
+}
+
+
 def _load_config(args) -> RunConfig:
     values = {}
     if args.config:
@@ -121,6 +133,13 @@ def _load_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
+    # after validate, so a malformed value reads as such whichever command runs
+    unread = sorted(set(values) - _READS[args.command])
+    if unread:
+        raise UsageError(
+            f"config file {args.config} sets {', '.join(unread)}, which "
+            f"{args.command} does not read"
+        )
     return cfg
 
 

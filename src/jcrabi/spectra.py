@@ -1,11 +1,16 @@
 """Spectrum sweeps, Bloch-Siegert quantification, ground-state crossing and
 truncation convergence for the JC and Rabi models.
 
-Every one-shot solve here runs on the two parity sectors: the closed-form
-real tridiagonal matrices of models.parity_sectors, each decomposed and
-gated by hermitian_eig and merged into one ascending spectrum by
-linalg.block_eig.  The dense joint-space builders are not called; they
-stay the oracle the tests compare these results with.
+Every one-shot solve here runs on the two parity sectors, the closed-form
+real tridiagonal matrices of models.parity_sectors.  The sweeps,
+convergence studies and Bloch-Siegert values need eigenvalues only: each
+point's sectors are solved by linalg.block_eigvalsh, and
+linalg.merged_levels gates the kept values with a Sturm count (in one
+batch per sweep) and merges them into one ascending spectrum.  The
+numerical crossing reads the ground vector, so it solves the sectors with
+linalg.block_eig, whose residual gate checks every eigenpair.  The dense
+joint-space builders are not called; they stay the oracle the tests
+compare these results with.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import block_eig
+from .linalg import block_eig, block_eigvalsh, merged_levels
 from .models import (
     ModelKind,
     ModelParams,
@@ -24,6 +29,26 @@ from .models import (
     jc_doublet_analytic,
     parity_sectors,
 )
+
+
+# Sector names in the order of models.parity_sectors.
+_SECTORS = ("even", "odd")
+
+
+def _sector_levels(points, k: int) -> np.ndarray:
+    """The k lowest levels at each (kind, params, cfg) point, values only.
+
+    The points must share one cutoff.  Only the eigenvalues and bands of
+    each point are kept, and merged_levels Sturm-gates all points at once.
+    """
+    solved = [block_eigvalsh(parity_sectors(kind, p, cfg)) for kind, p, cfg in points]
+
+    def where(i: int, sector: int) -> str:
+        kind, p, cfg = points[i]
+        return (f"the {_SECTORS[sector]} {kind.model} sector at g={float(p.g)!r}, "
+                f"n_max={cfg.n_max}")
+
+    return merged_levels(solved, k, where)
 
 
 @dataclass(frozen=True)
@@ -53,9 +78,7 @@ def spectrum_sweep(
         raise ValueError("g_grid must be finite")
     if k < 1 or k > cfg.dim_joint:
         raise ValueError(f"k must be in [1, {cfg.dim_joint}], got {k}")
-    levels = np.empty((len(g_grid), k))
-    for i, g in enumerate(g_grid):
-        levels[i] = block_eig(parity_sectors(kind, p.with_g(g), cfg))[0][:k]
+    levels = _sector_levels([(kind, p.with_g(g), cfg) for g in g_grid], k)
     return SpectrumTable(g_grid, levels, kind, p, cfg)
 
 
@@ -73,8 +96,9 @@ def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -
             f"got {level!r}"
         )
     pg = p.with_g(g)
-    jc = block_eig(parity_sectors(ModelKind.JC_LAB, pg, cfg))[0]
-    rabi = block_eig(parity_sectors(ModelKind.RABI_LAB, pg, cfg))[0]
+    jc, rabi = _sector_levels(
+        [(ModelKind.JC_LAB, pg, cfg), (ModelKind.RABI_LAB, pg, cfg)], level + 1
+    )
     e_jc = jc[level] - jc[0]
     e_rabi = rabi[level] - rabi[0]
     if abs(e_jc) < 1e-12:
@@ -215,8 +239,8 @@ def convergence_study(
             f"cutoff {n_list[0]}, got {k}"
         )
     pg = p.with_g(g)
-    levels = np.empty((len(n_list), k))
-    for i, n_max in enumerate(n_list):
-        levels[i] = block_eig(parity_sectors(kind, pg, TruncationConfig(n_max)))[0][:k]
+    levels = np.concatenate(
+        [_sector_levels([(kind, pg, TruncationConfig(n_max))], k) for n_max in n_list]
+    )
     changes = np.max(np.abs(np.diff(levels, axis=0)), axis=1)
     return ConvergenceTable(np.asarray(n_list), levels, changes)

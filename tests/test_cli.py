@@ -214,6 +214,35 @@ class TestExitCodes:
         cfg_file.write_text(json.dumps({"format": "json"}))
         assert main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command, values, keys", [
+        (["crossing"], {"g": 5.0, "level": 3, "phi_nodes": 64}, "g, level, phi_nodes"),
+        (["verify", "--only", "5"], {"model": "rabi", "n_max": 30}, "model, n_max"),
+        (["spectrum"], {"g": 0.5, "gauge": "parallel"}, "g, gauge"),
+        (["surfaces"], {"n_max": 30}, "n_max"),
+        (["convergence"], {"level": 2}, "level"),
+        (["berry"], {"k_levels": 3}, "k_levels"),
+    ])
+    def test_usage_error_config_key_the_command_does_not_read(
+            self, tmp_path, capsys, command, values, keys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: config file {cfg_file} sets {keys}, "
+            f"which {command[0]} does not read\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_keys_the_command_reads_are_accepted(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"model": "jc", "omega": 1.0, "Omega": 1.0,
+                                        "n_max": 30, "output_dir": str(tmp_path)}))
+        assert main(["crossing", "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "crossing.json").exists()
+
     def test_usage_error_nan_omega(self, tmp_path, capsys):
         assert main(["spectrum", "--omega", "nan", "--out", str(tmp_path)]) == 1
         assert "omega must be finite" in capsys.readouterr().err

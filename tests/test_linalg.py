@@ -10,7 +10,14 @@ from jcrabi import (
     hermitian_eig,
 )
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
-from jcrabi.linalg import EIG_RTOL, block_eig, residual_gate
+from jcrabi.linalg import (
+    EIG_RTOL,
+    block_eig,
+    block_eigvalsh,
+    merged_levels,
+    residual_gate,
+    sturm_count,
+)
 from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
 
 SX, SY, SZ, SP, SM = qubit_ops()
@@ -163,6 +170,136 @@ class TestBlockEig:
         values, _, order = block_eig([np.diag([1.0, 3.0]), np.diag([1.0, 2.0])])
         assert np.array_equal(values, [1.0, 1.0, 2.0, 3.0])
         assert np.array_equal(order, [0, 2, 3, 1])
+
+
+def random_tridiagonal(m, rng, jc_links=False):
+    """Diagonal and off-diagonal of a random symmetric tridiagonal matrix;
+    jc_links zeroes every other link, the pattern of a JC parity sector."""
+    diag = rng.standard_normal(m)
+    off = rng.standard_normal(m - 1)
+    if jc_links:
+        off[1::2] = 0.0
+    return diag, off
+
+
+def dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestSturmCount:
+    @pytest.mark.parametrize("jc_links", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_counts_match_eigvalsh(self, m, jc_links):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            diag, off = random_tridiagonal(m, rng, jc_links)
+            values = np.linalg.eigvalsh(dense(diag, off))
+            shifts = rng.uniform(values[0] - 1.0, values[-1] + 1.0, 50)
+            # stay clear of the eigenvalues, where rounding decides the count
+            shifts = shifts[np.min(np.abs(shifts[:, None] - values), axis=1) > 1e-9]
+            counts = sturm_count(diag, off, shifts)
+            assert np.array_equal(counts, np.sum(values[None, :] < shifts[:, None], axis=1))
+
+    def test_shift_on_an_eigenvalue_is_not_counted(self):
+        # exact eigenvalues: a diagonal with a repeated entry, and 0 and 2
+        # of [[1, 1], [1, 1]], whose second pivot vanishes exactly
+        diag = np.array([2.0, -1.0, 2.0, 0.5])
+        assert np.array_equal(sturm_count(diag, np.zeros(3), diag), [2, 0, 2, 1])
+        assert np.array_equal(sturm_count([1.0, 1.0], [1.0], [0.0, 2.0]), [0, 1])
+
+    @pytest.mark.parametrize("jc_links", [False, True])
+    def test_shifts_tol_away_from_eigenvalues(self, jc_links):
+        rng = np.random.default_rng(11)
+        diag, off = random_tridiagonal(30, rng, jc_links)
+        t = dense(diag, off)
+        values = np.linalg.eigvalsh(t)
+        tol = EIG_RTOL * np.max(np.abs(t))
+        assert np.min(np.diff(values)) > 2 * tol
+        i = np.arange(30)
+        assert np.array_equal(sturm_count(diag, off, values - tol), i)
+        assert np.array_equal(sturm_count(diag, off, values + tol), i + 1)
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(5)
+        bands = [[random_tridiagonal(9, rng, jc_links=b == 1) for b in range(2)]
+                 for _ in range(3)]
+        diag = np.array([[d for d, _ in row] for row in bands])
+        off = np.array([[o for _, o in row] for row in bands])
+        shifts = rng.standard_normal((3, 2, 4))
+        counts = sturm_count(diag, off, shifts)
+        shared = sturm_count(diag, off, shifts[0, 0])  # one shift list for all
+        assert counts.shape == shared.shape == (3, 2, 4)
+        for p in range(3):
+            for b in range(2):
+                assert np.array_equal(counts[p, b], sturm_count(diag[p, b], off[p, b], shifts[p, b]))
+                assert np.array_equal(shared[p, b], sturm_count(diag[p, b], off[p, b], shifts[0, 0]))
+
+    def test_band_lengths_must_match(self):
+        with pytest.raises(ValueError, match="one entry fewer"):
+            sturm_count(np.zeros(4), np.zeros(4), [0.0])
+
+
+def sector_label(point, block):
+    return f"block {block} of point {point}"
+
+
+class TestMergedLevels:
+    def test_matches_block_eig(self):
+        rng = np.random.default_rng(3)
+        blocks = [dense(*random_tridiagonal(8, rng)), dense(*random_tridiagonal(8, rng, True))]
+        merged, _, _ = block_eig(blocks)
+        for k in (1, 5, 16):
+            levels = merged_levels([block_eigvalsh(blocks)], k, sector_label)
+            assert levels.shape == (1, k)
+            assert np.max(np.abs(levels[0] - merged[:k])) <= 1e-12
+
+    def test_exact_clusters_pass(self):
+        # equal values inside a block and across blocks
+        blocks = [np.diag([1.0, 1.0, 3.0]), np.diag([1.0, 2.0, 2.0])]
+        levels = merged_levels([block_eigvalsh(blocks)], 6, sector_label)
+        assert np.array_equal(levels[0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+
+    def test_points_are_independent_rows(self):
+        rng = np.random.default_rng(4)
+        points = [[dense(*random_tridiagonal(6, rng)) for _ in range(2)] for _ in range(3)]
+        batch = merged_levels([block_eigvalsh(b) for b in points], 4, sector_label)
+        for row, blocks in zip(batch, points):
+            assert np.array_equal(row, merged_levels([block_eigvalsh(blocks)], 4, sector_label)[0])
+        assert merged_levels([], 4, sector_label).shape == (0, 4)
+
+    def test_perturbed_value_is_rejected(self):
+        rng = np.random.default_rng(8)
+        points = [block_eigvalsh([dense(*random_tridiagonal(6, rng)) for _ in range(2)])
+                  for _ in range(2)]
+        points[1][0][1, 2] += 1e-6
+        with pytest.raises(ConvergenceError,
+                           match=r"eigenvalue 2 = .* of block 1 of point 1 fails the Sturm count"):
+            merged_levels(points, 12, sector_label)
+
+    def test_only_kept_values_are_gated(self):
+        values, diag, off, scale = block_eigvalsh([np.diag([0.0, 1.0]), np.diag([2.0, 3.0])])
+        values[1, 1] += 1e-6  # the largest value; two levels keep block 0 only
+        assert np.array_equal(merged_levels([(values, diag, off, scale)], 2, sector_label),
+                              [[0.0, 1.0]])
+        with pytest.raises(ConvergenceError, match="eigenvalue 1 = .* of block 1 of point 0"):
+            merged_levels([(values, diag, off, scale)], 4, sector_label)
+
+    def test_zero_block(self):
+        levels = merged_levels([block_eigvalsh([np.zeros((2, 2)), np.diag([0.0, 1.0])])],
+                               3, sector_label)
+        assert np.array_equal(levels, [[0.0, 0.0, 0.0]])
+
+    def test_non_tridiagonal_block_rejected(self):
+        t = dense(np.arange(5.0), np.ones(4))
+        t[0, 3] = t[3, 0] = 0.25  # symmetric, one entry outside the band
+        with pytest.raises(ValueError, match=r"block 1 is not tridiagonal: entry \(0, 3\)"):
+            block_eigvalsh([np.diag(np.arange(5.0)), t])
+
+    def test_non_hermitian_block_rejected(self):
+        t = dense(np.arange(3.0), np.ones(2))
+        t[0, 1] += 1e-6
+        with pytest.raises(HermiticityError):
+            block_eigvalsh([t])
 
 
 class TestExpectation:

@@ -13,7 +13,8 @@ from jcrabi import (
     jc_doublet_analytic,
     spectrum_sweep,
 )
-from jcrabi.models import ModelKind
+from jcrabi.linalg import ConvergenceError
+from jcrabi.models import ModelKind, build_jc
 from jcrabi.spectra import NoCrossingError
 
 CFG = TruncationConfig(60)
@@ -176,3 +177,60 @@ class TestConvergence:
     def test_empty_n_list_rejected(self):
         with pytest.raises(ValueError, match="n_list"):
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 3, [])
+
+
+def perturb_eigvalsh(monkeypatch, call, index, delta=1e-6):
+    """Add delta to value ``index`` of the ``call``-th np.linalg.eigvalsh result.
+
+    The values-only paths solve the even sector, then the odd one, point by
+    point, so call 2 i + s is sector s of point i.
+    """
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def patched(a, *args, **kwargs):
+        values = real(a, *args, **kwargs)
+        if len(calls) == call:
+            values = values.copy()
+            values[index] += delta
+        calls.append(None)
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+
+
+class TestSturmGate:
+    def test_sweep_names_coupling_sector_and_level(self, monkeypatch):
+        perturb_eigvalsh(monkeypatch, call=3, index=2)
+        with pytest.raises(ConvergenceError, match=(
+                r"eigenvalue 2 = .* of the odd jc sector at g=0\.2, n_max=60 "
+                r"fails the Sturm count")):
+            spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1, 0.2, 0.3], 11, CFG)
+
+    def test_convergence_names_cutoff(self, monkeypatch):
+        perturb_eigvalsh(monkeypatch, call=2, index=1)
+        with pytest.raises(ConvergenceError, match=(
+                r"eigenvalue 1 = .* of the even rabi sector at g=0\.5, n_max=30 ")):
+            convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 11, [20, 30, 40])
+
+    def test_bloch_siegert_names_model(self, monkeypatch):
+        perturb_eigvalsh(monkeypatch, call=2, index=0)
+        with pytest.raises(ConvergenceError, match=(
+                r"eigenvalue 0 = .* of the even rabi sector at g=0\.1, n_max=60 ")):
+            bloch_siegert(P_RES, 0.1, 2, CFG)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_resonant_decoupled_clusters_pass(self, kind):
+        # at g = 0 on resonance every sector holds exact pairs of equal values
+        table = spectrum_sweep(kind, P_RES, [0.0], CFG.dim_joint, CFG)
+        exact = np.sort(np.diag(build_jc(P_RES, CFG)))
+        assert np.array_equal(table.levels[0], exact)
+
+    def test_values_only_paths_compute_no_vectors(self, monkeypatch):
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on a values-only path")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+        spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1, 0.5], 11, CFG)
+        convergence_study(ModelKind.JC_LAB, P_RES, 0.5, 11, [20, 40])
+        bloch_siegert(P_RES, 0.1, 2, CFG)

@@ -1,17 +1,20 @@
 """Differential tests of the parity-sector spectra against the dense path.
 
-spectrum_sweep and ground_crossing solve the two closed-form parity sectors;
-the reference is the gated dense solve of the joint-space Hamiltonian.
+spectrum_sweep, convergence_study, bloch_siegert and ground_crossing solve
+the two closed-form parity sectors; the reference is the gated dense solve
+of the joint-space Hamiltonian.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jcrabi import (
     ModelParams,
     TruncationConfig,
+    bloch_siegert,
+    convergence_study,
     ground_crossing,
     hermitian_eig,
     spectrum_sweep,
@@ -37,6 +40,49 @@ def test_sweep_rows_match_dense_spectrum(model, Omega, g_grid, n_max, data):
         h = build_hamiltonian(kind, p.with_g(g), cfg)
         dense = hermitian_eig(h).values[:k]
         assert np.max(np.abs(row - dense)) <= 1e-12 * np.max(np.abs(h)), g
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["jc", "rabi"]),
+    Omega=st.floats(0.0, 2.0),
+    g=st.floats(0.0, 1.5),
+    n_list=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_convergence_rows_match_dense_spectrum(model, Omega, g, n_list, data):
+    kind = ModelKind(model)
+    k = data.draw(st.integers(1, 2 * (n_list[0] + 1)), label="k")
+    p = ModelParams(Omega=Omega)
+    table = convergence_study(kind, p, g, k, n_list)
+    for row, n_max in zip(table.levels, n_list):
+        h = build_hamiltonian(kind, p.with_g(g), TruncationConfig(n_max))
+        dense = hermitian_eig(h).values[:k]
+        assert np.max(np.abs(row - dense)) <= 1e-12 * np.max(np.abs(h)), n_max
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    Omega=st.floats(0.0, 2.0),
+    g=st.floats(0.0, 1.5),
+    n_max=st.integers(2, 40),
+    data=st.data(),
+)
+def test_bloch_siegert_matches_dense_spectra(Omega, g, n_max, data):
+    cfg = TruncationConfig(n_max)
+    level = data.draw(st.integers(1, cfg.dim_joint - 1), label="level")
+    p = ModelParams(Omega=Omega, g=g)
+    h_jc = build_hamiltonian(ModelKind.JC_LAB, p, cfg)
+    h_rabi = build_hamiltonian(ModelKind.RABI_LAB, p, cfg)
+    jc, rabi = hermitian_eig(h_jc).values, hermitian_eig(h_rabi).values
+    e_jc, e_rabi = jc[level] - jc[0], rabi[level] - rabi[0]
+    assume(abs(e_jc) >= 1e-9)  # below, the relative measure is undefined or ill-conditioned
+    expected = abs(e_rabi - e_jc) / abs(e_jc)
+    # each level agrees to eps = 1e-12 max|H|, each level difference to
+    # 2 eps, so the ratio to (4 + 2 ratio) eps / |E_jc| at first order
+    eps = 1e-12 * max(np.max(np.abs(h_jc)), np.max(np.abs(h_rabi)))
+    bound = (4.0 + 2.0 * expected) * eps / abs(e_jc) * 1.01
+    assert abs(bloch_siegert(p, g, level, cfg) - expected) <= bound
 
 
 def dense_overlap_crossing(p, cfg, g_lo, g_hi):
