@@ -2,8 +2,11 @@
 
 Subcommands: spectrum | berry | surfaces | convergence | crossing | verify.
 Configuration comes from flags or a single JSON file (--config); flags
-override the file.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure, 3 acceptance failure.
+override the file.  Each command reads a fixed set of configuration
+fields: it takes exactly their flags and config keys, records exactly
+those fields in its output metadata, and rejects any other flag or key.
+Flags are spelled in full, never abbreviated.  Exit codes: 0 success,
+1 usage error, 2 numerical failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +88,32 @@ class RunConfig:
     def gauge_convention(self) -> GaugeConvention:
         return PARALLEL_TRANSPORT if self.gauge == "parallel" else anchor_component()
 
-    def metadata(self, **extra) -> dict:
+    def metadata(self, command: str, **extra) -> dict:
+        """Version, the fields command reads, the command and its own inputs."""
         meta = {"jcrabi": __version__}
-        meta.update(asdict(self))
-        meta.update(extra)
+        meta.update((f.name, getattr(self, f.name)) for f in fields(self)
+                    if f.name in _READS[command])
+        meta.update(command=command, **extra)
         return meta
 
 
-# The RunConfig fields each command reads; a config file may set only these.
+# The flag that sets each RunConfig field; the parsed value lands under the
+# field's own name.
+_FLAGS = {
+    "model": ("--model", dict(choices=["jc", "rabi", "both"])),
+    "omega": ("--omega", dict(type=float)),
+    "Omega": ("--Omega", dict(type=float)),
+    "g": ("--g", dict(type=float)),
+    "n_max": ("--nmax", dict(type=int)),
+    "k_levels": ("--levels", dict(type=int)),
+    "phi_nodes": ("--phi-nodes", dict(type=int)),
+    "gauge": ("--gauge", dict(choices=["parallel", "anchor"])),
+    "level": ("--level", dict(type=int)),
+    "output_dir": ("--out", dict(type=str)),
+}
+
+# The RunConfig fields each command reads: its flags, its config keys and
+# its metadata are these and no others.
 _READS = {
     "spectrum": {"model", "omega", "Omega", "n_max", "k_levels", "output_dir"},
     "berry": {"model", "omega", "Omega", "g", "n_max", "phi_nodes", "gauge", "level",
@@ -117,21 +138,11 @@ def _load_config(args) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**values)
-    # a subcommand registers only the flags it reads; the rest are absent
-    overrides = {
-        field: getattr(args, dest, None)
-        for field, dest in (
-            ("model", "model"), ("omega", "omega"), ("Omega", "Omega"),
-            ("n_max", "nmax"), ("k_levels", "levels"), ("phi_nodes", "phi_nodes"),
-            ("gauge", "gauge"), ("level", "level"), ("output_dir", "out"),
-        )
-    }
-    g_flag = getattr(args, "g", None)
-    if g_flag is not None:
-        overrides["g"] = g_flag[0] if isinstance(g_flag, list) else g_flag
-    for key, value in overrides.items():
+    for name in _READS[args.command]:
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, key, value)
+            # berry's repeated --g: the first value stands for the config
+            setattr(cfg, name, value[0] if isinstance(value, list) else value)
     cfg.validate()
     # after validate, so a malformed value reads as such whichever command runs
     unread = sorted(set(values) - _READS[args.command])
@@ -190,7 +201,8 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
         raise UsageError("need g-step > 0 and g-max >= g-min")
     _check_levels(cfg.k_levels, cfg.n_max)
     out = _out_dir(cfg)
-    n_steps = int(round((g_max - g_min) / g_step))
+    # the last point never overshoots g-max; the slack absorbs rounding
+    n_steps = math.floor((g_max - g_min) / g_step + 1e-9)
     g_grid = np.round(g_min + g_step * np.arange(n_steps + 1), 12)
     tables = {}
     for kind in _model_kinds(cfg):
@@ -200,7 +212,7 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
         rows = [[g, *row] for g, row in zip(table.g_values, table.levels)]
         path = write_csv(
             out / f"spectrum_{kind.model}.csv", columns, rows,
-            cfg.metadata(command="spectrum", g_min=g_min, g_max=g_max, g_step=g_step,
+            cfg.metadata("spectrum", g_min=g_min, g_max=g_max, g_step=g_step,
                          this_model=kind.model),
         )
         print(f"wrote {path}")
@@ -213,7 +225,7 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
         path = write_svg_lines(
             out / "spectrum_overlay.svg", series,
             "JC (green) vs Rabi (black) lowest levels", "g", "E",
-            cfg.metadata(command="spectrum"),
+            cfg.metadata("spectrum"),
         )
         print(f"wrote {path}")
     return 0
@@ -224,6 +236,10 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         raise UsageError("berry tracks one model at a time; pick --model jc or rabi")
     for g in g_values:
         replace(cfg, g=g).validate()
+    labels = [f"{g:g}" for g in g_values]
+    shared = [g for g, label in zip(g_values, labels) if labels.count(label) > 1]
+    if shared:
+        raise UsageError(f"--g values {shared} would write the same berry_curve_g<g>.csv")
     out = _out_dir(cfg)
     gauge = cfg.gauge_convention()
     runs = []
@@ -246,7 +262,7 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         }
         runs.append(summary)
         suffix = "" if len(g_values) == 1 else f"_g{g:g}"
-        meta = cfg.metadata(command="berry", g=g, gauge=conn.gauge, K=cfg.phi_nodes)
+        meta = cfg.metadata("berry", g=g, gauge=conn.gauge, K=cfg.phi_nodes)
         path = write_csv(
             out / f"berry_curve{suffix}.csv", ["phi", "partial_phase"],
             conn.curve, meta,
@@ -254,13 +270,13 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         curves.append((f"g={g:g}", conn.curve[:, 0], conn.curve[:, 1]))
         print(f"wrote {path}")
     payload = runs[0] if len(runs) == 1 else {"runs": runs}
-    path = write_json(out / "berry_summary.json", payload, cfg.metadata(command="berry"))
+    path = write_json(out / "berry_summary.json", payload, cfg.metadata("berry"))
     print(f"wrote {path}")
     if svg:
         path = write_svg_lines(
             out / "berry_curve.svg", curves,
             f"{cfg.model} level {cfg.level} accumulated phase ({cfg.gauge} gauge)",
-            "phi", "gamma(phi)", cfg.metadata(command="berry"),
+            "phi", "gamma(phi)", cfg.metadata("berry"),
         )
         print(f"wrote {path}")
     return 0
@@ -292,7 +308,7 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
             np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
             grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel(),
         ])
-        meta = cfg.metadata(command="surfaces", x_range=x_range, p_range=p_range,
+        meta = cfg.metadata("surfaces", x_range=x_range, p_range=p_range,
                             resolution=resolution, this_model=kind.model)
         path = write_csv(out / f"surface_{kind.model}.csv",
                          ["x", "p", "E_minus", "E_plus", "gap"], rows, meta)
@@ -335,7 +351,7 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
     for i, n_max in enumerate(table.n_values):
         change = table.max_changes[i - 1] if i > 0 else float("nan")
         rows.append([n_max, *table.levels[i], change])
-    meta = cfg.metadata(command="convergence", n_list=",".join(str(n) for n in n_list))
+    meta = cfg.metadata("convergence", n_list=",".join(str(n) for n in n_list))
     path = write_csv(out / f"convergence_{kind.model}.csv", columns, rows, meta)
     print(f"wrote {path}")
     return 0
@@ -360,7 +376,7 @@ def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
         "note": res.note,
     }
     path = write_json(out / "crossing.json", payload,
-                      cfg.metadata(command="crossing", g_lo=g_lo, g_hi=g_hi))
+                      cfg.metadata("crossing", g_lo=g_lo, g_hi=g_hi))
     print(f"ground-state crossing: analytic g* = {res.analytic_g:.10f}, "
           f"numerical g* = {res.numerical_g:.10f}")
     print(res.note)
@@ -399,60 +415,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="jcrabi", description=__doc__)
+    parser = _Parser(prog="jcrabi", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"jcrabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {
-        "--model": dict(choices=["jc", "rabi", "both"]),
-        "--g": dict(type=float),
-        "--omega": dict(type=float),
-        "--Omega": dict(type=float),
-        "--nmax": dict(type=int),
-        "--levels": dict(type=int),
-        "--phi-nodes": dict(dest="phi_nodes", type=int),
-        "--gauge": dict(choices=["parallel", "anchor"]),
-        "--level": dict(type=int),
-        "--out": dict(type=str),
-        "--config": dict(type=str),
-    }
+    def add_command(command, help_text):
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, (flag, kwargs) in _FLAGS.items():
+            if name in _READS[command]:
+                if command == "berry" and name == "g":
+                    kwargs = dict(kwargs, action="append")  # one curve per --g
+                sp.add_argument(flag, dest=name, **kwargs)
+        sp.add_argument("--config", type=str)
+        return sp
 
-    def add_common(sp, flags=tuple(common), multi_g=False):
-        for flag in flags:
-            kwargs = common[flag]
-            if flag == "--g" and multi_g:
-                kwargs = dict(kwargs, action="append")
-            sp.add_argument(flag, **kwargs)
-
-    sp = sub.add_parser("spectrum", help="lowest-levels sweep over the coupling")
-    add_common(sp)
+    sp = add_command("spectrum", "lowest-levels sweep over the coupling")
     sp.add_argument("--g-min", type=float, default=0.0)
     sp.add_argument("--g-max", type=float, default=1.5)
     sp.add_argument("--g-step", type=float, default=0.01)
     sp.add_argument("--svg", action="store_true")
 
-    sp = sub.add_parser("berry", help="geometric phase of a tracked level")
-    add_common(sp, multi_g=True)
+    sp = add_command("berry", "geometric phase of a tracked level")
     sp.add_argument("--svg", action="store_true")
 
-    sp = sub.add_parser("surfaces", help="adiabatic energy surfaces and gap locus")
-    add_common(sp)
+    sp = add_command("surfaces", "adiabatic energy surfaces and gap locus")
     sp.add_argument("--x-range", type=str, default="-3:3")
     sp.add_argument("--p-range", type=str, default="-3:3")
     sp.add_argument("--resolution", type=int, default=61)
     sp.add_argument("--svg", action="store_true")
 
-    sp = sub.add_parser("convergence", help="spectrum vs Fock-space cutoff")
-    add_common(sp)
+    sp = add_command("convergence", "spectrum vs Fock-space cutoff")
     sp.add_argument("--n-list", type=str, default="100,200,300,500")
 
-    sp = sub.add_parser("crossing", help="ground-state crossing coupling")
-    add_common(sp, ("--model", "--omega", "--Omega", "--nmax", "--out", "--config"))
+    sp = add_command("crossing", "ground-state crossing coupling")
     sp.add_argument("--g-lo", type=float, default=0.3)
     sp.add_argument("--g-hi", type=float, default=1.2)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    add_common(sp, ("--phi-nodes", "--out", "--config"))
+    sp = add_command("verify", "run the acceptance suite")
     sp.add_argument("--only", type=str, help="comma-separated criterion numbers in 1..12")
     return parser
 

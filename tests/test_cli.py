@@ -5,7 +5,31 @@ import sys
 import numpy as np
 import pytest
 
-from jcrabi.cli import main
+from jcrabi.cli import _load_config, build_parser, main
+
+# The README table of what each command reads: config keys, then the flag
+# that sets each key and a value it parses to.
+README_READS = {
+    "spectrum": {"model", "omega", "Omega", "n_max", "k_levels", "output_dir"},
+    "berry": {"model", "omega", "Omega", "g", "n_max", "phi_nodes", "gauge", "level",
+              "output_dir"},
+    "surfaces": {"model", "omega", "Omega", "g", "output_dir"},
+    "convergence": {"model", "omega", "Omega", "g", "k_levels", "output_dir"},
+    "crossing": {"model", "omega", "Omega", "n_max", "output_dir"},
+    "verify": {"phi_nodes", "output_dir"},
+}
+FLAG_OF = {
+    "model": ("--model", "rabi", "rabi"),
+    "omega": ("--omega", "2.0", 2.0),
+    "Omega": ("--Omega", "0.5", 0.5),
+    "g": ("--g", "0.3", 0.3),
+    "n_max": ("--nmax", "7", 7),
+    "k_levels": ("--levels", "2", 2),
+    "phi_nodes": ("--phi-nodes", "32", 32),
+    "gauge": ("--gauge", "parallel", "parallel"),
+    "level": ("--level", "2", 2),
+    "output_dir": ("--out", "elsewhere", "elsewhere"),
+}
 
 
 def read_rows(path):
@@ -52,6 +76,29 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum_rabi.csv").exists()
         svg = (tmp_path / "spectrum_overlay.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("g_max, g_step, n_rows", [
+        ("1", "0.6", 2), ("1.5", "0.01", 151), ("0.3", "0.1", 4),
+    ])
+    def test_grid_stops_at_g_max(self, tmp_path, g_max, g_step, n_rows):
+        rc = main([
+            "spectrum", "--model", "jc", "--nmax", "10", "--levels", "2",
+            "--g-max", g_max, "--g-step", g_step, "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        _, _, rows = read_rows(tmp_path / "spectrum_jc.csv")
+        assert len(rows) == n_rows
+        assert rows[-1][0] <= float(g_max)
+
+    def test_metadata_records_only_what_it_reads(self, tmp_path):
+        rc = main([
+            "spectrum", "--model", "rabi", "--nmax", "10", "--levels", "2",
+            "--g-max", "0.1", "--g-step", "0.1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        meta, _, _ = read_rows(tmp_path / "spectrum_rabi.csv")
+        assert "# n_max = 10" in meta and "# g_step = 0.1" in meta
+        assert not any(line.startswith("# g =") for line in meta)
 
     def test_bloch_siegert_visible_between_files(self, tmp_path):
         rc = main([
@@ -161,6 +208,22 @@ class TestOtherCommands:
         assert header[-1] == "max_change"
         assert len(rows) == 3
         assert rows[2][-1] <= rows[1][-1]  # refinement shrinks
+
+    def test_convergence_metadata_records_n_list_not_n_max(self, tmp_path):
+        rc = main([
+            "convergence", "--model", "jc", "--levels", "2", "--n-list", "10,20",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        meta, _, _ = read_rows(tmp_path / "convergence_jc.csv")
+        assert "# n_list = 10,20" in meta
+        assert not any(line.startswith("# n_max =") for line in meta)
+
+    def test_crossing_config_holds_what_it_reads(self, tmp_path):
+        assert main(["crossing", "--nmax", "40", "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "crossing.json").read_text())["config"]
+        assert set(config) == {"jcrabi", "model", "omega", "Omega", "n_max", "output_dir",
+                               "command", "g_lo", "g_hi"}
 
     def test_crossing(self, tmp_path, capsys):
         rc = main(["crossing", "--nmax", "40", "--out", str(tmp_path)])
@@ -282,7 +345,9 @@ class TestExitCodes:
         (["surfaces", "--p-range=-inf:1"], "p-range"),
     ])
     def test_usage_error_non_finite_flag(self, tmp_path, capsys, argv, flag):
-        assert main([*argv, "--nmax", "5", "--out", str(tmp_path)]) == 1
+        # surfaces reads no cutoff, so --nmax would be a usage error of its own
+        nmax = ["--nmax", "5"] if argv[0] in ("spectrum", "crossing") else []
+        assert main([*argv, *nmax, "--out", str(tmp_path)]) == 1
         assert f"usage error: {flag} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("g_lo, g_hi", [("1.2", "0.3"), ("-0.5", "1.2")])
@@ -338,6 +403,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and flag in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in README_READS for key in FLAG_OF
+    ])
+    def test_flags_match_the_readme_table(self, tmp_path, capsys, command, key):
+        flag, text, value = FLAG_OF[key]
+        if key in README_READS[command]:
+            cfg = _load_config(build_parser().parse_args([command, flag, text]))
+            assert getattr(cfg, key) == value
+        else:
+            out = tmp_path / "out"
+            assert main([command, flag, text, "--out", str(out)]) == 1
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["convergence", "--level", "2"], "--level"),
+        (["spectrum", "--level", "3"], "--level"),
+        (["surfaces", "--res", "41"], "--res"),
+    ])
+    def test_usage_error_abbreviated_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("g_values", [("0.1", "0.10000001"), ("0.1", "0.1")])
+    def test_usage_error_berry_couplings_share_a_file(self, tmp_path, capsys, g_values):
+        out = tmp_path / "out"
+        argv = ["berry", "--g", g_values[0], "--g", g_values[1], "--nmax", "10",
+                "--phi-nodes", "16", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --g values ")
+        assert all(g in err for g in g_values)
         assert not out.exists()
 
     def test_verify_subset(self, tmp_path, capsys):
