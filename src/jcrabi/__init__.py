@@ -53,14 +53,10 @@ from .surfaces import (
     classify_degeneracy,
 )
 from .berry import (
-    GaugeConvention,
     LoopResult,
-    PARALLEL_TRANSPORT,
-    RAW,
     TrackedFamily,
     TrackingError,
     DegenerateLevelError,
-    anchor_component,
     connection_curve,
     eig_family,
     gauge_fix,

@@ -16,13 +16,18 @@ The closed-loop phase is estimated three independent ways:
                        families because |psi(phi)> = U(phi)|psi(0)> is a
                        single-valued eigenpath with constant connection
 
+The two loop estimators take a plain path, (phi_grid, vectors) with one
+vector row per node of a uniform grid from 0 to 2 pi, so they serve any
+family of states, not only Fock-space eigenpaths.  connection_curve names
+its gauge: "parallel_transport" or "anchor_component" (gauge_fix).
+
 Increasing phi with U(phi) = exp(-i n_hat phi) defines the positive loop
 orientation; under it the resonant JC first excited state acquires +pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,59 +95,23 @@ def phase_distance(a: float, b: float) -> float:
     return abs(wrap_phase(a - b))
 
 
-@dataclass(frozen=True)
-class GaugeConvention:
-    """Phase convention for an eigenvector family.
-
-    kind 'parallel_transport' makes every step overlap real >= 0; kind
-    'anchor_component' keeps one vector component real >= 0 at every node
-    (the component defaults to the largest-magnitude one at phi = 0); kind
-    'raw' leaves the eigensolver phases untouched.
-    """
-
-    kind: str
-    anchor_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("parallel_transport", "anchor_component", "raw"):
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "anchor_component" and self.anchor_index is not None:
-            return f"anchor_component({self.anchor_index})"
-        return self.kind
-
-
-PARALLEL_TRANSPORT = GaugeConvention("parallel_transport")
-RAW = GaugeConvention("raw")
-
-
-def anchor_component(index: int | None = None) -> GaugeConvention:
-    return GaugeConvention("anchor_component", index)
+# The two phase conventions gauge_fix knows; see its docstring.
+GAUGES = ("parallel_transport", "anchor_component")
 
 
 @dataclass(frozen=True)
 class TrackedFamily:
-    """One eigenvector per node of the uniform phi grid (0 ... 2 pi).
+    """The eigenpath of one level on the uniform phi grid (0 ... 2 pi).
 
-    For eig_family, vectors[k] = U(phi_k) vectors[0] and every energy is the
-    level's energy at phi = 0: the rotation leaves the spectrum unchanged.
+    vectors[k] = U(phi_k) vectors[0] belongs to phi_grid[k]; the rotation
+    leaves the spectrum unchanged, so every node has the eigenvalue
+    ``energy``.  min_step_overlap is the smallest |<psi_k-1|psi_k>|.
     """
 
     phi_grid: np.ndarray
-    vectors: np.ndarray   # shape (K + 1, dim), row k belongs to phi_grid[k]
-    energies: np.ndarray
-    level: int
+    vectors: np.ndarray   # shape (K + 1, dim)
+    energy: float
     min_step_overlap: float
-    kind: ModelKind
-    params: ModelParams
-    cfg: TruncationConfig
-    gauge: GaugeConvention = RAW
-
-    @property
-    def steps(self) -> int:
-        return len(self.phi_grid) - 1
 
 
 def _level_gap(values: np.ndarray, level: int) -> float:
@@ -163,7 +132,7 @@ def _check_sector_split(h: np.ndarray, sectors, chains, maxabs: float):
         split[np.ix_(c, c)] = t
     dev = float(np.max(np.abs(h - split)))
     bound = HERMITICITY_RTOL * maxabs
-    if dev > bound:
+    if not dev <= bound:
         raise ValueError(
             f"H does not split into the two parity chains: it differs from "
             f"models.parity_sectors by {dev:.3e}, above {bound:.3e}"
@@ -210,7 +179,7 @@ def eig_family(
     _check_sector_split(h0, sectors, chains, maxabs)
     merged, systems, order = block_eig(sectors)
     gap = _level_gap(merged, level)
-    if gap < DEGENERACY_GAP:
+    if not gap >= DEGENERACY_GAP:
         raise TrackingError(
             0,
             f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}); "
@@ -235,38 +204,37 @@ def eig_family(
         hk = rotate_hamiltonian(h0, phi, cfg)
         residual_gate(hk, energy, vectors[k], maxabs, f"at phi node {k}")
 
-    energies = np.full(K + 1, energy)
-    return TrackedFamily(
-        phi_grid, vectors, energies, level, min_overlap, kind, p, cfg, RAW
-    )
+    return TrackedFamily(phi_grid, vectors, float(energy), min_overlap)
 
 
-def gauge_fix(f: TrackedFamily, gauge: GaugeConvention) -> TrackedFamily:
-    """Rephase the family per the convention; physical content unchanged."""
-    if gauge.kind == "raw":
-        return replace(f, gauge=RAW)
+def gauge_fix(vectors, gauge: str):
+    """Rephase each row of ``vectors`` (one node each) by the named gauge.
 
-    vectors = f.vectors.copy()
-    if gauge.kind == "parallel_transport":
+    'parallel_transport' makes every step overlap <psi_k-1|psi_k> real >= 0;
+    'anchor_component' keeps the component largest in magnitude at node 0
+    real >= 0 at every node, and a node where it is below 1e-8 is a
+    ValueError naming the node.  Returns (rephased copy, tag), the tag being
+    'parallel_transport' or 'anchor_component(<index>)'.
+    """
+    if gauge not in GAUGES:
+        raise ValueError(f"unknown gauge {gauge!r}; use one of {GAUGES}")
+    vectors = np.array(vectors, dtype=complex)
+    if gauge == "parallel_transport":
         for k in range(1, len(vectors)):
             overlap = np.vdot(vectors[k - 1], vectors[k])
             if overlap != 0.0:
                 vectors[k] *= np.conj(overlap) / abs(overlap)
-        fixed_gauge = gauge
-    else:
-        idx = gauge.anchor_index
-        if idx is None:
-            idx = int(np.argmax(np.abs(vectors[0])))
-        for k in range(len(vectors)):
-            amp = vectors[k][idx]
-            if abs(amp) < 1e-8:
-                raise ValueError(
-                    f"anchor component {idx} has magnitude {abs(amp):.3e} "
-                    f"< 1e-8 at phi node {k}; pick another component"
-                )
-            vectors[k] *= np.conj(amp) / abs(amp)
-        fixed_gauge = anchor_component(idx)
-    return replace(f, vectors=vectors, gauge=fixed_gauge)
+        return vectors, gauge
+    idx = int(np.argmax(np.abs(vectors[0])))
+    for k in range(len(vectors)):
+        amp = vectors[k][idx]
+        if not abs(amp) >= 1e-8:
+            raise ValueError(
+                f"anchor component {idx} has magnitude {abs(amp):.3e} "
+                f"< 1e-8 at phi node {k}; use the parallel_transport gauge"
+            )
+        vectors[k] *= np.conj(amp) / abs(amp)
+    return vectors, f"anchor_component({idx})"
 
 
 @dataclass(frozen=True)
@@ -275,9 +243,10 @@ class LoopResult:
 
     gamma is reported in (-pi, pi]; gamma_unwrapped is the final value of the
     partial-phase curve (they agree modulo 2 pi).  gamma_half is the same
-    estimator on the half-density subsample of the grid, in (-pi, pi] (nan
-    when the grid cannot be halved); residual, their distance modulo 2 pi,
-    is the discretization estimate.
+    estimator on every other node, in (-pi, pi] (nan when the grid cannot be
+    halved); residual, their distance modulo 2 pi, is the discretization
+    estimate.  gauge is the gauge_fix tag of a connection curve and
+    'as_given' for the gauge-invariant Wilson loop.
     """
 
     gamma: float
@@ -292,53 +261,69 @@ class LoopResult:
         return phase_distance(self.gamma, self.gamma_half)
 
 
-def _subsample(f: TrackedFamily) -> TrackedFamily | None:
-    if f.steps % 2 != 0 or f.steps < 4:
-        return None
-    sl = slice(None, None, 2)
-    return replace(
-        f,
-        phi_grid=f.phi_grid[sl],
-        vectors=f.vectors[sl],
-        energies=f.energies[sl],
-    )
+def _check_loop(phi_grid, vectors):
+    """(phi_grid, vectors) as arrays; ValueError unless phi_grid is the
+    uniform 1-D grid from 0 to 2 pi and vectors holds one finite row per
+    node."""
+    phi = np.asarray(phi_grid, dtype=float)
+    if phi.ndim != 1 or len(phi) < 2 or not np.allclose(
+        phi, np.linspace(0.0, TWO_PI, len(phi)), rtol=0.0, atol=1e-9
+    ):
+        raise ValueError(
+            "a loop needs a uniform 1-D phi grid from 0 to 2 pi, got "
+            + np.array2string(phi, threshold=6, precision=4)
+        )
+    v = np.asarray(vectors)
+    if v.ndim != 2 or v.shape[0] != len(phi):
+        raise ValueError(
+            f"a loop needs one vector row per phi node: {len(phi)} nodes, "
+            f"vectors of shape {v.shape}"
+        )
+    bad = np.flatnonzero(~np.all(np.isfinite(v), axis=1))
+    if bad.size:
+        raise ValueError(f"the vector at phi node {bad[0]} is not finite")
+    return phi, v
 
 
-def _wilson_gamma_and_curve(f: TrackedFamily):
-    K = f.steps
+def _halves(phi) -> bool:
+    """True when every other node of the grid is again a closed loop."""
+    K = len(phi) - 1
+    return K % 2 == 0 and K >= 4
+
+
+def _wilson_gamma_and_curve(phi, v):
+    K = len(phi) - 1
     partial = np.zeros(K + 1)
     acc = 0.0
     for k in range(K):
-        nxt = f.vectors[0] if k == K - 1 else f.vectors[k + 1]
-        overlap = complex(np.vdot(f.vectors[k], nxt))
+        nxt = v[0] if k == K - 1 else v[k + 1]
+        overlap = complex(np.vdot(v[k], nxt))
         if abs(overlap) < 0.5:
             raise _overlap_lost(k, abs(overlap), 0.5)
         acc += -np.imag(np.log(overlap))
         partial[k + 1] = acc
-    return acc, np.column_stack([f.phi_grid, partial])
+    return acc, np.column_stack([phi, partial])
 
 
-def wilson_loop(f: TrackedFamily) -> LoopResult:
+def wilson_loop(phi_grid, vectors) -> LoopResult:
     """Discrete closed-loop phase gamma = -Im sum_k log <psi_k|psi_k+1>.
 
-    The last step closes onto psi_0, so the result is invariant under any
-    per-node rephasing of the input.  A step overlap below 0.5 means the
-    loop is under-resolved and raises TrackingError.
+    The path is one vector per node of a uniform phi grid from 0 to 2 pi
+    (ValueError otherwise).  The last step closes onto psi_0, so the result
+    is invariant under any per-node rephasing of the input.  A step overlap
+    below 0.5 means the loop is under-resolved and raises TrackingError.
     """
-    if not np.isclose(f.phi_grid[0], 0.0) or not np.isclose(f.phi_grid[-1], TWO_PI):
-        raise ValueError("wilson_loop needs a closed family spanning phi = 0 ... 2 pi")
-    gamma, curve = _wilson_gamma_and_curve(f)
-    sub = _subsample(f)
+    phi, v = _check_loop(phi_grid, vectors)
+    gamma, curve = _wilson_gamma_and_curve(phi, v)
     gamma_half = float("nan")
-    if sub is not None:
-        gamma_half = wrap_phase(_wilson_gamma_and_curve(sub)[0])
-    return LoopResult(wrap_phase(gamma), float(gamma), curve, f.gauge.tag, gamma_half)
+    if _halves(phi):
+        gamma_half = wrap_phase(_wilson_gamma_and_curve(phi[::2], v[::2])[0])
+    return LoopResult(wrap_phase(gamma), float(gamma), curve, "as_given", gamma_half)
 
 
-def _connection_gamma_and_curve(f: TrackedFamily):
-    K = f.steps
-    v = f.vectors
-    dphi = f.phi_grid[1] - f.phi_grid[0]
+def _connection_gamma_and_curve(phi, v):
+    K = len(phi) - 1
+    dphi = phi[1] - phi[0]
     # A = i <psi|d/dphi psi> = -Im <psi_k|central difference>
     a = np.empty(K + 1)
     a[0] = -np.imag(np.vdot(v[0], v[1] - v[0])) / dphi
@@ -352,31 +337,27 @@ def _connection_gamma_and_curve(f: TrackedFamily):
     # closed-loop value.
     closure = -np.imag(np.log(complex(np.vdot(v[-1], v[0]))))
     partial[-1] += closure
-    return partial[-1], np.column_stack([f.phi_grid, partial]), closure
+    return partial[-1], np.column_stack([phi, partial]), closure
 
 
-def connection_curve(f: TrackedFamily, gauge: GaugeConvention) -> LoopResult:
+def connection_curve(phi_grid, vectors, gauge: str) -> LoopResult:
     """Integrate the gauge-fixed connection along the loop (trapezoid rule).
 
-    The integrand Im <psi_k|(psi_k+1 - psi_k-1)>/(2 dphi) (one-sided at the
-    ends) is gauge dependent, so a raw family is rejected.  Under the
-    parallel-transport gauge the closed-loop value reproduces wilson_loop's
-    gamma; under an anchor gauge the curve is the usual accumulating
-    gamma(phi) observable.
+    The path is checked as in wilson_loop and rephased by gauge_fix(vectors,
+    gauge).  The integrand Im <psi_k|(psi_k+1 - psi_k-1)>/(2 dphi) (one-sided
+    at the ends) is gauge dependent.  Under the parallel-transport gauge the
+    closed-loop value reproduces wilson_loop's gamma; under the anchor gauge
+    the curve is the usual accumulating gamma(phi) observable.
     """
-    if gauge.kind == "raw":
-        raise ValueError(
-            "connection_curve needs a gauge-fixed family: the integrand is "
-            "gauge dependent and meaningless for the raw eigensolver phases"
-        )
-    fixed = gauge_fix(f, gauge)
-    gamma, curve, closure = _connection_gamma_and_curve(fixed)
-    sub = _subsample(fixed)
+    phi, v = _check_loop(phi_grid, vectors)
+    fixed, tag = gauge_fix(v, gauge)
+    gamma, curve, closure = _connection_gamma_and_curve(phi, fixed)
     gamma_half = float("nan")
-    if sub is not None:
-        gamma_half = wrap_phase(_connection_gamma_and_curve(gauge_fix(sub, gauge))[0])
+    if _halves(phi):
+        half, _ = gauge_fix(fixed[::2], gauge)
+        gamma_half = wrap_phase(_connection_gamma_and_curve(phi[::2], half)[0])
     return LoopResult(
-        wrap_phase(gamma), float(gamma), curve, fixed.gauge.tag, gamma_half, float(closure)
+        wrap_phase(gamma), float(gamma), curve, tag, gamma_half, float(closure)
     )
 
 
@@ -393,7 +374,7 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
     if not 0 <= level < es.dim:
         raise ValueError(f"level must be in [0, {es.dim}), got {level}")
     gap = _level_gap(es.values, level)
-    if gap < DEGENERACY_GAP:
+    if not gap >= DEGENERACY_GAP:
         raise DegenerateLevelError(
             f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}): the "
             "geometric phase of a single level is undefined there"

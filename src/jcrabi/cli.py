@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, berry, spectra, surfaces
-from .berry import GaugeConvention, PARALLEL_TRANSPORT, TrackingError, anchor_component
+from .berry import TrackingError
 from .fock import TruncationConfig
 from .linalg import ConvergenceError
 from .models import ModelKind, ModelParams
@@ -70,7 +70,7 @@ class RunConfig:
             raise UsageError(f"levels must be >= 1, got {self.k_levels}")
         if self.phi_nodes < 16:
             raise UsageError(f"phi-nodes must be >= 16, got {self.phi_nodes}")
-        if self.gauge not in ("anchor", "parallel"):
+        if self.gauge not in _GAUGES:
             raise UsageError(f"gauge must be anchor or parallel, got {self.gauge!r}")
         dim = self.cfg().dim_joint
         if not 0 <= self.level < dim:
@@ -85,9 +85,6 @@ class RunConfig:
     def cfg(self) -> TruncationConfig:
         return TruncationConfig(self.n_max)
 
-    def gauge_convention(self) -> GaugeConvention:
-        return PARALLEL_TRANSPORT if self.gauge == "parallel" else anchor_component()
-
     def metadata(self, command: str, **extra) -> dict:
         """Version, the fields command reads, the command and its own inputs."""
         meta = {"jcrabi": __version__}
@@ -96,6 +93,9 @@ class RunConfig:
         meta.update(command=command, **extra)
         return meta
 
+
+# The berry.gauge_fix gauge of each --gauge value.
+_GAUGES = {"parallel": "parallel_transport", "anchor": "anchor_component"}
 
 # The flag that sets each RunConfig field; the parsed value lands under the
 # field's own name.
@@ -107,7 +107,7 @@ _FLAGS = {
     "n_max": ("--nmax", dict(type=int)),
     "k_levels": ("--levels", dict(type=int)),
     "phi_nodes": ("--phi-nodes", dict(type=int)),
-    "gauge": ("--gauge", dict(choices=["parallel", "anchor"])),
+    "gauge": ("--gauge", dict(choices=list(_GAUGES))),
     "level": ("--level", dict(type=int)),
     "output_dir": ("--out", dict(type=str)),
 }
@@ -241,14 +241,14 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
     if shared:
         raise UsageError(f"--g values {shared} would write the same berry_curve_g<g>.csv")
     out = _out_dir(cfg)
-    gauge = cfg.gauge_convention()
+    gauge = _GAUGES[cfg.gauge]
     runs = []
     curves = []
     for g in g_values:
         p = ModelParams(Omega=cfg.Omega, g=g, omega=cfg.omega)
         fam = berry.eig_family(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg())
-        conn = berry.connection_curve(fam, gauge)
-        wilson = berry.wilson_loop(fam)
+        conn = berry.connection_curve(fam.phi_grid, fam.vectors, gauge)
+        wilson = berry.wilson_loop(fam.phi_grid, fam.vectors)
         generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
         summary = {
             "g": g,

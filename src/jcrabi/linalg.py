@@ -86,11 +86,12 @@ class EigenSystem:
 
 def residual_gate(a, values, vectors, maxabs: float, where: str) -> float:
     """max_i |A v_i - lambda_i v_i|_inf over the given eigenpairs (columns of
-    ``vectors``, or one vector and a scalar value); above EIG_RTOL * max|A|
-    it raises ConvergenceError, with ``where`` naming the matrix."""
+    ``vectors``, or one vector and a scalar value); unless it is at most
+    EIG_RTOL * max|A| (so also when it is NaN) it raises ConvergenceError,
+    with ``where`` naming the matrix."""
     residual = float(np.max(np.abs(a @ vectors - vectors * values)))
     bound = EIG_RTOL * maxabs
-    if residual > bound:
+    if not residual <= bound:
         raise ConvergenceError(
             f"eigen-residual {residual:.3e} {where} exceeds "
             f"{EIG_RTOL:.1e} * max|A| = {bound:.3e}"
@@ -100,12 +101,12 @@ def residual_gate(a, values, vectors, maxabs: float, where: str) -> float:
 
 def _hermitian_part(a):
     """The Hermiticity gate: returns ((A + A^dag)/2, max|A|) for a square A,
-    or raises HermiticityError when max|A - A^dag| exceeds
-    HERMITICITY_RTOL * max|A|."""
+    or raises HermiticityError unless max|A - A^dag| is at most
+    HERMITICITY_RTOL * max|A| (a NaN entry fails)."""
     maxabs = float(np.max(np.abs(a)))
     dev = float(np.max(np.abs(a - a.conj().T)))
     bound = HERMITICITY_RTOL * maxabs
-    if dev > bound:
+    if not dev <= bound:
         raise HermiticityError(dev, bound)
     return 0.5 * (a + a.conj().T), maxabs
 

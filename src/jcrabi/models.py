@@ -47,7 +47,9 @@ class ModelKind(enum.Enum):
 class ModelParams:
     """Physical parameters; omega = 1 unless explicitly overridden.
 
-    delta = Omega - omega is derived, never stored independently.
+    delta = Omega - omega is derived, never stored independently.  Every
+    field must be finite, omega > 0, Omega >= 0 and g >= 0 (ValueError
+    naming the field otherwise).
     """
 
     Omega: float = 1.0
@@ -55,6 +57,10 @@ class ModelParams:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega", "Omega", "g"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.Omega < 0:

@@ -4,11 +4,9 @@ import pytest
 from jcrabi import (
     DegenerateLevelError,
     ModelParams,
-    PARALLEL_TRANSPORT,
-    RAW,
     TrackingError,
     TruncationConfig,
-    anchor_component,
+    berry_boa_jc,
     connection_curve,
     eig_family,
     gauge_fix,
@@ -17,12 +15,15 @@ from jcrabi import (
     wrap_phase,
 )
 import jcrabi.berry as berry_module
-from jcrabi.berry import TWO_PI, TrackedFamily, phase_distance
+from jcrabi.berry import GAUGES, TWO_PI, phase_distance
+from jcrabi.fock import qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
 from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
 
 CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
+P_RABI = ModelParams(Omega=1.0, g=0.4)
+CFG_RABI = TruncationConfig(40)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,12 @@ def jc_family():
 
 @pytest.fixture(scope="module")
 def rabi_family():
-    return eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 128, TruncationConfig(40))
+    return eig_family("rabi", P_RABI, 1, 128, CFG_RABI)
+
+
+def loop(fam):
+    """The (phi_grid, vectors) path of a tracked family."""
+    return fam.phi_grid, fam.vectors
 
 
 def test_wrap_phase_interval():
@@ -93,9 +99,9 @@ class TestEigFamily:
         h0 = build_hamiltonian(ModelKind(model), p, CFG)
         for k in (0, K // 4, K // 2):
             es = hermitian_eig(rotate_hamiltonian(h0, fam.phi_grid[k], CFG))
-            j = int(np.argmin(np.abs(es.values - fam.energies[k])))
+            j = int(np.argmin(np.abs(es.values - fam.energy)))
             assert abs(np.vdot(es.vectors[:, j], fam.vectors[k])) >= 1.0 - 1e-10
-            assert abs(es.values[j] - fam.energies[k]) <= 1e-12
+            assert abs(es.values[j] - fam.energy) <= 1e-12
 
     def test_perturbed_eigenvalue_fails_gate_at_its_node(self, monkeypatch):
         # +1e-6 on the |2>|0> diagonal entry of H'(phi_5): the tracked
@@ -129,15 +135,31 @@ class TestEigFamily:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_every_model_frame_passes_the_sector_split(self, kind):
-        fam = eig_family(kind, ModelParams(Omega=1.2, g=0.4), 1, 16, CFG, threshold=0.9)
-        h0 = build_hamiltonian(kind, fam.params, CFG)
-        es = hermitian_eig(h0)
-        assert fam.energies[0] == pytest.approx(es.values[1], abs=1e-12)
+        p = ModelParams(Omega=1.2, g=0.4)
+        fam = eig_family(kind, p, 1, 16, CFG, threshold=0.9)
+        es = hermitian_eig(build_hamiltonian(kind, p, CFG))
+        assert fam.energy == pytest.approx(es.values[1], abs=1e-12)
 
     def test_tracks_through_detuned_spectrum(self):
-        fam = eig_family("jc", ModelParams(Omega=1.5, g=0.3), 1, 64, CFG)
+        p = ModelParams(Omega=1.5, g=0.3)
+        fam = eig_family("jc", p, 1, 64, CFG)
         assert fam.min_step_overlap >= 0.99
-        assert np.max(np.abs(fam.energies - fam.energies[0])) <= 1e-9
+        dense = hermitian_eig(build_hamiltonian(ModelKind.JC_LAB, p, CFG)).values[1]
+        assert abs(fam.energy - dense) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_hamiltonian_fails_the_sector_split(self):
+        # ModelParams refuses g = inf; past it, H(0) holds inf and NaN
+        # entries, and the sector split must refuse them
+        p = ModelParams(Omega=1.0, g=0.4)
+        object.__setattr__(p, "g", np.inf)
+        with pytest.raises(ValueError, match="parity chains"):
+            eig_family("rabi", p, 1, 32, CFG)
+
+    def test_nan_gap_refused_as_degenerate(self, monkeypatch):
+        monkeypatch.setattr(berry_module, "_level_gap", lambda values, level: np.nan)
+        with pytest.raises(TrackingError, match="phi node 0: level 1 is degenerate"):
+            eig_family("jc", P_RES, 1, 32, CFG)
 
     def test_coarse_grid_fails_at_first_step(self):
         # every step of U(phi)|psi_0> has the same overlap, 0.9696 here
@@ -160,84 +182,136 @@ class TestEigenpathIsRotatedPsi0:
 
     def test_unwrapped_wilson_sum_is_generator_phase(self, fam, model, level):
         gen = generator_phase(model, P_RES, level, CFG)
-        assert abs(wilson_loop(fam).gamma_unwrapped - gen) <= 1e-3
+        assert abs(wilson_loop(*loop(fam)).gamma_unwrapped - gen) <= 1e-3
 
 
 class TestGaugeFix:
     def test_parallel_transport_overlaps_real_nonnegative(self, rabi_family):
-        fixed = gauge_fix(rabi_family, PARALLEL_TRANSPORT)
-        for k in range(fixed.steps):
-            ov = np.vdot(fixed.vectors[k], fixed.vectors[k + 1])
+        fixed, tag = gauge_fix(rabi_family.vectors, "parallel_transport")
+        assert tag == "parallel_transport"
+        for k in range(len(fixed) - 1):
+            ov = np.vdot(fixed[k], fixed[k + 1])
             assert abs(ov.imag) <= 1e-12
             assert ov.real >= 0.0
 
     def test_anchor_component_real_nonnegative(self, rabi_family):
-        fixed = gauge_fix(rabi_family, anchor_component())
-        idx = fixed.gauge.anchor_index
-        assert idx == int(np.argmax(np.abs(rabi_family.vectors[0])))
-        for v in fixed.vectors:
+        fixed, tag = gauge_fix(rabi_family.vectors, "anchor_component")
+        idx = int(np.argmax(np.abs(rabi_family.vectors[0])))
+        assert tag == f"anchor_component({idx})"
+        for v in fixed:
             assert abs(v[idx].imag) <= 1e-12
             assert v[idx].real >= 0.0
 
     def test_idempotent(self, rabi_family):
-        once = gauge_fix(rabi_family, PARALLEL_TRANSPORT)
-        twice = gauge_fix(once, PARALLEL_TRANSPORT)
-        assert np.max(np.abs(once.vectors - twice.vectors)) <= 1e-12
+        once, _ = gauge_fix(rabi_family.vectors, "parallel_transport")
+        twice, _ = gauge_fix(once, "parallel_transport")
+        assert np.max(np.abs(once - twice)) <= 1e-12
 
     def test_preserves_step_overlap_magnitudes(self, rabi_family):
-        fixed = gauge_fix(rabi_family, anchor_component())
-        for k in range(rabi_family.steps):
-            before = abs(np.vdot(rabi_family.vectors[k], rabi_family.vectors[k + 1]))
-            after = abs(np.vdot(fixed.vectors[k], fixed.vectors[k + 1]))
+        v = rabi_family.vectors
+        fixed, _ = gauge_fix(v, "anchor_component")
+        for k in range(len(v) - 1):
+            before = abs(np.vdot(v[k], v[k + 1]))
+            after = abs(np.vdot(fixed[k], fixed[k + 1]))
             assert after == pytest.approx(before, abs=1e-12)
 
-    def test_invalid_anchor_rejected(self, jc_family):
-        # the resonant n=1 doublet has no weight on high Fock states
-        with pytest.raises(ValueError, match="anchor"):
-            gauge_fix(jc_family, anchor_component(CFG.dim_field - 1))
+    def test_returns_a_copy(self, jc_family):
+        before = jc_family.vectors.copy()
+        for gauge in GAUGES:
+            gauge_fix(jc_family.vectors, gauge)
+        assert np.array_equal(jc_family.vectors, before)
+
+    def test_invalid_anchor_rejected(self):
+        # (cos phi, sin phi) on 16 nodes: the anchor is component 0, the
+        # largest at phi = 0, and it vanishes at phi = pi/2, node 4
+        phi = TWO_PI * np.arange(17) / 16
+        vectors = np.column_stack([np.cos(phi), np.sin(phi)])
+        with pytest.raises(ValueError, match="anchor component 0 .* at phi node 4"):
+            gauge_fix(vectors, "anchor_component")
+        with pytest.raises(ValueError, match="at phi node 4"):
+            connection_curve(phi, vectors, "anchor_component")
+
+
+class TestLoopPath:
+    # both estimators check the path: a uniform 1-D grid from 0 to 2 pi,
+    # one finite vector row per node
+    @pytest.fixture(params=["wilson", "connection"])
+    def estimator(self, request):
+        if request.param == "wilson":
+            return wilson_loop
+        return lambda phi, vectors: connection_curve(phi, vectors, "anchor_component")
+
+    def test_open_path_rejected(self, jc_family, estimator):
+        # the first 33 nodes of the K = 64 family run from 0 to pi only
+        with pytest.raises(ValueError, match="from 0 to 2 pi"):
+            estimator(jc_family.phi_grid[:33], jc_family.vectors[:33])
+
+    def test_non_uniform_grid_rejected(self, jc_family, estimator):
+        phi = jc_family.phi_grid.copy()
+        phi[5] += 1e-3
+        with pytest.raises(ValueError, match="uniform"):
+            estimator(phi, jc_family.vectors)
+
+    def test_two_dimensional_grid_rejected(self, jc_family, estimator):
+        with pytest.raises(ValueError, match="1-D"):
+            estimator(jc_family.phi_grid[None, :], jc_family.vectors)
+
+    def test_row_count_mismatch_rejected(self, jc_family, estimator):
+        with pytest.raises(ValueError, match="one vector row per phi node"):
+            estimator(jc_family.phi_grid, jc_family.vectors[:-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, jc_family, estimator, bad):
+        vectors = jc_family.vectors.copy()
+        vectors[7, 0] = bad
+        with pytest.raises(ValueError, match="phi node 7 is not finite"):
+            estimator(jc_family.phi_grid, vectors)
+
+    def test_odd_grid_has_no_half_estimate(self, estimator):
+        # every other node of an odd grid does not end at 2 pi
+        fam = eig_family("jc", P_RES, 1, 65, CFG)
+        res = estimator(*loop(fam))
+        assert np.isnan(res.gamma_half)
+        assert phase_distance(res.gamma, np.pi) <= 1e-2
 
 
 class TestWilsonLoop:
     def test_resonant_jc_pi(self, jc_family):
-        res = wilson_loop(jc_family)
+        res = wilson_loop(*loop(jc_family))
         # the two-component resonant dressed state gives exactly pi
         assert phase_distance(res.gamma, np.pi) <= 1e-9
         assert res.gamma > 0  # orientation convention: +pi, not -pi
 
     def test_gauge_invariance_under_random_rephasing(self, jc_family):
         rng = np.random.default_rng(42)
-        base = wilson_loop(jc_family).gamma
+        base = wilson_loop(*loop(jc_family)).gamma
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(jc_family.vectors)))
-        mangled = TrackedFamily(
-            jc_family.phi_grid, jc_family.vectors * phases[:, None],
-            jc_family.energies, jc_family.level, jc_family.min_step_overlap,
-            jc_family.kind, jc_family.params, jc_family.cfg,
-        )
-        assert phase_distance(wilson_loop(mangled).gamma, base) <= 1e-10
+        mangled = wilson_loop(jc_family.phi_grid, jc_family.vectors * phases[:, None])
+        assert phase_distance(mangled.gamma, base) <= 1e-10
 
     def test_gauge_invariance_across_conventions(self, rabi_family):
-        base = wilson_loop(rabi_family).gamma
-        for gauge in (PARALLEL_TRANSPORT, anchor_component()):
-            assert phase_distance(wilson_loop(gauge_fix(rabi_family, gauge)).gamma, base) <= 1e-10
+        base = wilson_loop(*loop(rabi_family)).gamma
+        for gauge in GAUGES:
+            fixed, _ = gauge_fix(rabi_family.vectors, gauge)
+            assert phase_distance(wilson_loop(rabi_family.phi_grid, fixed).gamma, base) <= 1e-10
 
     def test_resonant_pi_sign_same_in_every_gauge(self):
         # the loop sum lands within rounding of pi on either side of the cut
         fam = eig_family("jc", P_RES, 1, 128, CFG)
-        for gauge in (RAW, PARALLEL_TRANSPORT, anchor_component()):
-            assert wilson_loop(gauge_fix(fam, gauge)).gamma == pytest.approx(np.pi, abs=1e-9)
+        paths = [fam.vectors] + [gauge_fix(fam.vectors, gauge)[0] for gauge in GAUGES]
+        for vectors in paths:
+            assert wilson_loop(fam.phi_grid, vectors).gamma == pytest.approx(np.pi, abs=1e-9)
 
     def test_matches_generator_oracle(self, rabi_family):
-        gen = generator_phase("rabi", rabi_family.params, 1, rabi_family.cfg)
-        res = wilson_loop(rabi_family)
+        gen = generator_phase("rabi", P_RABI, 1, CFG_RABI)
+        res = wilson_loop(*loop(rabi_family))
         assert phase_distance(res.gamma, gen) <= 1e-3
 
     def test_residual_bounds_next_refinement(self):
-        p = ModelParams(Omega=1.0, g=0.4)
-        cfg = TruncationConfig(40)
         gammas = {}
         residuals = {}
         for K in (32, 64, 128):
-            res = wilson_loop(eig_family("rabi", p, 1, K, cfg))
+            res = wilson_loop(*loop(eig_family("rabi", P_RABI, 1, K, CFG_RABI)))
             gammas[K] = res.gamma
             residuals[K] = res.residual
         assert phase_distance(gammas[128], gammas[64]) <= residuals[64]
@@ -248,23 +322,25 @@ class TestWilsonLoop:
         # break the closing overlap by replacing the last interior vector
         vectors[-2] = 0.0
         vectors[-2][3] = 1.0
-        broken = TrackedFamily(
-            jc_family.phi_grid, vectors, jc_family.energies, jc_family.level,
-            jc_family.min_step_overlap, jc_family.kind, jc_family.params, jc_family.cfg,
-        )
         with pytest.raises(TrackingError):
-            wilson_loop(broken)
+            wilson_loop(jc_family.phi_grid, vectors)
 
 
 class TestConnectionCurve:
-    def test_raw_gauge_rejected(self, jc_family):
-        with pytest.raises(ValueError, match="gauge"):
-            connection_curve(jc_family, RAW)
+    @pytest.mark.parametrize("name", ["raw", "anchor"])
+    def test_unknown_gauge_rejected(self, jc_family, name):
+        with pytest.raises(ValueError, match="unknown gauge"):
+            connection_curve(*loop(jc_family), name)
+
+    def test_gauge_tags(self, jc_family):
+        # the tags are written to the berry output files
+        assert connection_curve(*loop(jc_family), "parallel_transport").gauge == "parallel_transport"
+        assert connection_curve(*loop(jc_family), "anchor_component").gauge == "anchor_component(0)"
 
     def test_resonant_jc_linear_curve(self, jc_family):
         # anchored on the |2>|0> component: A(phi) = <n> = 1/2, so the curve
         # is phi/2 and closes at pi
-        res = connection_curve(jc_family, anchor_component())
+        res = connection_curve(*loop(jc_family), "anchor_component")
         assert phase_distance(res.gamma, np.pi) <= 1e-2
         phis, partial = res.curve[:, 0], res.curve[:, 1]
         mid = len(phis) // 2
@@ -273,12 +349,12 @@ class TestConnectionCurve:
 
     def test_decoupled_curve_vanishes(self):
         fam = eig_family("jc", ModelParams(Omega=1.0, g=0.0), 0, 32, CFG)
-        res = connection_curve(fam, anchor_component())
+        res = connection_curve(*loop(fam), "anchor_component")
         assert np.max(np.abs(res.curve[:, 1])) <= 1e-12
 
     def test_parallel_transport_matches_wilson(self, rabi_family):
-        w = wilson_loop(rabi_family)
-        conn = connection_curve(rabi_family, PARALLEL_TRANSPORT)
+        w = wilson_loop(*loop(rabi_family))
+        conn = connection_curve(*loop(rabi_family), "parallel_transport")
         assert phase_distance(conn.gamma, w.gamma) <= max(conn.residual, 1e-10)
         # interior of the curve is flat: parallel transport zeroes the
         # integrand and the holonomy enters at loop closure
@@ -286,9 +362,60 @@ class TestConnectionCurve:
         assert conn.closure_phase == pytest.approx(conn.gamma_unwrapped, abs=1e-10)
 
     def test_anchor_curve_matches_generator_mod_2pi(self, rabi_family):
-        gen = generator_phase("rabi", rabi_family.params, 1, rabi_family.cfg)
-        res = connection_curve(rabi_family, anchor_component())
+        gen = generator_phase("rabi", P_RABI, 1, CFG_RABI)
+        res = connection_curve(*loop(rabi_family), "anchor_component")
         assert phase_distance(res.gamma, gen) <= 5e-3
+
+
+SX, SY, SZ, _, _ = qubit_ops()
+K_MEAN_FIELD = 720
+
+
+def mean_field_loop(spin_hamiltonian, centre, rho):
+    """Upper-branch eigenvectors of the 2x2 spin Hamiltonian h(x, p) on the
+    circle (x, p) = centre + rho (cos phi, sin phi), K = 720."""
+    phi = TWO_PI * np.arange(K_MEAN_FIELD + 1) / K_MEAN_FIELD
+    x = centre[0] + rho * np.cos(phi)
+    p = centre[1] + rho * np.sin(phi)
+    vectors = [np.linalg.eigh(spin_hamiltonian(xk, pk))[1][:, 1] for xk, pk in zip(x, p)]
+    return phi, np.array(vectors)
+
+
+def jc_spin(params):
+    return lambda x, p: 0.5 * params.delta * SZ + params.g * (x * SX - p * SY)
+
+
+def rabi_spin(params):
+    return lambda x, p: 0.5 * params.Omega * SZ + 2.0 * params.g * x * SX
+
+
+class TestMeanFieldLoop:
+    # the adiabatic (mean-field) spin state carried around a loop in the
+    # (x, p) plane: the loop the paper's JC/Rabi phase contrast is about
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_jc_centred_loop_matches_closed_form(self, rho):
+        params = ModelParams(Omega=1.5, g=0.1)  # Delta = 0.5
+        res = wilson_loop(*mean_field_loop(jc_spin(params), (0.0, 0.0), rho))
+        assert phase_distance(res.gamma, berry_boa_jc(rho, params, +1)) <= res.residual
+
+    def test_jc_resonant_centred_loop_is_pi(self):
+        params = ModelParams(Omega=1.0, g=0.1)  # Delta = 0
+        res = wilson_loop(*mean_field_loop(jc_spin(params), (0.0, 0.0), 1.0))
+        assert berry_boa_jc(1.0, params, +1) == pytest.approx(np.pi)
+        assert phase_distance(res.gamma, np.pi) <= max(res.residual, 1e-12)
+
+    def test_jc_loop_missing_the_apex_is_zero(self):
+        params = ModelParams(Omega=1.0, g=0.1)  # Delta = 0, apex at x = p = 0
+        res = wilson_loop(*mean_field_loop(jc_spin(params), (2.0, 0.0), 0.5))
+        assert abs(res.gamma) <= max(res.residual, 1e-12)
+
+    @pytest.mark.parametrize("g", [0.1, 1.0])
+    @pytest.mark.parametrize("centre, rho", [((0.0, 0.0), 1.0), ((1.5, -0.5), 1.0)])
+    def test_rabi_loop_is_exactly_zero(self, g, centre, rho):
+        # a real spin Hamiltonian keeps the Bloch vector in the x-z plane
+        params = ModelParams(Omega=1.0, g=g)
+        res = wilson_loop(*mean_field_loop(rabi_spin(params), centre, rho))
+        assert res.gamma == 0.0
 
 
 class TestGeneratorPhase:
@@ -329,6 +456,11 @@ class TestGeneratorPhase:
     def test_degenerate_level_refused(self):
         with pytest.raises(DegenerateLevelError):
             generator_phase("jc", ModelParams(Omega=1.0, g=1.0), 1, CFG)
+
+    def test_nan_gap_refused(self, monkeypatch):
+        monkeypatch.setattr(berry_module, "_level_gap", lambda values, level: np.nan)
+        with pytest.raises(DegenerateLevelError):
+            generator_phase("jc", P_RES, 1, CFG)
 
     def test_level_validated(self):
         with pytest.raises(ValueError):

@@ -35,4 +35,4 @@ def test_every_node_matches_dense_solve_of_rotated_hamiltonian(model, Omega, g, 
     for k, phi in enumerate(fam.phi_grid):
         es = hermitian_eig(rotate_hamiltonian(h0, phi, CFG))
         assert abs(np.vdot(es.vectors[:, level], fam.vectors[k])) >= 1.0 - 1e-10, k
-        assert abs(es.values[level] - fam.energies[k]) <= 1e-12, k
+        assert abs(es.values[level] - fam.energy) <= 1e-12, k

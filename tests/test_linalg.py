@@ -107,6 +107,11 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.zeros((2, 3)))
 
+    def test_rejects_nan_entry(self):
+        a = np.array([[1.0, np.nan], [np.nan, 2.0]])
+        with pytest.raises(HermiticityError):
+            hermitian_eig(a)
+
     def test_zero_matrix(self):
         es = hermitian_eig(np.zeros((4, 4), dtype=complex))
         assert np.all(es.values == 0)
@@ -152,6 +157,12 @@ class TestResidualGate:
         with pytest.raises(ConvergenceError):
             residual_gate(a, values, np.eye(3), 3.0, "for a dim=3 matrix")
         assert residual_gate(a, values[:2], np.eye(3)[:, :2], 3.0, "") == 0.0
+
+    def test_nan_residual_rejected(self):
+        # a NaN eigenvalue compares false against the bound either way; the
+        # gate passes only a residual that is at most the bound
+        with pytest.raises(ConvergenceError, match="here"):
+            residual_gate(np.diag([1.0, 2.0]), np.nan, np.array([1.0, 0.0]), 2.0, "here")
 
 
 class TestBlockEig:

@@ -56,6 +56,13 @@ def test_params_validation_and_delta():
         ModelParams(omega=0.0)
 
 
+@pytest.mark.parametrize("name", ["omega", "Omega", "g"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ModelParams(**{name: value})
+
+
 def test_model_kind_lookup():
     assert ModelKind("jc") is ModelKind.JC_LAB
     assert ModelKind("rabi").model == "rabi"
