@@ -17,7 +17,6 @@ from .linalg import (
     HermiticityError,
     block_eig,
     commutator_deviation,
-    expectation,
     hermitian_eig,
 )
 from .models import (

@@ -3,8 +3,9 @@
 The loop is generated by U(phi) = exp(-i n_hat phi): the family
 H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  eig_family solves the two
-parity sectors of H once, builds the path on a uniform phi grid from
-models.phase_factors, and gates every node against the dense H'(phi_k).
+parity sectors of H once, from their bands (models.parity_sectors), builds
+the path on a uniform phi grid from models.phase_factors, and gates every
+node against the dense H'(phi_k).
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -14,7 +15,9 @@ The closed-loop phase is estimated three independent ways:
                        usually plotted as an accumulating gamma(phi) curve)
 * generator_phase   -- the analytic oracle 2 pi <n_hat>, exact for rotated
                        families because |psi(phi)> = U(phi)|psi(0)> is a
-                       single-valued eigenpath with constant connection
+                       single-valued eigenpath with constant connection;
+                       computed from a dense solve of H, independent of
+                       the sectors
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
 vector row per node of a uniform grid from 0 to 2 pi, so they serve any
@@ -31,14 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncationConfig, embed, ladder_ops
-from .linalg import (
-    HERMITICITY_RTOL,
-    block_eig,
-    expectation,
-    hermitian_eig,
-    residual_gate,
-)
+from .fock import TruncationConfig
+from .linalg import HERMITICITY_RTOL, block_eig, hermitian_eig, residual_gate, tridiagonal
 from .models import (
     ModelKind,
     ModelParams,
@@ -124,11 +121,11 @@ def _level_gap(values: np.ndarray, level: int) -> float:
     return float(min(gaps))
 
 
-def _check_sector_split(h: np.ndarray, sectors, chains, maxabs: float):
-    """Raise ValueError unless H equals the sectors placed on their chains,
-    entry by entry, within HERMITICITY_RTOL * max|H|."""
+def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
+    """Raise ValueError unless H equals the sector bands (diag, off) placed
+    on their chains, entry by entry, within HERMITICITY_RTOL * max|H|."""
     split = np.zeros(h.shape)
-    for c, t in zip(chains, sectors):
+    for c, t in zip(chains, tridiagonal(*bands)):
         split[np.ix_(c, c)] = t
     dev = float(np.max(np.abs(h - split)))
     bound = HERMITICITY_RTOL * maxabs
@@ -149,10 +146,11 @@ def eig_family(
 ) -> TrackedFamily:
     """The eigenpath of one level of H'(phi_k) over K + 1 uniform nodes.
 
-    ``level`` is the eigenindex at phi = 0 (0 = ground state).  The two real
-    tridiagonal parity sectors of H(0) (models.parity_sectors) are solved
-    once by linalg.block_eig, which also numbers the levels; the level's
-    sector vector, placed on its chain (models.parity_chains), is psi_0.
+    ``level`` is the eigenindex at phi = 0 (0 = ground state).  The two
+    parity sectors of H(0), given by their bands (models.parity_sectors),
+    are solved once by linalg.block_eig, which also numbers the levels; the
+    level's sector vector, placed on its chain (models.parity_chains), is
+    psi_0.
     Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
     energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
     ``threshold`` (a grid too coarse for the level's spread in n) raises
@@ -161,7 +159,7 @@ def eig_family(
 
     A level whose gap to its neighbours in the merged two-sector spectrum
     is below DEGENERACY_GAP has no single-level phase: TrackingError at
-    node 0.  A dense H(0) that differs from those sectors placed on their
+    node 0.  A dense H(0) that differs from those bands placed on their
     chains by more than HERMITICITY_RTOL * max|H| in any entry is a
     ValueError.
     """
@@ -175,9 +173,9 @@ def eig_family(
     maxabs = float(np.max(np.abs(h0)))
 
     chains = parity_chains(cfg)
-    sectors = parity_sectors(kind, p, cfg)
-    _check_sector_split(h0, sectors, chains, maxabs)
-    merged, systems, order = block_eig(sectors)
+    bands = parity_sectors(kind, p, cfg)
+    _check_sector_split(h0, bands, chains, maxabs)
+    merged, systems, order = block_eig(*bands)
     gap = _level_gap(merged, level)
     if not gap >= DEGENERACY_GAP:
         raise TrackingError(
@@ -365,7 +363,9 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
     """Analytic loop phase 2 pi <psi_level(0)|n_hat|psi_level(0)>.
 
     Exact for families rotated by U(phi) = exp(-i n_hat phi): the eigenpath
-    U(phi)|psi(0)> is single valued with connection <n_hat>.  Meaningless
+    U(phi)|psi(0)> is single valued with connection <n_hat>.  The level
+    comes from a dense hermitian_eig of H, and n_hat is diagonal, so the
+    phase is 2 pi sum_j n_j |v_j|^2 with n_j = j % (n_max + 1).  Meaningless
     inside a degenerate cluster, so a level gap below DEGENERACY_GAP is
     rejected.
     """
@@ -379,6 +379,5 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
             f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}): the "
             "geometric phase of a single level is undefined there"
         )
-    _, _, n_hat = ladder_ops(cfg)
-    n_joint = embed(n_hat, None, cfg)
-    return TWO_PI * expectation(n_joint, es.vectors[:, level])
+    n = np.arange(es.dim) % cfg.dim_field
+    return TWO_PI * float(np.sum(n * np.abs(es.vectors[:, level]) ** 2))

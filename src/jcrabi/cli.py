@@ -70,6 +70,9 @@ class RunConfig:
             raise UsageError(f"levels must be >= 1, got {self.k_levels}")
         if self.phi_nodes < 16:
             raise UsageError(f"phi-nodes must be >= 16, got {self.phi_nodes}")
+        if self.phi_nodes % 2:
+            # the K/2 residual estimate needs every other node to close the loop
+            raise UsageError(f"phi-nodes must be even, got {self.phi_nodes}")
         if self.gauge not in _GAUGES:
             raise UsageError(f"gauge must be anchor or parallel, got {self.gauge!r}")
         dim = self.cfg().dim_joint

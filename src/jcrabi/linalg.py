@@ -6,14 +6,16 @@ stays real.  The wrappers below add the checks the physics modules rely on:
 a Hermiticity gate on input, a gate on every eigenvalue or eigenpair
 returned, and commutator diagnostics used to verify model symmetries.
 
-The main input is the pair of real tridiagonal parity sectors (dim
-n_max + 1) from models.parity_sectors, solved in one of two ways:
+The main input is the pair of parity sectors from models.parity_sectors,
+given as bands: diag of shape (2, m) and off of shape (2, m - 1), m =
+n_max + 1.  tridiagonal assembles the stacked (2, m, m) LAPACK input, and
+the sectors are solved in one of two ways:
 
-* values only: block_eigvalsh solves the sectors with np.linalg.eigvalsh
-  and merged_levels gates each kept value with a Sturm count (sturm_count,
-  an LDL^T inertia count that needs no eigensolver) before merging.  The
-  spectrum sweeps, convergence studies and Bloch-Siegert values take this
-  path.
+* values only: merged_levels solves each point's sectors with one stacked
+  np.linalg.eigvalsh and gates each kept value with a Sturm count
+  (sturm_count, an LDL^T inertia count on the bands that needs no
+  eigensolver) before merging.  The spectrum sweeps, convergence studies
+  and Bloch-Siegert values take this path.
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  The
   numerical crossing and berry.eig_family need the vectors.
@@ -150,15 +152,30 @@ def _merge(values):
     return np.take_along_axis(flat, order, axis=-1), order
 
 
-def block_eig(blocks):
-    """Spectrum of a block-diagonal matrix given by its equal-size blocks.
+def tridiagonal(diag, off) -> np.ndarray:
+    """The real symmetric tridiagonal matrices with bands ``diag`` (..., m)
+    and ``off`` (..., m - 1), stacked: shape (..., m, m)."""
+    diag = np.asarray(diag, dtype=float)
+    m = diag.shape[-1]
+    t = np.zeros(diag.shape + (m,))
+    i = np.arange(m)
+    t[..., i, i] = diag
+    t[..., i[:-1], i[1:]] = off
+    t[..., i[1:], i[:-1]] = off
+    return t
 
-    Each block goes through hermitian_eig.  Returns (values, systems,
-    order): the ascending merged spectrum, one EigenSystem per block, and
-    the merge order of _merge, so values[i] is eigenvalue order[i] % m of
-    block order[i] // m for blocks of size m.
+
+def block_eig(diag, off):
+    """Spectrum of a block-diagonal matrix of symmetric tridiagonal blocks.
+
+    ``diag`` (blocks, m) and ``off`` (blocks, m - 1) are the blocks' bands;
+    each block goes through hermitian_eig, whose residual gate checks every
+    eigenpair.  Returns
+    (values, systems, order): the ascending merged spectrum, one
+    EigenSystem per block, and the merge order of _merge, so values[i] is
+    eigenvalue order[i] % m of block order[i] // m.
     """
-    systems = [hermitian_eig(b) for b in blocks]
+    systems = [hermitian_eig(t) for t in tridiagonal(diag, off)]
     merged, order = _merge(np.stack([es.values for es in systems]))
     return merged, systems, order
 
@@ -198,56 +215,32 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
     return count
 
 
-def block_eigvalsh(blocks):
-    """Eigenvalues of equal-size Hermitian tridiagonal blocks, values only.
-
-    Each block passes the Hermiticity gate of hermitian_eig and must be
-    zero outside its three central diagonals (ValueError otherwise); the
-    symmetrized block is solved by np.linalg.eigvalsh.  Returns (values,
-    diag, off, scale): per block, the ascending eigenvalues, the diagonal,
-    the off-diagonal moduli and max|T|, as arrays with one row per block.
-    The values are not gated yet: merged_levels gates them against the
-    bands, so the dense blocks need not be kept.
-    """
-    values, diag, off, scale = [], [], [], []
-    for b, block in enumerate(blocks):
-        h, maxabs = _hermitian_part(_as_square(block, "block"))
-        d, o = np.diagonal(h).real.copy(), np.abs(np.diagonal(h, 1))
-        # h is exactly Hermitian, so it is tridiagonal when its only
-        # nonzeros are those of the diagonal and of the two off-diagonals
-        if np.count_nonzero(h) > np.count_nonzero(d) + 2 * np.count_nonzero(o):
-            i, j = np.argwhere(np.triu(h, 2))[0]
-            raise ValueError(f"block {b} is not tridiagonal: entry ({i}, {j}) = {h[i, j]!r}")
-        try:
-            values.append(np.linalg.eigvalsh(h))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
-            raise ConvergenceError(
-                f"eigenvalues of a dim={len(d)} block did not converge "
-                f"within the solver's iteration cap ({exc})"
-            ) from exc
-        diag.append(d)
-        off.append(o)
-        scale.append(maxabs)
-    return np.stack(values), np.stack(diag), np.stack(off), np.array(scale)
-
-
 def merged_levels(points, k: int, where) -> np.ndarray:
-    """The k lowest levels at each point, from block_eigvalsh results.
+    """The k lowest levels at each point, from the bands of its blocks.
 
-    ``points`` holds one (values, diag, off, scale) tuple of block_eigvalsh
-    per point, all of the same shape; the points are checked in one batch.
-    Each point's blocks are merged as block_eig merges them, so the level
-    numbering is the same.  Every value v_i that the k levels keep (the
-    i-th eigenvalue of its block) must pass the Sturm count
-    N(v_i - tol) <= i < N(v_i + tol), tol = EIG_RTOL * max|T|, which bounds
-    |lambda_i - v_i| <= tol with no eigensolver involved and tolerates
-    exact clusters.  A violation raises ConvergenceError naming
-    where(point, block) and the eigenvalue.  Returns shape (len(points), k).
+    ``points`` holds one (diag, off) pair per point, as block_eig takes it,
+    all of the same shape.  Each point's blocks are solved by one stacked
+    np.linalg.eigvalsh and merged as block_eig merges them, so the level
+    numbering is the same; the points are then checked in one batch.
+    Every value v_i that the k levels keep (the i-th eigenvalue of its
+    block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
+    tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
+    eigensolver involved and tolerates exact clusters.  A violation raises
+    ConvergenceError naming where(point, block) and the eigenvalue.
+    Returns shape (len(points), k).
     """
     if not points:
         return np.empty((0, k))
-    values, diag, off, scale = (np.stack(part) for part in zip(*points))
-    values = values[..., :k]
+    diag, off = (np.stack(part) for part in zip(*points))
+    try:
+        values = np.stack([np.linalg.eigvalsh(tridiagonal(d, o))[..., :k]
+                           for d, o in zip(diag, off)])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
+        raise ConvergenceError(
+            f"eigenvalues of dim={diag.shape[-1]} blocks did not converge "
+            f"within the solver's iteration cap ({exc})"
+        ) from exc
+    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
     kb = values.shape[-1]
     merged, order = _merge(values)
     kept = np.zeros(merged.shape, dtype=bool)
@@ -269,28 +262,6 @@ def merged_levels(points, k: int, where) -> np.ndarray:
             f"(tol = {EIG_RTOL:.1e} * max|T| = {tol[p, b, 0]:.3e})"
         )
     return merged[..., :k]
-
-
-def expectation(a, v) -> float:
-    """Re(v^dag A v) for Hermitian A and a unit-norm vector v.
-
-    The imaginary part of v^dag A v is a numerical diagnostic and must stay
-    below 1e-10; larger values indicate a non-Hermitian A or a broken vector.
-    """
-    a = _as_square(a)
-    v = np.asarray(v).reshape(-1)
-    if v.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, v has length {v.shape[0]}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"v must be unit norm, got |v| = {norm!r}")
-    val = complex(np.vdot(v, a @ v))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(
-            f"imaginary part of v^dag A v is {val.imag:.3e} (> 1e-10); "
-            "A is not Hermitian enough for an expectation value"
-        )
-    return float(val.real)
 
 
 def commutator_deviation(a, b, target) -> float:

@@ -11,10 +11,11 @@ The x-p forms use this package's momentum sign (p = i(a^dag - a)/sqrt(2),
 canonical [x, p] = +i); with the opposite sign of p the JC coupling reads
 x sx + p sy.
 
-parity_sectors gives the structured form every solve uses: the two real
-tridiagonal parity sectors of size n_max + 1, in closed form, in the chain
-order of parity_chains.  The dense joint-space builders are the oracle they
-are tested against, and the input to rotate_hamiltonian.
+parity_sectors gives the structured form every solve uses: the bands
+(diagonal and off-diagonal) of the two real symmetric tridiagonal parity
+sectors of size n_max + 1, in closed form for both chains at once, in the
+chain order of parity_chains.  The dense joint-space builders are the
+oracle they are tested against, and the input to rotate_hamiltonian.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi); rotated Hamiltonians
 are always computed by explicit conjugation U H U^dag in rotate_hamiltonian,
@@ -106,11 +107,11 @@ def phase_factors(phi: float, cfg: TruncationConfig) -> np.ndarray:
 
 
 def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
-    """U(phi) H U(phi)^dag, symmetrized to be exactly Hermitian.
+    """U(phi) H U(phi)^dag, Hermitian to rounding for a Hermitian H.
 
-    U(phi) is diagonal, so the conjugation is done entrywise in O(dim^2).
-    The spectrum is invariant under the rotation.  The result is complex
-    whatever the dtype of H.
+    U(phi) is diagonal, so the conjugation is one entrywise product,
+    H_ij d_i conj(d_j), in O(dim^2).  The spectrum is invariant under the
+    rotation.  The result is complex whatever the dtype of H.
     """
     h = np.asarray(h)
     if h.shape != (cfg.dim_joint, cfg.dim_joint):
@@ -119,8 +120,7 @@ def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
             f"got {h.shape}"
         )
     d = phase_factors(phi, cfg)
-    rotated = d[:, None] * h * d.conj()[None, :]
-    return 0.5 * (rotated + rotated.conj().T)
+    return h * np.outer(d, d.conj())
 
 
 def empty_state_energy(p: ModelParams) -> float:
@@ -218,22 +218,21 @@ def parity_chains(cfg: TruncationConfig):
 
 
 def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
-    """The two parity sectors of build_hamiltonian(kind, p, cfg), in closed form.
+    """The two parity sectors of build_hamiltonian(kind, p, cfg), as bands.
 
-    Returns the real tridiagonal (n_max + 1)-square matrices of the even
-    and the odd chain (parity_chains order).  Element j has field
-    occupation j and sigma_z = s_j, with s_j = (-1)^j on the even chain and
-    -(-1)^j on the odd one.  The diagonal is w j + (W/2) s_j.  The link
-    between j and j + 1 is g sqrt(2) sqrt(j + 1); the JC coupling keeps it
-    only where element j is the excited qubit.  The dense builders remain
-    the oracle, and both agree with them exactly.
+    Returns (diag, off) of shapes (2, n_max + 1) and (2, n_max): row 0 is
+    the even chain, row 1 the odd one (parity_chains order).  Element j has
+    field occupation j and sigma_z = s_j, with s_j = (-1)^j on the even
+    chain and -(-1)^j on the odd one.  The diagonal is w j + (W/2) s_j.
+    The link between j and j + 1 is g sqrt(2) sqrt(j + 1); the JC coupling
+    keeps it only where element j is the excited qubit.  Each sector is the
+    real symmetric tridiagonal matrix with these bands, so it is symmetric
+    by construction; placed on their chains, the bands equal the dense
+    builders exactly.
     """
     j = np.arange(cfg.dim_field)
-    link = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0)
-    sectors = []
-    for first in (1.0, -1.0):  # sigma_z of element 0: even chain, odd chain
-        s = first * (-1.0) ** j
-        off = link * (s[:-1] > 0) if kind.model == "jc" else link
-        diag = p.omega * j + 0.5 * p.Omega * s
-        sectors.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return tuple(sectors)
+    s = np.array([[1.0], [-1.0]]) * (-1.0) ** j  # sigma_z: even chain, odd chain
+    diag = p.omega * j + 0.5 * p.Omega * s
+    keep = (s[:, :-1] > 0) | (kind.model == "rabi")
+    off = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0) * keep
+    return diag, off

@@ -50,10 +50,12 @@ def write_csv(path, columns, rows, meta: dict) -> Path:
 
 
 def write_json(path, payload: dict, meta: dict) -> Path:
+    """payload plus a "config" object holding meta, as strict JSON: a NaN or
+    infinite value raises ValueError and no file is written."""
     path = Path(path)
     doc = dict(payload)
     doc["config"] = {k: v for k, v in meta.items()}
-    path.write_text(json.dumps(doc, indent=2) + "\n", newline="\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", newline="\n")
     return path
 
 

@@ -1,15 +1,14 @@
 """Spectrum sweeps, Bloch-Siegert quantification, ground-state crossing and
 truncation convergence for the JC and Rabi models.
 
-Every one-shot solve here runs on the two parity sectors, the closed-form
-real tridiagonal matrices of models.parity_sectors.  The sweeps,
-convergence studies and Bloch-Siegert values need eigenvalues only: each
-point's sectors are solved by linalg.block_eigvalsh, and
-linalg.merged_levels gates the kept values with a Sturm count (in one
-batch per sweep) and merges them into one ascending spectrum.  The
-numerical crossing reads the ground vector, so it solves the sectors with
-linalg.block_eig, whose residual gate checks every eigenpair.  The dense
-joint-space builders are not called; they stay the oracle the tests
+Every one-shot solve here runs on the two parity sectors, given by the
+closed-form bands of models.parity_sectors.  The sweeps, convergence
+studies and Bloch-Siegert values need eigenvalues only: linalg.merged_levels
+solves each point's sectors, gates the kept values with a Sturm count on the
+bands (in one batch per sweep) and merges them into one ascending spectrum.
+The numerical crossing reads the ground vector, so it solves the sectors
+with linalg.block_eig, whose residual gate checks every eigenpair.  The
+dense joint-space builders are not called; they stay the oracle the tests
 compare these results with.
 """
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import block_eig, block_eigvalsh, merged_levels
+from .linalg import block_eig, merged_levels
 from .models import (
     ModelKind,
     ModelParams,
@@ -38,17 +37,17 @@ _SECTORS = ("even", "odd")
 def _sector_levels(points, k: int) -> np.ndarray:
     """The k lowest levels at each (kind, params, cfg) point, values only.
 
-    The points must share one cutoff.  Only the eigenvalues and bands of
-    each point are kept, and merged_levels Sturm-gates all points at once.
+    The points must share one cutoff; merged_levels Sturm-gates all points
+    at once.
     """
-    solved = [block_eigvalsh(parity_sectors(kind, p, cfg)) for kind, p, cfg in points]
+    bands = [parity_sectors(kind, p, cfg) for kind, p, cfg in points]
 
     def where(i: int, sector: int) -> str:
         kind, p, cfg = points[i]
         return (f"the {_SECTORS[sector]} {kind.model} sector at g={float(p.g)!r}, "
                 f"n_max={cfg.n_max}")
 
-    return merged_levels(solved, k, where)
+    return merged_levels(bands, k, where)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def ground_crossing(
     analytic = _bisect(energy_excess, lo, hi, f_lo, tol)
 
     def overlap_excess(g: float) -> float:
-        _, systems, order = block_eig(parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg))
+        _, systems, order = block_eig(*parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg))
         sector, col = divmod(int(order[0]), cfg.dim_field)
         weight = systems[1].vectors[0, col] ** 2 if sector == 1 else 0.0
         return weight - 0.5

@@ -16,7 +16,7 @@ from jcrabi import (
 )
 import jcrabi.berry as berry_module
 from jcrabi.berry import GAUGES, TWO_PI, phase_distance
-from jcrabi.fock import qubit_ops
+from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
 from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
 
@@ -452,6 +452,16 @@ class TestGeneratorPhase:
     def test_ground_state_vanishes_at_g0(self):
         for model in ("jc", "rabi"):
             assert generator_phase(model, ModelParams(Omega=1.0, g=0.0), 0, CFG) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_matches_dense_number_expectation(self, model):
+        # 2 pi <v|n_hat|v> with the dense joint-space number operator
+        n_joint = embed(ladder_ops(CFG)[2], None, CFG)
+        for Omega, g, level in ((1.0, 0.1, 1), (0.7, 0.5, 2), (1.3, 0.9, 3)):
+            p = ModelParams(Omega=Omega, g=g)
+            v = hermitian_eig(build_hamiltonian(ModelKind(model), p, CFG)).vectors[:, level]
+            expected = TWO_PI * np.vdot(v, n_joint @ v).real
+            assert abs(generator_phase(model, p, level, CFG) - expected) <= 1e-12
 
     def test_degenerate_level_refused(self):
         with pytest.raises(DegenerateLevelError):

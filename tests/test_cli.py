@@ -331,6 +331,17 @@ class TestExitCodes:
         assert main(["berry", "--nmax", "3", "--level", "8", "--out", str(tmp_path)]) == 1
         assert "level must be in [0, 2(nmax+1)) = [0, 8)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["berry", "--nmax", "20", "--phi-nodes", "65"],
+        ["verify", "--only", "8", "--phi-nodes", "721"],
+    ])
+    def test_usage_error_odd_phi_nodes(self, tmp_path, capsys, argv):
+        # an odd K has no K/2 grid, hence no residual estimate
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "phi-nodes must be even, got" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_non_ascending_n_list(self, tmp_path, capsys):
         assert main(["convergence", "--n-list", "40,20", "--out", str(tmp_path)]) == 1
         assert "strictly ascending" in capsys.readouterr().err

@@ -6,17 +6,16 @@ from jcrabi import (
     HermiticityError,
     TruncationConfig,
     commutator_deviation,
-    expectation,
     hermitian_eig,
 )
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
     block_eig,
-    block_eigvalsh,
     merged_levels,
     residual_gate,
     sturm_count,
+    tridiagonal,
 )
 from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
 
@@ -165,24 +164,6 @@ class TestResidualGate:
             residual_gate(np.diag([1.0, 2.0]), np.nan, np.array([1.0, 0.0]), 2.0, "here")
 
 
-class TestBlockEig:
-    def test_merged_spectrum_matches_block_diagonal_matrix(self):
-        rng = np.random.default_rng(7)
-        blocks = [random_hermitian(6, rng).real, random_hermitian(6, rng).real]
-        values, systems, order = block_eig(blocks)
-        full = np.zeros((12, 12))
-        full[:6, :6], full[6:, 6:] = blocks
-        assert np.max(np.abs(values - hermitian_eig(full).values)) <= 1e-12
-        for i, idx in enumerate(order):
-            block, col = divmod(int(idx), 6)
-            assert systems[block].values[col] == values[i]
-
-    def test_ties_keep_block_order(self):
-        values, _, order = block_eig([np.diag([1.0, 3.0]), np.diag([1.0, 2.0])])
-        assert np.array_equal(values, [1.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(order, [0, 2, 3, 1])
-
-
 def random_tridiagonal(m, rng, jc_links=False):
     """Diagonal and off-diagonal of a random symmetric tridiagonal matrix;
     jc_links zeroes every other link, the pattern of a JC parity sector."""
@@ -193,8 +174,44 @@ def random_tridiagonal(m, rng, jc_links=False):
     return diag, off
 
 
+def random_bands(m, rng):
+    """Stacked bands (diag, off) of two random blocks of size m, the second
+    with the JC link pattern: the shape of models.parity_sectors."""
+    pairs = [random_tridiagonal(m, rng), random_tridiagonal(m, rng, jc_links=True)]
+    return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
+
+
 def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestTridiagonal:
+    def test_matches_dense_blocks(self):
+        diag, off = random_bands(7, np.random.default_rng(9))
+        t = tridiagonal(diag, off)
+        assert t.shape == (2, 7, 7)
+        for b in range(2):
+            assert np.array_equal(t[b], dense(diag[b], off[b]))
+
+    def test_single_element_blocks(self):
+        assert np.array_equal(tridiagonal([[2.0], [-1.0]], np.zeros((2, 0))), [[[2.0]], [[-1.0]]])
+
+
+class TestBlockEig:
+    def test_merged_spectrum_matches_block_diagonal_matrix(self):
+        diag, off = random_bands(6, np.random.default_rng(7))
+        values, systems, order = block_eig(diag, off)
+        full = np.zeros((12, 12))
+        full[:6, :6], full[6:, 6:] = dense(diag[0], off[0]), dense(diag[1], off[1])
+        assert np.max(np.abs(values - hermitian_eig(full).values)) <= 1e-12
+        for i, idx in enumerate(order):
+            block, col = divmod(int(idx), 6)
+            assert systems[block].values[col] == values[i]
+
+    def test_ties_keep_block_order(self):
+        values, _, order = block_eig([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))
+        assert np.array_equal(values, [1.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(order, [0, 2, 3, 1])
 
 
 class TestSturmCount:
@@ -254,95 +271,64 @@ def sector_label(point, block):
     return f"block {block} of point {point}"
 
 
+def perturb_eigvalsh(monkeypatch, call, block, index):
+    """Make np.linalg.eigvalsh add 1e-6 to value ``index`` of ``block`` on
+    its ``call``-th call (every call when None): a solver gone wrong."""
+    true_eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def perturbed(a):
+        values = true_eigvalsh(a)
+        calls.append(a)
+        if call is None or len(calls) == call:
+            values[block, index] += 1e-6
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+
+
 class TestMergedLevels:
     def test_matches_block_eig(self):
-        rng = np.random.default_rng(3)
-        blocks = [dense(*random_tridiagonal(8, rng)), dense(*random_tridiagonal(8, rng, True))]
-        merged, _, _ = block_eig(blocks)
+        diag, off = random_bands(8, np.random.default_rng(3))
+        merged, _, _ = block_eig(diag, off)
         for k in (1, 5, 16):
-            levels = merged_levels([block_eigvalsh(blocks)], k, sector_label)
+            levels = merged_levels([(diag, off)], k, sector_label)
             assert levels.shape == (1, k)
             assert np.max(np.abs(levels[0] - merged[:k])) <= 1e-12
 
     def test_exact_clusters_pass(self):
         # equal values inside a block and across blocks
-        blocks = [np.diag([1.0, 1.0, 3.0]), np.diag([1.0, 2.0, 2.0])]
-        levels = merged_levels([block_eigvalsh(blocks)], 6, sector_label)
+        bands = ([[1.0, 1.0, 3.0], [1.0, 2.0, 2.0]], np.zeros((2, 2)))
+        levels = merged_levels([bands], 6, sector_label)
         assert np.array_equal(levels[0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
 
     def test_points_are_independent_rows(self):
         rng = np.random.default_rng(4)
-        points = [[dense(*random_tridiagonal(6, rng)) for _ in range(2)] for _ in range(3)]
-        batch = merged_levels([block_eigvalsh(b) for b in points], 4, sector_label)
-        for row, blocks in zip(batch, points):
-            assert np.array_equal(row, merged_levels([block_eigvalsh(blocks)], 4, sector_label)[0])
+        points = [random_bands(6, rng) for _ in range(3)]
+        batch = merged_levels(points, 4, sector_label)
+        for row, bands in zip(batch, points):
+            assert np.array_equal(row, merged_levels([bands], 4, sector_label)[0])
         assert merged_levels([], 4, sector_label).shape == (0, 4)
 
-    def test_perturbed_value_is_rejected(self):
+    def test_perturbed_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
-        points = [block_eigvalsh([dense(*random_tridiagonal(6, rng)) for _ in range(2)])
-                  for _ in range(2)]
-        points[1][0][1, 2] += 1e-6
+        points = [random_bands(6, rng) for _ in range(2)]
+        perturb_eigvalsh(monkeypatch, call=2, block=1, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 1 of point 1 fails the Sturm count"):
             merged_levels(points, 12, sector_label)
 
-    def test_only_kept_values_are_gated(self):
-        values, diag, off, scale = block_eigvalsh([np.diag([0.0, 1.0]), np.diag([2.0, 3.0])])
-        values[1, 1] += 1e-6  # the largest value; two levels keep block 0 only
-        assert np.array_equal(merged_levels([(values, diag, off, scale)], 2, sector_label),
-                              [[0.0, 1.0]])
+    def test_only_kept_values_are_gated(self, monkeypatch):
+        bands = ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)))
+        perturb_eigvalsh(monkeypatch, call=None, block=1, index=1)
+        # the largest value is wrong; two levels keep block 0 only
+        assert np.array_equal(merged_levels([bands], 2, sector_label), [[0.0, 1.0]])
         with pytest.raises(ConvergenceError, match="eigenvalue 1 = .* of block 1 of point 0"):
-            merged_levels([(values, diag, off, scale)], 4, sector_label)
+            merged_levels([bands], 4, sector_label)
 
     def test_zero_block(self):
-        levels = merged_levels([block_eigvalsh([np.zeros((2, 2)), np.diag([0.0, 1.0])])],
-                               3, sector_label)
+        levels = merged_levels([([[0.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))], 3, sector_label)
         assert np.array_equal(levels, [[0.0, 0.0, 0.0]])
-
-    def test_non_tridiagonal_block_rejected(self):
-        t = dense(np.arange(5.0), np.ones(4))
-        t[0, 3] = t[3, 0] = 0.25  # symmetric, one entry outside the band
-        with pytest.raises(ValueError, match=r"block 1 is not tridiagonal: entry \(0, 3\)"):
-            block_eigvalsh([np.diag(np.arange(5.0)), t])
-
-    def test_non_hermitian_block_rejected(self):
-        t = dense(np.arange(3.0), np.ones(2))
-        t[0, 1] += 1e-6
-        with pytest.raises(HermiticityError):
-            block_eigvalsh([t])
-
-
-class TestExpectation:
-    def setup_method(self):
-        self.cfg = TruncationConfig(10)
-        self.a, self.a_dag, self.n_hat = ladder_ops(self.cfg)
-
-    def test_vacuum_number(self):
-        v = np.zeros(11, dtype=complex)
-        v[0] = 1.0
-        assert expectation(self.n_hat, v) == pytest.approx(0.0, abs=1e-14)
-
-    def test_fock_one_number(self):
-        v = np.zeros(11, dtype=complex)
-        v[1] = 1.0
-        assert expectation(self.n_hat, v) == pytest.approx(1.0, abs=1e-14)
-
-    def test_superposition_quadrature(self):
-        x_hat, _ = quadratures(self.cfg)
-        v = np.zeros(11, dtype=complex)
-        v[0] = v[1] = 1.0 / np.sqrt(2.0)
-        # <x> of (|0> + |1>)/sqrt(2) is 1/sqrt(2), by the matrix elements of
-        # (a + a^dag)/sqrt(2)
-        assert expectation(x_hat, v) == pytest.approx(0.7071067811865475, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(self.n_hat, np.ones(4) / 2.0)
-
-    def test_requires_unit_norm(self):
-        with pytest.raises(ValueError):
-            expectation(self.n_hat, np.ones(11))
 
 
 class TestCommutatorDeviation:

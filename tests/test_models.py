@@ -13,7 +13,7 @@ from jcrabi import (
     symmetry_ops,
 )
 from jcrabi.fock import SQRT2, embed, ladder_ops, qubit_ops
-from jcrabi.linalg import block_eig
+from jcrabi.linalg import HERMITICITY_RTOL, block_eig
 from jcrabi.models import (
     ModelKind,
     build_hamiltonian,
@@ -170,30 +170,45 @@ class TestSymmetries:
             assert np.all(np.diag(sector, 1) > 0.0)
 
 
-class TestParitySectors:
-    """The closed-form sectors against the split dense builders."""
+def random_params(seed):
+    """Random (Omega, g, omega) with omega > 0, and a random n_max."""
+    rng = np.random.default_rng(seed)
+    Omega, g, omega = rng.uniform(0.0, 3.0, 3)
+    return ModelParams(Omega=Omega, g=g, omega=omega + 0.05), int(rng.integers(1, 120))
 
-    @pytest.mark.parametrize("n_max", [1, 3, 20, 200])
+
+RANDOM_P, RANDOM_N_MAX = random_params(17)
+
+
+def bands_on_chains(diag, off, cfg):
+    """The joint-space matrix with each sector's bands placed on its chain."""
+    h = np.zeros((cfg.dim_joint, cfg.dim_joint))
+    for chain, d, o in zip(parity_chains(cfg), diag, off):
+        h[chain, chain] = d
+        h[chain[:-1], chain[1:]] = o
+        h[chain[1:], chain[:-1]] = o
+    return h
+
+
+class TestParitySectors:
+    """The closed-form sector bands against the split dense builders."""
+
+    @pytest.mark.parametrize("n_max", [1, 3, 20, 200, RANDOM_N_MAX])
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize(
-        "p", [ModelParams(Omega=1.3, g=0.7), ModelParams(Omega=0.0, g=2.1, omega=0.4)]
+        "p", [ModelParams(Omega=1.3, g=0.7), ModelParams(Omega=0.0, g=2.1, omega=0.4), RANDOM_P]
     )
     def test_every_entry_matches_the_dense_builder(self, kind, n_max, p):
         cfg = TruncationConfig(n_max)
         h = build_hamiltonian(kind, p, cfg)
-        split = np.zeros(h.shape)
-        for chain, sector in zip(parity_chains(cfg), parity_sectors(kind, p, cfg)):
-            split[np.ix_(chain, chain)] = sector
-        assert np.array_equal(h, split)
+        assert np.array_equal(h, bands_on_chains(*parity_sectors(kind, p, cfg), cfg))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_sectors_are_real_symmetric_tridiagonal(self, kind):
-        for sector in parity_sectors(kind, ModelParams(Omega=0.8, g=0.5), CFG):
-            assert sector.dtype == np.float64
-            assert sector.shape == (CFG.dim_field, CFG.dim_field)
-            assert np.array_equal(sector, sector.T)
-            assert np.array_equal(sector, np.triu(np.tril(sector, 1), -1))
-
+    def test_bands_are_real_and_shaped_by_chain(self, kind):
+        diag, off = parity_sectors(kind, ModelParams(Omega=0.8, g=0.5), CFG)
+        assert diag.dtype == off.dtype == np.float64
+        assert diag.shape == (2, CFG.dim_field)
+        assert off.shape == (2, CFG.n_max)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize(
@@ -205,20 +220,20 @@ class TestParitySectors:
         # only when it lowers the qubit (a^dag s- takes |2>|j> to |1>|j+1>)
         cfg = TruncationConfig(9)
         j = np.arange(cfg.dim_field)
-        for chain, sector in zip(parity_chains(cfg), parity_sectors(kind, p, cfg)):
+        for chain, d, o in zip(parity_chains(cfg), *parity_sectors(kind, p, cfg)):
             s = np.where(chain < cfg.dim_field, 1.0, -1.0)
-            assert np.array_equal(np.diag(sector), p.omega * j + 0.5 * p.Omega * s)
+            assert np.array_equal(d, p.omega * j + 0.5 * p.Omega * s)
             link = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0)
             if kind is ModelKind.JC_LAB:
                 link = np.where(s[:-1] > 0, link, 0.0)
-            assert np.array_equal(np.diag(sector, 1), link)
+            assert np.array_equal(o, link)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_sector_spectra_merge_to_the_dense_spectrum(self, kind):
         cfg = TruncationConfig(15)
         p = ModelParams(Omega=1.3, g=0.7)
         h = build_hamiltonian(kind, p, cfg)
-        values, _, _ = block_eig(parity_sectors(kind, p, cfg))
+        values, _, _ = block_eig(*parity_sectors(kind, p, cfg))
         assert np.max(np.abs(values - hermitian_eig(h).values)) <= 1e-12 * np.max(np.abs(h))
 
 
@@ -338,6 +353,15 @@ class TestRotation:
         h = build_rabi(ModelParams(Omega=1.3, g=0.7), CFG)
         sz = embed(None, SZ, CFG)
         assert np.max(np.abs(rotate_hamiltonian(h, np.pi, CFG) - sz @ h @ sz)) <= 1e-12
+
+    @pytest.mark.parametrize("builder", [build_jc, build_rabi])
+    def test_hermitian_to_rounding(self, builder):
+        cfg = TruncationConfig(150)
+        h = builder(ModelParams(Omega=1.1, g=0.6), cfg)
+        for phi in 2 * np.pi * np.arange(1, 720, 37) / 720:
+            rotated = rotate_hamiltonian(h, phi, cfg)
+            dev = np.max(np.abs(rotated - rotated.conj().T))
+            assert dev <= HERMITICITY_RTOL * np.max(np.abs(h))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 from jcrabi.cli import main
 from jcrabi.models import ModelKind, ModelParams
-from jcrabi.output import metadata_lines, write_csv, write_svg_heatmap
+from jcrabi.output import metadata_lines, write_csv, write_json, write_svg_heatmap
 from jcrabi.surfaces import boa_surface
 
 META = {"jcrabi": "test", "model": "both", "g": 0.4}
@@ -178,3 +178,14 @@ class TestWriteCsvShape:
         with pytest.raises(ValueError, match="finite"):
             write_svg_heatmap(tmp_path / "bad.svg", [0.0, 1.0], [0.0],
                               np.array([[0.0], [np.nan]]), "t", {})
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(path, {"residual": bad}, META)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(path, {"g": 0.1}, dict(META, g=bad))
+        assert not path.exists()

@@ -179,11 +179,12 @@ class TestConvergence:
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 3, [])
 
 
-def perturb_eigvalsh(monkeypatch, call, index, delta=1e-6):
-    """Add delta to value ``index`` of the ``call``-th np.linalg.eigvalsh result.
+def perturb_eigvalsh(monkeypatch, call, sector, index, delta=1e-6):
+    """Add delta to value ``index`` of ``sector`` in the ``call``-th
+    np.linalg.eigvalsh result.
 
-    The values-only paths solve the even sector, then the odd one, point by
-    point, so call 2 i + s is sector s of point i.
+    The values-only paths solve both sectors of a point in one stacked call,
+    point by point, so call i is point i and row s of its result sector s.
     """
     real = np.linalg.eigvalsh
     calls = []
@@ -192,7 +193,7 @@ def perturb_eigvalsh(monkeypatch, call, index, delta=1e-6):
         values = real(a, *args, **kwargs)
         if len(calls) == call:
             values = values.copy()
-            values[index] += delta
+            values[sector, index] += delta
         calls.append(None)
         return values
 
@@ -201,20 +202,20 @@ def perturb_eigvalsh(monkeypatch, call, index, delta=1e-6):
 
 class TestSturmGate:
     def test_sweep_names_coupling_sector_and_level(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=3, index=2)
+        perturb_eigvalsh(monkeypatch, call=1, sector=1, index=2)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 2 = .* of the odd jc sector at g=0\.2, n_max=60 "
                 r"fails the Sturm count")):
             spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1, 0.2, 0.3], 11, CFG)
 
     def test_convergence_names_cutoff(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=2, index=1)
+        perturb_eigvalsh(monkeypatch, call=1, sector=0, index=1)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 1 = .* of the even rabi sector at g=0\.5, n_max=30 ")):
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 11, [20, 30, 40])
 
     def test_bloch_siegert_names_model(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=2, index=0)
+        perturb_eigvalsh(monkeypatch, call=1, sector=0, index=0)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 0 = .* of the even rabi sector at g=0\.1, n_max=60 ")):
             bloch_siegert(P_RES, 0.1, 2, CFG)
