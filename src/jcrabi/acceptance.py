@@ -389,9 +389,11 @@ class AcceptanceSuite:
 
 
 def format_report(results) -> str:
+    """The verify report: one summary line per criterion, its check lines
+    and a RESULT line.  It holds no timing, so a rerun reproduces it."""
     out = []
     for res in results:
-        out.append(f"{res.summary()}  [{res.elapsed:.1f}s]")
+        out.append(res.summary())
         out.extend(res.lines)
     bound = [r for r in results if r.bound]
     failed = [r.number for r in bound if not r.passed]
@@ -400,9 +402,3 @@ def format_report(results) -> str:
     else:
         out.append(f"RESULT: PASS ({len(bound)} bound criteria green)")
     return "\n".join(out)
-
-
-def run_acceptance(numbers=None, k_nodes: int = BERRY_K):
-    suite = AcceptanceSuite(k_nodes=k_nodes)
-    results = suite.run(numbers)
-    return suite, results

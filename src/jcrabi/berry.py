@@ -4,8 +4,8 @@ The loop is generated by U(phi) = exp(-i n_hat phi): the family
 H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  eig_family solves the two
 parity sectors of H once, from their bands (models.parity_sectors), builds
-the path on a uniform phi grid from models.phase_factors, and gates every
-node against the dense H'(phi_k).
+the path on the loop grid (loop_grid) from models.phase_factors, and gates
+every node against the dense H'(phi_k).
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -20,9 +20,11 @@ The closed-loop phase is estimated three independent ways:
                        the sectors
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
-vector row per node of a uniform grid from 0 to 2 pi, so they serve any
-family of states, not only Fock-space eigenpaths.  connection_curve names
-its gauge: "parallel_transport" or "anchor_component" (gauge_fix).
+vector row per node of loop_grid(K), so they serve any family of states,
+not only Fock-space eigenpaths.  K is even and at least MIN_NODES, so every
+other node closes the loop again and each result carries its K/2 residual.
+connection_curve names its gauge: "parallel_transport" or
+"anchor_component" (gauge_fix).
 
 Increasing phi with U(phi) = exp(-i n_hat phi) defines the positive loop
 orientation; under it the resonant JC first excited state acquires +pi.
@@ -30,6 +32,7 @@ orientation; under it the resonant JC first excited state acquires +pi.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,8 @@ from .models import (
 )
 
 TWO_PI = 2.0 * np.pi
+# The fewest phi nodes a loop may have; K must also be even (loop_grid).
+MIN_NODES = 16
 CONTINUITY_THRESHOLD = 0.99
 # A level closer than this to a neighbour has no single-level phase; both
 # eig_family and generator_phase refuse it.
@@ -92,13 +97,25 @@ def phase_distance(a: float, b: float) -> float:
     return abs(wrap_phase(a - b))
 
 
+def loop_grid(K) -> np.ndarray:
+    """The closed-loop grid phi_k = 2 pi k / K, k = 0 .. K.
+
+    K must be an even integer >= MIN_NODES (ValueError naming K otherwise):
+    every other node is then again a closed loop, the K/2 grid whose
+    estimate gives each LoopResult its residual.
+    """
+    if not isinstance(K, numbers.Integral) or K < MIN_NODES or K % 2:
+        raise ValueError(f"K must be an even integer >= {MIN_NODES}, got {K}")
+    return TWO_PI * np.arange(K + 1) / K
+
+
 # The two phase conventions gauge_fix knows; see its docstring.
 GAUGES = ("parallel_transport", "anchor_component")
 
 
 @dataclass(frozen=True)
 class TrackedFamily:
-    """The eigenpath of one level on the uniform phi grid (0 ... 2 pi).
+    """The eigenpath of one level on a loop grid (loop_grid).
 
     vectors[k] = U(phi_k) vectors[0] belongs to phi_grid[k]; the rotation
     leaves the spectrum unchanged, so every node has the eigenvalue
@@ -144,7 +161,8 @@ def eig_family(
     cfg: TruncationConfig,
     threshold: float = CONTINUITY_THRESHOLD,
 ) -> TrackedFamily:
-    """The eigenpath of one level of H'(phi_k) over K + 1 uniform nodes.
+    """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
+    loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
 
     ``level`` is the eigenindex at phi = 0 (0 = ground state).  The two
     parity sectors of H(0), given by their bands (models.parity_sectors),
@@ -164,8 +182,7 @@ def eig_family(
     ValueError.
     """
     kind = ModelKind(kind)
-    if K < 16:
-        raise ValueError(f"K must be >= 16, got {K}")
+    phi_grid = loop_grid(K)
     h0 = build_hamiltonian(kind, p, cfg)
     dim = h0.shape[0]
     if not 0 <= level < dim:
@@ -188,7 +205,6 @@ def eig_family(
     psi0 = np.zeros(dim, dtype=complex)
     psi0[chains[sector]] = systems[sector].vectors[:, col]
 
-    phi_grid = TWO_PI * np.arange(K + 1) / K
     vectors = np.empty((K + 1, dim), dtype=complex)
     min_overlap = 1.0
 
@@ -241,9 +257,9 @@ class LoopResult:
 
     gamma is reported in (-pi, pi]; gamma_unwrapped is the final value of the
     partial-phase curve (they agree modulo 2 pi).  gamma_half is the same
-    estimator on every other node, in (-pi, pi] (nan when the grid cannot be
-    halved); residual, their distance modulo 2 pi, is the discretization
-    estimate.  gauge is the gauge_fix tag of a connection curve and
+    estimator on every other node (the K/2 grid), in (-pi, pi]; residual,
+    their distance modulo 2 pi, is the discretization estimate.  Both are
+    always finite.  gauge is the gauge_fix tag of a connection curve and
     'as_given' for the gauge-invariant Wilson loop.
     """
 
@@ -260,13 +276,11 @@ class LoopResult:
 
 
 def _check_loop(phi_grid, vectors):
-    """(phi_grid, vectors) as arrays; ValueError unless phi_grid is the
-    uniform 1-D grid from 0 to 2 pi and vectors holds one finite row per
-    node."""
+    """(phi_grid, vectors) as arrays; ValueError unless phi_grid is 1-D and
+    within 1e-9 of loop_grid(K), K = len(phi_grid) - 1 (so K is an even
+    integer >= MIN_NODES), and vectors holds one finite row per node."""
     phi = np.asarray(phi_grid, dtype=float)
-    if phi.ndim != 1 or len(phi) < 2 or not np.allclose(
-        phi, np.linspace(0.0, TWO_PI, len(phi)), rtol=0.0, atol=1e-9
-    ):
+    if phi.ndim != 1 or not np.allclose(phi, loop_grid(len(phi) - 1), rtol=0.0, atol=1e-9):
         raise ValueError(
             "a loop needs a uniform 1-D phi grid from 0 to 2 pi, got "
             + np.array2string(phi, threshold=6, precision=4)
@@ -281,12 +295,6 @@ def _check_loop(phi_grid, vectors):
     if bad.size:
         raise ValueError(f"the vector at phi node {bad[0]} is not finite")
     return phi, v
-
-
-def _halves(phi) -> bool:
-    """True when every other node of the grid is again a closed loop."""
-    K = len(phi) - 1
-    return K % 2 == 0 and K >= 4
 
 
 def _wilson_gamma_and_curve(phi, v):
@@ -306,16 +314,14 @@ def _wilson_gamma_and_curve(phi, v):
 def wilson_loop(phi_grid, vectors) -> LoopResult:
     """Discrete closed-loop phase gamma = -Im sum_k log <psi_k|psi_k+1>.
 
-    The path is one vector per node of a uniform phi grid from 0 to 2 pi
-    (ValueError otherwise).  The last step closes onto psi_0, so the result
-    is invariant under any per-node rephasing of the input.  A step overlap
-    below 0.5 means the loop is under-resolved and raises TrackingError.
+    The path is one vector per node of loop_grid(K) (ValueError otherwise).
+    The last step closes onto psi_0, so the result is invariant under any
+    per-node rephasing of the input.  A step overlap below 0.5 means the
+    loop is under-resolved and raises TrackingError.
     """
     phi, v = _check_loop(phi_grid, vectors)
     gamma, curve = _wilson_gamma_and_curve(phi, v)
-    gamma_half = float("nan")
-    if _halves(phi):
-        gamma_half = wrap_phase(_wilson_gamma_and_curve(phi[::2], v[::2])[0])
+    gamma_half = wrap_phase(_wilson_gamma_and_curve(phi[::2], v[::2])[0])
     return LoopResult(wrap_phase(gamma), float(gamma), curve, "as_given", gamma_half)
 
 
@@ -350,10 +356,8 @@ def connection_curve(phi_grid, vectors, gauge: str) -> LoopResult:
     phi, v = _check_loop(phi_grid, vectors)
     fixed, tag = gauge_fix(v, gauge)
     gamma, curve, closure = _connection_gamma_and_curve(phi, fixed)
-    gamma_half = float("nan")
-    if _halves(phi):
-        half, _ = gauge_fix(fixed[::2], gauge)
-        gamma_half = wrap_phase(_connection_gamma_and_curve(phi[::2], half)[0])
+    half, _ = gauge_fix(fixed[::2], gauge)
+    gamma_half = wrap_phase(_connection_gamma_and_curve(phi[::2], half)[0])
     return LoopResult(
         wrap_phase(gamma), float(gamma), curve, tag, gamma_half, float(closure)
     )
@@ -371,13 +375,14 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
     """
     kind = ModelKind(kind)
     es = hermitian_eig(build_hamiltonian(kind, p, cfg))
-    if not 0 <= level < es.dim:
-        raise ValueError(f"level must be in [0, {es.dim}), got {level}")
+    dim = len(es.values)
+    if not 0 <= level < dim:
+        raise ValueError(f"level must be in [0, {dim}), got {level}")
     gap = _level_gap(es.values, level)
     if not gap >= DEGENERACY_GAP:
         raise DegenerateLevelError(
             f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}): the "
             "geometric phase of a single level is undefined there"
         )
-    n = np.arange(es.dim) % cfg.dim_field
+    n = np.arange(dim) % cfg.dim_field
     return TWO_PI * float(np.sum(n * np.abs(es.vectors[:, level]) ** 2))

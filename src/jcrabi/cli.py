@@ -68,8 +68,8 @@ class RunConfig:
             raise UsageError(f"nmax must be >= 1, got {self.n_max}")
         if self.k_levels < 1:
             raise UsageError(f"levels must be >= 1, got {self.k_levels}")
-        if self.phi_nodes < 16:
-            raise UsageError(f"phi-nodes must be >= 16, got {self.phi_nodes}")
+        if self.phi_nodes < berry.MIN_NODES:
+            raise UsageError(f"phi-nodes must be >= {berry.MIN_NODES}, got {self.phi_nodes}")
         if self.phi_nodes % 2:
             # the K/2 residual estimate needs every other node to close the loop
             raise UsageError(f"phi-nodes must be even, got {self.phi_nodes}")
@@ -200,6 +200,8 @@ def _model_kinds(cfg: RunConfig):
 def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg: bool) -> int:
     for flag, value in (("g-min", g_min), ("g-max", g_max), ("g-step", g_step)):
         _check_finite(flag, value)
+    if g_min < 0:
+        raise UsageError(f"g-min must be >= 0, got {g_min}")
     if g_step <= 0 or g_max < g_min:
         raise UsageError("need g-step > 0 and g-max >= g-min")
     _check_levels(cfg.k_levels, cfg.n_max)
@@ -400,9 +402,12 @@ def cmd_verify(cfg: RunConfig, only) -> int:
         if repeated:
             raise UsageError(f"--only lists criteria {repeated} more than once, got {only!r}")
     out = _out_dir(cfg)
-    suite, results = acceptance.run_acceptance(numbers, k_nodes=cfg.phi_nodes)
+    suite = acceptance.AcceptanceSuite(k_nodes=cfg.phi_nodes)
+    results = suite.run(numbers)
     report = acceptance.format_report(results)
     print(report)
+    for r in results:
+        print(f"time  criterion {r.number:2d}: {r.elapsed:.1f}s", file=sys.stderr)
     (out / "verify_report.txt").write_text(report + "\n", newline="\n")
     print(f"wrote {out / 'verify_report.txt'}")
     if any(r.number == 12 for r in results):

@@ -81,10 +81,6 @@ class EigenSystem:
     vectors: np.ndarray
     residual: float
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 def residual_gate(a, values, vectors, maxabs: float, where: str) -> float:
     """max_i |A v_i - lambda_i v_i|_inf over the given eigenpairs (columns of
@@ -120,15 +116,14 @@ def hermitian_eig(a) -> EigenSystem:
     symmetrized to (A + A^dag)/2 and decomposed.  Every eigenpair passes
     residual_gate; a violation or a LAPACK convergence failure raises
     ConvergenceError naming the dimension.  Real input yields real vectors.
+    A zero matrix takes the same path: eigh returns zeros and the identity,
+    and both gates pass with a bound of 0.
 
     Deterministic: identical input yields the identical decomposition.
     """
     a = _as_square(a)
     n = a.shape[0]
     h, maxabs = _hermitian_part(a)
-    if maxabs == 0.0:
-        return EigenSystem(np.zeros(n), np.eye(n, dtype=a.dtype), 0.0)
-
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input

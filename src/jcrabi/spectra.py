@@ -21,13 +21,7 @@ import numpy as np
 
 from .fock import TruncationConfig
 from .linalg import block_eig, merged_levels
-from .models import (
-    ModelKind,
-    ModelParams,
-    empty_state_energy,
-    jc_doublet_analytic,
-    parity_sectors,
-)
+from .models import ModelKind, ModelParams, parity_sectors
 
 
 # Sector names in the order of models.parity_sectors.
@@ -56,9 +50,6 @@ class SpectrumTable:
 
     g_values: np.ndarray
     levels: np.ndarray  # shape (len(g_values), k), each row ascending
-    kind: ModelKind
-    params: ModelParams
-    cfg: TruncationConfig
 
 
 def spectrum_sweep(
@@ -78,7 +69,7 @@ def spectrum_sweep(
     if k < 1 or k > cfg.dim_joint:
         raise ValueError(f"k must be in [1, {cfg.dim_joint}], got {k}")
     levels = _sector_levels([(kind, p.with_g(g), cfg) for g in g_grid], k)
-    return SpectrumTable(g_grid, levels, kind, p, cfg)
+    return SpectrumTable(g_grid, levels)
 
 
 def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -> float:
@@ -115,11 +106,12 @@ PAPER_CROSSING_CLAIM = float(np.sqrt(2.0))
 class CrossingResult:
     """Ground-state crossing estimates, analytic vs numerical.
 
-    The discrepancy against the commonly quoted sqrt(2) is flagged, not
-    silently resolved: under the coupling normalization g sqrt(2) (a + a^dag)
-    the analytic condition w/2 - g sqrt(2) = -Omega/2 gives g* = sqrt(w W / 2)
-    (1/sqrt(2) on resonance); sqrt(2) would require the weaker normalization
-    g x sx.
+    analytic_g is the closed form g* = sqrt(w W / 2) (1/sqrt(2) on
+    resonance): under the coupling normalization g sqrt(2) (a + a^dag) the n=1
+    lower dressed energy w/2 - sqrt(delta^2/4 + 2 g^2) meets the uncoupled
+    -W/2 there.  The discrepancy against the commonly quoted sqrt(2) is
+    flagged, not silently resolved: sqrt(2) would require the weaker
+    normalization g x sx.
     """
 
     analytic_g: float
@@ -129,7 +121,7 @@ class CrossingResult:
 
 
 class NoCrossingError(ValueError):
-    """The analytic crossing condition keeps one sign over the whole bracket."""
+    """The analytic crossing g* lies outside the bracket."""
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
@@ -151,41 +143,33 @@ def ground_crossing(
     cfg: TruncationConfig,
     g_lo: float,
     g_hi: float,
-    tol: float = 1e-10,
 ) -> CrossingResult:
     """Locate the coupling where the n=1 lower dressed state crosses the
     uncoupled |1>|0> level and stops it being the JC ground state.
 
-    Analytic route: bisection on f(g) = E_1^-(g) + Omega/2 to ``tol``.
+    Analytic route: the closed form g* = sqrt(w W / 2), the root of
+    f(g) = E_1^-(g) + Omega/2, which is strictly decreasing in g.
     Numerical route: bisection on the ground vector's weight on |1>|0>
     dropping below 1/2.  |1>|0> is element 0 of the odd parity chain and
     the n=1 doublet lies in the even one, so the weight is 0 whenever the
     ground state sits in the even sector and jumps at the crossing.
 
-    The bracket must be finite with 0 <= g_lo < g_hi, and tol finite and
-    > 0; otherwise ValueError.  A bracket where the analytic condition does
-    not change sign raises NoCrossingError (a ValueError); a numerical route
-    that finds no sign change inside a valid bracket is a plain ValueError.
+    The bracket must be finite with 0 <= g_lo < g_hi; otherwise
+    ValueError.  A bracket that does not hold g* (g_lo <= g* <= g_hi)
+    raises NoCrossingError (a ValueError); a numerical route that finds no
+    sign change inside a valid bracket is a plain ValueError.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not (np.isfinite(g_lo) and np.isfinite(g_hi) and 0 <= g_lo < g_hi):
         raise ValueError(
             f"need a finite bracket 0 <= g_lo < g_hi, got g_lo={g_lo}, g_hi={g_hi}"
         )
     lo, hi = float(g_lo), float(g_hi)
-    e0 = empty_state_energy(p)
-
-    def energy_excess(g: float) -> float:
-        return jc_doublet_analytic(1, p.with_g(g)).energies[1] - e0
-
-    f_lo, f_hi = energy_excess(lo), energy_excess(hi)
-    if f_lo * f_hi > 0:
+    analytic = float(np.sqrt(0.5 * p.omega * p.Omega))
+    if not lo <= analytic <= hi:
         raise NoCrossingError(
             f"no crossing bracketed in [{g_lo}, {g_hi}]: "
-            f"f({g_lo}) = {f_lo:.3e}, f({g_hi}) = {f_hi:.3e}"
+            f"g* = sqrt(w W / 2) = {analytic:.10g} lies outside"
         )
-    analytic = _bisect(energy_excess, lo, hi, f_lo, tol)
 
     def overlap_excess(g: float) -> float:
         _, systems, order = block_eig(*parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg))
@@ -201,12 +185,11 @@ def ground_crossing(
     numerical = _bisect(overlap_excess, lo, hi, h_lo, 1e-8)
 
     note = (
-        f"analytic crossing g* = {analytic:.10f} (closed form sqrt(w W / 2) = "
-        f"{np.sqrt(0.5 * p.omega * p.Omega):.10f}); commonly quoted value "
-        f"sqrt(2) = {PAPER_CROSSING_CLAIM:.10f} DISAGREES under the "
+        f"analytic crossing g* = sqrt(w W / 2) = {analytic:.10f}; commonly quoted "
+        f"value sqrt(2) = {PAPER_CROSSING_CLAIM:.10f} DISAGREES under the "
         "g sqrt(2)(a + a^dag) coupling normalization used here"
     )
-    return CrossingResult(float(analytic), float(numerical), PAPER_CROSSING_CLAIM, note)
+    return CrossingResult(analytic, float(numerical), PAPER_CROSSING_CLAIM, note)
 
 
 @dataclass(frozen=True)

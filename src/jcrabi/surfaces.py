@@ -32,8 +32,6 @@ class SurfaceGrid:
     upper: np.ndarray
     lower: np.ndarray
     gap: np.ndarray
-    kind: ModelKind
-    params: ModelParams
 
 
 def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
@@ -52,7 +50,7 @@ def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
         osc = 0.5 * p.omega * (xg**2 + pg**2)
         half_gap = np.sqrt(0.25 * p.Omega**2 + 4.0 * p.g**2 * xg**2)
         upper, lower = osc + half_gap, osc - half_gap
-    return SurfaceGrid(x_axis, p_axis, upper, lower, upper - lower, kind, p)
+    return SurfaceGrid(x_axis, p_axis, upper, lower, upper - lower)
 
 
 @dataclass(frozen=True)

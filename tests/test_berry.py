@@ -15,7 +15,7 @@ from jcrabi import (
     wrap_phase,
 )
 import jcrabi.berry as berry_module
-from jcrabi.berry import GAUGES, TWO_PI, phase_distance
+from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
 from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
@@ -40,6 +40,19 @@ def rabi_family():
 def loop(fam):
     """The (phi_grid, vectors) path of a tracked family."""
     return fam.phi_grid, fam.vectors
+
+
+class TestLoopGrid:
+    def test_uniform_closed_grid(self):
+        phi = loop_grid(64)
+        assert len(phi) == 65 and phi[0] == 0.0 and phi[-1] == TWO_PI
+        assert np.allclose(np.diff(phi), TWO_PI / 64, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("K", [14, 17, 64.0])
+    def test_off_rule_rejected(self, K):
+        # odd, below MIN_NODES or not an integer
+        with pytest.raises(ValueError, match=f"K must be an even integer >= {MIN_NODES}, got {K}"):
+            loop_grid(K)
 
 
 def test_wrap_phase_interval():
@@ -76,9 +89,10 @@ class TestEigFamily:
         fine = eig_family("rabi", p, 1, 32, CFG, threshold=0.9)
         assert fine.min_step_overlap > coarse.min_step_overlap
 
-    def test_min_nodes_enforced(self):
-        with pytest.raises(ValueError):
-            eig_family("jc", P_RES, 1, 8, CFG)
+    @pytest.mark.parametrize("K", [8, 65])
+    def test_loop_grid_rule_enforced(self, K):
+        with pytest.raises(ValueError, match=f"K must be an even integer >= 16, got {K}"):
+            eig_family("jc", P_RES, 1, K, CFG)
 
     def test_level_range_enforced(self):
         with pytest.raises(ValueError):
@@ -267,12 +281,18 @@ class TestLoopPath:
         with pytest.raises(ValueError, match="phi node 7 is not finite"):
             estimator(jc_family.phi_grid, vectors)
 
-    def test_odd_grid_has_no_half_estimate(self, estimator):
-        # every other node of an odd grid does not end at 2 pi
-        fam = eig_family("jc", P_RES, 1, 65, CFG)
-        res = estimator(*loop(fam))
-        assert np.isnan(res.gamma_half)
-        assert phase_distance(res.gamma, np.pi) <= 1e-2
+    @pytest.mark.parametrize("K", [8, 65])
+    def test_grid_off_the_loop_rule_rejected(self, estimator, K):
+        # every other node of an odd grid does not end at 2 pi, and K = 8
+        # is below MIN_NODES: neither has a K/2 residual
+        phi = np.linspace(0.0, TWO_PI, K + 1)
+        with pytest.raises(ValueError, match=f"K must be an even integer >= 16, got {K}"):
+            estimator(phi, np.ones((K + 1, 2)))
+
+    @pytest.mark.parametrize("family", ["jc_family", "rabi_family"])
+    def test_residual_finite(self, request, estimator, family):
+        res = estimator(*loop(request.getfixturevalue(family)))
+        assert np.isfinite(res.gamma_half) and np.isfinite(res.residual)
 
 
 class TestWilsonLoop:
@@ -374,7 +394,7 @@ K_MEAN_FIELD = 720
 def mean_field_loop(spin_hamiltonian, centre, rho):
     """Upper-branch eigenvectors of the 2x2 spin Hamiltonian h(x, p) on the
     circle (x, p) = centre + rho (cos phi, sin phi), K = 720."""
-    phi = TWO_PI * np.arange(K_MEAN_FIELD + 1) / K_MEAN_FIELD
+    phi = loop_grid(K_MEAN_FIELD)
     x = centre[0] + rho * np.cos(phi)
     p = centre[1] + rho * np.sin(phi)
     vectors = [np.linalg.eigh(spin_hamiltonian(xk, pk))[1][:, 1] for xk, pk in zip(x, p)]

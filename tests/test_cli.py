@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -361,6 +362,14 @@ class TestExitCodes:
         assert main([*argv, *nmax, "--out", str(tmp_path)]) == 1
         assert f"usage error: {flag} must be finite" in capsys.readouterr().err
 
+    def test_usage_error_negative_g_min(self, tmp_path, capsys):
+        # a negative coupling is a usage error, not a numerical failure
+        out = tmp_path / "out"
+        argv = ["spectrum", "--g-min", "-1", "--g-max", "0.1", "--nmax", "5"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "usage error: g-min must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("g_lo, g_hi", [("1.2", "0.3"), ("-0.5", "1.2")])
     def test_usage_error_crossing_bracket(self, tmp_path, capsys, g_lo, g_hi):
         argv = ["crossing", f"--g-lo={g_lo}", f"--g-hi={g_hi}", "--nmax", "5"]
@@ -455,9 +464,13 @@ class TestExitCodes:
     def test_verify_subset(self, tmp_path, capsys):
         rc = main(["verify", "--only", "5,10", "--out", str(tmp_path)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "criterion  5" in out and "criterion 10" in out
-        assert (tmp_path / "verify_report.txt").exists()
+        captured = capsys.readouterr()
+        assert "criterion  5" in captured.out and "criterion 10" in captured.out
+        # the report is under the rerun contract: wall times go to stderr only
+        report = (tmp_path / "verify_report.txt").read_text()
+        assert not re.search(r"\[\d+\.\ds\]", report)
+        assert re.search(r"criterion  5: \d+\.\ds", captured.err)
+        assert re.search(r"criterion 10: \d+\.\ds", captured.err)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

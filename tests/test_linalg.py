@@ -111,9 +111,15 @@ class TestHermitianEig:
         with pytest.raises(HermiticityError):
             hermitian_eig(a)
 
-    def test_zero_matrix(self):
-        es = hermitian_eig(np.zeros((4, 4), dtype=complex))
-        assert np.all(es.values == 0)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_matrix(self, n, dtype):
+        # no special case: eigh returns (zeros, identity) and both gates
+        # pass with bound 0
+        es = hermitian_eig(np.zeros((n, n), dtype=dtype))
+        assert np.array_equal(es.values, np.zeros(n))
+        assert np.array_equal(es.vectors, np.eye(n)) and es.vectors.dtype == dtype
+        assert es.residual == 0.0
 
 
 class TestRealInput:

@@ -15,7 +15,7 @@ from jcrabi import (
 )
 from jcrabi.linalg import ConvergenceError
 from jcrabi.models import ModelKind, build_jc
-from jcrabi.spectra import NoCrossingError
+from jcrabi.spectra import NoCrossingError, _bisect
 
 CFG = TruncationConfig(60)
 P_RES = ModelParams(Omega=1.0)
@@ -125,15 +125,41 @@ class TestGroundCrossing:
         with pytest.raises(NoCrossingError, match=r"no crossing bracketed in \[0.1, 0.5\]"):
             ground_crossing(P_RES, TruncationConfig(40), 0.1, 0.5)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    def test_nonpositive_tol_rejected(self, tol):
-        with fails_fast(), pytest.raises(ValueError, match="tol must be finite and > 0"):
-            ground_crossing(P_RES, CFG, 0.3, 1.2, tol=tol)
+    @pytest.mark.parametrize("Omega, omega", [(1.0, 1.0), (1.23, 1.0), (0.6, 1.7)])
+    def test_analytic_is_the_closed_form(self, Omega, omega):
+        p = ModelParams(Omega=Omega, omega=omega)
+        res = ground_crossing(p, TruncationConfig(40), 0.3, 1.2)
+        assert res.analytic_g == np.sqrt(0.5 * omega * Omega)
 
-    def test_tol_below_float_spacing_returns(self):
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    def test_bracket_edge_at_g_star_accepted(self, edge):
+        # g* on an edge is bracketed; the numerical route then meets the
+        # exact tie of its two ground candidates there, which rounding
+        # decides, so only its own refusal is allowed
+        g_star = np.sqrt(0.5)
+        bracket = (g_star, 1.2) if edge == "lo" else (0.3, g_star)
+        try:
+            res = ground_crossing(P_RES, TruncationConfig(40), *bracket)
+        except NoCrossingError:
+            pytest.fail(f"g* = {g_star!r} on the bracket edge was refused")
+        except ValueError as exc:
+            assert "numerical route" in str(exc)
+        else:
+            assert res.analytic_g == g_star
+
+    def test_bracket_just_short_of_g_star_rejected(self):
+        g_star = np.sqrt(0.5)
+        with pytest.raises(NoCrossingError, match="no crossing bracketed in"):
+            ground_crossing(P_RES, TruncationConfig(40), 0.3, np.nextafter(g_star, 0.0))
+        with pytest.raises(NoCrossingError, match="no crossing bracketed in"):
+            ground_crossing(P_RES, TruncationConfig(40), np.nextafter(g_star, 1.0), 1.2)
+
+    def test_bisect_stops_at_adjacent_floats(self):
+        # a tol below the float spacing ends once lo and hi are neighbours
+        step = lambda g: 1.0 if g < 0.5 else -1.0  # noqa: E731
         with fails_fast():
-            res = ground_crossing(P_RES, TruncationConfig(40), 0.3, 1.2, tol=1e-300)
-        assert res.analytic_g == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+            root = _bisect(step, 0.3, 1.2, 1.0, 1e-300)
+        assert abs(root - 0.5) <= np.spacing(0.5)
 
     @pytest.mark.parametrize("g_lo, g_hi", [(0.3, float("nan")), (float("-inf"), 1.2)])
     def test_non_finite_bracket_rejected(self, g_lo, g_hi):
