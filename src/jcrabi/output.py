@@ -5,10 +5,13 @@ so nothing here writes timestamps or environment-dependent content.  CSV
 files carry '#'-prefixed metadata lines; JSON and SVG embed the same metadata
 in-format (a "config" object, an XML comment) so the files stay parseable.
 
-The CSV and heatmap writers format in bulk: a CSV body is one `%` operation
-over a float64 table, and heatmap cells are joined from precomputed string
-pieces.  The bytes are those of per-value formatting (17 significant digits,
-shades rounded half to even).
+The CSV and heatmap writers format each distinct piece once and stream the
+file in blocks of rows.  A CSV column is reduced to its distinct values
+(compared bit for bit, so -0.0 stays apart from 0.0), which one `%`
+operation formats; heatmap cells are joined from precomputed x, y and shade
+pieces.  Every check and all formatting run before the file is opened, so
+rejected input writes no file.  The bytes are those of per-value formatting
+(17 significant digits, shades rounded half to even).
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ def metadata_lines(meta: dict) -> list:
 
 def _table(rows, n_cols: int) -> np.ndarray:
     """rows (a list of rows or a 2-D array) as a float64 (n, n_cols) array."""
+    if n_cols < 1:
+        # the last column's pieces carry the line ends
+        raise ValueError("table must have at least one column")
     expected = f"table must have {n_cols} columns to match its header"
     try:
         table = np.asarray(rows, dtype=float)
@@ -37,15 +43,35 @@ def _table(rows, n_cols: int) -> np.ndarray:
     return table
 
 
+# Rows per written block: bounds the strings alive at once.
+_BLOCK_ROWS = 8192
+
+
+def _column_pieces(column: np.ndarray, sep: str):
+    """(pieces, inverse): column[i] formats as pieces[inverse[i]], each piece
+    "%.17g" followed by sep.  Distinct values are told apart by their bits."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = (("%.17g" + sep) * len(bits)) % tuple(bits.view(float).tolist())
+    return np.array(text.split(sep)[:-1], dtype=object) + sep, inverse
+
+
 def write_csv(path, columns, rows, meta: dict) -> Path:
     """Header, then one line per row, every value with 17 significant digits."""
     path = Path(path)
-    table = _table(rows, len(columns))
+    n_cols = len(columns)
+    table = _table(rows, n_cols)
     lines = metadata_lines(meta)
     lines.append(",".join(columns))
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    body = (row_format * len(table)) % tuple(table.ravel().tolist())
-    path.write_text("\n".join(lines) + "\n" + body, newline="\n")
+    formatted = [_column_pieces(table[:, c], "\n" if c == n_cols - 1 else ",")
+                 for c in range(n_cols)]
+    with path.open("w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, len(table))
+            block = np.empty((stop - start, n_cols), dtype=object)
+            for c, (pieces, inverse) in enumerate(formatted):
+                block[:, c] = pieces[inverse[start:stop]]
+            f.write("".join(block.ravel().tolist()))
     return path
 
 
@@ -153,21 +179,29 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
         f'<text x="{ml + nx*cell/2:.1f}" y="24" text-anchor="middle" '
         f'font-size="15">{title}</text>',
     ]
-    # a cell is x-prefix + y-fragment + shade tail; low gap = dark, so
+    # a cell is x-head + y-part + shade tail; low gap = dark, so
     # degeneracies stand out
-    x_heads = [f'<rect x="{ml + i*cell:.2f}" y="' for i in range(nx)]
-    y_parts = [f'{mt + (npts-1-j)*cell:.2f}" ' for j in range(npts)]
-    tails = [
-        f'width="{cell:.2f}" height="{cell:.2f}" fill="rgb({s},{s},{s})"/>'
+    x_heads = np.array([f'<rect x="{ml + i*cell:.2f}" y="' for i in range(nx)], dtype=object)
+    y_parts = np.array([f'{mt + (npts-1-j)*cell:.2f}" ' for j in range(npts)], dtype=object)
+    tails = np.array([
+        f'width="{cell:.2f}" height="{cell:.2f}" fill="rgb({s},{s},{s})"/>\n'
         for s in range(256)
-    ]
-    for head, row in zip(x_heads, shades.tolist()):
-        out.extend([head + y + tails[s] for y, s in zip(y_parts, row)])
-    out.append(
+    ], dtype=object)
+    footer = [
         f'<text x="{ml:.1f}" y="{height-18:.1f}" font-size="12">'
         f"x in [{x_axis[0]:.3g}, {x_axis[-1]:.3g}], p in [{p_axis[0]:.3g}, {p_axis[-1]:.3g}], "
-        f"value range [{v_lo:.6g}, {v_hi:.6g}] (dark = small)</text>"
-    )
-    out.append("</svg>")
-    path.write_text("\n".join(out) + "\n", newline="\n")
+        f"value range [{v_lo:.6g}, {v_hi:.6g}] (dark = small)</text>",
+        "</svg>",
+    ]
+    block_rows = max(1, _BLOCK_ROWS // npts)
+    with path.open("w", newline="\n") as f:
+        f.write("\n".join(out) + "\n")
+        for start in range(0, nx, block_rows):
+            stop = min(start + block_rows, nx)
+            cells = np.empty((stop - start, npts, 3), dtype=object)
+            cells[:, :, 0] = x_heads[start:stop, None]
+            cells[:, :, 1] = y_parts
+            cells[:, :, 2] = tails[shades[start:stop]]
+            f.write("".join(cells.ravel().tolist()))
+        f.write("\n".join(footer) + "\n")
     return path

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import block_eig, merged_levels
+from .linalg import EIG_RTOL, block_eig, merged_levels
 from .models import ModelKind, ModelParams, parity_sectors
 
 
@@ -152,7 +152,11 @@ def ground_crossing(
     Numerical route: bisection on the ground vector's weight on |1>|0>
     dropping below 1/2.  |1>|0> is element 0 of the odd parity chain and
     the n=1 doublet lies in the even one, so the weight is 0 whenever the
-    ground state sits in the even sector and jumps at the crossing.
+    ground state sits in the even sector and jumps at the crossing.  When
+    the weights at the two edges do not differ in sign, an edge where the
+    lowest even and lowest odd levels tie within EIG_RTOL * max|T| is the
+    crossing: rounding there decides which of the two states comes out
+    lowest (lo is taken if both edges tie).
 
     The bracket must be finite with 0 <= g_lo < g_hi; otherwise
     ValueError.  A bracket that does not hold g* (g_lo <= g* <= g_hi)
@@ -171,18 +175,25 @@ def ground_crossing(
             f"g* = sqrt(w W / 2) = {analytic:.10g} lies outside"
         )
 
-    def overlap_excess(g: float) -> float:
-        _, systems, order = block_eig(*parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg))
+    def solve(g: float):
+        """(weight on |1>|0> - 1/2, whether the lowest even and odd levels tie)."""
+        diag, off = parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg)
+        _, systems, order = block_eig(diag, off)
         sector, col = divmod(int(order[0]), cfg.dim_field)
         weight = systems[1].vectors[0, col] ** 2 if sector == 1 else 0.0
-        return weight - 0.5
+        scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
+        tied = abs(systems[0].values[0] - systems[1].values[0]) <= EIG_RTOL * scale
+        return weight - 0.5, tied
 
-    h_lo, h_hi = overlap_excess(lo), overlap_excess(hi)
-    if h_lo * h_hi > 0:
+    (h_lo, tie_lo), (h_hi, tie_hi) = solve(lo), solve(hi)
+    if h_lo * h_hi <= 0:
+        numerical = _bisect(lambda g: solve(g)[0], lo, hi, h_lo, 1e-8)
+    elif tie_lo or tie_hi:
+        numerical = lo if tie_lo else hi
+    else:
         raise ValueError(
             f"numerical route found no overlap crossing in [{g_lo}, {g_hi}]"
         )
-    numerical = _bisect(overlap_excess, lo, hi, h_lo, 1e-8)
 
     note = (
         f"analytic crossing g* = sqrt(w W / 2) = {analytic:.10f}; commonly quoted "

@@ -1,6 +1,6 @@
-"""Byte identity of the bulk CSV / heatmap writers with per-value formatting.
+"""Byte identity of the streamed CSV / heatmap writers with per-value formatting.
 
-The frozen writers below are the per-value implementations the bulk ones
+The frozen writers below are the per-value implementations the streamed ones
 replaced; every case must give the same file bytes from both.
 """
 
@@ -9,7 +9,7 @@ import pytest
 
 from jcrabi.cli import main
 from jcrabi.models import ModelKind, ModelParams
-from jcrabi.output import metadata_lines, write_csv, write_json, write_svg_heatmap
+from jcrabi.output import _BLOCK_ROWS, metadata_lines, write_csv, write_json, write_svg_heatmap
 from jcrabi.surfaces import boa_surface
 
 META = {"jcrabi": "test", "model": "both", "g": 0.4}
@@ -123,6 +123,28 @@ class TestFrozenWriterBytes:
         assert "\n20,-0.50000000000000011,0.10000000000000001,nan\n" in text
         assert "\n40,-0,inf,4.9406564584124654e-324\n" in text
 
+    def test_table_spanning_blocks(self, tmp_path):
+        # values repeat within and across blocks; the special column holds
+        # 0.0 and -0.0, NaNs with different bit payloads, +-inf and subnormals
+        n = 2 * _BLOCK_ROWS + 5
+        rng = np.random.default_rng(7)
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002],
+                        dtype=np.uint64).view(float)
+        special = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-310, 1 / 3],
+            nans,
+        ])
+        table = np.column_stack([
+            np.repeat(np.arange(n // 7 + 1) * 0.1, 7)[:n],  # runs cross block edges
+            rng.choice(special, n),
+            rng.choice(rng.standard_normal(500), n),
+            rng.standard_normal(n),  # all distinct
+        ])
+        assert len(np.unique(table[:, 1].view(np.int64))) == len(special)
+        text = same_csv_bytes(tmp_path, ["a", "b", "c", "d"], table).decode()
+        assert text.count("\n") == len(META) + 1 + n
+        assert ",-0," in text and ",0," in text and ",nan," in text
+
     def test_one_row_table(self, tmp_path):
         same_csv_bytes(tmp_path, ["phi", "partial_phase"], [[0.0, np.pi]])
 
@@ -135,6 +157,16 @@ class TestFrozenWriterBytes:
         # v_hi == v_lo takes the span = 1.0 branch: every cell is black
         svg = same_svg_bytes(tmp_path, [0.0, 1.0, 2.0], [0.0, 1.0], np.full((3, 2), 0.25))
         assert svg.count('fill="rgb(0,0,0)"') == 6
+
+    @pytest.mark.parametrize("nx, npts", [
+        (200, 100),  # 81 x-rows per block: two full blocks and a part
+        (3, _BLOCK_ROWS + 3),  # a column longer than a block: one x-row per block
+        (_BLOCK_ROWS + 5, 1),
+    ])
+    def test_heatmap_spanning_blocks(self, tmp_path, nx, npts):
+        values = np.random.default_rng(nx).standard_normal((nx, npts))
+        svg = same_svg_bytes(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
+        assert svg.count("<rect ") == nx * npts
 
     def test_half_shades_round_to_even(self, tmp_path):
         # shades 0, 0.5, 1.5, 2.5, 255 exactly: round half to even gives 0, 0, 2, 2, 255
@@ -174,10 +206,17 @@ class TestWriteCsvShape:
         assert f"got {got}" in str(info.value)
         assert not path.exists()
 
+    def test_header_needs_a_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="at least one column"):
+            write_csv(path, [], [[], []], {})
+        assert not path.exists()
+
     def test_heatmap_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "bad.svg"
         with pytest.raises(ValueError, match="finite"):
-            write_svg_heatmap(tmp_path / "bad.svg", [0.0, 1.0], [0.0],
-                              np.array([[0.0], [np.nan]]), "t", {})
+            write_svg_heatmap(path, [0.0, 1.0], [0.0], np.array([[0.0], [np.nan]]), "t", {})
+        assert not path.exists()
 
 
 class TestWriteJson:

@@ -133,19 +133,14 @@ class TestGroundCrossing:
 
     @pytest.mark.parametrize("edge", ["lo", "hi"])
     def test_bracket_edge_at_g_star_accepted(self, edge):
-        # g* on an edge is bracketed; the numerical route then meets the
-        # exact tie of its two ground candidates there, which rounding
-        # decides, so only its own refusal is allowed
+        # at g* the even n=1 lower dressed state and the odd |1>|0> level
+        # tie, and rounding puts the even one lowest, so the |1>|0> weight
+        # alone shows no sign change on [g*, hi]; the tied edge is the crossing
         g_star = np.sqrt(0.5)
         bracket = (g_star, 1.2) if edge == "lo" else (0.3, g_star)
-        try:
-            res = ground_crossing(P_RES, TruncationConfig(40), *bracket)
-        except NoCrossingError:
-            pytest.fail(f"g* = {g_star!r} on the bracket edge was refused")
-        except ValueError as exc:
-            assert "numerical route" in str(exc)
-        else:
-            assert res.analytic_g == g_star
+        res = ground_crossing(P_RES, TruncationConfig(40), *bracket)
+        assert res.analytic_g == g_star
+        assert abs(res.numerical_g - g_star) <= 1e-8
 
     def test_bracket_just_short_of_g_star_rejected(self):
         g_star = np.sqrt(0.5)
