@@ -64,9 +64,9 @@ def _check(lines, ok: bool, text: str) -> bool:
 class AcceptanceSuite:
     """Runs the acceptance criteria, sharing tracked families across them."""
 
-    def __init__(self, k_nodes: int = BERRY_K, berry_nmax: int = BERRY_NMAX):
+    def __init__(self, k_nodes: int = BERRY_K):
         self.k_nodes = k_nodes
-        self.berry_cfg = TruncationConfig(berry_nmax)
+        self.berry_cfg = TruncationConfig(BERRY_NMAX)
         self.sweep_cfg = TruncationConfig(SWEEP_NMAX)
         self._families = {}
         self._investigation = {}  # g -> criterion 12's anchor-gauge LoopResult

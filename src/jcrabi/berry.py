@@ -159,7 +159,6 @@ def eig_family(
     level: int,
     K: int,
     cfg: TruncationConfig,
-    threshold: float = CONTINUITY_THRESHOLD,
 ) -> TrackedFamily:
     """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
     loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
@@ -171,7 +170,7 @@ def eig_family(
     psi_0.
     Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
     energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
-    ``threshold`` (a grid too coarse for the level's spread in n) raises
+    CONTINUITY_THRESHOLD (a grid too coarse for the level's spread in n) raises
     TrackingError, and the pair passes residual_gate against the dense
     rotate_hamiltonian(H(0), phi_k), so a failure names its phi node.
 
@@ -212,8 +211,8 @@ def eig_family(
         np.multiply(phase_factors(phi, cfg), psi0, out=vectors[k])
         if k > 0:
             overlap = float(abs(np.vdot(vectors[k - 1], vectors[k])))
-            if overlap < threshold:
-                raise _overlap_lost(k, overlap, threshold)
+            if overlap < CONTINUITY_THRESHOLD:
+                raise _overlap_lost(k, overlap, CONTINUITY_THRESHOLD)
             min_overlap = min(min_overlap, overlap)
         hk = rotate_hamiltonian(h0, phi, cfg)
         residual_gate(hk, energy, vectors[k], maxabs, f"at phi node {k}")

@@ -14,11 +14,12 @@ the sectors are solved in one of two ways:
 * values only: merged_levels solves each point's sectors with one stacked
   np.linalg.eigvalsh and gates each kept value with a Sturm count
   (sturm_count, an LDL^T inertia count on the bands that needs no
-  eigensolver) before merging.  The spectrum sweeps, convergence studies
-  and Bloch-Siegert values take this path.
+  eigensolver) before merging.  The spectrum sweeps, convergence studies,
+  Bloch-Siegert values and the numerical crossing (the even sector alone)
+  take this path.
 * with vectors: block_eig solves each sector with hermitian_eig, whose
-  eigen-residual gate (residual_gate) checks every eigenpair.  The
-  numerical crossing and berry.eig_family need the vectors.
+  eigen-residual gate (residual_gate) checks every eigenpair.  Only the
+  Berry loop, berry.eig_family, needs the vectors.
 
 Both merge the sector spectra in _merge, which owns the level numbering.
 The full joint-space matrices still come to hermitian_eig from the dense

@@ -34,8 +34,12 @@ def _table(rows, n_cols: int) -> np.ndarray:
     expected = f"table must have {n_cols} columns to match its header"
     try:
         table = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{expected}, got ragged rows: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        try:
+            np.shape(rows)  # raises only for rows of unequal length
+        except ValueError:
+            raise ValueError(f"{expected}, got ragged rows: {exc}") from exc
+        raise ValueError(f"table entries must be numbers: {exc}") from exc
     if table.size == 0 and table.ndim == 1:
         table = table.reshape(0, n_cols)
     if table.ndim != 2 or table.shape[1] != n_cols:

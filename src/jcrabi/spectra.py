@@ -1,15 +1,15 @@
 """Spectrum sweeps, Bloch-Siegert quantification, ground-state crossing and
 truncation convergence for the JC and Rabi models.
 
-Every one-shot solve here runs on the two parity sectors, given by the
-closed-form bands of models.parity_sectors.  The sweeps, convergence
-studies and Bloch-Siegert values need eigenvalues only: linalg.merged_levels
-solves each point's sectors, gates the kept values with a Sturm count on the
-bands (in one batch per sweep) and merges them into one ascending spectrum.
-The numerical crossing reads the ground vector, so it solves the sectors
-with linalg.block_eig, whose residual gate checks every eigenpair.  The
-dense joint-space builders are not called; they stay the oracle the tests
-compare these results with.
+Every one-shot solve here runs on the parity sectors, given by the
+closed-form bands of models.parity_sectors, and needs eigenvalues only:
+linalg.merged_levels solves each point's sectors, gates the kept values with
+a Sturm count on the bands (in one batch per sweep) and merges them into one
+ascending spectrum.  The sweeps, convergence studies and Bloch-Siegert values
+read both sectors; the numerical crossing reads the even one alone.  No
+eigenvector is computed here (only the Berry loop, berry.eig_family, reads
+vectors).  The dense joint-space builders are not called; they stay the
+oracle the tests compare these results with.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import EIG_RTOL, block_eig, merged_levels
-from .models import ModelKind, ModelParams, parity_sectors
+from .linalg import EIG_RTOL, merged_levels
+from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
 
 
 # Sector names in the order of models.parity_sectors.
@@ -111,7 +111,8 @@ class CrossingResult:
     lower dressed energy w/2 - sqrt(delta^2/4 + 2 g^2) meets the uncoupled
     -W/2 there.  The discrepancy against the commonly quoted sqrt(2) is
     flagged, not silently resolved: sqrt(2) would require the weaker
-    normalization g x sx.
+    normalization g x sx.  numerical_g comes from eigenvalues alone: the
+    lowest even level against the exact |1>|0> level (see ground_crossing).
     """
 
     analytic_g: float
@@ -149,14 +150,17 @@ def ground_crossing(
 
     Analytic route: the closed form g* = sqrt(w W / 2), the root of
     f(g) = E_1^-(g) + Omega/2, which is strictly decreasing in g.
-    Numerical route: bisection on the ground vector's weight on |1>|0>
-    dropping below 1/2.  |1>|0> is element 0 of the odd parity chain and
-    the n=1 doublet lies in the even one, so the weight is 0 whenever the
-    ground state sits in the even sector and jumps at the crossing.  When
-    the weights at the two edges do not differ in sign, an edge where the
-    lowest even and lowest odd levels tie within EIG_RTOL * max|T| is the
-    crossing: rounding there decides which of the two states comes out
-    lowest (lo is taken if both edges tie).
+    Numerical route: bisection on the lowest even level minus the exact
+    |1>|0> level -Omega/2 (models.empty_state_energy), which is positive
+    while |1>|0> is the ground state.  |1>|0> is element 0 of the odd
+    parity chain and decoupled from the rest of it, and the n=1 doublet lies
+    in the even chain, so |1>|0> stops being the ground state where the
+    lowest even level falls below it; only the even sector is solved, for
+    values alone, and a level equal to -Omega/2 counts as the even state
+    lying lowest.  When the two edges do not differ in sign, an edge where
+    the two levels tie within EIG_RTOL * max|T| is the crossing: rounding
+    there decides which of the two states comes out lowest (lo is taken if
+    both edges tie).
 
     The bracket must be finite with 0 <= g_lo < g_hi; otherwise
     ValueError.  A bracket that does not hold g* (g_lo <= g* <= g_hi)
@@ -175,24 +179,26 @@ def ground_crossing(
             f"g* = sqrt(w W / 2) = {analytic:.10g} lies outside"
         )
 
+    empty = empty_state_energy(p)
+
     def solve(g: float):
-        """(weight on |1>|0> - 1/2, whether the lowest even and odd levels tie)."""
+        """(lowest even level - E_|1>|0>, whether the two levels tie)."""
+        def where(point: int, sector: int) -> str:
+            return f"the even jc sector at g={float(g)!r}, n_max={cfg.n_max}"
+
         diag, off = parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg)
-        _, systems, order = block_eig(diag, off)
-        sector, col = divmod(int(order[0]), cfg.dim_field)
-        weight = systems[1].vectors[0, col] ** 2 if sector == 1 else 0.0
+        even = merged_levels([(diag[:1], off[:1])], 1, where)[0, 0]
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
-        tied = abs(systems[0].values[0] - systems[1].values[0]) <= EIG_RTOL * scale
-        return weight - 0.5, tied
+        return even - empty, abs(even - empty) <= EIG_RTOL * scale
 
     (h_lo, tie_lo), (h_hi, tie_hi) = solve(lo), solve(hi)
-    if h_lo * h_hi <= 0:
+    if h_lo * h_hi < 0:
         numerical = _bisect(lambda g: solve(g)[0], lo, hi, h_lo, 1e-8)
     elif tie_lo or tie_hi:
         numerical = lo if tie_lo else hi
     else:
         raise ValueError(
-            f"numerical route found no overlap crossing in [{g_lo}, {g_hi}]"
+            f"numerical route found no level crossing in [{g_lo}, {g_hi}]"
         )
 
     note = (

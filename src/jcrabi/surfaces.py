@@ -91,22 +91,21 @@ POINT_EXTENT_FRACTION = 0.2
 LINE_COVERAGE_FRACTION = 0.9
 
 
-def classify_degeneracy(s: SurfaceGrid, tol_gap: float | None = None) -> DegeneracyReport:
+def classify_degeneracy(s: SurfaceGrid) -> DegeneracyReport:
     """Classify the minimal-gap set of a surface grid.
 
     Coarse-grid contract: the minimal-gap set holds every node with
-    gap <= min_gap + tol_gap, and the default tol_gap (two cell diagonals
-    times the steepest gap slope) admits about two cells on each side of a
-    cone apex.  A 'point' must fit in POINT_EXTENT_FRACTION of the span, so
-    it needs about 21 or more nodes per axis; below that a grid that holds
-    the apex exactly (min_gap = 0 <= tol_gap) reads 'none'.  Measured on the
+    gap <= min_gap + tol_gap, and tol_gap (default_gap_tolerance: two cell
+    diagonals times the steepest gap slope) admits about two cells on each
+    side of a cone apex.  A 'point' must fit in POINT_EXTENT_FRACTION of the
+    span, so it needs about 21 or more nodes per axis; below that a grid
+    that holds the apex exactly (min_gap = 0 <= tol_gap) reads 'none'.  Measured on the
     resonant JC cone (g in {0.2, 0.5, 1}, axes +-1 and +-3, odd resolutions
     so the apex is a node): 'none' up to 19 nodes per axis, 'point' from 23.
     """
     if s.gap.size == 0:
         raise ValueError("cannot classify an empty grid")
-    if tol_gap is None:
-        tol_gap = default_gap_tolerance(s)
+    tol_gap = default_gap_tolerance(s)
     min_gap = float(np.min(s.gap))
     mask = s.gap <= min_gap + tol_gap
     xi, pj = np.nonzero(mask)

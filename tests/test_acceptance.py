@@ -82,7 +82,8 @@ def test_suite_detects_perturbed_closed_form(monkeypatch):
     # criterion (mutation sensitivity of the gate); run on a cheap grid
     from jcrabi import surfaces
 
-    cheap = AcceptanceSuite(k_nodes=128, berry_nmax=40)
+    monkeypatch.setattr(acceptance, "BERRY_NMAX", 40)
+    cheap = AcceptanceSuite(k_nodes=128)
     baseline = cheap.run([6])[0]
     assert baseline.passed
 
@@ -91,7 +92,7 @@ def test_suite_detects_perturbed_closed_form(monkeypatch):
         surfaces, "berry_exact_jc",
         lambda n, p, sign=+1: true_fn(n, p, sign) + 1e-2,
     )
-    perturbed = AcceptanceSuite(k_nodes=128, berry_nmax=40).run([6])[0]
+    perturbed = AcceptanceSuite(k_nodes=128).run([6])[0]
     assert not perturbed.passed
 
 

@@ -81,12 +81,13 @@ class TestEigFamily:
             overlap = abs(np.vdot(rotated, jc_family.vectors[k]))
             assert overlap >= 1.0 - 1e-10
 
-    def test_finer_grid_improves_overlap(self):
-        # K = 16 is too coarse for the default continuity threshold here, so
-        # relax it for the comparison
+    def test_finer_grid_improves_overlap(self, monkeypatch):
+        # K = 16 is too coarse for the continuity threshold here, so relax it
+        # for the comparison
+        monkeypatch.setattr(berry_module, "CONTINUITY_THRESHOLD", 0.9)
         p = ModelParams(Omega=1.0, g=0.4)
-        coarse = eig_family("rabi", p, 1, 16, CFG, threshold=0.9)
-        fine = eig_family("rabi", p, 1, 32, CFG, threshold=0.9)
+        coarse = eig_family("rabi", p, 1, 16, CFG)
+        fine = eig_family("rabi", p, 1, 32, CFG)
         assert fine.min_step_overlap > coarse.min_step_overlap
 
     @pytest.mark.parametrize("K", [8, 65])
@@ -148,9 +149,10 @@ class TestEigFamily:
             eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 32, CFG)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_every_model_frame_passes_the_sector_split(self, kind):
+    def test_every_model_frame_passes_the_sector_split(self, kind, monkeypatch):
+        monkeypatch.setattr(berry_module, "CONTINUITY_THRESHOLD", 0.9)
         p = ModelParams(Omega=1.2, g=0.4)
-        fam = eig_family(kind, p, 1, 16, CFG, threshold=0.9)
+        fam = eig_family(kind, p, 1, 16, CFG)
         es = hermitian_eig(build_hamiltonian(kind, p, CFG))
         assert fam.energy == pytest.approx(es.values[1], abs=1e-12)
 

@@ -5,11 +5,13 @@ reference is the gated dense solve of the full rotated Hamiltonian at every
 node of the loop.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jcrabi import ModelParams, TruncationConfig, eig_family, hermitian_eig
+from jcrabi import ModelParams, TruncationConfig, berry, eig_family, hermitian_eig
 from jcrabi.models import ModelKind, build_hamiltonian, rotate_hamiltonian
 
 CFG = TruncationConfig(20)
@@ -31,7 +33,8 @@ def test_every_node_matches_dense_solve_of_rotated_hamiltonian(model, Omega, g, 
     assume(min(values[level + 1] - values[level],
                values[level] - values[level - 1] if level else np.inf) > MIN_GAP)
 
-    fam = eig_family(model, p, level, K, CFG, threshold=0.9)
+    with patch.object(berry, "CONTINUITY_THRESHOLD", 0.9):
+        fam = eig_family(model, p, level, K, CFG)
     for k, phi in enumerate(fam.phi_grid):
         es = hermitian_eig(rotate_hamiltonian(h0, phi, CFG))
         assert abs(np.vdot(es.vectors[:, level], fam.vectors[k])) >= 1.0 - 1e-10, k

@@ -206,6 +206,16 @@ class TestWriteCsvShape:
         assert f"got {got}" in str(info.value)
         assert not path.exists()
 
+    @pytest.mark.parametrize("rows", [[["x"]], [[{}]], np.array([["1", "y"]])])
+    def test_entries_must_be_numbers(self, tmp_path, rows):
+        # a table of the right shape is not reported as ragged
+        path = tmp_path / "bad.csv"
+        width = np.shape(rows)[1]
+        with pytest.raises(ValueError, match="table entries must be numbers") as info:
+            write_csv(path, ["a", "b"][:width], rows, {})
+        assert "ragged" not in str(info.value)
+        assert not path.exists()
+
     def test_header_needs_a_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="at least one column"):

@@ -11,8 +11,10 @@ from jcrabi import (
     convergence_study,
     ground_crossing,
     jc_doublet_analytic,
+    spectra,
     spectrum_sweep,
 )
+from jcrabi.cli import main
 from jcrabi.linalg import ConvergenceError
 from jcrabi.models import ModelKind, build_jc
 from jcrabi.spectra import NoCrossingError, _bisect
@@ -167,6 +169,35 @@ class TestGroundCrossing:
             ground_crossing(P_RES, CFG, g_lo, g_hi)
 
 
+def lift_even_sector(monkeypatch, shift=10.0):
+    """Shift the even diagonal of spectra.parity_sectors up by ``shift``, so
+    the lowest even level stays above |1>|0> across every bracket used here."""
+    real = spectra.parity_sectors
+
+    def lifted(kind, p, cfg):
+        diag, off = real(kind, p, cfg)
+        return diag + [[shift], [0.0]], off
+
+    monkeypatch.setattr(spectra, "parity_sectors", lifted)
+
+
+class TestNoLevelCrossing:
+    def test_refused_naming_the_bracket(self, monkeypatch):
+        lift_even_sector(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                r"numerical route found no level crossing in \[0\.3, 1\.2\]")) as info:
+            ground_crossing(P_RES, TruncationConfig(40), 0.3, 1.2)
+        # g* is bracketed: this is a numerical refusal, not bad input
+        assert not isinstance(info.value, NoCrossingError)
+
+    def test_cli_exits_numerical(self, monkeypatch, tmp_path, capsys):
+        lift_even_sector(monkeypatch)
+        assert main(["crossing", "--nmax", "40", "--out", str(tmp_path)]) == 2
+        assert ("numerical failure: numerical route found no level crossing in "
+                "[0.3, 1.2]") in capsys.readouterr().err
+        assert not (tmp_path / "crossing.json").exists()
+
+
 class TestConvergence:
     def test_jc_blocks_decouple(self):
         tab = convergence_study(ModelKind.JC_LAB, P_RES, 0.7, 5, [12, 24, 48])
@@ -221,6 +252,14 @@ def perturb_eigvalsh(monkeypatch, call, sector, index, delta=1e-6):
     monkeypatch.setattr(np.linalg, "eigvalsh", patched)
 
 
+@pytest.fixture
+def forbid_eigh(monkeypatch):
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called on a values-only path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+
+
 class TestSturmGate:
     def test_sweep_names_coupling_sector_and_level(self, monkeypatch):
         perturb_eigvalsh(monkeypatch, call=1, sector=1, index=2)
@@ -248,11 +287,19 @@ class TestSturmGate:
         exact = np.sort(np.diag(build_jc(P_RES, CFG)))
         assert np.array_equal(table.levels[0], exact)
 
-    def test_values_only_paths_compute_no_vectors(self, monkeypatch):
-        def no_vectors(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh called on a values-only path")
+    def test_crossing_names_coupling_and_even_sector(self, monkeypatch):
+        # the crossing solves the even sector alone: call 0 is the g_lo edge
+        perturb_eigvalsh(monkeypatch, call=0, sector=0, index=0)
+        with pytest.raises(ConvergenceError, match=(
+                r"eigenvalue 0 = .* of the even jc sector at g=0\.3, n_max=60 "
+                r"fails the Sturm count")):
+            ground_crossing(P_RES, CFG, 0.3, 1.2)
 
-        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    def test_values_only_paths_compute_no_vectors(self, forbid_eigh):
         spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1, 0.5], 11, CFG)
         convergence_study(ModelKind.JC_LAB, P_RES, 0.5, 11, [20, 40])
         bloch_siegert(P_RES, 0.1, 2, CFG)
+
+    def test_crossing_computes_no_vectors(self, forbid_eigh):
+        res = ground_crossing(P_RES, CFG, 0.3, 1.2)
+        assert abs(res.numerical_g - res.analytic_g) <= 1e-8

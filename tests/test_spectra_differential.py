@@ -1,8 +1,8 @@
 """Differential tests of the parity-sector spectra against the dense path.
 
-spectrum_sweep, convergence_study, bloch_siegert and ground_crossing solve
-the two closed-form parity sectors; the reference is the gated dense solve
-of the joint-space Hamiltonian.
+spectrum_sweep, convergence_study and bloch_siegert solve the two
+closed-form parity sectors and ground_crossing the even one; the reference
+is the gated dense solve of the joint-space Hamiltonian.
 """
 
 import numpy as np
@@ -102,8 +102,11 @@ def dense_overlap_crossing(p, cfg, g_lo, g_hi):
     return 0.5 * (lo + hi)
 
 
+# g_hi = 2.0 and 2.5 reach past the n = 1 -> n = 2 ground crossing (near
+# g = 1.707 on resonance), where the lowest odd level leaves |1>|0>
+@pytest.mark.parametrize("g_hi", [1.2, 2.0, 2.5])
 @pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
-def test_crossing_matches_dense_overlap_bisection(Omega):
+def test_crossing_matches_dense_overlap_bisection(Omega, g_hi):
     p, cfg = ModelParams(Omega=Omega), TruncationConfig(60)
-    res = ground_crossing(p, cfg, 0.3, 1.2)
-    assert abs(res.numerical_g - dense_overlap_crossing(p, cfg, 0.3, 1.2)) <= 1e-8
+    res = ground_crossing(p, cfg, 0.3, g_hi)
+    assert abs(res.numerical_g - dense_overlap_crossing(p, cfg, 0.3, g_hi)) <= 1e-8
