@@ -5,7 +5,8 @@ H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  eig_family solves the two
 parity sectors of H once, from their bands (models.parity_sectors), builds
 the path on the loop grid (loop_grid) from models.phase_factors, and gates
-every node against the dense H'(phi_k).
+every node on H'(phi_k) psi_k, computed from the nonzero diagonals of the
+dense H(0).
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -46,7 +47,6 @@ from .models import (
     parity_chains,
     parity_sectors,
     phase_factors,
-    rotate_hamiltonian,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -153,6 +153,28 @@ def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
         )
 
 
+def _diagonals(h: np.ndarray):
+    """The nonzero diagonals of a square H, one (rows, cols, band) triple per
+    offset o of a nonzero entry (a NaN counts): rows and cols are the slices
+    of the index pairs (i, i + o), and band holds the entries H[i, i + o]."""
+    dim = h.shape[0]
+    rows, cols = np.nonzero(h)
+    diagonals = []
+    for o in np.unique(cols - rows).tolist():
+        lo, hi = max(0, -o), min(dim, dim - o)
+        diagonals.append((slice(lo, hi), slice(lo + o, hi + o), np.diagonal(h, o)))
+    return diagonals
+
+
+def _rotated_diagonals(diagonals, d: np.ndarray):
+    """The same diagonals of U H U^dag for U = diag(d): one (rows, cols,
+    entries) triple each, entries[i] = H_ij (d_i conj(d_j)), the operations
+    of models.rotate_hamiltonian's entrywise product, so every entry equals
+    the dense one bit for bit."""
+    dc = d.conj()
+    return [(rows, cols, band * (d[rows] * dc[cols])) for rows, cols, band in diagonals]
+
+
 def eig_family(
     kind,
     p: ModelParams,
@@ -171,8 +193,11 @@ def eig_family(
     Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
     energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
     CONTINUITY_THRESHOLD (a grid too coarse for the level's spread in n) raises
-    TrackingError, and the pair passes residual_gate against the dense
-    rotate_hamiltonian(H(0), phi_k), so a failure names its phi node.
+    TrackingError, and the pair passes residual_gate on H'(phi_k) psi_k, so
+    a failure names its phi node.  That product reads every nonzero
+    diagonal of the dense H(0) (np.nonzero, whatever the sector structure),
+    and each entry H_ij d_i conj(d_j) it uses is bitwise the dense
+    rotate_hamiltonian(H(0), phi_k) entry; only exact zeros are skipped.
 
     A level whose gap to its neighbours in the merged two-sector spectrum
     is below DEGENERACY_GAP has no single-level phase: TrackingError at
@@ -204,18 +229,23 @@ def eig_family(
     psi0 = np.zeros(dim, dtype=complex)
     psi0[chains[sector]] = systems[sector].vectors[:, col]
 
+    diagonals = _diagonals(h0)
     vectors = np.empty((K + 1, dim), dtype=complex)
     min_overlap = 1.0
 
     for k, phi in enumerate(phi_grid):
-        np.multiply(phase_factors(phi, cfg), psi0, out=vectors[k])
+        d = phase_factors(phi, cfg)
+        v = vectors[k]
+        np.multiply(d, psi0, out=v)
         if k > 0:
-            overlap = float(abs(np.vdot(vectors[k - 1], vectors[k])))
+            overlap = float(abs(np.vdot(vectors[k - 1], v)))
             if overlap < CONTINUITY_THRESHOLD:
                 raise _overlap_lost(k, overlap, CONTINUITY_THRESHOLD)
             min_overlap = min(min_overlap, overlap)
-        hk = rotate_hamiltonian(h0, phi, cfg)
-        residual_gate(hk, energy, vectors[k], maxabs, f"at phi node {k}")
+        hv = np.zeros(dim, dtype=complex)
+        for rows, cols, entries in _rotated_diagonals(diagonals, d):
+            hv[rows] += entries * v[cols]
+        residual_gate(hv, energy, v, maxabs, f"at phi node {k}")
 
     return TrackedFamily(phi_grid, vectors, float(energy), min_overlap)
 

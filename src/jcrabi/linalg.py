@@ -24,9 +24,10 @@ the sectors are solved in one of two ways:
 Both merge the sector spectra in _merge, which owns the level numbering.
 The full joint-space matrices still come to hermitian_eig from the dense
 oracle paths (generator_phase, the acceptance gate's dense checks, the
-tests).  residual_gate is also applied on its own to each node
-U(phi_k)|psi_0> of a Berry-loop eigenpath, against the dense rotated
-H'(phi_k).
+tests).  residual_gate takes the products A v rather than A, so it is also
+applied on its own to each node U(phi_k)|psi_0> of a Berry-loop eigenpath,
+whose product H'(phi_k) psi_k berry.eig_family computes from the nonzero
+diagonals of the dense H(0).
 """
 
 from __future__ import annotations
@@ -83,12 +84,13 @@ class EigenSystem:
     residual: float
 
 
-def residual_gate(a, values, vectors, maxabs: float, where: str) -> float:
+def residual_gate(av, values, vectors, maxabs: float, where: str) -> float:
     """max_i |A v_i - lambda_i v_i|_inf over the given eigenpairs (columns of
-    ``vectors``, or one vector and a scalar value); unless it is at most
+    ``vectors``, or one vector and a scalar value), given the products
+    ``av`` = A v in the shape of ``vectors``; unless it is at most
     EIG_RTOL * max|A| (so also when it is NaN) it raises ConvergenceError,
     with ``where`` naming the matrix."""
-    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
+    residual = float(np.max(np.abs(av - vectors * values)))
     bound = EIG_RTOL * maxabs
     if not residual <= bound:
         raise ConvergenceError(
@@ -133,7 +135,7 @@ def hermitian_eig(a) -> EigenSystem:
             f"within the solver's iteration cap ({exc})"
         ) from exc
 
-    residual = residual_gate(a, values, vectors, maxabs, f"for a dim={n} matrix")
+    residual = residual_gate(a @ vectors, values, vectors, maxabs, f"for a dim={n} matrix")
     return EigenSystem(values, vectors, residual)
 
 

@@ -17,10 +17,13 @@ sectors of size n_max + 1, in closed form for both chains at once, in the
 chain order of parity_chains.  The dense joint-space builders are the
 oracle they are tested against, and the input to rotate_hamiltonian.
 
-Phase-space rotations use U(phi) = exp(-i n_hat phi); rotated Hamiltonians
-are always computed by explicit conjugation U H U^dag in rotate_hamiltonian,
-never by transcribing a closed-form rotated expression.  Both builders
-return real (float64) matrices; every rotated H'(phi) is complex.
+Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
+phase_factors(phi).  A rotated Hamiltonian is always the explicit
+conjugation U H U^dag, entry by entry H_ij d_i conj(d_j), never a
+transcribed closed-form rotated expression.  rotate_hamiltonian forms it
+densely; it is the test oracle for the Berry-loop gate (berry.eig_family),
+which forms the same entries on the nonzero diagonals of H only.  Both
+builders return real (float64) matrices; every rotated H'(phi) is complex.
 """
 
 from __future__ import annotations
@@ -107,11 +110,14 @@ def phase_factors(phi: float, cfg: TruncationConfig) -> np.ndarray:
 
 
 def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
-    """U(phi) H U(phi)^dag, Hermitian to rounding for a Hermitian H.
+    """U(phi) H U(phi)^dag as a dense matrix, Hermitian to rounding for a
+    Hermitian H.
 
     U(phi) is diagonal, so the conjugation is one entrywise product,
     H_ij d_i conj(d_j), in O(dim^2).  The spectrum is invariant under the
-    rotation.  The result is complex whatever the dtype of H.
+    rotation.  The result is complex whatever the dtype of H.  The dense
+    oracle of the tests: berry.eig_family forms the same entries, bit for
+    bit, on the nonzero diagonals of H alone.
     """
     h = np.asarray(h)
     if h.shape != (cfg.dim_joint, cfg.dim_joint):

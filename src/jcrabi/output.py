@@ -44,6 +44,11 @@ def _table(rows, n_cols: int) -> np.ndarray:
         table = table.reshape(0, n_cols)
     if table.ndim != 2 or table.shape[1] != n_cols:
         raise ValueError(f"{expected}, got shape {table.shape}")
+    # the conversion turns None into NaN, so only a NaN can hide one
+    for flat in np.flatnonzero(np.isnan(table)).tolist():
+        i, j = divmod(flat, n_cols)
+        if rows[i][j] is None:
+            raise ValueError(f"table entries must be numbers: None in row {i}, column {j}")
     return table
 
 

@@ -37,6 +37,16 @@ def rabi_family():
     return eig_family("rabi", P_RABI, 1, 128, CFG_RABI)
 
 
+def dense_from_diagonals(rotated, dim):
+    """The rotated diagonals of berry._rotated_diagonals scattered into a
+    dense dim x dim array, zero elsewhere."""
+    idx = np.arange(dim)
+    dense = np.zeros((dim, dim), dtype=complex)
+    for rows, cols, entries in rotated:
+        dense[idx[rows], idx[cols]] = entries
+    return dense
+
+
 def loop(fam):
     """The (phi_grid, vectors) path of a tracked family."""
     return fam.phi_grid, fam.vectors
@@ -119,20 +129,26 @@ class TestEigFamily:
             assert abs(es.values[j] - fam.energy) <= 1e-12
 
     def test_perturbed_eigenvalue_fails_gate_at_its_node(self, monkeypatch):
-        # +1e-6 on the |2>|0> diagonal entry of H'(phi_5): the tracked
-        # resonant doublet has weight 1/2 there, so only node 5 fails the gate
+        # +1e-6 on the |2>|0> diagonal entry of H'(phi_5) as the gate
+        # computes it: the tracked resonant doublet has weight 1/2 there, so
+        # node 5 fails the gate and nodes 0 to 4 pass it
         K = 32
-        true_rotate = berry_module.rotate_hamiltonian
+        true_rotated = berry_module._rotated_diagonals
+        d5 = phase_factors(TWO_PI * 5 / K, CFG)
+        nodes = []
 
-        def perturbed(h, phi, cfg):
-            hk = true_rotate(h, phi, cfg)
-            if phi == TWO_PI * 5 / K:
-                hk[0, 0] += 1e-6
-            return hk
+        def perturbed(diagonals, d):
+            rotated = true_rotated(diagonals, d)
+            nodes.append(len(nodes))
+            if np.array_equal(d, d5):
+                entries = next(e for rows, cols, e in rotated if rows == cols)
+                entries[0] += 1e-6
+            return rotated
 
-        monkeypatch.setattr(berry_module, "rotate_hamiltonian", perturbed)
-        with pytest.raises(ConvergenceError, match="phi node 5"):
+        monkeypatch.setattr(berry_module, "_rotated_diagonals", perturbed)
+        with pytest.raises(ConvergenceError, match="at phi node 5 exceeds"):
             eig_family("jc", P_RES, 1, K, CFG)
+        assert nodes == [0, 1, 2, 3, 4, 5]
 
     def test_degenerate_level_refusal_names_level_and_gap(self):
         with pytest.raises(TrackingError, match=r"phi node 0: level 1 is degenerate \(gap "):
@@ -181,6 +197,72 @@ class TestEigFamily:
         # every step of U(phi)|psi_0> has the same overlap, 0.9696 here
         with pytest.raises(TrackingError, match="phi node 1: step overlap"):
             eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 16, CFG)
+
+
+K_GATE = 720
+GATE_NODES = (0, 5, K_GATE // 4, K_GATE // 2)
+GATE_CASES = [(model, n_max) for model in ("jc", "rabi") for n_max in (30, 150)]
+P_GATE = ModelParams(Omega=1.2, g=0.4)
+
+
+class TestNodeGate:
+    """Differential tests of the per-node gate against the dense H'(phi_k)."""
+
+    @pytest.mark.parametrize("model, n_max", GATE_CASES)
+    def test_gate_entries_equal_dense_rotation(self, model, n_max):
+        cfg = TruncationConfig(n_max)
+        h0 = build_hamiltonian(ModelKind(model), P_GATE, cfg)
+        diagonals = berry_module._diagonals(h0)
+        for k in GATE_NODES:
+            phi = loop_grid(K_GATE)[k]
+            rotated = berry_module._rotated_diagonals(diagonals, phase_factors(phi, cfg))
+            dense = dense_from_diagonals(rotated, cfg.dim_joint)
+            assert np.array_equal(dense, rotate_hamiltonian(h0, phi, cfg)), k
+
+    @pytest.mark.parametrize("model, offsets, nonzeros", [
+        ("jc", [-152, 0, 152], 602),
+        ("rabi", [-152, -150, 0, 150, 152], 902),
+    ])
+    def test_diagonals_are_those_of_h0(self, model, offsets, nonzeros):
+        cfg = TruncationConfig(150)
+        diagonals = berry_module._diagonals(build_hamiltonian(ModelKind(model), P_GATE, cfg))
+        assert [cols.start - rows.start for rows, cols, _ in diagonals] == offsets
+        assert sum(np.count_nonzero(band) for _, _, band in diagonals) == nonzeros
+
+    @pytest.mark.parametrize("model, n_max", GATE_CASES)
+    def test_gate_residual_matches_dense_residual(self, model, n_max, monkeypatch):
+        true_gate = berry_module.residual_gate
+        residuals = []
+
+        def spy(*args):
+            residuals.append(true_gate(*args))
+            return residuals[-1]
+
+        monkeypatch.setattr(berry_module, "residual_gate", spy)
+        cfg = TruncationConfig(n_max)
+        fam = eig_family(model, P_GATE, 1, K_GATE, cfg)
+        assert len(residuals) == K_GATE + 1
+        h0 = build_hamiltonian(ModelKind(model), P_GATE, cfg)
+        maxabs = np.max(np.abs(h0))
+        for k in GATE_NODES:
+            v = fam.vectors[k]
+            hk = rotate_hamiltonian(h0, fam.phi_grid[k], cfg)
+            dense = np.max(np.abs(hk @ v - fam.energy * v))
+            assert abs(residuals[k] - dense) <= 1e-15 * maxabs, k
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_stray_entry_enters_the_gate(self, model, monkeypatch):
+        # offset 2 is a diagonal neither model has: the gate still reads it,
+        # so its diagonals come from H(0) and not from the sector structure
+        def stray(kind, p, cfg):
+            h = build_hamiltonian(kind, p, cfg)
+            h[0, 2] = h[2, 0] = 1e-3
+            return h
+
+        monkeypatch.setattr(berry_module, "build_hamiltonian", stray)
+        monkeypatch.setattr(berry_module, "_check_sector_split", lambda *args: None)
+        with pytest.raises(ConvergenceError, match="at phi node 0 exceeds"):
+            eig_family(model, P_GATE, 1, 64, CFG)
 
 
 @pytest.mark.parametrize("model, level", [("jc", 1), ("jc", 3), ("jc", 5), ("rabi", 1)])

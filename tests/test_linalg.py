@@ -152,22 +152,24 @@ class TestResidualGate:
         maxabs = 2.0
         # a wrong eigenvalue just inside and just outside EIG_RTOL * max|A|
         inside = 1.0 + 0.5 * EIG_RTOL * maxabs
-        assert residual_gate(a, inside, v, maxabs, "here") == pytest.approx(0.5 * EIG_RTOL * maxabs)
+        assert residual_gate(a @ v, inside, v, maxabs, "here") == pytest.approx(0.5 * EIG_RTOL * maxabs)
         with pytest.raises(ConvergenceError, match="here"):
-            residual_gate(a, 1.0 + 2.0 * EIG_RTOL * maxabs, v, maxabs, "here")
+            residual_gate(a @ v, 1.0 + 2.0 * EIG_RTOL * maxabs, v, maxabs, "here")
 
     def test_checks_every_column(self):
         a = np.diag([1.0, 2.0, 3.0])
         values = np.array([1.0, 2.0, 3.0 + 1e-6])
+        v = np.eye(3)
         with pytest.raises(ConvergenceError):
-            residual_gate(a, values, np.eye(3), 3.0, "for a dim=3 matrix")
-        assert residual_gate(a, values[:2], np.eye(3)[:, :2], 3.0, "") == 0.0
+            residual_gate(a @ v, values, v, 3.0, "for a dim=3 matrix")
+        assert residual_gate(a @ v[:, :2], values[:2], v[:, :2], 3.0, "") == 0.0
 
     def test_nan_residual_rejected(self):
         # a NaN eigenvalue compares false against the bound either way; the
         # gate passes only a residual that is at most the bound
+        v = np.array([1.0, 0.0])
         with pytest.raises(ConvergenceError, match="here"):
-            residual_gate(np.diag([1.0, 2.0]), np.nan, np.array([1.0, 0.0]), 2.0, "here")
+            residual_gate(np.diag([1.0, 2.0]) @ v, np.nan, v, 2.0, "here")
 
 
 def random_tridiagonal(m, rng, jc_links=False):

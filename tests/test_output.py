@@ -216,6 +216,16 @@ class TestWriteCsvShape:
         assert "ragged" not in str(info.value)
         assert not path.exists()
 
+    @pytest.mark.parametrize("rows", [[[None, 1.0]], [[1.0, 2.0], [3.0, None]],
+                                      np.array([[1.0, None]], dtype=object)])
+    def test_none_entries_refused(self, tmp_path, rows):
+        # np.asarray reads None as NaN; a NaN number is still written
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="table entries must be numbers: None in row"):
+            write_csv(path, ["a", "b"], rows, {})
+        assert not path.exists()
+        assert write_csv(path, ["a", "b"], [[float("nan"), 1.0]], {}).read_text() == "a,b\nnan,1\n"
+
     def test_header_needs_a_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="at least one column"):
