@@ -11,12 +11,15 @@ given as bands: diag of shape (2, m) and off of shape (2, m - 1), m =
 n_max + 1.  tridiagonal assembles the stacked (2, m, m) LAPACK input, and
 the sectors are solved in one of two ways:
 
-* values only: merged_levels solves each point's sectors with one stacked
-  np.linalg.eigvalsh and gates each kept value with a Sturm count
-  (sturm_count, an LDL^T inertia count on the bands that needs no
-  eigensolver) before merging.  The spectrum sweeps, convergence studies,
-  Bloch-Siegert values and the numerical crossing (the even sector alone)
-  take this path.
+* values only: merged_levels reads the structure from the bands.  A block
+  row with no two adjacent nonzero links (a JC sector, or any sector at
+  g = 0) is a set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values
+  _pair_eigvalsh gives in closed form for all points at once; any other
+  block row is solved point by point with one stacked np.linalg.eigvalsh.
+  Each kept value is then gated with a Sturm count (sturm_count, an LDL^T
+  inertia count on the full bands that needs no eigensolver) before
+  merging.  The spectrum sweeps, convergence studies, Bloch-Siegert values
+  and the numerical crossing (the even sector alone) take this path.
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  Only the
   Berry loop, berry.eig_family, needs the vectors.
@@ -213,13 +216,49 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
     return count
 
 
+def _pair_eigvalsh(diag, off) -> np.ndarray:
+    """Ascending eigenvalues of symmetric tridiagonal matrices none of whose
+    nonzero links are adjacent, stacked as in tridiagonal: shape (..., m).
+
+    Such a matrix is a direct sum of 1 x 1 blocks, which keep their
+    diagonal entry, and of 2 x 2 blocks [[a, e], [e, c]] at each nonzero
+    link e.  With s = (a - c)/2, h = hypot(s, e) and t = e^2 / (h + |s|),
+    the pair's values are min(a, c) - t and max(a, c) + t: the form of
+    (a + c)/2 -/+ h that subtracts nothing close, so the shift t of a small
+    link keeps its relative accuracy and a zero link leaves a and c exact.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    a, c = diag[..., :-1], diag[..., 1:]
+    # in place, so the sweep's (points, 2, m) stack gets few temporaries
+    denom = np.abs(a - c)
+    denom *= 0.5
+    denom += np.hypot(denom, off)
+    t = off * off  # stays 0 where h + |s| = 0, since then e = 0
+    np.divide(t, denom, out=t, where=denom > 0)
+    linked = off != 0
+    values = diag.copy()
+    pair = np.minimum(a, c, out=denom)
+    pair -= t
+    np.copyto(values[..., :-1], pair, where=linked)
+    np.maximum(a, c, out=pair)
+    pair += t
+    np.copyto(values[..., 1:], pair, where=linked)
+    values.sort(axis=-1)
+    return values
+
+
 def merged_levels(points, k: int, where) -> np.ndarray:
     """The k lowest levels at each point, from the bands of its blocks.
 
     ``points`` holds one (diag, off) pair per point, as block_eig takes it,
-    all of the same shape.  Each point's blocks are solved by one stacked
-    np.linalg.eigvalsh and merged as block_eig merges them, so the level
-    numbering is the same; the points are then checked in one batch.
+    all of the same shape.  A block row none of whose points has two
+    adjacent nonzero links (every JC parity sector, and any sector at g = 0)
+    is a set of decoupled pairs: its values come from the closed form of
+    _pair_eigvalsh, over all points at once.  Every other block row is
+    solved point by point with one stacked np.linalg.eigvalsh.  The blocks
+    are merged as block_eig merges them, so the level numbering is the
+    same; the points are then checked in one batch.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
@@ -230,14 +269,21 @@ def merged_levels(points, k: int, where) -> np.ndarray:
     if not points:
         return np.empty((0, k))
     diag, off = (np.stack(part) for part in zip(*points))
-    try:
-        values = np.stack([np.linalg.eigvalsh(tridiagonal(d, o))[..., :k]
-                           for d, o in zip(diag, off)])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
-        raise ConvergenceError(
-            f"eigenvalues of dim={diag.shape[-1]} blocks did not converge "
-            f"within the solver's iteration cap ({exc})"
-        ) from exc
+    linked = off != 0
+    pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
+    values = np.empty(diag.shape[:-1] + (min(k, diag.shape[-1]),))
+    if np.any(pairs):
+        values[:, pairs] = _pair_eigvalsh(diag[:, pairs], off[:, pairs])[..., :k]
+    rest = ~pairs
+    if np.any(rest):
+        try:
+            values[:, rest] = np.stack([np.linalg.eigvalsh(tridiagonal(d[rest], o[rest]))[..., :k]
+                                        for d, o in zip(diag, off)])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
+            raise ConvergenceError(
+                f"eigenvalues of dim={diag.shape[-1]} blocks did not converge "
+                f"within the solver's iteration cap ({exc})"
+            ) from exc
     scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
     kb = values.shape[-1]
     merged, order = _merge(values)

@@ -5,11 +5,16 @@ Every one-shot solve here runs on the parity sectors, given by the
 closed-form bands of models.parity_sectors, and needs eigenvalues only:
 linalg.merged_levels solves each point's sectors, gates the kept values with
 a Sturm count on the bands (in one batch per sweep) and merges them into one
-ascending spectrum.  The sweeps, convergence studies and Bloch-Siegert values
-read both sectors; the numerical crossing reads the even one alone.  No
-eigenvector is computed here (only the Berry loop, berry.eig_family, reads
-vectors).  The dense joint-space builders are not called; they stay the
-oracle the tests compare these results with.
+ascending spectrum.  A JC sector, which conserves excitation number, is a
+direct sum of the dressed doublets |2>|n-1>, |1>|n> and the empty state
+|1>|0>, so merged_levels solves it in closed form; a Rabi sector at g != 0
+goes to np.linalg.eigvalsh.  The sweeps, convergence studies and
+Bloch-Siegert values read both sectors (Bloch-Siegert solves the two models
+in separate calls, so the JC half keeps the closed form); the numerical
+crossing reads the even JC sector alone.  No eigenvector is computed here
+(only the Berry loop, berry.eig_family, reads vectors).  The dense
+joint-space builders are not called; they stay the oracle the tests compare
+these results with.
 """
 
 from __future__ import annotations
@@ -86,9 +91,9 @@ def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -
             f"got {level!r}"
         )
     pg = p.with_g(g)
-    jc, rabi = _sector_levels(
-        [(ModelKind.JC_LAB, pg, cfg), (ModelKind.RABI_LAB, pg, cfg)], level + 1
-    )
+    # one call per model, so the JC sectors keep the closed-form pair path
+    jc, rabi = (_sector_levels([(kind, pg, cfg)], level + 1)[0]
+                for kind in (ModelKind.JC_LAB, ModelKind.RABI_LAB))
     e_jc = jc[level] - jc[0]
     e_rabi = rabi[level] - rabi[0]
     if abs(e_jc) < 1e-12:

@@ -8,6 +8,7 @@ from jcrabi import (
     commutator_deviation,
     hermitian_eig,
 )
+from jcrabi import linalg
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
@@ -275,24 +276,99 @@ class TestSturmCount:
             sturm_count(np.zeros(4), np.zeros(4), [0.0])
 
 
+def jc_pattern_bands(m, rng):
+    """Three stacked blocks with the JC link pattern: random links with a
+    zero among them, ties a == c on every live link, and links of 1e-9."""
+    diag = rng.standard_normal((3, m))
+    off = rng.standard_normal((3, m - 1))
+    off[:, 1::2] = 0.0
+    off[0, ::4] = 0.0
+    diag[1, 1::2] = diag[1, 0:m - 1:2]
+    off[2, ::2] = 1e-9
+    return diag, off
+
+
+class TestPairEigvalsh:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 101, 501])
+    def test_matches_eigvalsh_on_jc_pattern(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            diag, off = jc_pattern_bands(m, rng)
+            values = linalg._pair_eigvalsh(diag, off)
+            reference = np.linalg.eigvalsh(tridiagonal(diag, off))
+            scale = np.maximum(np.max(np.abs(diag), axis=-1),
+                               np.max(np.abs(off), axis=-1, initial=0.0))
+            eps = np.finfo(float).eps
+            assert np.all(np.max(np.abs(values - reference), axis=-1) <= 4 * eps * scale)
+
+    def test_stacked_points_match_one_by_one(self):
+        diag, off = jc_pattern_bands(9, np.random.default_rng(2))
+        stacked = linalg._pair_eigvalsh(diag, off)
+        for b in range(3):
+            assert np.array_equal(stacked[b], linalg._pair_eigvalsh(diag[b], off[b]))
+
+    def test_zero_links_give_the_sorted_diagonal(self):
+        diag = np.random.default_rng(1).standard_normal((2, 11))
+        assert np.array_equal(linalg._pair_eigvalsh(diag, np.zeros((2, 10))), np.sort(diag))
+
+    def test_tiny_link_shift_is_kept(self):
+        # [[0, e], [e, 1]], e = 1e-9: t = e^2 / (hypot(1/2, e) + 1/2) rounds
+        # to e^2, so the values are -e^2 and 1 + e^2 (which rounds to 1);
+        # the naive (a + c)/2 - hypot(s, e) gives 0 for the lower one
+        values = linalg._pair_eigvalsh([0.0, 1.0], [1e-9])
+        assert values[0] == -1e-18
+        assert values[1] == 1.0
+
+    def test_equal_diagonal_pair(self):
+        assert np.array_equal(linalg._pair_eigvalsh([2.0, 2.0, 5.0], [0.5, 0.0]), [1.5, 2.5, 5.0])
+
+
 def sector_label(point, block):
     return f"block {block} of point {point}"
 
 
 def perturb_eigvalsh(monkeypatch, call, block, index):
-    """Make np.linalg.eigvalsh add 1e-6 to value ``index`` of ``block`` on
-    its ``call``-th call (every call when None): a solver gone wrong."""
+    """Make np.linalg.eigvalsh add 1e-6 to value ``index`` of row ``block``
+    of its result on its ``call``-th call: a solver gone wrong.  The result holds only the blocks that do not split into
+    pairs, one call per point."""
     true_eigvalsh = np.linalg.eigvalsh
     calls = []
 
     def perturbed(a):
         values = true_eigvalsh(a)
         calls.append(a)
-        if call is None or len(calls) == call:
+        if len(calls) == call:
             values[block, index] += 1e-6
         return values
 
     monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+
+
+def perturb_pairs(monkeypatch, point, block, index):
+    """Make the closed-form pair solver add 1e-6 to value ``index`` of row
+    ``block`` at ``point`` on every call.  It is called once, on all points,
+    with only the blocks that split into pairs."""
+    true_pairs = linalg._pair_eigvalsh
+
+    def perturbed(diag, off):
+        values = true_pairs(diag, off)
+        values[point, block, index] += 1e-6
+        return values
+
+    monkeypatch.setattr(linalg, "_pair_eigvalsh", perturbed)
+
+
+def count_eigvalsh(monkeypatch):
+    """Record the shape of every np.linalg.eigvalsh input."""
+    true_eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return true_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
 
 
 class TestMergedLevels:
@@ -321,18 +397,50 @@ class TestMergedLevels:
     def test_perturbed_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
         points = [random_bands(6, rng) for _ in range(2)]
-        perturb_eigvalsh(monkeypatch, call=2, block=1, index=2)
+        # block 1 has the JC link pattern: it is the pair solver's row 0
+        perturb_pairs(monkeypatch, point=1, block=0, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 1 of point 1 fails the Sturm count"):
             merged_levels(points, 12, sector_label)
 
+    def test_perturbed_eigvalsh_value_is_rejected(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        points = [random_bands(6, rng) for _ in range(2)]
+        # block 0 has every link: eigvalsh solves it alone, once per point
+        perturb_eigvalsh(monkeypatch, call=2, block=0, index=2)
+        with pytest.raises(ConvergenceError,
+                           match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
+            merged_levels(points, 12, sector_label)
+
     def test_only_kept_values_are_gated(self, monkeypatch):
         bands = ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)))
-        perturb_eigvalsh(monkeypatch, call=None, block=1, index=1)
+        perturb_pairs(monkeypatch, point=0, block=1, index=1)
         # the largest value is wrong; two levels keep block 0 only
         assert np.array_equal(merged_levels([bands], 2, sector_label), [[0.0, 1.0]])
         with pytest.raises(ConvergenceError, match="eigenvalue 1 = .* of block 1 of point 0"):
             merged_levels([bands], 4, sector_label)
+
+    def test_blocks_of_pairs_skip_eigvalsh(self, monkeypatch):
+        shapes = count_eigvalsh(monkeypatch)
+        rng = np.random.default_rng(6)
+        jc_rows = [random_bands(7, rng) for _ in range(3)]
+        merged_levels([(d[1:], o[1:]) for d, o in jc_rows], 5, sector_label)
+        merged_levels([(d, np.zeros_like(o)) for d, o in jc_rows], 5, sector_label)
+        assert shapes == []
+        merged_levels(jc_rows, 5, sector_label)
+        assert shapes == [(1, 7, 7)] * 3
+
+    def test_one_point_with_adjacent_links_sends_the_row_to_eigvalsh(self, monkeypatch):
+        # the row splits into pairs only if it does so at every point
+        shapes = count_eigvalsh(monkeypatch)
+        rng = np.random.default_rng(10)
+        jc = random_tridiagonal(5, rng, jc_links=True)
+        full = random_tridiagonal(5, rng)
+        points = [(np.array([d]), np.array([o])) for d, o in (jc, full)]
+        levels = merged_levels(points, 5, sector_label)
+        assert shapes == [(1, 5, 5)] * 2
+        for row, (d, o) in zip(levels, (jc, full)):
+            assert np.max(np.abs(row - np.linalg.eigvalsh(dense(d, o)))) <= 1e-12
 
     def test_zero_block(self):
         levels = merged_levels([([[0.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))], 3, sector_label)

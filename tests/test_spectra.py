@@ -11,6 +11,7 @@ from jcrabi import (
     convergence_study,
     ground_crossing,
     jc_doublet_analytic,
+    linalg,
     spectra,
     spectrum_sweep,
 )
@@ -235,8 +236,9 @@ def perturb_eigvalsh(monkeypatch, call, sector, index, delta=1e-6):
     """Add delta to value ``index`` of ``sector`` in the ``call``-th
     np.linalg.eigvalsh result.
 
-    The values-only paths solve both sectors of a point in one stacked call,
-    point by point, so call i is point i and row s of its result sector s.
+    A Rabi sector at g != 0 is solved by eigvalsh, both sectors of a point
+    in one stacked call, point by point, so call i is point i and row s of
+    its result sector s.
     """
     real = np.linalg.eigvalsh
     calls = []
@@ -252,6 +254,26 @@ def perturb_eigvalsh(monkeypatch, call, sector, index, delta=1e-6):
     monkeypatch.setattr(np.linalg, "eigvalsh", patched)
 
 
+def perturb_pairs(monkeypatch, call, point, sector, index, delta=1e-6):
+    """Add delta to value ``index`` of ``sector`` at ``point`` in the
+    ``call``-th result of the closed-form pair solver.
+
+    A JC sector splits into pairs: each values-only solve sends all its
+    points to the pair solver in one call, so row s of point i is sector s.
+    """
+    real = linalg._pair_eigvalsh
+    calls = []
+
+    def patched(diag, off):
+        values = real(diag, off)
+        if len(calls) == call:
+            values[point, sector, index] += delta
+        calls.append(None)
+        return values
+
+    monkeypatch.setattr(linalg, "_pair_eigvalsh", patched)
+
+
 @pytest.fixture
 def forbid_eigh(monkeypatch):
     def no_vectors(*args, **kwargs):
@@ -260,9 +282,17 @@ def forbid_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_vectors)
 
 
+@pytest.fixture
+def forbid_eigvalsh(monkeypatch):
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called on sectors that split into pairs")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
+
+
 class TestSturmGate:
     def test_sweep_names_coupling_sector_and_level(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=1, sector=1, index=2)
+        perturb_pairs(monkeypatch, call=0, point=1, sector=1, index=2)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 2 = .* of the odd jc sector at g=0\.2, n_max=60 "
                 r"fails the Sturm count")):
@@ -275,7 +305,8 @@ class TestSturmGate:
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 11, [20, 30, 40])
 
     def test_bloch_siegert_names_model(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=1, sector=0, index=0)
+        # the JC half splits into pairs: the Rabi point is the only eigvalsh call
+        perturb_eigvalsh(monkeypatch, call=0, sector=0, index=0)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 0 = .* of the even rabi sector at g=0\.1, n_max=60 ")):
             bloch_siegert(P_RES, 0.1, 2, CFG)
@@ -287,9 +318,17 @@ class TestSturmGate:
         exact = np.sort(np.diag(build_jc(P_RES, CFG)))
         assert np.array_equal(table.levels[0], exact)
 
+    @pytest.mark.parametrize("Omega", [0.6, 0.83, 1.6])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_decoupled_levels_are_the_diagonal_off_resonance(self, kind, Omega):
+        # at g = 0 every level is a diagonal entry, to the last bit
+        p, cfg = ModelParams(Omega=Omega), TruncationConfig(100)
+        table = spectrum_sweep(kind, p, [0.0], cfg.dim_joint, cfg)
+        assert np.array_equal(table.levels[0], np.sort(np.diag(build_jc(p, cfg))))
+
     def test_crossing_names_coupling_and_even_sector(self, monkeypatch):
         # the crossing solves the even sector alone: call 0 is the g_lo edge
-        perturb_eigvalsh(monkeypatch, call=0, sector=0, index=0)
+        perturb_pairs(monkeypatch, call=0, point=0, sector=0, index=0)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 0 = .* of the even jc sector at g=0\.3, n_max=60 "
                 r"fails the Sturm count")):
@@ -303,3 +342,36 @@ class TestSturmGate:
     def test_crossing_computes_no_vectors(self, forbid_eigh):
         res = ground_crossing(P_RES, CFG, 0.3, 1.2)
         assert abs(res.numerical_g - res.analytic_g) <= 1e-8
+
+    def test_jc_paths_run_without_eigvalsh(self, forbid_eigvalsh):
+        spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.0, 0.1, 0.5], 11, CFG)
+        convergence_study(ModelKind.JC_LAB, P_RES, 0.5, 11, [20, 40])
+        res = ground_crossing(P_RES, CFG, 0.3, 1.2)
+        assert abs(res.numerical_g - res.analytic_g) <= 1e-8
+
+    def test_rabi_sweep_still_calls_eigvalsh(self, forbid_eigvalsh):
+        with pytest.raises(AssertionError, match="np.linalg.eigvalsh called"):
+            spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1], 11, CFG)
+
+    def test_bloch_siegert_sends_only_rabi_to_eigvalsh(self, monkeypatch):
+        real, shapes = np.linalg.eigvalsh, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        bloch_siegert(P_RES, 0.1, 2, CFG)
+        assert shapes == [(2, CFG.dim_field, CFG.dim_field)]
+
+
+class TestJuddianPoint:
+    @pytest.mark.parametrize("Omega", [0.5, 1.0, 1.5])
+    def test_first_juddian_levels_are_exact(self, Omega):
+        # the first exceptional point (Omega/2)^2 + 8 g^2 = omega^2: the even
+        # and odd sectors share the exact level omega - 2 g^2 / omega
+        # (Judd, J. Phys. C 12, 1685, 1979), with no truncation error
+        g = float(np.sqrt((1.0 - (Omega / 2) ** 2) / 8))
+        table = spectrum_sweep(ModelKind.RABI_LAB, ModelParams(Omega=Omega), [g], 4,
+                               TruncationConfig(300))
+        assert np.max(np.abs(table.levels[0, 2:4] - (1.0 - 2.0 * g * g))) <= 1e-12
