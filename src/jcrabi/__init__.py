@@ -56,8 +56,10 @@ from .berry import (
     TrackedFamily,
     TrackingError,
     DegenerateLevelError,
+    FockLoop,
     connection_curve,
     eig_family,
+    fock_loop,
     gauge_fix,
     generator_phase,
     wilson_loop,

@@ -2,11 +2,16 @@
 
 The loop is generated by U(phi) = exp(-i n_hat phi): the family
 H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
-eigenpath of one level is exactly U(phi)|psi_0>.  eig_family solves the two
-parity sectors of H once, from their bands (models.parity_sectors), builds
-the path on the loop grid (loop_grid) from models.phase_factors, and gates
-every node on H'(phi_k) psi_k, computed from the nonzero diagonals of the
-dense H(0).
+eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
+apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
+field occupation n, so every loop value is a closed form in p_n and the
+node count K.  fock_loop, which the command line runs, reads them off that
+form: it solves the two parity sectors of H once, from their bands
+(models.parity_sectors), gates psi_0 once on H(0) psi_0, and builds no
+node.  Its oracle is the node path: eig_family builds the eigenpath on the
+loop grid (loop_grid) from models.phase_factors and gates every node on
+H'(phi_k) psi_k, computed from the nonzero diagonals of the dense H(0); the
+two share one sector solve (_solve_level).
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -25,7 +30,8 @@ vector row per node of loop_grid(K), so they serve any family of states,
 not only Fock-space eigenpaths.  K is even and at least MIN_NODES, so every
 other node closes the loop again and each result carries its K/2 residual.
 connection_curve names its gauge: "parallel_transport" or
-"anchor_component" (gauge_fix).
+"anchor_component" (gauge_fix).  fock_loop returns the LoopResults these
+two give on the eigenpath.
 
 Increasing phi with U(phi) = exp(-i n_hat phi) defines the positive loop
 orientation; under it the resonant JC first excited state acquires +pi.
@@ -59,6 +65,8 @@ DEGENERACY_GAP = 1e-10
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
 # phase equal to pi up to rounding then reads +pi in every gauge.
 CUT_TOL = 1e-12
+# FockLoop.tail_weight sums p_n over this many of the highest occupations.
+TAIL_OCCUPATIONS = 10
 
 
 class TrackingError(RuntimeError):
@@ -175,38 +183,20 @@ def _rotated_diagonals(diagonals, d: np.ndarray):
     return [(rows, cols, band * (d[rows] * dc[cols])) for rows, cols, band in diagonals]
 
 
-def eig_family(
-    kind,
-    p: ModelParams,
-    level: int,
-    K: int,
-    cfg: TruncationConfig,
-) -> TrackedFamily:
-    """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
-    loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
+def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
+    """(H(0), max|H(0)|, psi_0, E) of one level, from one sector solve.
 
-    ``level`` is the eigenindex at phi = 0 (0 = ground state).  The two
-    parity sectors of H(0), given by their bands (models.parity_sectors),
-    are solved once by linalg.block_eig, which also numbers the levels; the
-    level's sector vector, placed on its chain (models.parity_chains), is
-    psi_0.
-    Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
-    energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
-    CONTINUITY_THRESHOLD (a grid too coarse for the level's spread in n) raises
-    TrackingError, and the pair passes residual_gate on H'(phi_k) psi_k, so
-    a failure names its phi node.  That product reads every nonzero
-    diagonal of the dense H(0) (np.nonzero, whatever the sector structure),
-    and each entry H_ij d_i conj(d_j) it uses is bitwise the dense
-    rotate_hamiltonian(H(0), phi_k) entry; only exact zeros are skipped.
-
-    A level whose gap to its neighbours in the merged two-sector spectrum
-    is below DEGENERACY_GAP has no single-level phase: TrackingError at
-    node 0.  A dense H(0) that differs from those bands placed on their
-    chains by more than HERMITICITY_RTOL * max|H| in any entry is a
-    ValueError.
+    The two parity sectors of H(0), given by their bands
+    (models.parity_sectors), are solved by linalg.block_eig, which also
+    numbers the levels; the level's sector vector, placed on its chain
+    (models.parity_chains), is the real joint-space vector psi_0.  A level
+    out of range or a dense H(0) that differs from those bands placed on
+    their chains by more than HERMITICITY_RTOL * max|H| in any entry is a
+    ValueError; a level whose gap to its neighbours in the merged
+    two-sector spectrum is below DEGENERACY_GAP has no single-level phase:
+    TrackingError at node 0.
     """
     kind = ModelKind(kind)
-    phi_grid = loop_grid(K)
     h0 = build_hamiltonian(kind, p, cfg)
     dim = h0.shape[0]
     if not 0 <= level < dim:
@@ -225,9 +215,37 @@ def eig_family(
             "the geometric phase of a single level is undefined there",
         )
     sector, col = divmod(int(order[level]), cfg.dim_field)
-    energy = systems[sector].values[col]
-    psi0 = np.zeros(dim, dtype=complex)
+    psi0 = np.zeros(dim)
     psi0[chains[sector]] = systems[sector].vectors[:, col]
+    return h0, maxabs, psi0, systems[sector].values[col]
+
+
+def eig_family(
+    kind,
+    p: ModelParams,
+    level: int,
+    K: int,
+    cfg: TruncationConfig,
+) -> TrackedFamily:
+    """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
+    loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
+
+    ``level`` is the eigenindex at phi = 0 (0 = ground state); psi_0, its
+    energy and the refusals of the sector solve are those of _solve_level.
+    Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
+    energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
+    CONTINUITY_THRESHOLD (a grid too coarse for the level's spread in n) raises
+    TrackingError, and the pair passes residual_gate on H'(phi_k) psi_k, so
+    a failure names its phi node.  That product reads every nonzero
+    diagonal of the dense H(0) (np.nonzero, whatever the sector structure),
+    and each entry H_ij d_i conj(d_j) it uses is bitwise the dense
+    rotate_hamiltonian(H(0), phi_k) entry; only exact zeros are skipped.
+    The command line reads the same loop in closed form (fock_loop); this
+    node-by-node path is its oracle.
+    """
+    phi_grid = loop_grid(K)
+    h0, maxabs, psi0, energy = _solve_level(kind, p, level, cfg)
+    dim = len(psi0)
 
     diagonals = _diagonals(h0)
     vectors = np.empty((K + 1, dim), dtype=complex)
@@ -250,6 +268,11 @@ def eig_family(
     return TrackedFamily(phi_grid, vectors, float(energy), min_overlap)
 
 
+def _check_gauge(gauge: str):
+    if gauge not in GAUGES:
+        raise ValueError(f"unknown gauge {gauge!r}; use one of {GAUGES}")
+
+
 def gauge_fix(vectors, gauge: str):
     """Rephase each row of ``vectors`` (one node each) by the named gauge.
 
@@ -259,8 +282,7 @@ def gauge_fix(vectors, gauge: str):
     ValueError naming the node.  Returns (rephased copy, tag), the tag being
     'parallel_transport' or 'anchor_component(<index>)'.
     """
-    if gauge not in GAUGES:
-        raise ValueError(f"unknown gauge {gauge!r}; use one of {GAUGES}")
+    _check_gauge(gauge)
     vectors = np.array(vectors, dtype=complex)
     if gauge == "parallel_transport":
         for k in range(1, len(vectors)):
@@ -390,6 +412,94 @@ def connection_curve(phi_grid, vectors, gauge: str) -> LoopResult:
     return LoopResult(
         wrap_phase(gamma), float(gamma), curve, tag, gamma_half, float(closure)
     )
+
+
+@dataclass(frozen=True)
+class FockLoop:
+    """The loop of one level, read off the occupation weights of psi_0.
+
+    weights[n] = p_n is the weight of psi_0 at field occupation n.  wilson
+    and connection are the LoopResults that wilson_loop and
+    connection_curve give on the eigenpath of eig_family; eigen_residual is
+    the residual_gate value of psi_0 on H(0), and min_step_overlap the step
+    overlap |chi(2 pi / K)|.
+    """
+
+    wilson: LoopResult
+    connection: LoopResult
+    min_step_overlap: float
+    eigen_residual: float
+    weights: np.ndarray  # shape (n_max + 1,)
+
+    @property
+    def tail_weight(self) -> float:
+        """Weight of psi_0 on the top TAIL_OCCUPATIONS field occupations."""
+        return float(np.sum(self.weights[-TAIL_OCCUPATIONS:]))
+
+
+def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
+              gauge: str) -> FockLoop:
+    """The Wilson loop and the connection curve in ``gauge`` of one level on
+    loop_grid(K), in closed form in K and the weights p_n of psi_0.
+
+    psi_0 comes from one sector solve (_solve_level, with its refusals) and
+    passes residual_gate on H(0) psi_0 ("at phi node 0").  The eigenpath
+    U(phi_k) psi_0 has the same overlap chi(x) = sum_n p_n exp(-i n x)
+    between any two nodes x apart, so with dphi = 2 pi / K:
+
+    * Wilson: the curve is -k arg chi(dphi) on node k, gamma_unwrapped its
+      end value and gamma_half the same form at chi(2 dphi) on K/2 steps;
+    * anchor gauge: the connection is the constant
+      sum_n p_n sin((n - n_a) dphi) / dphi, n_a the occupation of the
+      component largest in psi_0, so the curve is phi times it and the
+      closure phase is 0;
+    * parallel gauge: the curve is 0 up to the last node, where the closure
+      phase wrap(-K arg chi(dphi)) sits.
+
+    |chi(dphi)| below CONTINUITY_THRESHOLD raises TrackingError at node 1.
+    eig_family with wilson_loop and connection_curve is the oracle of this
+    path: the two agree to rounding, and within 2 pi on the unwrapped
+    parallel-gauge phase where it sits on the cut at pi.
+    """
+    _check_gauge(gauge)
+    phi = loop_grid(K)
+    h0, maxabs, psi0, energy = _solve_level(kind, p, level, cfg)
+    residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
+    weights = (psi0 * psi0).reshape(2, cfg.dim_field).sum(axis=0)
+    n = np.arange(cfg.dim_field)
+
+    def step(steps):
+        """chi(2 pi / steps), the node overlap on a loop of that many steps."""
+        return complex(np.dot(weights, np.exp(-1j * (TWO_PI / steps) * n)))
+
+    chi = step(K)
+    overlap = abs(chi)
+    if overlap < CONTINUITY_THRESHOLD:
+        raise _overlap_lost(1, overlap, CONTINUITY_THRESHOLD)
+    theta = -np.angle(chi)
+    wilson_curve = np.arange(K + 1) * theta
+    wilson_half = wrap_phase(-(K // 2) * np.angle(step(K // 2)))
+    wilson = LoopResult(wrap_phase(wilson_curve[-1]), float(wilson_curve[-1]),
+                        np.column_stack([phi, wilson_curve]), "as_given", wilson_half)
+
+    if gauge == "parallel_transport":
+        closure, tag, half = wrap_phase(wilson_curve[-1]), gauge, wilson_half
+        curve = np.zeros(K + 1)
+        curve[-1] = closure
+    else:
+        idx = int(np.argmax(np.abs(psi0)))
+        shift = n - idx % cfg.dim_field
+
+        def slope(steps):
+            dphi = TWO_PI / steps
+            return float(np.dot(weights, np.sin(shift * dphi))) / dphi
+
+        closure, tag = 0.0, f"anchor_component({idx})"
+        curve = phi * slope(K)
+        half = wrap_phase(phi[-1] * slope(K // 2))
+    connection = LoopResult(wrap_phase(curve[-1]), float(curve[-1]),
+                            np.column_stack([phi, curve]), tag, half, closure)
+    return FockLoop(wilson, connection, overlap, residual, weights)
 
 
 def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> float:

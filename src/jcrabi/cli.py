@@ -251,9 +251,8 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
     curves = []
     for g in g_values:
         p = ModelParams(Omega=cfg.Omega, g=g, omega=cfg.omega)
-        fam = berry.eig_family(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg())
-        conn = berry.connection_curve(fam.phi_grid, fam.vectors, gauge)
-        wilson = berry.wilson_loop(fam.phi_grid, fam.vectors)
+        loop = berry.fock_loop(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg(), gauge)
+        conn, wilson = loop.connection, loop.wilson
         generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
         summary = {
             "g": g,
@@ -263,7 +262,10 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
             "generator_gamma": generator,
             "residual": conn.residual,
             "gauge": conn.gauge,
-            "min_step_overlap": fam.min_step_overlap,
+            "min_step_overlap": loop.min_step_overlap,
+            "eigen_residual": loop.eigen_residual,
+            "closure_phase": conn.closure_phase,
+            "tail_weight": loop.tail_weight,
         }
         runs.append(summary)
         suffix = "" if len(g_values) == 1 else f"_g{g:g}"

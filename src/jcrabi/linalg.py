@@ -22,15 +22,16 @@ the sectors are solved in one of two ways:
   and the numerical crossing (the even sector alone) take this path.
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  Only the
-  Berry loop, berry.eig_family, needs the vectors.
+  Berry loop needs the vectors: berry.fock_loop, which reads the loop off
+  the occupation weights of psi_0, and its oracle berry.eig_family.
 
 Both merge the sector spectra in _merge, which owns the level numbering.
 The full joint-space matrices still come to hermitian_eig from the dense
 oracle paths (generator_phase, the acceptance gate's dense checks, the
 tests).  residual_gate takes the products A v rather than A, so it is also
-applied on its own to each node U(phi_k)|psi_0> of a Berry-loop eigenpath,
-whose product H'(phi_k) psi_k berry.eig_family computes from the nonzero
-diagonals of the dense H(0).
+applied on its own: berry.fock_loop gates psi_0 once on the dense
+H(0) psi_0, and its oracle berry.eig_family gates each node U(phi_k)|psi_0>
+on H'(phi_k) psi_k, computed from the nonzero diagonals of the dense H(0).
 """
 
 from __future__ import annotations

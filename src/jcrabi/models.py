@@ -21,8 +21,10 @@ Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
 phase_factors(phi).  A rotated Hamiltonian is always the explicit
 conjugation U H U^dag, entry by entry H_ij d_i conj(d_j), never a
 transcribed closed-form rotated expression.  rotate_hamiltonian forms it
-densely; it is the test oracle for the Berry-loop gate (berry.eig_family),
-which forms the same entries on the nonzero diagonals of H only.  Both
+densely; it is the test oracle for the node gate of berry.eig_family, which
+forms the same entries on the nonzero diagonals of H only.  The command
+line's Berry loop (berry.fock_loop) needs neither: it reads the loop off
+the occupation weights of psi_0, with eig_family as its oracle.  Both
 builders return real (float64) matrices; every rotated H'(phi) is complex.
 """
 

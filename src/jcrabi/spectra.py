@@ -12,7 +12,8 @@ goes to np.linalg.eigvalsh.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves the two models
 in separate calls, so the JC half keeps the closed form); the numerical
 crossing reads the even JC sector alone.  No eigenvector is computed here
-(only the Berry loop, berry.eig_family, reads vectors).  The dense
+(only the Berry loop, berry.fock_loop and its oracle eig_family, reads
+vectors).  The dense
 joint-space builders are not called; they stay the oracle the tests compare
 these results with.
 """

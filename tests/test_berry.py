@@ -9,6 +9,7 @@ from jcrabi import (
     berry_boa_jc,
     connection_curve,
     eig_family,
+    fock_loop,
     gauge_fix,
     generator_phase,
     wilson_loop,
@@ -469,6 +470,64 @@ class TestConnectionCurve:
         gen = generator_phase("rabi", P_RABI, 1, CFG_RABI)
         res = connection_curve(*loop(rabi_family), "anchor_component")
         assert phase_distance(res.gamma, gen) <= 5e-3
+
+
+
+class TestFockLoop:
+    """fock_loop's own contract; tests/test_berry_differential.py compares it
+    with the node path value by value."""
+
+    @pytest.mark.parametrize("name", ["raw", "anchor"])
+    def test_unknown_gauge_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown gauge"):
+            fock_loop("jc", P_RES, 1, 64, CFG, name)
+
+    @pytest.mark.parametrize("K", [8, 65])
+    def test_loop_grid_rule_enforced(self, K):
+        with pytest.raises(ValueError, match=f"K must be an even integer >= 16, got {K}"):
+            fock_loop("jc", P_RES, 1, K, CFG, "anchor_component")
+
+    @pytest.mark.parametrize("level", [1, 3, 5])
+    def test_resonant_doublet_reads_plus_pi(self, level):
+        # weight 1/2 on two neighbouring occupations: chi(x) = e^{-i(n + 1/2)x}
+        # cos(x/2), so the Wilson and parallel-gauge loops close on pi at any
+        # K, read as +pi; the anchor gauge has slope sin(dphi/2)/dphi
+        loop = fock_loop("jc", P_RES, level, 64, CFG, "parallel_transport")
+        for res in (loop.wilson, loop.connection):
+            assert abs(res.gamma - np.pi) <= 1e-12
+            assert res.residual <= 1e-12
+        assert abs(loop.connection.closure_phase - np.pi) <= 1e-12
+        anchor = fock_loop("jc", P_RES, level, 64, CFG, "anchor_component").connection
+        assert abs(abs(anchor.gamma_unwrapped) - 32 * np.sin(np.pi / 32)) <= 1e-12
+        assert np.count_nonzero(loop.weights) == 2
+        assert loop.tail_weight == 0.0
+
+    def test_parallel_curve_holds_the_holonomy_at_closure(self):
+        loop = fock_loop("rabi", P_RABI, 1, 128, CFG_RABI, "parallel_transport")
+        conn = loop.connection
+        assert not np.any(conn.curve[:-1, 1])
+        assert conn.curve[-1, 1] == conn.closure_phase == conn.gamma_unwrapped
+        assert conn.gamma_half == loop.wilson.gamma_half
+
+    @pytest.mark.parametrize("model, level", [("jc", 1), ("rabi", 1), ("rabi", 4)])
+    def test_fine_loop_approaches_generator_form(self, model, level):
+        # Berry's 2 pi <n>: the weights give it exactly, and the K = 720
+        # Wilson and anchor phases approach it modulo 2 pi (criterion 9's
+        # 5e-3)
+        p = ModelParams(Omega=1.0, g=0.6)
+        gen = generator_phase(model, p, level, CFG_RABI)
+        loop = fock_loop(model, p, level, 720, CFG_RABI, "anchor_component")
+        assert loop.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert abs(TWO_PI * np.dot(np.arange(CFG_RABI.dim_field), loop.weights) - gen) <= 1e-10
+        assert phase_distance(loop.wilson.gamma, gen) <= 5e-3
+        assert phase_distance(loop.connection.gamma, gen) <= 5e-3
+        assert loop.connection.closure_phase == 0.0
+
+    def test_tail_weight_sums_the_top_occupations(self):
+        loop = fock_loop("rabi", ModelParams(Omega=1.0, g=1.5), 1, 720, TruncationConfig(20),
+                         "anchor_component")
+        assert loop.tail_weight == pytest.approx(loop.weights[11:].sum(), rel=1e-14)
+        assert loop.tail_weight > 1e-3  # g = 1.5 at n_max = 20 reaches the cutoff
 
 
 SX, SY, SZ, _, _ = qubit_ops()

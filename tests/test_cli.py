@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+import jcrabi.berry as berry_module
+import jcrabi.models as models_module
 from jcrabi.cli import _load_config, build_parser, main
+from jcrabi.linalg import EigenSystem
 
 # The README table of what each command reads: config keys, then the flag
 # that sets each key and a value it parses to.
@@ -43,6 +46,19 @@ def read_rows(path):
         else:
             rows.append([float(tok) for tok in line.split(",")])
     return meta, header, rows
+
+
+@pytest.fixture
+def forbid_node_path(monkeypatch):
+    """berry's node-by-node path (the eigenpath, its estimators and the
+    phase factors it is built from) raises: the CLI loop must not need it."""
+    def node_path(*args, **kwargs):
+        raise AssertionError("berry's node path called by the CLI")
+
+    for module, name in ((berry_module, "eig_family"), (berry_module, "wilson_loop"),
+                         (berry_module, "connection_curve"), (berry_module, "phase_factors"),
+                         (models_module, "phase_factors")):
+        monkeypatch.setattr(module, name, node_path)
 
 
 class TestSpectrumCommand:
@@ -126,7 +142,7 @@ class TestBerryCommand:
         assert len(rows) == 129  # phi_nodes + 1
         summary = json.loads((tmp_path / "berry_summary.json").read_text())
         for key in ("wilson_gamma", "connection_gamma", "generator_gamma",
-                    "residual", "gauge"):
+                    "residual", "gauge", "eigen_residual", "closure_phase", "tail_weight"):
             assert key in summary
         # resonant JC level 1: all three estimators sit at pi
         assert summary["wilson_gamma"] == pytest.approx(np.pi, abs=5e-3)
@@ -151,6 +167,58 @@ class TestBerryCommand:
             "--phi-nodes", "64", "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("gauge", ["anchor", "parallel"])
+    def test_loop_runs_without_the_node_path(self, tmp_path, forbid_node_path, gauge):
+        rc = main([
+            "berry", "--model", "rabi", "--g", "0.5", "--g", "0.93", "--nmax", "150",
+            "--gauge", gauge, "--svg", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["berry_curve.svg", "berry_curve_g0.5.csv", "berry_curve_g0.93.csv",
+                         "berry_summary.json"]
+        _, _, rows = read_rows(tmp_path / "berry_curve_g0.5.csv")
+        assert len(rows) == 721
+
+    def test_perturbed_energy_fails_the_gate(self, tmp_path, capsys, forbid_node_path,
+                                             monkeypatch):
+        # every sector value moves by 1e-6 after hermitian_eig has gated it:
+        # the level order and gaps stay, and psi_0 fails the gate on H(0)
+        true_block_eig = berry_module.block_eig
+
+        def shifted(diag, off):
+            merged, systems, order = true_block_eig(diag, off)
+            systems = [EigenSystem(es.values + 1e-6, es.vectors, es.residual) for es in systems]
+            return merged + 1e-6, systems, order
+
+        monkeypatch.setattr(berry_module, "block_eig", shifted)
+        rc = main(["berry", "--model", "rabi", "--g", "0.5", "--nmax", "150",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: eigen-residual" in err and "at phi node 0 exceeds" in err
+
+    def test_diagnostics_are_deterministic(self, tmp_path):
+        argv = ["berry", "--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0",
+                "--nmax", "150"]
+        runs = []
+        for name in ("first", "second"):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            runs.append(json.loads((tmp_path / name / "berry_summary.json").read_text())["runs"])
+        for key in ("eigen_residual", "closure_phase", "tail_weight"):
+            assert [r[key] for r in runs[0]] == [r[key] for r in runs[1]], key
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0"],
+        ["--model", "jc", "--g", "0.05", "--g", "0.3", "--g", "0.6"],
+        ["--model", "rabi", "--g", "0.93", "--g", "0.5", "--Omega", "0.4", "--level", "3"],
+    ])
+    def test_benchmark_families_carry_a_small_tail(self, tmp_path, argv):
+        assert main(["berry", *argv, "--nmax", "150", "--out", str(tmp_path)]) == 0
+        for run in json.loads((tmp_path / "berry_summary.json").read_text())["runs"]:
+            assert run["tail_weight"] < 1e-6
+            assert 0.0 <= run["eigen_residual"] <= 1e-12
 
 
 class TestSurfacesCommand:
