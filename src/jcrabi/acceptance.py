@@ -9,9 +9,8 @@ U(phi), whose phase is 2 pi <n> mod 2 pi; the paper's zero Rabi phase is
 that of the adiabatic (mean-field) loop, a different loop (see the report
 text).
 
-Expensive tracked families are cached and shared between criteria; the full
-suite runs in about 10 s (python -m jcrabi verify, 2 vCPUs, numpy with
-OpenBLAS).
+Tracked families are cached and shared between criteria; the full suite
+runs in about 3 s (python -m jcrabi verify, 2 vCPUs, numpy with OpenBLAS).
 """
 
 from __future__ import annotations

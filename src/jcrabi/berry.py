@@ -5,13 +5,14 @@ H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
 apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
 field occupation n, so every loop value is a closed form in p_n and the
-node count K.  fock_loop, which the command line runs, reads them off that
-form: it solves the two parity sectors of H once, from their bands
-(models.parity_sectors), gates psi_0 once on H(0) psi_0, and builds no
-node.  Its oracle is the node path: eig_family builds the eigenpath on the
-loop grid (loop_grid) from models.phase_factors and gates every node on
-H'(phi_k) psi_k, computed from the nonzero diagonals of the dense H(0); the
-two share one sector solve (_solve_level).
+node count K.  Both loop paths take one gated level from _solve_level: it
+solves the two parity sectors of H once, from their bands
+(models.parity_sectors), and gates psi_0 once on the dense H(0) psi_0.
+Since U(phi) is diagonal with unit-modulus entries, that one residual is
+the residual of every node.  fock_loop, which the command line runs, reads
+the loop values off the closed form and builds no node.  Its oracle is the
+node path: eig_family builds the eigenpath on the loop grid (loop_grid) in
+one broadcast of models.phase_factors over the column of phi nodes.
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -65,7 +66,8 @@ DEGENERACY_GAP = 1e-10
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
 # phase equal to pi up to rounding then reads +pi in every gauge.
 CUT_TOL = 1e-12
-# FockLoop.tail_weight sums p_n over this many of the highest occupations.
+# FockLoop.tail_weight sums p_n over this many of the highest occupations
+# (over the top half where n_max + 1 < 2 TAIL_OCCUPATIONS).
 TAIL_OCCUPATIONS = 10
 
 
@@ -161,30 +163,9 @@ def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
         )
 
 
-def _diagonals(h: np.ndarray):
-    """The nonzero diagonals of a square H, one (rows, cols, band) triple per
-    offset o of a nonzero entry (a NaN counts): rows and cols are the slices
-    of the index pairs (i, i + o), and band holds the entries H[i, i + o]."""
-    dim = h.shape[0]
-    rows, cols = np.nonzero(h)
-    diagonals = []
-    for o in np.unique(cols - rows).tolist():
-        lo, hi = max(0, -o), min(dim, dim - o)
-        diagonals.append((slice(lo, hi), slice(lo + o, hi + o), np.diagonal(h, o)))
-    return diagonals
-
-
-def _rotated_diagonals(diagonals, d: np.ndarray):
-    """The same diagonals of U H U^dag for U = diag(d): one (rows, cols,
-    entries) triple each, entries[i] = H_ij (d_i conj(d_j)), the operations
-    of models.rotate_hamiltonian's entrywise product, so every entry equals
-    the dense one bit for bit."""
-    dc = d.conj()
-    return [(rows, cols, band * (d[rows] * dc[cols])) for rows, cols, band in diagonals]
-
-
 def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
-    """(H(0), max|H(0)|, psi_0, E) of one level, from one sector solve.
+    """(psi_0, E, eigen residual) of one level, from one sector solve and
+    one gate.
 
     The two parity sectors of H(0), given by their bands
     (models.parity_sectors), are solved by linalg.block_eig, which also
@@ -194,7 +175,9 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     their chains by more than HERMITICITY_RTOL * max|H| in any entry is a
     ValueError; a level whose gap to its neighbours in the merged
     two-sector spectrum is below DEGENERACY_GAP has no single-level phase:
-    TrackingError at node 0.
+    TrackingError at node 0.  The pair (E, psi_0) then passes residual_gate
+    on the dense H(0) psi_0 ("at phi node 0"), which reads every entry of
+    H(0), whatever the sector structure; the gate's value is returned.
     """
     kind = ModelKind(kind)
     h0 = build_hamiltonian(kind, p, cfg)
@@ -217,7 +200,9 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     sector, col = divmod(int(order[level]), cfg.dim_field)
     psi0 = np.zeros(dim)
     psi0[chains[sector]] = systems[sector].vectors[:, col]
-    return h0, maxabs, psi0, systems[sector].values[col]
+    energy = systems[sector].values[col]
+    residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
+    return psi0, energy, residual
 
 
 def eig_family(
@@ -231,41 +216,26 @@ def eig_family(
     loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
 
     ``level`` is the eigenindex at phi = 0 (0 = ground state); psi_0, its
-    energy and the refusals of the sector solve are those of _solve_level.
-    Node k holds U(phi_k) psi_0, with U from models.phase_factors, and the
-    energy of psi_0.  At each node a step overlap |<psi_k-1|psi_k>| below
-    CONTINUITY_THRESHOLD (a grid too coarse for the level's spread in n) raises
-    TrackingError, and the pair passes residual_gate on H'(phi_k) psi_k, so
-    a failure names its phi node.  That product reads every nonzero
-    diagonal of the dense H(0) (np.nonzero, whatever the sector structure),
-    and each entry H_ij d_i conj(d_j) it uses is bitwise the dense
-    rotate_hamiltonian(H(0), phi_k) entry; only exact zeros are skipped.
-    The command line reads the same loop in closed form (fock_loop); this
-    node-by-node path is its oracle.
+    energy, its one eigen-residual gate and the refusals of the sector solve
+    are those of _solve_level.  Node k holds U(phi_k) psi_0 and the energy
+    of psi_0: all K + 1 nodes come from one broadcast of
+    models.phase_factors over the column of phi nodes.  U(phi_k) is diagonal
+    with unit-modulus entries, so the residual of node k is that of node 0,
+    and no node is gated again.  The first node whose step overlap
+    |<psi_k-1|psi_k>| is below CONTINUITY_THRESHOLD (a grid too coarse for
+    the level's spread in n) raises TrackingError naming it.  The command
+    line reads the same loop in closed form (fock_loop); this node path is
+    its oracle.
     """
     phi_grid = loop_grid(K)
-    h0, maxabs, psi0, energy = _solve_level(kind, p, level, cfg)
-    dim = len(psi0)
-
-    diagonals = _diagonals(h0)
-    vectors = np.empty((K + 1, dim), dtype=complex)
-    min_overlap = 1.0
-
-    for k, phi in enumerate(phi_grid):
-        d = phase_factors(phi, cfg)
-        v = vectors[k]
-        np.multiply(d, psi0, out=v)
-        if k > 0:
-            overlap = float(abs(np.vdot(vectors[k - 1], v)))
-            if overlap < CONTINUITY_THRESHOLD:
-                raise _overlap_lost(k, overlap, CONTINUITY_THRESHOLD)
-            min_overlap = min(min_overlap, overlap)
-        hv = np.zeros(dim, dtype=complex)
-        for rows, cols, entries in _rotated_diagonals(diagonals, d):
-            hv[rows] += entries * v[cols]
-        residual_gate(hv, energy, v, maxabs, f"at phi node {k}")
-
-    return TrackedFamily(phi_grid, vectors, float(energy), min_overlap)
+    psi0, energy, _ = _solve_level(kind, p, level, cfg)
+    vectors = phase_factors(phi_grid[:, None], cfg) * psi0
+    overlaps = np.abs(np.einsum("kj,kj->k", vectors[:-1].conj(), vectors[1:]))
+    lost = np.flatnonzero(overlaps < CONTINUITY_THRESHOLD)
+    if lost.size:
+        k = int(lost[0])
+        raise _overlap_lost(k + 1, float(overlaps[k]), CONTINUITY_THRESHOLD)
+    return TrackedFamily(phi_grid, vectors, float(energy), float(overlaps.min()))
 
 
 def _check_gauge(gauge: str):
@@ -433,8 +403,10 @@ class FockLoop:
 
     @property
     def tail_weight(self) -> float:
-        """Weight of psi_0 on the top TAIL_OCCUPATIONS field occupations."""
-        return float(np.sum(self.weights[-TAIL_OCCUPATIONS:]))
+        """Weight of psi_0 on the top TAIL_OCCUPATIONS field occupations, or
+        on the top half of them for n_max + 1 < 2 TAIL_OCCUPATIONS."""
+        top = min(TAIL_OCCUPATIONS, len(self.weights) // 2)
+        return float(np.sum(self.weights[-top:]))
 
 
 def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
@@ -442,8 +414,8 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
     """The Wilson loop and the connection curve in ``gauge`` of one level on
     loop_grid(K), in closed form in K and the weights p_n of psi_0.
 
-    psi_0 comes from one sector solve (_solve_level, with its refusals) and
-    passes residual_gate on H(0) psi_0 ("at phi node 0").  The eigenpath
+    psi_0 and its one eigen-residual gate come from _solve_level, with its
+    refusals.  The eigenpath
     U(phi_k) psi_0 has the same overlap chi(x) = sum_n p_n exp(-i n x)
     between any two nodes x apart, so with dphi = 2 pi / K:
 
@@ -463,8 +435,7 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
     """
     _check_gauge(gauge)
     phi = loop_grid(K)
-    h0, maxabs, psi0, energy = _solve_level(kind, p, level, cfg)
-    residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
+    psi0, _, residual = _solve_level(kind, p, level, cfg)
     weights = (psi0 * psi0).reshape(2, cfg.dim_field).sum(axis=0)
     n = np.arange(cfg.dim_field)
 

@@ -32,6 +32,15 @@ class UsageError(Exception):
     pass
 
 
+class RunFailure(Exception):
+    """A numerical failure of one named run: a coupling or a criterion."""
+
+
+# The numerical failures of the library; ValueError covers
+# DegenerateLevelError and HermiticityError.
+_NUMERICAL = (TrackingError, ConvergenceError, ValueError)
+
+
 # Accepted Python types per RunConfig field annotation (bool is rejected).
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -247,13 +256,20 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         raise UsageError(f"--g values {shared} would write the same berry_curve_g<g>.csv")
     out = _out_dir(cfg)
     gauge = _GAUGES[cfg.gauge]
-    runs = []
-    curves = []
+    # every coupling is computed before any file is written
+    results = []
     for g in g_values:
         p = ModelParams(Omega=cfg.Omega, g=g, omega=cfg.omega)
-        loop = berry.fock_loop(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg(), gauge)
+        try:
+            loop = berry.fock_loop(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg(), gauge)
+            generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
+        except _NUMERICAL as exc:
+            raise RunFailure(f"{cfg.model} g={g:g}: {exc}") from exc
+        results.append((g, loop, generator))
+    runs = []
+    curves = []
+    for g, loop, generator in results:
         conn, wilson = loop.connection, loop.wilson
-        generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
         summary = {
             "g": g,
             "wilson_gamma": wilson.gamma,
@@ -405,7 +421,12 @@ def cmd_verify(cfg: RunConfig, only) -> int:
             raise UsageError(f"--only lists criteria {repeated} more than once, got {only!r}")
     out = _out_dir(cfg)
     suite = acceptance.AcceptanceSuite(k_nodes=cfg.phi_nodes)
-    results = suite.run(numbers)
+    results = []
+    for number in numbers or acceptance.CRITERIA:
+        try:
+            results += suite.run([number])
+        except _NUMERICAL as exc:
+            raise RunFailure(f"criterion {number}: {exc}") from exc
     report = acceptance.format_report(results)
     print(report)
     for r in results:
@@ -494,8 +515,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (TrackingError, ConvergenceError, ValueError) as exc:
-        # ValueError covers DegenerateLevelError and HermiticityError
+    except (RunFailure, *_NUMERICAL) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -29,9 +29,10 @@ Both merge the sector spectra in _merge, which owns the level numbering.
 The full joint-space matrices still come to hermitian_eig from the dense
 oracle paths (generator_phase, the acceptance gate's dense checks, the
 tests).  residual_gate takes the products A v rather than A, so it is also
-applied on its own: berry.fock_loop gates psi_0 once on the dense
-H(0) psi_0, and its oracle berry.eig_family gates each node U(phi_k)|psi_0>
-on H'(phi_k) psi_k, computed from the nonzero diagonals of the dense H(0).
+applied on its own: the Berry loop gates psi_0 once on the dense
+H(0) psi_0, and that one value serves every node U(phi_k)|psi_0> of
+berry.fock_loop and of its oracle berry.eig_family, U(phi_k) being
+diagonal with unit-modulus entries.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
 phase_factors(phi).  A rotated Hamiltonian is always the explicit
 conjugation U H U^dag, entry by entry H_ij d_i conj(d_j), never a
 transcribed closed-form rotated expression.  rotate_hamiltonian forms it
-densely; it is the test oracle for the node gate of berry.eig_family, which
-forms the same entries on the nonzero diagonals of H only.  The command
-line's Berry loop (berry.fock_loop) needs neither: it reads the loop off
-the occupation weights of psi_0, with eig_family as its oracle.  Both
-builders return real (float64) matrices; every rotated H'(phi) is complex.
+densely and is the one rotation routine, the oracle of the tests.  The
+Berry loop needs no rotated H'(phi): its eigenpath is U(phi)|psi_0>, which
+berry.eig_family builds for every node in one broadcast of phase_factors
+over a column of phi, and which the command line's berry.fock_loop reads
+off the occupation weights of psi_0.  Both builders return real (float64)
+matrices; every rotated H'(phi) is complex.
 """
 
 from __future__ import annotations
@@ -105,10 +106,14 @@ def build_hamiltonian(kind: ModelKind, p: ModelParams, cfg: TruncationConfig) ->
     return _BUILDERS[kind.model](p, cfg)
 
 
-def phase_factors(phi: float, cfg: TruncationConfig) -> np.ndarray:
-    """Diagonal of U(phi) = exp(-i n_hat phi) on the joint space."""
+def phase_factors(phi, cfg: TruncationConfig) -> np.ndarray:
+    """Diagonal of U(phi) = exp(-i n_hat phi) on the joint space.
+
+    The two field halves are joined on the last axis, so a column of phi
+    values, shape (K + 1, 1), gives one diagonal per row.
+    """
     field_phase = np.exp(-1j * phi * np.arange(cfg.dim_field))
-    return np.concatenate([field_phase, field_phase])
+    return np.concatenate([field_phase, field_phase], axis=-1)
 
 
 def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
@@ -118,8 +123,8 @@ def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
     U(phi) is diagonal, so the conjugation is one entrywise product,
     H_ij d_i conj(d_j), in O(dim^2).  The spectrum is invariant under the
     rotation.  The result is complex whatever the dtype of H.  The dense
-    oracle of the tests: berry.eig_family forms the same entries, bit for
-    bit, on the nonzero diagonals of H alone.
+    oracle of the tests: the Berry eigenpath U(phi_k)|psi_0> of
+    berry.eig_family is checked against its gated solve.
     """
     h = np.asarray(h)
     if h.shape != (cfg.dim_joint, cfg.dim_joint):

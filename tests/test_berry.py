@@ -38,16 +38,6 @@ def rabi_family():
     return eig_family("rabi", P_RABI, 1, 128, CFG_RABI)
 
 
-def dense_from_diagonals(rotated, dim):
-    """The rotated diagonals of berry._rotated_diagonals scattered into a
-    dense dim x dim array, zero elsewhere."""
-    idx = np.arange(dim)
-    dense = np.zeros((dim, dim), dtype=complex)
-    for rows, cols, entries in rotated:
-        dense[idx[rows], idx[cols]] = entries
-    return dense
-
-
 def loop(fam):
     """The (phi_grid, vectors) path of a tracked family."""
     return fam.phi_grid, fam.vectors
@@ -129,28 +119,6 @@ class TestEigFamily:
             assert abs(np.vdot(es.vectors[:, j], fam.vectors[k])) >= 1.0 - 1e-10
             assert abs(es.values[j] - fam.energy) <= 1e-12
 
-    def test_perturbed_eigenvalue_fails_gate_at_its_node(self, monkeypatch):
-        # +1e-6 on the |2>|0> diagonal entry of H'(phi_5) as the gate
-        # computes it: the tracked resonant doublet has weight 1/2 there, so
-        # node 5 fails the gate and nodes 0 to 4 pass it
-        K = 32
-        true_rotated = berry_module._rotated_diagonals
-        d5 = phase_factors(TWO_PI * 5 / K, CFG)
-        nodes = []
-
-        def perturbed(diagonals, d):
-            rotated = true_rotated(diagonals, d)
-            nodes.append(len(nodes))
-            if np.array_equal(d, d5):
-                entries = next(e for rows, cols, e in rotated if rows == cols)
-                entries[0] += 1e-6
-            return rotated
-
-        monkeypatch.setattr(berry_module, "_rotated_diagonals", perturbed)
-        with pytest.raises(ConvergenceError, match="at phi node 5 exceeds"):
-            eig_family("jc", P_RES, 1, K, CFG)
-        assert nodes == [0, 1, 2, 3, 4, 5]
-
     def test_degenerate_level_refusal_names_level_and_gap(self):
         with pytest.raises(TrackingError, match=r"phi node 0: level 1 is degenerate \(gap "):
             eig_family("jc", ModelParams(Omega=1.0, g=1.0), 1, 64, CFG)
@@ -206,50 +174,67 @@ GATE_CASES = [(model, n_max) for model in ("jc", "rabi") for n_max in (30, 150)]
 P_GATE = ModelParams(Omega=1.2, g=0.4)
 
 
+def gate_spy(monkeypatch):
+    """Patch berry's residual_gate to record every value it returns."""
+    true_gate = berry_module.residual_gate
+    residuals = []
+
+    def spy(*args):
+        residuals.append(true_gate(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(berry_module, "residual_gate", spy)
+    return residuals
+
+
+def node_loop_vectors(psi0, phi_grid, cfg):
+    """A frozen copy of the per-node construction that the broadcast
+    replaced: node k filled in place with the scalar diagonal of U(phi_k)
+    times psi_0, one node at a time."""
+    vectors = np.empty((len(phi_grid), len(psi0)), dtype=complex)
+    for k, phi in enumerate(phi_grid):
+        field_phase = np.exp(-1j * phi * np.arange(cfg.dim_field))
+        np.multiply(np.concatenate([field_phase, field_phase]), psi0, out=vectors[k])
+    return vectors
+
+
 class TestNodeGate:
-    """Differential tests of the per-node gate against the dense H'(phi_k)."""
-
-    @pytest.mark.parametrize("model, n_max", GATE_CASES)
-    def test_gate_entries_equal_dense_rotation(self, model, n_max):
-        cfg = TruncationConfig(n_max)
-        h0 = build_hamiltonian(ModelKind(model), P_GATE, cfg)
-        diagonals = berry_module._diagonals(h0)
-        for k in GATE_NODES:
-            phi = loop_grid(K_GATE)[k]
-            rotated = berry_module._rotated_diagonals(diagonals, phase_factors(phi, cfg))
-            dense = dense_from_diagonals(rotated, cfg.dim_joint)
-            assert np.array_equal(dense, rotate_hamiltonian(h0, phi, cfg)), k
-
-    @pytest.mark.parametrize("model, offsets, nonzeros", [
-        ("jc", [-152, 0, 152], 602),
-        ("rabi", [-152, -150, 0, 150, 152], 902),
-    ])
-    def test_diagonals_are_those_of_h0(self, model, offsets, nonzeros):
-        cfg = TruncationConfig(150)
-        diagonals = berry_module._diagonals(build_hamiltonian(ModelKind(model), P_GATE, cfg))
-        assert [cols.start - rows.start for rows, cols, _ in diagonals] == offsets
-        assert sum(np.count_nonzero(band) for _, _, band in diagonals) == nonzeros
+    """The one gate of a loop, on H(0) psi_0, against the dense H'(phi_k)
+    of every node."""
 
     @pytest.mark.parametrize("model, n_max", GATE_CASES)
     def test_gate_residual_matches_dense_residual(self, model, n_max, monkeypatch):
-        true_gate = berry_module.residual_gate
-        residuals = []
-
-        def spy(*args):
-            residuals.append(true_gate(*args))
-            return residuals[-1]
-
-        monkeypatch.setattr(berry_module, "residual_gate", spy)
+        # U(phi_k) is diagonal with unit-modulus entries, so the node-0
+        # value is the dense residual of every node within rounding
+        residuals = gate_spy(monkeypatch)
         cfg = TruncationConfig(n_max)
         fam = eig_family(model, P_GATE, 1, K_GATE, cfg)
-        assert len(residuals) == K_GATE + 1
+        assert len(residuals) == 1
         h0 = build_hamiltonian(ModelKind(model), P_GATE, cfg)
         maxabs = np.max(np.abs(h0))
         for k in GATE_NODES:
             v = fam.vectors[k]
             hk = rotate_hamiltonian(h0, fam.phi_grid[k], cfg)
             dense = np.max(np.abs(hk @ v - fam.energy * v))
-            assert abs(residuals[k] - dense) <= 1e-15 * maxabs, k
+            assert abs(residuals[0] - dense) <= 1e-15 * maxabs, k
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_one_gate_per_loop_call(self, model, monkeypatch):
+        residuals = gate_spy(monkeypatch)
+        eig_family(model, P_GATE, 1, 64, CFG)
+        assert len(residuals) == 1
+        for gauge in GAUGES:
+            loop = fock_loop(model, P_GATE, 1, 64, CFG, gauge)
+            assert residuals[-1] == loop.eigen_residual
+        assert len(residuals) == 1 + len(GAUGES)
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_broadcast_equals_the_node_loop(self, model):
+        cfg = TruncationConfig(150)
+        fam = eig_family(model, P_GATE, 1, K_GATE, cfg)
+        psi0, energy, _ = berry_module._solve_level(model, P_GATE, 1, cfg)
+        assert np.array_equal(fam.vectors, node_loop_vectors(psi0, fam.phi_grid, cfg))
+        assert fam.energy == energy
 
     @pytest.mark.parametrize("model", ["jc", "rabi"])
     def test_stray_entry_enters_the_gate(self, model, monkeypatch):
@@ -528,6 +513,23 @@ class TestFockLoop:
                          "anchor_component")
         assert loop.tail_weight == pytest.approx(loop.weights[11:].sum(), rel=1e-14)
         assert loop.tail_weight > 1e-3  # g = 1.5 at n_max = 20 reaches the cutoff
+
+    @pytest.mark.parametrize("n_max, top", [(18, 9), (19, 10)])
+    def test_tail_weight_edge_at_nmax_19(self, n_max, top):
+        # from n_max = 19 on the top TAIL_OCCUPATIONS; below, the top half
+        loop = fock_loop("rabi", ModelParams(Omega=1.0, g=1.5), 1, 720, TruncationConfig(n_max),
+                         "anchor_component")
+        assert loop.tail_weight == float(np.sum(loop.weights[-top:]))
+        assert loop.tail_weight < float(np.sum(loop.weights[-top - 1:]))
+
+    def test_tail_weight_on_a_small_cutoff(self):
+        # at n_max = 5 the top three occupations: the resonant JC doublet
+        # lives on n = 0, 1 and leaves no tail
+        cfg = TruncationConfig(5)
+        jc = fock_loop("jc", P_RES, 1, 64, cfg, "anchor_component")
+        assert jc.tail_weight == 0.0
+        rabi = fock_loop("rabi", ModelParams(Omega=1.0, g=0.5), 1, 64, cfg, "anchor_component")
+        assert rabi.tail_weight == pytest.approx(0.027, abs=5e-4)
 
 
 SX, SY, SZ, _, _ = qubit_ops()

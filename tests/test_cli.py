@@ -197,7 +197,8 @@ class TestBerryCommand:
                    "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "numerical failure: eigen-residual" in err and "at phi node 0 exceeds" in err
+        assert "numerical failure: rabi g=0.5: eigen-residual" in err
+        assert "at phi node 0 exceeds" in err
 
     def test_diagnostics_are_deterministic(self, tmp_path):
         argv = ["berry", "--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0",
@@ -528,6 +529,31 @@ class TestExitCodes:
         assert err.startswith("usage error: --g values ")
         assert all(g in err for g in g_values)
         assert not out.exists()
+
+    def test_numerical_failure_names_the_coupling_and_writes_no_file(self, tmp_path, capsys):
+        # g = 0.5 has a loop, level 1 is degenerate at g = 1: no coupling's
+        # file is written
+        out = tmp_path / "out"
+        rc = main(["berry", "--model", "jc", "--g", "0.5", "--g", "1.0", "--nmax", "30",
+                   "--phi-nodes", "64", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "numerical failure: jc g=1: eigenpath tracking lost at phi node 0: "
+            "level 1 is degenerate")
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_numerical_failure_names_the_criterion(self, tmp_path, capsys):
+        # K = 16 is too coarse for criterion 6's first family
+        out = tmp_path / "out"
+        assert main(["verify", "--only", "6", "--phi-nodes", "16", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "numerical failure: criterion 6: eigenpath tracking lost at phi node 1: "
+            "step overlap 0.980785")
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     def test_verify_subset(self, tmp_path, capsys):
         rc = main(["verify", "--only", "5,10", "--out", str(tmp_path)])

@@ -282,6 +282,15 @@ class TestRotation:
         u = u_phi(np.pi, CFG)
         assert u[1, 1] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("n_max", [5, 150])
+    def test_phi_column_stacks_the_scalar_diagonals(self, n_max):
+        # one row per node of a loop grid, bit for bit the scalar call
+        cfg = TruncationConfig(n_max)
+        phi = 2 * np.pi * np.arange(721) / 720
+        rows = phase_factors(phi[:, None], cfg)
+        assert rows.shape == (721, cfg.dim_joint)
+        assert np.array_equal(rows, np.stack([phase_factors(x, cfg) for x in phi]))
+
     def test_phi0_is_identity(self):
         h = build_rabi(ModelParams(Omega=1.0, g=0.5), CFG)
         assert np.array_equal(rotate_hamiltonian(h, 0.0, CFG), h)
