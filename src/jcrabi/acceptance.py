@@ -9,8 +9,10 @@ U(phi), whose phase is 2 pi <n> mod 2 pi; the paper's zero Rabi phase is
 that of the adiabatic (mean-field) loop, a different loop (see the report
 text).
 
-Tracked families are cached and shared between criteria; the full suite
-runs in about 3 s (python -m jcrabi verify, 2 vCPUs, numpy with OpenBLAS).
+The gate is the one configuration the constants below set, and a criterion
+name states the constants it ran at.  The suite writes no file.  Tracked
+families are cached and shared between criteria; the full suite took 3.2 s
+(python -m jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4 with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .fock import TruncationConfig
 from .linalg import commutator_deviation, hermitian_eig
 from .models import ModelKind, ModelParams, build_jc, build_rabi, symmetry_ops
 
-# Suite-wide knobs: sweeps run at n_max = 200, geometric-phase loops at
-# K = 720 nodes and n_max = 150, convergence anchors go up to n_max = 500.
+# The gate's configuration: sweeps run at n_max = 200, geometric-phase
+# loops at K = 720 nodes and n_max = 150, convergence anchors go up to
+# n_max = 500.
 SWEEP_NMAX = 200
 BERRY_NMAX = 150
 BERRY_K = 720
@@ -44,6 +47,8 @@ class CriterionResult:
     bound: bool = True
     lines: list = field(default_factory=list)
     elapsed: float = 0.0
+    # criterion 12's anchor-gauge berry.LoopResult per coupling g
+    curves: dict = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -63,19 +68,18 @@ def _check(lines, ok: bool, text: str) -> bool:
 class AcceptanceSuite:
     """Runs the acceptance criteria, sharing tracked families across them."""
 
-    def __init__(self, k_nodes: int = BERRY_K):
-        self.k_nodes = k_nodes
+    def __init__(self):
+        self.berry_k = BERRY_K
         self.berry_cfg = TruncationConfig(BERRY_NMAX)
         self.sweep_cfg = TruncationConfig(SWEEP_NMAX)
         self._families = {}
-        self._investigation = {}  # g -> criterion 12's anchor-gauge LoopResult
 
     def family(self, model: str, Omega: float, g: float, level: int = 1):
         key = (model, Omega, g, level)
         if key not in self._families:
             p = ModelParams(Omega=Omega, g=g)
             self._families[key] = berry.eig_family(
-                model, p, level, self.k_nodes, self.berry_cfg
+                model, p, level, self.berry_k, self.berry_cfg
             )
         return self._families[key]
 
@@ -120,7 +124,7 @@ class AcceptanceSuite:
             bound_r = 1e-12 * float(np.max(np.abs(h_r)))
             ok &= _check(lines, dev_jc <= bound_jc, f"g={g}: |[H_JC, N]|_F = {dev_jc:.2e} <= {bound_jc:.2e}")
             ok &= _check(lines, dev_r <= bound_r, f"g={g}: |[H_R, Pi]|_F = {dev_r:.2e} <= {bound_r:.2e}")
-        return CriterionResult(2, "U(1) and Z2 symmetries at n_max=200", ok, lines=lines)
+        return CriterionResult(2, f"U(1) and Z2 symmetries at n_max={cfg.n_max}", ok, lines=lines)
 
     def criterion_3(self) -> CriterionResult:
         """Analytic JC doublet energies against diagonalization."""
@@ -190,7 +194,7 @@ class AcceptanceSuite:
                 except DegenerateLevelError:
                     refused_gen = True
                 try:
-                    berry.eig_family("jc", p, 1, 64, self.berry_cfg)
+                    berry.eig_family("jc", p, 1, self.berry_k, self.berry_cfg)
                 except TrackingError:
                     refused_track = True
                 ok &= _check(
@@ -222,7 +226,8 @@ class AcceptanceSuite:
                     f"Delta=0 g={g}: both match the closed form +/-pi "
                     f"(wilson {d_wb:.2e}, generator {d_gb:.2e} <= {tol})",
                 )
-        return CriterionResult(6, "geometric-phase oracle chain for the JC model (K=720, n_max=150)", ok, lines=lines)
+        name = f"geometric-phase oracle chain for the JC model (K={self.berry_k}, n_max={self.berry_cfg.n_max})"
+        return CriterionResult(6, name, ok, lines=lines)
 
     def criterion_7(self) -> CriterionResult:
         """Gauge invariance of the loop product under random rephasings."""
@@ -275,15 +280,24 @@ class AcceptanceSuite:
                 lines, d <= tol,
                 f"rabi g={g}: |wilson - 2pi<n>| mod 2pi = {d:.2e} <= {tol} (2pi<n> = {gen:.6f})",
             )
-        return CriterionResult(9, "generator identity for the rotated Rabi family (K=720)", ok, lines=lines)
+        return CriterionResult(9, f"generator identity for the rotated Rabi family (K={self.berry_k})", ok, lines=lines)
 
     def criterion_10(self) -> CriterionResult:
-        """Truncation convergence of the Rabi spectrum at g=1."""
+        """Truncation convergence of the Rabi spectrum at g=1, and the exact
+        level 1 - 2 g^2 that both parity sectors share at the first Juddian
+        point of Omega = 1, g = sqrt(3/32) (Judd, J. Phys. C 12, 1685, 1979)."""
         lines, ok = [], True
         tab = spectra.convergence_study(ModelKind.RABI_LAB, ModelParams(Omega=1.0), 1.0, 11, [300, 500])
         change = float(tab.max_changes[0])
         ok &= _check(lines, change <= 1e-8, f"lowest 11 Rabi levels at g=1: max |E(n_max=300) - E(n_max=500)| = {change:.2e} <= 1e-8")
-        return CriterionResult(10, "truncation convergence (Rabi, g=1, n_max 300 vs 500)", ok, lines=lines)
+        g = float(np.sqrt(3.0 / 32.0))
+        tab = spectra.spectrum_sweep(ModelKind.RABI_LAB, ModelParams(Omega=1.0), [g], 4, TruncationConfig(300))
+        dev = tab.levels[0, 2:4] - (1.0 - 2.0 * g * g)
+        worst = float(np.max(np.abs(dev)))
+        ok &= _check(lines, worst <= 1e-8, f"Juddian point g=sqrt(3/32), n_max=300: merged levels 2, 3 "
+                     f"minus 1 - 2g^2 = {dev[0]:+.1e}, {dev[1]:+.1e}; max {worst:.2e} <= 1e-8")
+        name = "truncation convergence (Rabi, g=1, n_max 300 vs 500) and the first Juddian point"
+        return CriterionResult(10, name, ok, lines=lines)
 
     def criterion_11(self) -> CriterionResult:
         """Mean-field phase converges to the closed form as the field grows."""
@@ -303,20 +317,21 @@ class AcceptanceSuite:
 
         Emits the closed-loop connection value for the first excited Rabi
         state at four couplings, next to the gauge-invariant Wilson loop and
-        the generator oracle, with grid-refinement evidence, and keeps the
-        curves for write_investigation_curves.  The loop rotates the full
-        eigenstate by U(phi), so its phase is 2 pi <n> mod 2 pi (criterion
-        9).  The paper's zero Rabi phase belongs to a different loop: the
-        adiabatic (mean-field) spin state carried around the (x, p) plane.
-        Not a pass/fail bound: the report records which of the two values,
-        0 or 2 pi <n>, the anchor-gauge curve closes on.
+        the generator oracle, with grid-refinement evidence, and returns the
+        curves in CriterionResult.curves for the CLI to write.  The loop
+        rotates the full eigenstate by U(phi), so its phase is 2 pi <n> mod
+        2 pi (criterion 9).  The paper's zero Rabi phase belongs to a
+        different loop: the adiabatic (mean-field) spin state carried around
+        the (x, p) plane.  Not a pass/fail bound: the report records which of
+        the two values, 0 or 2 pi <n>, the anchor-gauge curve closes on.
         """
         lines = []
         verdicts = []
+        curves = {}
         for g in (0.001, 0.01, 0.1, 1.0):
             fam = self.family("rabi", 1.0, g)
             conn = berry.connection_curve(fam.phi_grid, fam.vectors, "anchor_component")
-            self._investigation[g] = conn
+            curves[g] = conn
             w = berry.wilson_loop(fam.phi_grid, fam.vectors)
             gen = berry.generator_phase("rabi", ModelParams(Omega=1.0, g=g), 1, self.berry_cfg)
             d_zero = abs(wrap_phase(conn.gamma))
@@ -344,47 +359,19 @@ class AcceptanceSuite:
             )
         return CriterionResult(
             12, "connection-curve investigation (Rabi, anchor gauge, g in {0.001,...,1})",
-            True, bound=False, lines=lines,
+            True, bound=False, lines=lines, curves=curves,
         )
-
-    def write_investigation_curves(self, out_dir) -> list:
-        """Write the curves criterion 12 computed as CSV files (none before it runs)."""
-        from pathlib import Path
-
-        from .output import write_csv
-
-        out = Path(out_dir)
-        paths = []
-        for g, conn in self._investigation.items():
-            meta = {
-                "jcrabi": "investigation",
-                "model": "rabi",
-                "g": g,
-                "level": 1,
-                "K": self.k_nodes,
-                "n_max": self.berry_cfg.n_max,
-                "gauge": conn.gauge,
-            }
-            paths.append(
-                write_csv(out / f"investigation_rabi_g{g:g}.csv",
-                          ["phi", "partial_phase"], conn.curve, meta)
-            )
-        return paths
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self, numbers=None):
-        numbers = list(numbers) if numbers else list(CRITERIA)
-        results = []
-        for num in numbers:
-            if num not in CRITERIA:
-                raise ValueError(f"no criterion {num}; valid: 1..12")
-            fn = getattr(self, f"criterion_{num}")
-            t0 = time.time()
-            res = fn()
-            res.elapsed = time.time() - t0
-            results.append(res)
-        return results
+    def run(self, number: int) -> CriterionResult:
+        """Run one criterion and time it."""
+        if number not in CRITERIA:
+            raise ValueError(f"no criterion {number}; valid: 1..12")
+        t0 = time.time()
+        res = getattr(self, f"criterion_{number}")()
+        res.elapsed = time.time() - t0
+        return res
 
 
 def format_report(results) -> str:

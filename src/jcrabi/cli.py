@@ -133,7 +133,7 @@ _READS = {
     "surfaces": {"model", "omega", "Omega", "g", "output_dir"},
     "convergence": {"model", "omega", "Omega", "g", "k_levels", "output_dir"},
     "crossing": {"model", "omega", "Omega", "n_max", "output_dir"},
-    "verify": {"phi_nodes", "output_dir"},
+    "verify": {"output_dir"},
 }
 
 
@@ -214,10 +214,14 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
     if g_step <= 0 or g_max < g_min:
         raise UsageError("need g-step > 0 and g-max >= g-min")
     _check_levels(cfg.k_levels, cfg.n_max)
-    out = _out_dir(cfg)
     # the last point never overshoots g-max; the slack absorbs rounding
     n_steps = math.floor((g_max - g_min) / g_step + 1e-9)
-    g_grid = np.round(g_min + g_step * np.arange(n_steps + 1), 12)
+    try:
+        g_grid = np.round(g_min + g_step * np.arange(n_steps + 1), 12)
+    except ValueError as exc:
+        raise UsageError(f"--g-min {g_min:g}, --g-max {g_max:g} and --g-step {g_step:g} give "
+                         f"{n_steps + 1:.3g} couplings, more than numpy can hold: {exc}") from exc
+    out = _out_dir(cfg)
     tables = {}
     for kind in _model_kinds(cfg):
         table = spectra.spectrum_sweep(kind, cfg.params(), g_grid, cfg.k_levels, cfg.cfg())
@@ -408,7 +412,7 @@ def cmd_crossing(cfg: RunConfig, g_lo: float, g_hi: float) -> int:
 
 
 def cmd_verify(cfg: RunConfig, only) -> int:
-    numbers = None
+    numbers = acceptance.CRITERIA
     if only is not None:
         try:
             numbers = [int(tok) for tok in only.split(",") if tok.strip()]
@@ -420,11 +424,11 @@ def cmd_verify(cfg: RunConfig, only) -> int:
         if repeated:
             raise UsageError(f"--only lists criteria {repeated} more than once, got {only!r}")
     out = _out_dir(cfg)
-    suite = acceptance.AcceptanceSuite(k_nodes=cfg.phi_nodes)
+    suite = acceptance.AcceptanceSuite()
     results = []
-    for number in numbers or acceptance.CRITERIA:
+    for number in numbers:
         try:
-            results += suite.run([number])
+            results.append(suite.run(number))
         except _NUMERICAL as exc:
             raise RunFailure(f"criterion {number}: {exc}") from exc
     report = acceptance.format_report(results)
@@ -433,8 +437,12 @@ def cmd_verify(cfg: RunConfig, only) -> int:
         print(f"time  criterion {r.number:2d}: {r.elapsed:.1f}s", file=sys.stderr)
     (out / "verify_report.txt").write_text(report + "\n", newline="\n")
     print(f"wrote {out / 'verify_report.txt'}")
-    if any(r.number == 12 for r in results):
-        for path in suite.write_investigation_curves(out):
+    for r in results:
+        for g, conn in r.curves.items():
+            meta = cfg.metadata("verify", model="rabi", g=g, level=1, K=suite.berry_k,
+                                n_max=suite.berry_cfg.n_max, gauge=conn.gauge)
+            path = write_csv(out / f"investigation_rabi_g{g:g}.csv",
+                             ["phi", "partial_phase"], conn.curve, meta)
             print(f"wrote {path}")
     failed = [r for r in results if r.bound and not r.passed]
     return 3 if failed else 0

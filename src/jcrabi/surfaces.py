@@ -35,7 +35,9 @@ class SurfaceGrid:
 
 
 def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
-    """Evaluate the adiabatic surfaces pointwise on the given axes."""
+    """Evaluate the adiabatic surfaces pointwise on the given axes; a grid
+    whose gap is not finite somewhere (an overflow) is a ValueError naming
+    the model and g."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     if x_axis.size == 0 or p_axis.size == 0:
@@ -43,14 +45,24 @@ def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
     if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(p_axis))):
         raise ValueError("surface axes must be finite")
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
-    if kind.model == "jc":
-        half_gap = np.sqrt(0.25 * p.delta**2 + p.g**2 * (xg**2 + pg**2))
-        upper, lower = half_gap, -half_gap
-    else:
-        osc = 0.5 * p.omega * (xg**2 + pg**2)
-        half_gap = np.sqrt(0.25 * p.Omega**2 + 4.0 * p.g**2 * xg**2)
-        upper, lower = osc + half_gap, osc - half_gap
-    return SurfaceGrid(x_axis, p_axis, upper, lower, upper - lower)
+    # hypot forms the half-gap without squaring g, delta or Omega, so a
+    # huge coupling overflows only where the half-gap itself does; an
+    # overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind.model == "jc":
+            half_gap = np.hypot(0.5 * p.delta, p.g * np.hypot(xg, pg))
+            upper, lower = half_gap, -half_gap
+        else:
+            osc = 0.5 * p.omega * (xg**2 + pg**2)
+            half_gap = np.hypot(0.5 * p.Omega, 2.0 * p.g * xg)
+            upper, lower = osc + half_gap, osc - half_gap
+        gap = upper - lower
+    if not np.all(np.isfinite(gap)):
+        raise ValueError(
+            f"the {kind.model} surface overflows at g={p.g:g} (omega={p.omega:g}, "
+            f"Omega={p.Omega:g}): its gap is not finite"
+        )
+    return SurfaceGrid(x_axis, p_axis, upper, lower, gap)
 
 
 @dataclass(frozen=True)

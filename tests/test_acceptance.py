@@ -18,7 +18,7 @@ def suite():
 
 
 def _run(suite, number):
-    res = suite.run([number])[0]
+    res = suite.run(number)
     print()
     print(res.summary())
     for line in res.lines:
@@ -83,8 +83,8 @@ def test_suite_detects_perturbed_closed_form(monkeypatch):
     from jcrabi import surfaces
 
     monkeypatch.setattr(acceptance, "BERRY_NMAX", 40)
-    cheap = AcceptanceSuite(k_nodes=128)
-    baseline = cheap.run([6])[0]
+    monkeypatch.setattr(acceptance, "BERRY_K", 128)
+    baseline = AcceptanceSuite().run(6)
     assert baseline.passed
 
     true_fn = surfaces.berry_exact_jc
@@ -92,8 +92,21 @@ def test_suite_detects_perturbed_closed_form(monkeypatch):
         surfaces, "berry_exact_jc",
         lambda n, p, sign=+1: true_fn(n, p, sign) + 1e-2,
     )
-    perturbed = AcceptanceSuite(k_nodes=128).run([6])[0]
+    perturbed = AcceptanceSuite().run(6)
     assert not perturbed.passed
+
+
+def test_criterion_names_state_the_configuration_that_ran(monkeypatch):
+    monkeypatch.setattr(acceptance, "BERRY_NMAX", 40)
+    monkeypatch.setattr(acceptance, "BERRY_K", 128)
+    cheap = AcceptanceSuite()
+    assert cheap.run(6).name.endswith("(K=128, n_max=40)")
+    assert cheap.run(9).name.endswith("(K=128)")
+
+
+def test_run_rejects_unknown_criterion(suite):
+    with pytest.raises(ValueError, match="no criterion 13"):
+        suite.run(13)
 
 
 def test_format_report_flags_failures():

@@ -640,3 +640,32 @@ class TestGeneratorPhase:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             generator_phase("jc", P_RES, -1, CFG)
+
+
+class TestJuddianDegeneracy:
+    """At the first Juddian point (Omega/2)^2 + 8 g^2 = omega^2 (Judd,
+    J. Phys. C 12, 1685, 1979) the even and odd Rabi sectors share the exact
+    level omega - 2 g^2 / omega, merged levels 2 and 3: a physical
+    degeneracy, which every single-level phase must refuse."""
+
+    CFG_J = TruncationConfig(150)
+    CASES = [(Omega, level) for Omega in (0.5, 1.0, 1.5) for level in (2, 3)]
+
+    @staticmethod
+    def params(Omega):
+        return ModelParams(Omega=Omega, g=float(np.sqrt((1.0 - (Omega / 2) ** 2) / 8)))
+
+    @pytest.mark.parametrize("Omega, level", CASES)
+    def test_eig_family_refuses(self, Omega, level):
+        with pytest.raises(TrackingError, match=f"phi node 0: level {level} is degenerate"):
+            eig_family("rabi", self.params(Omega), level, 64, self.CFG_J)
+
+    @pytest.mark.parametrize("Omega, level", CASES)
+    def test_fock_loop_refuses(self, Omega, level):
+        with pytest.raises(TrackingError, match=f"phi node 0: level {level} is degenerate"):
+            fock_loop("rabi", self.params(Omega), level, 64, self.CFG_J, "anchor_component")
+
+    @pytest.mark.parametrize("Omega, level", CASES)
+    def test_generator_phase_refuses(self, Omega, level):
+        with pytest.raises(DegenerateLevelError, match=f"level {level} is degenerate"):
+            generator_phase("rabi", self.params(Omega), level, self.CFG_J)

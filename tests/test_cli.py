@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import jcrabi.berry as berry_module
 import jcrabi.models as models_module
+from jcrabi import __version__, acceptance
 from jcrabi.cli import _load_config, build_parser, main
 from jcrabi.linalg import EigenSystem
 
@@ -20,7 +22,7 @@ README_READS = {
     "surfaces": {"model", "omega", "Omega", "g", "output_dir"},
     "convergence": {"model", "omega", "Omega", "g", "k_levels", "output_dir"},
     "crossing": {"model", "omega", "Omega", "n_max", "output_dir"},
-    "verify": {"phi_nodes", "output_dir"},
+    "verify": {"output_dir"},
 }
 FLAG_OF = {
     "model": ("--model", "rabi", "rabi"),
@@ -258,6 +260,26 @@ class TestSurfacesCommand:
         noted = "too coarse to call it a point" in capsys.readouterr().err
         assert noted == (locus == "none")
 
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_huge_coupling_writes_finite_files(self, tmp_path, model):
+        rc = main(["surfaces", "--model", model, "--g", "1e200", "--resolution", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        _, _, rows = read_rows(tmp_path / f"surface_{model}.csv")
+        assert len(rows) == 9 and np.all(np.isfinite(rows))
+        report = json.loads((tmp_path / f"degeneracy_{model}.json").read_text())
+        assert math.isfinite(report["min_gap"]) and math.isfinite(report["tol_gap"])
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_overflowing_surface_is_a_numerical_failure(self, tmp_path, capsys, model):
+        out = tmp_path / "out"
+        rc = main(["surfaces", "--model", model, "--g", "1e308", "--resolution", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: the {model} surface overflows at g=1e+308")
+        assert list(out.iterdir()) == []
+
     def test_small_grid_row_count(self, tmp_path):
         rc = main([
             "surfaces", "--model", "jc", "--resolution", "2", "--out", str(tmp_path),
@@ -350,6 +372,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, values, keys", [
         (["crossing"], {"g": 5.0, "level": 3, "phi_nodes": 64}, "g, level, phi_nodes"),
         (["verify", "--only", "5"], {"model": "rabi", "n_max": 30}, "model, n_max"),
+        (["verify", "--only", "5"], {"phi_nodes": 64}, "phi_nodes"),
         (["spectrum"], {"g": 0.5, "gauge": "parallel"}, "g, gauge"),
         (["surfaces"], {"n_max": 30}, "n_max"),
         (["convergence"], {"level": 2}, "level"),
@@ -403,7 +426,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["berry", "--nmax", "20", "--phi-nodes", "65"],
-        ["verify", "--only", "8", "--phi-nodes", "721"],
     ])
     def test_usage_error_odd_phi_nodes(self, tmp_path, capsys, argv):
         # an odd K has no K/2 grid, hence no residual estimate
@@ -430,6 +452,15 @@ class TestExitCodes:
         nmax = ["--nmax", "5"] if argv[0] in ("spectrum", "crossing") else []
         assert main([*argv, *nmax, "--out", str(tmp_path)]) == 1
         assert f"usage error: {flag} must be finite" in capsys.readouterr().err
+
+    def test_usage_error_grid_numpy_cannot_build(self, tmp_path, capsys):
+        # about 1e300 couplings: np.arange refuses before allocating
+        out = tmp_path / "out"
+        argv = ["spectrum", "--model", "jc", "--nmax", "5", "--g-max", "1e300", "--g-step", "1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --g-min 0, --g-max 1e+300 and --g-step 1 give")
+        assert not out.exists()
 
     def test_usage_error_negative_g_min(self, tmp_path, capsys):
         # a negative coupling is a usage error, not a numerical failure
@@ -483,6 +514,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, flag", [
         (["verify", "--only", "5", "--model", "rabi"], "--model"),
         (["verify", "--only", "5", "--nmax", "3"], "--nmax"),
+        (["verify", "--only", "5", "--phi-nodes", "64"], "--phi-nodes"),
         (["crossing", "--nmax", "5", "--g", "5"], "--g"),
         (["crossing", "--nmax", "5", "--level", "3"], "--level"),
     ])
@@ -544,10 +576,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(out.iterdir()) == []
 
-    def test_numerical_failure_names_the_criterion(self, tmp_path, capsys):
+    def test_numerical_failure_names_the_criterion(self, tmp_path, capsys, monkeypatch):
         # K = 16 is too coarse for criterion 6's first family
+        monkeypatch.setattr(acceptance, "BERRY_K", 16)
         out = tmp_path / "out"
-        assert main(["verify", "--only", "6", "--phi-nodes", "16", "--out", str(out)]) == 2
+        assert main(["verify", "--only", "6", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
             "numerical failure: criterion 6: eigenpath tracking lost at phi node 1: "
@@ -565,6 +598,23 @@ class TestExitCodes:
         assert not re.search(r"\[\d+\.\ds\]", report)
         assert re.search(r"criterion  5: \d+\.\ds", captured.err)
         assert re.search(r"criterion 10: \d+\.\ds", captured.err)
+
+    def test_verify_writes_the_investigation_curves_with_the_version(self, tmp_path):
+        assert main(["verify", "--only", "12", "--out", str(tmp_path)]) == 0
+        curves = sorted(tmp_path.glob("investigation_rabi_g*.csv"))
+        assert [c.name for c in curves] == [
+            f"investigation_rabi_g{g}.csv" for g in ("0.001", "0.01", "0.1", "1")
+        ]
+        for path in curves:
+            meta, header, rows = read_rows(path)
+            assert meta[0] == f"# jcrabi = {__version__}"
+            assert "# command = verify" in meta and "# K = 720" in meta
+            assert header == ["phi", "partial_phase"]
+            assert len(rows) == acceptance.BERRY_K + 1
+
+    def test_verify_without_the_investigation_writes_no_curve(self, tmp_path):
+        assert main(["verify", "--only", "5", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["verify_report.txt"]
 
     def test_console_entry_point(self):
         proc = subprocess.run(
