@@ -25,7 +25,7 @@ import numpy as np
 from . import berry, models, spectra, surfaces
 from .berry import DegenerateLevelError, TrackingError, phase_distance, wrap_phase
 from .fock import TruncationConfig
-from .linalg import commutator_deviation, hermitian_eig
+from .linalg import EIG_RTOL, commutator_deviation, hermitian_eig, tridiagonal
 from .models import ModelKind, ModelParams, build_jc, build_rabi, symmetry_ops
 
 # The gate's configuration: sweeps run at n_max = 200, geometric-phase
@@ -287,9 +287,19 @@ class AcceptanceSuite:
         level 1 - 2 g^2 that both parity sectors share at the first Juddian
         point of Omega = 1, g = sqrt(3/32) (Judd, J. Phys. C 12, 1685, 1979)."""
         lines, ok = [], True
-        tab = spectra.convergence_study(ModelKind.RABI_LAB, ModelParams(Omega=1.0), 1.0, 11, [300, 500])
+        p = ModelParams(Omega=1.0, g=1.0)
+        tab = spectra.convergence_study(ModelKind.RABI_LAB, p, p.g, 11, [300, 500])
         change = float(tab.max_changes[0])
         ok &= _check(lines, change <= 1e-8, f"lowest 11 Rabi levels at g=1: max |E(n_max=300) - E(n_max=500)| = {change:.2e} <= 1e-8")
+        # both cutoffs solve the same leading block, so the line above reads
+        # 0; this one holds the n_max = 500 levels to the full sectors
+        diag, off = models.parity_sectors(ModelKind.RABI_LAB, p, TruncationConfig(500))
+        full = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:11]
+        dev = float(np.max(np.abs(tab.levels[-1] - full)))
+        bound = EIG_RTOL * max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
+        ok &= _check(lines, dev <= bound, f"n_max=500 levels vs full eigvalsh of both 501-square sectors: "
+                     f"max dev {dev:.2e} <= {bound:.2e} (leading block m'={int(tab.block[-1])}, "
+                     f"largest certified residual {float(tab.residual[-1]):.2e})")
         g = float(np.sqrt(3.0 / 32.0))
         tab = spectra.spectrum_sweep(ModelKind.RABI_LAB, ModelParams(Omega=1.0), [g], 4, TruncationConfig(300))
         dev = tab.levels[0, 2:4] - (1.0 - 2.0 * g * g)

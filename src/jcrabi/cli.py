@@ -206,6 +206,13 @@ def _model_kinds(cfg: RunConfig):
     return [ModelKind(name) for name in names]
 
 
+def _evidence(table) -> dict:
+    """The '#' lines that say how a table's levels were solved: the order of
+    the largest block and the largest certified residual over its rows."""
+    return {"max_block_order": int(np.max(table.block)),
+            "max_certified_residual": float(np.max(table.residual))}
+
+
 def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg: bool) -> int:
     for flag, value in (("g-min", g_min), ("g-max", g_max), ("g-step", g_step)):
         _check_finite(flag, value)
@@ -231,7 +238,7 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
         path = write_csv(
             out / f"spectrum_{kind.model}.csv", columns, rows,
             cfg.metadata("spectrum", g_min=g_min, g_max=g_max, g_step=g_step,
-                         this_model=kind.model),
+                         this_model=kind.model, **_evidence(table)),
         )
         print(f"wrote {path}")
     if svg and len(tables) == 2:
@@ -378,7 +385,8 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
     for i, n_max in enumerate(table.n_values):
         change = table.max_changes[i - 1] if i > 0 else float("nan")
         rows.append([n_max, *table.levels[i], change])
-    meta = cfg.metadata("convergence", n_list=",".join(str(n) for n in n_list))
+    meta = cfg.metadata("convergence", n_list=",".join(str(n) for n in n_list),
+                        **_evidence(table))
     path = write_csv(out / f"convergence_{kind.model}.csv", columns, rows, meta)
     print(f"wrote {path}")
     return 0

@@ -14,12 +14,19 @@ the sectors are solved in one of two ways:
 * values only: merged_levels reads the structure from the bands.  A block
   row with no two adjacent nonzero links (a JC sector, or any sector at
   g = 0) is a set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values
-  _pair_eigvalsh gives in closed form for all points at once; any other
-  block row is solved point by point with one stacked np.linalg.eigvalsh.
-  Each kept value is then gated with a Sturm count (sturm_count, an LDL^T
-  inertia count on the full bands that needs no eigensolver) before
-  merging.  The spectrum sweeps, convergence studies, Bloch-Siegert values
-  and the numerical crossing (the even sector alone) take this path.
+  _pair_eigvalsh gives in closed form for all points at once.  Any other
+  block row (Rabi at g != 0) is solved from a certified leading block
+  (_leading_levels): np.linalg.eigh on the leading m' x m' blocks of all
+  points at once, m' doubling from max(2k, 32) until the Ritz residual
+  |off[m'-1] y[m'-1]| of every kept value is at most LEADING_ULPS ulps of
+  max|T|, and a full np.linalg.eigvalsh once m' reaches m.  Each kept
+  value is then gated with a Sturm count (an LDL^T inertia count on the
+  full bands that needs no eigensolver) before merging: _pair_sturm_count
+  counts a row of pairs in two vectorised steps, sturm_count any other
+  row with its loop over m.  The spectrum sweeps, convergence studies,
+  Bloch-Siegert values and the numerical crossing (the even sector alone)
+  take this path, and merged_levels reports the m' and the residual
+  behind each point (SectorLevels).
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  Only the
   Berry loop needs the vectors: berry.fock_loop, which reads the loop off
@@ -206,8 +213,7 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
         raise ValueError(
             f"off must have one entry fewer than diag, got {off2.shape[-1]} and {m}"
         )
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(off2, axis=-1, initial=0.0))
-    pivmin = pivmin[..., None]
+    pivmin = _pivmin(off2)[..., None]
     d = diag[..., :1] - shifts
     count = 0
     for j in range(m):
@@ -216,6 +222,29 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
         d = np.where(np.abs(d) < pivmin, pivmin, d)
         count = count + (d < 0)
     return count
+
+
+def _pivmin(off2) -> np.ndarray:
+    """sturm_count's pivot guard tiny * max(1, max off^2), per matrix."""
+    return np.finfo(float).tiny * np.maximum(1.0, np.max(off2, axis=-1, initial=0.0))
+
+
+def _pair_sturm_count(diag, off, shifts) -> np.ndarray:
+    """sturm_count of rows none of whose nonzero links are adjacent, with no
+    loop over m: diag (rows, m), off (rows, m - 1), shifts (rows, s).
+
+    In such a row the pivot above a nonzero link has no link above it, so
+    it is the guarded diag_{j-1} - x, and every pivot is
+    diag_j - x - off_{j-1}^2 / guard(diag_{j-1} - x): the loop's own
+    expression (a zero link subtracts a zero), in two vectorised steps.
+    A pivot counts when it is negative after the guard, i.e. d <= -pivmin.
+    """
+    off2 = off ** 2
+    pivmin = _pivmin(off2)[:, None, None]
+    d = diag[:, :, None] - shifts[:, None, :]  # (rows, m, s)
+    guarded = np.where(np.abs(d) < pivmin, pivmin, d)
+    d[:, 1:] -= off2[:, :, None] / guarded[:, :-1]
+    return np.count_nonzero(d <= -pivmin, axis=1)
 
 
 def _pair_eigvalsh(diag, off) -> np.ndarray:
@@ -250,40 +279,127 @@ def _pair_eigvalsh(diag, off) -> np.ndarray:
     return values
 
 
-def merged_levels(points, k: int, where) -> np.ndarray:
+# Matrix entries per stacked LAPACK input or Sturm count block: the stacks
+# are solved in chunks of rows, so a sweep's solve holds about 1 MB at once.
+_STACK_ELEMENTS = 1 << 17
+# A leading block is certified once every kept residual is at most this
+# many ulps of max|T|.
+LEADING_ULPS = 4
+
+
+def _chunked(solve, width: int, *rows):
+    """solve(*chunk) over chunks of the leading axis of ``rows``, each chunk
+    holding at most _STACK_ELEMENTS // width rows (at least one); the
+    results, one array or a tuple of arrays, are concatenated."""
+    step = max(1, _STACK_ELEMENTS // width)
+    parts = [solve(*(r[i:i + step] for r in rows)) for i in range(0, len(rows[0]), step)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _leading_levels(diag, off, k: int):
+    """The min(k, m) lowest eigenvalues of every block, from leading blocks.
+
+    ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
+    the bands.  For an eigenpair (theta, y) of the leading m' x m' block of
+    a tridiagonal T, the vector y padded with zeros has the residual
+    |off[m'-1] y[m'-1]| in T, so an eigenvalue of T lies within it of theta
+    (Parlett, The Symmetric Eigenvalue Problem, the Ritz bound).  Starting
+    at m' = max(2k, 32), np.linalg.eigh solves the leading blocks of all
+    open points at once; a point is done once the residual of each value
+    kept from each of its blocks is at most LEADING_ULPS ulps of that
+    block's max|T|, and m' doubles for the rest.  Points still open when m' reaches m get a full
+    np.linalg.eigvalsh.  Returns (values, size, residual): values
+    (points, blocks, min(k, m)); per point the m' it was solved at (m for
+    a full solve) and its largest certified residual (0 for a full solve).
+    """
+    n_points, n_blocks, m = diag.shape
+    kb = min(k, m)
+    values = np.empty((n_points, n_blocks, kb))
+    size = np.full(n_points, m)
+    residual = np.zeros(n_points)
+    bound = LEADING_ULPS * np.finfo(float).eps * np.maximum(
+        np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+
+    def ritz(d, o):
+        theta, y = np.linalg.eigh(tridiagonal(d, o))
+        return theta[:, :kb], np.abs(y[:, -1, :kb])
+
+    todo = np.arange(n_points)
+    order = max(2 * k, 32)
+    while todo.size and order < m:
+        d = diag[todo, :, :order].reshape(-1, order)
+        o = off[todo, :, :order - 1].reshape(-1, order - 1)
+        theta, tail = _chunked(ritz, order * order, d, o)
+        r = (np.abs(off[todo, :, order - 1]).reshape(-1, 1) * tail).reshape(-1, n_blocks, kb)
+        done = np.all(r <= bound[todo, :, None], axis=(1, 2))
+        finished = todo[done]
+        values[finished] = theta.reshape(-1, n_blocks, kb)[done]
+        size[finished] = order
+        residual[finished] = np.max(r[done], axis=(1, 2))
+        todo = todo[~done]
+        order *= 2
+    if todo.size:
+        full = _chunked(lambda d, o: np.linalg.eigvalsh(tridiagonal(d, o))[:, :kb], m * m,
+                        diag[todo].reshape(-1, m), off[todo].reshape(-1, m - 1))
+        values[todo] = full.reshape(-1, n_blocks, kb)
+    return values, size, residual
+
+
+@dataclass(frozen=True)
+class SectorLevels:
+    """The k lowest levels per point, and how they were solved.
+
+    levels   -- (points, k), each row ascending
+    block    -- (points,) the order of the largest block solved at the point:
+                2 where every row splits into pairs, the leading-block m'
+                where one was certified, m for a full solve
+    residual -- (points,) the largest certified residual of the point's
+                leading blocks, 0 where no block was cut
+    """
+
+    levels: np.ndarray
+    block: np.ndarray
+    residual: np.ndarray
+
+
+def merged_levels(points, k: int, where) -> SectorLevels:
     """The k lowest levels at each point, from the bands of its blocks.
 
     ``points`` holds one (diag, off) pair per point, as block_eig takes it,
     all of the same shape.  A block row none of whose points has two
     adjacent nonzero links (every JC parity sector, and any sector at g = 0)
     is a set of decoupled pairs: its values come from the closed form of
-    _pair_eigvalsh, over all points at once.  Every other block row is
-    solved point by point with one stacked np.linalg.eigvalsh.  The blocks
-    are merged as block_eig merges them, so the level numbering is the
-    same; the points are then checked in one batch.
+    _pair_eigvalsh, over all points at once.  Every other block row (Rabi at
+    g != 0) is solved from certified leading blocks (_leading_levels).  The
+    blocks are merged as block_eig merges them, so the level numbering is
+    the same; the points are then checked in one batch on the full bands.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
-    eigensolver involved and tolerates exact clusters.  A violation raises
-    ConvergenceError naming where(point, block) and the eigenvalue.
-    Returns shape (len(points), k).
+    eigensolver involved and tolerates exact clusters; pair rows are
+    counted by _pair_sturm_count, the others by sturm_count.  A violation
+    raises ConvergenceError naming where(point, block) and the eigenvalue.
     """
     if not points:
-        return np.empty((0, k))
+        return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0))
     diag, off = (np.stack(part) for part in zip(*points))
+    n_points, m = len(diag), diag.shape[-1]
     linked = off != 0
     pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
-    values = np.empty(diag.shape[:-1] + (min(k, diag.shape[-1]),))
+    values = np.empty(diag.shape[:-1] + (min(k, m),))
+    block = np.full(n_points, 2)
+    residual = np.zeros(n_points)
     if np.any(pairs):
         values[:, pairs] = _pair_eigvalsh(diag[:, pairs], off[:, pairs])[..., :k]
     rest = ~pairs
     if np.any(rest):
         try:
-            values[:, rest] = np.stack([np.linalg.eigvalsh(tridiagonal(d[rest], o[rest]))[..., :k]
-                                        for d, o in zip(diag, off)])
+            values[:, rest], block, residual = _leading_levels(diag[:, rest], off[:, rest], k)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
             raise ConvergenceError(
-                f"eigenvalues of dim={diag.shape[-1]} blocks did not converge "
+                f"eigenvalues of dim={m} blocks did not converge "
                 f"within the solver's iteration cap ({exc})"
             ) from exc
     scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
@@ -293,7 +409,16 @@ def merged_levels(points, k: int, where) -> np.ndarray:
     np.put_along_axis(kept, order[..., :k], True, axis=-1)
     kept = kept.reshape(values.shape)
     tol = EIG_RTOL * scale[..., None]
-    counts = sturm_count(diag, off, np.concatenate([values - tol, values + tol], axis=-1))
+    shifts = np.concatenate([values - tol, values + tol], axis=-1)
+    counts = np.empty(shifts.shape, dtype=int)
+    if np.any(pairs):
+        n_rows = n_points * np.count_nonzero(pairs)
+        counts[:, pairs] = _chunked(
+            _pair_sturm_count, m * 2 * kb,
+            *(x[:, pairs].reshape(n_rows, x.shape[-1]) for x in (diag, off, shifts)),
+        ).reshape(n_points, -1, 2 * kb)
+    if np.any(rest):
+        counts[:, rest] = sturm_count(diag[:, rest], off[:, rest], shifts[:, rest])
     below, within = counts[..., :kb], counts[..., kb:]
     index = np.arange(kb)
     # a zero block has the exact spectrum 0 and tol = 0: nothing to count
@@ -307,7 +432,7 @@ def merged_levels(points, k: int, where) -> np.ndarray:
             f"N(v - tol) <= {i} < N(v + tol) is needed "
             f"(tol = {EIG_RTOL:.1e} * max|T| = {tol[p, b, 0]:.3e})"
         )
-    return merged[..., :k]
+    return SectorLevels(merged[..., :k], block, residual)
 
 
 def commutator_deviation(a, b, target) -> float:

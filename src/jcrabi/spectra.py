@@ -7,15 +7,20 @@ linalg.merged_levels solves each point's sectors, gates the kept values with
 a Sturm count on the bands (in one batch per sweep) and merges them into one
 ascending spectrum.  A JC sector, which conserves excitation number, is a
 direct sum of the dressed doublets |2>|n-1>, |1>|n> and the empty state
-|1>|0>, so merged_levels solves it in closed form; a Rabi sector at g != 0
-goes to np.linalg.eigvalsh.  The sweeps, convergence studies and
-Bloch-Siegert values read both sectors (Bloch-Siegert solves the two models
-in separate calls, so the JC half keeps the closed form); the numerical
-crossing reads the even JC sector alone.  No eigenvector is computed here
-(only the Berry loop, berry.fock_loop and its oracle eig_family, reads
-vectors).  The dense
-joint-space builders are not called; they stay the oracle the tests compare
-these results with.
+|1>|0>, so merged_levels solves it in closed form.  A Rabi sector at
+g != 0 is solved from a leading block of its chain, since its low levels
+live in low Fock states: the block m' doubles from max(2k, 32) until the
+Ritz residual |off[m'-1] y[m'-1]| of each kept value is at most 4 ulps of
+max|T| (a full solve once m' reaches the sector), while the Sturm gate
+still counts on the full bands.  The sweep and convergence tables carry
+the m' and the certified residual of each row.  The sweeps, convergence
+studies and Bloch-Siegert values read both sectors (Bloch-Siegert solves
+the two models in separate calls, so the JC half keeps the closed form);
+the numerical crossing reads the even JC sector alone.  No eigenvector of
+a full sector is computed here: the leading blocks' vectors only give
+their residuals, and only the Berry loop (berry.fock_loop and its oracle
+eig_family) reads vectors.  The dense joint-space builders are not called;
+they stay the oracle the tests compare these results with.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import EIG_RTOL, merged_levels
+from .linalg import EIG_RTOL, SectorLevels, merged_levels
 from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
 
 
@@ -34,7 +39,7 @@ from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
 _SECTORS = ("even", "odd")
 
 
-def _sector_levels(points, k: int) -> np.ndarray:
+def _sector_levels(points, k: int) -> SectorLevels:
     """The k lowest levels at each (kind, params, cfg) point, values only.
 
     The points must share one cutoff; merged_levels Sturm-gates all points
@@ -52,10 +57,16 @@ def _sector_levels(points, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """k lowest eigenvalues per coupling; rows follow g_values order."""
+    """k lowest eigenvalues per coupling; rows follow g_values order.
+
+    block and residual are linalg.SectorLevels' evidence per row: the order
+    of the largest block solved and the largest certified residual.
+    """
 
     g_values: np.ndarray
     levels: np.ndarray  # shape (len(g_values), k), each row ascending
+    block: np.ndarray
+    residual: np.ndarray
 
 
 def spectrum_sweep(
@@ -74,8 +85,8 @@ def spectrum_sweep(
         raise ValueError("g_grid must be finite")
     if k < 1 or k > cfg.dim_joint:
         raise ValueError(f"k must be in [1, {cfg.dim_joint}], got {k}")
-    levels = _sector_levels([(kind, p.with_g(g), cfg) for g in g_grid], k)
-    return SpectrumTable(g_grid, levels)
+    solved = _sector_levels([(kind, p.with_g(g), cfg) for g in g_grid], k)
+    return SpectrumTable(g_grid, solved.levels, solved.block, solved.residual)
 
 
 def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -> float:
@@ -93,7 +104,7 @@ def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -
         )
     pg = p.with_g(g)
     # one call per model, so the JC sectors keep the closed-form pair path
-    jc, rabi = (_sector_levels([(kind, pg, cfg)], level + 1)[0]
+    jc, rabi = (_sector_levels([(kind, pg, cfg)], level + 1).levels[0]
                 for kind in (ModelKind.JC_LAB, ModelKind.RABI_LAB))
     e_jc = jc[level] - jc[0]
     e_rabi = rabi[level] - rabi[0]
@@ -193,7 +204,7 @@ def ground_crossing(
             return f"the even jc sector at g={float(g)!r}, n_max={cfg.n_max}"
 
         diag, off = parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg)
-        even = merged_levels([(diag[:1], off[:1])], 1, where)[0, 0]
+        even = merged_levels([(diag[:1], off[:1])], 1, where).levels[0, 0]
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
         return even - empty, abs(even - empty) <= EIG_RTOL * scale
 
@@ -217,11 +228,17 @@ def ground_crossing(
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """k lowest levels per truncation, with successive max-|change| column."""
+    """k lowest levels per truncation, with successive max-|change| column.
+
+    block and residual are linalg.SectorLevels' evidence per cutoff, as in
+    SpectrumTable.
+    """
 
     n_values: np.ndarray
     levels: np.ndarray        # shape (len(n_values), k)
     max_changes: np.ndarray   # shape (len(n_values) - 1,)
+    block: np.ndarray
+    residual: np.ndarray
 
 
 def convergence_study(
@@ -244,8 +261,9 @@ def convergence_study(
             f"cutoff {n_list[0]}, got {k}"
         )
     pg = p.with_g(g)
-    levels = np.concatenate(
-        [_sector_levels([(kind, pg, TruncationConfig(n_max))], k) for n_max in n_list]
-    )
+    solved = [_sector_levels([(kind, pg, TruncationConfig(n_max))], k) for n_max in n_list]
+    levels = np.concatenate([s.levels for s in solved])
     changes = np.max(np.abs(np.diff(levels, axis=0)), axis=1)
-    return ConvergenceTable(np.asarray(n_list), levels, changes)
+    return ConvergenceTable(np.asarray(n_list), levels, changes,
+                            np.concatenate([s.block for s in solved]),
+                            np.concatenate([s.residual for s in solved]))

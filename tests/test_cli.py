@@ -119,6 +119,20 @@ class TestSpectrumCommand:
         assert "# n_max = 10" in meta and "# g_step = 0.1" in meta
         assert not any(line.startswith("# g =") for line in meta)
 
+    def test_evidence_lines_add_no_column(self, tmp_path):
+        assert main(["spectrum", "--model", "both", "--nmax", "200", "--out", str(tmp_path)]) == 0
+        evidence = {}
+        for model in ("jc", "rabi"):
+            meta, header, rows = read_rows(tmp_path / f"spectrum_{model}.csv")
+            assert header == ["g"] + [f"E{i}" for i in range(1, 12)]
+            assert all(len(row) == 12 for row in rows)
+            evidence[model] = dict(line[2:].split(" = ") for line in meta[-2:])
+        # JC splits into pairs; the Rabi sweep doubles m' past 32, short of
+        # the 201-element sectors, within 4 ulps of max|T| = 200
+        assert evidence["jc"] == {"max_block_order": "2", "max_certified_residual": "0.0"}
+        assert 32 < int(evidence["rabi"]["max_block_order"]) < 201
+        assert 0 < float(evidence["rabi"]["max_certified_residual"]) <= 4 * 2.0 ** -52 * 200
+
     def test_bloch_siegert_visible_between_files(self, tmp_path):
         rc = main([
             "spectrum", "--model", "both", "--nmax", "120", "--levels", "3",
@@ -300,6 +314,10 @@ class TestOtherCommands:
         assert header[-1] == "max_change"
         assert len(rows) == 3
         assert rows[2][-1] <= rows[1][-1]  # refinement shrinks
+        meta, _, _ = read_rows(tmp_path / "convergence_rabi.csv")
+        # n_max 20 and 40 are shorter than the first leading block, and at
+        # g = 1 no block of 32 certifies n_max = 60: all three are full solves
+        assert meta[-2:] == ["# max_block_order = 61", "# max_certified_residual = 0.0"]
 
     def test_convergence_metadata_records_n_list_not_n_max(self, tmp_path):
         rc = main([

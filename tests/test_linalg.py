@@ -327,21 +327,22 @@ def sector_label(point, block):
     return f"block {block} of point {point}"
 
 
-def perturb_eigvalsh(monkeypatch, call, block, index):
-    """Make np.linalg.eigvalsh add 1e-6 to value ``index`` of row ``block``
-    of its result on its ``call``-th call: a solver gone wrong.  The result holds only the blocks that do not split into
-    pairs, one call per point."""
-    true_eigvalsh = np.linalg.eigvalsh
+def perturb_leading(monkeypatch, call, point, block, index):
+    """Make the leading-block solver add 1e-6 to value ``index`` of row
+    ``block`` at ``point`` of its ``call``-th result: a solver gone wrong.
+    It is called once per merged_levels call, on all points, with only the
+    blocks that do not split into pairs."""
+    true_leading = linalg._leading_levels
     calls = []
 
-    def perturbed(a):
-        values = true_eigvalsh(a)
-        calls.append(a)
+    def perturbed(diag, off, k):
+        values, size, residual = true_leading(diag, off, k)
         if len(calls) == call:
-            values[block, index] += 1e-6
-        return values
+            values[point, block, index] += 1e-6
+        calls.append(None)
+        return values, size, residual
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    monkeypatch.setattr(linalg, "_leading_levels", perturbed)
 
 
 def perturb_pairs(monkeypatch, point, block, index):
@@ -358,16 +359,17 @@ def perturb_pairs(monkeypatch, point, block, index):
     monkeypatch.setattr(linalg, "_pair_eigvalsh", perturbed)
 
 
-def count_eigvalsh(monkeypatch):
-    """Record the shape of every np.linalg.eigvalsh input."""
-    true_eigvalsh = np.linalg.eigvalsh
+def count_leading(monkeypatch):
+    """Record the diag shape (points, blocks, m) of every leading-block
+    solver input."""
+    true_leading = linalg._leading_levels
     shapes = []
 
-    def counted(a):
-        shapes.append(np.shape(a))
-        return true_eigvalsh(a)
+    def counted(diag, off, k):
+        shapes.append(np.shape(diag))
+        return true_leading(diag, off, k)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(linalg, "_leading_levels", counted)
     return shapes
 
 
@@ -376,23 +378,25 @@ class TestMergedLevels:
         diag, off = random_bands(8, np.random.default_rng(3))
         merged, _, _ = block_eig(diag, off)
         for k in (1, 5, 16):
-            levels = merged_levels([(diag, off)], k, sector_label)
+            levels = merged_levels([(diag, off)], k, sector_label).levels
             assert levels.shape == (1, k)
             assert np.max(np.abs(levels[0] - merged[:k])) <= 1e-12
 
     def test_exact_clusters_pass(self):
         # equal values inside a block and across blocks
         bands = ([[1.0, 1.0, 3.0], [1.0, 2.0, 2.0]], np.zeros((2, 2)))
-        levels = merged_levels([bands], 6, sector_label)
+        levels = merged_levels([bands], 6, sector_label).levels
         assert np.array_equal(levels[0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
 
     def test_points_are_independent_rows(self):
         rng = np.random.default_rng(4)
         points = [random_bands(6, rng) for _ in range(3)]
-        batch = merged_levels(points, 4, sector_label)
+        batch = merged_levels(points, 4, sector_label).levels
         for row, bands in zip(batch, points):
-            assert np.array_equal(row, merged_levels([bands], 4, sector_label)[0])
-        assert merged_levels([], 4, sector_label).shape == (0, 4)
+            assert np.array_equal(row, merged_levels([bands], 4, sector_label).levels[0])
+        empty = merged_levels([], 4, sector_label)
+        assert empty.levels.shape == (0, 4)
+        assert empty.block.shape == empty.residual.shape == (0,)
 
     def test_perturbed_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -406,8 +410,9 @@ class TestMergedLevels:
     def test_perturbed_eigvalsh_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
         points = [random_bands(6, rng) for _ in range(2)]
-        # block 0 has every link: eigvalsh solves it alone, once per point
-        perturb_eigvalsh(monkeypatch, call=2, block=0, index=2)
+        # block 0 has every link: it is the leading-block solver's row 0,
+        # which solves it in full with eigvalsh (m = 6 < 32)
+        perturb_leading(monkeypatch, call=0, point=1, block=0, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
             merged_levels(points, 12, sector_label)
@@ -416,35 +421,173 @@ class TestMergedLevels:
         bands = ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)))
         perturb_pairs(monkeypatch, point=0, block=1, index=1)
         # the largest value is wrong; two levels keep block 0 only
-        assert np.array_equal(merged_levels([bands], 2, sector_label), [[0.0, 1.0]])
+        assert np.array_equal(merged_levels([bands], 2, sector_label).levels, [[0.0, 1.0]])
         with pytest.raises(ConvergenceError, match="eigenvalue 1 = .* of block 1 of point 0"):
             merged_levels([bands], 4, sector_label)
 
     def test_blocks_of_pairs_skip_eigvalsh(self, monkeypatch):
-        shapes = count_eigvalsh(monkeypatch)
+        shapes = count_leading(monkeypatch)
         rng = np.random.default_rng(6)
         jc_rows = [random_bands(7, rng) for _ in range(3)]
         merged_levels([(d[1:], o[1:]) for d, o in jc_rows], 5, sector_label)
         merged_levels([(d, np.zeros_like(o)) for d, o in jc_rows], 5, sector_label)
         assert shapes == []
         merged_levels(jc_rows, 5, sector_label)
-        assert shapes == [(1, 7, 7)] * 3
+        assert shapes == [(3, 1, 7)]
 
     def test_one_point_with_adjacent_links_sends_the_row_to_eigvalsh(self, monkeypatch):
         # the row splits into pairs only if it does so at every point
-        shapes = count_eigvalsh(monkeypatch)
+        shapes = count_leading(monkeypatch)
         rng = np.random.default_rng(10)
         jc = random_tridiagonal(5, rng, jc_links=True)
         full = random_tridiagonal(5, rng)
         points = [(np.array([d]), np.array([o])) for d, o in (jc, full)]
-        levels = merged_levels(points, 5, sector_label)
-        assert shapes == [(1, 5, 5)] * 2
+        levels = merged_levels(points, 5, sector_label).levels
+        assert shapes == [(2, 1, 5)]
         for row, (d, o) in zip(levels, (jc, full)):
             assert np.max(np.abs(row - np.linalg.eigvalsh(dense(d, o)))) <= 1e-12
 
     def test_zero_block(self):
         levels = merged_levels([([[0.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))], 3, sector_label)
-        assert np.array_equal(levels, [[0.0, 0.0, 0.0]])
+        assert np.array_equal(levels.levels, [[0.0, 0.0, 0.0]])
+
+    def test_evidence_of_each_path(self):
+        rng = np.random.default_rng(12)
+        diag, off = random_bands(6, rng)
+        pairs = merged_levels([(diag[1:], off[1:])], 3, sector_label)
+        assert pairs.block.tolist() == [2] and pairs.residual.tolist() == [0.0]
+        full = merged_levels([random_bands(6, rng)], 3, sector_label)
+        assert full.block.tolist() == [6] and full.residual.tolist() == [0.0]
+
+
+def decaying_bands(m, points, rng):
+    """(points, 2, m) bands whose low eigenvectors decay along the chain:
+    diagonal j + noise, links of 0.3 + noise, so a leading block of 32
+    certifies the lowest values."""
+    diag = np.arange(m) + 0.1 * rng.standard_normal((points, 2, m))
+    off = 0.3 + 0.05 * rng.standard_normal((points, 2, m - 1))
+    return diag, off
+
+
+class TestLeadingLevels:
+    @pytest.mark.parametrize("m", [60, 201, 501])
+    def test_within_the_certified_residual_of_eigvalsh(self, m):
+        diag, off = decaying_bands(m, 4, np.random.default_rng(m))
+        values, size, residual = linalg._leading_levels(diag, off, 11)
+        assert np.all(size < m)
+        full = np.linalg.eigvalsh(tridiagonal(diag, off))[..., :11]
+        scale = np.max(np.abs(diag), axis=-1)
+        eps = np.finfo(float).eps
+        assert np.all(residual <= linalg.LEADING_ULPS * eps * np.min(scale, axis=-1))
+        # the certified residual, plus the rounding of the two solves
+        bound = residual[:, None, None] + 4 * eps * scale[..., None]
+        assert np.all(np.abs(values - full) <= bound)
+
+    def test_residual_is_the_ritz_bound(self):
+        diag, off = decaying_bands(201, 2, np.random.default_rng(1))
+        values, size, residual = linalg._leading_levels(diag, off, 5)
+        for p in range(2):
+            n = size[p]
+            _, y = np.linalg.eigh(tridiagonal(diag[p, :, :n], off[p, :, :n - 1]))
+            ritz = np.abs(off[p, :, n - 1, None] * y[:, -1, :5])
+            assert residual[p] == np.max(ritz)
+
+    @pytest.mark.parametrize("k, orders", [(11, [32, 64]), (20, [40, 80])])
+    def test_doubles_up_to_the_full_block(self, monkeypatch, k, orders):
+        # random links do not decay: no leading block certifies, so every
+        # point doubles m' from max(2k, 32) and takes the full eigvalsh at
+        # m = 100
+        real, seen = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            seen.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(3)
+        diag, off = rng.standard_normal((3, 2, 100)), rng.standard_normal((3, 2, 99))
+        values, size, residual = linalg._leading_levels(diag, off, k)
+        assert seen == orders
+        assert size.tolist() == [100] * 3 and residual.tolist() == [0.0] * 3
+        assert np.array_equal(values, np.linalg.eigvalsh(tridiagonal(diag, off))[..., :k])
+
+    def test_cut_link_certifies_with_zero_residual(self):
+        diag, off = random_bands(80, np.random.default_rng(4))
+        off[:, 31] = 0.0
+        values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
+        assert size.tolist() == [32] and residual.tolist() == [0.0]
+        leading = np.linalg.eigh(tridiagonal(diag[:, :32], off[:, :31]))[0][:, :11]
+        assert np.array_equal(values[0], leading)
+
+    def test_points_finish_apart(self):
+        # one point certifies at 32, the other needs the full block
+        rng = np.random.default_rng(5)
+        diag, off = decaying_bands(100, 2, rng)
+        diag[1], off[1] = rng.standard_normal((2, 100)), rng.standard_normal((2, 99))
+        values, size, _ = linalg._leading_levels(diag, off, 11)
+        assert size.tolist() == [32, 100]
+        for p in range(2):
+            alone = linalg._leading_levels(diag[p:p + 1], off[p:p + 1], 11)[0]
+            assert np.array_equal(values[p], alone[0])
+
+    def test_chunks_do_not_change_the_values(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        diag, off = decaying_bands(201, 5, rng)
+        diag[3] = rng.standard_normal((2, 201))  # a point that needs the full block
+        whole = linalg._leading_levels(diag, off, 11)
+        assert whole[1].tolist() == [32, 32, 32, 201, 32]
+        monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 1)
+        for a, b in zip(whole, linalg._leading_levels(diag, off, 11)):
+            assert np.array_equal(a, b)
+
+
+class TestPairSturmCount:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 101])
+    def test_counts_equal_the_loop_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            diag, off = jc_pattern_bands(m, rng)
+            values = linalg._pair_eigvalsh(diag, off)
+            # random shifts, shifts on the diagonal entries (the a == c
+            # ties among them) and on the eigenvalues and their neighbours
+            shifts = np.concatenate([rng.uniform(-3.0, 3.0, (3, 25)), diag, values,
+                                     np.nextafter(values, np.inf),
+                                     np.nextafter(values, -np.inf)], axis=-1)
+            counts = linalg._pair_sturm_count(diag, off, shifts)
+            assert np.array_equal(counts, sturm_count(diag, off, shifts))
+
+    def test_subnormal_pivots_are_guarded_as_in_the_loop(self):
+        # a pivot of -1e-310 lies inside the guard: the loop replaces it by
+        # +pivmin and does not count it
+        diag, off = np.array([[0.0, 1.0, 0.0, 2.0]]), np.array([[0.5, 0.0, 0.0]])
+        shifts = np.array([[1e-310, -1e-310, 0.0, 5e-324, 1.0]])
+        counts = linalg._pair_sturm_count(diag, off, shifts)
+        assert np.array_equal(counts, sturm_count(diag, off, shifts))
+        assert counts.tolist() == [[1, 1, 1, 1, 2]]
+
+    def test_jc_sectors_equal_the_loop_bitwise(self):
+        from jcrabi.models import ModelKind, parity_sectors
+        rng = np.random.default_rng(21)
+        cfg = TruncationConfig(200)
+        for _ in range(40):
+            p = ModelParams(Omega=float(rng.uniform(0.0, 2.0)), g=float(rng.uniform(0.0, 1.5)))
+            diag, off = parity_sectors(ModelKind.JC_LAB, p, cfg)
+            values = linalg._pair_eigvalsh(diag, off)
+            shifts = np.concatenate([rng.uniform(-2.0, 200.0, (2, 15)), diag[:, :5],
+                                     values[:, :5]], axis=-1)
+            counts = linalg._pair_sturm_count(diag, off, shifts)
+            assert np.array_equal(counts, sturm_count(diag, off, shifts))
+
+    def test_merged_levels_counts_pair_rows_without_the_loop(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("sturm_count called on rows that split into pairs")
+
+        monkeypatch.setattr(linalg, "sturm_count", no_loop)
+        rng = np.random.default_rng(7)
+        points = [random_bands(9, rng) for _ in range(3)]
+        merged_levels([(d[1:], o[1:]) for d, o in points], 4, sector_label)
+        with pytest.raises(AssertionError, match="sturm_count called"):
+            merged_levels(points, 4, sector_label)
 
 
 class TestCommutatorDeviation:

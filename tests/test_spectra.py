@@ -16,8 +16,8 @@ from jcrabi import (
     spectrum_sweep,
 )
 from jcrabi.cli import main
-from jcrabi.linalg import ConvergenceError
-from jcrabi.models import ModelKind, build_jc
+from jcrabi.linalg import ConvergenceError, tridiagonal
+from jcrabi.models import ModelKind, build_jc, parity_sectors
 from jcrabi.spectra import NoCrossingError, _bisect
 
 CFG = TruncationConfig(60)
@@ -232,26 +232,25 @@ class TestConvergence:
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 3, [])
 
 
-def perturb_eigvalsh(monkeypatch, call, sector, index, delta=1e-6):
-    """Add delta to value ``index`` of ``sector`` in the ``call``-th
-    np.linalg.eigvalsh result.
+def perturb_leading(monkeypatch, call, sector, index, delta=1e-6):
+    """Add delta to value ``index`` of ``sector`` at point 0 in the
+    ``call``-th result of the leading-block solver.
 
-    A Rabi sector at g != 0 is solved by eigvalsh, both sectors of a point
-    in one stacked call, point by point, so call i is point i and row s of
-    its result sector s.
+    A Rabi sector at g != 0 is solved from leading blocks, both sectors of
+    every point of a values-only solve in one call, so row s of point 0 is
+    sector s of the call's first point.
     """
-    real = np.linalg.eigvalsh
+    real = linalg._leading_levels
     calls = []
 
-    def patched(a, *args, **kwargs):
-        values = real(a, *args, **kwargs)
+    def patched(diag, off, k):
+        values, size, residual = real(diag, off, k)
         if len(calls) == call:
-            values = values.copy()
-            values[sector, index] += delta
+            values[0, sector, index] += delta
         calls.append(None)
-        return values
+        return values, size, residual
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+    monkeypatch.setattr(linalg, "_leading_levels", patched)
 
 
 def perturb_pairs(monkeypatch, call, point, sector, index, delta=1e-6):
@@ -285,9 +284,10 @@ def forbid_eigh(monkeypatch):
 @pytest.fixture
 def forbid_eigvalsh(monkeypatch):
     def no_dense_solve(*args, **kwargs):
-        raise AssertionError("np.linalg.eigvalsh called on sectors that split into pairs")
+        raise AssertionError("a LAPACK solver called on sectors that split into pairs")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
+    monkeypatch.setattr(linalg, "_leading_levels", no_dense_solve)
 
 
 class TestSturmGate:
@@ -299,14 +299,15 @@ class TestSturmGate:
             spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1, 0.2, 0.3], 11, CFG)
 
     def test_convergence_names_cutoff(self, monkeypatch):
-        perturb_eigvalsh(monkeypatch, call=1, sector=0, index=1)
+        perturb_leading(monkeypatch, call=1, sector=0, index=1)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 1 = .* of the even rabi sector at g=0\.5, n_max=30 ")):
             convergence_study(ModelKind.RABI_LAB, P_RES, 0.5, 11, [20, 30, 40])
 
     def test_bloch_siegert_names_model(self, monkeypatch):
-        # the JC half splits into pairs: the Rabi point is the only eigvalsh call
-        perturb_eigvalsh(monkeypatch, call=0, sector=0, index=0)
+        # the JC half splits into pairs: the Rabi point is the only
+        # leading-block call
+        perturb_leading(monkeypatch, call=0, sector=0, index=0)
         with pytest.raises(ConvergenceError, match=(
                 r"eigenvalue 0 = .* of the even rabi sector at g=0\.1, n_max=60 ")):
             bloch_siegert(P_RES, 0.1, 2, CFG)
@@ -334,10 +335,21 @@ class TestSturmGate:
                 r"fails the Sturm count")):
             ground_crossing(P_RES, CFG, 0.3, 1.2)
 
-    def test_values_only_paths_compute_no_vectors(self, forbid_eigh):
-        spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1, 0.5], 11, CFG)
+    def test_values_only_paths_compute_vectors_of_leading_blocks_only(self, monkeypatch):
+        real, orders = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         convergence_study(ModelKind.JC_LAB, P_RES, 0.5, 11, [20, 40])
+        spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1, 0.5], 11, CFG)
+        assert orders == []
+        # a Rabi sector's vectors only ever come from a block cut short of it
+        spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1, 0.5], 11, CFG)
         bloch_siegert(P_RES, 0.1, 2, CFG)
+        assert orders and max(orders) < CFG.dim_field
 
     def test_crossing_computes_no_vectors(self, forbid_eigh):
         res = ground_crossing(P_RES, CFG, 0.3, 1.2)
@@ -349,20 +361,20 @@ class TestSturmGate:
         res = ground_crossing(P_RES, CFG, 0.3, 1.2)
         assert abs(res.numerical_g - res.analytic_g) <= 1e-8
 
-    def test_rabi_sweep_still_calls_eigvalsh(self, forbid_eigvalsh):
-        with pytest.raises(AssertionError, match="np.linalg.eigvalsh called"):
+    def test_rabi_sweep_still_calls_the_leading_block_solver(self, forbid_eigvalsh):
+        with pytest.raises(AssertionError, match="a LAPACK solver called"):
             spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1], 11, CFG)
 
-    def test_bloch_siegert_sends_only_rabi_to_eigvalsh(self, monkeypatch):
-        real, shapes = np.linalg.eigvalsh, []
+    def test_bloch_siegert_sends_only_rabi_to_the_leading_block_solver(self, monkeypatch):
+        real, shapes = linalg._leading_levels, []
 
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real(a, *args, **kwargs)
+        def counted(diag, off, k):
+            shapes.append(np.shape(diag))
+            return real(diag, off, k)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(linalg, "_leading_levels", counted)
         bloch_siegert(P_RES, 0.1, 2, CFG)
-        assert shapes == [(2, CFG.dim_field, CFG.dim_field)]
+        assert shapes == [(1, 2, CFG.dim_field)]
 
 
 class TestJuddianPoint:
@@ -375,3 +387,28 @@ class TestJuddianPoint:
         table = spectrum_sweep(ModelKind.RABI_LAB, ModelParams(Omega=Omega), [g], 4,
                                TruncationConfig(300))
         assert np.max(np.abs(table.levels[0, 2:4] - (1.0 - 2.0 * g * g))) <= 1e-12
+
+    def test_tie_is_numbered_stably_as_the_full_solve(self):
+        # at Omega = 1, g = sqrt(3/32) value 1 of each sector is the exact
+        # level 1 - 2 g^2: a tie across the parities, split by rounding
+        g = float(np.sqrt(3.0 / 32.0))
+        p = ModelParams(Omega=1.0, g=g)
+        orders = []
+        for n_max in (200, 300, 500):
+            diag, off = parity_sectors(ModelKind.RABI_LAB, p, TruncationConfig(n_max))
+            values, size, _ = linalg._leading_levels(diag[None], off[None], 11)
+            assert size.tolist() == [32]
+            _, order = linalg._merge(values[0])
+            _, full_order = linalg._merge(np.linalg.eigvalsh(tridiagonal(diag, off))[:, :11])
+            assert np.array_equal(order, full_order), n_max
+            # levels 2 and 3 are value 1 of the even and of the odd sector
+            assert sorted(order[2:4].tolist()) == [1, 12]
+            # made exact, the tie keeps block order: even before odd
+            tied = values[0].copy()
+            tied[:, 1] = 1.0 - 2.0 * g * g
+            assert linalg._merge(tied)[1][2:4].tolist() == [1, 12]
+            levels = spectrum_sweep(ModelKind.RABI_LAB, p, [g], 11, TruncationConfig(n_max))
+            assert np.array_equal(levels.levels[0], values[0].ravel()[order[:11]])
+            orders.append(order)
+        # every cutoff solves the same leading block: one numbering
+        assert all(np.array_equal(order, orders[0]) for order in orders)

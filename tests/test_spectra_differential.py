@@ -2,7 +2,9 @@
 
 spectrum_sweep, convergence_study and bloch_siegert solve the two
 closed-form parity sectors and ground_crossing the even one; the reference
-is the gated dense solve of the joint-space Hamiltonian.
+is the gated dense solve of the joint-space Hamiltonian.  The Rabi sweeps
+that merged_levels solves from certified leading blocks are also compared
+with a full np.linalg.eigvalsh of both sectors.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ from jcrabi import (
     hermitian_eig,
     spectrum_sweep,
 )
-from jcrabi.models import ModelKind, build_hamiltonian, build_jc
+from jcrabi.linalg import LEADING_ULPS, tridiagonal
+from jcrabi.models import ModelKind, build_hamiltonian, build_jc, parity_sectors
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -83,6 +86,29 @@ def test_bloch_siegert_matches_dense_spectra(Omega, g, n_max, data):
     eps = 1e-12 * max(np.max(np.abs(h_jc)), np.max(np.abs(h_rabi)))
     bound = (4.0 + 2.0 * expected) * eps / abs(e_jc) * 1.01
     assert abs(bloch_siegert(p, g, level, cfg) - expected) <= bound
+
+
+# the sweep of the spectrum command and of the benchmark: 151 couplings
+SWEEP_G = np.round(0.01 * np.arange(151), 12)
+
+
+@pytest.mark.parametrize("n_max", [200, 500])
+@pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
+def test_rabi_sweep_within_certified_residual_of_full_eigvalsh(Omega, n_max):
+    p, cfg = ModelParams(Omega=Omega), TruncationConfig(n_max)
+    table = spectrum_sweep(ModelKind.RABI_LAB, p, SWEEP_G, 11, cfg)
+    # every row came from a leading block of the doubling sequence 32, 64,
+    # ..., certified to LEADING_ULPS of max|T|
+    assert set(table.block.tolist()) <= {32, 64, 128, 256}
+    assert np.all(table.block < cfg.dim_field)
+    eps = np.finfo(float).eps
+    for g, row, residual in zip(SWEEP_G, table.levels, table.residual):
+        diag, off = parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg)
+        scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+        assert residual <= LEADING_ULPS * eps * scale
+        full = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:11]
+        # the certified residual, plus the rounding of the two solves
+        assert np.max(np.abs(row - full)) <= residual + 4 * eps * scale, g
 
 
 def dense_overlap_crossing(p, cfg, g_lo, g_hi):
