@@ -379,8 +379,11 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
     eigensolver involved and tolerates exact clusters; pair rows are
-    counted by _pair_sturm_count, the others by sturm_count.  A violation
-    raises ConvergenceError naming where(point, block) and the eigenvalue.
+    counted by _pair_sturm_count, the others by sturm_count.  The values a
+    block keeps are its lowest, so sturm_count gets the shifts of only the
+    first w values of each row, w the most any of those blocks keeps.  A
+    violation raises ConvergenceError naming where(point, block) and the
+    eigenvalue.
     """
     if not points:
         return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0))
@@ -410,15 +413,20 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     kept = kept.reshape(values.shape)
     tol = EIG_RTOL * scale[..., None]
     shifts = np.concatenate([values - tol, values + tol], axis=-1)
-    counts = np.empty(shifts.shape, dtype=int)
+    counts = np.zeros(shifts.shape, dtype=int)
     if np.any(pairs):
         n_rows = n_points * np.count_nonzero(pairs)
         counts[:, pairs] = _chunked(
             _pair_sturm_count, m * 2 * kb,
             *(x[:, pairs].reshape(n_rows, x.shape[-1]) for x in (diag, off, shifts)),
         ).reshape(n_points, -1, 2 * kb)
-    if np.any(rest):
-        counts[:, rest] = sturm_count(diag[:, rest], off[:, rest], shifts[:, rest])
+    # kept values are a block's lowest: count the first `width` of each row
+    width = int(np.max(np.count_nonzero(kept[:, rest], axis=-1), initial=0))
+    if width:
+        lowest = np.r_[:width, kb:kb + width]
+        rows = counts[:, rest]
+        rows[..., lowest] = sturm_count(diag[:, rest], off[:, rest], shifts[:, rest][..., lowest])
+        counts[:, rest] = rows
     below, within = counts[..., :kb], counts[..., kb:]
     index = np.arange(kb)
     # a zero block has the exact spectrum 0 and tol = 0: nothing to count

@@ -417,6 +417,34 @@ class TestMergedLevels:
                            match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
             merged_levels(points, 12, sector_label)
 
+    def test_full_rows_count_only_the_kept_shifts(self, monkeypatch):
+        # block 0 has every link; its kept values are its lowest, so
+        # sturm_count gets the shifts of the first w of them, w the most
+        # kept at any point, not of all min(k, m)
+        true_count = linalg.sturm_count
+        widths = []
+
+        def spy(diag, off, shifts):
+            widths.append(np.shape(shifts)[-1])
+            return true_count(diag, off, shifts)
+
+        monkeypatch.setattr(linalg, "sturm_count", spy)
+        rng = np.random.default_rng(8)
+        points = [random_bands(6, rng) for _ in range(2)]
+        kept = [np.count_nonzero(block_eig(d, o)[2][:5] < 6) for d, o in points]
+        assert 0 < max(kept) < 5  # the cut is visible
+        levels = merged_levels(points, 5, sector_label).levels
+        assert widths == [2 * max(kept)]
+        for row, (d, o) in zip(levels, points):
+            assert np.max(np.abs(row - block_eig(d, o)[0][:5])) <= 1e-12
+
+        # the highest kept value of block 0 is still checked
+        point = int(np.argmax(kept))
+        perturb_leading(monkeypatch, call=0, point=point, block=0, index=kept[point] - 1)
+        with pytest.raises(ConvergenceError, match=rf"eigenvalue {kept[point] - 1} = .* "
+                           rf"of block 0 of point {point} fails the Sturm count"):
+            merged_levels(points, 5, sector_label)
+
     def test_only_kept_values_are_gated(self, monkeypatch):
         bands = ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)))
         perturb_pairs(monkeypatch, point=0, block=1, index=1)

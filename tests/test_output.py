@@ -1,15 +1,23 @@
-"""Byte identity of the streamed CSV / heatmap writers with per-value formatting.
+"""Byte identity of the streamed CSV / heatmap / JSON writers with per-value
+formatting.
 
 The frozen writers below are the per-value implementations the streamed ones
-replaced; every case must give the same file bytes from both.
+replaced; every case must give the same file bytes from both.  _fmt17 is
+checked value by value against "%.17g" % v, and write_json against
+json.dumps.
 """
+
+import json
+import re
 
 import numpy as np
 import pytest
 
 from jcrabi.cli import main
 from jcrabi.models import ModelKind, ModelParams
-from jcrabi.output import _BLOCK_ROWS, metadata_lines, write_csv, write_json, write_svg_heatmap
+from jcrabi.output import (
+    _BLOCK_ROWS, _fmt17, metadata_lines, write_csv, write_json, write_svg_heatmap,
+)
 from jcrabi.surfaces import boa_surface
 
 META = {"jcrabi": "test", "model": "both", "g": 0.4}
@@ -232,6 +240,17 @@ class TestWriteCsvShape:
             write_csv(path, [], [[], []], {})
         assert not path.exists()
 
+    @pytest.mark.parametrize("values, shape", [
+        (np.zeros((5, 4)), "(5, 4)"),
+        (np.zeros((7, 3)), "(7, 3)"),  # transposed
+        (np.zeros(21), "(21,)"),
+    ])
+    def test_heatmap_values_must_match_the_axes(self, tmp_path, values, shape):
+        path = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match=rf"axes' shape \(3, 7\), got {re.escape(shape)}"):
+            write_svg_heatmap(path, np.arange(3.0), np.arange(7.0), values, "t", {})
+        assert not path.exists()
+
     def test_heatmap_rejects_non_finite_values(self, tmp_path):
         path = tmp_path / "bad.svg"
         with pytest.raises(ValueError, match="finite"):
@@ -247,4 +266,120 @@ class TestWriteJson:
             write_json(path, {"residual": bad}, META)
         with pytest.raises(ValueError, match="JSON compliant"):
             write_json(path, {"g": 0.1}, dict(META, g=bad))
+        assert not path.exists()
+
+
+def percent17(values):
+    """The reference: "%.17g" % v, value by value."""
+    return np.array(["%.17g" % v for v in np.asarray(values, dtype=float).tolist()])
+
+
+def near(x, ulps):
+    """x and the ulps doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+class TestFmt17:
+    def differential(self, values):
+        values = np.asarray(values, dtype=float)
+        got = _fmt17(values)
+        assert got.dtype == np.dtype("S24") and got.shape == values.shape
+        want = percent17(values)
+        assert want.dtype.itemsize <= np.dtype("U24").itemsize  # every text fits S24
+        got = got.astype(want.dtype)
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, [(float(values[i]).hex(), got[i], want[i]) for i in bad[:5]]
+        return got
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        anywhere = rng.integers(0, 1 << 64, 300_000, dtype=np.uint64, endpoint=False)
+        # exponents around the kernel range 1e-4 <= |v| < 1e17 (2^-14 .. 2^57)
+        mantissa = rng.integers(0, 1 << 52, 800_000, dtype=np.uint64)
+        biased = rng.integers(1023 - 16, 1023 + 58, len(mantissa)).astype(np.uint64)
+        sign = rng.integers(0, 2, len(mantissa)).astype(np.uint64)
+        ranged = (sign << np.uint64(63)) | (biased << np.uint64(52)) | mantissa
+        self.differential(np.concatenate([anywhere, ranged]).view(float))
+
+    def test_around_powers_of_ten(self):
+        # log10 misjudges the exponent here, so the quotient re-picks it
+        values = [v for k in range(-6, 19) for v in near(float(10.0 ** k), 20)]
+        values += [1e-4, np.nextafter(1e-4, 0), 1e17, np.nextafter(1e17, 0)]
+        self.differential(np.concatenate([values, np.negative(values)]))
+
+    def test_exact_ties_round_half_to_even(self):
+        # (2m + 1) / 2^j is exact; with 18 significant digits its last is a 5
+        rng = np.random.default_rng(18)
+        values = [(2 * m + 1) / 2.0 ** j
+                  for j in range(1, 64) for m in rng.integers(0, 1 << 50, 400).tolist()]
+        got = self.differential(values)
+        assert "123456789012345.12" in self.differential([123456789012345.125])
+        assert len(got) == 63 * 400
+
+    def test_integers(self):
+        big = 2.0 ** 53
+        values = np.concatenate([
+            big + np.arange(-2000.0, 2000.0), np.arange(-3000.0, 3000.0),
+            2.0 ** np.arange(0, 64), 10.0 ** np.arange(0, 23),
+        ])
+        self.differential(np.concatenate([values, -values]))
+
+    def test_special_values(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(float)
+        special = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308], nans,
+        ])
+        got = self.differential(special)
+        assert got.tolist()[:4] == ["0", "-0", "inf", "-inf"]
+        assert set(got[-3:]) == {"nan"}
+
+    def test_shapes(self):
+        assert _fmt17(np.empty(0)).shape == (0,)
+        assert _fmt17([0.5, -2.0, 1e-5]).tolist() == [b"0.5", b"-2", b"1.0000000000000001e-05"]
+
+
+def json_reference(payload, meta):
+    doc = dict(payload)
+    doc["config"] = dict(meta)
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+
+class TestWriteJsonBytes:
+    @pytest.mark.parametrize("coordinates", [
+        [],
+        [[0.5, -1.25]],
+        [[-0.0, 0.0], [1e-300, -1.7976931348623157e308]],
+        [(0.1, 0.2), (1 / 3, 2 / 3)],  # tuples are JSON lists
+        [[float(i) * 0.1, -float(i) / 7] for i in range(100)],
+        [[1, 2.0]],  # an int row is left to json.dumps
+        [[1.0, 2.0, 3.0]],  # so is a row that is not a pair
+    ], ids=["empty", "one", "signed-zero", "tuples", "many", "int", "triple"])
+    def test_matches_json_dumps(self, tmp_path, coordinates):
+        payload = {"min_gap": 0.25, "locus": "point", "tol_gap": 1e-3,
+                   "n_minimal_cells": len(coordinates), "coordinates": coordinates,
+                   "nested": {"a": [1, 2], "b": "x\ny"}}
+        path = write_json(tmp_path / "degeneracy.json", payload, META)
+        assert path.read_bytes() == json_reference(payload, META)
+
+    def test_float_subclass_uses_float_repr(self, tmp_path):
+        payload = {"coordinates": [[np.float64(0.1), np.float64(-2.0)]]}
+        path = write_json(tmp_path / "d.json", payload, {})
+        assert path.read_bytes() == json_reference(payload, {})
+        assert json.loads(path.read_text())["coordinates"] == [[0.1, -2.0]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinate_refused(self, tmp_path, bad):
+        path = tmp_path / "degeneracy.json"
+        coordinates = [[0.1, 0.2]] * 70 + [[0.3, bad]]
+        with pytest.raises(ValueError) as info:
+            write_json(path, {"coordinates": coordinates}, META)
+        with pytest.raises(ValueError) as want:
+            json_reference({"coordinates": coordinates}, META)
+        assert str(info.value) == str(want.value)
         assert not path.exists()
