@@ -221,6 +221,8 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
     if g_step <= 0 or g_max < g_min:
         raise UsageError("need g-step > 0 and g-max >= g-min")
     _check_levels(cfg.k_levels, cfg.n_max)
+    if svg and cfg.model != "both":
+        raise UsageError("--svg overlays JC and Rabi; it needs --model both")
     # the last point never overshoots g-max; the slack absorbs rounding
     n_steps = math.floor((g_max - g_min) / g_step + 1e-9)
     try:
@@ -241,7 +243,7 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
                          this_model=kind.model, **_evidence(table)),
         )
         print(f"wrote {path}")
-    if svg and len(tables) == 2:
+    if svg:
         series = []
         for name, table in tables.items():
             for j in range(cfg.k_levels):
@@ -353,7 +355,7 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
             "locus": report.locus,
             "tol_gap": report.tol_gap,
             "n_minimal_cells": len(report.coordinates),
-            "coordinates": [[x, p] for x, p in report.coordinates],
+            "coordinates": report.coordinates,
         }
         path = write_json(out / f"degeneracy_{kind.model}.json", payload, meta)
         print(f"wrote {path} (locus={report.locus}, min_gap={report.min_gap:.6g})")

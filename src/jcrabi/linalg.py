@@ -20,13 +20,13 @@ the sectors are solved in one of two ways:
   points at once, m' doubling from max(2k, 32) until the Ritz residual
   |off[m'-1] y[m'-1]| of every kept value is at most LEADING_ULPS ulps of
   max|T|, and a full np.linalg.eigvalsh once m' reaches m.  Each kept
-  value is then gated with a Sturm count (an LDL^T inertia count on the
-  full bands that needs no eigensolver) before merging: _pair_sturm_count
-  counts a row of pairs in two vectorised steps, sturm_count any other
-  row with its loop over m.  The spectrum sweeps, convergence studies,
-  Bloch-Siegert values and the numerical crossing (the even sector alone)
-  take this path, and merged_levels reports the m' and the residual
-  behind each point (SectorLevels).
+  value is then gated by one sturm_count call on every row: an LDL^T
+  inertia count on the full bands that needs no eigensolver, whose loop
+  stops within a few dozen rows, once every later pivot is certified
+  positive.  The spectrum sweeps, convergence studies, Bloch-Siegert
+  values and the numerical crossing (the even sector alone) take this
+  path, and merged_levels reports the m' and the residual behind each
+  point (SectorLevels).
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  Only the
   Berry loop needs the vectors: berry.fock_loop, which reads the loop off
@@ -203,48 +203,51 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
     shift uncounted), so a zero link or a shift on an eigenvalue neither
     divides by zero nor overflows.  The count is backward stable: it is
     exact for a matrix within a few ulps of T.  Pure numpy; the loop runs
-    over m, every other axis is vectorised.
+    over the rows up to the stop below, every other axis is vectorised.
+
+    The loop stops after the first row j at which, for every matrix and
+    shift, the guarded pivot has d_j >= |off_j| and every later row is
+    diagonally dominant at the matrix's largest shift:
+    min_{i>j} (diag_i - |off_{i-1}| - |off_i|) - margin > max x, with
+    margin = 32 ulps of max|T| and off_{m-1} = 0.  The rest of the band
+    then adds nothing to the count, by induction: d_{i-1} >= |off_{i-1}|
+    bounds off_{i-1}^2 / d_{i-1} by |off_{i-1}|, so
+    d_i >= diag_i - x - |off_{i-1}| > |off_i| >= 0.  The margin covers the
+    rounding of the floor, of diag_i - x and of the quotient (barring
+    overflow and underflow).  On a JC or Rabi sector, whose diagonal grows
+    like omega j against links like g sqrt(j), the stop comes within a few
+    dozen rows, whatever m.
     """
     diag = np.asarray(diag, dtype=float)
-    off2 = np.asarray(off, dtype=float) ** 2
+    off = np.abs(np.asarray(off, dtype=float))
     shifts = np.asarray(shifts, dtype=float)
     m = diag.shape[-1]
-    if off2.shape[-1] != m - 1:
+    if off.shape[-1] != m - 1:
         raise ValueError(
-            f"off must have one entry fewer than diag, got {off2.shape[-1]} and {m}"
+            f"off must have one entry fewer than diag, got {off.shape[-1]} and {m}"
         )
-    pivmin = _pivmin(off2)[..., None]
+    top = np.max(off, axis=-1, initial=0.0)
+    pivmin = (np.finfo(float).tiny * np.maximum(1.0, top * top))[..., None]
+    # row i is dominant if diag_i - |off_{i-1}| - |off_i| - margin exceeds
+    # the largest shift in every matrix; the stop waits for the last row
+    # that is not
+    margin = 32 * np.finfo(float).eps * np.maximum(np.max(np.abs(diag), axis=-1), top)
+    floor = diag - margin[..., None]
+    floor[..., 1:] -= off
+    floor[..., :-1] -= off
+    dominant = floor > np.max(shifts, axis=-1, keepdims=True, initial=-np.inf)
+    dominant = np.all(dominant, axis=tuple(range(dominant.ndim - 1)))
+    first = np.max(np.flatnonzero(~dominant), initial=0)
     d = diag[..., :1] - shifts
     count = 0
     for j in range(m):
         if j:
-            d = diag[..., j, None] - shifts - off2[..., j - 1, None] / d
+            d = diag[..., j, None] - shifts - off[..., j - 1, None] ** 2 / d
         d = np.where(np.abs(d) < pivmin, pivmin, d)
         count = count + (d < 0)
+        if first <= j < m - 1 and np.all(d >= off[..., j, None]):
+            break
     return count
-
-
-def _pivmin(off2) -> np.ndarray:
-    """sturm_count's pivot guard tiny * max(1, max off^2), per matrix."""
-    return np.finfo(float).tiny * np.maximum(1.0, np.max(off2, axis=-1, initial=0.0))
-
-
-def _pair_sturm_count(diag, off, shifts) -> np.ndarray:
-    """sturm_count of rows none of whose nonzero links are adjacent, with no
-    loop over m: diag (rows, m), off (rows, m - 1), shifts (rows, s).
-
-    In such a row the pivot above a nonzero link has no link above it, so
-    it is the guarded diag_{j-1} - x, and every pivot is
-    diag_j - x - off_{j-1}^2 / guard(diag_{j-1} - x): the loop's own
-    expression (a zero link subtracts a zero), in two vectorised steps.
-    A pivot counts when it is negative after the guard, i.e. d <= -pivmin.
-    """
-    off2 = off ** 2
-    pivmin = _pivmin(off2)[:, None, None]
-    d = diag[:, :, None] - shifts[:, None, :]  # (rows, m, s)
-    guarded = np.where(np.abs(d) < pivmin, pivmin, d)
-    d[:, 1:] -= off2[:, :, None] / guarded[:, :-1]
-    return np.count_nonzero(d <= -pivmin, axis=1)
 
 
 def _pair_eigvalsh(diag, off) -> np.ndarray:
@@ -279,8 +282,8 @@ def _pair_eigvalsh(diag, off) -> np.ndarray:
     return values
 
 
-# Matrix entries per stacked LAPACK input or Sturm count block: the stacks
-# are solved in chunks of rows, so a sweep's solve holds about 1 MB at once.
+# Matrix entries per stacked LAPACK input: the stacks are solved in chunks
+# of rows, so a sweep's solve holds about 1 MB at once.
 _STACK_ELEMENTS = 1 << 17
 # A leading block is certified once every kept residual is at most this
 # many ulps of max|T|.
@@ -378,12 +381,9 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
-    eigensolver involved and tolerates exact clusters; pair rows are
-    counted by _pair_sturm_count, the others by sturm_count.  The values a
-    block keeps are its lowest, so sturm_count gets the shifts of only the
-    first w values of each row, w the most any of those blocks keeps.  A
-    violation raises ConvergenceError naming where(point, block) and the
-    eigenvalue.
+    eigensolver involved and tolerates exact clusters; one sturm_count call
+    counts every row, pairs or not, on the full bands.  A violation raises
+    ConvergenceError naming where(point, block) and the eigenvalue.
     """
     if not points:
         return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0))
@@ -412,21 +412,7 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     np.put_along_axis(kept, order[..., :k], True, axis=-1)
     kept = kept.reshape(values.shape)
     tol = EIG_RTOL * scale[..., None]
-    shifts = np.concatenate([values - tol, values + tol], axis=-1)
-    counts = np.zeros(shifts.shape, dtype=int)
-    if np.any(pairs):
-        n_rows = n_points * np.count_nonzero(pairs)
-        counts[:, pairs] = _chunked(
-            _pair_sturm_count, m * 2 * kb,
-            *(x[:, pairs].reshape(n_rows, x.shape[-1]) for x in (diag, off, shifts)),
-        ).reshape(n_points, -1, 2 * kb)
-    # kept values are a block's lowest: count the first `width` of each row
-    width = int(np.max(np.count_nonzero(kept[:, rest], axis=-1), initial=0))
-    if width:
-        lowest = np.r_[:width, kb:kb + width]
-        rows = counts[:, rest]
-        rows[..., lowest] = sturm_count(diag[:, rest], off[:, rest], shifts[:, rest][..., lowest])
-        counts[:, rest] = rows
+    counts = sturm_count(diag, off, np.concatenate([values - tol, values + tol], axis=-1))
     below, within = counts[..., :kb], counts[..., kb:]
     index = np.arange(kb)
     # a zero block has the exact spectrum 0 and tol = 0: nothing to count

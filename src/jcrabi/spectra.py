@@ -12,9 +12,12 @@ g != 0 is solved from a leading block of its chain, since its low levels
 live in low Fock states: the block m' doubles from max(2k, 32) until the
 Ritz residual |off[m'-1] y[m'-1]| of each kept value is at most 4 ulps of
 max|T| (a full solve once m' reaches the sector), while the Sturm gate
-still counts on the full bands.  The sweep and convergence tables carry
-the m' and the certified residual of each row.  The sweeps, convergence
-studies and Bloch-Siegert values read both sectors (Bloch-Siegert solves
+still counts on the full bands.  That count is one linalg.sturm_count
+call on every sector row of the batch, JC and Rabi alike; its loop stops
+once every band's later pivots are certified positive, within a few
+dozen rows.  The sweep and convergence tables carry the m' and the
+certified residual of each row.  The sweeps, convergence studies and
+Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
 the numerical crossing reads the even JC sector alone.  No eigenvector of
 a full sector is computed here: the leading blocks' vectors only give

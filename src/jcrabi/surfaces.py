@@ -121,7 +121,7 @@ def classify_degeneracy(s: SurfaceGrid) -> DegeneracyReport:
     min_gap = float(np.min(s.gap))
     mask = s.gap <= min_gap + tol_gap
     xi, pj = np.nonzero(mask)
-    coords = tuple((float(s.x_axis[i]), float(s.p_axis[j])) for i, j in zip(xi, pj))
+    coords = tuple(zip(s.x_axis[xi].tolist(), s.p_axis[pj].tolist()))
 
     nx, npts = len(s.x_axis), len(s.p_axis)
     # line along p: a narrow band of x columns whose rows are all minimal

@@ -452,6 +452,16 @@ class TestExitCodes:
         assert "phi-nodes must be even, got" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_usage_error_svg_of_one_model(self, tmp_path, capsys, model):
+        # the overlay draws JC against Rabi: one model has nothing to overlay
+        out = tmp_path / "out"
+        assert main(["spectrum", "--model", model, "--svg", "--nmax", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--svg" in err and "--model both" in err
+        assert not out.exists()
+
     def test_usage_error_non_ascending_n_list(self, tmp_path, capsys):
         assert main(["convergence", "--n-list", "40,20", "--out", str(tmp_path)]) == 1
         assert "strictly ascending" in capsys.readouterr().err

@@ -18,7 +18,14 @@ from jcrabi.linalg import (
     sturm_count,
     tridiagonal,
 )
-from jcrabi.models import ModelParams, build_jc, phase_factors, symmetry_ops
+from jcrabi.models import (
+    ModelKind,
+    ModelParams,
+    build_jc,
+    parity_sectors,
+    phase_factors,
+    symmetry_ops,
+)
 
 SX, SY, SZ, SP, SM = qubit_ops()
 
@@ -223,6 +230,24 @@ class TestBlockEig:
         assert np.array_equal(order, [0, 2, 3, 1])
 
 
+def full_sturm_count(diag, off, shifts):
+    """The LDL^T inertia count over every row of the band, with no early
+    stop: a frozen copy of sturm_count's loop, the reference its counts
+    must equal bitwise."""
+    diag = np.asarray(diag, dtype=float)
+    off2 = np.asarray(off, dtype=float) ** 2
+    shifts = np.asarray(shifts, dtype=float)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(off2, axis=-1, initial=0.0))[..., None]
+    d = diag[..., :1] - shifts
+    count = 0
+    for j in range(diag.shape[-1]):
+        if j:
+            d = diag[..., j, None] - shifts - off2[..., j - 1, None] / d
+        d = np.where(np.abs(d) < pivmin, pivmin, d)
+        count = count + (d < 0)
+    return count
+
+
 class TestSturmCount:
     @pytest.mark.parametrize("jc_links", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 7, 40])
@@ -417,28 +442,16 @@ class TestMergedLevels:
                            match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
             merged_levels(points, 12, sector_label)
 
-    def test_full_rows_count_only_the_kept_shifts(self, monkeypatch):
-        # block 0 has every link; its kept values are its lowest, so
-        # sturm_count gets the shifts of the first w of them, w the most
-        # kept at any point, not of all min(k, m)
-        true_count = linalg.sturm_count
-        widths = []
-
-        def spy(diag, off, shifts):
-            widths.append(np.shape(shifts)[-1])
-            return true_count(diag, off, shifts)
-
-        monkeypatch.setattr(linalg, "sturm_count", spy)
+    def test_highest_kept_value_of_a_full_row_is_checked(self, monkeypatch):
+        # block 0 has every link and keeps only its lowest few values
         rng = np.random.default_rng(8)
         points = [random_bands(6, rng) for _ in range(2)]
         kept = [np.count_nonzero(block_eig(d, o)[2][:5] < 6) for d, o in points]
         assert 0 < max(kept) < 5  # the cut is visible
         levels = merged_levels(points, 5, sector_label).levels
-        assert widths == [2 * max(kept)]
         for row, (d, o) in zip(levels, points):
             assert np.max(np.abs(row - block_eig(d, o)[0][:5])) <= 1e-12
 
-        # the highest kept value of block 0 is still checked
         point = int(np.argmax(kept))
         perturb_leading(monkeypatch, call=0, point=point, block=0, index=kept[point] - 1)
         with pytest.raises(ConvergenceError, match=rf"eigenvalue {kept[point] - 1} = .* "
@@ -569,9 +582,20 @@ class TestLeadingLevels:
             assert np.array_equal(a, b)
 
 
-class TestPairSturmCount:
+def stop_possible(diag, off, shifts):
+    """Whether some row j < m - 1 of each band has a diagonally dominant
+    tail, min_{i>j} (diag_i - |off_{i-1}| - |off_i|) above its largest
+    shift: the tail condition of sturm_count's early stop, without its
+    margin.  The shortest tail, the last row, is the likeliest."""
+    return diag[..., -1] - np.abs(off[..., -1]) > np.max(shifts, axis=-1)
+
+
+class TestEarlyStop:
+    """sturm_count stops where the tail of every band is certified positive;
+    its counts must equal those of the frozen full loop bitwise."""
+
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 101])
-    def test_counts_equal_the_loop_bitwise(self, m):
+    def test_jc_pattern_bands_equal_the_full_loop(self, m):
         rng = np.random.default_rng(m)
         for _ in range(5):
             diag, off = jc_pattern_bands(m, rng)
@@ -581,20 +605,19 @@ class TestPairSturmCount:
             shifts = np.concatenate([rng.uniform(-3.0, 3.0, (3, 25)), diag, values,
                                      np.nextafter(values, np.inf),
                                      np.nextafter(values, -np.inf)], axis=-1)
-            counts = linalg._pair_sturm_count(diag, off, shifts)
-            assert np.array_equal(counts, sturm_count(diag, off, shifts))
+            assert np.array_equal(sturm_count(diag, off, shifts),
+                                  full_sturm_count(diag, off, shifts))
 
-    def test_subnormal_pivots_are_guarded_as_in_the_loop(self):
+    def test_subnormal_pivots_are_guarded_as_in_the_full_loop(self):
         # a pivot of -1e-310 lies inside the guard: the loop replaces it by
         # +pivmin and does not count it
         diag, off = np.array([[0.0, 1.0, 0.0, 2.0]]), np.array([[0.5, 0.0, 0.0]])
         shifts = np.array([[1e-310, -1e-310, 0.0, 5e-324, 1.0]])
-        counts = linalg._pair_sturm_count(diag, off, shifts)
-        assert np.array_equal(counts, sturm_count(diag, off, shifts))
+        counts = sturm_count(diag, off, shifts)
+        assert np.array_equal(counts, full_sturm_count(diag, off, shifts))
         assert counts.tolist() == [[1, 1, 1, 1, 2]]
 
-    def test_jc_sectors_equal_the_loop_bitwise(self):
-        from jcrabi.models import ModelKind, parity_sectors
+    def test_random_jc_sectors_equal_the_full_loop(self):
         rng = np.random.default_rng(21)
         cfg = TruncationConfig(200)
         for _ in range(40):
@@ -603,19 +626,49 @@ class TestPairSturmCount:
             values = linalg._pair_eigvalsh(diag, off)
             shifts = np.concatenate([rng.uniform(-2.0, 200.0, (2, 15)), diag[:, :5],
                                      values[:, :5]], axis=-1)
-            counts = linalg._pair_sturm_count(diag, off, shifts)
-            assert np.array_equal(counts, sturm_count(diag, off, shifts))
+            assert np.array_equal(sturm_count(diag, off, shifts),
+                                  full_sturm_count(diag, off, shifts))
 
-    def test_merged_levels_counts_pair_rows_without_the_loop(self, monkeypatch):
-        def no_loop(*args):
-            raise AssertionError("sturm_count called on rows that split into pairs")
+    @pytest.mark.parametrize("n_max", [200, 500])
+    @pytest.mark.parametrize("kind", [ModelKind.JC_LAB, ModelKind.RABI_LAB])
+    def test_sectors_equal_the_full_loop(self, kind, n_max):
+        # the gate's shifts v -/+ tol, and the values and their neighbours
+        rng = np.random.default_rng(n_max)
+        cfg = TruncationConfig(n_max)
+        points = [parity_sectors(kind, ModelParams(Omega=float(rng.uniform(0.0, 2.0)),
+                                                   g=float(rng.uniform(0.0, 1.5))), cfg)
+                  for _ in range(12)]
+        diag, off = (np.stack(part) for part in zip(*points))
+        values = np.linalg.eigvalsh(tridiagonal(diag, off))[..., :11]
+        tol = EIG_RTOL * np.max(np.abs(diag), axis=-1, keepdims=True)
+        shifts = np.concatenate([values, values - tol, values + tol,
+                                 np.nextafter(values, np.inf),
+                                 np.nextafter(values, -np.inf)], axis=-1)
+        assert np.all(stop_possible(diag, off, shifts))
+        assert np.array_equal(sturm_count(diag, off, shifts),
+                              full_sturm_count(diag, off, shifts))
 
-        monkeypatch.setattr(linalg, "sturm_count", no_loop)
-        rng = np.random.default_rng(7)
-        points = [random_bands(9, rng) for _ in range(3)]
-        merged_levels([(d[1:], o[1:]) for d, o in points], 4, sector_label)
-        with pytest.raises(AssertionError, match="sturm_count called"):
-            merged_levels(points, 4, sector_label)
+    @pytest.mark.parametrize("m", [2, 40, 501])
+    def test_random_full_bands_equal_the_full_loop(self, m):
+        # no diagonal growth: no tail is dominant, so the loop never stops
+        rng = np.random.default_rng(m)
+        diag, off = rng.standard_normal((4, 2, m)), rng.standard_normal((4, 2, m - 1))
+        values = np.linalg.eigvalsh(tridiagonal(diag, off))
+        shifts = np.concatenate([values, np.nextafter(values, np.inf),
+                                 rng.uniform(-4.0, 4.0, (4, 2, 20))], axis=-1)
+        assert not np.any(stop_possible(diag, off, shifts))
+        assert np.array_equal(sturm_count(diag, off, shifts),
+                              full_sturm_count(diag, off, shifts))
+
+    def test_rows_past_the_stop_are_not_read(self):
+        # at x = -1e308 row 0 has the pivot 1e308 >= |off_0| and every row
+        # is dominant, so the count stops there; row 40 would overflow
+        # diag_40 - x
+        diag, off, shifts = np.r_[np.arange(40.0), 1e308], np.full(40, 0.5), [-1e308]
+        with np.errstate(over="raise"):
+            assert sturm_count(diag, off, shifts).tolist() == [0]
+            with pytest.raises(FloatingPointError, match="overflow"):
+                full_sturm_count(diag, off, shifts)
 
 
 class TestCommutatorDeviation:
