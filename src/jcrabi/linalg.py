@@ -16,17 +16,22 @@ the sectors are solved in one of two ways:
   g = 0) is a set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values
   _pair_eigvalsh gives in closed form for all points at once.  Any other
   block row (Rabi at g != 0) is solved from a certified leading block
-  (_leading_levels): np.linalg.eigh on the leading m' x m' blocks of all
-  points at once, m' doubling from max(2k, 32) until the Ritz residual
-  |off[m'-1] y[m'-1]| of every kept value is at most LEADING_ULPS ulps of
-  max|T|, and a full np.linalg.eigvalsh once m' reaches m.  Each kept
+  (_leading_levels), values only: np.linalg.eigvalsh on the leading
+  m' x m' blocks of all points at once, and for each kept value theta the
+  twisted factorization of T_m' - theta I (_twisted_tail), whose explicit
+  vector x, padded with zeros, has the Ritz residual
+  sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full block.  m'
+  doubles from max(2k, 32) until every kept residual is at most
+  LEADING_ULPS ulps of max|T|, and a full np.linalg.eigvalsh follows once
+  m' reaches m.  No eigenvector is computed on this path.  Each kept
   value is then gated by one sturm_count call on every row: an LDL^T
   inertia count on the full bands that needs no eigensolver, whose loop
   stops within a few dozen rows, once every later pivot is certified
   positive.  The spectrum sweeps, convergence studies, Bloch-Siegert
   values and the numerical crossing (the even sector alone) take this
   path, and merged_levels reports the m' and the residual behind each
-  point (SectorLevels).
+  point (SectorLevels).  Bands whose links would square past the largest
+  double are scaled down by a power of two first, and their values back.
 * with vectors: block_eig solves each sector with hermitian_eig, whose
   eigen-residual gate (residual_gate) checks every eigenpair.  Only the
   Berry loop needs the vectors: berry.fock_loop, which reads the loop off
@@ -282,12 +287,16 @@ def _pair_eigvalsh(diag, off) -> np.ndarray:
     return values
 
 
-# Matrix entries per stacked LAPACK input: the stacks are solved in chunks
-# of rows, so a sweep's solve holds about 1 MB at once.
+# Matrix entries per stacked LAPACK input, and array entries of a
+# _twisted_tail call: the stacks are solved in chunks of rows, so a sweep's
+# solve holds about 1 MB at once.
 _STACK_ELEMENTS = 1 << 17
 # A leading block is certified once every kept residual is at most this
 # many ulps of max|T|.
 LEADING_ULPS = 4
+# merged_levels scales a point's bands below 2**_BAND_EXPONENT in modulus, so
+# that the squares of their links stay far from overflow.
+_BAND_EXPONENT = 500
 
 
 def _chunked(solve, width: int, *rows):
@@ -301,21 +310,91 @@ def _chunked(solve, width: int, *rows):
     return np.concatenate(parts)
 
 
+def _twisted_tail(diag, off, theta):
+    """The tail and the twist residual of a vector for each value in theta.
+
+    ``diag`` (rows, m) and ``off`` (rows, m - 1) hold the bands of
+    tridiagonal matrices T, ``theta`` (rows, kb) values near their
+    eigenvalues.  Both LDL^T pivot sweeps of T - theta I run in one loop over
+    the rows: top-down d_j = diag_j - theta - off_{j-1}^2 / d_{j-1} and
+    bottom-up e_j = diag_j - theta - off_j^2 / e_{j+1}, each pivot smaller
+    in magnitude than sturm_count's pivmin = tiny * max(1, max off^2)
+    replaced by +pivmin.  The twist r minimises |gamma_j|, gamma_j = d_j +
+    e_j - (diag_j - theta), and the vector x with x_r = 1, x_j = -(off_j /
+    d_j) x_{j+1} above r and x_{j+1} = -(off_j / e_{j+1}) x_j below it has
+    (T - theta I) x = gamma_r e_r (the twisted factorization: Parlett and
+    Dhillon, Lin. Alg. Appl. 267, 1997).  x is formed as ratio products, so
+    a zero link gives exact zeros.  Returns (|x_{m-1}|, |gamma_r|) / |x|_2,
+    each of shape (rows, kb).  Both only depend on the moduli of the links.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.abs(np.asarray(off, dtype=float))
+    m = diag.shape[-1]
+    top = np.max(off, axis=-1, initial=0.0)
+    pivmin = (np.finfo(float).tiny * np.maximum(1.0, top * top))[:, None]
+    # entry j of a stack holds the top-down quantity of row j and the
+    # bottom-up one of row m - 1 - j, so one loop runs both sweeps
+    shifted = diag.T[:, :, None] - theta
+    piv = np.stack([shifted, shifted[::-1]], axis=1)
+    link = np.stack([off.T, off.T[::-1]], axis=1)[..., None]
+    square = link * link
+    small = np.empty(piv.shape[1:], dtype=bool)
+    magnitude = np.empty(piv.shape[1:])
+    np.copyto(piv[0], pivmin, where=np.less(np.abs(piv[0]), pivmin, out=small))
+    for p, prev, sq in zip(piv[1:], piv, square):
+        p -= np.divide(sq, prev, out=magnitude)
+        np.copyto(p, pivmin, where=np.less(np.abs(p, out=magnitude), pivmin, out=small))
+    gamma = np.subtract(piv[:, 0] + piv[::-1, 1], shifted, out=shifted)
+    np.abs(gamma, out=gamma)
+    twist = np.argmin(gamma, axis=0)
+    gap = np.take_along_axis(gamma, twist[None], axis=0)[0]
+    # ratio i is x_i / x_{i+1} in half 0 and x_{m-1-i} / x_{m-2-i} in half
+    # 1, set to 1 past the twist; the products from the end of the stack
+    # then give x_j in half 0 for j <= r, and in half 1 at m - 1 - j for
+    # j >= r (1 elsewhere, so x is the product of the two halves)
+    ratio = np.divide(link, piv[:-1], out=piv[:-1])
+    np.negative(ratio, out=ratio)
+    reach = np.stack([twist, m - 1 - twist])
+    np.copyto(ratio, 1.0, where=np.arange(m - 1)[:, None, None, None] >= reach)
+    piv[-1] = 1.0
+    for cur, nxt in zip(piv[-2::-1], piv[::-1]):
+        cur *= nxt
+    x = np.multiply(piv[:, 0], piv[::-1, 1], out=gamma)
+    norm = np.sqrt(np.einsum("j...,j...->...", x, x))
+    return np.abs(piv[0, 1]) / norm, gap / norm
+
+
+class _SolveFailed(Exception):
+    """A stacked LAPACK solve of order ``order`` did not converge; ``point``
+    is the first point still open."""
+
+    def __init__(self, order: int, point: int):
+        super().__init__(order, point)
+        self.order, self.point = order, point
+
+
 def _leading_levels(diag, off, k: int):
     """The min(k, m) lowest eigenvalues of every block, from leading blocks.
 
     ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
-    the bands.  For an eigenpair (theta, y) of the leading m' x m' block of
-    a tridiagonal T, the vector y padded with zeros has the residual
-    |off[m'-1] y[m'-1]| in T, so an eigenvalue of T lies within it of theta
-    (Parlett, The Symmetric Eigenvalue Problem, the Ritz bound).  Starting
-    at m' = max(2k, 32), np.linalg.eigh solves the leading blocks of all
-    open points at once; a point is done once the residual of each value
-    kept from each of its blocks is at most LEADING_ULPS ulps of that
-    block's max|T|, and m' doubles for the rest.  Points still open when m' reaches m get a full
-    np.linalg.eigvalsh.  Returns (values, size, residual): values
-    (points, blocks, min(k, m)); per point the m' it was solved at (m for
-    a full solve) and its largest certified residual (0 for a full solve).
+    the bands.  Starting at m' = max(2k, 32), np.linalg.eigvalsh solves the
+    leading m' x m' blocks of all open points at once, and _twisted_tail
+    gives, for each kept value theta of a block T_m', a vector x with
+    (T_m' - theta I) x = gamma_r e_r.  Padded with zeros, x has the
+    residual vector gamma_r e_r + off[m'-1] x[m'-1] e_m' in the full block
+    T, so the Ritz residual sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x|
+    bounds the distance from theta to an eigenvalue of T: for any unit y,
+    some eigenvalue lies within |(T - theta I) y|_2 of theta (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4).  The bound is that of the
+    explicit vector, not of an exact eigenpair of T_m'; no eigenvector is
+    computed.  A point is done once the residual of each value kept from
+    each of its blocks is at most LEADING_ULPS ulps of that block's max|T|,
+    and m' doubles for the rest.  Points still open when m' reaches m get a
+    full np.linalg.eigvalsh.  Returns (values, size, residual): values
+    (points, blocks, min(k, m)); per point the m' it was solved at (m for a
+    full solve) and its largest certified residual (0 for a full solve).
+    A LAPACK failure raises _SolveFailed with the order and the first open
+    point.
     """
     n_points, n_blocks, m = diag.shape
     kb = min(k, m)
@@ -325,17 +404,22 @@ def _leading_levels(diag, off, k: int):
     bound = LEADING_ULPS * np.finfo(float).eps * np.maximum(
         np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
 
-    def ritz(d, o):
-        theta, y = np.linalg.eigh(tridiagonal(d, o))
-        return theta[:, :kb], np.abs(y[:, -1, :kb])
+    def lowest(d, o):
+        try:
+            return np.linalg.eigvalsh(tridiagonal(d, o))[:, :kb]
+        except np.linalg.LinAlgError as exc:
+            raise _SolveFailed(d.shape[-1], int(todo[0])) from exc
 
     todo = np.arange(n_points)
     order = max(2 * k, 32)
     while todo.size and order < m:
         d = diag[todo, :, :order].reshape(-1, order)
         o = off[todo, :, :order - 1].reshape(-1, order - 1)
-        theta, tail = _chunked(ritz, order * order, d, o)
-        r = (np.abs(off[todo, :, order - 1]).reshape(-1, 1) * tail).reshape(-1, n_blocks, kb)
+        theta = _chunked(lowest, order * order, d, o)
+        # the tail holds both sweeps and two arrays of one: 4 kb m' per row
+        last, gap = _chunked(_twisted_tail, 4 * kb * order, d, o, theta)
+        link = np.abs(off[todo, :, order - 1]).reshape(-1, 1)
+        r = np.hypot(gap, link * last).reshape(-1, n_blocks, kb)
         done = np.all(r <= bound[todo, :, None], axis=(1, 2))
         finished = todo[done]
         values[finished] = theta.reshape(-1, n_blocks, kb)[done]
@@ -344,8 +428,7 @@ def _leading_levels(diag, off, k: int):
         todo = todo[~done]
         order *= 2
     if todo.size:
-        full = _chunked(lambda d, o: np.linalg.eigvalsh(tridiagonal(d, o))[:, :kb], m * m,
-                        diag[todo].reshape(-1, m), off[todo].reshape(-1, m - 1))
+        full = _chunked(lowest, m * m, diag[todo].reshape(-1, m), off[todo].reshape(-1, m - 1))
         values[todo] = full.reshape(-1, n_blocks, kb)
     return values, size, residual
 
@@ -383,12 +466,25 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
     eigensolver involved and tolerates exact clusters; one sturm_count call
     counts every row, pairs or not, on the full bands.  A violation raises
-    ConvergenceError naming where(point, block) and the eigenvalue.
+    ConvergenceError naming where(point, block) and the eigenvalue; so does
+    a LAPACK failure, with the order of the blocks it solved and the first
+    point still open.
+
+    Every solve and count squares the links, so a point whose bands reach
+    2**_BAND_EXPONENT in modulus is first scaled down by an exact power of
+    two, and its levels, residual and tolerance are scaled back (LAPACK's
+    dstevx rescales the same way).  Eigenvalues and Sturm counts scale
+    exactly; every other point has scale 1 and is solved as given.
     """
     if not points:
         return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0))
     diag, off = (np.stack(part) for part in zip(*points))
     n_points, m = len(diag), diag.shape[-1]
+    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    power = np.maximum(np.frexp(np.max(scale, axis=-1))[1] - _BAND_EXPONENT, 0)
+    if np.any(power):
+        diag, off = (np.ldexp(band, -power[:, None, None]) for band in (diag, off))
+        scale = np.ldexp(scale, -power[:, None])
     linked = off != 0
     pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
     values = np.empty(diag.shape[:-1] + (min(k, m),))
@@ -400,12 +496,12 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     if np.any(rest):
         try:
             values[:, rest], block, residual = _leading_levels(diag[:, rest], off[:, rest], k)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
+        except _SolveFailed as exc:
             raise ConvergenceError(
-                f"eigenvalues of dim={m} blocks did not converge "
-                f"within the solver's iteration cap ({exc})"
-            ) from exc
-    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+                f"eigenvalues of {exc.order} x {exc.order} leading blocks did not "
+                f"converge within the solver's iteration cap ({exc.__cause__}); the "
+                f"first point still open is {where(exc.point, np.flatnonzero(rest)[0])}"
+            ) from exc.__cause__
     kb = values.shape[-1]
     merged, order = _merge(values)
     kept = np.zeros(merged.shape, dtype=bool)
@@ -419,13 +515,16 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     bad = kept & ((below > index) | (within <= index)) & (tol > 0)
     if np.any(bad):
         p, b, i = np.argwhere(bad)[0]
+        value, bound = (float(np.ldexp(v, power[p])) for v in (values[p, b, i], tol[p, b, 0]))
         raise ConvergenceError(
-            f"eigenvalue {i} = {float(values[p, b, i])!r} of {where(p, b)} fails "
+            f"eigenvalue {i} = {value!r} of {where(p, b)} fails "
             f"the Sturm count: N(v - tol) = {below[p, b, i]} and N(v + tol) = "
             f"{within[p, b, i]} eigenvalues lie below v -/+ tol, but "
             f"N(v - tol) <= {i} < N(v + tol) is needed "
-            f"(tol = {EIG_RTOL:.1e} * max|T| = {tol[p, b, 0]:.3e})"
+            f"(tol = {EIG_RTOL:.1e} * max|T| = {bound:.3e})"
         )
+    if np.any(power):
+        merged, residual = np.ldexp(merged, power[:, None]), np.ldexp(residual, power)
     return SectorLevels(merged[..., :k], block, residual)
 
 

@@ -9,8 +9,10 @@ ascending spectrum.  A JC sector, which conserves excitation number, is a
 direct sum of the dressed doublets |2>|n-1>, |1>|n> and the empty state
 |1>|0>, so merged_levels solves it in closed form.  A Rabi sector at
 g != 0 is solved from a leading block of its chain, since its low levels
-live in low Fock states: the block m' doubles from max(2k, 32) until the
-Ritz residual |off[m'-1] y[m'-1]| of each kept value is at most 4 ulps of
+live in low Fock states: eigvalsh gives the block's values, and a twisted
+factorization of T_m' - theta I gives, for each kept value, an explicit
+vector whose Ritz residual in the full sector is certified.  The block m'
+doubles from max(2k, 32) until each kept residual is at most 4 ulps of
 max|T| (a full solve once m' reaches the sector), while the Sturm gate
 still counts on the full bands.  That count is one linalg.sturm_count
 call on every sector row of the batch, JC and Rabi alike; its loop stops
@@ -19,10 +21,9 @@ dozen rows.  The sweep and convergence tables carry the m' and the
 certified residual of each row.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
-the numerical crossing reads the even JC sector alone.  No eigenvector of
-a full sector is computed here: the leading blocks' vectors only give
-their residuals, and only the Berry loop (berry.fock_loop and its oracle
-eig_family) reads vectors.  The dense joint-space builders are not called;
+the numerical crossing reads the even JC sector alone.  No eigenvector is
+computed here, not even of a leading block: only the Berry loop
+(berry.fock_loop and its oracle eig_family) reads vectors.  The dense joint-space builders are not called;
 they stay the oracle the tests compare these results with.
 """
 

@@ -452,6 +452,19 @@ class TestExitCodes:
         assert "phi-nodes must be even, got" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, name", [
+        (["convergence", "--model", "rabi", "--g", "1e160", "--n-list", "20,40"],
+         "convergence_rabi.csv"),
+        (["spectrum", "--model", "jc", "--nmax", "60", "--g-max", "1e160",
+          "--g-step", "5e159"], "spectrum_jc.csv"),
+    ])
+    def test_couplings_whose_links_square_past_the_largest_double(self, tmp_path, args, name):
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        _, header, rows = read_rows(tmp_path / name)
+        levels = np.array(rows)[:, [c.startswith("E") for c in header]]
+        assert levels.shape[1] == 11 and np.all(np.isfinite(levels))
+
     @pytest.mark.parametrize("model", ["jc", "rabi"])
     def test_usage_error_svg_of_one_model(self, tmp_path, capsys, model):
         # the overlay draws JC against Rabi: one model has nothing to overlay

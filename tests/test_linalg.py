@@ -22,12 +22,14 @@ from jcrabi.models import (
     ModelKind,
     ModelParams,
     build_jc,
+    jc_doublet_analytic,
     parity_sectors,
     phase_factors,
     symmetry_ops,
 )
 
 SX, SY, SZ, SP, SM = qubit_ops()
+EPS = np.finfo(float).eps
 
 
 def u_phi(phi, cfg):
@@ -501,6 +503,76 @@ class TestMergedLevels:
         assert full.block.tolist() == [6] and full.residual.tolist() == [0.0]
 
 
+class TestSolveFailure:
+    @pytest.mark.parametrize("order", [64, 100])
+    def test_names_the_order_and_the_first_open_point(self, monkeypatch, order):
+        # point 0 certifies at m' = 32; point 1 has random links, which need
+        # the full block, so it is the first point open at 64 and at m = 100
+        rng = np.random.default_rng(13)
+        diag, off = decaying_bands(100, 2, rng)
+        diag[1], off[1] = rng.standard_normal((2, 100)), rng.standard_normal((2, 99))
+        real = np.linalg.eigvalsh
+
+        def fails(a, *args, **kwargs):
+            if np.shape(a)[-1] == order:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(ConvergenceError, match=(
+                rf"eigenvalues of {order} x {order} leading blocks did not converge within "
+                r"the solver's iteration cap \(Eigenvalues did not converge\); the first "
+                r"point still open is block 0 of point 1$")):
+            merged_levels(list(zip(diag, off)), 11, sector_label)
+
+
+class TestLargeBands:
+    """Bands whose links square past the largest double are scaled down by
+    a power of two for every solve and count, and their levels back."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rabi_levels_are_eigvalsh_of_the_scaled_bands(self):
+        diag, off = parity_sectors(ModelKind.RABI_LAB, ModelParams(g=1e160),
+                                   TruncationConfig(40))
+        solved = merged_levels([(diag, off)], 11, sector_label)
+        top = max(np.max(np.abs(diag)), np.max(off))
+        scale = 2.0 ** (np.frexp(top)[1] - 500)
+        assert 1.0 < scale < np.inf
+        expected = np.sort(np.linalg.eigvalsh(tridiagonal(diag / scale, off / scale)).ravel())
+        assert np.max(np.abs(solved.levels[0] - scale * expected[:11])) <= 4 * EPS * top
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jc_levels_are_the_closed_form_doublets(self):
+        cfg = TruncationConfig(60)
+        for g in (5e159, 1e160, 1e300):
+            p = ModelParams(g=g)
+            diag, off = parity_sectors(ModelKind.JC_LAB, p, cfg)
+            levels = merged_levels([(diag, off)], 11, sector_label).levels[0]
+            doublets = [jc_doublet_analytic(n, p).energies for n in range(1, cfg.n_max + 1)]
+            exact = np.sort(np.ravel(doublets))[:11]
+            top = max(np.max(np.abs(diag)), np.max(off))
+            assert np.all(np.isfinite(levels))
+            assert np.max(np.abs(levels - exact)) <= EIG_RTOL * top, g
+
+    def test_bands_below_the_threshold_are_solved_as_given(self, monkeypatch):
+        # 2**500 - ulp squares to below the largest double: scale 1
+        seen = []
+        true_leading = linalg._leading_levels
+
+        def recorded(diag, off, k):
+            seen.append(np.max(np.abs(off)))
+            return true_leading(diag, off, k)
+
+        monkeypatch.setattr(linalg, "_leading_levels", recorded)
+        rng = np.random.default_rng(14)
+        diag, off = rng.standard_normal((2, 40)), rng.standard_normal((2, 39))
+        for top in (np.nextafter(2.0 ** 500, 0), 2.0 ** 500):
+            off_top = off * (top / np.max(np.abs(off)))
+            merged_levels([(diag, off_top)], 5, sector_label)
+        assert seen[0] == np.nextafter(2.0 ** 500, 0)
+        assert seen[1] == 2.0 ** 499
+
+
 def decaying_bands(m, points, rng):
     """(points, 2, m) bands whose low eigenvectors decay along the chain:
     diagonal j + noise, links of 0.3 + noise, so a leading block of 32
@@ -508,6 +580,62 @@ def decaying_bands(m, points, rng):
     diag = np.arange(m) + 0.1 * rng.standard_normal((points, 2, m))
     off = 0.3 + 0.05 * rng.standard_normal((points, 2, m - 1))
     return diag, off
+
+
+def twisted_vector(diag, off, theta):
+    """The twisted-factorization vector of T - theta I for one tridiagonal
+    T and one value, by plain loops: (y, |gamma_r| / |x|), y = x / |x|.
+    Pivots below tiny * max(1, max off^2) in magnitude become +that, as in
+    sturm_count."""
+    m = len(diag)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(np.abs(off), initial=0.0)) ** 2)
+
+    def guard(pivot):
+        return pivmin if abs(pivot) < pivmin else pivot
+
+    d, e = np.empty(m), np.empty(m)
+    d[0], e[-1] = guard(diag[0] - theta), guard(diag[-1] - theta)
+    for j in range(1, m):
+        d[j] = guard(diag[j] - theta - off[j - 1] ** 2 / d[j - 1])
+        e[m - 1 - j] = guard(diag[m - 1 - j] - theta - off[m - 1 - j] ** 2 / e[m - j])
+    gamma = d + e - (diag - theta)
+    r = int(np.argmin(np.abs(gamma)))
+    x = np.zeros(m)
+    x[r] = 1.0
+    for j in range(r - 1, -1, -1):
+        x[j] = -(off[j] / d[j]) * x[j + 1]
+    for j in range(r + 1, m):
+        x[j] = -(off[j - 1] / e[j]) * x[j - 1]
+    norm = np.linalg.norm(x)
+    return x / norm, abs(gamma[r]) / norm
+
+
+class TestTwistedTail:
+    def test_matches_the_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        diag, off = decaying_bands(40, 3, rng)
+        diag, off = diag.reshape(-1, 40), off.reshape(-1, 39)
+        off[::2] *= -1.0  # the moduli of the links are what counts
+        off[1, 10] = 0.0  # a cut chain: the vector lives on one side of it
+        theta = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :7]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            last, gap = linalg._twisted_tail(diag, off, theta)
+        for row in range(len(diag)):
+            for i, t in enumerate(theta[row]):
+                y, g = twisted_vector(diag[row], off[row], t)
+                assert last[row, i] == pytest.approx(abs(y[-1]), rel=1e-12, abs=1e-300)
+                assert gap[row, i] == pytest.approx(g, rel=1e-12, abs=1e-300)
+
+    def test_zero_links_give_exact_zeros(self):
+        # a band with no links (a Rabi row at g = 0): the value is a
+        # diagonal entry, the twist sits on it and every other entry of x
+        # is an exact zero; the pivot there is +pivmin, so no NaN
+        diag = np.array([[3.0, 1.0, 2.0, 5.0]])
+        theta = np.array([[1.0, 2.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            last, gap = linalg._twisted_tail(diag, np.zeros((1, 3)), theta)
+        assert last.tolist() == [[0.0, 0.0]]
+        assert np.all(gap <= 2 * np.finfo(float).tiny)
 
 
 class TestLeadingLevels:
@@ -525,40 +653,74 @@ class TestLeadingLevels:
         assert np.all(np.abs(values - full) <= bound)
 
     def test_residual_is_the_ritz_bound(self):
-        diag, off = decaying_bands(201, 2, np.random.default_rng(1))
-        values, size, residual = linalg._leading_levels(diag, off, 5)
+        # the certified residual is that of the explicit twisted vector,
+        # padded with zeros: a dense product with the full block gives it,
+        # and its tail term is the eigenvector's, above eigh's noise floor
+        m, k = 201, 5
+        diag, off = decaying_bands(m, 2, np.random.default_rng(1))
+        values, size, residual = linalg._leading_levels(diag, off, k)
+        eps = np.finfo(float).eps
         for p in range(2):
-            n = size[p]
-            _, y = np.linalg.eigh(tridiagonal(diag[p, :, :n], off[p, :, :n - 1]))
-            ritz = np.abs(off[p, :, n - 1, None] * y[:, -1, :5])
-            assert residual[p] == np.max(ritz)
+            scale = max(np.max(np.abs(diag[p])), np.max(np.abs(off[p])))
+            for n in (8, 16, size[p]):
+                bounds = []
+                for b in range(2):
+                    full = tridiagonal(diag[p, b], off[p, b])
+                    theta = np.linalg.eigvalsh(full[:n, :n])[:k]
+                    _, vectors = np.linalg.eigh(full[:n, :n])
+                    for i, t in enumerate(theta):
+                        y, gap = twisted_vector(diag[p, b, :n], off[p, b, :n - 1], t)
+                        tail = abs(off[p, b, n - 1] * y[-1])
+                        bounds.append(np.hypot(gap, tail))
+                        padded = np.zeros(m)
+                        padded[:n] = y
+                        dense = np.linalg.norm(full @ padded - t * padded)
+                        assert abs(dense - bounds[-1]) <= 4 * eps * scale
+                        assert abs(tail - abs(off[p, b, n - 1] * vectors[-1, i])) <= eps * scale
+                if n == size[p]:
+                    assert residual[p] == pytest.approx(max(bounds), rel=1e-12)
 
     @pytest.mark.parametrize("k, orders", [(11, [32, 64]), (20, [40, 80])])
     def test_doubles_up_to_the_full_block(self, monkeypatch, k, orders):
         # random links do not decay: no leading block certifies, so every
         # point doubles m' from max(2k, 32) and takes the full eigvalsh at
         # m = 100
-        real, seen = np.linalg.eigh, []
+        real, seen = np.linalg.eigvalsh, []
 
         def counted(a, *args, **kwargs):
             seen.append(np.shape(a)[-1])
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rng = np.random.default_rng(3)
         diag, off = rng.standard_normal((3, 2, 100)), rng.standard_normal((3, 2, 99))
         values, size, residual = linalg._leading_levels(diag, off, k)
-        assert seen == orders
+        assert seen == orders + [100]
         assert size.tolist() == [100] * 3 and residual.tolist() == [0.0] * 3
-        assert np.array_equal(values, np.linalg.eigvalsh(tridiagonal(diag, off))[..., :k])
+        assert np.array_equal(values, real(tridiagonal(diag, off))[..., :k])
 
     def test_cut_link_certifies_with_zero_residual(self):
-        diag, off = random_bands(80, np.random.default_rng(4))
-        off[:, 31] = 0.0
-        values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
-        assert size.tolist() == [32] and residual.tolist() == [0.0]
-        leading = np.linalg.eigh(tridiagonal(diag[:, :32], off[:, :31]))[0][:, :11]
-        assert np.array_equal(values[0], leading)
+        # a zero link after row 32 makes the tail term of every residual
+        # exactly 0: what is left is the twist's rounding |gamma_r| / |x|,
+        # the residual of the explicit vector, which certifies m' = 32 where
+        # it is within LEADING_ULPS ulps of max|T|
+        eps = np.finfo(float).eps
+        decaying = decaying_bands(80, 1, np.random.default_rng(5))
+        for diag, off in (random_bands(80, np.random.default_rng(4)),
+                          (decaying[0][0], decaying[1][0])):
+            off[:, 31] = 0.0
+            values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
+            leading = (diag[:, :32], off[:, :31])
+            theta = np.linalg.eigvalsh(tridiagonal(*leading))[:, :11]
+            _, gap = linalg._twisted_tail(*leading, theta)
+            scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1))
+            certified = np.all(gap <= linalg.LEADING_ULPS * eps * scale[:, None])
+            assert size.tolist() == [32 if certified else 80]
+            if certified:
+                assert np.array_equal(values[0], theta)
+                assert residual.tolist() == [np.max(gap)]
+        # the Rabi-like band, whose max|T| lies far down the chain, certifies
+        assert size.tolist() == [32]
 
     def test_points_finish_apart(self):
         # one point certifies at 32, the other needs the full block

@@ -335,21 +335,24 @@ class TestSturmGate:
                 r"fails the Sturm count")):
             ground_crossing(P_RES, CFG, 0.3, 1.2)
 
-    def test_values_only_paths_compute_vectors_of_leading_blocks_only(self, monkeypatch):
-        real, orders = np.linalg.eigh, []
+    def test_values_only_paths_compute_vectors_of_leading_blocks_only(self, forbid_eigh,
+                                                                       monkeypatch):
+        # no value path computes an eigenvector: np.linalg.eigh raises; the
+        # JC sectors need no eigvalsh, and a Rabi sector's first solve is of
+        # a leading block cut short of it
+        real, orders = np.linalg.eigvalsh, []
 
         def counted(a, *args, **kwargs):
             orders.append(np.shape(a)[-1])
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         convergence_study(ModelKind.JC_LAB, P_RES, 0.5, 11, [20, 40])
         spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1, 0.5], 11, CFG)
         assert orders == []
-        # a Rabi sector's vectors only ever come from a block cut short of it
         spectrum_sweep(ModelKind.RABI_LAB, P_RES, [0.1, 0.5], 11, CFG)
         bloch_siegert(P_RES, 0.1, 2, CFG)
-        assert orders and max(orders) < CFG.dim_field
+        assert orders and orders[0] == 32 < CFG.dim_field
 
     def test_crossing_computes_no_vectors(self, forbid_eigh):
         res = ground_crossing(P_RES, CFG, 0.3, 1.2)

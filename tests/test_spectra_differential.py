@@ -92,18 +92,44 @@ def test_bloch_siegert_matches_dense_spectra(Omega, g, n_max, data):
 SWEEP_G = np.round(0.01 * np.arange(151), 12)
 
 
+def eigh_tail_orders(diag, off, k):
+    """Frozen copy of the leading-block doubling as it was certified from
+    np.linalg.eigh: the Ritz bound |off[m'-1] y[m'-1]| of the eigenpairs of
+    the leading blocks, m' = max(2k, 32), 64, ... while m' < m.  ``diag``
+    (points, blocks, m) and ``off`` (points, blocks, m - 1); returns the m'
+    of each point (m where none certified)."""
+    n_points, n_blocks, m = diag.shape
+    kb = min(k, m)
+    bound = LEADING_ULPS * np.finfo(float).eps * np.maximum(
+        np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    size = np.full(n_points, m)
+    todo = np.arange(n_points)
+    order = max(2 * k, 32)
+    while todo.size and order < m:
+        _, y = np.linalg.eigh(tridiagonal(diag[todo, :, :order], off[todo, :, :order - 1]))
+        r = np.abs(off[todo, :, order - 1, None] * y[..., -1, :kb])
+        done = np.all(r <= bound[todo, :, None], axis=(1, 2))
+        size[todo[done]] = order
+        todo = todo[~done]
+        order *= 2
+    return size
+
+
 @pytest.mark.parametrize("n_max", [200, 500])
 @pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
 def test_rabi_sweep_within_certified_residual_of_full_eigvalsh(Omega, n_max):
     p, cfg = ModelParams(Omega=Omega), TruncationConfig(n_max)
-    table = spectrum_sweep(ModelKind.RABI_LAB, p, SWEEP_G, 11, cfg)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        table = spectrum_sweep(ModelKind.RABI_LAB, p, SWEEP_G, 11, cfg)
     # every row came from a leading block of the doubling sequence 32, 64,
-    # ..., certified to LEADING_ULPS of max|T|
+    # ..., certified to LEADING_ULPS of max|T|, no later than the eigh tail
     assert set(table.block.tolist()) <= {32, 64, 128, 256}
     assert np.all(table.block < cfg.dim_field)
+    bands = [parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg) for g in SWEEP_G]
+    diag, off = (np.stack(part) for part in zip(*bands))
+    assert np.all(table.block <= eigh_tail_orders(diag, off, 11))
     eps = np.finfo(float).eps
-    for g, row, residual in zip(SWEEP_G, table.levels, table.residual):
-        diag, off = parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg)
+    for g, row, residual, (diag, off) in zip(SWEEP_G, table.levels, table.residual, bands):
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
         assert residual <= LEADING_ULPS * eps * scale
         full = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:11]
