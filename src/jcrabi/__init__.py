@@ -15,7 +15,6 @@ from .linalg import (
     ConvergenceError,
     EigenSystem,
     HermiticityError,
-    block_eig,
     commutator_deviation,
     hermitian_eig,
 )

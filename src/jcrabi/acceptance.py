@@ -11,8 +11,9 @@ text).
 
 The gate is the one configuration the constants below set, and a criterion
 name states the constants it ran at.  The suite writes no file.  Tracked
-families are cached and shared between criteria; the full suite took 3.2 s
-(python -m jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4 with OpenBLAS).
+families are cached and shared between criteria; the full suite took 1.2 s
+wall and 2.1 s CPU (python -m jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4
+with OpenBLAS).
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
 apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
 field occupation n, so every loop value is a closed form in p_n and the
 node count K.  Both loop paths take one gated level from _solve_level: it
-solves the two parity sectors of H once, from their bands
-(models.parity_sectors), and gates psi_0 once on the dense H(0) psi_0.
-Since U(phi) is diagonal with unit-modulus entries, that one residual is
-the residual of every node.  fock_loop, which the command line runs, reads
-the loop values off the closed form and builds no node.  Its oracle is the
-node path: eig_family builds the eigenpath on the loop grid (loop_grid) in
-one broadcast of models.phase_factors over the column of phi nodes.
+solves the parity sectors of H for values as every spectrum does, takes
+psi_0 from the level's sector (linalg.sector_vector) and gates it once on
+the dense H(0) psi_0.  Since U(phi) is diagonal with unit-modulus entries,
+that one residual is the residual of every node.  fock_loop, which the
+command line runs, reads the loop values off the closed form and builds no
+node.  Its oracle is the node path: eig_family builds the eigenpath on the
+loop grid (loop_grid) in one broadcast of models.phase_factors over the
+column of phi nodes.
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import HERMITICITY_RTOL, block_eig, hermitian_eig, residual_gate, tridiagonal
+from .linalg import HERMITICITY_RTOL, hermitian_eig, residual_gate, sector_vector, tridiagonal
 from .models import (
     ModelKind,
     ModelParams,
@@ -55,13 +56,14 @@ from .models import (
     parity_sectors,
     phase_factors,
 )
+from .spectra import _sector_levels
 
 TWO_PI = 2.0 * np.pi
 # The fewest phi nodes a loop may have; K must also be even (loop_grid).
 MIN_NODES = 16
 CONTINUITY_THRESHOLD = 0.99
-# A level closer than this to a neighbour has no single-level phase; both
-# eig_family and generator_phase refuse it.
+# A level closer than this to a neighbour has no single-level phase;
+# fock_loop, eig_family and generator_phase refuse it.
 DEGENERACY_GAP = 1e-10
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
 # phase equal to pi up to rounding then reads +pi in every gauge.
@@ -140,12 +142,7 @@ class TrackedFamily:
 
 def _level_gap(values: np.ndarray, level: int) -> float:
     """Distance from values[level] to its nearest neighbour (values ascending)."""
-    gaps = []
-    if level > 0:
-        gaps.append(values[level] - values[level - 1])
-    if level < len(values) - 1:
-        gaps.append(values[level + 1] - values[level])
-    return float(min(gaps))
+    return float(np.min(np.diff(values[max(level - 1, 0):level + 2])))
 
 
 def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
@@ -167,17 +164,16 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     """(psi_0, E, eigen residual) of one level, from one sector solve and
     one gate.
 
-    The two parity sectors of H(0), given by their bands
-    (models.parity_sectors), are solved by linalg.block_eig, which also
-    numbers the levels; the level's sector vector, placed on its chain
-    (models.parity_chains), is the real joint-space vector psi_0.  A level
-    out of range or a dense H(0) that differs from those bands placed on
-    their chains by more than HERMITICITY_RTOL * max|H| in any entry is a
-    ValueError; a level whose gap to its neighbours in the merged
-    two-sector spectrum is below DEGENERACY_GAP has no single-level phase:
-    TrackingError at node 0.  The pair (E, psi_0) then passes residual_gate
-    on the dense H(0) psi_0 ("at phi node 0"), which reads every entry of
-    H(0), whatever the sector structure; the gate's value is returned.
+    E comes from the sector solve of every spectrum
+    (spectra._sector_levels) of min(level + 2, dim) levels, the upper
+    neighbour included; psi_0 is the twisted vector of E's sector at E
+    (linalg.sector_vector) placed on its chain (models.parity_chains).  A level out of range or a dense H(0) that
+    differs from the sector bands placed on their chains by more than
+    HERMITICITY_RTOL * max|H| in any entry is a ValueError; a level closer
+    than DEGENERACY_GAP to a neighbour has no single-level phase:
+    TrackingError at node 0.  (E, psi_0) then passes residual_gate on the
+    dense H(0) psi_0 ("at phi node 0"), which reads every entry of H(0); the
+    gate's value is returned.
     """
     kind = ModelKind(kind)
     h0 = build_hamiltonian(kind, p, cfg)
@@ -185,22 +181,20 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     if not 0 <= level < dim:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     maxabs = float(np.max(np.abs(h0)))
-
     chains = parity_chains(cfg)
-    bands = parity_sectors(kind, p, cfg)
-    _check_sector_split(h0, bands, chains, maxabs)
-    merged, systems, order = block_eig(*bands)
-    gap = _level_gap(merged, level)
+    diag, off = parity_sectors(kind, p, cfg)
+    _check_sector_split(h0, (diag, off), chains, maxabs)
+    k = min(level + 2, dim)
+    solved = _sector_levels([(kind, p, cfg)], k)
+    gap = _level_gap(solved.levels[0], level)
     if not gap >= DEGENERACY_GAP:
-        raise TrackingError(
-            0,
-            f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}); "
-            "the geometric phase of a single level is undefined there",
-        )
-    sector, col = divmod(int(order[level]), cfg.dim_field)
+        raise TrackingError(0, f"level {level} is degenerate (gap {gap:.3e} < "
+                               f"{DEGENERACY_GAP:.0e}); the geometric phase of a single "
+                               "level is undefined there")
+    sector = int(solved.order[0, level]) // min(k, cfg.dim_field)
+    energy = solved.levels[0, level]
     psi0 = np.zeros(dim)
-    psi0[chains[sector]] = systems[sector].vectors[:, col]
-    energy = systems[sector].values[col]
+    psi0[chains[sector]] = sector_vector(diag[sector], off[sector], energy)
     residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
     return psi0, energy, residual
 

@@ -8,43 +8,34 @@ returned, and commutator diagnostics used to verify model symmetries.
 
 The main input is the pair of parity sectors from models.parity_sectors,
 given as bands: diag of shape (2, m) and off of shape (2, m - 1), m =
-n_max + 1.  tridiagonal assembles the stacked (2, m, m) LAPACK input, and
-the sectors are solved in one of two ways:
+n_max + 1.  merged_levels solves them for every layer and reads the
+structure from the bands.  A block row with no two adjacent nonzero links
+(a JC sector, or any sector at g = 0) is a set of decoupled 2 x 2 pairs
+and 1 x 1 blocks, whose values _pair_eigvalsh gives in closed form for all
+points at once.  Any other block row (Rabi at g != 0) is solved from a
+certified leading block (_leading_levels), values only: np.linalg.eigvalsh
+on the leading m' x m' blocks (tridiagonal assembles the stacked input) of
+all points at once, and for each kept value theta the twisted
+factorization of T_m' - theta I (_twisted_tail), whose explicit vector x,
+padded with zeros, has the Ritz residual
+sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full block.  m'
+doubles from max(2k, 32) until every kept residual is at most LEADING_ULPS
+ulps of max|T|, and a full np.linalg.eigvalsh follows once m' reaches m.
+Each kept value is then gated by one sturm_count call on every row: an
+LDL^T inertia count on the full bands that needs no eigensolver, whose
+loop stops within a few dozen rows, once every later pivot is certified
+positive.  _merge numbers the levels, and merged_levels reports that
+order and the m' and residual behind each point (SectorLevels).  Bands
+whose links would square past the largest double are scaled down by a
+power of two first (_scaled), and their values back.
 
-* values only: merged_levels reads the structure from the bands.  A block
-  row with no two adjacent nonzero links (a JC sector, or any sector at
-  g = 0) is a set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values
-  _pair_eigvalsh gives in closed form for all points at once.  Any other
-  block row (Rabi at g != 0) is solved from a certified leading block
-  (_leading_levels), values only: np.linalg.eigvalsh on the leading
-  m' x m' blocks of all points at once, and for each kept value theta the
-  twisted factorization of T_m' - theta I (_twisted_tail), whose explicit
-  vector x, padded with zeros, has the Ritz residual
-  sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full block.  m'
-  doubles from max(2k, 32) until every kept residual is at most
-  LEADING_ULPS ulps of max|T|, and a full np.linalg.eigvalsh follows once
-  m' reaches m.  No eigenvector is computed on this path.  Each kept
-  value is then gated by one sturm_count call on every row: an LDL^T
-  inertia count on the full bands that needs no eigensolver, whose loop
-  stops within a few dozen rows, once every later pivot is certified
-  positive.  The spectrum sweeps, convergence studies, Bloch-Siegert
-  values and the numerical crossing (the even sector alone) take this
-  path, and merged_levels reports the m' and the residual behind each
-  point (SectorLevels).  Bands whose links would square past the largest
-  double are scaled down by a power of two first, and their values back.
-* with vectors: block_eig solves each sector with hermitian_eig, whose
-  eigen-residual gate (residual_gate) checks every eigenpair.  Only the
-  Berry loop needs the vectors: berry.fock_loop, which reads the loop off
-  the occupation weights of psi_0, and its oracle berry.eig_family.
-
-Both merge the sector spectra in _merge, which owns the level numbering.
-The full joint-space matrices still come to hermitian_eig from the dense
-oracle paths (generator_phase, the acceptance gate's dense checks, the
-tests).  residual_gate takes the products A v rather than A, so it is also
-applied on its own: the Berry loop gates psi_0 once on the dense
-H(0) psi_0, and that one value serves every node U(phi_k)|psi_0> of
-berry.fock_loop and of its oracle berry.eig_family, U(phi_k) being
-diagonal with unit-modulus entries.
+No eigenvector is computed there.  The one vector the toolkit reads,
+psi_0 of the Berry loop, is the twisted vector of its sector's band at its
+merged value (sector_vector), scaled the same way.  residual_gate takes
+the products A v rather than A, so the Berry loop gates psi_0 with it once,
+on the dense H(0) psi_0.  The full joint-space matrices still come to
+hermitian_eig from the dense oracle paths (generator_phase, the acceptance
+gate's dense checks, the tests).
 """
 
 from __future__ import annotations
@@ -180,21 +171,6 @@ def tridiagonal(diag, off) -> np.ndarray:
     return t
 
 
-def block_eig(diag, off):
-    """Spectrum of a block-diagonal matrix of symmetric tridiagonal blocks.
-
-    ``diag`` (blocks, m) and ``off`` (blocks, m - 1) are the blocks' bands;
-    each block goes through hermitian_eig, whose residual gate checks every
-    eigenpair.  Returns
-    (values, systems, order): the ascending merged spectrum, one
-    EigenSystem per block, and the merge order of _merge, so values[i] is
-    eigenvalue order[i] % m of block order[i] // m.
-    """
-    systems = [hermitian_eig(t) for t in tridiagonal(diag, off)]
-    merged, order = _merge(np.stack([es.values for es in systems]))
-    return merged, systems, order
-
-
 def sturm_count(diag, off, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift of a symmetric tridiagonal matrix.
 
@@ -325,12 +301,13 @@ def _twisted_tail(diag, off, theta):
     (T - theta I) x = gamma_r e_r (the twisted factorization: Parlett and
     Dhillon, Lin. Alg. Appl. 267, 1997).  x is formed as ratio products, so
     a zero link gives exact zeros.  Returns (|x_{m-1}|, |gamma_r|) / |x|_2,
-    each of shape (rows, kb).  Both only depend on the moduli of the links.
+    each of shape (rows, kb), which only depend on the moduli of the links,
+    and x itself, unnormalised, of shape (m, rows, kb).
     """
     diag = np.asarray(diag, dtype=float)
-    off = np.abs(np.asarray(off, dtype=float))
+    off = np.asarray(off, dtype=float)
     m = diag.shape[-1]
-    top = np.max(off, axis=-1, initial=0.0)
+    top = np.max(np.abs(off), axis=-1, initial=0.0)
     pivmin = (np.finfo(float).tiny * np.maximum(1.0, top * top))[:, None]
     # entry j of a stack holds the top-down quantity of row j and the
     # bottom-up one of row m - 1 - j, so one loop runs both sweeps
@@ -361,7 +338,7 @@ def _twisted_tail(diag, off, theta):
         cur *= nxt
     x = np.multiply(piv[:, 0], piv[::-1, 1], out=gamma)
     norm = np.sqrt(np.einsum("j...,j...->...", x, x))
-    return np.abs(piv[0, 1]) / norm, gap / norm
+    return np.abs(piv[0, 1]) / norm, gap / norm, x
 
 
 class _SolveFailed(Exception):
@@ -417,7 +394,7 @@ def _leading_levels(diag, off, k: int):
         o = off[todo, :, :order - 1].reshape(-1, order - 1)
         theta = _chunked(lowest, order * order, d, o)
         # the tail holds both sweeps and two arrays of one: 4 kb m' per row
-        last, gap = _chunked(_twisted_tail, 4 * kb * order, d, o, theta)
+        last, gap = _chunked(lambda *r: _twisted_tail(*r)[:2], 4 * kb * order, d, o, theta)
         link = np.abs(off[todo, :, order - 1]).reshape(-1, 1)
         r = np.hypot(gap, link * last).reshape(-1, n_blocks, kb)
         done = np.all(r <= bound[todo, :, None], axis=(1, 2))
@@ -443,24 +420,39 @@ class SectorLevels:
                 where one was certified, m for a full solve
     residual -- (points,) the largest certified residual of the point's
                 leading blocks, 0 where no block was cut
+    order    -- (points, k) the merge order of _merge: levels[p, j] is value
+                i of block b, order[p, j] = b * kb + i, kb = min(k, m)
     """
 
     levels: np.ndarray
     block: np.ndarray
     residual: np.ndarray
+    order: np.ndarray
+
+
+def _scaled(diag, off):
+    """(diag / 2**power, off / 2**power, scale, power) for bands (points,
+    blocks, m): power >= 0, per point, the least that brings them below
+    2**_BAND_EXPONENT in modulus; scale the max modulus of each scaled band."""
+    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    power = np.maximum(np.frexp(np.max(scale, axis=-1))[1] - _BAND_EXPONENT, 0)
+    if np.any(power):
+        diag, off = (np.ldexp(band, -power[:, None, None]) for band in (diag, off))
+        scale = np.ldexp(scale, -power[:, None])
+    return diag, off, scale, power
 
 
 def merged_levels(points, k: int, where) -> SectorLevels:
     """The k lowest levels at each point, from the bands of its blocks.
 
-    ``points`` holds one (diag, off) pair per point, as block_eig takes it,
-    all of the same shape.  A block row none of whose points has two
-    adjacent nonzero links (every JC parity sector, and any sector at g = 0)
-    is a set of decoupled pairs: its values come from the closed form of
-    _pair_eigvalsh, over all points at once.  Every other block row (Rabi at
-    g != 0) is solved from certified leading blocks (_leading_levels).  The
-    blocks are merged as block_eig merges them, so the level numbering is
-    the same; the points are then checked in one batch on the full bands.
+    ``points`` holds one (diag, off) pair per point, the bands (blocks, m)
+    and (blocks, m - 1), all of the same shape.  A block row none of whose
+    points has two adjacent nonzero links (every JC parity sector, and any
+    sector at g = 0) is a set of decoupled pairs: its values come from the
+    closed form of _pair_eigvalsh, over all points at once.  Every other
+    block row (Rabi at g != 0) is solved from certified leading blocks
+    (_leading_levels).  _merge numbers the levels, and the points are then
+    checked in one batch on the full bands.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
@@ -472,19 +464,15 @@ def merged_levels(points, k: int, where) -> SectorLevels:
 
     Every solve and count squares the links, so a point whose bands reach
     2**_BAND_EXPONENT in modulus is first scaled down by an exact power of
-    two, and its levels, residual and tolerance are scaled back (LAPACK's
-    dstevx rescales the same way).  Eigenvalues and Sturm counts scale
-    exactly; every other point has scale 1 and is solved as given.
+    two (_scaled), and its levels, residual and tolerance are scaled back
+    (LAPACK's dstevx rescales the same way).  Eigenvalues and Sturm counts
+    scale exactly; every other point has scale 1 and is solved as given.
     """
     if not points:
-        return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0))
-    diag, off = (np.stack(part) for part in zip(*points))
+        return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0),
+                            np.empty((0, k), dtype=int))
+    diag, off, scale, power = _scaled(*(np.stack(part) for part in zip(*points)))
     n_points, m = len(diag), diag.shape[-1]
-    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
-    power = np.maximum(np.frexp(np.max(scale, axis=-1))[1] - _BAND_EXPONENT, 0)
-    if np.any(power):
-        diag, off = (np.ldexp(band, -power[:, None, None]) for band in (diag, off))
-        scale = np.ldexp(scale, -power[:, None])
     linked = off != 0
     pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
     values = np.empty(diag.shape[:-1] + (min(k, m),))
@@ -525,7 +513,21 @@ def merged_levels(points, k: int, where) -> SectorLevels:
         )
     if np.any(power):
         merged, residual = np.ldexp(merged, power[:, None]), np.ldexp(residual, power)
-    return SectorLevels(merged[..., :k], block, residual)
+    return SectorLevels(merged[..., :k], block, residual, order[..., :k])
+
+
+def sector_vector(diag, off, value) -> np.ndarray:
+    """The unit twisted vector of T - value I (_twisted_tail), T the
+    symmetric tridiagonal matrix with bands ``diag`` (m,) and ``off``
+    (m - 1,): at a simple eigenvalue of T, as merged_levels gives it, the
+    eigenvector up to rounding and its sign.  The bands and the value are
+    scaled as merged_levels scales them (_scaled), so huge links do not
+    overflow; the vector does not depend on the scale.
+    """
+    diag, off, _, power = _scaled(np.asarray(diag, dtype=float)[None, None],
+                                  np.asarray(off, dtype=float)[None, None])
+    x = _twisted_tail(diag[0], off[0], np.ldexp([[value]], -power))[2][:, 0, 0]
+    return x / np.linalg.norm(x)
 
 
 def commutator_deviation(a, b, target) -> float:

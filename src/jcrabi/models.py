@@ -14,8 +14,10 @@ x sx + p sy.
 parity_sectors gives the structured form every solve uses: the bands
 (diagonal and off-diagonal) of the two real symmetric tridiagonal parity
 sectors of size n_max + 1, in closed form for both chains at once, in the
-chain order of parity_chains.  The dense joint-space builders are the
-oracle they are tested against, and the input to rotate_hamiltonian.
+chain order of parity_chains.  linalg.merged_levels solves them for every
+layer; the Berry loop's psi_0 is a sector band's linalg.sector_vector.
+The dense joint-space builders are the oracle they are tested against, and
+the input to rotate_hamiltonian.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
 phase_factors(phi).  A rotated Hamiltonian is always the explicit

@@ -22,9 +22,10 @@ certified residual of each row.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
 the numerical crossing reads the even JC sector alone.  No eigenvector is
-computed here, not even of a leading block: only the Berry loop
-(berry.fock_loop and its oracle eig_family) reads vectors.  The dense joint-space builders are not called;
-they stay the oracle the tests compare these results with.
+computed here, not even of a leading block; the Berry loop takes its level
+from _sector_levels too, and its psi_0 from linalg.sector_vector.  The
+dense joint-space builders are not called; they stay the oracle the tests
+compare these results with.
 """
 
 from __future__ import annotations

@@ -19,7 +19,14 @@ import jcrabi.berry as berry_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
-from jcrabi.models import ModelKind, build_hamiltonian, phase_factors, rotate_hamiltonian
+from jcrabi.models import (
+    ModelKind,
+    build_hamiltonian,
+    empty_state_energy,
+    jc_doublet_analytic,
+    phase_factors,
+    rotate_hamiltonian,
+)
 
 CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
@@ -249,6 +256,44 @@ class TestNodeGate:
         monkeypatch.setattr(berry_module, "_check_sector_split", lambda *args: None)
         with pytest.raises(ConvergenceError, match="at phi node 0 exceeds"):
             eig_family(model, P_GATE, 1, 64, CFG)
+
+
+def jc_closed_form_state(level, p, cfg):
+    """The JC eigenstate of a level with no eigensolver: the empty state
+    |1>|0>, the doublets n = 1 .. n_max and the uncoupled top state
+    |2>|n_max>, numbered by their closed-form energies."""
+    def unit(index):
+        v = np.zeros(cfg.dim_joint)
+        v[index] = 1.0
+        return v
+
+    states = [(empty_state_energy(p), unit(cfg.dim_field)),
+              (p.omega * cfg.n_max + 0.5 * p.Omega, unit(cfg.n_max))]
+    for n in range(1, cfg.n_max + 1):
+        doublet = jc_doublet_analytic(n, p)
+        states += zip(doublet.energies, doublet.state_vectors(cfg))
+    states.sort(key=lambda state: state[0])
+    return states[level][1]
+
+
+class TestPsi0Oracles:
+    """psi_0 of the sector solve against independent oracles: the JC closed
+    form, and the dense eigendecomposition of the Rabi H."""
+
+    P = ModelParams(Omega=1.0, g=0.3)
+
+    @pytest.mark.parametrize("n_max", [30, 150])
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_levels_match_the_oracle(self, model, n_max):
+        cfg = TruncationConfig(n_max)
+        if model == "rabi":
+            dense = hermitian_eig(build_hamiltonian(ModelKind.RABI_LAB, self.P, cfg)).vectors
+        # level dim - 1 takes the full eigvalsh of a Rabi sector
+        for level in (0, 1, 7, cfg.dim_joint - 1):
+            psi0, _, _ = berry_module._solve_level(model, self.P, level, cfg)
+            oracle = (jc_closed_form_state(level, self.P, cfg) if model == "jc"
+                      else dense[:, level])
+            assert abs(np.dot(oracle, psi0)) >= 1 - 1e-12, level
 
 
 @pytest.mark.parametrize("model, level", [("jc", 1), ("jc", 3), ("jc", 5), ("rabi", 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,6 @@ import jcrabi.berry as berry_module
 import jcrabi.models as models_module
 from jcrabi import __version__, acceptance
 from jcrabi.cli import _load_config, build_parser, main
-from jcrabi.linalg import EigenSystem
 
 # The README table of what each command reads: config keys, then the flag
 # that sets each key and a value it parses to.
@@ -199,22 +199,55 @@ class TestBerryCommand:
 
     def test_perturbed_energy_fails_the_gate(self, tmp_path, capsys, forbid_node_path,
                                              monkeypatch):
-        # every sector value moves by 1e-6 after hermitian_eig has gated it:
-        # the level order and gaps stay, and psi_0 fails the gate on H(0)
-        true_block_eig = berry_module.block_eig
+        # every sector value moves by 1e-6 after the Sturm count has gated
+        # it: the level order and gaps stay, and psi_0 fails the gate on H(0)
+        true_sector_levels = berry_module._sector_levels
 
-        def shifted(diag, off):
-            merged, systems, order = true_block_eig(diag, off)
-            systems = [EigenSystem(es.values + 1e-6, es.vectors, es.residual) for es in systems]
-            return merged + 1e-6, systems, order
+        def shifted(points, k):
+            solved = true_sector_levels(points, k)
+            return dataclasses.replace(solved, levels=solved.levels + 1e-6)
 
-        monkeypatch.setattr(berry_module, "block_eig", shifted)
+        monkeypatch.setattr(berry_module, "_sector_levels", shifted)
         rc = main(["berry", "--model", "rabi", "--g", "0.5", "--nmax", "150",
                    "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "numerical failure: rabi g=0.5: eigen-residual" in err
         assert "at phi node 0 exceeds" in err
+
+    def test_sector_failure_names_the_sector(self, tmp_path, capsys, monkeypatch):
+        def fails(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        rc = main(["berry", "--model", "rabi", "--g", "0.5", "--nmax", "150",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: rabi g=0.5: eigenvalues of 32 x 32 leading blocks did not "
+            "converge within the solver's iteration cap (Eigenvalues did not converge); "
+            "the first point still open is the even rabi sector at g=0.5, n_max=150\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_jc_coupling_gives_a_loop(self, tmp_path):
+        # links of 1e160 square past the largest double: the sector solve
+        # and psi_0 run on bands scaled by a power of two
+        assert main(["berry", "--model", "jc", "--g", "1e160", "--nmax", "30",
+                     "--phi-nodes", "64", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "berry_summary.json").read_text())
+        assert all(math.isfinite(summary[key]) for key in
+                   ("wilson_gamma", "connection_gamma", "eigen_residual", "tail_weight"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_max, phi_nodes", [("30", "64"), ("150", "720")])
+    def test_huge_rabi_coupling_is_degenerate(self, tmp_path, capsys, n_max, phi_nodes):
+        # at g = 1e160 the two parity sectors hold the same levels to
+        # rounding: level 1 has no single-level phase
+        rc = main(["berry", "--model", "rabi", "--g", "1e160", "--nmax", n_max,
+                   "--phi-nodes", phi_nodes, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "level 1 is degenerate (gap 0.000e+00 < 1e-10)" in capsys.readouterr().err
 
     def test_diagnostics_are_deterministic(self, tmp_path):
         argv = ["berry", "--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0",

@@ -12,9 +12,9 @@ from jcrabi import linalg
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
-    block_eig,
     merged_levels,
     residual_gate,
+    sector_vector,
     sturm_count,
     tridiagonal,
 )
@@ -215,23 +215,6 @@ class TestTridiagonal:
         assert np.array_equal(tridiagonal([[2.0], [-1.0]], np.zeros((2, 0))), [[[2.0]], [[-1.0]]])
 
 
-class TestBlockEig:
-    def test_merged_spectrum_matches_block_diagonal_matrix(self):
-        diag, off = random_bands(6, np.random.default_rng(7))
-        values, systems, order = block_eig(diag, off)
-        full = np.zeros((12, 12))
-        full[:6, :6], full[6:, 6:] = dense(diag[0], off[0]), dense(diag[1], off[1])
-        assert np.max(np.abs(values - hermitian_eig(full).values)) <= 1e-12
-        for i, idx in enumerate(order):
-            block, col = divmod(int(idx), 6)
-            assert systems[block].values[col] == values[i]
-
-    def test_ties_keep_block_order(self):
-        values, _, order = block_eig([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))
-        assert np.array_equal(values, [1.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(order, [0, 2, 3, 1])
-
-
 def full_sturm_count(diag, off, shifts):
     """The LDL^T inertia count over every row of the band, with no early
     stop: a frozen copy of sturm_count's loop, the reference its counts
@@ -400,14 +383,44 @@ def count_leading(monkeypatch):
     return shapes
 
 
+def dense_levels(diag, off):
+    """The oracle of merged_levels: eigvalsh of each dense block, and the
+    stable merge of the blocks' spectra, (values, order)."""
+    values = np.linalg.eigvalsh(tridiagonal(diag, off)).ravel()
+    order = np.argsort(values, kind="stable")
+    return values[order], order
+
+
 class TestMergedLevels:
-    def test_matches_block_eig(self):
+    def test_matches_dense_eigvalsh(self):
         diag, off = random_bands(8, np.random.default_rng(3))
-        merged, _, _ = block_eig(diag, off)
+        merged, _ = dense_levels(diag, off)
+        full = np.zeros((16, 16))
+        full[:8, :8], full[8:, 8:] = dense(diag[0], off[0]), dense(diag[1], off[1])
+        assert np.max(np.abs(merged - hermitian_eig(full).values)) <= 1e-12
         for k in (1, 5, 16):
             levels = merged_levels([(diag, off)], k, sector_label).levels
             assert levels.shape == (1, k)
             assert np.max(np.abs(levels[0] - merged[:k])) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 5, 8, 16])
+    def test_order_numbers_the_levels(self, k):
+        # level j is value order[j] % kb of block order[j] // kb, kb = min(k, m)
+        diag, off = random_bands(8, np.random.default_rng(3))  # a full row and one of pairs
+        solved = merged_levels([(diag, off)], k, sector_label)
+        assert solved.order.shape == (1, k)
+        blocks = np.linalg.eigvalsh(tridiagonal(diag, off))
+        kb = min(k, 8)
+        for level, index in zip(solved.levels[0], solved.order[0]):
+            block, i = divmod(int(index), kb)
+            assert abs(level - blocks[block, i]) <= 1e-12
+
+    def test_ties_keep_block_order(self):
+        solved = merged_levels([([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))], 4, sector_label)
+        assert np.array_equal(solved.levels, [[1.0, 1.0, 2.0, 3.0]])
+        assert np.array_equal(solved.order, [[0, 2, 3, 1]])
+        cut = merged_levels([([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))], 1, sector_label)
+        assert cut.order.tolist() == [[0]]
 
     def test_exact_clusters_pass(self):
         # equal values inside a block and across blocks
@@ -422,7 +435,7 @@ class TestMergedLevels:
         for row, bands in zip(batch, points):
             assert np.array_equal(row, merged_levels([bands], 4, sector_label).levels[0])
         empty = merged_levels([], 4, sector_label)
-        assert empty.levels.shape == (0, 4)
+        assert empty.levels.shape == empty.order.shape == (0, 4)
         assert empty.block.shape == empty.residual.shape == (0,)
 
     def test_perturbed_value_is_rejected(self, monkeypatch):
@@ -448,11 +461,11 @@ class TestMergedLevels:
         # block 0 has every link and keeps only its lowest few values
         rng = np.random.default_rng(8)
         points = [random_bands(6, rng) for _ in range(2)]
-        kept = [np.count_nonzero(block_eig(d, o)[2][:5] < 6) for d, o in points]
+        kept = [np.count_nonzero(dense_levels(d, o)[1][:5] < 6) for d, o in points]
         assert 0 < max(kept) < 5  # the cut is visible
         levels = merged_levels(points, 5, sector_label).levels
         for row, (d, o) in zip(levels, points):
-            assert np.max(np.abs(row - block_eig(d, o)[0][:5])) <= 1e-12
+            assert np.max(np.abs(row - dense_levels(d, o)[0][:5])) <= 1e-12
 
         point = int(np.argmax(kept))
         perturb_leading(monkeypatch, call=0, point=point, block=0, index=kept[point] - 1)
@@ -619,12 +632,17 @@ class TestTwistedTail:
         off[1, 10] = 0.0  # a cut chain: the vector lives on one side of it
         theta = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :7]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            last, gap = linalg._twisted_tail(diag, off, theta)
+            last, gap, x = linalg._twisted_tail(diag, off, theta)
+        assert x.shape == (40, 6, 7)
         for row in range(len(diag)):
             for i, t in enumerate(theta[row]):
                 y, g = twisted_vector(diag[row], off[row], t)
                 assert last[row, i] == pytest.approx(abs(y[-1]), rel=1e-12, abs=1e-300)
                 assert gap[row, i] == pytest.approx(g, rel=1e-12, abs=1e-300)
+                # the whole vector, signs and exact zeros included
+                unit = x[:, row, i] / np.linalg.norm(x[:, row, i])
+                assert np.max(np.abs(unit - y)) <= 1e-12
+                assert np.array_equal(unit == 0.0, y == 0.0)
 
     def test_zero_links_give_exact_zeros(self):
         # a band with no links (a Rabi row at g = 0): the value is a
@@ -633,9 +651,39 @@ class TestTwistedTail:
         diag = np.array([[3.0, 1.0, 2.0, 5.0]])
         theta = np.array([[1.0, 2.0]])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            last, gap = linalg._twisted_tail(diag, np.zeros((1, 3)), theta)
+            last, gap, x = linalg._twisted_tail(diag, np.zeros((1, 3)), theta)
         assert last.tolist() == [[0.0, 0.0]]
+        assert x[:, 0].T.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
         assert np.all(gap <= 2 * np.finfo(float).tiny)
+
+
+class TestSectorVector:
+    """The one vector of a sector solve: the twisted vector at a merged value."""
+
+    def test_is_the_eigenvector_of_each_block(self):
+        rng = np.random.default_rng(22)
+        diag, off = random_bands(30, rng)
+        off[0, ::3] *= -1.0  # signed links give the signs of the eigenvector
+        solved = merged_levels([(diag, off)], 60, sector_label)
+        for value, index in zip(solved.levels[0], solved.order[0]):
+            block = int(index) // 30
+            y = sector_vector(diag[block], off[block], value)
+            t = dense(diag[block], off[block])
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
+            assert np.max(np.abs(t @ y - value * y)) <= 1e-12 * np.max(np.abs(t))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_links_give_the_vector_of_the_scaled_band(self):
+        # links near 4e159 square past the largest double; the band is
+        # solved scaled by a power of two, which changes no bit of the vector
+        rng = np.random.default_rng(23)
+        diag, off = decaying_bands(40, 1, rng)
+        diag, off = diag[0, 0], off[0, 0]
+        scale = 2.0 ** 532
+        value = np.linalg.eigvalsh(dense(diag, off))[3]
+        y = sector_vector(scale * diag, scale * off, scale * value)
+        assert np.array_equal(y, sector_vector(diag, off, value))
+        assert np.max(np.abs(dense(diag, off) @ y - value * y)) <= 1e-12 * np.max(diag)
 
 
 class TestLeadingLevels:
@@ -712,7 +760,7 @@ class TestLeadingLevels:
             values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
             leading = (diag[:, :32], off[:, :31])
             theta = np.linalg.eigvalsh(tridiagonal(*leading))[:, :11]
-            _, gap = linalg._twisted_tail(*leading, theta)
+            _, gap, _ = linalg._twisted_tail(*leading, theta)
             scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1))
             certified = np.all(gap <= linalg.LEADING_ULPS * eps * scale[:, None])
             assert size.tolist() == [32 if certified else 80]
