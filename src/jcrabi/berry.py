@@ -24,8 +24,8 @@ The closed-loop phase is estimated three independent ways:
 * generator_phase   -- the analytic oracle 2 pi <n_hat>, exact for rotated
                        families because |psi(phi)> = U(phi)|psi(0)> is a
                        single-valued eigenpath with constant connection;
-                       computed from a dense solve of H, independent of
-                       the sectors
+                       computed from LAPACK eigh of the level's sector,
+                       not from the twisted vector that fock_loop reads
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
 vector row per node of loop_grid(K), so they serve any family of states,
@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import HERMITICITY_RTOL, hermitian_eig, residual_gate, sector_vector, tridiagonal
+from .linalg import (HERMITICITY_RTOL, ConvergenceError, hermitian_eig, residual_gate,
+                     sector_vector, tridiagonal)
 from .models import (
     ModelKind,
     ModelParams,
@@ -56,7 +57,7 @@ from .models import (
     parity_sectors,
     phase_factors,
 )
-from .spectra import _sector_levels
+from .spectra import _sector_levels, _sector_name
 
 TWO_PI = 2.0 * np.pi
 # The fewest phi nodes a loop may have; K must also be even (loop_grid).
@@ -65,6 +66,7 @@ CONTINUITY_THRESHOLD = 0.99
 # A level closer than this to a neighbour has no single-level phase;
 # fock_loop, eig_family and generator_phase refuse it.
 DEGENERACY_GAP = 1e-10
+_UNDEFINED = "the geometric phase of a single level is undefined there"
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
 # phase equal to pi up to rounding then reads +pi in every gauge.
 CUT_TOL = 1e-12
@@ -160,40 +162,45 @@ def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
         )
 
 
+def _sector_level(kind: ModelKind, p: ModelParams, level: int, cfg: TruncationConfig, refuse):
+    """(sector, i, E): the level is value i of a parity sector, from the
+    spectra._sector_levels solve of min(level + 2, dim) levels (its upper
+    neighbour included) and SectorLevels.order.  A level outside [0, dim) is
+    a ValueError; one closer than DEGENERACY_GAP to a neighbour has no
+    single-level phase, and refuse(reason) is raised."""
+    if not 0 <= level < cfg.dim_joint:
+        raise ValueError(f"level must be in [0, {cfg.dim_joint}), got {level}")
+    k = min(level + 2, cfg.dim_joint)
+    solved = _sector_levels([(kind, p, cfg)], k)
+    gap = _level_gap(solved.levels[0], level)
+    if not gap >= DEGENERACY_GAP:
+        raise refuse(f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e})")
+    sector, i = divmod(int(solved.order[0, level]), min(k, cfg.dim_field))
+    return sector, i, solved.levels[0, level]
+
+
 def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     """(psi_0, E, eigen residual) of one level, from one sector solve and
     one gate.
 
-    E comes from the sector solve of every spectrum
-    (spectra._sector_levels) of min(level + 2, dim) levels, the upper
-    neighbour included; psi_0 is the twisted vector of E's sector at E
-    (linalg.sector_vector) placed on its chain (models.parity_chains).  A level out of range or a dense H(0) that
-    differs from the sector bands placed on their chains by more than
-    HERMITICITY_RTOL * max|H| in any entry is a ValueError; a level closer
-    than DEGENERACY_GAP to a neighbour has no single-level phase:
-    TrackingError at node 0.  (E, psi_0) then passes residual_gate on the
+    A dense H(0) that differs from the sector bands placed on their chains
+    by more than HERMITICITY_RTOL * max|H| in any entry is a ValueError.
+    E, its sector and the other refusals are those of _sector_level, a
+    degenerate level being a TrackingError at node 0; psi_0 is the twisted
+    vector of E's sector at E (linalg.sector_vector) placed on its chain
+    (models.parity_chains).  (E, psi_0) then passes residual_gate on the
     dense H(0) psi_0 ("at phi node 0"), which reads every entry of H(0); the
     gate's value is returned.
     """
     kind = ModelKind(kind)
     h0 = build_hamiltonian(kind, p, cfg)
-    dim = h0.shape[0]
-    if not 0 <= level < dim:
-        raise ValueError(f"level must be in [0, {dim}), got {level}")
     maxabs = float(np.max(np.abs(h0)))
     chains = parity_chains(cfg)
     diag, off = parity_sectors(kind, p, cfg)
     _check_sector_split(h0, (diag, off), chains, maxabs)
-    k = min(level + 2, dim)
-    solved = _sector_levels([(kind, p, cfg)], k)
-    gap = _level_gap(solved.levels[0], level)
-    if not gap >= DEGENERACY_GAP:
-        raise TrackingError(0, f"level {level} is degenerate (gap {gap:.3e} < "
-                               f"{DEGENERACY_GAP:.0e}); the geometric phase of a single "
-                               "level is undefined there")
-    sector = int(solved.order[0, level]) // min(k, cfg.dim_field)
-    energy = solved.levels[0, level]
-    psi0 = np.zeros(dim)
+    sector, _, energy = _sector_level(
+        kind, p, level, cfg, lambda reason: TrackingError(0, f"{reason}; {_UNDEFINED}"))
+    psi0 = np.zeros(cfg.dim_joint)
     psi0[chains[sector]] = sector_vector(diag[sector], off[sector], energy)
     residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
     return psi0, energy, residual
@@ -471,22 +478,19 @@ def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> 
     """Analytic loop phase 2 pi <psi_level(0)|n_hat|psi_level(0)>.
 
     Exact for families rotated by U(phi) = exp(-i n_hat phi): the eigenpath
-    U(phi)|psi(0)> is single valued with connection <n_hat>.  The level
-    comes from a dense hermitian_eig of H, and n_hat is diagonal, so the
-    phase is 2 pi sum_j n_j |v_j|^2 with n_j = j % (n_max + 1).  Meaningless
-    inside a degenerate cluster, so a level gap below DEGENERACY_GAP is
-    rejected.
-    """
+    U(phi)|psi(0)> is single valued with connection <n_hat>.  The level is
+    value i of one parity sector, with the refusals of _sector_level (a
+    degenerate level is a DegenerateLevelError).  Element j of the sector
+    has field occupation j, so the phase is 2 pi sum_j j v_ij^2, v_i from
+    hermitian_eig (LAPACK eigh, not the twisted vector fock_loop reads) of
+    that band alone; no joint-space H is built.  A failed solve is a
+    ConvergenceError naming the sector."""
     kind = ModelKind(kind)
-    es = hermitian_eig(build_hamiltonian(kind, p, cfg))
-    dim = len(es.values)
-    if not 0 <= level < dim:
-        raise ValueError(f"level must be in [0, {dim}), got {level}")
-    gap = _level_gap(es.values, level)
-    if not gap >= DEGENERACY_GAP:
-        raise DegenerateLevelError(
-            f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e}): the "
-            "geometric phase of a single level is undefined there"
-        )
-    n = np.arange(dim) % cfg.dim_field
-    return TWO_PI * float(np.sum(n * np.abs(es.vectors[:, level]) ** 2))
+    sector, i, _ = _sector_level(
+        kind, p, level, cfg, lambda reason: DegenerateLevelError(f"{reason}: {_UNDEFINED}"))
+    diag, off = parity_sectors(kind, p, cfg)
+    try:
+        es = hermitian_eig(tridiagonal(diag[sector], off[sector]))
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc}, in {_sector_name(kind, p, cfg, sector)}") from exc
+    return TWO_PI * float(np.dot(np.arange(cfg.dim_field), es.vectors[:, i] ** 2))

@@ -33,9 +33,8 @@ No eigenvector is computed there.  The one vector the toolkit reads,
 psi_0 of the Berry loop, is the twisted vector of its sector's band at its
 merged value (sector_vector), scaled the same way.  residual_gate takes
 the products A v rather than A, so the Berry loop gates psi_0 with it once,
-on the dense H(0) psi_0.  The full joint-space matrices still come to
-hermitian_eig from the dense oracle paths (generator_phase, the acceptance
-gate's dense checks, the tests).
+on the dense H(0) psi_0.  hermitian_eig takes one sector band from
+generator_phase, and the dense matrices of the acceptance gate and tests.
 """
 
 from __future__ import annotations
@@ -485,8 +484,10 @@ def merged_levels(points, k: int, where) -> SectorLevels:
         try:
             values[:, rest], block, residual = _leading_levels(diag[:, rest], off[:, rest], k)
         except _SolveFailed as exc:
+            solved = (f"the full {m}-row sectors" if exc.order == m else
+                      f"{exc.order} x {exc.order} leading blocks")
             raise ConvergenceError(
-                f"eigenvalues of {exc.order} x {exc.order} leading blocks did not "
+                f"eigenvalues of {solved} did not "
                 f"converge within the solver's iteration cap ({exc.__cause__}); the "
                 f"first point still open is {where(exc.point, np.flatnonzero(rest)[0])}"
             ) from exc.__cause__

@@ -22,8 +22,8 @@ certified residual of each row.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
 the numerical crossing reads the even JC sector alone.  No eigenvector is
-computed here, not even of a leading block; the Berry loop takes its level
-from _sector_levels too, and its psi_0 from linalg.sector_vector.  The
+computed here, not even of a leading block; the Berry loop and its
+generator oracle take their level from _sector_levels too.  The
 dense joint-space builders are not called; they stay the oracle the tests
 compare these results with.
 """
@@ -44,20 +44,20 @@ from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
 _SECTORS = ("even", "odd")
 
 
+def _sector_name(kind: ModelKind, p: ModelParams, cfg: TruncationConfig, sector: int) -> str:
+    """The label a failure gives parity sector ``sector`` of one point."""
+    return (f"the {_SECTORS[sector]} {kind.model} sector at g={float(p.g)!r}, "
+            f"n_max={cfg.n_max}")
+
+
 def _sector_levels(points, k: int) -> SectorLevels:
     """The k lowest levels at each (kind, params, cfg) point, values only.
 
     The points must share one cutoff; merged_levels Sturm-gates all points
-    at once.
+    at once, and a failure names the sector by _sector_name.
     """
     bands = [parity_sectors(kind, p, cfg) for kind, p, cfg in points]
-
-    def where(i: int, sector: int) -> str:
-        kind, p, cfg = points[i]
-        return (f"the {_SECTORS[sector]} {kind.model} sector at g={float(p.g)!r}, "
-                f"n_max={cfg.n_max}")
-
-    return merged_levels(bands, k, where)
+    return merged_levels(bands, k, lambda i, sector: _sector_name(*points[i], sector))
 
 
 @dataclass(frozen=True)

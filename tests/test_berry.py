@@ -16,6 +16,7 @@ from jcrabi import (
     wrap_phase,
 )
 import jcrabi.berry as berry_module
+import jcrabi.models as models_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
@@ -32,6 +33,8 @@ CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
 P_RABI = ModelParams(Omega=1.0, g=0.4)
 CFG_RABI = TruncationConfig(40)
+CFG_150 = TruncationConfig(150)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +688,57 @@ class TestGeneratorPhase:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             generator_phase("jc", P_RES, -1, CFG)
+        with pytest.raises(ValueError, match=r"level must be in \[0, 62\), got 62"):
+            generator_phase("rabi", P_RABI, 62, CFG)
+
+    @pytest.mark.parametrize("g, level, expected", [(0.001, 3, 3 * np.pi), (0.7071, 1, np.pi)])
+    def test_resonant_jc_doublets_at_nmax_150(self, g, level, expected):
+        # on resonance a lower doublet weighs occupations n - 1 and n
+        # equally, so 2 pi <n> = (2n - 1) pi in closed form: level 3 at
+        # g = 0.001 is the n = 2 doublet (2.8e-3 from the n = 1 upper one),
+        # and level 1 at g = 0.7071 the n = 1 doublet, 1.4e-5 above the
+        # ground state
+        val = generator_phase("jc", ModelParams(Omega=1.0, g=g), level, CFG_150)
+        assert abs(val - expected) <= 1e-13
+
+    # c of the bound c eps max|H| / gap on |sector - dense|: the largest
+    # ratio measured at n_max 150 over Omega 0.4, 1, 1.6, g 0.01-1.5 and
+    # levels 0, 1, 7, dim - 1 was 8.8 (Omega 1.6, g 0.1, the top level)
+    DENSE_C = 32
+
+    @pytest.mark.parametrize("Omega, g", [(1.0, 0.01), (1.0, 0.5), (0.4, 0.93), (1.6, 0.1)])
+    def test_rabi_matches_the_dense_column_at_nmax_150(self, Omega, g):
+        # the sector eigh against column `level` of the dense joint-space
+        # hermitian_eig, whose occupation is j % (n_max + 1)
+        p = ModelParams(Omega=Omega, g=g)
+        h = build_hamiltonian(ModelKind.RABI_LAB, p, CFG_150)
+        es = hermitian_eig(h)
+        n = np.arange(CFG_150.dim_joint) % CFG_150.dim_field
+        for level in (0, 1, 7, CFG_150.dim_joint - 1):
+            gap = np.min(np.diff(es.values[max(level - 1, 0):level + 2]))
+            dense = TWO_PI * np.dot(n, es.vectors[:, level] ** 2)
+            bound = self.DENSE_C * EPS * np.max(np.abs(h)) / gap
+            assert abs(generator_phase("rabi", p, level, CFG_150) - dense) <= bound, level
+
+    def test_solves_one_sector_band_alone(self, monkeypatch):
+        # no joint-space H is built, and no eigensolver runs at its order
+        # 2 (n_max + 1) = 302: one eigh of the 151-row sector per call
+        def dense(*args, **kwargs):
+            raise AssertionError("joint-space H built")
+
+        for name in ("build_hamiltonian", "build_jc", "build_rabi"):
+            monkeypatch.setattr(models_module, name, dense)
+        monkeypatch.setattr(berry_module, "build_hamiltonian", dense)
+        orders = {"eigh": [], "eigvalsh": []}
+        for name in orders:
+            def solver(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
+                orders[name].append(np.shape(a)[-1])
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, solver)
+        for model, level in (("jc", 1), ("rabi", 7), ("rabi", CFG_150.dim_joint - 1)):
+            generator_phase(model, ModelParams(Omega=1.0, g=0.5), level, CFG_150)
+        assert orders["eigh"] == [151, 151, 151]
+        assert orders["eigvalsh"] and max(orders["eigvalsh"]) == 151
 
 
 class TestJuddianDegeneracy:

@@ -215,19 +215,45 @@ class TestBerryCommand:
         assert "numerical failure: rabi g=0.5: eigen-residual" in err
         assert "at phi node 0 exceeds" in err
 
-    def test_sector_failure_names_the_sector(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def failing_solver(tmp_path, capsys, monkeypatch, solver, *argv):
+        """stderr of a rabi g = 0.5 berry run whose np.linalg ``solver``
+        fails; the run must exit 2 and write no file."""
         def fails(a, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
-        rc = main(["berry", "--model", "rabi", "--g", "0.5", "--nmax", "150",
-                   "--out", str(tmp_path)])
+        monkeypatch.setattr(np.linalg, solver, fails)
+        rc = main(["berry", "--model", "rabi", "--g", "0.5", *argv, "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == (
+        assert not any(tmp_path.iterdir())
+        return capsys.readouterr().err
+
+    def test_sector_failure_names_the_sector(self, tmp_path, capsys, monkeypatch):
+        err = self.failing_solver(tmp_path, capsys, monkeypatch, "eigvalsh", "--nmax", "150")
+        assert err == (
             "numerical failure: rabi g=0.5: eigenvalues of 32 x 32 leading blocks did not "
             "converge within the solver's iteration cap (Eigenvalues did not converge); "
             "the first point still open is the even rabi sector at g=0.5, n_max=150\n")
-        assert not any(tmp_path.iterdir())
+
+    def test_full_sector_failure_names_no_leading_block(self, tmp_path, capsys, monkeypatch):
+        # a 31-row sector is shorter than the first block: a full solve
+        err = self.failing_solver(tmp_path, capsys, monkeypatch, "eigvalsh", "--nmax", "30")
+        assert err == (
+            "numerical failure: rabi g=0.5: eigenvalues of the full 31-row sectors did not "
+            "converge within the solver's iteration cap (Eigenvalues did not converge); "
+            "the first point still open is the even rabi sector at g=0.5, n_max=30\n")
+
+    @pytest.mark.parametrize("level, sector", [("0", "odd"), ("1", "even")])
+    def test_generator_failure_names_the_sector(self, tmp_path, capsys, monkeypatch, level,
+                                                sector):
+        # the loop reads no eigh; the generator oracle's one eigh, of the
+        # level's sector, fails
+        err = self.failing_solver(tmp_path, capsys, monkeypatch, "eigh",
+                                  "--level", level, "--nmax", "150")
+        assert err == (
+            "numerical failure: rabi g=0.5: eigendecomposition of a dim=151 matrix did not "
+            "converge within the solver's iteration cap (Eigenvalues did not converge), in "
+            f"the {sector} rabi sector at g=0.5, n_max=150\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_jc_coupling_gives_a_loop(self, tmp_path):

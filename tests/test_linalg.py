@@ -517,10 +517,13 @@ class TestMergedLevels:
 
 
 class TestSolveFailure:
-    @pytest.mark.parametrize("order", [64, 100])
-    def test_names_the_order_and_the_first_open_point(self, monkeypatch, order):
+    @pytest.mark.parametrize("order, solved", [(64, "64 x 64 leading blocks"),
+                                               (100, "the full 100-row sectors")],
+                             ids=["64", "100"])
+    def test_names_the_order_and_the_first_open_point(self, monkeypatch, order, solved):
         # point 0 certifies at m' = 32; point 1 has random links, which need
-        # the full block, so it is the first point open at 64 and at m = 100
+        # the full block, so it is the first point open at 64 and at m = 100,
+        # where the solve is no longer of a leading block
         rng = np.random.default_rng(13)
         diag, off = decaying_bands(100, 2, rng)
         diag[1], off[1] = rng.standard_normal((2, 100)), rng.standard_normal((2, 99))
@@ -533,7 +536,7 @@ class TestSolveFailure:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fails)
         with pytest.raises(ConvergenceError, match=(
-                rf"eigenvalues of {order} x {order} leading blocks did not converge within "
+                rf"eigenvalues of {solved} did not converge within "
                 r"the solver's iteration cap \(Eigenvalues did not converge\); the first "
                 r"point still open is block 0 of point 1$")):
             merged_levels(list(zip(diag, off)), 11, sector_label)
