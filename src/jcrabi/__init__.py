@@ -54,13 +54,11 @@ from .berry import (
     LoopResult,
     TrackedFamily,
     TrackingError,
-    DegenerateLevelError,
     FockLoop,
     connection_curve,
     eig_family,
     fock_loop,
     gauge_fix,
-    generator_phase,
     wilson_loop,
     wrap_phase,
 )

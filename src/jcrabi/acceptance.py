@@ -11,9 +11,9 @@ text).
 
 The gate is the one configuration the constants below set, and a criterion
 name states the constants it ran at.  The suite writes no file.  Tracked
-families are cached and shared between criteria; the full suite took 1.2 s
-wall and 2.1 s CPU (python -m jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4
-with OpenBLAS).
+families, each with its generator oracle, are cached and shared between
+criteria; the full suite took about 1.5 s wall and 2.9 s CPU (python -m
+jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4 with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import berry, models, spectra, surfaces
-from .berry import DegenerateLevelError, TrackingError, phase_distance, wrap_phase
+from .berry import TrackingError, phase_distance, wrap_phase
 from .fock import TruncationConfig
 from .linalg import EIG_RTOL, commutator_deviation, hermitian_eig, tridiagonal
 from .models import ModelKind, ModelParams, build_jc, build_rabi, symmetry_ops
@@ -64,6 +64,15 @@ class CriterionResult:
 def _check(lines, ok: bool, text: str) -> bool:
     lines.append(("    ok  " if ok else "    BAD ") + text)
     return ok
+
+
+def _refuses(path, *args) -> bool:
+    """Whether path(*args) raises TrackingError."""
+    try:
+        path(*args)
+    except TrackingError:
+        return True
+    return False
 
 
 class AcceptanceSuite:
@@ -189,24 +198,17 @@ class AcceptanceSuite:
                 # degenerate and its single-level phase is undefined.  The
                 # toolkit must refuse; the chain is exercised on the nearest
                 # nondegenerate dressed level (level 3) instead.
-                refused_gen = refused_track = False
-                try:
-                    berry.generator_phase("jc", p, 1, self.berry_cfg)
-                except DegenerateLevelError:
-                    refused_gen = True
-                try:
-                    berry.eig_family("jc", p, 1, self.berry_k, self.berry_cfg)
-                except TrackingError:
-                    refused_track = True
+                args = ("jc", p, 1, self.berry_k, self.berry_cfg)
                 ok &= _check(
                     lines,
-                    refused_gen and refused_track,
+                    _refuses(berry.fock_loop, *args, "anchor_component")
+                    and _refuses(berry.eig_family, *args),
                     "Delta=0 g=1: level 1 is exactly degenerate (|1>|0> crosses the n=2 "
-                    "dressed level); generator_phase and eig_family refuse as contracted",
+                    "dressed level); fock_loop and eig_family refuse as contracted",
                 )
                 fam = self.family("jc", Omega, g, level=3)
                 w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-                gen = berry.generator_phase("jc", p, 3, self.berry_cfg)
+                gen = fam.generator
                 d_wg = phase_distance(w.gamma, gen)
                 d_pi = phase_distance(gen, PI)
                 ok &= _check(lines, d_wg <= tol, f"Delta=0 g=1 (level 3): |wilson - generator| mod 2pi = {d_wg:.2e} <= {tol}")
@@ -214,7 +216,7 @@ class AcceptanceSuite:
                 continue
             fam = self.family("jc", Omega, g)
             w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            gen = berry.generator_phase("jc", p, 1, self.berry_cfg)
+            gen = fam.generator
             d_wg = phase_distance(w.gamma, gen)
             ok &= _check(lines, d_wg <= tol, f"Delta={delta} g={g}: |wilson - generator| mod 2pi = {d_wg:.2e} <= {tol}")
             if delta == 0.0:
@@ -275,11 +277,10 @@ class AcceptanceSuite:
         for g in (0.01, 0.1, 1.0):
             fam = self.family("rabi", 1.0, g)
             w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            gen = berry.generator_phase("rabi", ModelParams(Omega=1.0, g=g), 1, self.berry_cfg)
-            d = phase_distance(w.gamma, gen)
+            d = phase_distance(w.gamma, fam.generator)
             ok &= _check(
                 lines, d <= tol,
-                f"rabi g={g}: |wilson - 2pi<n>| mod 2pi = {d:.2e} <= {tol} (2pi<n> = {gen:.6f})",
+                f"rabi g={g}: |wilson - 2pi<n>| mod 2pi = {d:.2e} <= {tol} (2pi<n> = {fam.generator:.6f})",
             )
         return CriterionResult(9, f"generator identity for the rotated Rabi family (K={self.berry_k})", ok, lines=lines)
 
@@ -344,7 +345,7 @@ class AcceptanceSuite:
             conn = berry.connection_curve(fam.phi_grid, fam.vectors, "anchor_component")
             curves[g] = conn
             w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            gen = berry.generator_phase("rabi", ModelParams(Omega=1.0, g=g), 1, self.berry_cfg)
+            gen = fam.generator
             d_zero = abs(wrap_phase(conn.gamma))
             d_gen = phase_distance(conn.gamma, gen)
             verdicts.append(d_gen < d_zero)

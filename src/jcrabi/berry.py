@@ -21,11 +21,11 @@ The closed-loop phase is estimated three independent ways:
 * connection_curve  -- gauge-fixed connection A = i <psi|d/dphi psi>
                        integrated by the trapezoid rule (the observable
                        usually plotted as an accumulating gamma(phi) curve)
-* generator_phase   -- the analytic oracle 2 pi <n_hat>, exact for rotated
+* generator         -- the analytic oracle 2 pi <n_hat>, exact for rotated
                        families because |psi(phi)> = U(phi)|psi(0)> is a
                        single-valued eigenpath with constant connection;
-                       computed from LAPACK eigh of the level's sector,
-                       not from the twisted vector that fock_loop reads
+                       both paths carry it (.generator), from LAPACK eigh of
+                       the level's sector, not the twisted vector they read
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
 vector row per node of loop_grid(K), so they serve any family of states,
@@ -64,7 +64,7 @@ TWO_PI = 2.0 * np.pi
 MIN_NODES = 16
 CONTINUITY_THRESHOLD = 0.99
 # A level closer than this to a neighbour has no single-level phase;
-# fock_loop, eig_family and generator_phase refuse it.
+# fock_loop and eig_family refuse it.
 DEGENERACY_GAP = 1e-10
 _UNDEFINED = "the geometric phase of a single level is undefined there"
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
@@ -90,10 +90,6 @@ def _overlap_lost(node: int, overlap: float, threshold: float) -> TrackingError:
         f"step overlap {overlap:.6f} is below the continuity threshold "
         f"{threshold}; the phi grid is too coarse - try a larger K",
     )
-
-
-class DegenerateLevelError(ValueError):
-    """Requested level sits inside a degenerate cluster."""
 
 
 def wrap_phase(gamma: float) -> float:
@@ -133,13 +129,15 @@ class TrackedFamily:
 
     vectors[k] = U(phi_k) vectors[0] belongs to phi_grid[k]; the rotation
     leaves the spectrum unchanged, so every node has the eigenvalue
-    ``energy``.  min_step_overlap is the smallest |<psi_k-1|psi_k>|.
+    ``energy``.  min_step_overlap is the smallest |<psi_k-1|psi_k>|, and
+    generator the oracle 2 pi <n_hat> of the level (_solve_level).
     """
 
     phi_grid: np.ndarray
     vectors: np.ndarray   # shape (K + 1, dim)
     energy: float
     min_step_overlap: float
+    generator: float
 
 
 def _level_gap(values: np.ndarray, level: int) -> float:
@@ -162,48 +160,49 @@ def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
         )
 
 
-def _sector_level(kind: ModelKind, p: ModelParams, level: int, cfg: TruncationConfig, refuse):
-    """(sector, i, E): the level is value i of a parity sector, from the
+def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
+    """(psi_0, E, eigen residual, generator) of one level, from one sector
+    solve, one gate and one eigh of the level's sector.
+
+    A level outside [0, dim), or a dense H(0) that differs from the sector
+    bands placed on their chains by more than HERMITICITY_RTOL * max|H| in
+    any entry, is a ValueError.  E is value i of a parity sector, from the
     spectra._sector_levels solve of min(level + 2, dim) levels (its upper
-    neighbour included) and SectorLevels.order.  A level outside [0, dim) is
-    a ValueError; one closer than DEGENERACY_GAP to a neighbour has no
-    single-level phase, and refuse(reason) is raised."""
+    neighbour included) and SectorLevels.order; a level closer than
+    DEGENERACY_GAP to a neighbour is a TrackingError at node 0.  psi_0, the
+    twisted vector of the sector at E (linalg.sector_vector) on its chain
+    (models.parity_chains), passes residual_gate on the dense H(0) psi_0
+    ("at phi node 0"), which reads every entry of H(0).  The generator
+    2 pi <n_hat> = 2 pi sum_j j v_ij^2 (element j of a sector has field
+    occupation j) reads v_i from hermitian_eig of that band alone, LAPACK
+    eigh and not the twisted vector; its failure is a ConvergenceError
+    naming the sector.
+    """
     if not 0 <= level < cfg.dim_joint:
         raise ValueError(f"level must be in [0, {cfg.dim_joint}), got {level}")
-    k = min(level + 2, cfg.dim_joint)
-    solved = _sector_levels([(kind, p, cfg)], k)
-    gap = _level_gap(solved.levels[0], level)
-    if not gap >= DEGENERACY_GAP:
-        raise refuse(f"level {level} is degenerate (gap {gap:.3e} < {DEGENERACY_GAP:.0e})")
-    sector, i = divmod(int(solved.order[0, level]), min(k, cfg.dim_field))
-    return sector, i, solved.levels[0, level]
-
-
-def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
-    """(psi_0, E, eigen residual) of one level, from one sector solve and
-    one gate.
-
-    A dense H(0) that differs from the sector bands placed on their chains
-    by more than HERMITICITY_RTOL * max|H| in any entry is a ValueError.
-    E, its sector and the other refusals are those of _sector_level, a
-    degenerate level being a TrackingError at node 0; psi_0 is the twisted
-    vector of E's sector at E (linalg.sector_vector) placed on its chain
-    (models.parity_chains).  (E, psi_0) then passes residual_gate on the
-    dense H(0) psi_0 ("at phi node 0"), which reads every entry of H(0); the
-    gate's value is returned.
-    """
     kind = ModelKind(kind)
     h0 = build_hamiltonian(kind, p, cfg)
     maxabs = float(np.max(np.abs(h0)))
     chains = parity_chains(cfg)
     diag, off = parity_sectors(kind, p, cfg)
     _check_sector_split(h0, (diag, off), chains, maxabs)
-    sector, _, energy = _sector_level(
-        kind, p, level, cfg, lambda reason: TrackingError(0, f"{reason}; {_UNDEFINED}"))
+    k = min(level + 2, cfg.dim_joint)
+    solved = _sector_levels([(kind, p, cfg)], k)
+    gap = _level_gap(solved.levels[0], level)
+    if not gap >= DEGENERACY_GAP:
+        raise TrackingError(0, f"level {level} is degenerate (gap {gap:.3e} < "
+                               f"{DEGENERACY_GAP:.0e}); {_UNDEFINED}")
+    sector, i = divmod(int(solved.order[0, level]), min(k, cfg.dim_field))
+    energy = solved.levels[0, level]
     psi0 = np.zeros(cfg.dim_joint)
     psi0[chains[sector]] = sector_vector(diag[sector], off[sector], energy)
     residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
-    return psi0, energy, residual
+    try:
+        es = hermitian_eig(tridiagonal(diag[sector], off[sector]))
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc}, in {_sector_name(kind, p, cfg, sector)}") from exc
+    generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), es.vectors[:, i] ** 2))
+    return psi0, energy, residual, generator
 
 
 def eig_family(
@@ -217,10 +216,10 @@ def eig_family(
     loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
 
     ``level`` is the eigenindex at phi = 0 (0 = ground state); psi_0, its
-    energy, its one eigen-residual gate and the refusals of the sector solve
-    are those of _solve_level.  Node k holds U(phi_k) psi_0 and the energy
-    of psi_0: all K + 1 nodes come from one broadcast of
-    models.phase_factors over the column of phi nodes.  U(phi_k) is diagonal
+    energy, its one eigen-residual gate, the generator oracle and the
+    refusals of the sector solve are those of _solve_level.  Node k holds
+    U(phi_k) psi_0 and the energy of psi_0: all K + 1 nodes come from one
+    broadcast of models.phase_factors over the column of phi nodes.  U(phi_k) is diagonal
     with unit-modulus entries, so the residual of node k is that of node 0,
     and no node is gated again.  The first node whose step overlap
     |<psi_k-1|psi_k>| is below CONTINUITY_THRESHOLD (a grid too coarse for
@@ -229,14 +228,14 @@ def eig_family(
     its oracle.
     """
     phi_grid = loop_grid(K)
-    psi0, energy, _ = _solve_level(kind, p, level, cfg)
+    psi0, energy, _, generator = _solve_level(kind, p, level, cfg)
     vectors = phase_factors(phi_grid[:, None], cfg) * psi0
     overlaps = np.abs(np.einsum("kj,kj->k", vectors[:-1].conj(), vectors[1:]))
     lost = np.flatnonzero(overlaps < CONTINUITY_THRESHOLD)
     if lost.size:
         k = int(lost[0])
         raise _overlap_lost(k + 1, float(overlaps[k]), CONTINUITY_THRESHOLD)
-    return TrackedFamily(phi_grid, vectors, float(energy), float(overlaps.min()))
+    return TrackedFamily(phi_grid, vectors, float(energy), float(overlaps.min()), generator)
 
 
 def _check_gauge(gauge: str):
@@ -392,8 +391,9 @@ class FockLoop:
     weights[n] = p_n is the weight of psi_0 at field occupation n.  wilson
     and connection are the LoopResults that wilson_loop and
     connection_curve give on the eigenpath of eig_family; eigen_residual is
-    the residual_gate value of psi_0 on H(0), and min_step_overlap the step
-    overlap |chi(2 pi / K)|.
+    the residual_gate value of psi_0 on H(0), min_step_overlap the step
+    overlap |chi(2 pi / K)| and generator the oracle 2 pi <n_hat> of the
+    level (_solve_level).
     """
 
     wilson: LoopResult
@@ -401,6 +401,7 @@ class FockLoop:
     min_step_overlap: float
     eigen_residual: float
     weights: np.ndarray  # shape (n_max + 1,)
+    generator: float
 
     @property
     def tail_weight(self) -> float:
@@ -415,8 +416,8 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
     """The Wilson loop and the connection curve in ``gauge`` of one level on
     loop_grid(K), in closed form in K and the weights p_n of psi_0.
 
-    psi_0 and its one eigen-residual gate come from _solve_level, with its
-    refusals.  The eigenpath
+    psi_0, its one eigen-residual gate and the generator oracle come from
+    _solve_level, with its refusals.  The eigenpath
     U(phi_k) psi_0 has the same overlap chi(x) = sum_n p_n exp(-i n x)
     between any two nodes x apart, so with dphi = 2 pi / K:
 
@@ -436,7 +437,7 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
     """
     _check_gauge(gauge)
     phi = loop_grid(K)
-    psi0, _, residual = _solve_level(kind, p, level, cfg)
+    psi0, _, residual, generator = _solve_level(kind, p, level, cfg)
     weights = (psi0 * psi0).reshape(2, cfg.dim_field).sum(axis=0)
     n = np.arange(cfg.dim_field)
 
@@ -471,26 +472,5 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
         half = wrap_phase(phi[-1] * slope(K // 2))
     connection = LoopResult(wrap_phase(curve[-1]), float(curve[-1]),
                             np.column_stack([phi, curve]), tag, half, closure)
-    return FockLoop(wilson, connection, overlap, residual, weights)
+    return FockLoop(wilson, connection, overlap, residual, weights, generator)
 
-
-def generator_phase(kind, p: ModelParams, level: int, cfg: TruncationConfig) -> float:
-    """Analytic loop phase 2 pi <psi_level(0)|n_hat|psi_level(0)>.
-
-    Exact for families rotated by U(phi) = exp(-i n_hat phi): the eigenpath
-    U(phi)|psi(0)> is single valued with connection <n_hat>.  The level is
-    value i of one parity sector, with the refusals of _sector_level (a
-    degenerate level is a DegenerateLevelError).  Element j of the sector
-    has field occupation j, so the phase is 2 pi sum_j j v_ij^2, v_i from
-    hermitian_eig (LAPACK eigh, not the twisted vector fock_loop reads) of
-    that band alone; no joint-space H is built.  A failed solve is a
-    ConvergenceError naming the sector."""
-    kind = ModelKind(kind)
-    sector, i, _ = _sector_level(
-        kind, p, level, cfg, lambda reason: DegenerateLevelError(f"{reason}: {_UNDEFINED}"))
-    diag, off = parity_sectors(kind, p, cfg)
-    try:
-        es = hermitian_eig(tridiagonal(diag[sector], off[sector]))
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc}, in {_sector_name(kind, p, cfg, sector)}") from exc
-    return TWO_PI * float(np.dot(np.arange(cfg.dim_field), es.vectors[:, i] ** 2))

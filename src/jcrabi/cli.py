@@ -36,8 +36,8 @@ class RunFailure(Exception):
     """A numerical failure of one named run: a coupling or a criterion."""
 
 
-# The numerical failures of the library; ValueError covers
-# DegenerateLevelError and HermiticityError.
+# The numerical failures of the library; ValueError covers HermiticityError
+# and the sector-split check.
 _NUMERICAL = (TrackingError, ConvergenceError, ValueError)
 
 
@@ -270,25 +270,23 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
     out = _out_dir(cfg)
     gauge = _GAUGES[cfg.gauge]
     # every coupling is computed before any file is written
-    results = []
+    loops = []
     for g in g_values:
         p = ModelParams(Omega=cfg.Omega, g=g, omega=cfg.omega)
         try:
-            loop = berry.fock_loop(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg(), gauge)
-            generator = berry.generator_phase(cfg.model, p, cfg.level, cfg.cfg())
+            loops.append(berry.fock_loop(cfg.model, p, cfg.level, cfg.phi_nodes, cfg.cfg(), gauge))
         except _NUMERICAL as exc:
             raise RunFailure(f"{cfg.model} g={g:g}: {exc}") from exc
-        results.append((g, loop, generator))
     runs = []
     curves = []
-    for g, loop, generator in results:
+    for g, loop in zip(g_values, loops):
         conn, wilson = loop.connection, loop.wilson
         summary = {
             "g": g,
             "wilson_gamma": wilson.gamma,
             "connection_gamma": conn.gamma,
             "connection_gamma_unwrapped": conn.gamma_unwrapped,
-            "generator_gamma": generator,
+            "generator_gamma": loop.generator,
             "residual": conn.residual,
             "gauge": conn.gauge,
             "min_step_overlap": loop.min_step_overlap,

@@ -33,8 +33,9 @@ No eigenvector is computed there.  The one vector the toolkit reads,
 psi_0 of the Berry loop, is the twisted vector of its sector's band at its
 merged value (sector_vector), scaled the same way.  residual_gate takes
 the products A v rather than A, so the Berry loop gates psi_0 with it once,
-on the dense H(0) psi_0.  hermitian_eig takes one sector band from
-generator_phase, and the dense matrices of the acceptance gate and tests.
+on the dense H(0) psi_0.  hermitian_eig takes the same loop's sector band
+for its generator oracle, and the dense matrices of the acceptance gate
+and tests.
 """
 
 from __future__ import annotations

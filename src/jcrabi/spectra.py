@@ -22,8 +22,9 @@ certified residual of each row.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
 the numerical crossing reads the even JC sector alone.  No eigenvector is
-computed here, not even of a leading block; the Berry loop and its
-generator oracle take their level from _sector_levels too.  The
+computed here, not even of a leading block; the Berry loop takes its
+level, and the sector of its generator oracle, from _sector_levels too,
+in one solve per loop.  The
 dense joint-space builders are not called; they stay the oracle the tests
 compare these results with.
 """

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jcrabi import (
-    DegenerateLevelError,
     ModelParams,
     TrackingError,
     TruncationConfig,
@@ -11,12 +10,10 @@ from jcrabi import (
     eig_family,
     fock_loop,
     gauge_fix,
-    generator_phase,
     wilson_loop,
     wrap_phase,
 )
 import jcrabi.berry as berry_module
-import jcrabi.models as models_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
@@ -51,6 +48,12 @@ def rabi_family():
 def loop(fam):
     """The (phi_grid, vectors) path of a tracked family."""
     return fam.phi_grid, fam.vectors
+
+
+def generator(model, p, level, cfg):
+    """The generator oracle 2 pi <n> of a level, read from the loop the
+    command line runs, at its default K = 720."""
+    return fock_loop(model, p, level, 720, cfg, "anchor_component").generator
 
 
 class TestLoopGrid:
@@ -242,7 +245,7 @@ class TestNodeGate:
     def test_broadcast_equals_the_node_loop(self, model):
         cfg = TruncationConfig(150)
         fam = eig_family(model, P_GATE, 1, K_GATE, cfg)
-        psi0, energy, _ = berry_module._solve_level(model, P_GATE, 1, cfg)
+        psi0, energy, _, _ = berry_module._solve_level(model, P_GATE, 1, cfg)
         assert np.array_equal(fam.vectors, node_loop_vectors(psi0, fam.phi_grid, cfg))
         assert fam.energy == energy
 
@@ -293,7 +296,7 @@ class TestPsi0Oracles:
             dense = hermitian_eig(build_hamiltonian(ModelKind.RABI_LAB, self.P, cfg)).vectors
         # level dim - 1 takes the full eigvalsh of a Rabi sector
         for level in (0, 1, 7, cfg.dim_joint - 1):
-            psi0, _, _ = berry_module._solve_level(model, self.P, level, cfg)
+            psi0, _, _, _ = berry_module._solve_level(model, self.P, level, cfg)
             oracle = (jc_closed_form_state(level, self.P, cfg) if model == "jc"
                       else dense[:, level])
             assert abs(np.dot(oracle, psi0)) >= 1 - 1e-12, level
@@ -312,9 +315,8 @@ class TestEigenpathIsRotatedPsi0:
             rotated = phase_factors(phi, CFG) * fam.vectors[0]
             assert np.max(np.abs(v - rotated)) <= 1e-15
 
-    def test_unwrapped_wilson_sum_is_generator_phase(self, fam, model, level):
-        gen = generator_phase(model, P_RES, level, CFG)
-        assert abs(wilson_loop(*loop(fam)).gamma_unwrapped - gen) <= 1e-3
+    def test_unwrapped_wilson_sum_is_the_generator(self, fam):
+        assert abs(wilson_loop(*loop(fam)).gamma_unwrapped - fam.generator) <= 1e-3
 
 
 class TestGaugeFix:
@@ -441,9 +443,8 @@ class TestWilsonLoop:
             assert wilson_loop(fam.phi_grid, vectors).gamma == pytest.approx(np.pi, abs=1e-9)
 
     def test_matches_generator_oracle(self, rabi_family):
-        gen = generator_phase("rabi", P_RABI, 1, CFG_RABI)
         res = wilson_loop(*loop(rabi_family))
-        assert phase_distance(res.gamma, gen) <= 1e-3
+        assert phase_distance(res.gamma, rabi_family.generator) <= 1e-3
 
     def test_residual_bounds_next_refinement(self):
         gammas = {}
@@ -500,9 +501,8 @@ class TestConnectionCurve:
         assert conn.closure_phase == pytest.approx(conn.gamma_unwrapped, abs=1e-10)
 
     def test_anchor_curve_matches_generator_mod_2pi(self, rabi_family):
-        gen = generator_phase("rabi", P_RABI, 1, CFG_RABI)
         res = connection_curve(*loop(rabi_family), "anchor_component")
-        assert phase_distance(res.gamma, gen) <= 5e-3
+        assert phase_distance(res.gamma, rabi_family.generator) <= 5e-3
 
 
 
@@ -548,8 +548,8 @@ class TestFockLoop:
         # Wilson and anchor phases approach it modulo 2 pi (criterion 9's
         # 5e-3)
         p = ModelParams(Omega=1.0, g=0.6)
-        gen = generator_phase(model, p, level, CFG_RABI)
         loop = fock_loop(model, p, level, 720, CFG_RABI, "anchor_component")
+        gen = loop.generator
         assert loop.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert abs(TWO_PI * np.dot(np.arange(CFG_RABI.dim_field), loop.weights) - gen) <= 1e-10
         assert phase_distance(loop.wilson.gamma, gen) <= 5e-3
@@ -631,9 +631,11 @@ class TestMeanFieldLoop:
         assert res.gamma == 0.0
 
 
-class TestGeneratorPhase:
+class TestGenerator:
+    """The generator oracle that fock_loop and eig_family carry."""
+
     def test_resonant_jc_first_excited(self):
-        val = generator_phase("jc", P_RES, 1, CFG)
+        val = generator("jc", P_RES, 1, CFG)
         assert val == pytest.approx(np.pi, abs=1e-9)
 
     def test_closed_form_oracle_chain_at_n1(self):
@@ -644,7 +646,7 @@ class TestGeneratorPhase:
 
         for delta, g in ((0.0, 0.1), (0.5, 0.1), (0.5, 0.4), (-0.3, 0.2)):
             p = ModelParams(Omega=1.0 + delta, g=g)
-            gen = generator_phase("jc", p, 1, CFG)
+            gen = generator("jc", p, 1, CFG)
             closed = berry_exact_jc(1, p, -1)
             assert phase_distance(gen, closed) <= 1e-9
 
@@ -652,19 +654,19 @@ class TestGeneratorPhase:
         # n_max = 150 is the loop-run default; the generator oracle moves by
         # less than 1e-10 against an n_max = 500 anchor
         p = ModelParams(Omega=1.0, g=1.0)
-        lo = generator_phase("rabi", p, 1, TruncationConfig(150))
-        hi = generator_phase("rabi", p, 1, TruncationConfig(500))
+        lo = generator("rabi", p, 1, TruncationConfig(150))
+        hi = generator("rabi", p, 1, TruncationConfig(500))
         assert abs(lo - hi) <= 1e-10
 
     def test_rabi_detuned_weak_coupling_vanishes(self):
         # with the qubit below the resonator the first excited state tends to
         # the bare excited qubit in vacuum, so the loop phase tends to zero
-        val = generator_phase("rabi", ModelParams(Omega=0.5, g=1e-3), 1, CFG)
+        val = generator("rabi", ModelParams(Omega=0.5, g=1e-3), 1, CFG)
         assert abs(val) <= 1e-3
 
     def test_ground_state_vanishes_at_g0(self):
         for model in ("jc", "rabi"):
-            assert generator_phase(model, ModelParams(Omega=1.0, g=0.0), 0, CFG) == pytest.approx(0.0, abs=1e-12)
+            assert generator(model, ModelParams(Omega=1.0, g=0.0), 0, CFG) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", ["jc", "rabi"])
     def test_matches_dense_number_expectation(self, model):
@@ -674,22 +676,22 @@ class TestGeneratorPhase:
             p = ModelParams(Omega=Omega, g=g)
             v = hermitian_eig(build_hamiltonian(ModelKind(model), p, CFG)).vectors[:, level]
             expected = TWO_PI * np.vdot(v, n_joint @ v).real
-            assert abs(generator_phase(model, p, level, CFG) - expected) <= 1e-12
+            assert abs(generator(model, p, level, CFG) - expected) <= 1e-12
 
     def test_degenerate_level_refused(self):
-        with pytest.raises(DegenerateLevelError):
-            generator_phase("jc", ModelParams(Omega=1.0, g=1.0), 1, CFG)
+        with pytest.raises(TrackingError, match="phi node 0: level 1 is degenerate"):
+            generator("jc", ModelParams(Omega=1.0, g=1.0), 1, CFG)
 
     def test_nan_gap_refused(self, monkeypatch):
         monkeypatch.setattr(berry_module, "_level_gap", lambda values, level: np.nan)
-        with pytest.raises(DegenerateLevelError):
-            generator_phase("jc", P_RES, 1, CFG)
+        with pytest.raises(TrackingError, match="phi node 0: level 1 is degenerate"):
+            generator("jc", P_RES, 1, CFG)
 
     def test_level_validated(self):
         with pytest.raises(ValueError):
-            generator_phase("jc", P_RES, -1, CFG)
+            generator("jc", P_RES, -1, CFG)
         with pytest.raises(ValueError, match=r"level must be in \[0, 62\), got 62"):
-            generator_phase("rabi", P_RABI, 62, CFG)
+            generator("rabi", P_RABI, 62, CFG)
 
     @pytest.mark.parametrize("g, level, expected", [(0.001, 3, 3 * np.pi), (0.7071, 1, np.pi)])
     def test_resonant_jc_doublets_at_nmax_150(self, g, level, expected):
@@ -698,7 +700,7 @@ class TestGeneratorPhase:
         # g = 0.001 is the n = 2 doublet (2.8e-3 from the n = 1 upper one),
         # and level 1 at g = 0.7071 the n = 1 doublet, 1.4e-5 above the
         # ground state
-        val = generator_phase("jc", ModelParams(Omega=1.0, g=g), level, CFG_150)
+        val = generator("jc", ModelParams(Omega=1.0, g=g), level, CFG_150)
         assert abs(val - expected) <= 1e-13
 
     # c of the bound c eps max|H| / gap on |sector - dense|: the largest
@@ -718,17 +720,12 @@ class TestGeneratorPhase:
             gap = np.min(np.diff(es.values[max(level - 1, 0):level + 2]))
             dense = TWO_PI * np.dot(n, es.vectors[:, level] ** 2)
             bound = self.DENSE_C * EPS * np.max(np.abs(h)) / gap
-            assert abs(generator_phase("rabi", p, level, CFG_150) - dense) <= bound, level
+            assert abs(generator("rabi", p, level, CFG_150) - dense) <= bound, level
 
     def test_solves_one_sector_band_alone(self, monkeypatch):
-        # no joint-space H is built, and no eigensolver runs at its order
-        # 2 (n_max + 1) = 302: one eigh of the 151-row sector per call
-        def dense(*args, **kwargs):
-            raise AssertionError("joint-space H built")
-
-        for name in ("build_hamiltonian", "build_jc", "build_rabi"):
-            monkeypatch.setattr(models_module, name, dense)
-        monkeypatch.setattr(berry_module, "build_hamiltonian", dense)
+        # no eigensolver runs at the joint-space order 2 (n_max + 1) = 302:
+        # one eigh of the 151-row sector per loop, and the dense H(0) only
+        # enters the gate's product H(0) psi_0
         orders = {"eigh": [], "eigvalsh": []}
         for name in orders:
             def solver(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
@@ -736,7 +733,7 @@ class TestGeneratorPhase:
                 return real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, solver)
         for model, level in (("jc", 1), ("rabi", 7), ("rabi", CFG_150.dim_joint - 1)):
-            generator_phase(model, ModelParams(Omega=1.0, g=0.5), level, CFG_150)
+            generator(model, ModelParams(Omega=1.0, g=0.5), level, CFG_150)
         assert orders["eigh"] == [151, 151, 151]
         assert orders["eigvalsh"] and max(orders["eigvalsh"]) == 151
 
@@ -765,6 +762,11 @@ class TestJuddianDegeneracy:
             fock_loop("rabi", self.params(Omega), level, 64, self.CFG_J, "anchor_component")
 
     @pytest.mark.parametrize("Omega, level", CASES)
-    def test_generator_phase_refuses(self, Omega, level):
-        with pytest.raises(DegenerateLevelError, match=f"level {level} is degenerate"):
-            generator_phase("rabi", self.params(Omega), level, self.CFG_J)
+    def test_refused_before_the_generator_solve(self, Omega, level, monkeypatch):
+        # the refusal comes before the sector eigh of the generator oracle
+        def eigh(*args, **kwargs):
+            raise AssertionError("generator solved for a degenerate level")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(TrackingError, match=f"phi node 0: level {level} is degenerate"):
+            generator("rabi", self.params(Omega), level, self.CFG_J)

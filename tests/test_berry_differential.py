@@ -121,6 +121,7 @@ def test_fock_loop_matches_node_path(model, level, g, K, n_max, monkeypatch):
     for gauge in GAUGES:
         loop = fock_loop(model, p, level, K, cfg, gauge)
         assert abs(loop.min_step_overlap - fam.min_step_overlap) <= TOL
+        assert abs(loop.generator - fam.generator) <= TOL
         assert_same_loop(loop.wilson, wilson, on_cut=False)
         assert_same_loop(loop.connection, conn[gauge], on_cut=gauge == "parallel_transport")
 

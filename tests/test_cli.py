@@ -275,6 +275,20 @@ class TestBerryCommand:
         assert rc == 2
         assert "level 1 is degenerate (gap 0.000e+00 < 1e-10)" in capsys.readouterr().err
 
+    def test_one_level_solve_per_coupling(self, tmp_path, monkeypatch):
+        # the loop and its generator oracle come from one sector solve
+        calls = []
+        true_sector_levels = berry_module._sector_levels
+
+        def spy(points, k):
+            calls.append(k)
+            return true_sector_levels(points, k)
+
+        monkeypatch.setattr(berry_module, "_sector_levels", spy)
+        assert main(["berry", "--g", "0.1", "--g", "0.2", "--g", "0.3",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3
+
     def test_diagnostics_are_deterministic(self, tmp_path):
         argv = ["berry", "--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0",
                 "--nmax", "150"]
