@@ -26,7 +26,8 @@ import numpy as np
 from . import berry, models, spectra, surfaces
 from .berry import TrackingError, phase_distance, wrap_phase
 from .fock import TruncationConfig
-from .linalg import EIG_RTOL, commutator_deviation, hermitian_eig, tridiagonal
+from .linalg import (EIG_RTOL, ConvergenceError, commutator_deviation, hermitian_eig,
+                     merged_levels, tridiagonal)
 from .models import ModelKind, ModelParams, build_jc, build_rabi, symmetry_ops
 
 # The gate's configuration: sweeps run at n_max = 200, geometric-phase
@@ -75,6 +76,49 @@ def _refuses(path, *args) -> bool:
     return False
 
 
+def _rabi_like_bands(rng):
+    """20 two-block bands (diag, off) of m = 201 rows shaped like the Rabi
+    parity sectors (models.parity_sectors): diagonal j -/+ W/2 (-1)^j plus
+    noise of 0.01, links g sqrt(2 (j + 1)) times 1 + noise of 0.01, with
+    W in [0.5, 1.5] and g in [0, 2] drawn per band."""
+    j = np.arange(201.0)
+    bands = []
+    for _ in range(20):
+        Omega, g = rng.uniform(0.5, 1.5), rng.uniform(0.0, 2.0)
+        diag = j + 0.5 * Omega * np.array([[1.0], [-1.0]]) * (-1.0) ** j
+        diag = diag + 0.01 * rng.standard_normal(diag.shape)
+        off = g * np.sqrt(2.0 * j[1:]) * (1.0 + 0.01 * rng.standard_normal((2, 200)))
+        bands.append((diag, off))
+    return bands
+
+
+def _hidden_state_bands():
+    """Two two-block bands of m = 60 rows, diagonal j (block A) and
+    j - 0.25 (block B), links 0.1, whose 11th level a leading block of 32
+    rows cannot see: in the first, A's row 39 sits at 4.5 behind links of
+    1e-30; in the second, A's row 31 is cut from the rows above and sits at
+    4.6, linked by 5e-8 to row 32, also at 4.6."""
+    j = np.arange(60.0)
+    diag, off = np.stack([j, j - 0.25]), np.full((2, 59), 0.1)
+    behind, partner = (diag.copy(), off.copy()), (diag.copy(), off.copy())
+    behind[0][0, 39], behind[1][0, 38:40] = 4.5, 1e-30
+    partner[0][0, 31:33] = 4.6
+    partner[1][0, 30:33] = 0.0, 5e-8, 0.0
+    return [behind, partner]
+
+
+def _merged_levels_deviation(bands, k: int) -> float:
+    """max over the bands of |merged_levels - dense eigvalsh| / max|T| for
+    the k lowest levels of each band's blocks."""
+    solved = merged_levels(bands, k, lambda p, b: f"block {b} of band {p}").levels
+    dev = 0.0
+    for row, (diag, off) in zip(solved, bands):
+        dense = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:k]
+        scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+        dev = max(dev, float(np.max(np.abs(row - dense))) / scale)
+    return dev
+
+
 class AcceptanceSuite:
     """Runs the acceptance criteria, sharing tracked families across them."""
 
@@ -116,7 +160,19 @@ class AcceptanceSuite:
         ok &= _check(lines, worst["residual"] <= 1e-10, f"max residual/max|A| = {worst['residual']:.2e} <= 1e-10")
         ok &= _check(lines, worst["ortho"] <= 1e-10, f"max orthonormality defect = {worst['ortho']:.2e} <= 1e-10")
         ok &= _check(lines, worst["shift"] <= 1e-10, f"max shift-invariance defect = {worst['shift']:.2e} <= 1e-10")
-        return CriterionResult(1, "eigensolver soundness (50 random Hermitian, dims 2/31/200)", ok, lines=lines)
+        # the values-only solver the CLI runs, against dense eigvalsh
+        for text, bands in (("20 random Rabi-like two-block bands (m 201)", _rabi_like_bands(rng)),
+                            ("2 bands with a state hidden from the leading block (m 60)",
+                             _hidden_state_bands())):
+            try:
+                dev = _merged_levels_deviation(bands, 11)
+            except ConvergenceError as exc:
+                ok &= _check(lines, False, f"merged_levels on {text}: {exc}")
+                continue
+            ok &= _check(lines, dev <= EIG_RTOL, f"merged_levels (k 11) vs dense eigvalsh on {text}: "
+                         f"max dev/max|T| = {dev:.2e} <= {EIG_RTOL:.0e}")
+        return CriterionResult(1, "eigensolver soundness (50 random Hermitian, dims 2/31/200; "
+                                  "sector levels of 22 bands)", ok, lines=lines)
 
     def criterion_2(self) -> CriterionResult:
         """Exact model symmetries: [H_JC, N] = 0 and [H_R, Pi] = 0."""

@@ -15,17 +15,21 @@ and 1 x 1 blocks, whose values _pair_eigvalsh gives in closed form for all
 points at once.  Any other block row (Rabi at g != 0) is solved from a
 certified leading block (_leading_levels), values only: np.linalg.eigvalsh
 on the leading m' x m' blocks (tridiagonal assembles the stacked input) of
-all points at once, and for each kept value theta the twisted
-factorization of T_m' - theta I (_twisted_tail), whose explicit vector x,
-padded with zeros, has the Ritz residual
-sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full block.  m'
-doubles from max(2k, 32) until every kept residual is at most LEADING_ULPS
-ulps of max|T|, and a full np.linalg.eigvalsh follows once m' reaches m.
-Each kept value is then gated by one sturm_count call on every row: an
-LDL^T inertia count on the full bands that needs no eigensolver, whose
-loop stops within a few dozen rows, once every later pivot is certified
-positive.  _merge numbers the levels, and merged_levels reports that
-order and the m' and residual behind each point (SectorLevels).  Bands
+all points at once, a merge that picks the values the k levels keep, and
+for each of those theta the twisted factorization of T_m' - theta I
+(_twisted_tail), whose explicit vector x, padded with zeros, has the Ritz
+residual r = sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full
+block.  Where a Sturm count isolates one eigenvalue near theta, the
+Kato-Temple bound r^2 / delta on the Rayleigh quotient of x certifies it
+far below r; the same count checks that no block hides an eigenvalue
+below the kept levels.  m' doubles from max(2k, 32) until every kept
+value is certified to LEADING_ULPS ulps of max|T|, and a full
+np.linalg.eigvalsh follows once m' reaches m.  Each kept value is then
+gated by one sturm_count call on every row: an LDL^T inertia count on the
+full bands that needs no eigensolver, whose loop stops within a few dozen
+rows, once every later pivot is certified positive.  _merge numbers the
+levels, and merged_levels reports that order and the m' and certified
+distance behind each point (SectorLevels).  Bands
 whose links would square past the largest double are scaled down by a
 power of two first (_scaled), and their values back.
 
@@ -219,14 +223,23 @@ def sturm_count(diag, off, shifts) -> np.ndarray:
     dominant = floor > np.max(shifts, axis=-1, keepdims=True, initial=-np.inf)
     dominant = np.all(dominant, axis=tuple(range(dominant.ndim - 1)))
     first = np.max(np.flatnonzero(~dominant), initial=0)
-    d = diag[..., :1] - shifts
-    count = 0
+    # rows first, and every step in place: the loop is short on arrays
+    # that are small, so its cost is the number of numpy calls
+    rows = np.moveaxis(diag, -1, 0)[..., None]
+    links = np.moveaxis(off, -1, 0)[..., None]
+    squares = links * links
+    d = rows[0] - shifts
+    quotient = np.empty_like(d)
+    negative = np.empty(d.shape, dtype=bool)
+    count = np.zeros(d.shape, dtype=int)
     for j in range(m):
         if j:
-            d = diag[..., j, None] - shifts - off[..., j - 1, None] ** 2 / d
-        d = np.where(np.abs(d) < pivmin, pivmin, d)
-        count = count + (d < 0)
-        if first <= j < m - 1 and np.all(d >= off[..., j, None]):
+            np.divide(squares[j - 1], d, out=quotient)
+            np.subtract(rows[j], shifts, out=d)
+            d -= quotient
+        np.copyto(d, pivmin, where=np.less(np.abs(d, out=quotient), pivmin, out=negative))
+        count += np.less(d, 0.0, out=negative)
+        if first <= j < m - 1 and np.all(np.greater_equal(d, links[j], out=negative)):
             break
     return count
 
@@ -300,9 +313,11 @@ def _twisted_tail(diag, off, theta):
     d_j) x_{j+1} above r and x_{j+1} = -(off_j / e_{j+1}) x_j below it has
     (T - theta I) x = gamma_r e_r (the twisted factorization: Parlett and
     Dhillon, Lin. Alg. Appl. 267, 1997).  x is formed as ratio products, so
-    a zero link gives exact zeros.  Returns (|x_{m-1}|, |gamma_r|) / |x|_2,
-    each of shape (rows, kb), which only depend on the moduli of the links,
-    and x itself, unnormalised, of shape (m, rows, kb).
+    a zero link gives exact zeros.  Returns (|x_{m-1}|, |gamma_r|) / |x|_2
+    and |gamma_r| / |x|_2^2, the distance from theta to the Rayleigh
+    quotient of x (x_r = 1), each of shape (rows, kb), which only depend on
+    the moduli of the links, and x itself, unnormalised, of shape
+    (m, rows, kb).
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -334,11 +349,11 @@ def _twisted_tail(diag, off, theta):
     reach = np.stack([twist, m - 1 - twist])
     np.copyto(ratio, 1.0, where=np.arange(m - 1)[:, None, None, None] >= reach)
     piv[-1] = 1.0
-    for cur, nxt in zip(piv[-2::-1], piv[::-1]):
-        cur *= nxt
+    np.multiply.accumulate(piv[::-1], axis=0, out=piv[::-1])
     x = np.multiply(piv[:, 0], piv[::-1, 1], out=gamma)
     norm = np.sqrt(np.einsum("j...,j...->...", x, x))
-    return np.abs(piv[0, 1]) / norm, gap / norm, x
+    gap /= norm
+    return np.abs(piv[0, 1]) / norm, gap, gap / norm, x
 
 
 class _SolveFailed(Exception):
@@ -350,40 +365,62 @@ class _SolveFailed(Exception):
         self.order, self.point = order, point
 
 
-def _leading_levels(diag, off, k: int):
+def _leading_levels(diag, off, k: int, fixed=None):
     """The min(k, m) lowest eigenvalues of every block, from leading blocks.
 
     ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
-    the bands.  Starting at m' = max(2k, 32), np.linalg.eigvalsh solves the
-    leading m' x m' blocks of all open points at once, and _twisted_tail
-    gives, for each kept value theta of a block T_m', a vector x with
-    (T_m' - theta I) x = gamma_r e_r.  Padded with zeros, x has the
+    the bands; ``fixed`` (points, f, min(k, m)), if given, the lowest
+    values of the points' other blocks, already exact (merged_levels passes
+    its blocks of pairs).  Starting at m' = max(2k, 32), np.linalg.eigvalsh
+    solves the leading m' x m' blocks of all open points at once, and _merge
+    merges their Ritz values with ``fixed``: only the values that the k
+    lowest levels keep, a prefix of each block, are certified, and the k-th
+    level mu bounds the rest.
+
+    For each kept value theta of a block T_m', _twisted_tail gives a vector
+    x with (T_m' - theta I) x = gamma_r e_r.  Padded with zeros, x has the
     residual vector gamma_r e_r + off[m'-1] x[m'-1] e_m' in the full block
-    T, so the Ritz residual sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x|
+    T, so the Ritz residual r = sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x|
     bounds the distance from theta to an eigenvalue of T: for any unit y,
     some eigenvalue lies within |(T - theta I) y|_2 of theta (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4).  The bound is that of the
-    explicit vector, not of an exact eigenpair of T_m'; no eigenvector is
-    computed.  A point is done once the residual of each value kept from
-    each of its blocks is at most LEADING_ULPS ulps of that block's max|T|,
-    and m' doubles for the rest.  Points still open when m' reaches m get a
-    full np.linalg.eigvalsh.  Returns (values, size, residual): values
-    (points, blocks, min(k, m)); per point the m' it was solved at (m for a
-    full solve) and its largest certified residual (0 for a full solve).
-    A LAPACK failure raises _SolveFailed with the order and the first open
-    point.
+    Symmetric Eigenvalue Problem, ch. 4).  The Rayleigh quotient of x is
+    theta + gamma_r / |x|^2, so where (theta - delta, theta + delta), delta
+    half the distance from theta to its neighbouring Ritz values, holds
+    exactly one eigenvalue lambda of T, the Kato-Temple bound (Kato,
+    J. Phys. Soc. Jpn. 4, 334, 1949) gives |lambda - theta| <= s +
+    r^2 / (delta - s), s = |gamma_r| / |x|^2, once delta - s > r.  The
+    certified distance of theta is the smaller bound, and r alone where the
+    count does not isolate lambda.  One sturm_count call on the full bands
+    of each point that could certify counts theta -/+ delta for each kept
+    value and mu - tol, tol = EIG_RTOL * max|T|, for each block b: the
+    completeness count, no more than K_b eigenvalues of T below mu - tol
+    where b keeps K_b values, so that no eigenvalue the leading block
+    misses lies below the kept levels.  A point is done once the certified
+    distance of every kept value is at most LEADING_ULPS ulps of its
+    block's max|T| and every block passes the completeness count; m'
+    doubles for the rest.  The bound is that of the explicit vector, not of
+    an exact eigenpair of T_m'; no eigenvector is computed.  Points still
+    open when m' reaches m get a full np.linalg.eigvalsh.
+
+    Returns (values, size, residual): values (points, blocks, min(k, m)),
+    of which the unkept ones are Ritz values that nothing certifies; per
+    point the m' it was solved at (m for a full solve) and the largest
+    certified distance of its kept values (0 for a full solve).  A LAPACK
+    failure raises _SolveFailed with the order and the first open point.
     """
     n_points, n_blocks, m = diag.shape
     kb = min(k, m)
+    if fixed is None:
+        fixed = np.empty((n_points, 0, kb))
     values = np.empty((n_points, n_blocks, kb))
     size = np.full(n_points, m)
     residual = np.zeros(n_points)
-    bound = LEADING_ULPS * np.finfo(float).eps * np.maximum(
-        np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    bound = (LEADING_ULPS * np.finfo(float).eps * scale)[..., None]
 
-    def lowest(d, o):
+    def lowest(d, o, n=kb):
         try:
-            return np.linalg.eigvalsh(tridiagonal(d, o))[:, :kb]
+            return np.linalg.eigvalsh(tridiagonal(d, o))[:, :n]
         except np.linalg.LinAlgError as exc:
             raise _SolveFailed(d.shape[-1], int(todo[0])) from exc
 
@@ -392,17 +429,46 @@ def _leading_levels(diag, off, k: int):
     while todo.size and order < m:
         d = diag[todo, :, :order].reshape(-1, order)
         o = off[todo, :, :order - 1].reshape(-1, order - 1)
-        theta = _chunked(lowest, order * order, d, o)
-        # the tail holds both sweeps and two arrays of one: 4 kb m' per row
-        last, gap = _chunked(lambda *r: _twisted_tail(*r)[:2], 4 * kb * order, d, o, theta)
+        # kb + 1 values: the last is the upper neighbour of value kb - 1
+        ritz = _chunked(lambda *r: lowest(*r, kb + 1), order * order, d, o)
+        ritz = ritz.reshape(len(todo), n_blocks, -1)
+        theta = ritz[..., :kb]
+        merged, rank = _merge(np.concatenate([theta, fixed[todo]], axis=1))
+        # each block keeps a prefix of its ascending values, count of them
+        count = np.count_nonzero(rank[:, :k, None] // kb == np.arange(n_blocks), axis=1)
+        w = max(int(np.max(count)), 1)
+        kept = np.arange(w) < count[..., None]
+        # the tail holds both sweeps and two arrays of one: 4 w m' per row
+        last, gap, shift = _chunked(lambda *r: _twisted_tail(*r)[:3], 4 * w * order, d, o,
+                                    theta[..., :w].reshape(-1, w))
         link = np.abs(off[todo, :, order - 1]).reshape(-1, 1)
-        r = np.hypot(gap, link * last).reshape(-1, n_blocks, kb)
-        done = np.all(r <= bound[todo, :, None], axis=(1, 2))
-        finished = todo[done]
-        values[finished] = theta.reshape(-1, n_blocks, kb)[done]
+        r = np.hypot(gap, link * last).reshape(kept.shape)
+        s = shift.reshape(kept.shape)
+        # delta: half the distance to the nearer neighbour (value 0 has
+        # only the upper one)
+        step = np.diff(ritz[..., :w + 1], axis=-1)
+        delta = 0.5 * np.minimum(step, np.concatenate([step[..., :1], step[..., :-1]], axis=-1))
+        room = delta - s
+        # r^2 / room as r * (r / room), which stays below r, so scaled
+        # bands near 2**_BAND_EXPONENT cannot overflow
+        ratio = np.divide(r, room, out=np.ones_like(r), where=room > r)
+        temple = np.minimum(r, s + r * ratio)
+        # only points whose kept values all certify if isolated are counted
+        trial = np.flatnonzero(np.all((temple <= bound[todo]) | ~kept, axis=(1, 2)))
+        p = todo[trial]
+        mu = merged[trial, k - 1][:, None] - EIG_RTOL * scale[p]
+        theta_w, delta_w = theta[trial, :, :w], delta[trial]
+        counts = sturm_count(diag[p], off[p], np.concatenate(
+            [theta_w - delta_w, theta_w + delta_w, mu[..., None]], axis=-1))
+        alone = counts[..., w:2 * w] - counts[..., :w] == 1
+        certified = np.where(kept[trial], np.where(alone, temple[trial], r[trial]), 0.0)
+        done = (np.all(certified <= bound[p], axis=(1, 2))
+                & np.all(counts[..., -1] <= count[trial], axis=1))
+        finished = p[done]
+        values[finished] = theta[trial[done]]
         size[finished] = order
-        residual[finished] = np.max(r[done], axis=(1, 2))
-        todo = todo[~done]
+        residual[finished] = np.max(certified[done], axis=(1, 2))
+        todo = np.delete(todo, trial[done])
         order *= 2
     if todo.size:
         full = _chunked(lowest, m * m, diag[todo].reshape(-1, m), off[todo].reshape(-1, m - 1))
@@ -418,8 +484,9 @@ class SectorLevels:
     block    -- (points,) the order of the largest block solved at the point:
                 2 where every row splits into pairs, the leading-block m'
                 where one was certified, m for a full solve
-    residual -- (points,) the largest certified residual of the point's
-                leading blocks, 0 where no block was cut
+    residual -- (points,) the largest certified distance from a kept value
+                of the point's leading blocks to an eigenvalue of its full
+                block (_leading_levels), 0 where no block was cut
     order    -- (points, k) the merge order of _merge: levels[p, j] is value
                 i of block b, order[p, j] = b * kb + i, kb = min(k, m)
     """
@@ -451,13 +518,16 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     sector at g = 0) is a set of decoupled pairs: its values come from the
     closed form of _pair_eigvalsh, over all points at once.  Every other
     block row (Rabi at g != 0) is solved from certified leading blocks
-    (_leading_levels).  _merge numbers the levels, and the points are then
-    checked in one batch on the full bands.
+    (_leading_levels), which merge their values with those of the pairs.
+    _merge numbers the levels, and the points are then checked in one
+    batch on the full bands.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
     eigensolver involved and tolerates exact clusters; one sturm_count call
-    counts every row, pairs or not, on the full bands.  A violation raises
+    counts every row, pairs or not, on the full bands.  A value not kept is
+    counted at the k-th level instead, so that the count's loop stops where
+    the kept values let it, and its count is not read.  A violation raises
     ConvergenceError naming where(point, block) and the eigenvalue; so does
     a LAPACK failure, with the order of the blocks it solved and the first
     point still open.
@@ -483,7 +553,8 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     rest = ~pairs
     if np.any(rest):
         try:
-            values[:, rest], block, residual = _leading_levels(diag[:, rest], off[:, rest], k)
+            values[:, rest], block, residual = _leading_levels(
+                diag[:, rest], off[:, rest], k, values[:, pairs])
         except _SolveFailed as exc:
             solved = (f"the full {m}-row sectors" if exc.order == m else
                       f"{exc.order} x {exc.order} leading blocks")
@@ -498,7 +569,11 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     np.put_along_axis(kept, order[..., :k], True, axis=-1)
     kept = kept.reshape(values.shape)
     tol = EIG_RTOL * scale[..., None]
-    counts = sturm_count(diag, off, np.concatenate([values - tol, values + tol], axis=-1))
+    # a value the k levels do not keep is counted at the k-th level: its
+    # count is not read, and the count's loop stops where the kept values
+    # let it
+    gate = np.minimum(values, merged[..., :k][..., -1, None, None])
+    counts = sturm_count(diag, off, np.concatenate([gate - tol, gate + tol], axis=-1))
     below, within = counts[..., :kb], counts[..., kb:]
     index = np.arange(kb)
     # a zero block has the exact spectrum 0 and tol = 0: nothing to count
@@ -528,7 +603,7 @@ def sector_vector(diag, off, value) -> np.ndarray:
     """
     diag, off, _, power = _scaled(np.asarray(diag, dtype=float)[None, None],
                                   np.asarray(off, dtype=float)[None, None])
-    x = _twisted_tail(diag[0], off[0], np.ldexp([[value]], -power))[2][:, 0, 0]
+    x = _twisted_tail(diag[0], off[0], np.ldexp([[value]], -power))[3][:, 0, 0]
     return x / np.linalg.norm(x)
 
 

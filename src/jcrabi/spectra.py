@@ -9,16 +9,20 @@ ascending spectrum.  A JC sector, which conserves excitation number, is a
 direct sum of the dressed doublets |2>|n-1>, |1>|n> and the empty state
 |1>|0>, so merged_levels solves it in closed form.  A Rabi sector at
 g != 0 is solved from a leading block of its chain, since its low levels
-live in low Fock states: eigvalsh gives the block's values, and a twisted
-factorization of T_m' - theta I gives, for each kept value, an explicit
-vector whose Ritz residual in the full sector is certified.  The block m'
-doubles from max(2k, 32) until each kept residual is at most 4 ulps of
-max|T| (a full solve once m' reaches the sector), while the Sturm gate
-still counts on the full bands.  That count is one linalg.sturm_count
-call on every sector row of the batch, JC and Rabi alike; its loop stops
-once every band's later pivots are certified positive, within a few
-dozen rows.  The sweep and convergence tables carry the m' and the
-certified residual of each row.  The sweeps, convergence studies and
+live in low Fock states: eigvalsh gives the block's values, the merge of
+both sectors picks the ones the k levels keep, and a twisted
+factorization of T_m' - theta I gives, for each of those, an explicit
+vector whose Ritz residual in the full sector, or its Kato-Temple square
+over half the gap to the neighbouring Ritz values where a Sturm count
+isolates the eigenvalue, certifies it.  The same count checks that
+neither sector has an eigenvalue below the k-th level that its leading
+block misses.  The block m' doubles from max(2k, 32) until each kept
+value is certified to 4 ulps of max|T| (a full solve once m' reaches the
+sector), while the Sturm gate still counts on the full bands.  That
+count is one linalg.sturm_count call on every sector row of the batch,
+JC and Rabi alike; its loop stops once every band's later pivots are
+certified positive, within a few dozen rows.  The sweep and convergence tables carry the m' and the
+certified distance of each row.  The sweeps, convergence studies and
 Bloch-Siegert values read both sectors (Bloch-Siegert solves
 the two models in separate calls, so the JC half keeps the closed form);
 the numerical crossing reads the even JC sector alone.  No eigenvector is
@@ -66,7 +70,7 @@ class SpectrumTable:
     """k lowest eigenvalues per coupling; rows follow g_values order.
 
     block and residual are linalg.SectorLevels' evidence per row: the order
-    of the largest block solved and the largest certified residual.
+    of the largest block solved and the largest certified distance.
     """
 
     g_values: np.ndarray

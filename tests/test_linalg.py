@@ -9,6 +9,7 @@ from jcrabi import (
     hermitian_eig,
 )
 from jcrabi import linalg
+from jcrabi.acceptance import _hidden_state_bands
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
@@ -345,8 +346,8 @@ def perturb_leading(monkeypatch, call, point, block, index):
     true_leading = linalg._leading_levels
     calls = []
 
-    def perturbed(diag, off, k):
-        values, size, residual = true_leading(diag, off, k)
+    def perturbed(*args):
+        values, size, residual = true_leading(*args)
         if len(calls) == call:
             values[point, block, index] += 1e-6
         calls.append(None)
@@ -375,9 +376,9 @@ def count_leading(monkeypatch):
     true_leading = linalg._leading_levels
     shapes = []
 
-    def counted(diag, off, k):
+    def counted(diag, *args):
         shapes.append(np.shape(diag))
-        return true_leading(diag, off, k)
+        return true_leading(diag, *args)
 
     monkeypatch.setattr(linalg, "_leading_levels", counted)
     return shapes
@@ -503,6 +504,35 @@ class TestMergedLevels:
         for row, (d, o) in zip(levels, (jc, full)):
             assert np.max(np.abs(row - np.linalg.eigvalsh(dense(d, o)))) <= 1e-12
 
+    def test_state_hidden_from_the_leading_block_is_found(self):
+        # block A (diagonal j, links 0.1) hides a state at 4.5 in row 39
+        # behind links of 1e-30; block B has diagonal j - 0.25.  Every Ritz
+        # value of A's leading block of 32 certifies, but A has one more
+        # eigenvalue below the 11th level than it keeps: the count on the
+        # full band sends the point on, to the full solve (without the
+        # count, B's 4.75 would be level 10)
+        diag, off = _hidden_state_bands()[0]
+        solved = merged_levels([(diag, off)], 11, sector_label)
+        merged, _ = dense_levels(diag, off)
+        assert merged[10] == pytest.approx(4.5, abs=1e-12)
+        scale = np.max(np.abs(diag))
+        assert np.max(np.abs(solved.levels[0] - merged[:11])) <= EIG_RTOL * scale
+        assert solved.block.tolist() == [60]
+
+    @pytest.mark.parametrize("offset, size", [(-100.0, 32), (100.0, 100)])
+    def test_pair_values_take_part_in_the_merge(self, offset, size):
+        # block 0 has random links, which no leading block certifies; block
+        # 1 splits into pairs.  Far below block 0, the pairs give all 11
+        # levels: block 0 keeps none, so m' = 32 is done once the count
+        # finds no eigenvalue of block 0 below them.  Far above, block 0
+        # keeps all 11 and needs the full solve.
+        diag, off = random_bands(100, np.random.default_rng(15))
+        diag[1] += offset
+        solved = merged_levels([(diag, off)], 11, sector_label)
+        assert solved.block.tolist() == [size]
+        merged, _ = dense_levels(diag, off)
+        assert np.max(np.abs(solved.levels[0] - merged[:11])) <= 1e-12 * np.max(np.abs(diag))
+
     def test_zero_block(self):
         levels = merged_levels([([[0.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))], 3, sector_label)
         assert np.array_equal(levels.levels, [[0.0, 0.0, 0.0]])
@@ -575,9 +605,9 @@ class TestLargeBands:
         seen = []
         true_leading = linalg._leading_levels
 
-        def recorded(diag, off, k):
+        def recorded(diag, off, *args):
             seen.append(np.max(np.abs(off)))
-            return true_leading(diag, off, k)
+            return true_leading(diag, off, *args)
 
         monkeypatch.setattr(linalg, "_leading_levels", recorded)
         rng = np.random.default_rng(14)
@@ -600,7 +630,9 @@ def decaying_bands(m, points, rng):
 
 def twisted_vector(diag, off, theta):
     """The twisted-factorization vector of T - theta I for one tridiagonal
-    T and one value, by plain loops: (y, |gamma_r| / |x|), y = x / |x|.
+    T and one value, by plain loops: (y, |gamma_r| / |x|, |gamma_r| / |x|^2),
+    y = x / |x|, x_r = 1.  The last is the distance from theta to the
+    Rayleigh quotient of x.
     Pivots below tiny * max(1, max off^2) in magnitude become +that, as in
     sturm_count."""
     m = len(diag)
@@ -623,7 +655,35 @@ def twisted_vector(diag, off, theta):
     for j in range(r + 1, m):
         x[j] = -(off[j - 1] / e[j]) * x[j - 1]
     norm = np.linalg.norm(x)
-    return x / norm, abs(gamma[r]) / norm
+    return x / norm, abs(gamma[r]) / norm, abs(gamma[r]) / norm ** 2
+
+
+def certified_distances(diag, off, n, k, gap_bound=True):
+    """The oracle of a leading-block certificate for one point's bands
+    (blocks, m) at m' = n, by the loop oracle and dense eigvalsh: (theta,
+    kept, distance), each (blocks, k).  theta holds the k lowest Ritz values
+    of each block, kept those that the k merged levels keep, and distance
+    their certified distance (0 where not kept): the residual r of the
+    padded twisted vector, or, where [theta - delta, theta + delta), delta
+    half the distance to the neighbouring Ritz values, holds exactly one
+    eigenvalue of the full block and delta - s > r, s the distance from
+    theta to the vector's Rayleigh quotient, min(r, s + r^2 / (delta - s))
+    (Kato-Temple); r alone without ``gap_bound``."""
+    theta = np.linalg.eigvalsh(tridiagonal(diag[:, :n], off[:, :n - 1]))[:, :k + 1]
+    full = np.linalg.eigvalsh(tridiagonal(diag, off))
+    kept = np.zeros((len(diag), k), dtype=bool)
+    kept.flat[np.argsort(theta[:, :k], axis=None, kind="stable")[:k]] = True
+    distance = np.zeros((len(diag), k))
+    for b, i in np.argwhere(kept):
+        t = theta[b, i]
+        y, gap, s = twisted_vector(diag[b, :n], off[b, :n - 1], t)
+        r = np.hypot(gap, off[b, n - 1] * y[-1])
+        step = np.diff(theta[b])
+        delta = 0.5 * min(step[i], step[max(i - 1, 0)])
+        alone = np.count_nonzero((full[b] >= t - delta) & (full[b] < t + delta)) == 1
+        temple = s + r * r / (delta - s) if delta - s > r else r
+        distance[b, i] = min(r, temple) if alone and gap_bound else r
+    return theta[:, :k], kept, distance
 
 
 class TestTwistedTail:
@@ -635,13 +695,14 @@ class TestTwistedTail:
         off[1, 10] = 0.0  # a cut chain: the vector lives on one side of it
         theta = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :7]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            last, gap, x = linalg._twisted_tail(diag, off, theta)
+            last, gap, shift, x = linalg._twisted_tail(diag, off, theta)
         assert x.shape == (40, 6, 7)
         for row in range(len(diag)):
             for i, t in enumerate(theta[row]):
-                y, g = twisted_vector(diag[row], off[row], t)
+                y, g, s = twisted_vector(diag[row], off[row], t)
                 assert last[row, i] == pytest.approx(abs(y[-1]), rel=1e-12, abs=1e-300)
                 assert gap[row, i] == pytest.approx(g, rel=1e-12, abs=1e-300)
+                assert shift[row, i] == pytest.approx(s, rel=1e-12, abs=1e-300)
                 # the whole vector, signs and exact zeros included
                 unit = x[:, row, i] / np.linalg.norm(x[:, row, i])
                 assert np.max(np.abs(unit - y)) <= 1e-12
@@ -654,7 +715,7 @@ class TestTwistedTail:
         diag = np.array([[3.0, 1.0, 2.0, 5.0]])
         theta = np.array([[1.0, 2.0]])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            last, gap, x = linalg._twisted_tail(diag, np.zeros((1, 3)), theta)
+            last, gap, _, x = linalg._twisted_tail(diag, np.zeros((1, 3)), theta)
         assert last.tolist() == [[0.0, 0.0]]
         assert x[:, 0].T.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
         assert np.all(gap <= 2 * np.finfo(float).tiny)
@@ -704,9 +765,9 @@ class TestLeadingLevels:
         assert np.all(np.abs(values - full) <= bound)
 
     def test_residual_is_the_ritz_bound(self):
-        # the certified residual is that of the explicit twisted vector,
-        # padded with zeros: a dense product with the full block gives it,
-        # and its tail term is the eigenvector's, above eigh's noise floor
+        # the Ritz residual is that of the explicit twisted vector, padded
+        # with zeros: a dense product with the full block gives it, and its
+        # tail term is the eigenvector's, above eigh's noise floor
         m, k = 201, 5
         diag, off = decaying_bands(m, 2, np.random.default_rng(1))
         values, size, residual = linalg._leading_levels(diag, off, k)
@@ -714,22 +775,42 @@ class TestLeadingLevels:
         for p in range(2):
             scale = max(np.max(np.abs(diag[p])), np.max(np.abs(off[p])))
             for n in (8, 16, size[p]):
-                bounds = []
                 for b in range(2):
                     full = tridiagonal(diag[p, b], off[p, b])
                     theta = np.linalg.eigvalsh(full[:n, :n])[:k]
                     _, vectors = np.linalg.eigh(full[:n, :n])
                     for i, t in enumerate(theta):
-                        y, gap = twisted_vector(diag[p, b, :n], off[p, b, :n - 1], t)
+                        y, gap, _ = twisted_vector(diag[p, b, :n], off[p, b, :n - 1], t)
                         tail = abs(off[p, b, n - 1] * y[-1])
-                        bounds.append(np.hypot(gap, tail))
                         padded = np.zeros(m)
                         padded[:n] = y
                         dense = np.linalg.norm(full @ padded - t * padded)
-                        assert abs(dense - bounds[-1]) <= 4 * eps * scale
+                        assert abs(dense - np.hypot(gap, tail)) <= 4 * eps * scale
                         assert abs(tail - abs(off[p, b, n - 1] * vectors[-1, i])) <= eps * scale
-                if n == size[p]:
-                    assert residual[p] == pytest.approx(max(bounds), rel=1e-12)
+            # the reported residual is the largest certified distance of the
+            # values the k levels keep
+            _, kept, certified = certified_distances(diag[p], off[p], size[p], k)
+            assert 0 < np.count_nonzero(kept[0]) < k  # both blocks keep values
+            assert residual[p] == pytest.approx(np.max(certified), rel=1e-12, abs=0.0)
+
+    def test_gap_bound_certifies_below_the_residual(self):
+        # the Kato-Temple term certifies values whose Ritz residual r alone
+        # does not: on a Rabi-like chain (diagonal j, links sqrt(j)) the
+        # tail term at m' = 32 is far above LEADING_ULPS ulps, but its
+        # square over the gap is not
+        diag = np.arange(100.0) + np.array([[[0.0], [0.5]]])
+        off = np.sqrt(np.arange(1.0, 100.0)) + np.zeros((1, 2, 1))
+        values, size, residual = linalg._leading_levels(diag, off, 11)
+        theta, kept, certified = certified_distances(diag[0], off[0], 32, 11)
+        _, _, plain = certified_distances(diag[0], off[0], 32, 11, gap_bound=False)
+        scale = np.max(diag)
+        bound = linalg.LEADING_ULPS * EPS * scale
+        assert size.tolist() == [32]
+        assert np.max(plain) > 100 * bound and np.max(certified) <= bound
+        assert residual[0] == pytest.approx(np.max(certified), rel=1e-12, abs=0.0)
+        assert np.array_equal(values[0], theta)
+        full = np.linalg.eigvalsh(tridiagonal(diag, off))[0, :, :11]
+        assert np.max(np.abs(values[0] - full)[kept]) <= residual[0] + 4 * EPS * scale
 
     @pytest.mark.parametrize("k, orders", [(11, [32, 64]), (20, [40, 80])])
     def test_doubles_up_to_the_full_block(self, monkeypatch, k, orders):
@@ -752,26 +833,46 @@ class TestLeadingLevels:
 
     def test_cut_link_certifies_with_zero_residual(self):
         # a zero link after row 32 makes the tail term of every residual
-        # exactly 0: what is left is the twist's rounding |gamma_r| / |x|,
-        # the residual of the explicit vector, which certifies m' = 32 where
-        # it is within LEADING_ULPS ulps of max|T|
+        # exactly 0: what is left is the twist's rounding |gamma_r| / |x|
+        # and the gap bound on it, the certified distance of the explicit
+        # vector, which certifies m' = 32 where every value the k levels
+        # keep is within LEADING_ULPS ulps of max|T|
         eps = np.finfo(float).eps
         decaying = decaying_bands(80, 1, np.random.default_rng(5))
         for diag, off in (random_bands(80, np.random.default_rng(4)),
                           (decaying[0][0], decaying[1][0])):
             off[:, 31] = 0.0
             values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
-            leading = (diag[:, :32], off[:, :31])
-            theta = np.linalg.eigvalsh(tridiagonal(*leading))[:, :11]
-            _, gap, _ = linalg._twisted_tail(*leading, theta)
+            theta, kept, distance = certified_distances(diag, off, 32, 11)
             scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1))
-            certified = np.all(gap <= linalg.LEADING_ULPS * eps * scale[:, None])
+            certified = np.all(distance <= linalg.LEADING_ULPS * eps * scale[:, None])
             assert size.tolist() == [32 if certified else 80]
             if certified:
                 assert np.array_equal(values[0], theta)
-                assert residual.tolist() == [np.max(gap)]
+                assert residual[0] == pytest.approx(np.max(distance), rel=1e-12, abs=0.0)
         # the Rabi-like band, whose max|T| lies far down the chain, certifies
         assert size.tolist() == [32]
+
+    def test_gap_bound_needs_one_eigenvalue_in_the_interval(self):
+        # block A's row 31, cut from the rows above, and row 32 both sit at
+        # 4.6, linked by 5e-8: the leading block of 32 has the Ritz value
+        # 4.6 (the 11th level) with r = 5e-8 and a neighbouring Ritz value
+        # 0.4 away, so r^2 / delta is below LEADING_ULPS ulps; but row 32
+        # puts a second eigenvalue inside (theta - delta, theta + delta), so
+        # the gap bound does not apply and the point goes on to the full
+        # block
+        diag, off = _hidden_state_bands()[1]
+        values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
+        full = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :11]
+        scale = np.max(np.abs(diag))
+        _, kept, _ = certified_distances(diag, off, 32, 11)
+        assert kept[0, 5] and not kept[0, 6]  # 4.6 is A's last kept value
+        assert np.all(np.abs(values[0] - full)[kept] <= residual[0] + 4 * EPS * scale)
+        assert size.tolist() == [60]
+        solved = merged_levels([(diag, off)], 11, sector_label)
+        merged, _ = dense_levels(diag, off)
+        assert merged[10] == pytest.approx(4.6 - 5e-8, abs=1e-12)
+        assert np.max(np.abs(solved.levels[0] - merged[:11])) <= EIG_RTOL * scale
 
     def test_points_finish_apart(self):
         # one point certifies at 32, the other needs the full block

@@ -115,26 +115,45 @@ def eigh_tail_orders(diag, off, k):
     return size
 
 
-@pytest.mark.parametrize("n_max", [200, 500])
-@pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
-def test_rabi_sweep_within_certified_residual_of_full_eigvalsh(Omega, n_max):
+def assert_sweep_within_certified_distance(Omega, n_max, g_grid):
+    """The Rabi sweep of g_grid against a full np.linalg.eigvalsh of both
+    sectors at every coupling, within the certified distance of its row."""
     p, cfg = ModelParams(Omega=Omega), TruncationConfig(n_max)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        table = spectrum_sweep(ModelKind.RABI_LAB, p, SWEEP_G, 11, cfg)
+        table = spectrum_sweep(ModelKind.RABI_LAB, p, g_grid, 11, cfg)
     # every row came from a leading block of the doubling sequence 32, 64,
     # ..., certified to LEADING_ULPS of max|T|, no later than the eigh tail
     assert set(table.block.tolist()) <= {32, 64, 128, 256}
     assert np.all(table.block < cfg.dim_field)
-    bands = [parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg) for g in SWEEP_G]
+    bands = [parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg) for g in g_grid]
     diag, off = (np.stack(part) for part in zip(*bands))
     assert np.all(table.block <= eigh_tail_orders(diag, off, 11))
     eps = np.finfo(float).eps
-    for g, row, residual, (diag, off) in zip(SWEEP_G, table.levels, table.residual, bands):
+    for g, row, residual, (diag, off) in zip(g_grid, table.levels, table.residual, bands):
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
         assert residual <= LEADING_ULPS * eps * scale
         full = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:11]
-        # the certified residual, plus the rounding of the two solves
+        # the certified distance, plus the rounding of the two solves
         assert np.max(np.abs(row - full)) <= residual + 4 * eps * scale, g
+    return table
+
+
+@pytest.mark.parametrize("n_max", [200, 500])
+@pytest.mark.parametrize("Omega", [0.6, 1.0, 1.6])
+def test_rabi_sweep_within_certified_residual_of_full_eigvalsh(Omega, n_max):
+    assert_sweep_within_certified_distance(Omega, n_max, SWEEP_G)
+
+
+# wide coupling: past g = 1.5 the low Rabi levels spread further up the
+# chain, and the leading blocks grow to 128 rows
+WIDE_G = np.round(0.05 * np.arange(61), 12)
+
+
+@pytest.mark.parametrize("n_max", [200, 500])
+@pytest.mark.parametrize("Omega", [0.6, 1.6])
+def test_wide_coupling_sweep_within_certified_distance_of_full_eigvalsh(Omega, n_max):
+    table = assert_sweep_within_certified_distance(Omega, n_max, WIDE_G)
+    assert np.max(table.block) == 128
 
 
 def dense_overlap_crossing(p, cfg, g_lo, g_hi):
