@@ -82,14 +82,11 @@ def _rabi_like_bands(rng):
     noise of 0.01, links g sqrt(2 (j + 1)) times 1 + noise of 0.01, with
     W in [0.5, 1.5] and g in [0, 2] drawn per band."""
     j = np.arange(201.0)
-    bands = []
-    for _ in range(20):
-        Omega, g = rng.uniform(0.5, 1.5), rng.uniform(0.0, 2.0)
-        diag = j + 0.5 * Omega * np.array([[1.0], [-1.0]]) * (-1.0) ** j
-        diag = diag + 0.01 * rng.standard_normal(diag.shape)
-        off = g * np.sqrt(2.0 * j[1:]) * (1.0 + 0.01 * rng.standard_normal((2, 200)))
-        bands.append((diag, off))
-    return bands
+    Omega, g = rng.uniform(0.5, 1.5, (20, 1, 1)), rng.uniform(0.0, 2.0, (20, 1, 1))
+    diag = j + 0.5 * Omega * np.array([[1.0], [-1.0]]) * (-1.0) ** j
+    diag += 0.01 * rng.standard_normal(diag.shape)
+    off = g * np.sqrt(2.0 * j[1:]) * (1.0 + 0.01 * rng.standard_normal((20, 2, 200)))
+    return list(zip(diag, off))
 
 
 def _hidden_state_bands():
