@@ -22,14 +22,12 @@ from .models import (
     DressedDoublet,
     ModelKind,
     ModelParams,
-    build_hamiltonian,
     build_jc,
     build_rabi,
     empty_state_energy,
     jc_doublet_analytic,
     parity_chains,
     parity_sectors,
-    rotate_hamiltonian,
     symmetry_ops,
 )
 from .spectra import (

@@ -5,15 +5,17 @@ H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
 apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
 field occupation n, so every loop value is a closed form in p_n and the
-node count K.  Both loop paths take one gated level from _solve_level: it
-solves the parity sectors of H for values as every spectrum does, takes
-psi_0 from the level's sector (linalg.sector_vector) and gates it once on
-the dense H(0) psi_0.  Since U(phi) is diagonal with unit-modulus entries,
-that one residual is the residual of every node.  fock_loop, which the
-command line runs, reads the loop values off the closed form and builds no
-node.  Its oracle is the node path: eig_family builds the eigenpath on the
-loop grid (loop_grid) in one broadcast of models.phase_factors over the
-column of phi nodes.
+node count K.  Both loop paths take one gated level from _solve_level,
+which reads the bands of models.parity_sectors alone and builds no
+joint-space matrix: it solves the parity sectors for values as every
+spectrum does, takes psi_0 from the level's sector (linalg.sector_vector)
+and gates it once on the band product T psi_0 of that sector
+(linalg.band_product).  U(phi) is diagonal with unit-modulus entries and
+keeps the sector, so that one residual is the residual of every node.
+fock_loop, which the command line runs, reads the loop values off the
+closed form and builds no node.  Its oracle is the node path: eig_family
+builds the eigenpath on the loop grid (loop_grid) in one broadcast of
+models.phase_factors over the column of phi nodes.
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -47,16 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import (HERMITICITY_RTOL, ConvergenceError, hermitian_eig, residual_gate,
+from .linalg import (ConvergenceError, band_product, band_scale, residual_gate,
                      sector_vector, tridiagonal)
-from .models import (
-    ModelKind,
-    ModelParams,
-    build_hamiltonian,
-    parity_chains,
-    parity_sectors,
-    phase_factors,
-)
+from .models import ModelKind, ModelParams, parity_chains, parity_sectors, phase_factors
 from .spectra import _sector_levels, _sector_name
 
 TWO_PI = 2.0 * np.pi
@@ -145,47 +140,34 @@ def _level_gap(values: np.ndarray, level: int) -> float:
     return float(np.min(np.diff(values[max(level - 1, 0):level + 2])))
 
 
-def _check_sector_split(h: np.ndarray, bands, chains, maxabs: float):
-    """Raise ValueError unless H equals the sector bands (diag, off) placed
-    on their chains, entry by entry, within HERMITICITY_RTOL * max|H|."""
-    split = np.zeros(h.shape)
-    for c, t in zip(chains, tridiagonal(*bands)):
-        split[np.ix_(c, c)] = t
-    dev = float(np.max(np.abs(h - split)))
-    bound = HERMITICITY_RTOL * maxabs
-    if not dev <= bound:
-        raise ValueError(
-            f"H does not split into the two parity chains: it differs from "
-            f"models.parity_sectors by {dev:.3e}, above {bound:.3e}"
-        )
-
-
 def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     """(psi_0, E, eigen residual, generator) of one level, from one sector
-    solve, one gate and one eigh of the level's sector.
+    solve and one eigh of the level's sector, each gated on the band product.
 
-    A level outside [0, dim), or a dense H(0) that differs from the sector
-    bands placed on their chains by more than HERMITICITY_RTOL * max|H| in
-    any entry, is a ValueError.  E is value i of a parity sector, from the
-    spectra._sector_levels solve of min(level + 2, dim) levels (its upper
-    neighbour included) and SectorLevels.order; a level closer than
-    DEGENERACY_GAP to a neighbour is a TrackingError at node 0.  psi_0, the
-    twisted vector of the sector at E (linalg.sector_vector) on its chain
-    (models.parity_chains), passes residual_gate on the dense H(0) psi_0
-    ("at phi node 0"), which reads every entry of H(0).  The generator
-    2 pi <n_hat> = 2 pi sum_j j v_ij^2 (element j of a sector has field
-    occupation j) reads v_i from hermitian_eig of that band alone, LAPACK
-    eigh and not the twisted vector; its failure is a ConvergenceError
-    naming the sector.
+    Everything is read off the bands of models.parity_sectors; no
+    joint-space matrix is built.  A level outside [0, dim), or a band entry
+    that is not finite (H overflows, as its links do at g = 1e308), is a
+    ValueError, the latter naming the sector.  E is value i of a parity
+    sector, from the spectra._sector_levels solve of min(level + 2, dim)
+    levels (its upper neighbour included) and SectorLevels.order; a level
+    closer than DEGENERACY_GAP to a neighbour is a TrackingError at node 0.
+    psi_0 is the twisted vector x of the sector at E (linalg.sector_vector)
+    on its chain (models.parity_chains); it passes residual_gate on the band
+    product T x ("at phi node 0"), scaled by max|T| over both sectors, which
+    is max|H|.  The generator 2 pi <n_hat> = 2 pi sum_j j v_ij^2 (element j
+    of a sector has field occupation j) reads v_i from LAPACK eigh of that
+    band alone, not the twisted vector; every eigenpair passes residual_gate
+    on the band product, scaled by the sector's max|T|, and a failure is a
+    ConvergenceError naming the sector.
     """
     if not 0 <= level < cfg.dim_joint:
         raise ValueError(f"level must be in [0, {cfg.dim_joint}), got {level}")
     kind = ModelKind(kind)
-    h0 = build_hamiltonian(kind, p, cfg)
-    maxabs = float(np.max(np.abs(h0)))
-    chains = parity_chains(cfg)
     diag, off = parity_sectors(kind, p, cfg)
-    _check_sector_split(h0, (diag, off), chains, maxabs)
+    finite = np.all(np.isfinite(diag), axis=-1) & np.all(np.isfinite(off), axis=-1)
+    if not np.all(finite):
+        raise ValueError(f"{_sector_name(kind, p, cfg, int(np.argmin(finite)))} has a "
+                         f"band entry that is not finite: H overflows at these parameters")
     k = min(level + 2, cfg.dim_joint)
     solved = _sector_levels([(kind, p, cfg)], k)
     gap = _level_gap(solved.levels[0], level)
@@ -194,14 +176,23 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
                                f"{DEGENERACY_GAP:.0e}); {_UNDEFINED}")
     sector, i = divmod(int(solved.order[0, level]), min(k, cfg.dim_field))
     energy = solved.levels[0, level]
+    d, o = diag[sector], off[sector]
+    scale = band_scale(diag, off)
+    x = sector_vector(d, o, energy)
+    residual = residual_gate(band_product(d, o, x), energy, x, float(np.max(scale)),
+                             "at phi node 0")
     psi0 = np.zeros(cfg.dim_joint)
-    psi0[chains[sector]] = sector_vector(diag[sector], off[sector], energy)
-    residual = residual_gate(h0 @ psi0, energy, psi0, maxabs, "at phi node 0")
+    psi0[parity_chains(cfg)[sector]] = x
+    where = _sector_name(kind, p, cfg, sector)
     try:
-        es = hermitian_eig(tridiagonal(diag[sector], off[sector]))
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc}, in {_sector_name(kind, p, cfg, sector)}") from exc
-    generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), es.vectors[:, i] ** 2))
+        values, vectors = np.linalg.eigh(tridiagonal(d, o))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition of a dim={cfg.dim_field} matrix did not "
+                               f"converge within the solver's iteration cap ({exc}), "
+                               f"in {where}") from exc
+    residual_gate(band_product(d, o, vectors), values, vectors, float(scale[sector]),
+                  f"in {where}")
+    generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), vectors[:, i] ** 2))
     return psi0, energy, residual, generator
 
 
@@ -391,9 +382,9 @@ class FockLoop:
     weights[n] = p_n is the weight of psi_0 at field occupation n.  wilson
     and connection are the LoopResults that wilson_loop and
     connection_curve give on the eigenpath of eig_family; eigen_residual is
-    the residual_gate value of psi_0 on H(0), min_step_overlap the step
-    overlap |chi(2 pi / K)| and generator the oracle 2 pi <n_hat> of the
-    level (_solve_level).
+    the residual_gate value of psi_0 on the band product of its sector,
+    min_step_overlap the step overlap |chi(2 pi / K)| and generator the
+    oracle 2 pi <n_hat> of the level (_solve_level).
     """
 
     wilson: LoopResult

@@ -36,10 +36,11 @@ power of two first (_scaled), and their values back.
 No eigenvector is computed there.  The one vector the toolkit reads,
 psi_0 of the Berry loop, is the twisted vector of its sector's band at its
 merged value (sector_vector), scaled the same way.  residual_gate takes
-the products A v rather than A, so the Berry loop gates psi_0 with it once,
-on the dense H(0) psi_0.  hermitian_eig takes the same loop's sector band
-for its generator oracle, and the dense matrices of the acceptance gate
-and tests.
+the products A v rather than A, so the Berry loop gates psi_0, and the
+eigh of its sector for the generator oracle, on band_product: the three
+diagonals times the vectors, scaled by band_scale (max|T|), with no
+m x m product.  hermitian_eig, with its dense Hermiticity and residual
+gates, is kept for the dense matrices of the acceptance gate and tests.
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ class EigenSystem:
 def residual_gate(av, values, vectors, maxabs: float, where: str) -> float:
     """max_i |A v_i - lambda_i v_i|_inf over the given eigenpairs (columns of
     ``vectors``, or one vector and a scalar value), given the products
-    ``av`` = A v in the shape of ``vectors``; unless it is at most
-    EIG_RTOL * max|A| (so also when it is NaN) it raises ConvergenceError,
-    with ``where`` naming the matrix."""
+    ``av`` = A v in the shape of ``vectors`` (a dense product, or
+    band_product for a tridiagonal A); unless it is at most EIG_RTOL * max|A|
+    (so also when it is NaN) it raises ConvergenceError, with ``where``
+    naming the matrix."""
     residual = float(np.max(np.abs(av - vectors * values)))
     bound = EIG_RTOL * maxabs
     if not residual <= bound:
@@ -173,6 +175,25 @@ def tridiagonal(diag, off) -> np.ndarray:
     t[..., i[:-1], i[1:]] = off
     t[..., i[1:], i[:-1]] = off
     return t
+
+
+def band_scale(diag, off) -> np.ndarray:
+    """max|T| of each symmetric tridiagonal matrix with bands ``diag``
+    (..., m) and ``off`` (..., m - 1): shape (...)."""
+    return np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+
+
+def band_product(diag, off, x) -> np.ndarray:
+    """T x for the symmetric tridiagonal T with bands ``diag`` (m,) and
+    ``off`` (m - 1,), and ``x`` of shape (m,) or (m, n), one column per
+    vector: the three diagonals times x, with no m x m matrix."""
+    x = np.asarray(x)
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    diag, off = np.reshape(diag, shape), np.reshape(off, shape)
+    y = diag * x
+    y[1:] += off * x[:-1]
+    y[:-1] += off * x[1:]
+    return y
 
 
 def sturm_count(diag, off, shifts) -> np.ndarray:
@@ -415,7 +436,7 @@ def _leading_levels(diag, off, k: int, fixed=None):
     values = np.empty((n_points, n_blocks, kb))
     size = np.full(n_points, m)
     residual = np.zeros(n_points)
-    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    scale = band_scale(diag, off)
     bound = (LEADING_ULPS * np.finfo(float).eps * scale)[..., None]
 
     def lowest(d, o, n=kb):
@@ -501,7 +522,7 @@ def _scaled(diag, off):
     """(diag / 2**power, off / 2**power, scale, power) for bands (points,
     blocks, m): power >= 0, per point, the least that brings them below
     2**_BAND_EXPONENT in modulus; scale the max modulus of each scaled band."""
-    scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1, initial=0.0))
+    scale = band_scale(diag, off)
     power = np.maximum(np.frexp(np.max(scale, axis=-1))[1] - _BAND_EXPONENT, 0)
     if np.any(power):
         diag, off = (np.ldexp(band, -power[:, None, None]) for band in (diag, off))

@@ -15,20 +15,18 @@ parity_sectors gives the structured form every solve uses: the bands
 (diagonal and off-diagonal) of the two real symmetric tridiagonal parity
 sectors of size n_max + 1, in closed form for both chains at once, in the
 chain order of parity_chains.  linalg.merged_levels solves them for every
-layer; the Berry loop's psi_0 is a sector band's linalg.sector_vector.
-The dense joint-space builders are the oracle they are tested against, and
-the input to rotate_hamiltonian.
+layer, and the Berry loop reads its level, psi_0, eigen-residual gate and
+generator oracle off them alone.  The dense joint-space builders are the
+oracle they are tested against, and the operators of the acceptance
+gate's symmetry checks; no solve builds them.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
-phase_factors(phi).  A rotated Hamiltonian is always the explicit
-conjugation U H U^dag, entry by entry H_ij d_i conj(d_j), never a
-transcribed closed-form rotated expression.  rotate_hamiltonian forms it
-densely and is the one rotation routine, the oracle of the tests.  The
-Berry loop needs no rotated H'(phi): its eigenpath is U(phi)|psi_0>, which
-berry.eig_family builds for every node in one broadcast of phase_factors
-over a column of phi, and which the command line's berry.fock_loop reads
-off the occupation weights of psi_0.  Both builders return real (float64)
-matrices; every rotated H'(phi) is complex.
+phase_factors(phi).  U(phi) is diagonal, so it keeps the parity chains,
+and the Berry loop needs no rotated H'(phi): its eigenpath is
+U(phi)|psi_0>, which berry.eig_family builds for every node in one
+broadcast of phase_factors over a column of phi, and which the command
+line's berry.fock_loop reads off the occupation weights of psi_0.  Both
+builders return real (float64) matrices.
 """
 
 from __future__ import annotations
@@ -101,13 +99,6 @@ def build_jc(p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
     return h + p.g * SQRT2 * (embed(a, sp, cfg) + embed(a_dag, sm, cfg))
 
 
-_BUILDERS = {"jc": build_jc, "rabi": build_rabi}
-
-
-def build_hamiltonian(kind: ModelKind, p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
-    return _BUILDERS[kind.model](p, cfg)
-
-
 def phase_factors(phi, cfg: TruncationConfig) -> np.ndarray:
     """Diagonal of U(phi) = exp(-i n_hat phi) on the joint space.
 
@@ -116,26 +107,6 @@ def phase_factors(phi, cfg: TruncationConfig) -> np.ndarray:
     """
     field_phase = np.exp(-1j * phi * np.arange(cfg.dim_field))
     return np.concatenate([field_phase, field_phase], axis=-1)
-
-
-def rotate_hamiltonian(h, phi: float, cfg: TruncationConfig) -> np.ndarray:
-    """U(phi) H U(phi)^dag as a dense matrix, Hermitian to rounding for a
-    Hermitian H.
-
-    U(phi) is diagonal, so the conjugation is one entrywise product,
-    H_ij d_i conj(d_j), in O(dim^2).  The spectrum is invariant under the
-    rotation.  The result is complex whatever the dtype of H.  The dense
-    oracle of the tests: the Berry eigenpath U(phi_k)|psi_0> of
-    berry.eig_family is checked against its gated solve.
-    """
-    h = np.asarray(h)
-    if h.shape != (cfg.dim_joint, cfg.dim_joint):
-        raise ValueError(
-            f"H must be {cfg.dim_joint}x{cfg.dim_joint} for n_max={cfg.n_max}, "
-            f"got {h.shape}"
-        )
-    d = phase_factors(phi, cfg)
-    return h * np.outer(d, d.conj())
 
 
 def empty_state_energy(p: ModelParams) -> float:
@@ -161,21 +132,6 @@ class DressedDoublet:
     theta: float
     energies: tuple  # (E_plus, E_minus)
     amplitudes: tuple = field(repr=False, default=None)  # ((c, s), (-s, c))
-
-    def state_vectors(self, cfg: TruncationConfig):
-        """Embed the doublet pair as unit vectors on the joint space."""
-        if self.n > cfg.n_max:
-            raise ValueError(f"doublet n={self.n} needs n_max >= {self.n}")
-        dim_f = cfg.dim_field
-        idx_upper = self.n - 1          # |2>|n-1>: excited block
-        idx_lower = dim_f + self.n      # |1>|n>: ground block
-        vecs = []
-        for amp_upper, amp_lower in self.amplitudes:
-            v = np.zeros(cfg.dim_joint)
-            v[idx_upper] = amp_upper
-            v[idx_lower] = amp_lower
-            vecs.append(v)
-        return tuple(vecs)
 
 
 def jc_doublet_analytic(n: int, p: ModelParams) -> DressedDoublet:
@@ -233,7 +189,8 @@ def parity_chains(cfg: TruncationConfig):
 
 
 def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
-    """The two parity sectors of build_hamiltonian(kind, p, cfg), as bands.
+    """The two parity sectors of the H of ``kind`` (build_jc or build_rabi),
+    as bands.
 
     Returns (diag, off) of shapes (2, n_max + 1) and (2, n_max): row 0 is
     the even chain, row 1 the odd one (parity_chains order).  Element j has
@@ -243,7 +200,8 @@ def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
     keeps it only where element j is the excited qubit.  Each sector is the
     real symmetric tridiagonal matrix with these bands, so it is symmetric
     by construction; placed on their chains, the bands equal the dense
-    builders exactly.
+    builders exactly (a property the tests check), so no caller needs to
+    build the dense matrix to trust them.
     """
     j = np.arange(cfg.dim_field)
     s = np.array([[1.0], [-1.0]]) * (-1.0) ** j  # sigma_z: even chain, odd chain

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import EIG_RTOL, SectorLevels, merged_levels
+from .linalg import EIG_RTOL, SectorLevels, band_scale, merged_levels
 from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
 
 
@@ -215,8 +215,7 @@ def ground_crossing(
 
         diag, off = parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg)
         even = merged_levels([(diag[:1], off[:1])], 1, where).levels[0, 0]
-        scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0))
-        return even - empty, abs(even - empty) <= EIG_RTOL * scale
+        return even - empty, abs(even - empty) <= EIG_RTOL * np.max(band_scale(diag, off))
 
     (h_lo, tie_lo), (h_hi, tie_hi) = solve(lo), solve(hi)
     if h_lo * h_hi < 0:

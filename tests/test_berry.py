@@ -14,17 +14,13 @@ from jcrabi import (
     wrap_phase,
 )
 import jcrabi.berry as berry_module
+import jcrabi.models as models_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.fock import embed, ladder_ops, qubit_ops
 from jcrabi.linalg import ConvergenceError, hermitian_eig
-from jcrabi.models import (
-    ModelKind,
-    build_hamiltonian,
-    empty_state_energy,
-    jc_doublet_analytic,
-    phase_factors,
-    rotate_hamiltonian,
-)
+from jcrabi.models import ModelKind, empty_state_energy, jc_doublet_analytic, phase_factors
+
+from dense_oracle import build_hamiltonian, doublet_state_vectors, rotate_hamiltonian
 
 CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
@@ -136,16 +132,6 @@ class TestEigFamily:
         with pytest.raises(TrackingError, match=r"phi node 0: level 1 is degenerate \(gap "):
             eig_family("jc", ModelParams(Omega=1.0, g=1.0), 1, 64, CFG)
 
-    def test_hamiltonian_outside_the_parity_chains_rejected(self, monkeypatch):
-        def parity_breaking(kind, p, cfg):
-            h = build_hamiltonian(kind, p, cfg)
-            h[0, cfg.dim_field] = h[cfg.dim_field, 0] = 1e-3  # |2>|0> <-> |1>|0>
-            return h
-
-        monkeypatch.setattr(berry_module, "build_hamiltonian", parity_breaking)
-        with pytest.raises(ValueError, match="parity chains"):
-            eig_family("rabi", ModelParams(Omega=1.0, g=0.4), 1, 32, CFG)
-
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_every_model_frame_passes_the_sector_split(self, kind, monkeypatch):
         monkeypatch.setattr(berry_module, "CONTINUITY_THRESHOLD", 0.9)
@@ -163,11 +149,12 @@ class TestEigFamily:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_hamiltonian_fails_the_sector_split(self):
-        # ModelParams refuses g = inf; past it, H(0) holds inf and NaN
-        # entries, and the sector split must refuse them
+        # ModelParams refuses g = inf; past it, the links of both sectors
+        # are inf, and the level solve refuses the bands before it solves
         p = ModelParams(Omega=1.0, g=0.4)
         object.__setattr__(p, "g", np.inf)
-        with pytest.raises(ValueError, match="parity chains"):
+        with pytest.raises(ValueError, match=r"^the even rabi sector at g=inf, n_max=30 has a "
+                                             r"band entry that is not finite"):
             eig_family("rabi", p, 1, 32, CFG)
 
     def test_nan_gap_refused_as_degenerate(self, monkeypatch):
@@ -188,13 +175,16 @@ P_GATE = ModelParams(Omega=1.2, g=0.4)
 
 
 def gate_spy(monkeypatch):
-    """Patch berry's residual_gate to record every value it returns."""
+    """Patch berry's residual_gate to record every value its gate of psi_0
+    ("at phi node 0") returns; the generator oracle's gate is not recorded."""
     true_gate = berry_module.residual_gate
     residuals = []
 
     def spy(*args):
-        residuals.append(true_gate(*args))
-        return residuals[-1]
+        value = true_gate(*args)
+        if args[-1] == "at phi node 0":
+            residuals.append(value)
+        return value
 
     monkeypatch.setattr(berry_module, "residual_gate", spy)
     return residuals
@@ -212,8 +202,8 @@ def node_loop_vectors(psi0, phi_grid, cfg):
 
 
 class TestNodeGate:
-    """The one gate of a loop, on H(0) psi_0, against the dense H'(phi_k)
-    of every node."""
+    """The one gate of psi_0 in a loop, on the band product T x of its
+    sector, against the dense H'(phi_k) of every node."""
 
     @pytest.mark.parametrize("model, n_max", GATE_CASES)
     def test_gate_residual_matches_dense_residual(self, model, n_max, monkeypatch):
@@ -250,18 +240,53 @@ class TestNodeGate:
         assert fam.energy == energy
 
     @pytest.mark.parametrize("model", ["jc", "rabi"])
-    def test_stray_entry_enters_the_gate(self, model, monkeypatch):
-        # offset 2 is a diagonal neither model has: the gate still reads it,
-        # so its diagonals come from H(0) and not from the sector structure
-        def stray(kind, p, cfg):
-            h = build_hamiltonian(kind, p, cfg)
-            h[0, 2] = h[2, 0] = 1e-3
-            return h
+    def test_perturbed_psi0_fails_the_band_gate(self, model, monkeypatch):
+        # one entry of the twisted vector off by 1e-6 leaves a residual far
+        # above 1e-10 max|H|: the band product reads every entry of psi_0
+        true_vector = berry_module.sector_vector
 
-        monkeypatch.setattr(berry_module, "build_hamiltonian", stray)
-        monkeypatch.setattr(berry_module, "_check_sector_split", lambda *args: None)
+        def perturbed(*args):
+            x = true_vector(*args)
+            x[1] += 1e-6
+            return x
+
+        monkeypatch.setattr(berry_module, "sector_vector", perturbed)
         with pytest.raises(ConvergenceError, match="at phi node 0 exceeds"):
             eig_family(model, P_GATE, 1, 64, CFG)
+
+    @pytest.mark.parametrize("model, level, sector",
+                             [("jc", 1, "even"), ("rabi", 0, "odd"), ("rabi", 1, "even")])
+    def test_perturbed_generator_column_fails_the_band_gate(self, model, level, sector,
+                                                            monkeypatch):
+        # the generator oracle's eigh is gated pair by pair on the band
+        # product: one column off by 1e-6 fails, naming the level's sector
+        true_eigh = np.linalg.eigh
+
+        def perturbed(a, *args, **kwargs):
+            values, vectors = true_eigh(a, *args, **kwargs)
+            vectors[3, 5] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match=f"in the {sector} {model} sector at "
+                                                   f"g=0.4, n_max=30 exceeds"):
+            eig_family(model, P_GATE, level, 64, CFG)
+
+    @pytest.mark.parametrize("model", ["jc", "rabi"])
+    def test_no_dense_matrix_on_the_loop_path(self, model, monkeypatch):
+        # the loop reads the bands alone: a dense builder that raises, and
+        # the fock.embed they assemble H from, are never reached
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense joint-space matrix was built")
+
+        for name in ("build_jc", "build_rabi", "embed"):
+            monkeypatch.setattr(models_module, name, dense)
+        for level in (0, 1, 7):
+            fam = eig_family(model, P_GATE, level, K_GATE, CFG_150)
+            assert np.isfinite(fam.generator)
+            for gauge in GAUGES:
+                loop = fock_loop(model, P_GATE, level, K_GATE, CFG_150, gauge)
+                assert loop.generator == fam.generator
 
 
 def jc_closed_form_state(level, p, cfg):
@@ -277,7 +302,7 @@ def jc_closed_form_state(level, p, cfg):
               (p.omega * cfg.n_max + 0.5 * p.Omega, unit(cfg.n_max))]
     for n in range(1, cfg.n_max + 1):
         doublet = jc_doublet_analytic(n, p)
-        states += zip(doublet.energies, doublet.state_vectors(cfg))
+        states += zip(doublet.energies, doublet_state_vectors(doublet, cfg))
     states.sort(key=lambda state: state[0])
     return states[level][1]
 
@@ -559,7 +584,7 @@ class TestFockLoop:
     def test_tail_weight_sums_the_top_occupations(self):
         loop = fock_loop("rabi", ModelParams(Omega=1.0, g=1.5), 1, 720, TruncationConfig(20),
                          "anchor_component")
-        assert loop.tail_weight == pytest.approx(loop.weights[11:].sum(), rel=1e-14)
+        assert loop.tail_weight == pytest.approx(loop.weights[11:].sum(), rel=1e-14, abs=0.0)
         assert loop.tail_weight > 1e-3  # g = 1.5 at n_max = 20 reaches the cutoff
 
     @pytest.mark.parametrize("n_max, top", [(18, 9), (19, 10)])
@@ -724,8 +749,7 @@ class TestGenerator:
 
     def test_solves_one_sector_band_alone(self, monkeypatch):
         # no eigensolver runs at the joint-space order 2 (n_max + 1) = 302:
-        # one eigh of the 151-row sector per loop, and the dense H(0) only
-        # enters the gate's product H(0) psi_0
+        # one eigh of the 151-row sector per loop
         orders = {"eigh": [], "eigvalsh": []}
         for name in orders:
             def solver(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):

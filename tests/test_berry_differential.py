@@ -26,7 +26,9 @@ from jcrabi import (
     wilson_loop,
 )
 from jcrabi.berry import GAUGES, phase_distance
-from jcrabi.models import ModelKind, build_hamiltonian, rotate_hamiltonian
+from jcrabi.models import ModelKind
+
+from dense_oracle import build_hamiltonian, rotate_hamiltonian
 
 CFG = TruncationConfig(20)
 K = 32
@@ -146,21 +148,23 @@ def test_coarse_grid_refusals_agree():
 
 
 def test_eigen_residual_matches_node_0_gate():
-    # the oracle gates node 0 on the diagonals of H(0), fock_loop on the
-    # dense H(0) psi_0: the two residuals differ by rounding only
+    # both paths gate psi_0 once ("at phi node 0"), on the band product of
+    # its sector, through the same level solve: the two residuals are equal
     p, cfg = ModelParams(g=0.93, Omega=0.4), TruncationConfig(150)
     residuals = []
     true_gate = berry.residual_gate
 
     def spy(*args):
-        residuals.append(true_gate(*args))
-        return residuals[-1]
+        value = true_gate(*args)
+        if args[-1] == "at phi node 0":
+            residuals.append(value)
+        return value
 
     with patch.object(berry, "residual_gate", spy):
         loop = fock_loop("rabi", p, 3, 720, cfg, "anchor_component")
         eig_family("rabi", p, 3, 720, cfg)
-    assert residuals[0] == loop.eigen_residual
-    assert abs(residuals[0] - residuals[1]) <= TOL
+    assert len(residuals) == 2
+    assert residuals[0] == loop.eigen_residual == residuals[1]
 
 
 @pytest.mark.parametrize("model, g, level, K, n_max, error, text", [

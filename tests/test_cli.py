@@ -200,7 +200,8 @@ class TestBerryCommand:
     def test_perturbed_energy_fails_the_gate(self, tmp_path, capsys, forbid_node_path,
                                              monkeypatch):
         # every sector value moves by 1e-6 after the Sturm count has gated
-        # it: the level order and gaps stay, and psi_0 fails the gate on H(0)
+        # it: the level order and gaps stay, and psi_0 fails the gate on the
+        # band product of its sector
         true_sector_levels = berry_module._sector_levels
 
         def shifted(points, k):
@@ -274,6 +275,18 @@ class TestBerryCommand:
                    "--phi-nodes", phi_nodes, "--out", str(tmp_path)])
         assert rc == 2
         assert "level 1 is degenerate (gap 0.000e+00 < 1e-10)" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_links_are_named(self, tmp_path, capsys):
+        # g = 1e308 is a finite parameter, but the links g sqrt(2 (j + 1))
+        # overflow: the level solve refuses the bands, naming the coupling
+        rc = main(["berry", "--model", "rabi", "--g", "1e308", "--nmax", "30",
+                   "--phi-nodes", "64", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: rabi g=1e+308: the even rabi sector at g=1e+308, n_max=30 "
+            "has a band entry that is not finite: H overflows at these parameters\n")
+        assert not (tmp_path / "berry_summary.json").exists()
 
     def test_one_level_solve_per_coupling(self, tmp_path, monkeypatch):
         # the loop and its generator oracle come from one sector solve

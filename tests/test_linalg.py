@@ -13,6 +13,8 @@ from jcrabi.acceptance import _hidden_state_bands
 from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
+    band_product,
+    band_scale,
     merged_levels,
     residual_gate,
     sector_vector,
@@ -214,6 +216,34 @@ class TestTridiagonal:
 
     def test_single_element_blocks(self):
         assert np.array_equal(tridiagonal([[2.0], [-1.0]], np.zeros((2, 0))), [[[2.0]], [[-1.0]]])
+
+
+class TestBandProduct:
+    @pytest.mark.parametrize("m", [1, 2, 7, 151])
+    def test_matches_the_dense_product(self, m):
+        rng = np.random.default_rng(m)
+        diag, off = random_bands(m, rng)
+        for b in range(2):
+            t = dense(diag[b], off[b])
+            x, v = rng.standard_normal(m), rng.standard_normal((m, 5))
+            for vec in (x, v):
+                y = band_product(diag[b], off[b], vec)
+                assert y.shape == vec.shape
+                assert np.max(np.abs(y - t @ vec)) <= 4 * EPS * np.max(np.abs(t)) * m
+
+    def test_three_terms_per_row(self):
+        # row j is diag_j x_j + off_{j-1} x_{j-1} + off_j x_{j+1}, exactly
+        # when every product and sum is exact
+        y = band_product([1.0, 2.0, 3.0], [4.0, 5.0], [1.0, 10.0, 100.0])
+        assert np.array_equal(y, [41.0, 524.0, 350.0])
+
+    def test_band_scale_is_max_abs_of_the_matrix(self):
+        diag, off = random_bands(9, np.random.default_rng(4))
+        off[1, 3] = -50.0
+        scale = band_scale(diag, off)
+        assert scale.shape == (2,)
+        assert np.array_equal(scale, np.max(np.abs(tridiagonal(diag, off)), axis=(1, 2)))
+        assert band_scale([[-3.0], [2.0]], np.zeros((2, 0))).tolist() == [3.0, 2.0]
 
 
 def full_sturm_count(diag, off, shifts):

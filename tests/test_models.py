@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcrabi import (
     ModelParams,
@@ -9,19 +11,19 @@ from jcrabi import (
     commutator_deviation,
     hermitian_eig,
     jc_doublet_analytic,
-    rotate_hamiltonian,
     symmetry_ops,
 )
 from jcrabi.fock import SQRT2, embed, ladder_ops, qubit_ops
 from jcrabi.linalg import HERMITICITY_RTOL, tridiagonal
 from jcrabi.models import (
     ModelKind,
-    build_hamiltonian,
     empty_state_energy,
     parity_chains,
     parity_sectors,
     phase_factors,
 )
+
+from dense_oracle import build_hamiltonian, doublet_state_vectors, rotate_hamiltonian
 
 CFG = TruncationConfig(40)
 SX, SY, SZ, SP, SM = qubit_ops()
@@ -200,6 +202,16 @@ class TestParitySectors:
     )
     def test_every_entry_matches_the_dense_builder(self, kind, n_max, p):
         cfg = TruncationConfig(n_max)
+        h = build_hamiltonian(kind, p, cfg)
+        assert np.array_equal(h, bands_on_chains(*parity_sectors(kind, p, cfg), cfg))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(kind=st.sampled_from(list(ModelKind)),
+           omega=st.floats(0.05, 3.0), Omega=st.floats(0.0, 3.0), g=st.floats(0.0, 3.0),
+           n_max=st.integers(1, 200))
+    def test_bands_on_chains_equal_the_dense_builder(self, kind, omega, Omega, g, n_max):
+        # the identity the Berry loop relies on instead of building H(0)
+        p, cfg = ModelParams(Omega=Omega, g=g, omega=omega), TruncationConfig(n_max)
         h = build_hamiltonian(kind, p, cfg)
         assert np.array_equal(h, bands_on_chains(*parity_sectors(kind, p, cfg), cfg))
 
@@ -390,13 +402,13 @@ class TestDressedDoublet:
     def test_decoupled_limit(self):
         d = jc_doublet_analytic(2, ModelParams(Omega=1.5, g=1e-12))
         assert d.theta == pytest.approx(0.0, abs=1e-9)
-        vp, vm = d.state_vectors(CFG)
+        vp, vm = doublet_state_vectors(d, CFG)
         assert abs(vp[1]) == pytest.approx(1.0, abs=1e-9)   # |2>|1>
         assert abs(vm[CFG.dim_field + 2]) == pytest.approx(1.0, abs=1e-9)  # |1>|2>
 
     def test_states_orthonormal_and_supported_on_doublet(self):
         d = jc_doublet_analytic(4, ModelParams(Omega=1.5, g=0.8))
-        vp, vm = d.state_vectors(CFG)
+        vp, vm = doublet_state_vectors(d, CFG)
         assert abs(np.vdot(vp, vp) - 1) < 1e-12
         assert abs(np.vdot(vp, vm)) < 1e-12
         support = {d.n - 1, CFG.dim_field + d.n}
@@ -408,7 +420,7 @@ class TestDressedDoublet:
         es = hermitian_eig(h)
         for n in range(1, CFG.n_max // 2):
             d = jc_doublet_analytic(n, p)
-            for energy, vec in zip(d.energies, d.state_vectors(CFG)):
+            for energy, vec in zip(d.energies, doublet_state_vectors(d, CFG)):
                 k = int(np.argmin(np.abs(es.values - energy)))
                 assert abs(es.values[k] - energy) <= 1e-8
                 assert abs(np.vdot(es.vectors[:, k], vec)) == pytest.approx(1.0, abs=1e-8)

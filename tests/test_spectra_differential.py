@@ -22,7 +22,9 @@ from jcrabi import (
     spectrum_sweep,
 )
 from jcrabi.linalg import LEADING_ULPS, tridiagonal
-from jcrabi.models import ModelKind, build_hamiltonian, build_jc, parity_sectors
+from jcrabi.models import ModelKind, build_jc, parity_sectors
+
+from dense_oracle import build_hamiltonian
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
