@@ -235,10 +235,9 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
     for kind in _model_kinds(cfg):
         table = spectra.spectrum_sweep(kind, cfg.params(), g_grid, cfg.k_levels, cfg.cfg())
         tables[kind.model] = table
-        columns = ["g"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)]
-        rows = [[g, *row] for g, row in zip(table.g_values, table.levels)]
+        header = ["g"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)]
         path = write_csv(
-            out / f"spectrum_{kind.model}.csv", columns, rows,
+            out / f"spectrum_{kind.model}.csv", header, [table.g_values, *table.levels.T],
             cfg.metadata("spectrum", g_min=g_min, g_max=g_max, g_step=g_step,
                          this_model=kind.model, **_evidence(table)),
         )
@@ -299,7 +298,7 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         meta = cfg.metadata("berry", g=g, gauge=conn.gauge, K=cfg.phi_nodes)
         path = write_csv(
             out / f"berry_curve{suffix}.csv", ["phi", "partial_phase"],
-            conn.curve, meta,
+            conn.curve.T, meta,
         )
         curves.append((f"g={g:g}", conn.curve[:, 0], conn.curve[:, 1]))
         print(f"wrote {path}")
@@ -338,14 +337,12 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
     p_axis = np.linspace(p_lo, p_hi, resolution)
     for kind in _model_kinds(cfg):
         grid = surfaces.boa_surface(kind, cfg.params(), x_axis, p_axis)
-        rows = np.column_stack([
-            np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
-            grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel(),
-        ])
         meta = cfg.metadata("surfaces", x_range=x_range, p_range=p_range,
                             resolution=resolution, this_model=kind.model)
         path = write_csv(out / f"surface_{kind.model}.csv",
-                         ["x", "p", "E_minus", "E_plus", "gap"], rows, meta)
+                         ["x", "p", "E_minus", "E_plus", "gap"],
+                         [np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
+                          grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel()], meta)
         print(f"wrote {path}")
         report = surfaces.classify_degeneracy(grid)
         payload = {
@@ -370,6 +367,8 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
                 f"{kind.model} adiabatic gap", meta,
             )
             print(f"wrote {path}")
+        # one model's grid at a time: the next one is built after this goes
+        del grid, report
     return 0
 
 
@@ -380,14 +379,11 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
     out = _out_dir(cfg)
     kind = ModelKind(cfg.model)
     table = spectra.convergence_study(kind, cfg.params(), cfg.g, cfg.k_levels, n_list)
-    columns = ["n_max"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)] + ["max_change"]
-    rows = []
-    for i, n_max in enumerate(table.n_values):
-        change = table.max_changes[i - 1] if i > 0 else float("nan")
-        rows.append([n_max, *table.levels[i], change])
+    header = ["n_max"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)] + ["max_change"]
+    columns = [table.n_values, *table.levels.T, np.r_[np.nan, table.max_changes]]
     meta = cfg.metadata("convergence", n_list=",".join(str(n) for n in n_list),
                         **_evidence(table))
-    path = write_csv(out / f"convergence_{kind.model}.csv", columns, rows, meta)
+    path = write_csv(out / f"convergence_{kind.model}.csv", header, columns, meta)
     print(f"wrote {path}")
     return 0
 
@@ -450,7 +446,7 @@ def cmd_verify(cfg: RunConfig, only) -> int:
             meta = cfg.metadata("verify", model="rabi", g=g, level=1, K=suite.berry_k,
                                 n_max=suite.berry_cfg.n_max, gauge=conn.gauge)
             path = write_csv(out / f"investigation_rabi_g{g:g}.csv",
-                             ["phi", "partial_phase"], conn.curve, meta)
+                             ["phi", "partial_phase"], conn.curve.T, meta)
             print(f"wrote {path}")
     failed = [r for r in results if r.bound and not r.passed]
     return 3 if failed else 0

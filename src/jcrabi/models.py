@@ -207,5 +207,7 @@ def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
     s = np.array([[1.0], [-1.0]]) * (-1.0) ** j  # sigma_z: even chain, odd chain
     diag = p.omega * j + 0.5 * p.Omega * s
     keep = (s[:, :-1] > 0) | (kind.model == "rabi")
-    off = p.g * SQRT2 * np.sqrt(j[:-1] + 1.0) * keep
+    # a link that overflows is inf, refused by name downstream; a dropped one is 0
+    with np.errstate(over="ignore"):
+        off = np.where(keep, p.g * SQRT2 * np.sqrt(j[:-1] + 1.0), 0.0)
     return diag, off

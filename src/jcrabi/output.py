@@ -5,25 +5,24 @@ so nothing here writes timestamps or environment-dependent content.  CSV
 files carry '#'-prefixed metadata lines; JSON and SVG embed the same metadata
 in-format (a "config" object, an XML comment) so the files stay parseable.
 
-The CSV and heatmap writers format each distinct piece once and stream the
-file in blocks of rows.  A CSV column is reduced to its distinct values
-(compared bit for bit, so -0.0 stays apart from 0.0); the distinct values of
-the whole table go through one call of _fmt17, an exact vectorized "%.17g"
-for 1e-4 <= |v| < 1e17 that falls back to per-value % for zeros,
-subnormals, NaN, infinities and the scientific range.  Each block of rows
-is an S25 array of those pieces and their separators, written as its
-non-NUL bytes.  write_json lays out lists of [float, float] rows itself and
-leaves every other member to json.dumps.  Heatmap cells are joined from
-precomputed x, y and shade pieces.  Every check and all formatting run
-before the file is opened, so rejected input writes no file.  The bytes are
-those of per-value formatting (17 significant digits, float.__repr__ in
-JSON, shades rounded half to even).
+write_csv takes one 1-D column per header name and writes blocks of
+_BLOCK_ROWS rows, so it builds nothing of the whole table's size.  Each
+block reduces its columns to their distinct values, compared bit for bit so
+that -0.0 stays apart from 0.0, and formats them with one call of _fmt17, an
+exact vectorized "%.17g" for 1e-4 <= |v| < 1e17 that falls back to per-value
+% for zeros, subnormals, NaN, infinities and the scientific range.  write_json
+lays out a 2-D float array member from the float.__repr__ of its distinct
+values; every other member goes through json.dumps.  The heatmap is one
+grayscale PNG inside the SVG.  Every check runs before the file is opened,
+so rejected input writes no file.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -33,29 +32,30 @@ def metadata_lines(meta: dict) -> list:
     return [f"# {key} = {value}" for key, value in meta.items()]
 
 
-def _table(rows, n_cols: int) -> np.ndarray:
-    """rows (a list of rows or a 2-D array) as a float64 (n, n_cols) array."""
+def _table(columns, n_cols: int) -> list:
+    """columns, one 1-D sequence per header name, as float64 arrays of one length."""
     if n_cols < 1:
         # the last column's pieces carry the line ends
         raise ValueError("table must have at least one column")
-    expected = f"table must have {n_cols} columns to match its header"
-    try:
-        table = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    if len(columns) != n_cols:
+        raise ValueError(f"table must have {n_cols} columns to match its header, "
+                         f"got {len(columns)}")
+    table = []
+    for c, column in enumerate(columns):
         try:
-            np.shape(rows)  # raises only for rows of unequal length
-        except ValueError:
-            raise ValueError(f"{expected}, got ragged rows: {exc}") from exc
-        raise ValueError(f"table entries must be numbers: {exc}") from exc
-    if table.size == 0 and table.ndim == 1:
-        table = table.reshape(0, n_cols)
-    if table.ndim != 2 or table.shape[1] != n_cols:
-        raise ValueError(f"{expected}, got shape {table.shape}")
-    # the conversion turns None into NaN, so only a NaN can hide one
-    for flat in np.flatnonzero(np.isnan(table)).tolist():
-        i, j = divmod(flat, n_cols)
-        if rows[i][j] is None:
-            raise ValueError(f"table entries must be numbers: None in row {i}, column {j}")
+            values = np.asarray(column, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table entries must be numbers: {exc}") from exc
+        if values.ndim != 1:
+            raise ValueError(f"table column {c} must be 1-D, got shape {values.shape}")
+        if values is not column:  # converting turns None into NaN
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                if column[i] is None:
+                    raise ValueError(f"table entries must be numbers: None in row {i}, column {c}")
+        table.append(values)
+    if len({len(values) for values in table}) > 1:
+        raise ValueError(f"table columns must have one length, got lengths "
+                         f"{[len(values) for values in table]}")
     return table
 
 
@@ -193,65 +193,52 @@ def _fixed17(v):
     return order, rows.view("S24").ravel()
 
 
-def write_csv(path, columns, rows, meta: dict) -> Path:
-    """Header, then one line per row, every value with 17 significant digits."""
+def write_csv(path, header, columns, meta: dict) -> Path:
+    """Header, then one line per row, every value with 17 significant digits;
+    columns holds one 1-D sequence of numbers per header name."""
     path = Path(path)
-    n_cols = len(columns)
-    table = _table(rows, n_cols)
-    lines = metadata_lines(meta)
-    lines.append(",".join(columns))
-    # distinct values by their bits, so -0.0 stays apart from 0.0
-    distinct = [np.unique(table[:, c].view(np.int64), return_inverse=True)
-                for c in range(n_cols)]
-    # one kernel call per table: per-column calls cost more on small tables
-    text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
-    ends = np.cumsum([len(bits) for bits, _ in distinct]).tolist()
-    pieces = [np.strings.add(text[end - len(bits):end], b"\n" if c == n_cols - 1 else b",")
-              for c, ((bits, _), end) in enumerate(zip(distinct, ends))]
+    table = _table(columns, len(header))
+    ends = [b","] * (len(header) - 1) + [b"\n"]
     with path.open("wb") as f:
-        f.write(("\n".join(lines) + "\n").encode())
-        for start in range(0, len(table), _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, len(table))
-            block = np.empty((stop - start, n_cols), dtype="S25")
-            for c, (_, inverse) in enumerate(distinct):
-                block[:, c] = pieces[c][inverse[start:stop]]
+        f.write(("\n".join(metadata_lines(meta) + [",".join(header)]) + "\n").encode())
+        for start in range(0, len(table[0]), _BLOCK_ROWS):
+            distinct = [np.unique(values[start:start + _BLOCK_ROWS].view(np.int64),
+                                  return_inverse=True) for values in table]
+            text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
+            block = np.empty((len(distinct[0][1]), len(table)), dtype="S25")
+            for c, ((bits, inverse), end) in enumerate(zip(distinct, ends)):
+                block[:, c] = np.strings.add(text[:len(bits)], end)[inverse]
+                text = text[len(bits):]
             raw = block.view(np.uint8)
             f.write(raw[raw != 0])
     return path
-
-
-def _pair_rows(value):
-    """The numbers of value, flattened, if it is a non-empty list of
-    [float, float] rows; otherwise None."""
-    if not (isinstance(value, (list, tuple)) and value and all(
-            isinstance(row, (list, tuple)) and len(row) == 2 for row in value)):
-        return None
-    flat = [v for row in value for v in row]
-    return flat if all(isinstance(v, float) for v in flat) else None
 
 
 def write_json(path, payload: dict, meta: dict) -> Path:
     """payload plus a "config" object holding meta, as strict JSON: a NaN or
     infinite value raises ValueError and no file is written.
 
-    The bytes are those of json.dumps(doc, indent=2, allow_nan=False), built
-    member by member.  A member holding a list of finite [float, float]
-    rows (the degeneracy coordinates) is laid out directly, each number as
-    float.__repr__, which is what the encoder writes; every other member
-    goes through json.dumps."""
+    The bytes are those of json.dumps(doc, indent=2, allow_nan=False), a
+    numpy array member written as its .tolist().  A non-empty 2-D float
+    array of finite values (the degeneracy coordinates) is laid out here,
+    each distinct value put through float.__repr__ once."""
     path = Path(path)
     doc = dict(payload)
     doc["config"] = {k: v for k, v in meta.items()}
     members = []
     for key, value in doc.items():
-        flat = _pair_rows(value) if isinstance(key, str) else None
-        if flat is None or not all(map(math.isfinite, flat)):
-            # '{\n  "key": value\n}' without its braces
-            members.append(json.dumps({key: value}, indent=2, allow_nan=False)[2:-2])
-            continue
-        row = "    [\n      %s,\n      %s\n    ]"
-        body = ",\n".join([row] * len(value)) % tuple(map(float.__repr__, flat))
-        members.append(f"  {json.dumps(key)}: [\n{body}\n  ]")
+        if isinstance(value, np.ndarray):
+            if (value.ndim == 2 and value.dtype == np.float64 and value.size
+                    and isinstance(key, str) and np.isfinite(value).all()):
+                bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
+                reprs = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
+                row = "    [\n" + ",\n".join(["      %s"] * value.shape[1]) + "\n    ]"
+                body = ",\n".join([row] * len(value)) % tuple(reprs[inverse.ravel()])
+                members.append(f"  {json.dumps(key)}: [\n{body}\n  ]")
+                continue
+            value = value.tolist()
+        # '{\n  "key": value\n}' without its braces
+        members.append(json.dumps({key: value}, indent=2, allow_nan=False)[2:-2])
     path.write_text("{\n" + ",\n".join(members) + "\n}\n", newline="\n")
     return path
 
@@ -328,8 +315,24 @@ def write_svg_lines(path, series, title: str, xlabel: str, ylabel: str, meta: di
     return path
 
 
+# zlib level of the heatmap PNG: fixed, so reruns give the same bytes.
+_PNG_LEVEL = 6
+
+
+def _png_gray(pixels) -> bytes:
+    """An 8-bit grayscale PNG of a (height, width) uint8 array, no row filters."""
+    raw = np.pad(pixels, ((0, 0), (1, 0)))  # filter type 0 before each row
+    chunks = [(b"IHDR", struct.pack(">IIBBBBB", pixels.shape[1], pixels.shape[0], 8, 0, 0, 0, 0)),
+              (b"IDAT", zlib.compress(raw.tobytes(), _PNG_LEVEL)), (b"IEND", b"")]
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
+        for kind, data in chunks)
+
+
 def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> Path:
-    """Grayscale cell map of values[i, j] over (x_axis[i], p_axis[j])."""
+    """Grayscale map of values[i, j] over (x_axis[i], p_axis[j]), drawn as
+    one embedded PNG: pixel column i is x_axis[i], and the top pixel row is
+    the last p."""
     path = Path(path)
     values = np.asarray(values, dtype=float)
     axes = (len(x_axis), len(p_axis))
@@ -345,38 +348,21 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
         raise ValueError("heatmap values must be finite")
     v_lo, v_hi = float(np.min(values)), float(np.max(values))
     span = v_hi - v_lo if v_hi > v_lo else 1.0
-    # np.rint rounds half to even, as round() does
-    shades = np.rint(255 * (values - v_lo) / span).astype(int)
-
+    # low gap = dark, so degeneracies stand out; np.rint rounds half to even
+    shades = np.rint(255 * (values - v_lo) / span).astype(np.uint8)
+    png = base64.b64encode(_png_gray(shades.T[::-1])).decode("ascii")
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',
         "<!-- " + "; ".join(f"{k} = {v}" for k, v in meta.items()) + " -->",
         f'<text x="{ml + nx*cell/2:.1f}" y="24" text-anchor="middle" '
         f'font-size="15">{title}</text>',
-    ]
-    # a cell is x-head + y-part + shade tail; low gap = dark, so
-    # degeneracies stand out
-    x_heads = np.array([f'<rect x="{ml + i*cell:.2f}" y="' for i in range(nx)], dtype=object)
-    y_parts = np.array([f'{mt + (npts-1-j)*cell:.2f}" ' for j in range(npts)], dtype=object)
-    tails = np.array([
-        f'width="{cell:.2f}" height="{cell:.2f}" fill="rgb({s},{s},{s})"/>\n'
-        for s in range(256)
-    ], dtype=object)
-    footer = [
+        f'<image x="{ml:.2f}" y="{mt:.2f}" width="{nx*cell:.2f}" height="{npts*cell:.2f}" '
+        f'preserveAspectRatio="none" style="image-rendering:pixelated" '
+        f'href="data:image/png;base64,{png}"/>',
         f'<text x="{ml:.1f}" y="{height-18:.1f}" font-size="12">'
         f"x in [{x_axis[0]:.3g}, {x_axis[-1]:.3g}], p in [{p_axis[0]:.3g}, {p_axis[-1]:.3g}], "
         f"value range [{v_lo:.6g}, {v_hi:.6g}] (dark = small)</text>",
         "</svg>",
     ]
-    block_rows = max(1, _BLOCK_ROWS // npts)
-    with path.open("w", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
-        for start in range(0, nx, block_rows):
-            stop = min(start + block_rows, nx)
-            cells = np.empty((stop - start, npts, 3), dtype=object)
-            cells[:, :, 0] = x_heads[start:stop, None]
-            cells[:, :, 1] = y_parts
-            cells[:, :, 2] = tails[shades[start:stop]]
-            f.write("".join(cells.ravel().tolist()))
-        f.write("\n".join(footer) + "\n")
+    path.write_text("\n".join(out) + "\n", newline="\n")
     return path

@@ -72,13 +72,14 @@ class DegeneracyReport:
     locus is the shape of the minimal-gap set: 'point' (a compact cluster
     that is degenerate within tolerance), 'line' (the set spans the grid
     along one axis; reported even when gapped, e.g. the Rabi x = 0 seam),
-    or 'none'.  coordinates lists every (x, p) with gap <= min_gap + tol_gap.
+    or 'none'.  coordinates is an (n, 2) float array of every (x, p) with
+    gap <= min_gap + tol_gap, x-major.
     """
 
     min_gap: float
     locus: str
     tol_gap: float
-    coordinates: tuple
+    coordinates: np.ndarray
 
 
 def default_gap_tolerance(s: SurfaceGrid) -> float:
@@ -121,7 +122,7 @@ def classify_degeneracy(s: SurfaceGrid) -> DegeneracyReport:
     min_gap = float(np.min(s.gap))
     mask = s.gap <= min_gap + tol_gap
     xi, pj = np.nonzero(mask)
-    coords = tuple(zip(s.x_axis[xi].tolist(), s.p_axis[pj].tolist()))
+    coords = np.column_stack([s.x_axis[xi], s.p_axis[pj]])
 
     nx, npts = len(s.x_axis), len(s.p_axis)
     # line along p: a narrow band of x columns whose rows are all minimal

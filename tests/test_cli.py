@@ -276,16 +276,18 @@ class TestBerryCommand:
         assert rc == 2
         assert "level 1 is degenerate (gap 0.000e+00 < 1e-10)" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_links_are_named(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["rabi", "jc"])
+    def test_overflowing_links_are_named(self, tmp_path, capsys, model):
         # g = 1e308 is a finite parameter, but the links g sqrt(2 (j + 1))
-        # overflow: the level solve refuses the bands, naming the coupling
-        rc = main(["berry", "--model", "rabi", "--g", "1e308", "--nmax", "30",
+        # overflow: the level solve refuses the bands, naming the coupling,
+        # and numpy warns of nothing on the way
+        rc = main(["berry", "--model", model, "--g", "1e308", "--nmax", "30",
                    "--phi-nodes", "64", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "numerical failure: rabi g=1e+308: the even rabi sector at g=1e+308, n_max=30 "
-            "has a band entry that is not finite: H overflows at these parameters\n")
+            f"numerical failure: {model} g=1e+308: the even {model} sector at g=1e+308, "
+            "n_max=30 has a band entry that is not finite: H overflows at these parameters\n")
         assert not (tmp_path / "berry_summary.json").exists()
 
     def test_one_level_solve_per_coupling(self, tmp_path, monkeypatch):

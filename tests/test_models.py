@@ -240,6 +240,26 @@ class TestParitySectors:
                 link = np.where(s[:-1] > 0, link, 0.0)
             assert np.array_equal(o, link)
 
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(kind=st.sampled_from(list(ModelKind)), g=st.floats(0.0, 1e300),
+           n_max=st.integers(1, 200))
+    def test_links_equal_the_masked_product(self, kind, g, n_max):
+        # bitwise the links of g sqrt(2) sqrt(j + 1) times the boolean keep
+        cfg = TruncationConfig(n_max)
+        j = np.arange(cfg.dim_field)
+        keep = (np.array([[1.0], [-1.0]]) * (-1.0) ** j[:-1] > 0) | (kind is ModelKind.RABI_LAB)
+        _, off = parity_sectors(kind, ModelParams(g=g), cfg)
+        assert np.array_equal(off, g * SQRT2 * np.sqrt(j[:-1] + 1.0) * keep)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflowing_links_are_inf_without_a_warning(self, kind):
+        # the callers refuse the inf by name; a dropped JC link stays 0, not nan
+        _, off = parity_sectors(kind, ModelParams(g=1e308), CFG)
+        assert np.isinf(off).any() and not np.isnan(off).any()
+        kept = off != 0.0
+        assert kept.all() if kind is ModelKind.RABI_LAB else kept.sum() == CFG.n_max
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_sector_spectra_merge_to_the_dense_spectrum(self, kind):
         cfg = TruncationConfig(15)

@@ -1,14 +1,19 @@
-"""Byte identity of the streamed CSV / heatmap / JSON writers with per-value
-formatting.
+"""Byte identity of the streamed CSV / JSON writers with per-value
+formatting, and the pixels of the PNG heatmap.
 
-The frozen writers below are the per-value implementations the streamed ones
-replaced; every case must give the same file bytes from both.  _fmt17 is
-checked value by value against "%.17g" % v, and write_json against
-json.dumps.
+The frozen CSV writer below is the per-value implementation the streamed one
+replaced; every case must give the same file bytes from both.  The heatmap
+is decoded with stdlib zlib and base64 and checked pixel by pixel against
+the frozen per-cell shade.  _fmt17 is checked value by value against
+"%.17g" % v, and write_json against json.dumps.
 """
 
+import base64
 import json
 import re
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -23,16 +28,27 @@ from jcrabi.surfaces import boa_surface
 META = {"jcrabi": "test", "model": "both", "g": 0.4}
 
 
-def frozen_write_csv(path, columns, rows, meta):
+def frozen_write_csv(path, header, rows, meta):
     lines = metadata_lines(meta)
-    lines.append(",".join(columns))
+    lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(format(float(v), ".17g") for v in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
 
-def frozen_write_svg_heatmap(path, x_axis, p_axis, values, title, meta):
+def frozen_shades(values):
+    """The shade of every cell, value by value: 0 at the smallest value, 255
+    at the largest; a constant map is all 0."""
+    values = np.asarray(values, dtype=float)
+    v_lo, v_hi = float(np.min(values)), float(np.max(values))
+    span = v_hi - v_lo if v_hi > v_lo else 1.0
+    return [[int(round(255 * (v - v_lo) / span)) for v in row] for row in values.tolist()]
+
+
+def frozen_heatmap_lines(x_axis, p_axis, values, title, meta):
+    """The heatmap's text lines around its image, and the image's position
+    and size: those of the grid of cells the map was once drawn as."""
     values = np.asarray(values, dtype=float)
     nx, npts = values.shape
     cell = max(2.0, min(600.0 / nx, 440.0 / npts))
@@ -40,44 +56,83 @@ def frozen_write_svg_heatmap(path, x_axis, p_axis, values, title, meta):
     width = ml + nx * cell + 40.0
     height = mt + npts * cell + 60.0
     v_lo, v_hi = float(np.min(values)), float(np.max(values))
-    span = v_hi - v_lo if v_hi > v_lo else 1.0
-    out = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',
         "<!-- " + "; ".join(f"{k} = {v}" for k, v in meta.items()) + " -->",
         f'<text x="{ml + nx*cell/2:.1f}" y="24" text-anchor="middle" '
         f'font-size="15">{title}</text>',
     ]
-    for i in range(nx):
-        for j in range(npts):
-            shade = int(round(255 * (values[i, j] - v_lo) / span))
-            out.append(
-                f'<rect x="{ml + i*cell:.2f}" y="{mt + (npts-1-j)*cell:.2f}" '
-                f'width="{cell:.2f}" height="{cell:.2f}" '
-                f'fill="rgb({shade},{shade},{shade})"/>'
-            )
-    out.append(
+    foot = [
         f'<text x="{ml:.1f}" y="{height-18:.1f}" font-size="12">'
         f"x in [{x_axis[0]:.3g}, {x_axis[-1]:.3g}], p in [{p_axis[0]:.3g}, {p_axis[-1]:.3g}], "
-        f"value range [{v_lo:.6g}, {v_hi:.6g}] (dark = small)</text>"
-    )
-    out.append("</svg>")
-    path.write_text("\n".join(out) + "\n", newline="\n")
-    return path
+        f"value range [{v_lo:.6g}, {v_hi:.6g}] (dark = small)</text>",
+        "</svg>",
+    ]
+    box = f'x="{ml:.2f}" y="{mt:.2f}" width="{nx*cell:.2f}" height="{npts*cell:.2f}"'
+    return head, foot, box
 
 
-def same_csv_bytes(tmp_path, columns, rows, new_rows=None):
-    old = frozen_write_csv(tmp_path / "old.csv", columns, rows, META).read_bytes()
-    new_rows = rows if new_rows is None else new_rows
-    new = write_csv(tmp_path / "new.csv", columns, new_rows, META).read_bytes()
+def decode_png(png):
+    """The pixels of an 8-bit grayscale PNG with no row filters, as a
+    (height, width) uint8 array; every chunk's CRC is checked."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
+        assert crc == zlib.crc32(kind + data), kind
+        chunks.append((kind, data))
+        pos += 12 + length
+    assert pos == len(png)
+    assert chunks[0][0] == b"IHDR" and chunks[-1] == (b"IEND", b"")
+    width, height, *layout = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert layout == [8, 0, 0, 0, 0]  # 8-bit grayscale, deflate, no interlace
+    raw = zlib.decompress(b"".join(data for kind, data in chunks if kind == b"IDAT"))
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, width + 1)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return rows[:, 1:]
+
+
+def heatmap_pixels(tmp_path, x_axis, p_axis, values):
+    """Write a heatmap, check its text against the frozen lines, and return
+    its decoded pixels."""
+    path = write_svg_heatmap(tmp_path / "map.svg", x_axis, p_axis, values, "t", META)
+    text = path.read_text()
+    head, foot, box = frozen_heatmap_lines(x_axis, p_axis, values, "t", META)
+    lines = text.split("\n")
+    assert lines[:3] == head and lines[4:] == foot + [""]
+    image = re.fullmatch(r'<image (.*) preserveAspectRatio="none" '
+                         r'style="image-rendering:pixelated" '
+                         r'href="data:image/png;base64,([A-Za-z0-9+/=]*)"/>', lines[3])
+    assert image is not None and image.group(1) == box
+    return decode_png(base64.b64decode(image.group(2), validate=True))
+
+
+def check_pixels(tmp_path, x_axis, p_axis, values):
+    """Pixel (r, i) is the frozen shade of cell (x_i, p_(npts - 1 - r)): the
+    image is npts x nx and its top row holds the largest p."""
+    pixels = heatmap_pixels(tmp_path, x_axis, p_axis, values)
+    shades = frozen_shades(values)
+    nx, npts = len(x_axis), len(p_axis)
+    assert pixels.shape == (npts, nx)
+    want = [[shades[i][npts - 1 - r] for i in range(nx)] for r in range(npts)]
+    assert pixels.tolist() == want
+    return pixels
+
+
+def columns_of(rows, n_cols):
+    """The columns of a list of rows."""
+    return [[row[c] for row in rows] for c in range(n_cols)]
+
+
+def same_csv_bytes(tmp_path, header, rows, new_columns=None):
+    old = frozen_write_csv(tmp_path / "old.csv", header, rows, META).read_bytes()
+    if new_columns is None:
+        new_columns = columns_of(rows, len(header))
+    new = write_csv(tmp_path / "new.csv", header, new_columns, META).read_bytes()
     assert new == old
     return new
-
-
-def same_svg_bytes(tmp_path, x_axis, p_axis, values):
-    old = frozen_write_svg_heatmap(tmp_path / "old.svg", x_axis, p_axis, values, "t", META)
-    new = write_svg_heatmap(tmp_path / "new.svg", x_axis, p_axis, values, "t", META)
-    assert new.read_bytes() == old.read_bytes()
-    return new.read_text()
 
 
 SURFACE_COLUMNS = ["x", "p", "E_minus", "E_plus", "gap"]
@@ -92,7 +147,7 @@ def surface_grid(model):
 
 
 def surface_rows(grid):
-    """The per-row list the surfaces command built before it passed an array."""
+    """A surface grid as the per-row list the frozen writer takes."""
     return [
         [x, p, grid.lower[i, j], grid.upper[i, j], grid.gap[i, j]]
         for i, x in enumerate(grid.x_axis)
@@ -106,18 +161,19 @@ class TestFrozenWriterBytes:
         grid = surface_grid(model)
         x_axis, p_axis = grid.x_axis, grid.p_axis
         rows = surface_rows(grid)
-        table = np.column_stack([
+        columns = [  # the surfaces command's columns
             np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
             grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel(),
-        ])
-        same_csv_bytes(tmp_path, SURFACE_COLUMNS, rows, new_rows=table)  # array rows
-        same_csv_bytes(tmp_path, SURFACE_COLUMNS, rows)  # list rows
+        ]
+        same_csv_bytes(tmp_path, SURFACE_COLUMNS, rows, new_columns=columns)
+        same_csv_bytes(tmp_path, SURFACE_COLUMNS, rows)  # list columns
 
     @pytest.mark.parametrize("model", ["jc", "rabi"])
     def test_surface_heatmap(self, tmp_path, model):
         grid = surface_grid(model)
-        svg = same_svg_bytes(tmp_path, grid.x_axis, grid.p_axis, grid.gap)
-        assert svg.count("<rect ") == 27 * 19
+        pixels = check_pixels(tmp_path, grid.x_axis, grid.p_axis, grid.gap)
+        # the smallest gap is black, the largest white
+        assert pixels.min() == 0 and pixels.max() == 255
 
     def test_convergence_style_table(self, tmp_path):
         columns = ["n_max", "E1", "E2", "max_change"]
@@ -149,39 +205,40 @@ class TestFrozenWriterBytes:
             rng.standard_normal(n),  # all distinct
         ])
         assert len(np.unique(table[:, 1].view(np.int64))) == len(special)
-        text = same_csv_bytes(tmp_path, ["a", "b", "c", "d"], table).decode()
+        text = same_csv_bytes(tmp_path, ["a", "b", "c", "d"], table, table.T).decode()
         assert text.count("\n") == len(META) + 1 + n
         assert ",-0," in text and ",0," in text and ",nan," in text
 
     def test_one_row_table(self, tmp_path):
         same_csv_bytes(tmp_path, ["phi", "partial_phase"], [[0.0, np.pi]])
 
-    @pytest.mark.parametrize("rows", [[], np.empty((0, 2))], ids=["list", "array"])
-    def test_zero_row_table(self, tmp_path, rows):
-        text = same_csv_bytes(tmp_path, ["phi", "partial_phase"], rows).decode()
+    @pytest.mark.parametrize("rows, columns", [([], [[], []]), (np.empty((0, 2)), np.empty((2, 0)))],
+                             ids=["list", "array"])
+    def test_zero_row_table(self, tmp_path, rows, columns):
+        text = same_csv_bytes(tmp_path, ["phi", "partial_phase"], rows, columns).decode()
         assert text.endswith("\nphi,partial_phase\n")
 
     def test_constant_heatmap(self, tmp_path):
         # v_hi == v_lo takes the span = 1.0 branch: every cell is black
-        svg = same_svg_bytes(tmp_path, [0.0, 1.0, 2.0], [0.0, 1.0], np.full((3, 2), 0.25))
-        assert svg.count('fill="rgb(0,0,0)"') == 6
+        pixels = check_pixels(tmp_path, [0.0, 1.0, 2.0], [0.0, 1.0], np.full((3, 2), 0.25))
+        assert pixels.shape == (2, 3) and not pixels.any()
 
     @pytest.mark.parametrize("nx, npts", [
-        (200, 100),  # 81 x-rows per block: two full blocks and a part
-        (3, _BLOCK_ROWS + 3),  # a column longer than a block: one x-row per block
-        (_BLOCK_ROWS + 5, 1),
+        (200, 100),
+        (3, _BLOCK_ROWS + 3),
+        (_BLOCK_ROWS + 5, 1),  # an n x 1 map: one pixel row
+        (1, 7),  # a 1 x n map: one pixel column
+        (1, 1),
     ])
-    def test_heatmap_spanning_blocks(self, tmp_path, nx, npts):
+    def test_heatmap_shapes(self, tmp_path, nx, npts):
         values = np.random.default_rng(nx).standard_normal((nx, npts))
-        svg = same_svg_bytes(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
-        assert svg.count("<rect ") == nx * npts
+        check_pixels(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
 
     def test_half_shades_round_to_even(self, tmp_path):
         # shades 0, 0.5, 1.5, 2.5, 255 exactly: round half to even gives 0, 0, 2, 2, 255
         values = np.array([[0.0, 0.5, 1.5, 2.5, 255.0]])
-        svg = same_svg_bytes(tmp_path, [0.0], np.arange(5.0), values)
-        shades = [int(part.split(",")[0]) for part in svg.split('fill="rgb(')[1:]]
-        assert shades == [0, 0, 2, 2, 255]
+        pixels = check_pixels(tmp_path, [0.0], np.arange(5.0), values)
+        assert pixels[::-1, 0].tolist() == [0, 0, 2, 2, 255]
 
     def test_cli_surface_rows_match_per_value_writer(self, tmp_path):
         # the CLI's array rows give the bytes of the per-row list build
@@ -201,43 +258,55 @@ class TestFrozenWriterBytes:
 
 
 class TestWriteCsvShape:
-    @pytest.mark.parametrize("rows, got", [
-        ([[1, 2, 3], [4]], "ragged rows"),
-        ([[1, 2, 3], [4, 5, 6]], "shape (2, 3)"),
-        ([[1]], "shape (1, 1)"),
-        ([1, 2], "shape (2,)"),
+    @pytest.mark.parametrize("columns, got", [
+        ([[1, 2], [3, 4], [5, 6]], "got 3"),
+        ([[1]], "got 1"),
+        (np.zeros((3, 4)), "got 3"),
     ])
-    def test_width_must_match_header(self, tmp_path, rows, got):
+    def test_width_must_match_header(self, tmp_path, columns, got):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="must have 2 columns to match its header") as info:
-            write_csv(path, ["a", "b"], rows, {})
-        assert f"got {got}" in str(info.value)
+            write_csv(path, ["a", "b"], columns, {})
+        assert str(info.value).endswith(got)
         assert not path.exists()
 
-    @pytest.mark.parametrize("rows", [[["x"]], [[{}]], np.array([["1", "y"]])])
-    def test_entries_must_be_numbers(self, tmp_path, rows):
-        # a table of the right shape is not reported as ragged
+    @pytest.mark.parametrize("columns, got", [
+        ([[1, 2, 3], [4]], "table columns must have one length, got lengths [3, 1]"),
+        ([1, 2], "table column 0 must be 1-D, got shape ()"),
+        ([[1.0, 2.0], [[3.0], [4.0]]], "table column 1 must be 1-D, got shape (2, 1)"),
+    ])
+    def test_columns_must_be_one_length(self, tmp_path, columns, got):
         path = tmp_path / "bad.csv"
-        width = np.shape(rows)[1]
-        with pytest.raises(ValueError, match="table entries must be numbers") as info:
-            write_csv(path, ["a", "b"][:width], rows, {})
-        assert "ragged" not in str(info.value)
+        with pytest.raises(ValueError) as info:
+            write_csv(path, ["a", "b"], columns, {})
+        assert str(info.value) == got
         assert not path.exists()
 
-    @pytest.mark.parametrize("rows", [[[None, 1.0]], [[1.0, 2.0], [3.0, None]],
-                                      np.array([[1.0, None]], dtype=object)])
-    def test_none_entries_refused(self, tmp_path, rows):
+    @pytest.mark.parametrize("columns", [[["x"]], [[{}]], np.array([["1"], ["y"]])])
+    def test_entries_must_be_numbers(self, tmp_path, columns):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="table entries must be numbers") as info:
+            write_csv(path, ["a", "b"][:len(columns)], columns, {})
+        assert "one length" not in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("columns, where", [
+        ([[None], [1.0]], "row 0, column 0"),
+        ([[1.0, 3.0], [2.0, None]], "row 1, column 1"),
+        (np.array([[1.0], [None]], dtype=object), "row 0, column 1"),
+    ])
+    def test_none_entries_refused(self, tmp_path, columns, where):
         # np.asarray reads None as NaN; a NaN number is still written
         path = tmp_path / "bad.csv"
-        with pytest.raises(ValueError, match="table entries must be numbers: None in row"):
-            write_csv(path, ["a", "b"], rows, {})
+        with pytest.raises(ValueError, match=f"table entries must be numbers: None in {where}$"):
+            write_csv(path, ["a", "b"], columns, {})
         assert not path.exists()
-        assert write_csv(path, ["a", "b"], [[float("nan"), 1.0]], {}).read_text() == "a,b\nnan,1\n"
+        assert write_csv(path, ["a", "b"], [[float("nan")], [1.0]], {}).read_text() == "a,b\nnan,1\n"
 
     def test_header_needs_a_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="at least one column"):
-            write_csv(path, [], [[], []], {})
+            write_csv(path, [], [], {})
         assert not path.exists()
 
     @pytest.mark.parametrize("values, shape", [
@@ -367,6 +436,30 @@ class TestWriteJsonBytes:
         path = write_json(tmp_path / "degeneracy.json", payload, META)
         assert path.read_bytes() == json_reference(payload, META)
 
+    @pytest.mark.parametrize("coordinates", [
+        [[0.5, -1.25]],
+        [[-0.0, 0.0], [0.0, -0.0]],
+        [[1e-300, -1.7976931348623157e308], [1.7976931348623157e308, 5e-324]],
+        [[0.1, 1 / 3], [1 / 3, 0.1]],
+        [[(i % 7) * 0.1, -(i % 5) / 3] for i in range(200)],  # values repeat across rows
+        [[0.1, -0.0, 1e22]] * 3,  # three columns
+    ], ids=["one", "signed-zero", "extremes", "thirds", "many", "triple"])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray,
+                                        lambda a: np.repeat(a, 2, axis=0)[::2]],
+                             ids=["c", "fortran", "strided"])
+    def test_float_array_matches_json_dumps(self, tmp_path, coordinates, layout):
+        array = layout(np.array(coordinates))
+        payload = {"min_gap": 0.25, "locus": "line", "coordinates": array, "tol_gap": 1e-3}
+        path = write_json(tmp_path / "degeneracy.json", payload, META)
+        assert path.read_bytes() == json_reference(dict(payload, coordinates=coordinates), META)
+
+    @pytest.mark.parametrize("array", [np.empty((0, 2)), np.empty((3, 0)), np.arange(6).reshape(3, 2),
+                                       np.array([0.5, -0.0]), np.float32([[0.1, 0.2]])],
+                             ids=["no-rows", "no-columns", "int", "1-D", "float32"])
+    def test_other_arrays_are_their_lists(self, tmp_path, array):
+        path = write_json(tmp_path / "d.json", {"coordinates": array}, META)
+        assert path.read_bytes() == json_reference({"coordinates": array.tolist()}, META)
+
     def test_float_subclass_uses_float_repr(self, tmp_path):
         payload = {"coordinates": [[np.float64(0.1), np.float64(-2.0)]]}
         path = write_json(tmp_path / "d.json", payload, {})
@@ -378,8 +471,29 @@ class TestWriteJsonBytes:
         path = tmp_path / "degeneracy.json"
         coordinates = [[0.1, 0.2]] * 70 + [[0.3, bad]]
         with pytest.raises(ValueError) as info:
-            write_json(path, {"coordinates": coordinates}, META)
+            write_json(path, {"coordinates": np.array(coordinates)}, META)
         with pytest.raises(ValueError) as want:
             json_reference({"coordinates": coordinates}, META)
         assert str(info.value) == str(want.value)
         assert not path.exists()
+
+
+class TestWriteCsvMemory:
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # a surface-like table of 2 and of 24 blocks; a whole-table index,
+        # text or piece array would add at least one block's float bytes
+        # per block to the later peak
+        peaks = []
+        for blocks in (2, 24):
+            n = blocks * _BLOCK_ROWS
+            axis = np.linspace(-3.0, 3.0, 301)
+            columns = [np.repeat(axis, n // 301 + 1)[:n], np.tile(axis, n // 301 + 1)[:n],
+                       *np.random.default_rng(blocks).standard_normal((3, n))]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_csv(tmp_path / f"blocks{blocks}.csv", SURFACE_COLUMNS, columns, META)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < _BLOCK_ROWS * len(SURFACE_COLUMNS) * 8, peaks

@@ -81,33 +81,39 @@ class TestBoaSurface:
             boa_surface(ModelKind.JC_LAB, ModelParams(), [], AXIS)
 
 
+def has_row(array, row):
+    """Whether the 2-D array holds row as one of its rows."""
+    return bool(np.any(np.all(array == row, axis=1)))
+
+
 class TestClassifyDegeneracy:
     def test_jc_resonant_conical_intersection(self):
         s = boa_surface(ModelKind.JC_LAB, ModelParams(Omega=1.0, g=1.0), AXIS, AXIS)
         rep = classify_degeneracy(s)
         assert rep.locus == "point"
         assert rep.min_gap == pytest.approx(0.0, abs=1e-14)
-        assert (0.0, 0.0) in rep.coordinates
+        assert has_row(rep.coordinates, (0.0, 0.0))
 
     def test_rabi_minimal_gap_line(self):
         s = boa_surface(ModelKind.RABI_LAB, ModelParams(Omega=1.0, g=1.0), AXIS, AXIS)
         rep = classify_degeneracy(s)
         assert rep.locus == "line"
         assert rep.min_gap == pytest.approx(1.0, abs=1e-12)
-        xs = {x for x, _ in rep.coordinates}
-        assert 0.0 in xs
+        assert rep.coordinates.shape[1] == 2
+        assert 0.0 in rep.coordinates[:, 0]
 
     def test_detuned_jc_gapped(self):
         s = boa_surface(ModelKind.JC_LAB, ModelParams(Omega=1.5, g=0.5), AXIS, AXIS)
         rep = classify_degeneracy(s)
         assert rep.locus == "none"
         assert rep.min_gap == pytest.approx(0.5, abs=1e-12)
-        assert (0.0, 0.0) in rep.coordinates
+        assert has_row(rep.coordinates, (0.0, 0.0))
 
     def test_coordinates_within_tolerance(self):
         s = boa_surface(ModelKind.RABI_LAB, ModelParams(Omega=1.0, g=0.7), AXIS, AXIS)
         rep = classify_degeneracy(s)
-        lookup = {(float(x), float(pv)) for x, pv in rep.coordinates}
+        assert rep.coordinates.dtype == np.float64
+        lookup = set(map(tuple, rep.coordinates.tolist()))
         for i, x in enumerate(s.x_axis):
             for j, pv in enumerate(s.p_axis):
                 if (float(x), float(pv)) in lookup:
