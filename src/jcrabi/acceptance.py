@@ -77,39 +77,38 @@ def _refuses(path, *args) -> bool:
 
 
 def _rabi_like_bands(rng):
-    """20 two-block bands (diag, off) of m = 201 rows shaped like the Rabi
-    parity sectors (models.parity_sectors): diagonal j -/+ W/2 (-1)^j plus
-    noise of 0.01, links g sqrt(2 (j + 1)) times 1 + noise of 0.01, with
-    W in [0.5, 1.5] and g in [0, 2] drawn per band."""
+    """20 two-block bands of m = 201 rows, stacked as (diag, off), shaped
+    like the Rabi parity sectors (models.parity_sectors): diagonal
+    j -/+ W/2 (-1)^j plus noise of 0.01, links g sqrt(2 (j + 1)) times
+    1 + noise of 0.01, with W in [0.5, 1.5] and g in [0, 2] drawn per band."""
     j = np.arange(201.0)
     Omega, g = rng.uniform(0.5, 1.5, (20, 1, 1)), rng.uniform(0.0, 2.0, (20, 1, 1))
     diag = j + 0.5 * Omega * np.array([[1.0], [-1.0]]) * (-1.0) ** j
     diag += 0.01 * rng.standard_normal(diag.shape)
     off = g * np.sqrt(2.0 * j[1:]) * (1.0 + 0.01 * rng.standard_normal((20, 2, 200)))
-    return list(zip(diag, off))
+    return diag, off
 
 
 def _hidden_state_bands():
-    """Two two-block bands of m = 60 rows, diagonal j (block A) and
+    """Two stacked two-block bands of m = 60 rows, diagonal j (block A) and
     j - 0.25 (block B), links 0.1, whose 11th level a leading block of 32
     rows cannot see: in the first, A's row 39 sits at 4.5 behind links of
     1e-30; in the second, A's row 31 is cut from the rows above and sits at
     4.6, linked by 5e-8 to row 32, also at 4.6."""
     j = np.arange(60.0)
-    diag, off = np.stack([j, j - 0.25]), np.full((2, 59), 0.1)
-    behind, partner = (diag.copy(), off.copy()), (diag.copy(), off.copy())
-    behind[0][0, 39], behind[1][0, 38:40] = 4.5, 1e-30
-    partner[0][0, 31:33] = 4.6
-    partner[1][0, 30:33] = 0.0, 5e-8, 0.0
-    return [behind, partner]
+    diag, off = np.stack([[j, j - 0.25]] * 2), np.full((2, 2, 59), 0.1)
+    diag[0, 0, 39], off[0, 0, 38:40] = 4.5, 1e-30
+    diag[1, 0, 31:33] = 4.6
+    off[1, 0, 30:33] = 0.0, 5e-8, 0.0
+    return diag, off
 
 
 def _merged_levels_deviation(bands, k: int) -> float:
-    """max over the bands of |merged_levels - dense eigvalsh| / max|T| for
-    the k lowest levels of each band's blocks."""
-    solved = merged_levels(bands, k, lambda p, b: f"block {b} of band {p}").levels
+    """max over the stacked bands of |merged_levels - dense eigvalsh| /
+    max|T| for the k lowest levels of each band's blocks."""
+    solved = merged_levels(*bands, k, lambda p, b: f"block {b} of band {p}").levels
     dev = 0.0
-    for row, (diag, off) in zip(solved, bands):
+    for row, diag, off in zip(solved, *bands):
         dense = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:k]
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
         dev = max(dev, float(np.max(np.abs(row - dense))) / scale)

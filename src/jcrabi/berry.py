@@ -6,10 +6,9 @@ eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
 apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
 field occupation n, so every loop value is a closed form in p_n and the
 node count K.  Both loop paths take one gated level from _solve_level,
-which reads the bands of models.parity_sectors alone and builds no
-joint-space matrix: it solves the parity sectors for values as every
-spectrum does, takes psi_0 from the level's sector (linalg.sector_vector)
-and gates it once on the band product T psi_0 of that sector
+which reads the bands of one models.parity_sectors call alone and builds
+no joint-space matrix: it solves them for values as every spectrum does,
+takes psi_0 from the level's sector (linalg.sector_vector) and gates it once on the band product T psi_0 of that sector
 (linalg.band_product).  U(phi) is diagonal with unit-modulus entries and
 keeps the sector, so that one residual is the residual of every node.
 fock_loop, which the command line runs, reads the loop values off the
@@ -49,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import (ConvergenceError, band_product, band_scale, residual_gate,
+from .linalg import (ConvergenceError, band_product, band_scale, merged_levels, residual_gate,
                      sector_vector, tridiagonal)
-from .models import ModelKind, ModelParams, parity_chains, parity_sectors, phase_factors
-from .spectra import _sector_levels, _sector_name
+from .models import (ModelKind, ModelParams, parity_chains, parity_sectors, phase_factors,
+                     sector_label)
 
 TWO_PI = 2.0 * np.pi
 # The fewest phi nodes a loop may have; K must also be even (loop_grid).
@@ -148,8 +147,8 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     joint-space matrix is built.  A level outside [0, dim), or a band entry
     that is not finite (H overflows, as its links do at g = 1e308), is a
     ValueError, the latter naming the sector.  E is value i of a parity
-    sector, from the spectra._sector_levels solve of min(level + 2, dim)
-    levels (its upper neighbour included) and SectorLevels.order; a level
+    sector, both named by the linalg.merged_levels solve of those bands for
+    min(level + 2, dim) levels (its upper neighbour included); a level
     closer than DEGENERACY_GAP to a neighbour is a TrackingError at node 0.
     psi_0 is the twisted vector x of the sector at E (linalg.sector_vector)
     on its chain (models.parity_chains); it passes residual_gate on the band
@@ -166,15 +165,15 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     diag, off = parity_sectors(kind, p, cfg)
     finite = np.all(np.isfinite(diag), axis=-1) & np.all(np.isfinite(off), axis=-1)
     if not np.all(finite):
-        raise ValueError(f"{_sector_name(kind, p, cfg, int(np.argmin(finite)))} has a "
+        raise ValueError(f"{sector_label(kind, p.g, cfg, int(np.argmin(finite)))} has a "
                          f"band entry that is not finite: H overflows at these parameters")
-    k = min(level + 2, cfg.dim_joint)
-    solved = _sector_levels([(kind, p, cfg)], k)
+    solved = merged_levels(diag[None], off[None], min(level + 2, cfg.dim_joint),
+                           lambda _, sector: sector_label(kind, p.g, cfg, sector))
     gap = _level_gap(solved.levels[0], level)
     if not gap >= DEGENERACY_GAP:
         raise TrackingError(0, f"level {level} is degenerate (gap {gap:.3e} < "
                                f"{DEGENERACY_GAP:.0e}); {_UNDEFINED}")
-    sector, i = divmod(int(solved.order[0, level]), min(k, cfg.dim_field))
+    sector, i = solved.sector[0, level], solved.index[0, level]
     energy = solved.levels[0, level]
     d, o = diag[sector], off[sector]
     scale = band_scale(diag, off)
@@ -183,7 +182,7 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
                              "at phi node 0")
     psi0 = np.zeros(cfg.dim_joint)
     psi0[parity_chains(cfg)[sector]] = x
-    where = _sector_name(kind, p, cfg, sector)
+    where = sector_label(kind, p.g, cfg, sector)
     try:
         values, vectors = np.linalg.eigh(tridiagonal(d, o))
     except np.linalg.LinAlgError as exc:

@@ -7,15 +7,15 @@ a Hermiticity gate on input, a gate on every eigenvalue or eigenpair
 returned, and commutator diagnostics used to verify model symmetries.
 
 The main input is the pair of parity sectors from models.parity_sectors,
-given as bands: diag of shape (2, m) and off of shape (2, m - 1), m =
-n_max + 1.  merged_levels solves them for every layer and reads the
-structure from the bands.  A block row with no two adjacent nonzero links
-(a JC sector, or any sector at g = 0) is a set of decoupled 2 x 2 pairs
-and 1 x 1 blocks, whose values _pair_eigvalsh gives in closed form for all
-points at once.  Any other block row (Rabi at g != 0) is solved from a
-certified leading block (_leading_levels), values only: np.linalg.eigvalsh
-on the leading m' x m' blocks (tridiagonal assembles the stacked input) of
-all points at once, a merge that picks the values the k levels keep, and
+given as bands stacked over the points: diag of shape (points, 2, m) and
+off of shape (points, 2, m - 1), m = n_max + 1.  merged_levels solves them
+for every layer and reads the structure from the bands.  A block row with
+no two adjacent nonzero links (a JC sector, or any sector at g = 0) is a
+set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values _pair_eigvalsh
+gives in closed form for all points at once.  Any other block row (Rabi at
+g != 0) is solved from a certified leading block (_leading_levels), values
+only: np.linalg.eigvalsh on the leading m' x m' blocks (tridiagonal
+assembles the stacked input) of all points at once, a merge that picks the values the k levels keep, and
 for each of those theta the twisted factorization of T_m' - theta I
 (_twisted_tail), whose explicit vector x, padded with zeros, has the Ritz
 residual r = sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full
@@ -28,8 +28,8 @@ np.linalg.eigvalsh follows once m' reaches m.  Each kept value is then
 gated by one sturm_count call on every row: an LDL^T inertia count on the
 full bands that needs no eigensolver, whose loop stops within a few dozen
 rows, once every later pivot is certified positive.  _merge numbers the
-levels, and merged_levels reports that order and the m' and certified
-distance behind each point (SectorLevels).  Bands
+levels, and merged_levels reports each level's sector and in-sector index
+and the m' and certified distance behind each point (SectorLevels).  Bands
 whose links would square past the largest double are scaled down by a
 power of two first (_scaled), and their values back.
 
@@ -155,11 +155,12 @@ def hermitian_eig(a) -> EigenSystem:
 
 def _merge(values):
     """Stable ascending merge of per-block spectra: values has shape
-    (..., blocks, m); returns (merged, order) of shape (..., blocks * m) with
-    merged = flattened values[order], so entry order[i] is value
-    order[i] % m of block order[i] // m.  Equal values keep block order,
-    which fixes the level numbering of every parity-sector solve."""
-    flat = values.reshape(*values.shape[:-2], -1)
+    (..., blocks, m), any leading axis possibly empty; returns (merged,
+    order) of shape (..., blocks * m) with merged = flattened values[order],
+    so entry order[i] is value order[i] % m of block order[i] // m.  Equal
+    values keep block order, which fixes the level numbering of every
+    parity-sector solve."""
+    flat = values.reshape(*values.shape[:-2], np.prod(values.shape[-2:]))
     order = np.argsort(flat, axis=-1, kind="stable")
     return np.take_along_axis(flat, order, axis=-1), order
 
@@ -508,14 +509,16 @@ class SectorLevels:
     residual -- (points,) the largest certified distance from a kept value
                 of the point's leading blocks to an eigenvalue of its full
                 block (_leading_levels), 0 where no block was cut
-    order    -- (points, k) the merge order of _merge: levels[p, j] is value
-                i of block b, order[p, j] = b * kb + i, kb = min(k, m)
+    sector   -- (points, k) the block of each level and
+    index    -- (points, k) its index there: levels[p, j] is eigenvalue
+                index[p, j] of block sector[p, j] (ties keep block order)
     """
 
     levels: np.ndarray
     block: np.ndarray
     residual: np.ndarray
-    order: np.ndarray
+    sector: np.ndarray
+    index: np.ndarray
 
 
 def _scaled(diag, off):
@@ -530,18 +533,18 @@ def _scaled(diag, off):
     return diag, off, scale, power
 
 
-def merged_levels(points, k: int, where) -> SectorLevels:
+def merged_levels(diag, off, k: int, where) -> SectorLevels:
     """The k lowest levels at each point, from the bands of its blocks.
 
-    ``points`` holds one (diag, off) pair per point, the bands (blocks, m)
-    and (blocks, m - 1), all of the same shape.  A block row none of whose
-    points has two adjacent nonzero links (every JC parity sector, and any
-    sector at g = 0) is a set of decoupled pairs: its values come from the
-    closed form of _pair_eigvalsh, over all points at once.  Every other
+    ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
+    the bands of every point (models.parity_sectors).  A block row none of
+    whose points has two adjacent nonzero links (every JC parity sector, and
+    any sector at g = 0) is a set of decoupled pairs: its values come from
+    the closed form of _pair_eigvalsh, over all points at once.  Every other
     block row (Rabi at g != 0) is solved from certified leading blocks
     (_leading_levels), which merge their values with those of the pairs.
-    _merge numbers the levels, and the points are then checked in one
-    batch on the full bands.
+    _merge numbers the levels, and the points are then checked in one batch
+    on the full bands.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
@@ -559,10 +562,8 @@ def merged_levels(points, k: int, where) -> SectorLevels:
     (LAPACK's dstevx rescales the same way).  Eigenvalues and Sturm counts
     scale exactly; every other point has scale 1 and is solved as given.
     """
-    if not points:
-        return SectorLevels(np.empty((0, k)), np.empty(0, dtype=int), np.empty(0),
-                            np.empty((0, k), dtype=int))
-    diag, off, scale, power = _scaled(*(np.stack(part) for part in zip(*points)))
+    diag, off, scale, power = _scaled(np.asarray(diag, dtype=float),
+                                      np.asarray(off, dtype=float))
     n_points, m = len(diag), diag.shape[-1]
     linked = off != 0
     pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
@@ -611,7 +612,7 @@ def merged_levels(points, k: int, where) -> SectorLevels:
         )
     if np.any(power):
         merged, residual = np.ldexp(merged, power[:, None]), np.ldexp(residual, power)
-    return SectorLevels(merged[..., :k], block, residual, order[..., :k])
+    return SectorLevels(merged[..., :k], block, residual, *np.divmod(order[..., :k], kb))
 
 
 def sector_vector(diag, off, value) -> np.ndarray:

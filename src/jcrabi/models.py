@@ -13,12 +13,13 @@ x sx + p sy.
 
 parity_sectors gives the structured form every solve uses: the bands
 (diagonal and off-diagonal) of the two real symmetric tridiagonal parity
-sectors of size n_max + 1, in closed form for both chains at once, in the
-chain order of parity_chains.  linalg.merged_levels solves them for every
-layer, and the Berry loop reads its level, psi_0, eigen-residual gate and
-generator oracle off them alone.  The dense joint-space builders are the
-oracle they are tested against, and the operators of the acceptance
-gate's symmetry checks; no solve builds them.
+sectors of size n_max + 1, in closed form for both chains at once (and
+for a 1-D array of couplings in one broadcast), in the chain order of
+parity_chains, which sector_label names.  linalg.merged_levels solves them
+for every layer, and the Berry loop reads its level, psi_0, eigen-residual
+gate and generator oracle off them alone.  The dense joint-space builders
+are the oracle they are tested against, and the operators of the
+acceptance gate's symmetry checks; no solve builds them.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
 phase_factors(phi).  U(phi) is diagonal, so it keeps the parity chains,
@@ -188,7 +189,14 @@ def parity_chains(cfg: TruncationConfig):
     return even, odd
 
 
-def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
+def sector_label(kind: ModelKind, g, cfg: TruncationConfig, sector: int) -> str:
+    """The name a failure gives parity sector ``sector`` (0 even, 1 odd, as
+    in parity_chains) of ``kind`` at coupling g."""
+    name = ("even", "odd")[sector]
+    return f"the {name} {kind.model} sector at g={float(g)!r}, n_max={cfg.n_max}"
+
+
+def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig, g=None):
     """The two parity sectors of the H of ``kind`` (build_jc or build_rabi),
     as bands.
 
@@ -201,13 +209,16 @@ def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig):
     real symmetric tridiagonal matrix with these bands, so it is symmetric
     by construction; placed on their chains, the bands equal the dense
     builders exactly (a property the tests check), so no caller needs to
-    build the dense matrix to trust them.
+    build the dense matrix to trust them.  The coupling is p.g, or g if
+    given: a 1-D array of couplings gives the bands of each, bitwise those
+    of its own call, stacked as (points, 2, n_max + 1) and (points, 2, n_max).
     """
+    g = np.asarray(p.g if g is None else g, dtype=float)[..., None, None]
     j = np.arange(cfg.dim_field)
     s = np.array([[1.0], [-1.0]]) * (-1.0) ** j  # sigma_z: even chain, odd chain
-    diag = p.omega * j + 0.5 * p.Omega * s
     keep = (s[:, :-1] > 0) | (kind.model == "rabi")
     # a link that overflows is inf, refused by name downstream; a dropped one is 0
     with np.errstate(over="ignore"):
-        off = np.where(keep, p.g * SQRT2 * np.sqrt(j[:-1] + 1.0), 0.0)
-    return diag, off
+        off = np.where(keep, g * SQRT2 * np.sqrt(j[:-1] + 1.0), 0.0)
+    diag = p.omega * j + 0.5 * p.Omega * s
+    return np.broadcast_to(diag, off.shape[:-1] + diag.shape[-1:]).copy(), off

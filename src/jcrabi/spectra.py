@@ -2,35 +2,33 @@
 truncation convergence for the JC and Rabi models.
 
 Every one-shot solve here runs on the parity sectors, given by the
-closed-form bands of models.parity_sectors, and needs eigenvalues only:
-linalg.merged_levels solves each point's sectors, gates the kept values with
-a Sturm count on the bands (in one batch per sweep) and merges them into one
-ascending spectrum.  A JC sector, which conserves excitation number, is a
-direct sum of the dressed doublets |2>|n-1>, |1>|n> and the empty state
-|1>|0>, so merged_levels solves it in closed form.  A Rabi sector at
-g != 0 is solved from a leading block of its chain, since its low levels
-live in low Fock states: eigvalsh gives the block's values, the merge of
-both sectors picks the ones the k levels keep, and a twisted
-factorization of T_m' - theta I gives, for each of those, an explicit
-vector whose Ritz residual in the full sector, or its Kato-Temple square
-over half the gap to the neighbouring Ritz values where a Sturm count
-isolates the eigenvalue, certifies it.  The same count checks that
-neither sector has an eigenvalue below the k-th level that its leading
-block misses.  The block m' doubles from max(2k, 32) until each kept
-value is certified to 4 ulps of max|T| (a full solve once m' reaches the
-sector), while the Sturm gate still counts on the full bands.  That
-count is one linalg.sturm_count call on every sector row of the batch,
-JC and Rabi alike; its loop stops once every band's later pivots are
-certified positive, within a few dozen rows.  The sweep and convergence tables carry the m' and the
-certified distance of each row.  The sweeps, convergence studies and
-Bloch-Siegert values read both sectors (Bloch-Siegert solves
-the two models in separate calls, so the JC half keeps the closed form);
-the numerical crossing reads the even JC sector alone.  No eigenvector is
-computed here, not even of a leading block; the Berry loop takes its
-level, and the sector of its generator oracle, from _sector_levels too,
-in one solve per loop.  The
-dense joint-space builders are not called; they stay the oracle the tests
-compare these results with.
+closed-form bands of models.parity_sectors (one broadcast over the
+couplings of a sweep), and needs eigenvalues only: linalg.merged_levels
+solves each point's sectors, gates the kept values with a Sturm count on
+the bands (in one batch per sweep) and merges them into one ascending
+spectrum.  A JC sector, which conserves excitation number, is a direct sum
+of the dressed doublets |2>|n-1>, |1>|n> and the empty state |1>|0>, so
+merged_levels solves it in closed form.  A Rabi sector at g != 0 is solved
+from a leading block of its chain, since its low levels live in low Fock
+states: eigvalsh gives the block's values, the merge of both sectors picks
+the ones the k levels keep, and a twisted factorization of T_m' - theta I
+gives, for each of those, an explicit vector whose Ritz residual in the
+full sector, or its Kato-Temple square over half the gap to the
+neighbouring Ritz values where a Sturm count isolates the eigenvalue,
+certifies it.  The same count checks that neither sector has an eigenvalue
+below the k-th level that its leading block misses.  The block m' doubles
+from max(2k, 32) until each kept value is certified to 4 ulps of max|T| (a
+full solve once m' reaches the sector), while the Sturm gate still counts
+on the full bands.  That count is one linalg.sturm_count call on every
+sector row of the batch, JC and Rabi alike; its loop stops once every
+band's later pivots are certified positive, within a few dozen rows.  The
+sweep and convergence tables carry the m' and the certified distance of
+each row.  The sweeps, convergence studies and Bloch-Siegert values read
+both sectors (Bloch-Siegert solves the two models in separate calls, so the
+JC half keeps the closed form); the numerical crossing reads the even JC
+sector alone.  No eigenvector is computed here, not even of a leading
+block.  The dense joint-space builders are not called; they stay the oracle
+the tests compare these results with.
 """
 
 from __future__ import annotations
@@ -42,27 +40,15 @@ import numpy as np
 
 from .fock import TruncationConfig
 from .linalg import EIG_RTOL, SectorLevels, band_scale, merged_levels
-from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors
+from .models import ModelKind, ModelParams, empty_state_energy, parity_sectors, sector_label
 
 
-# Sector names in the order of models.parity_sectors.
-_SECTORS = ("even", "odd")
-
-
-def _sector_name(kind: ModelKind, p: ModelParams, cfg: TruncationConfig, sector: int) -> str:
-    """The label a failure gives parity sector ``sector`` of one point."""
-    return (f"the {_SECTORS[sector]} {kind.model} sector at g={float(p.g)!r}, "
-            f"n_max={cfg.n_max}")
-
-
-def _sector_levels(points, k: int) -> SectorLevels:
-    """The k lowest levels at each (kind, params, cfg) point, values only.
-
-    The points must share one cutoff; merged_levels Sturm-gates all points
-    at once, and a failure names the sector by _sector_name.
-    """
-    bands = [parity_sectors(kind, p, cfg) for kind, p, cfg in points]
-    return merged_levels(bands, k, lambda i, sector: _sector_name(*points[i], sector))
+def _levels(kind: ModelKind, p: ModelParams, g, k: int, cfg: TruncationConfig) -> SectorLevels:
+    """The k lowest levels at each coupling of the 1-D ``g``, values only,
+    from the bands of one parity_sectors call, Sturm-gated at once by
+    merged_levels; a failure names the sector by models.sector_label."""
+    diag, off = parity_sectors(kind, p, cfg, g)
+    return merged_levels(diag, off, k, lambda i, sector: sector_label(kind, g[i], cfg, sector))
 
 
 @dataclass(frozen=True)
@@ -89,13 +75,18 @@ def spectrum_sweep(
     """Sweep the coupling over g_grid and collect the k lowest levels.
 
     Grid points are independent; results are assembled in input order.
+    g_grid must be 1-D, finite and >= 0 (ValueError otherwise).
     """
     g_grid = np.asarray(g_grid, dtype=float)
+    if g_grid.ndim != 1:
+        raise ValueError(f"g_grid must be 1-D, got shape {g_grid.shape}")
     if not np.all(np.isfinite(g_grid)):
         raise ValueError("g_grid must be finite")
     if k < 1 or k > cfg.dim_joint:
         raise ValueError(f"k must be in [1, {cfg.dim_joint}], got {k}")
-    solved = _sector_levels([(kind, p.with_g(g), cfg) for g in g_grid], k)
+    if np.any(g_grid < 0):
+        raise ValueError(f"g must be >= 0, got {g_grid[g_grid < 0][0]}")
+    solved = _levels(kind, p, g_grid, k, cfg)
     return SpectrumTable(g_grid, solved.levels, solved.block, solved.residual)
 
 
@@ -114,7 +105,7 @@ def bloch_siegert(p: ModelParams, g: float, level: int, cfg: TruncationConfig) -
         )
     pg = p.with_g(g)
     # one call per model, so the JC sectors keep the closed-form pair path
-    jc, rabi = (_sector_levels([(kind, pg, cfg)], level + 1).levels[0]
+    jc, rabi = (_levels(kind, pg, [pg.g], level + 1, cfg).levels[0]
                 for kind in (ModelKind.JC_LAB, ModelKind.RABI_LAB))
     e_jc = jc[level] - jc[0]
     e_rabi = rabi[level] - rabi[0]
@@ -210,11 +201,10 @@ def ground_crossing(
 
     def solve(g: float):
         """(lowest even level - E_|1>|0>, whether the two levels tie)."""
-        def where(point: int, sector: int) -> str:
-            return f"the even jc sector at g={float(g)!r}, n_max={cfg.n_max}"
-
         diag, off = parity_sectors(ModelKind.JC_LAB, p.with_g(g), cfg)
-        even = merged_levels([(diag[:1], off[:1])], 1, where).levels[0, 0]
+        solved = merged_levels(diag[None, :1], off[None, :1], 1,
+                               lambda _, sector: sector_label(ModelKind.JC_LAB, g, cfg, sector))
+        even = solved.levels[0, 0]
         return even - empty, abs(even - empty) <= EIG_RTOL * np.max(band_scale(diag, off))
 
     (h_lo, tie_lo), (h_hi, tie_hi) = solve(lo), solve(hi)
@@ -270,7 +260,7 @@ def convergence_study(
             f"cutoff {n_list[0]}, got {k}"
         )
     pg = p.with_g(g)
-    solved = [_sector_levels([(kind, pg, TruncationConfig(n_max))], k) for n_max in n_list]
+    solved = [_levels(kind, pg, [pg.g], k, TruncationConfig(n_max)) for n_max in n_list]
     levels = np.concatenate([s.levels for s in solved])
     changes = np.max(np.abs(np.diff(levels, axis=0)), axis=1)
     return ConvergenceTable(np.asarray(n_list), levels, changes,

@@ -10,6 +10,7 @@ import pytest
 
 import jcrabi.berry as berry_module
 import jcrabi.models as models_module
+import jcrabi.spectra as spectra_module
 from jcrabi import __version__, acceptance
 from jcrabi.cli import _load_config, build_parser, main
 
@@ -202,13 +203,13 @@ class TestBerryCommand:
         # every sector value moves by 1e-6 after the Sturm count has gated
         # it: the level order and gaps stay, and psi_0 fails the gate on the
         # band product of its sector
-        true_sector_levels = berry_module._sector_levels
+        true_merged_levels = berry_module.merged_levels
 
-        def shifted(points, k):
-            solved = true_sector_levels(points, k)
+        def shifted(*args):
+            solved = true_merged_levels(*args)
             return dataclasses.replace(solved, levels=solved.levels + 1e-6)
 
-        monkeypatch.setattr(berry_module, "_sector_levels", shifted)
+        monkeypatch.setattr(berry_module, "merged_levels", shifted)
         rc = main(["berry", "--model", "rabi", "--g", "0.5", "--nmax", "150",
                    "--out", str(tmp_path)])
         assert rc == 2
@@ -293,16 +294,30 @@ class TestBerryCommand:
     def test_one_level_solve_per_coupling(self, tmp_path, monkeypatch):
         # the loop and its generator oracle come from one sector solve
         calls = []
-        true_sector_levels = berry_module._sector_levels
+        true_merged_levels = berry_module.merged_levels
 
-        def spy(points, k):
-            calls.append(k)
-            return true_sector_levels(points, k)
+        def spy(*args):
+            calls.append(args)
+            return true_merged_levels(*args)
 
-        monkeypatch.setattr(berry_module, "_sector_levels", spy)
+        monkeypatch.setattr(berry_module, "merged_levels", spy)
         assert main(["berry", "--g", "0.1", "--g", "0.2", "--g", "0.3",
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == 3
+
+    def test_one_band_build_per_coupling(self, tmp_path, monkeypatch):
+        # the level solve hands the bands it built to merged_levels: one
+        # parity_sectors call per coupling, in either module that imports it
+        calls = []
+        for module in (berry_module, spectra_module):
+            def spy(*args, real=module.parity_sectors):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "parity_sectors", spy)
+        assert main(["berry", "--g", "0.1", "--g", "0.2", "--g", "0.3",
+                     "--out", str(tmp_path)]) == 0
+        assert [args[1].g for args in calls] == [0.1, 0.2, 0.3]
 
     def test_diagnostics_are_deterministic(self, tmp_path):
         argv = ["berry", "--model", "rabi", "--g", "0.01", "--g", "0.5", "--g", "1.0",

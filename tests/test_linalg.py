@@ -202,6 +202,12 @@ def random_bands(m, rng):
     return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
 
 
+def stacked(points):
+    """The bands of a list of (diag, off) points, stacked as merged_levels
+    takes them: (points, blocks, m) and (points, blocks, m - 1)."""
+    return np.stack([d for d, _ in points]), np.stack([o for _, o in points])
+
+
 def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -430,43 +436,47 @@ class TestMergedLevels:
         full[:8, :8], full[8:, 8:] = dense(diag[0], off[0]), dense(diag[1], off[1])
         assert np.max(np.abs(merged - hermitian_eig(full).values)) <= 1e-12
         for k in (1, 5, 16):
-            levels = merged_levels([(diag, off)], k, sector_label).levels
+            levels = merged_levels(diag[None], off[None], k, sector_label).levels
             assert levels.shape == (1, k)
             assert np.max(np.abs(levels[0] - merged[:k])) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 5, 8, 16])
     def test_order_numbers_the_levels(self, k):
-        # level j is value order[j] % kb of block order[j] // kb, kb = min(k, m)
+        # level j is eigenvalue index[j] of block sector[j], and each block
+        # gives a prefix of its values, in order
         diag, off = random_bands(8, np.random.default_rng(3))  # a full row and one of pairs
-        solved = merged_levels([(diag, off)], k, sector_label)
-        assert solved.order.shape == (1, k)
+        solved = merged_levels(diag[None], off[None], k, sector_label)
+        assert solved.sector.shape == solved.index.shape == (1, k)
         blocks = np.linalg.eigvalsh(tridiagonal(diag, off))
-        kb = min(k, 8)
-        for level, index in zip(solved.levels[0], solved.order[0]):
-            block, i = divmod(int(index), kb)
+        for level, block, i in zip(solved.levels[0], solved.sector[0], solved.index[0]):
             assert abs(level - blocks[block, i]) <= 1e-12
+        for block in range(2):
+            index = solved.index[0, solved.sector[0] == block]
+            assert index.tolist() == list(range(len(index)))
 
     def test_ties_keep_block_order(self):
-        solved = merged_levels([([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))], 4, sector_label)
+        diag, off = [[[1.0, 3.0], [1.0, 2.0]]], np.zeros((1, 2, 1))
+        solved = merged_levels(diag, off, 4, sector_label)
         assert np.array_equal(solved.levels, [[1.0, 1.0, 2.0, 3.0]])
-        assert np.array_equal(solved.order, [[0, 2, 3, 1]])
-        cut = merged_levels([([[1.0, 3.0], [1.0, 2.0]], np.zeros((2, 1)))], 1, sector_label)
-        assert cut.order.tolist() == [[0]]
+        assert solved.sector.tolist() == [[0, 1, 1, 0]]
+        assert solved.index.tolist() == [[0, 0, 1, 1]]
+        cut = merged_levels(diag, off, 1, sector_label)
+        assert cut.sector.tolist() == cut.index.tolist() == [[0]]
 
     def test_exact_clusters_pass(self):
         # equal values inside a block and across blocks
-        bands = ([[1.0, 1.0, 3.0], [1.0, 2.0, 2.0]], np.zeros((2, 2)))
-        levels = merged_levels([bands], 6, sector_label).levels
+        diag, off = [[[1.0, 1.0, 3.0], [1.0, 2.0, 2.0]]], np.zeros((1, 2, 2))
+        levels = merged_levels(diag, off, 6, sector_label).levels
         assert np.array_equal(levels[0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
 
     def test_points_are_independent_rows(self):
         rng = np.random.default_rng(4)
-        points = [random_bands(6, rng) for _ in range(3)]
-        batch = merged_levels(points, 4, sector_label).levels
-        for row, bands in zip(batch, points):
-            assert np.array_equal(row, merged_levels([bands], 4, sector_label).levels[0])
-        empty = merged_levels([], 4, sector_label)
-        assert empty.levels.shape == empty.order.shape == (0, 4)
+        diag, off = stacked([random_bands(6, rng) for _ in range(3)])
+        batch = merged_levels(diag, off, 4, sector_label).levels
+        for row, d, o in zip(batch, diag, off):
+            assert np.array_equal(row, merged_levels(d[None], o[None], 4, sector_label).levels[0])
+        empty = merged_levels(np.empty((0, 2, 6)), np.empty((0, 2, 5)), 4, sector_label)
+        assert empty.levels.shape == empty.sector.shape == empty.index.shape == (0, 4)
         assert empty.block.shape == empty.residual.shape == (0,)
 
     def test_perturbed_value_is_rejected(self, monkeypatch):
@@ -476,7 +486,7 @@ class TestMergedLevels:
         perturb_pairs(monkeypatch, point=1, block=0, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 1 of point 1 fails the Sturm count"):
-            merged_levels(points, 12, sector_label)
+            merged_levels(*stacked(points), 12, sector_label)
 
     def test_perturbed_eigvalsh_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -486,7 +496,7 @@ class TestMergedLevels:
         perturb_leading(monkeypatch, call=0, point=1, block=0, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
-            merged_levels(points, 12, sector_label)
+            merged_levels(*stacked(points), 12, sector_label)
 
     def test_highest_kept_value_of_a_full_row_is_checked(self, monkeypatch):
         # block 0 has every link and keeps only its lowest few values
@@ -494,7 +504,7 @@ class TestMergedLevels:
         points = [random_bands(6, rng) for _ in range(2)]
         kept = [np.count_nonzero(dense_levels(d, o)[1][:5] < 6) for d, o in points]
         assert 0 < max(kept) < 5  # the cut is visible
-        levels = merged_levels(points, 5, sector_label).levels
+        levels = merged_levels(*stacked(points), 5, sector_label).levels
         for row, (d, o) in zip(levels, points):
             assert np.max(np.abs(row - dense_levels(d, o)[0][:5])) <= 1e-12
 
@@ -502,24 +512,24 @@ class TestMergedLevels:
         perturb_leading(monkeypatch, call=0, point=point, block=0, index=kept[point] - 1)
         with pytest.raises(ConvergenceError, match=rf"eigenvalue {kept[point] - 1} = .* "
                            rf"of block 0 of point {point} fails the Sturm count"):
-            merged_levels(points, 5, sector_label)
+            merged_levels(*stacked(points), 5, sector_label)
 
     def test_only_kept_values_are_gated(self, monkeypatch):
-        bands = ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)))
+        diag, off = [[[0.0, 1.0], [2.0, 3.0]]], np.zeros((1, 2, 1))
         perturb_pairs(monkeypatch, point=0, block=1, index=1)
         # the largest value is wrong; two levels keep block 0 only
-        assert np.array_equal(merged_levels([bands], 2, sector_label).levels, [[0.0, 1.0]])
+        assert np.array_equal(merged_levels(diag, off, 2, sector_label).levels, [[0.0, 1.0]])
         with pytest.raises(ConvergenceError, match="eigenvalue 1 = .* of block 1 of point 0"):
-            merged_levels([bands], 4, sector_label)
+            merged_levels(diag, off, 4, sector_label)
 
     def test_blocks_of_pairs_skip_eigvalsh(self, monkeypatch):
         shapes = count_leading(monkeypatch)
         rng = np.random.default_rng(6)
-        jc_rows = [random_bands(7, rng) for _ in range(3)]
-        merged_levels([(d[1:], o[1:]) for d, o in jc_rows], 5, sector_label)
-        merged_levels([(d, np.zeros_like(o)) for d, o in jc_rows], 5, sector_label)
+        diag, off = stacked([random_bands(7, rng) for _ in range(3)])
+        merged_levels(diag[:, 1:], off[:, 1:], 5, sector_label)
+        merged_levels(diag, np.zeros_like(off), 5, sector_label)
         assert shapes == []
-        merged_levels(jc_rows, 5, sector_label)
+        merged_levels(diag, off, 5, sector_label)
         assert shapes == [(3, 1, 7)]
 
     def test_one_point_with_adjacent_links_sends_the_row_to_eigvalsh(self, monkeypatch):
@@ -529,7 +539,7 @@ class TestMergedLevels:
         jc = random_tridiagonal(5, rng, jc_links=True)
         full = random_tridiagonal(5, rng)
         points = [(np.array([d]), np.array([o])) for d, o in (jc, full)]
-        levels = merged_levels(points, 5, sector_label).levels
+        levels = merged_levels(*stacked(points), 5, sector_label).levels
         assert shapes == [(2, 1, 5)]
         for row, (d, o) in zip(levels, (jc, full)):
             assert np.max(np.abs(row - np.linalg.eigvalsh(dense(d, o)))) <= 1e-12
@@ -541,8 +551,8 @@ class TestMergedLevels:
         # eigenvalue below the 11th level than it keeps: the count on the
         # full band sends the point on, to the full solve (without the
         # count, B's 4.75 would be level 10)
-        diag, off = _hidden_state_bands()[0]
-        solved = merged_levels([(diag, off)], 11, sector_label)
+        diag, off = (band[0] for band in _hidden_state_bands())
+        solved = merged_levels(diag[None], off[None], 11, sector_label)
         merged, _ = dense_levels(diag, off)
         assert merged[10] == pytest.approx(4.5, abs=1e-12)
         scale = np.max(np.abs(diag))
@@ -558,21 +568,21 @@ class TestMergedLevels:
         # keeps all 11 and needs the full solve.
         diag, off = random_bands(100, np.random.default_rng(15))
         diag[1] += offset
-        solved = merged_levels([(diag, off)], 11, sector_label)
+        solved = merged_levels(diag[None], off[None], 11, sector_label)
         assert solved.block.tolist() == [size]
         merged, _ = dense_levels(diag, off)
         assert np.max(np.abs(solved.levels[0] - merged[:11])) <= 1e-12 * np.max(np.abs(diag))
 
     def test_zero_block(self):
-        levels = merged_levels([([[0.0, 0.0], [0.0, 1.0]], np.zeros((2, 1)))], 3, sector_label)
+        levels = merged_levels([[[0.0, 0.0], [0.0, 1.0]]], np.zeros((1, 2, 1)), 3, sector_label)
         assert np.array_equal(levels.levels, [[0.0, 0.0, 0.0]])
 
     def test_evidence_of_each_path(self):
         rng = np.random.default_rng(12)
         diag, off = random_bands(6, rng)
-        pairs = merged_levels([(diag[1:], off[1:])], 3, sector_label)
+        pairs = merged_levels(diag[None, 1:], off[None, 1:], 3, sector_label)
         assert pairs.block.tolist() == [2] and pairs.residual.tolist() == [0.0]
-        full = merged_levels([random_bands(6, rng)], 3, sector_label)
+        full = merged_levels(*stacked([random_bands(6, rng)]), 3, sector_label)
         assert full.block.tolist() == [6] and full.residual.tolist() == [0.0]
 
 
@@ -599,7 +609,7 @@ class TestSolveFailure:
                 rf"eigenvalues of {solved} did not converge within "
                 r"the solver's iteration cap \(Eigenvalues did not converge\); the first "
                 r"point still open is block 0 of point 1$")):
-            merged_levels(list(zip(diag, off)), 11, sector_label)
+            merged_levels(diag, off, 11, sector_label)
 
 
 class TestLargeBands:
@@ -610,7 +620,7 @@ class TestLargeBands:
     def test_rabi_levels_are_eigvalsh_of_the_scaled_bands(self):
         diag, off = parity_sectors(ModelKind.RABI_LAB, ModelParams(g=1e160),
                                    TruncationConfig(40))
-        solved = merged_levels([(diag, off)], 11, sector_label)
+        solved = merged_levels(diag[None], off[None], 11, sector_label)
         top = max(np.max(np.abs(diag)), np.max(off))
         scale = 2.0 ** (np.frexp(top)[1] - 500)
         assert 1.0 < scale < np.inf
@@ -623,7 +633,7 @@ class TestLargeBands:
         for g in (5e159, 1e160, 1e300):
             p = ModelParams(g=g)
             diag, off = parity_sectors(ModelKind.JC_LAB, p, cfg)
-            levels = merged_levels([(diag, off)], 11, sector_label).levels[0]
+            levels = merged_levels(diag[None], off[None], 11, sector_label).levels[0]
             doublets = [jc_doublet_analytic(n, p).energies for n in range(1, cfg.n_max + 1)]
             exact = np.sort(np.ravel(doublets))[:11]
             top = max(np.max(np.abs(diag)), np.max(off))
@@ -644,7 +654,7 @@ class TestLargeBands:
         diag, off = rng.standard_normal((2, 40)), rng.standard_normal((2, 39))
         for top in (np.nextafter(2.0 ** 500, 0), 2.0 ** 500):
             off_top = off * (top / np.max(np.abs(off)))
-            merged_levels([(diag, off_top)], 5, sector_label)
+            merged_levels(diag[None], off_top[None], 5, sector_label)
         assert seen[0] == np.nextafter(2.0 ** 500, 0)
         assert seen[1] == 2.0 ** 499
 
@@ -758,9 +768,8 @@ class TestSectorVector:
         rng = np.random.default_rng(22)
         diag, off = random_bands(30, rng)
         off[0, ::3] *= -1.0  # signed links give the signs of the eigenvector
-        solved = merged_levels([(diag, off)], 60, sector_label)
-        for value, index in zip(solved.levels[0], solved.order[0]):
-            block = int(index) // 30
+        solved = merged_levels(diag[None], off[None], 60, sector_label)
+        for value, block in zip(solved.levels[0], solved.sector[0]):
             y = sector_vector(diag[block], off[block], value)
             t = dense(diag[block], off[block])
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
@@ -891,7 +900,7 @@ class TestLeadingLevels:
         # puts a second eigenvalue inside (theta - delta, theta + delta), so
         # the gap bound does not apply and the point goes on to the full
         # block
-        diag, off = _hidden_state_bands()[1]
+        diag, off = (band[1] for band in _hidden_state_bands())
         values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
         full = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :11]
         scale = np.max(np.abs(diag))
@@ -899,7 +908,7 @@ class TestLeadingLevels:
         assert kept[0, 5] and not kept[0, 6]  # 4.6 is A's last kept value
         assert np.all(np.abs(values[0] - full)[kept] <= residual[0] + 4 * EPS * scale)
         assert size.tolist() == [60]
-        solved = merged_levels([(diag, off)], 11, sector_label)
+        solved = merged_levels(diag[None], off[None], 11, sector_label)
         merged, _ = dense_levels(diag, off)
         assert merged[10] == pytest.approx(4.6 - 5e-8, abs=1e-12)
         assert np.max(np.abs(solved.levels[0] - merged[:11])) <= EIG_RTOL * scale

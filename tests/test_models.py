@@ -260,6 +260,21 @@ class TestParitySectors:
         kept = off != 0.0
         assert kept.all() if kind is ModelKind.RABI_LAB else kept.sum() == CFG.n_max
 
+    @pytest.mark.parametrize("n_max", [1, 40, 200])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_stacked_bands_are_those_of_each_point(self, kind, n_max):
+        # one call over a 1-D array of couplings stacks, bitwise, the bands
+        # each coupling gives alone
+        p, cfg = ModelParams(Omega=0.83, omega=1.1), TruncationConfig(n_max)
+        g = np.array([0.0, 0.37, 1.5, 1e160])
+        diag, off = parity_sectors(kind, p, cfg, g)
+        assert diag.shape == (4, 2, cfg.dim_field) and off.shape == (4, 2, n_max)
+        for point, coupling in enumerate(g):
+            alone = parity_sectors(kind, ModelParams(Omega=0.83, g=coupling, omega=1.1), cfg)
+            scalar = parity_sectors(kind, p, cfg, coupling)  # a scalar g keeps (2, m)
+            for stacked, band, given in zip((diag, off), alone, scalar):
+                assert np.array_equal(stacked[point], band) and np.array_equal(given, band)
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_sector_spectra_merge_to_the_dense_spectrum(self, kind):
         cfg = TruncationConfig(15)

@@ -70,6 +70,30 @@ class TestSpectrumSweep:
         with pytest.raises(ValueError):
             spectrum_sweep(ModelKind.JC_LAB, P_RES, [0.1], CFG.dim_joint + 1, CFG)
 
+    @pytest.mark.parametrize("g_grid, message", [
+        ([[0.1, 0.2], [0.3, 0.4]], r"g_grid must be 1-D, got shape \(2, 2\)"),
+        (0.1, r"g_grid must be 1-D, got shape \(\)"),
+        ([0.1, -0.1, -0.2], r"^g must be >= 0, got -0\.1$"),
+        ([0.1, np.nan], r"^g_grid must be finite$"),
+    ], ids=["2-d", "scalar", "negative", "nan"])
+    def test_bad_grid_rejected(self, g_grid, message):
+        with pytest.raises(ValueError, match=message):
+            spectrum_sweep(ModelKind.RABI_LAB, P_RES, g_grid, 4, CFG)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_band_build_per_sweep(self, kind, monkeypatch):
+        # the bands of all 151 points come from one broadcast
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return parity_sectors(*args)
+
+        monkeypatch.setattr(spectra, "parity_sectors", spy)
+        g_grid = np.linspace(0.0, 1.5, 151)
+        table = spectrum_sweep(kind, P_RES, g_grid, 11, TruncationConfig(200))
+        assert len(calls) == 1 and table.levels.shape == (151, 11)
+
 
 class TestBlochSiegert:
     CFG200 = TruncationConfig(200)

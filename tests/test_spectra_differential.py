@@ -127,11 +127,10 @@ def assert_sweep_within_certified_distance(Omega, n_max, g_grid):
     # ..., certified to LEADING_ULPS of max|T|, no later than the eigh tail
     assert set(table.block.tolist()) <= {32, 64, 128, 256}
     assert np.all(table.block < cfg.dim_field)
-    bands = [parity_sectors(ModelKind.RABI_LAB, p.with_g(g), cfg) for g in g_grid]
-    diag, off = (np.stack(part) for part in zip(*bands))
-    assert np.all(table.block <= eigh_tail_orders(diag, off, 11))
+    bands = parity_sectors(ModelKind.RABI_LAB, p, cfg, g_grid)
+    assert np.all(table.block <= eigh_tail_orders(*bands, 11))
     eps = np.finfo(float).eps
-    for g, row, residual, (diag, off) in zip(g_grid, table.levels, table.residual, bands):
+    for g, row, residual, diag, off in zip(g_grid, table.levels, table.residual, *bands):
         scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
         assert residual <= LEADING_ULPS * eps * scale
         full = np.sort(np.linalg.eigvalsh(tridiagonal(diag, off)).ravel())[:11]
