@@ -25,7 +25,7 @@ from .berry import TrackingError
 from .fock import TruncationConfig
 from .linalg import ConvergenceError
 from .models import ModelKind, ModelParams
-from .output import write_csv, write_json, write_svg_heatmap, write_svg_lines
+from .output import _BLOCK_ROWS, write_csv, write_json, write_svg_heatmap, write_svg_lines
 
 
 class UsageError(Exception):
@@ -237,7 +237,7 @@ def cmd_spectrum(cfg: RunConfig, g_min: float, g_max: float, g_step: float, svg:
         tables[kind.model] = table
         header = ["g"] + [f"E{i}" for i in range(1, cfg.k_levels + 1)]
         path = write_csv(
-            out / f"spectrum_{kind.model}.csv", header, [table.g_values, *table.levels.T],
+            out / f"spectrum_{kind.model}.csv", header, [[table.g_values, *table.levels.T]],
             cfg.metadata("spectrum", g_min=g_min, g_max=g_max, g_step=g_step,
                          this_model=kind.model, **_evidence(table)),
         )
@@ -298,7 +298,7 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
         meta = cfg.metadata("berry", g=g, gauge=conn.gauge, K=cfg.phi_nodes)
         path = write_csv(
             out / f"berry_curve{suffix}.csv", ["phi", "partial_phase"],
-            conn.curve.T, meta,
+            [conn.curve.T], meta,
         )
         curves.append((f"g={g:g}", conn.curve[:, 0], conn.curve[:, 1]))
         print(f"wrote {path}")
@@ -327,6 +327,18 @@ def _parse_range(text: str, name: str):
     return lo, hi
 
 
+def _surface_rows(kind: ModelKind, params: ModelParams, x_axis, p_axis, gap):
+    """The rows of a surface CSV as column blocks of whole x-rows, about
+    _BLOCK_ROWS rows each; every node is evaluated once, and its gap is
+    copied into gap[i, j] as its block is made."""
+    step = max(1, _BLOCK_ROWS // len(p_axis))
+    for i in range(0, len(x_axis), step):
+        grid = surfaces.boa_surface(kind, params, x_axis[i:i + step], p_axis)
+        gap[i:i + step] = grid.gap
+        yield [np.repeat(grid.x_axis, len(p_axis)), np.tile(p_axis, len(grid.x_axis)),
+               grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel()]
+
+
 def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, svg: bool) -> int:
     if resolution < 2:
         raise UsageError(f"resolution must be >= 2, got {resolution}")
@@ -335,40 +347,52 @@ def cmd_surfaces(cfg: RunConfig, x_range: str, p_range: str, resolution: int, sv
     out = _out_dir(cfg)
     x_axis = np.linspace(x_lo, x_hi, resolution)
     p_axis = np.linspace(p_lo, p_hi, resolution)
-    for kind in _model_kinds(cfg):
-        grid = surfaces.boa_surface(kind, cfg.params(), x_axis, p_axis)
-        meta = cfg.metadata("surfaces", x_range=x_range, p_range=p_range,
-                            resolution=resolution, this_model=kind.model)
-        path = write_csv(out / f"surface_{kind.model}.csv",
-                         ["x", "p", "E_minus", "E_plus", "gap"],
-                         [np.repeat(x_axis, len(p_axis)), np.tile(p_axis, len(x_axis)),
-                          grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel()], meta)
-        print(f"wrote {path}")
-        report = surfaces.classify_degeneracy(grid)
-        payload = {
-            "min_gap": report.min_gap,
-            "locus": report.locus,
-            "tol_gap": report.tol_gap,
-            "n_minimal_cells": len(report.coordinates),
-            "coordinates": report.coordinates,
-        }
-        path = write_json(out / f"degeneracy_{kind.model}.json", payload, meta)
-        print(f"wrote {path} (locus={report.locus}, min_gap={report.min_gap:.6g})")
-        if report.locus == "none" and report.min_gap <= report.tol_gap:
-            print(
-                f"note: {kind.model} min_gap {report.min_gap:.3g} is within tol_gap "
-                f"{report.tol_gap:.3g}, but the grid is too coarse to call it a point; "
-                "raise --resolution (about 23 points per axis resolve a cone apex)",
-                file=sys.stderr,
-            )
-        if svg:
-            path = write_svg_heatmap(
-                out / f"surface_gap_{kind.model}.svg", x_axis, p_axis, grid.gap,
-                f"{kind.model} adiabatic gap", meta,
-            )
-            print(f"wrote {path}")
-        # one model's grid at a time: the next one is built after this goes
-        del grid, report
+    # the one full-grid array: each model's gap, filled as its CSV is written
+    gap = np.empty((len(x_axis), len(p_axis)))
+    # the run's files, and its lines for stdout and stderr, printed once every file is written
+    written, lines, notes = [], [], []
+    try:
+        for kind in _model_kinds(cfg):
+            meta = cfg.metadata("surfaces", x_range=x_range, p_range=p_range,
+                                resolution=resolution, this_model=kind.model)
+            path = out / f"surface_{kind.model}.csv"
+            written.append(path)
+            write_csv(path, ["x", "p", "E_minus", "E_plus", "gap"],
+                      _surface_rows(kind, cfg.params(), x_axis, p_axis, gap), meta)
+            lines.append(f"wrote {path}")
+            report = surfaces.classify_degeneracy(x_axis, p_axis, gap)
+            payload = {
+                "min_gap": report.min_gap,
+                "locus": report.locus,
+                "tol_gap": report.tol_gap,
+                "n_minimal_cells": len(report.coordinates),
+                "coordinates": report.coordinates,
+            }
+            path = out / f"degeneracy_{kind.model}.json"
+            written.append(path)
+            write_json(path, payload, meta)
+            lines.append(f"wrote {path} (locus={report.locus}, min_gap={report.min_gap:.6g})")
+            if report.locus == "none" and report.min_gap <= report.tol_gap:
+                notes.append(
+                    f"note: {kind.model} min_gap {report.min_gap:.3g} is within tol_gap "
+                    f"{report.tol_gap:.3g}, but the grid is too coarse to call it a point; "
+                    "raise --resolution (about 23 points per axis resolve a cone apex)"
+                )
+            if svg:
+                path = out / f"surface_gap_{kind.model}.svg"
+                written.append(path)
+                write_svg_heatmap(path, x_axis, p_axis, gap,
+                                  f"{kind.model} adiabatic gap", meta)
+                lines.append(f"wrote {path}")
+    except BaseException:
+        # a failure of either model leaves no file of the run
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    for line in lines:
+        print(line)
+    for note in notes:
+        print(note, file=sys.stderr)
     return 0
 
 
@@ -383,7 +407,7 @@ def cmd_convergence(cfg: RunConfig, n_list) -> int:
     columns = [table.n_values, *table.levels.T, np.r_[np.nan, table.max_changes]]
     meta = cfg.metadata("convergence", n_list=",".join(str(n) for n in n_list),
                         **_evidence(table))
-    path = write_csv(out / f"convergence_{kind.model}.csv", header, columns, meta)
+    path = write_csv(out / f"convergence_{kind.model}.csv", header, [columns], meta)
     print(f"wrote {path}")
     return 0
 
@@ -446,7 +470,7 @@ def cmd_verify(cfg: RunConfig, only) -> int:
             meta = cfg.metadata("verify", model="rabi", g=g, level=1, K=suite.berry_k,
                                 n_max=suite.berry_cfg.n_max, gauge=conn.gauge)
             path = write_csv(out / f"investigation_rabi_g{g:g}.csv",
-                             ["phi", "partial_phase"], conn.curve.T, meta)
+                             ["phi", "partial_phase"], [conn.curve.T], meta)
             print(f"wrote {path}")
     failed = [r for r in results if r.bound and not r.passed]
     return 3 if failed else 0

@@ -5,16 +5,21 @@ so nothing here writes timestamps or environment-dependent content.  CSV
 files carry '#'-prefixed metadata lines; JSON and SVG embed the same metadata
 in-format (a "config" object, an XML comment) so the files stay parseable.
 
-write_csv takes one 1-D column per header name and writes blocks of
-_BLOCK_ROWS rows, so it builds nothing of the whole table's size.  Each
-block reduces its columns to their distinct values, compared bit for bit so
-that -0.0 stays apart from 0.0, and formats them with one call of _fmt17, an
-exact vectorized "%.17g" for 1e-4 <= |v| < 1e17 that falls back to per-value
-% for zeros, subnormals, NaN, infinities and the scientific range.  write_json
-lays out a 2-D float array member from the float.__repr__ of its distinct
-values; every other member goes through json.dumps.  The heatmap is one
-grayscale PNG inside the SVG.  Every check runs before the file is opened,
-so rejected input writes no file.
+write_csv takes the rows as an iterable of column blocks, one 1-D column
+per header name in each, and writes them in pieces of at most _BLOCK_ROWS
+rows, so it builds nothing of the whole table's size; a caller that holds
+the whole table passes it as one block, and the surfaces command passes a
+generator that evaluates a slice of the grid per block.  Each piece reduces
+its columns to their distinct values, compared bit for bit so that -0.0
+stays apart from 0.0, and formats them with one call of _fmt17, an exact
+vectorized "%.17g" for 1e-4 <= |v| < 1e17 that falls back to per-value %
+for zeros, subnormals, NaN, infinities and the scientific range.
+write_json lays out a 2-D float array member from the float.__repr__ of its
+distinct values; every other member goes through json.dumps.  The heatmap
+is one grayscale PNG inside the SVG.  Every check of the JSON and SVG
+writers and of the first CSV block runs before the file is opened; a later
+CSV block that fails its check, or a block generator that raises, removes
+the partial file.  So rejected input leaves no file.
 """
 
 from __future__ import annotations
@@ -32,11 +37,9 @@ def metadata_lines(meta: dict) -> list:
     return [f"# {key} = {value}" for key, value in meta.items()]
 
 
-def _table(columns, n_cols: int) -> list:
-    """columns, one 1-D sequence per header name, as float64 arrays of one length."""
-    if n_cols < 1:
-        # the last column's pieces carry the line ends
-        raise ValueError("table must have at least one column")
+def _table(columns, n_cols: int, first_row: int = 0) -> list:
+    """columns, one 1-D sequence per header name, as float64 arrays of one
+    length; first_row is the table row of the block's first row."""
     if len(columns) != n_cols:
         raise ValueError(f"table must have {n_cols} columns to match its header, "
                          f"got {len(columns)}")
@@ -51,7 +54,8 @@ def _table(columns, n_cols: int) -> list:
         if values is not column:  # converting turns None into NaN
             for i in np.flatnonzero(np.isnan(values)).tolist():
                 if column[i] is None:
-                    raise ValueError(f"table entries must be numbers: None in row {i}, column {c}")
+                    raise ValueError(f"table entries must be numbers: None in row "
+                                     f"{first_row + i}, column {c}")
         table.append(values)
     if len({len(values) for values in table}) > 1:
         raise ValueError(f"table columns must have one length, got lengths "
@@ -193,24 +197,45 @@ def _fixed17(v):
     return order, rows.view("S24").ravel()
 
 
-def write_csv(path, header, columns, meta: dict) -> Path:
-    """Header, then one line per row, every value with 17 significant digits;
-    columns holds one 1-D sequence of numbers per header name."""
+def write_csv(path, header, blocks, meta: dict) -> Path:
+    """Header, then one line per row, every value with 17 significant digits.
+
+    blocks is an iterable of column blocks: each holds one 1-D sequence of
+    numbers per header name, and its rows follow the previous block's.  The
+    first block is checked before the file is opened; if a later block
+    fails its check or the iterable raises, the partial file is removed and
+    the error propagates."""
     path = Path(path)
-    table = _table(columns, len(header))
+    if not header:
+        # the last column's pieces carry the line ends
+        raise ValueError("table must have at least one column")
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    table = None if first is None else _table(first, len(header))
     ends = [b","] * (len(header) - 1) + [b"\n"]
     with path.open("wb") as f:
-        f.write(("\n".join(metadata_lines(meta) + [",".join(header)]) + "\n").encode())
-        for start in range(0, len(table[0]), _BLOCK_ROWS):
-            distinct = [np.unique(values[start:start + _BLOCK_ROWS].view(np.int64),
-                                  return_inverse=True) for values in table]
-            text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
-            block = np.empty((len(distinct[0][1]), len(table)), dtype="S25")
-            for c, ((bits, inverse), end) in enumerate(zip(distinct, ends)):
-                block[:, c] = np.strings.add(text[:len(bits)], end)[inverse]
-                text = text[len(bits):]
-            raw = block.view(np.uint8)
-            f.write(raw[raw != 0])
+        try:
+            f.write(("\n".join(metadata_lines(meta) + [",".join(header)]) + "\n").encode())
+            rows = 0
+            while table is not None:
+                for start in range(0, len(table[0]), _BLOCK_ROWS):
+                    distinct = [np.unique(values[start:start + _BLOCK_ROWS].view(np.int64),
+                                          return_inverse=True) for values in table]
+                    text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
+                    block = np.empty((len(distinct[0][1]), len(table)), dtype="S25")
+                    for c, ((bits, inverse), end) in enumerate(zip(distinct, ends)):
+                        block[:, c] = np.strings.add(text[:len(bits)], end)[inverse]
+                        text = text[len(bits):]
+                    raw = block.view(np.uint8)
+                    f.write(raw[raw != 0])
+                    del distinct, text  # freed before the next block builds its own
+                rows += len(table[0])
+                columns = next(blocks, None)
+                table = None if columns is None else _table(columns, len(header), rows)
+        except BaseException:
+            f.close()
+            path.unlink(missing_ok=True)
+            raise
     return path
 
 
@@ -221,25 +246,41 @@ def write_json(path, payload: dict, meta: dict) -> Path:
     The bytes are those of json.dumps(doc, indent=2, allow_nan=False), a
     numpy array member written as its .tolist().  A non-empty 2-D float
     array of finite values (the degeneracy coordinates) is laid out here,
-    each distinct value put through float.__repr__ once."""
+    each distinct value put through float.__repr__ once, and written
+    _BLOCK_ROWS rows at a time."""
     path = Path(path)
     doc = dict(payload)
     doc["config"] = {k: v for k, v in meta.items()}
-    members = []
+    members = []  # the text of each member, or (key, array) for a laid-out array
     for key, value in doc.items():
         if isinstance(value, np.ndarray):
             if (value.ndim == 2 and value.dtype == np.float64 and value.size
                     and isinstance(key, str) and np.isfinite(value).all()):
-                bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
-                reprs = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
-                row = "    [\n" + ",\n".join(["      %s"] * value.shape[1]) + "\n    ]"
-                body = ",\n".join([row] * len(value)) % tuple(reprs[inverse.ravel()])
-                members.append(f"  {json.dumps(key)}: [\n{body}\n  ]")
+                members.append((key, value))
                 continue
             value = value.tolist()
         # '{\n  "key": value\n}' without its braces
         members.append(json.dumps({key: value}, indent=2, allow_nan=False)[2:-2])
-    path.write_text("{\n" + ",\n".join(members) + "\n}\n", newline="\n")
+    with path.open("w", newline="\n") as f:
+        f.write("{\n")
+        for m, member in enumerate(members):
+            if m:
+                f.write(",\n")
+            if isinstance(member, str):
+                f.write(member)
+                continue
+            key, value = member
+            bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
+            inverse = inverse.reshape(value.shape)
+            reprs = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
+            row = "    [\n" + ",\n".join(["      %s"] * value.shape[1]) + "\n    ]"
+            f.write(f"  {json.dumps(key)}: [\n")
+            for start in range(0, len(value), _BLOCK_ROWS):
+                part = inverse[start:start + _BLOCK_ROWS]
+                f.write((",\n" if start else "")
+                        + ",\n".join([row] * len(part)) % tuple(reprs[part.ravel()]))
+            f.write("\n  ]")
+        f.write("\n}\n")
     return path
 
 
@@ -348,8 +389,13 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
         raise ValueError("heatmap values must be finite")
     v_lo, v_hi = float(np.min(values)), float(np.max(values))
     span = v_hi - v_lo if v_hi > v_lo else 1.0
-    # low gap = dark, so degeneracies stand out; np.rint rounds half to even
-    shades = np.rint(255 * (values - v_lo) / span).astype(np.uint8)
+    # low gap = dark, so degeneracies stand out; np.rint rounds half to even.
+    # 255 * (values - v_lo) / span, formed in place in one temporary
+    shades = values - v_lo
+    shades *= 255
+    shades /= span
+    np.rint(shades, out=shades)
+    shades = shades.astype(np.uint8)
     png = base64.b64encode(_png_gray(shades.T[::-1])).decode("ascii")
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',

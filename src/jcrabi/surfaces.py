@@ -44,7 +44,8 @@ def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
         raise ValueError("surface axes must be nonempty")
     if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(p_axis))):
         raise ValueError("surface axes must be finite")
-    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
+    # x down the rows, p along them; the Rabi half-gap is formed once per x
+    xg, pg = x_axis[:, None], p_axis[None, :]
     # hypot forms the half-gap without squaring g, delta or Omega, so a
     # huge coupling overflows only where the half-gap itself does; an
     # overflow is refused below, not warned about
@@ -82,17 +83,22 @@ class DegeneracyReport:
     coordinates: np.ndarray
 
 
-def default_gap_tolerance(s: SurfaceGrid) -> float:
+def default_gap_tolerance(x_axis, p_axis, gap) -> float:
     """2 * (grid cell diagonal) * (max local gap slope), estimated by finite
-    differences; 'degenerate on a grid' needs a resolution-aware yardstick."""
-    dx = np.min(np.diff(s.x_axis)) if len(s.x_axis) > 1 else 0.0
-    dp = np.min(np.diff(s.p_axis)) if len(s.p_axis) > 1 else 0.0
+    differences; 'degenerate on a grid' needs a resolution-aware yardstick.
+    gap[i, j] belongs to (x_axis[i], p_axis[j]); each slope is formed in one
+    grid-sized temporary."""
+    dx = np.min(np.diff(x_axis)) if len(x_axis) > 1 else 0.0
+    dp = np.min(np.diff(p_axis)) if len(p_axis) > 1 else 0.0
     cell_diag = float(np.hypot(dx, dp))
     slopes = []
-    if len(s.x_axis) > 1:
-        slopes.append(np.max(np.abs(np.diff(s.gap, axis=0)) / np.diff(s.x_axis)[:, None]))
-    if len(s.p_axis) > 1:
-        slopes.append(np.max(np.abs(np.diff(s.gap, axis=1)) / np.diff(s.p_axis)[None, :]))
+    for axis, steps in ((0, np.diff(x_axis)[:, None]), (1, np.diff(p_axis)[None, :])):
+        if gap.shape[axis] > 1:
+            slope = np.diff(gap, axis=axis)
+            np.abs(slope, out=slope)
+            slope /= steps
+            slopes.append(np.max(slope))
+            del slope
     max_slope = float(max(slopes)) if slopes else 0.0
     return 2.0 * cell_diag * max_slope
 
@@ -104,8 +110,9 @@ POINT_EXTENT_FRACTION = 0.2
 LINE_COVERAGE_FRACTION = 0.9
 
 
-def classify_degeneracy(s: SurfaceGrid) -> DegeneracyReport:
-    """Classify the minimal-gap set of a surface grid.
+def classify_degeneracy(x_axis, p_axis, gap) -> DegeneracyReport:
+    """Classify the minimal-gap set of a gap grid, gap[i, j] at
+    (x_axis[i], p_axis[j]) (a SurfaceGrid's x_axis, p_axis and gap).
 
     Coarse-grid contract: the minimal-gap set holds every node with
     gap <= min_gap + tol_gap, and tol_gap (default_gap_tolerance: two cell
@@ -116,25 +123,27 @@ def classify_degeneracy(s: SurfaceGrid) -> DegeneracyReport:
     resonant JC cone (g in {0.2, 0.5, 1}, axes +-1 and +-3, odd resolutions
     so the apex is a node): 'none' up to 19 nodes per axis, 'point' from 23.
     """
-    if s.gap.size == 0:
+    x_axis = np.asarray(x_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    gap = np.asarray(gap, dtype=float)
+    if gap.size == 0:
         raise ValueError("cannot classify an empty grid")
-    tol_gap = default_gap_tolerance(s)
-    min_gap = float(np.min(s.gap))
-    mask = s.gap <= min_gap + tol_gap
-    xi, pj = np.nonzero(mask)
-    coords = np.column_stack([s.x_axis[xi], s.p_axis[pj]])
+    tol_gap = default_gap_tolerance(x_axis, p_axis, gap)
+    min_gap = float(np.min(gap))
+    xi, pj = np.nonzero(gap <= min_gap + tol_gap)
+    coords = np.column_stack([x_axis[xi], p_axis[pj]])
 
-    nx, npts = len(s.x_axis), len(s.p_axis)
+    nx, npts = len(x_axis), len(p_axis)
     # line along p: a narrow band of x columns whose rows are all minimal
     covers_p = len(np.unique(pj)) >= LINE_COVERAGE_FRACTION * npts and len(np.unique(xi)) < nx
     covers_x = len(np.unique(xi)) >= LINE_COVERAGE_FRACTION * nx and len(np.unique(pj)) < npts
     if covers_p or covers_x:
         locus = "line"
     else:
-        x_extent = (s.x_axis[xi.max()] - s.x_axis[xi.min()]) if nx > 1 else 0.0
-        p_extent = (s.p_axis[pj.max()] - s.p_axis[pj.min()]) if npts > 1 else 0.0
-        x_span = s.x_axis[-1] - s.x_axis[0] if nx > 1 else 1.0
-        p_span = s.p_axis[-1] - s.p_axis[0] if npts > 1 else 1.0
+        x_extent = (x_axis[xi.max()] - x_axis[xi.min()]) if nx > 1 else 0.0
+        p_extent = (p_axis[pj.max()] - p_axis[pj.min()]) if npts > 1 else 0.0
+        x_span = x_axis[-1] - x_axis[0] if nx > 1 else 1.0
+        p_span = p_axis[-1] - p_axis[0] if npts > 1 else 1.0
         compact = (
             x_extent <= POINT_EXTENT_FRACTION * x_span
             and p_extent <= POINT_EXTENT_FRACTION * p_span

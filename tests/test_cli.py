@@ -387,15 +387,26 @@ class TestSurfacesCommand:
         report = json.loads((tmp_path / f"degeneracy_{model}.json").read_text())
         assert math.isfinite(report["min_gap"]) and math.isfinite(report["tol_gap"])
 
-    @pytest.mark.parametrize("model", ["jc", "rabi"])
-    def test_overflowing_surface_is_a_numerical_failure(self, tmp_path, capsys, model):
+    @pytest.mark.parametrize("model, g, resolution, failing", [
+        pytest.param("jc", "1e308", "3", "jc", id="jc"),
+        pytest.param("rabi", "1e308", "3", "rabi", id="rabi"),
+        # only the Rabi gap overflows here; the JC files go too
+        pytest.param("both", "1.7e307", "5", "rabi", id="both"),
+    ])
+    def test_overflowing_surface_is_a_numerical_failure(self, tmp_path, capsys, model, g,
+                                                        resolution, failing):
         out = tmp_path / "out"
-        rc = main(["surfaces", "--model", model, "--g", "1e308", "--resolution", "3",
+        rc = main(["surfaces", "--model", model, "--g", g, "--resolution", resolution,
                    "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"numerical failure: the {model} surface overflows at g=1e+308")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"numerical failure: the {failing} surface overflows at g={float(g):g}")
+        assert captured.out == ""
         assert list(out.iterdir()) == []
+        if model == "both":
+            assert main(["surfaces", "--model", "jc", "--g", g, "--resolution", resolution,
+                         "--out", str(tmp_path / "jc")]) == 0
 
     def test_small_grid_row_count(self, tmp_path):
         rc = main([

@@ -18,12 +18,14 @@ import zlib
 import numpy as np
 import pytest
 
-from jcrabi.cli import main
+import jcrabi.cli as cli_module
+import jcrabi.output as output_module
+from jcrabi.cli import RunConfig, main
 from jcrabi.models import ModelKind, ModelParams
 from jcrabi.output import (
     _BLOCK_ROWS, _fmt17, metadata_lines, write_csv, write_json, write_svg_heatmap,
 )
-from jcrabi.surfaces import boa_surface
+from jcrabi.surfaces import boa_surface, classify_degeneracy
 
 META = {"jcrabi": "test", "model": "both", "g": 0.4}
 
@@ -130,7 +132,7 @@ def same_csv_bytes(tmp_path, header, rows, new_columns=None):
     old = frozen_write_csv(tmp_path / "old.csv", header, rows, META).read_bytes()
     if new_columns is None:
         new_columns = columns_of(rows, len(header))
-    new = write_csv(tmp_path / "new.csv", header, new_columns, META).read_bytes()
+    new = write_csv(tmp_path / "new.csv", header, [new_columns], META).read_bytes()
     assert new == old
     return new
 
@@ -240,21 +242,41 @@ class TestFrozenWriterBytes:
         pixels = check_pixels(tmp_path, [0.0], np.arange(5.0), values)
         assert pixels[::-1, 0].tolist() == [0, 0, 2, 2, 255]
 
-    def test_cli_surface_rows_match_per_value_writer(self, tmp_path):
-        # the CLI's array rows give the bytes of the per-row list build
+    @pytest.mark.parametrize("resolution, block_rows", [
+        (203, None),  # 41 209 rows: slices of 40 x-rows, the last one 3 rows
+        (15, 7),  # an x-row longer than a block: slices of one x-row, written in 7-row pieces
+    ], ids=["blocks", "short-blocks"])
+    def test_cli_surface_rows_match_per_value_writer(self, tmp_path, monkeypatch,
+                                                     resolution, block_rows):
+        # the streamed files are those of the whole-grid build: the per-row
+        # CSV, and the JSON and heatmap of its gap
+        if block_rows is not None:
+            monkeypatch.setattr(cli_module, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
+        out = tmp_path / "out"
         assert main([
-            "surfaces", "--model", "jc", "--g", "0.4", "--resolution", "15",
-            "--x-range=-2:1", "--p-range=-1:3", "--out", str(tmp_path),
+            "surfaces", "--model", "both", "--g", "0.4", "--resolution", str(resolution),
+            "--x-range=-2:1", "--p-range=-1:3", "--svg", "--out", str(out),
         ]) == 0
-        x_axis, p_axis = np.linspace(-2.0, 1.0, 15), np.linspace(-1.0, 3.0, 15)
-        grid = boa_surface(ModelKind("jc"), ModelParams(Omega=1.0, g=0.4, omega=1.0),
-                           x_axis, p_axis)
-        # no metadata: the frozen file is the header and the rows
-        frozen = frozen_write_csv(tmp_path / "old.csv", SURFACE_COLUMNS, surface_rows(grid), {})
-        written = (tmp_path / "surface_jc.csv").read_text()
-        assert written.endswith(frozen.read_text())
-        meta = written[: -len(frozen.read_text())]
-        assert meta and all(line.startswith("# ") for line in meta.splitlines())
+        x_axis = np.linspace(-2.0, 1.0, resolution)
+        p_axis = np.linspace(-1.0, 3.0, resolution)
+        cfg = RunConfig(model="both", g=0.4, output_dir=str(out))
+        for model in ("jc", "rabi"):
+            grid = boa_surface(ModelKind(model), cfg.params(), x_axis, p_axis)
+            meta = cfg.metadata("surfaces", x_range="-2:1", p_range="-1:3",
+                                resolution=resolution, this_model=model)
+            frozen = frozen_write_csv(tmp_path / "old.csv", SURFACE_COLUMNS,
+                                      surface_rows(grid), meta)
+            assert (out / f"surface_{model}.csv").read_bytes() == frozen.read_bytes()
+            report = classify_degeneracy(grid.x_axis, grid.p_axis, grid.gap)
+            payload = {"min_gap": report.min_gap, "locus": report.locus,
+                       "tol_gap": report.tol_gap, "n_minimal_cells": len(report.coordinates),
+                       "coordinates": report.coordinates}
+            whole = write_json(tmp_path / "old.json", payload, meta)
+            assert (out / f"degeneracy_{model}.json").read_bytes() == whole.read_bytes()
+            whole = write_svg_heatmap(tmp_path / "old.svg", x_axis, p_axis, grid.gap,
+                                      f"{model} adiabatic gap", meta)
+            assert (out / f"surface_gap_{model}.svg").read_bytes() == whole.read_bytes()
 
 
 class TestWriteCsvShape:
@@ -266,7 +288,7 @@ class TestWriteCsvShape:
     def test_width_must_match_header(self, tmp_path, columns, got):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="must have 2 columns to match its header") as info:
-            write_csv(path, ["a", "b"], columns, {})
+            write_csv(path, ["a", "b"], [columns], {})
         assert str(info.value).endswith(got)
         assert not path.exists()
 
@@ -278,7 +300,7 @@ class TestWriteCsvShape:
     def test_columns_must_be_one_length(self, tmp_path, columns, got):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError) as info:
-            write_csv(path, ["a", "b"], columns, {})
+            write_csv(path, ["a", "b"], [columns], {})
         assert str(info.value) == got
         assert not path.exists()
 
@@ -286,7 +308,7 @@ class TestWriteCsvShape:
     def test_entries_must_be_numbers(self, tmp_path, columns):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="table entries must be numbers") as info:
-            write_csv(path, ["a", "b"][:len(columns)], columns, {})
+            write_csv(path, ["a", "b"][:len(columns)], [columns], {})
         assert "one length" not in str(info.value)
         assert not path.exists()
 
@@ -299,14 +321,45 @@ class TestWriteCsvShape:
         # np.asarray reads None as NaN; a NaN number is still written
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match=f"table entries must be numbers: None in {where}$"):
-            write_csv(path, ["a", "b"], columns, {})
+            write_csv(path, ["a", "b"], [columns], {})
         assert not path.exists()
-        assert write_csv(path, ["a", "b"], [[float("nan")], [1.0]], {}).read_text() == "a,b\nnan,1\n"
+        assert write_csv(path, ["a", "b"], [[[float("nan")], [1.0]]], {}).read_text() == "a,b\nnan,1\n"
+
+    @pytest.mark.parametrize("later, got", [
+        ([[5.0], [6.0], [7.0]], "table must have 2 columns to match its header, got 3"),
+        ([[5.0, 6.0], [7.0]], "table columns must have one length, got lengths [2, 1]"),
+        ([[5.0, 6.0], [7.0, None]], "table entries must be numbers: None in row 3, column 1"),
+    ], ids=["width", "length", "none"])
+    def test_a_later_block_that_fails_leaves_no_file(self, tmp_path, later, got):
+        # the first block passes and is written before the second is checked
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError) as info:
+            write_csv(path, ["a", "b"], [[[1.0, 2.0], [3.0, 4.0]], later], {})
+        assert str(info.value) == got
+        assert not path.exists()
+
+    def test_a_raising_block_source_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield [np.arange(3.0), np.arange(3.0)]
+            raise ValueError("the surface overflows")
+
+        path = tmp_path / "bad.csv"
+        path.write_text("an earlier run's file\n")
+        with pytest.raises(ValueError, match="the surface overflows"):
+            write_csv(path, ["a", "b"], blocks(), {})
+        assert not path.exists()
+
+    def test_blocks_follow_each_other(self, tmp_path):
+        rows = [[float(i), -i / 3.0] for i in range(12)]
+        blocks = [columns_of(rows[:5], 2), columns_of(rows[5:5], 2), columns_of(rows[5:], 2)]
+        written = write_csv(tmp_path / "new.csv", ["a", "b"], blocks, META).read_bytes()
+        assert written == frozen_write_csv(tmp_path / "old.csv", ["a", "b"], rows, META).read_bytes()
+        assert write_csv(tmp_path / "none.csv", ["a", "b"], [], {}).read_text() == "a,b\n"
 
     def test_header_needs_a_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="at least one column"):
-            write_csv(path, [], [], {})
+            write_csv(path, [], [[]], {})
         assert not path.exists()
 
     @pytest.mark.parametrize("values, shape", [
@@ -492,8 +545,33 @@ class TestWriteCsvMemory:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                write_csv(tmp_path / f"blocks{blocks}.csv", SURFACE_COLUMNS, columns, META)
+                write_csv(tmp_path / f"blocks{blocks}.csv", SURFACE_COLUMNS, [columns], META)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < _BLOCK_ROWS * len(SURFACE_COLUMNS) * 8, peaks
+
+    def test_surfaces_command_peak_grows_by_the_gap_grid(self, tmp_path):
+        # the gap is the command's one full-grid array: from 201 to 401 nodes
+        # per axis its peak may grow by the gap's 8 bytes per node plus two
+        # blocks' written text (the writer formats a block while the last
+        # one's arrays are still alive, and their size varies with the
+        # blocks' distinct values); whole-grid surfaces and columns would
+        # add several floats per node
+        def run(resolution):
+            return main(["surfaces", "--model", "both", "--svg", "--resolution",
+                         str(resolution), "--out", str(tmp_path)])
+
+        assert run(21) == 0  # first-call allocations fall outside the traced runs
+        peaks = []
+        for resolution in (201, 401):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run(resolution) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        gap_growth = 8 * (401 ** 2 - 201 ** 2)
+        block_text = _BLOCK_ROWS * len(SURFACE_COLUMNS) * 25  # one S25 block, about 1 MB
+        assert peaks[1] - peaks[0] <= gap_growth + 2 * block_text, peaks

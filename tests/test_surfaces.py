@@ -89,14 +89,14 @@ def has_row(array, row):
 class TestClassifyDegeneracy:
     def test_jc_resonant_conical_intersection(self):
         s = boa_surface(ModelKind.JC_LAB, ModelParams(Omega=1.0, g=1.0), AXIS, AXIS)
-        rep = classify_degeneracy(s)
+        rep = classify_degeneracy(s.x_axis, s.p_axis, s.gap)
         assert rep.locus == "point"
         assert rep.min_gap == pytest.approx(0.0, abs=1e-14)
         assert has_row(rep.coordinates, (0.0, 0.0))
 
     def test_rabi_minimal_gap_line(self):
         s = boa_surface(ModelKind.RABI_LAB, ModelParams(Omega=1.0, g=1.0), AXIS, AXIS)
-        rep = classify_degeneracy(s)
+        rep = classify_degeneracy(s.x_axis, s.p_axis, s.gap)
         assert rep.locus == "line"
         assert rep.min_gap == pytest.approx(1.0, abs=1e-12)
         assert rep.coordinates.shape[1] == 2
@@ -104,14 +104,14 @@ class TestClassifyDegeneracy:
 
     def test_detuned_jc_gapped(self):
         s = boa_surface(ModelKind.JC_LAB, ModelParams(Omega=1.5, g=0.5), AXIS, AXIS)
-        rep = classify_degeneracy(s)
+        rep = classify_degeneracy(s.x_axis, s.p_axis, s.gap)
         assert rep.locus == "none"
         assert rep.min_gap == pytest.approx(0.5, abs=1e-12)
         assert has_row(rep.coordinates, (0.0, 0.0))
 
     def test_coordinates_within_tolerance(self):
         s = boa_surface(ModelKind.RABI_LAB, ModelParams(Omega=1.0, g=0.7), AXIS, AXIS)
-        rep = classify_degeneracy(s)
+        rep = classify_degeneracy(s.x_axis, s.p_axis, s.gap)
         assert rep.coordinates.dtype == np.float64
         lookup = set(map(tuple, rep.coordinates.tolist()))
         for i, x in enumerate(s.x_axis):
