@@ -8,7 +8,8 @@ field occupation n, so every loop value is a closed form in p_n and the
 node count K.  Both loop paths take one gated level from _solve_level,
 which reads the bands of one models.parity_sectors call alone and builds
 no joint-space matrix: it solves them for values as every spectrum does,
-takes psi_0 from the level's sector (linalg.sector_vector) and gates it once on the band product T psi_0 of that sector
+takes psi_0 from a leading block of the level's sector (linalg.leading_pair)
+and gates it once on the band product T psi_0 of that sector
 (linalg.band_product).  U(phi) is diagonal with unit-modulus entries and
 keeps the sector, so that one residual is the residual of every node.
 fock_loop, which the command line runs, reads the loop values off the
@@ -26,7 +27,8 @@ The closed-loop phase is estimated three independent ways:
                        families because |psi(phi)> = U(phi)|psi(0)> is a
                        single-valued eigenpath with constant connection;
                        both paths carry it (.generator), from LAPACK eigh of
-                       the level's sector, not the twisted vector they read
+                       the same leading block, not the twisted vector they
+                       read
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
 vector row per node of loop_grid(K), so they serve any family of states,
@@ -48,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncationConfig
-from .linalg import (ConvergenceError, band_product, band_scale, merged_levels, residual_gate,
-                     sector_vector, tridiagonal)
+from .linalg import band_product, band_scale, leading_pair, merged_levels, residual_gate
 from .models import (ModelKind, ModelParams, parity_chains, parity_sectors, phase_factors,
                      sector_label)
 
@@ -140,8 +141,9 @@ def _level_gap(values: np.ndarray, level: int) -> float:
 
 
 def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
-    """(psi_0, E, eigen residual, generator) of one level, from one sector
-    solve and one eigh of the level's sector, each gated on the band product.
+    """(psi_0, E, eigen residual, generator, block order) of one level, from
+    one sector solve and one leading block of the level's sector, each gated
+    on the band product.
 
     Everything is read off the bands of models.parity_sectors; no
     joint-space matrix is built.  A level outside [0, dim), or a band entry
@@ -150,14 +152,18 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     sector, both named by the linalg.merged_levels solve of those bands for
     min(level + 2, dim) levels (its upper neighbour included); a level
     closer than DEGENERACY_GAP to a neighbour is a TrackingError at node 0.
-    psi_0 is the twisted vector x of the sector at E (linalg.sector_vector)
-    on its chain (models.parity_chains); it passes residual_gate on the band
-    product T x ("at phi node 0"), scaled by max|T| over both sectors, which
-    is max|H|.  The generator 2 pi <n_hat> = 2 pi sum_j j v_ij^2 (element j
-    of a sector has field occupation j) reads v_i from LAPACK eigh of that
-    band alone, not the twisted vector; every eigenpair passes residual_gate
-    on the band product, scaled by the sector's max|T|, and a failure is a
-    ConvergenceError naming the sector.
+    Both vectors come from one leading block of the sector, whose order m'
+    (the block order) starts at the larger of the m' that merged_levels
+    certified and 2 min(level + 2, dim), at least 32, and doubles as
+    linalg.leading_pair says: up to m = n_max + 1, the full band, where the
+    cutoff is too small for the level.  psi_0 is the twisted vector x of
+    the block at E, zero past row m', on its chain (models.parity_chains);
+    it passes residual_gate on the band product T x of the full band ("at
+    phi node 0"), scaled by max|T| over both sectors, which is max|H|.  The
+    generator 2 pi <n_hat> = 2 pi sum_j j v_ij^2 (element j of a sector has
+    field occupation j) reads v_i from LAPACK eigh of the block, not the
+    twisted vector; leading_pair gates it, and a failure is a
+    ConvergenceError naming the block and the sector.
     """
     if not 0 <= level < cfg.dim_joint:
         raise ValueError(f"level must be in [0, {cfg.dim_joint}), got {level}")
@@ -167,7 +173,8 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     if not np.all(finite):
         raise ValueError(f"{sector_label(kind, p.g, cfg, int(np.argmin(finite)))} has a "
                          f"band entry that is not finite: H overflows at these parameters")
-    solved = merged_levels(diag[None], off[None], min(level + 2, cfg.dim_joint),
+    k = min(level + 2, cfg.dim_joint)
+    solved = merged_levels(diag[None], off[None], k,
                            lambda _, sector: sector_label(kind, p.g, cfg, sector))
     gap = _level_gap(solved.levels[0], level)
     if not gap >= DEGENERACY_GAP:
@@ -176,23 +183,15 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     sector, i = solved.sector[0, level], solved.index[0, level]
     energy = solved.levels[0, level]
     d, o = diag[sector], off[sector]
-    scale = band_scale(diag, off)
-    x = sector_vector(d, o, energy)
-    residual = residual_gate(band_product(d, o, x), energy, x, float(np.max(scale)),
-                             "at phi node 0")
+    pair = leading_pair(d, o, i, energy, max(int(solved.block[0]), 2 * k),
+                        sector_label(kind, p.g, cfg, sector))
+    x = pair.twisted
+    residual = residual_gate(band_product(d, o, x), energy, x,
+                             float(np.max(band_scale(diag, off))), "at phi node 0")
     psi0 = np.zeros(cfg.dim_joint)
     psi0[parity_chains(cfg)[sector]] = x
-    where = sector_label(kind, p.g, cfg, sector)
-    try:
-        values, vectors = np.linalg.eigh(tridiagonal(d, o))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition of a dim={cfg.dim_field} matrix did not "
-                               f"converge within the solver's iteration cap ({exc}), "
-                               f"in {where}") from exc
-    residual_gate(band_product(d, o, vectors), values, vectors, float(scale[sector]),
-                  f"in {where}")
-    generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), vectors[:, i] ** 2))
-    return psi0, energy, residual, generator
+    generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), pair.column ** 2))
+    return psi0, energy, residual, generator, pair.order
 
 
 def eig_family(
@@ -218,7 +217,7 @@ def eig_family(
     its oracle.
     """
     phi_grid = loop_grid(K)
-    psi0, energy, _, generator = _solve_level(kind, p, level, cfg)
+    psi0, energy, _, generator, _ = _solve_level(kind, p, level, cfg)
     vectors = phase_factors(phi_grid[:, None], cfg) * psi0
     overlaps = np.abs(np.einsum("kj,kj->k", vectors[:-1].conj(), vectors[1:]))
     lost = np.flatnonzero(overlaps < CONTINUITY_THRESHOLD)
@@ -382,8 +381,10 @@ class FockLoop:
     and connection are the LoopResults that wilson_loop and
     connection_curve give on the eigenpath of eig_family; eigen_residual is
     the residual_gate value of psi_0 on the band product of its sector,
-    min_step_overlap the step overlap |chi(2 pi / K)| and generator the
-    oracle 2 pi <n_hat> of the level (_solve_level).
+    min_step_overlap the step overlap |chi(2 pi / K)|, generator the
+    oracle 2 pi <n_hat> of the level and block_order the order m' of the
+    leading block both were read from (_solve_level; n_max + 1 for the full
+    band): p_n is exactly 0 past m'.
     """
 
     wilson: LoopResult
@@ -392,6 +393,7 @@ class FockLoop:
     eigen_residual: float
     weights: np.ndarray  # shape (n_max + 1,)
     generator: float
+    block_order: int
 
     @property
     def tail_weight(self) -> float:
@@ -427,7 +429,7 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
     """
     _check_gauge(gauge)
     phi = loop_grid(K)
-    psi0, _, residual, generator = _solve_level(kind, p, level, cfg)
+    psi0, _, residual, generator, order = _solve_level(kind, p, level, cfg)
     weights = (psi0 * psi0).reshape(2, cfg.dim_field).sum(axis=0)
     n = np.arange(cfg.dim_field)
 
@@ -462,5 +464,5 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
         half = wrap_phase(phi[-1] * slope(K // 2))
     connection = LoopResult(wrap_phase(curve[-1]), float(curve[-1]),
                             np.column_stack([phi, curve]), tag, half, closure)
-    return FockLoop(wilson, connection, overlap, residual, weights, generator)
+    return FockLoop(wilson, connection, overlap, residual, weights, generator, order)
 

@@ -292,6 +292,7 @@ def cmd_berry(cfg: RunConfig, g_values, svg: bool) -> int:
             "eigen_residual": loop.eigen_residual,
             "closure_phase": conn.closure_phase,
             "tail_weight": loop.tail_weight,
+            "block_order": loop.block_order,
         }
         runs.append(summary)
         suffix = "" if len(g_values) == 1 else f"_g{g:g}"

@@ -33,14 +33,17 @@ and the m' and certified distance behind each point (SectorLevels).  Bands
 whose links would square past the largest double are scaled down by a
 power of two first (_scaled), and their values back.
 
-No eigenvector is computed there.  The one vector the toolkit reads,
-psi_0 of the Berry loop, is the twisted vector of its sector's band at its
-merged value (sector_vector), scaled the same way.  residual_gate takes
-the products A v rather than A, so the Berry loop gates psi_0, and the
-eigh of its sector for the generator oracle, on band_product: the three
-diagonals times the vectors, scaled by band_scale (max|T|), with no
-m x m product.  hermitian_eig, with its dense Hermiticity and residual
-gates, is kept for the dense matrices of the acceptance gate and tests.
+No eigenvector is computed there.  The Berry loop reads two vectors of
+one level, psi_0 and the column of eigh for its generator oracle, both
+from one leading block of its sector (leading_pair): the twisted vector
+at the merged value, scaled the same way, and the eigh of the block,
+whose order doubles from the certified m' until the link it drops is
+below a sixteenth of an ulp and the block's eigenvalue of that index is
+the merged value.  residual_gate takes the products A v rather than A, so
+both are gated on band_product: the three diagonals times the vectors,
+scaled by band_scale (max|T|), with no m x m product.  hermitian_eig, with
+its dense Hermiticity and residual gates, is kept for the dense matrices of
+the acceptance gate and tests.
 """
 
 from __future__ import annotations
@@ -298,6 +301,11 @@ def _pair_eigvalsh(diag, off) -> np.ndarray:
     return values
 
 
+# The order of the first leading block any solve tries.
+_FIRST_ORDER = 32
+# leading_pair cuts a band where the dropped link's term is at most this
+# much of max|T|: a sixteenth of an ulp.
+_DROPPED_RTOL = np.finfo(float).eps / 16
 # Matrix entries per stacked LAPACK input, and array entries of a
 # _twisted_tail call: the stacks are solved in chunks of rows, so a sweep's
 # solve holds about 1 MB at once.
@@ -447,7 +455,7 @@ def _leading_levels(diag, off, k: int, fixed=None):
             raise _SolveFailed(d.shape[-1], int(todo[0])) from exc
 
     todo = np.arange(n_points)
-    order = max(2 * k, 32)
+    order = max(2 * k, _FIRST_ORDER)
     while todo.size and order < m:
         d = diag[todo, :, :order].reshape(-1, order)
         o = off[todo, :, :order - 1].reshape(-1, order - 1)
@@ -615,18 +623,80 @@ def merged_levels(diag, off, k: int, where) -> SectorLevels:
     return SectorLevels(merged[..., :k], block, residual, *np.divmod(order[..., :k], kb))
 
 
-def sector_vector(diag, off, value) -> np.ndarray:
-    """The unit twisted vector of T - value I (_twisted_tail), T the
-    symmetric tridiagonal matrix with bands ``diag`` (m,) and ``off``
-    (m - 1,): at a simple eigenvalue of T, as merged_levels gives it, the
-    eigenvector up to rounding and its sign.  The bands and the value are
-    scaled as merged_levels scales them (_scaled), so huge links do not
-    overflow; the vector does not depend on the scale.
+@dataclass(frozen=True)
+class LeadingPair:
+    """Two eigenvectors of one sector at one of its merged values, from the
+    leading block of order m' = ``order`` (m for the full band).
+
+    twisted -- (m,) the unit twisted vector of T_m' - value I, zero past row m'
+    column  -- (m,) eigenvector ``index`` of np.linalg.eigh of T_m', zero past
+               row m'
     """
-    diag, off, _, power = _scaled(np.asarray(diag, dtype=float)[None, None],
-                                  np.asarray(off, dtype=float)[None, None])
-    x = _twisted_tail(diag[0], off[0], np.ldexp([[value]], -power))[3][:, 0, 0]
-    return x / np.linalg.norm(x)
+
+    twisted: np.ndarray
+    column: np.ndarray
+    order: int
+
+
+def leading_pair(diag, off, index: int, value: float, start: int, where: str) -> LeadingPair:
+    """Eigenvector ``index`` of a sector at its merged ``value``, twice.
+
+    ``diag`` (m,) and ``off`` (m - 1,) are the bands of the symmetric
+    tridiagonal T, and ``value`` its eigenvalue ``index`` as merged_levels
+    gives it.  Both vectors come from the leading block T_m', m' starting at
+    max(``start``, _FIRST_ORDER, index + 1) and doubling while either test
+    fails:
+
+    * the twisted vector x of T_m' - value I (_twisted_tail, on the bands
+      scaled as merged_levels scales them, so huge links do not overflow;
+      x does not depend on the scale), padded with zeros, has the residual
+      off[m'-1] x[m'-1] e_m' in T beyond its own; that dropped link's term
+      |off[m'-1] x[m'-1]| / |x| must be at most _DROPPED_RTOL * max|T|, a
+      sixteenth of an ulp, so that the cut adds nothing a solve would keep;
+    * eigenvalue ``index`` of np.linalg.eigh(T_m') must lie within
+      EIG_RTOL * max|T| of ``value``, so that no eigenvalue hidden past
+      row m' shifts the index.
+
+    Once m' reaches m the block is T itself, with no test.  Every eigenpair
+    of the block passes residual_gate on its band product, scaled by the
+    block's max|T|, and column ``index``, padded with zeros, also on the
+    band product of T, scaled by its max|T| (the same gate at m' = m).  A
+    LAPACK failure or a failed gate is a ConvergenceError naming the block
+    and ``where``, the sector.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    m = diag.shape[-1]
+    scale = float(band_scale(diag, off))
+    scaled_diag, scaled_off, _, power = _scaled(diag[None, None], off[None, None])
+    theta = np.ldexp([[value]], -power)
+    order = min(max(start, _FIRST_ORDER, index + 1), m)
+    while True:
+        last, _, _, x = _twisted_tail(scaled_diag[0, :, :order], scaled_off[0, :, :order - 1],
+                                      theta)
+        if order < m and not abs(off[order - 1]) * last[0, 0] <= _DROPPED_RTOL * scale:
+            order = min(2 * order, m)
+            continue
+        block = (diag[:order], off[:order - 1])
+        solved = f"all {m} rows" if order == m else f"the {order} x {order} leading block"
+        try:
+            values, vectors = np.linalg.eigh(tridiagonal(*block))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigendecomposition of {solved} of {where} did not "
+                                   f"converge within the solver's iteration cap ({exc})"
+                                   ) from exc
+        if order == m or abs(values[index] - value) <= EIG_RTOL * scale:
+            break
+        order = min(2 * order, m)
+    twisted, column = np.zeros((2, m))
+    twisted[:order] = x[:, 0, 0] / np.linalg.norm(x[:, 0, 0])
+    column[:order] = vectors[:, index]
+    residual_gate(band_product(*block, vectors), values, vectors, float(band_scale(*block)),
+                  f"in {where}" if order == m else f"in {solved} of {where}")
+    if order < m:
+        residual_gate(band_product(diag, off, column), values[index], column, scale,
+                      f"of eigenvector {index} of {solved}, padded to {where},")
+    return LeadingPair(twisted, column, order)
 
 
 def commutator_deviation(a, b, target) -> float:

@@ -235,7 +235,7 @@ class TestNodeGate:
     def test_broadcast_equals_the_node_loop(self, model):
         cfg = TruncationConfig(150)
         fam = eig_family(model, P_GATE, 1, K_GATE, cfg)
-        psi0, energy, _, _ = berry_module._solve_level(model, P_GATE, 1, cfg)
+        psi0, energy, _, _, _ = berry_module._solve_level(model, P_GATE, 1, cfg)
         assert np.array_equal(fam.vectors, node_loop_vectors(psi0, fam.phi_grid, cfg))
         assert fam.energy == energy
 
@@ -243,14 +243,14 @@ class TestNodeGate:
     def test_perturbed_psi0_fails_the_band_gate(self, model, monkeypatch):
         # one entry of the twisted vector off by 1e-6 leaves a residual far
         # above 1e-10 max|H|: the band product reads every entry of psi_0
-        true_vector = berry_module.sector_vector
+        true_pair = berry_module.leading_pair
 
         def perturbed(*args):
-            x = true_vector(*args)
-            x[1] += 1e-6
-            return x
+            pair = true_pair(*args)
+            pair.twisted[1] += 1e-6
+            return pair
 
-        monkeypatch.setattr(berry_module, "sector_vector", perturbed)
+        monkeypatch.setattr(berry_module, "leading_pair", perturbed)
         with pytest.raises(ConvergenceError, match="at phi node 0 exceeds"):
             eig_family(model, P_GATE, 1, 64, CFG)
 
@@ -321,7 +321,7 @@ class TestPsi0Oracles:
             dense = hermitian_eig(build_hamiltonian(ModelKind.RABI_LAB, self.P, cfg)).vectors
         # level dim - 1 takes the full eigvalsh of a Rabi sector
         for level in (0, 1, 7, cfg.dim_joint - 1):
-            psi0, _, _, _ = berry_module._solve_level(model, self.P, level, cfg)
+            psi0, _, _, _, _ = berry_module._solve_level(model, self.P, level, cfg)
             oracle = (jc_closed_form_state(level, self.P, cfg) if model == "jc"
                       else dense[:, level])
             assert abs(np.dot(oracle, psi0)) >= 1 - 1e-12, level
@@ -749,7 +749,9 @@ class TestGenerator:
 
     def test_solves_one_sector_band_alone(self, monkeypatch):
         # no eigensolver runs at the joint-space order 2 (n_max + 1) = 302:
-        # one eigh of the 151-row sector per loop
+        # one eigh per loop, of the leading block of 32 rows of the level's
+        # sector, or of all 151 rows for the top level, which lies at the
+        # cutoff
         orders = {"eigh": [], "eigvalsh": []}
         for name in orders:
             def solver(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
@@ -758,7 +760,7 @@ class TestGenerator:
             monkeypatch.setattr(np.linalg, name, solver)
         for model, level in (("jc", 1), ("rabi", 7), ("rabi", CFG_150.dim_joint - 1)):
             generator(model, ModelParams(Omega=1.0, g=0.5), level, CFG_150)
-        assert orders["eigh"] == [151, 151, 151]
+        assert orders["eigh"] == [32, 32, 151]
         assert orders["eigvalsh"] and max(orders["eigvalsh"]) == 151
 
 

@@ -4,7 +4,9 @@ eig_family solves each parity sector once and rephases it per node; its
 reference is the gated dense solve of the full rotated Hamiltonian at every
 node of the loop.  fock_loop reads the loop's values off the occupation
 weights of psi_0 in closed form; its reference is eig_family followed by
-wilson_loop and connection_curve, node by node.
+wilson_loop and connection_curve, node by node.  The level solve of both
+reads psi_0 and the generator from a leading block of the level's sector;
+its reference is the same solve on the full band (band_oracle).
 """
 
 from unittest.mock import patch
@@ -26,8 +28,10 @@ from jcrabi import (
     wilson_loop,
 )
 from jcrabi.berry import GAUGES, phase_distance
-from jcrabi.models import ModelKind
+from jcrabi.linalg import EIG_RTOL, band_scale
+from jcrabi.models import ModelKind, parity_sectors
 
+from band_oracle import full_band_level
 from dense_oracle import build_hamiltonian, rotate_hamiltonian
 
 CFG = TruncationConfig(20)
@@ -181,3 +185,30 @@ def test_fock_loop_refuses_as_node_path(model, g, level, K, n_max, error, text):
         with pytest.raises(error) as fast:
             fock_loop(model, p, level, K, cfg, gauge)
         assert str(fast.value) == str(slow.value)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    model=st.sampled_from(["jc", "rabi"]),
+    omega=st.floats(0.05, 3.0),
+    Omega=st.floats(0.0, 1.5),
+    g=st.floats(0.0, 1.5),
+    level=st.integers(0, 10),
+    n_max=st.integers(20, 400),
+)
+def test_leading_block_matches_the_full_band(model, omega, Omega, g, level, n_max):
+    # psi_0 and the generator from the leading block against the full
+    # band's twisted vector and eigh; a degenerate level is refused before
+    # either is solved
+    p, cfg = ModelParams(Omega=Omega, g=g, omega=omega), TruncationConfig(n_max)
+    try:
+        psi0, energy, residual, generator, order = berry._solve_level(model, p, level, cfg)
+    except TrackingError:
+        assume(False)
+    full_psi0, full_energy, _, full_generator = full_band_level(model, p, level, cfg)
+    assert energy == full_energy
+    assert min(32, cfg.dim_field) <= order <= cfg.dim_field
+    assert min(np.max(np.abs(psi0 - full_psi0)), np.max(np.abs(psi0 + full_psi0))) <= 1e-13
+    assert abs(generator - full_generator) <= 1e-11
+    scale = np.max(band_scale(*parity_sectors(ModelKind(model), p, cfg)))
+    assert residual <= EIG_RTOL * scale

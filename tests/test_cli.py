@@ -159,7 +159,8 @@ class TestBerryCommand:
         assert len(rows) == 129  # phi_nodes + 1
         summary = json.loads((tmp_path / "berry_summary.json").read_text())
         for key in ("wilson_gamma", "connection_gamma", "generator_gamma",
-                    "residual", "gauge", "eigen_residual", "closure_phase", "tail_weight"):
+                    "residual", "gauge", "eigen_residual", "closure_phase", "tail_weight",
+                    "block_order"):
             assert key in summary
         # resonant JC level 1: all three estimators sit at pi
         assert summary["wilson_gamma"] == pytest.approx(np.pi, abs=5e-3)
@@ -249,13 +250,33 @@ class TestBerryCommand:
     def test_generator_failure_names_the_sector(self, tmp_path, capsys, monkeypatch, level,
                                                 sector):
         # the loop reads no eigh; the generator oracle's one eigh, of the
-        # level's sector, fails
+        # leading block of the level's sector, fails
         err = self.failing_solver(tmp_path, capsys, monkeypatch, "eigh",
                                   "--level", level, "--nmax", "150")
         assert err == (
-            "numerical failure: rabi g=0.5: eigendecomposition of a dim=151 matrix did not "
-            "converge within the solver's iteration cap (Eigenvalues did not converge), in "
-            f"the {sector} rabi sector at g=0.5, n_max=150\n")
+            "numerical failure: rabi g=0.5: eigendecomposition of the 32 x 32 leading block "
+            f"of the {sector} rabi sector at g=0.5, n_max=150 did not converge within the "
+            "solver's iteration cap (Eigenvalues did not converge)\n")
+
+    def test_full_band_generator_failure_names_all_rows(self, tmp_path, capsys, monkeypatch):
+        # a 31-row sector is shorter than the first block: eigh of all of it
+        err = self.failing_solver(tmp_path, capsys, monkeypatch, "eigh", "--nmax", "30")
+        assert err == (
+            "numerical failure: rabi g=0.5: eigendecomposition of all 31 rows of the even rabi "
+            "sector at g=0.5, n_max=30 did not converge within the solver's iteration cap "
+            "(Eigenvalues did not converge)\n")
+
+    @pytest.mark.parametrize("n_max, order", [("150", 64), ("20", 21)])
+    def test_block_order_is_reported(self, tmp_path, n_max, order):
+        # at n_max 150 the level is read from a leading block of 64 rows,
+        # past which p_n, and so the tail weight, is exactly 0; at n_max 20,
+        # too small for g = 1.5, the block is the full band and the tail
+        # shows
+        assert main(["berry", "--model", "rabi", "--g", "1.5", "--nmax", n_max,
+                     "--out", str(tmp_path)]) == 0
+        run = json.loads((tmp_path / "berry_summary.json").read_text())
+        assert run["block_order"] == order
+        assert (run["tail_weight"] == 0.0) == (n_max == "150")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_jc_coupling_gives_a_loop(self, tmp_path):

@@ -15,9 +15,9 @@ from jcrabi.linalg import (
     EIG_RTOL,
     band_product,
     band_scale,
+    leading_pair,
     merged_levels,
     residual_gate,
-    sector_vector,
     sturm_count,
     tridiagonal,
 )
@@ -30,6 +30,8 @@ from jcrabi.models import (
     phase_factors,
     symmetry_ops,
 )
+
+from band_oracle import sector_vector
 
 SX, SY, SZ, SP, SM = qubit_ops()
 EPS = np.finfo(float).eps
@@ -762,18 +764,22 @@ class TestTwistedTail:
 
 
 class TestSectorVector:
-    """The one vector of a sector solve: the twisted vector at a merged value."""
+    """The two vectors of a Berry level: the twisted vector at a merged
+    value and the eigh column of that index, from one leading block."""
 
     def test_is_the_eigenvector_of_each_block(self):
         rng = np.random.default_rng(22)
         diag, off = random_bands(30, rng)
         off[0, ::3] *= -1.0  # signed links give the signs of the eigenvector
         solved = merged_levels(diag[None], off[None], 60, sector_label)
-        for value, block in zip(solved.levels[0], solved.sector[0]):
-            y = sector_vector(diag[block], off[block], value)
+        for value, block, index in zip(solved.levels[0], solved.sector[0], solved.index[0]):
+            pair = leading_pair(diag[block], off[block], index, value, 0, "block")
             t = dense(diag[block], off[block])
-            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
-            assert np.max(np.abs(t @ y - value * y)) <= 1e-12 * np.max(np.abs(t))
+            assert pair.order == 30  # shorter than the first block: the full band
+            assert np.linalg.norm(pair.twisted) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(pair.column) == pytest.approx(1.0, abs=1e-14)
+            for y in (pair.twisted, pair.column):
+                assert np.max(np.abs(t @ y - value * y)) <= 1e-12 * np.max(np.abs(t))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_links_give_the_vector_of_the_scaled_band(self):
@@ -784,9 +790,123 @@ class TestSectorVector:
         diag, off = diag[0, 0], off[0, 0]
         scale = 2.0 ** 532
         value = np.linalg.eigvalsh(dense(diag, off))[3]
-        y = sector_vector(scale * diag, scale * off, scale * value)
-        assert np.array_equal(y, sector_vector(diag, off, value))
-        assert np.max(np.abs(dense(diag, off) @ y - value * y)) <= 1e-12 * np.max(diag)
+        huge = leading_pair(scale * diag, scale * off, 3, scale * value, 0, "block")
+        plain = leading_pair(diag, off, 3, value, 0, "block")
+        assert np.array_equal(huge.twisted, plain.twisted)
+        assert huge.order == plain.order
+        for y in (huge.twisted, huge.column):
+            assert np.max(np.abs(dense(diag, off) @ y - value * y)) <= 1e-12 * np.max(diag)
+
+
+def full_pair(diag, off, index):
+    """(value, column) of eigenpair ``index`` of np.linalg.eigh of the whole band."""
+    values, vectors = np.linalg.eigh(dense(diag, off))
+    return values[index], vectors[:, index]
+
+
+def same_up_to_sign(a, b, tol):
+    return min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) <= tol
+
+
+class TestLeadingPair:
+    """linalg.leading_pair against the full band's eigh and twisted vector."""
+
+    @pytest.mark.parametrize("index", [0, 3, 7])
+    def test_a_decaying_band_stops_at_the_first_block(self, index):
+        diag, off = (band[0, 0] for band in decaying_bands(400, 1, np.random.default_rng(5)))
+        value, column = full_pair(diag, off, index)
+        pair = leading_pair(diag, off, index, value, 0, "block")
+        assert pair.order == 32
+        assert not np.any(pair.twisted[32:]) and not np.any(pair.column[32:])
+        assert same_up_to_sign(pair.column, column, 1e-13)
+        assert same_up_to_sign(pair.twisted, sector_vector(diag, off, value), 1e-13)
+
+    def test_starts_at_the_given_order(self):
+        diag, off = (band[0, 0] for band in decaying_bands(400, 1, np.random.default_rng(5)))
+        value, _ = full_pair(diag, off, 1)
+        assert leading_pair(diag, off, 1, value, 100, "block").order == 100
+        assert leading_pair(diag, off, 1, value, 1000, "block").order == 400
+        # the first block holds the index: 41 rows, whose last is not yet
+        # negligible for value 40, then 82
+        assert leading_pair(diag, off, 40, full_pair(diag, off, 40)[0], 0, "block").order == 82
+
+    def test_doubles_until_the_dropped_link_is_below_a_sixteenth_ulp(self):
+        # links of 2 against a diagonal step of 1/32: the ground state
+        # decays slowly, so rows 32 to 64 still hold more than a sixteenth
+        # of an ulp, and the blocks of 32 and 64 rows are doubled
+        m = 600
+        diag, off = np.arange(m, dtype=float) / 32, np.full(m - 1, 2.0)
+        value, column = full_pair(diag, off, 0)
+        pair = leading_pair(diag, off, 0, value, 0, "block")
+        scale = band_scale(diag, off)
+        order = pair.order
+        assert order == 128
+        for n, dropped in ((32, False), (64, False), (128, True)):
+            x = sector_vector(diag[:n], off[:n - 1], value)
+            assert (abs(off[n - 1] * x[-1]) <= EPS / 16 * scale) == dropped, n
+        assert same_up_to_sign(pair.column, column, 1e-13)
+
+    @pytest.mark.parametrize("index", [5, 6])
+    def test_state_hidden_past_the_block_is_found(self, index):
+        # block A of _hidden_state_bands hides a state at 4.5 in row 39
+        # behind links of 1e-30: value 5 is that state, value 6 the one
+        # at 5.0 above it.  The 32 x 32 block's twisted vector drops nothing
+        # a solve would keep, but its eigenvalue `index` is the state above
+        # (5.0 or 6.0): the value match sends the block on to the full band
+        diag, off = (band[0, 0] for band in _hidden_state_bands())
+        value, column = full_pair(diag, off, index)
+        assert value == pytest.approx(4.5 if index == 5 else 5.0, abs=1e-2)
+        pair = leading_pair(diag, off, index, value, 32, "block")
+        assert pair.order == 60
+        assert same_up_to_sign(pair.column, column, 1e-12)
+        assert same_up_to_sign(pair.twisted, sector_vector(diag, off, value), 1e-12)
+
+    def test_failed_solve_names_the_block(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        diag, off = (band[0, 0] for band in decaying_bands(100, 1, np.random.default_rng(5)))
+        with pytest.raises(ConvergenceError, match=(
+                r"^eigendecomposition of the 32 x 32 leading block of block A did not "
+                r"converge within the solver's iteration cap \(Eigenvalues did not converge\)$")):
+            leading_pair(diag, off, 0, 0.0, 0, "block A")
+        with pytest.raises(ConvergenceError, match=r"^eigendecomposition of all 20 rows of block A"):
+            leading_pair(diag[:20], off[:19], 0, 0.0, 0, "block A")
+
+    def test_perturbed_column_fails_the_block_gate(self, monkeypatch):
+        # an entry of column 0 off by 1e-6: the block's gate names the block
+        true_eigh = np.linalg.eigh
+        diag, off = (band[0, 0] for band in decaying_bands(100, 1, np.random.default_rng(5)))
+        value, _ = full_pair(diag, off, 0)
+
+        def perturbed(a, *args, **kwargs):
+            values, vectors = true_eigh(a, *args, **kwargs)
+            vectors[3, 0] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError,
+                           match=r"in the 32 x 32 leading block of block A exceeds"):
+            leading_pair(diag, off, 0, value, 0, "block A")
+
+    def test_padded_column_is_gated_on_the_full_band(self, monkeypatch):
+        # the padded column's product with the full band has one more
+        # nonzero row than the block's, row 32: its gate reads it
+        true_product = linalg.band_product
+        diag, off = (band[0, 0] for band in decaying_bands(100, 1, np.random.default_rng(5)))
+        value, _ = full_pair(diag, off, 0)
+
+        def perturbed(d, o, x):
+            y = true_product(d, o, x)
+            if len(d) == 100:
+                y[32] += 1e-6
+            return y
+
+        monkeypatch.setattr(linalg, "band_product", perturbed)
+        with pytest.raises(ConvergenceError, match=(
+                r"of eigenvector 0 of the 32 x 32 leading block, padded to block A, exceeds")):
+            leading_pair(diag, off, 0, value, 0, "block A")
 
 
 class TestLeadingLevels:
