@@ -1,34 +1,26 @@
 """jcrabi: Jaynes-Cummings vs quantum Rabi toolkit.
 
-Numerics for the two standard cavity-QED models, built in the lab frame on a
+Numerics for the two standard cavity-QED models, in the lab frame on a
 truncated boson space: spectrum sweeps and their counter-rotating
 deviations, mean-field Born-Oppenheimer energy surfaces, and geometric
 phases of rotated eigenstate families computed by three independent
-estimators.  Most solves run on the two real tridiagonal parity sectors of
-each Hamiltonian; the dense joint-space matrices are their oracle.
+estimators.  Every solve runs on the two real tridiagonal parity sectors
+of each Hamiltonian (models.parity_sectors); no joint-space matrix is
+built.
 """
 
 __version__ = "0.1.0"
 
-from .fock import TruncationConfig, embed, ladder_ops, qubit_ops
-from .linalg import (
-    ConvergenceError,
-    EigenSystem,
-    HermiticityError,
-    commutator_deviation,
-    hermitian_eig,
-)
+from .fock import TruncationConfig
+from .linalg import ConvergenceError
 from .models import (
     DressedDoublet,
     ModelKind,
     ModelParams,
-    build_jc,
-    build_rabi,
     empty_state_energy,
     jc_doublet_analytic,
     parity_chains,
     parity_sectors,
-    symmetry_ops,
 )
 from .spectra import (
     ConvergenceTable,

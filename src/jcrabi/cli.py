@@ -36,8 +36,8 @@ class RunFailure(Exception):
     """A numerical failure of one named run: a coupling or a criterion."""
 
 
-# The numerical failures of the library; ValueError covers HermiticityError
-# and the sector-split check.
+# The numerical failures of the library; ValueError covers the parameter
+# refusals and the non-finite band entry that berry._solve_level refuses.
 _NUMERICAL = (TrackingError, ConvergenceError, ValueError)
 
 

@@ -1,10 +1,8 @@
-"""Hermitian linear algebra with explicit quality gates.
+"""Symmetric tridiagonal eigenproblems with explicit quality gates.
 
-Every operator in this toolkit is a small dense matrix (dim <= ~1200), so a
-direct LAPACK eigendecomposition is the right tool; real symmetric input
-stays real.  The wrappers below add the checks the physics modules rely on:
-a Hermiticity gate on input, a gate on every eigenvalue or eigenpair
-returned, and commutator diagnostics used to verify model symmetries.
+Every solve in this toolkit runs on the bands of real symmetric
+tridiagonal matrices: the parity sectors of the two models.  The routines
+below solve them and gate every eigenvalue or eigenpair they return.
 
 The main input is the pair of parity sectors from models.parity_sectors,
 given as bands stacked over the points: diag of shape (points, 2, m) and
@@ -41,9 +39,7 @@ whose order doubles from the certified m' until the link it drops is
 below a sixteenth of an ulp and the block's eigenvalue of that index is
 the merged value.  residual_gate takes the products A v rather than A, so
 both are gated on band_product: the three diagonals times the vectors,
-scaled by band_scale (max|T|), with no m x m product.  hermitian_eig, with
-its dense Hermiticity and residual gates, is kept for the dense matrices of
-the acceptance gate and tests.
+scaled by band_scale (max|T|), with no m x m product.
 """
 
 from __future__ import annotations
@@ -52,52 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hermiticity gate, relative to max|A|.
-HERMITICITY_RTOL = 1e-12
 # Eigen-residual bound, relative to max|A|.
 EIG_RTOL = 1e-10
 
 
-class HermiticityError(ValueError):
-    """Input deviates from A == A^dag beyond tolerance."""
-
-    def __init__(self, deviation: float, bound: float):
-        self.deviation = float(deviation)
-        self.bound = float(bound)
-        super().__init__(
-            f"matrix is not Hermitian: max|A - A^dag| = {deviation:.6e} "
-            f"exceeds the allowed {bound:.6e}"
-        )
-
-
 class ConvergenceError(RuntimeError):
     """Eigensolver did not reach its accuracy target."""
-
-
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    return a
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full decomposition of a Hermitian matrix.
-
-    values   -- real eigenvalues, ascending (ties allowed)
-    vectors  -- unit-norm eigenvectors, one column per value
-    residual -- max over i of the inf-norm of A v_i - lambda_i v_i
-
-    Eigenvector global phases are unspecified; downstream gauge fixing owns
-    them.  Inside a degenerate cluster the basis is an arbitrary orthonormal
-    choice and callers must not rely on it.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residual: float
 
 
 def residual_gate(av, values, vectors, maxabs: float, where: str) -> float:
@@ -115,45 +71,6 @@ def residual_gate(av, values, vectors, maxabs: float, where: str) -> float:
             f"{EIG_RTOL:.1e} * max|A| = {bound:.3e}"
         )
     return residual
-
-
-def _hermitian_part(a):
-    """The Hermiticity gate: returns ((A + A^dag)/2, max|A|) for a square A,
-    or raises HermiticityError unless max|A - A^dag| is at most
-    HERMITICITY_RTOL * max|A| (a NaN entry fails)."""
-    maxabs = float(np.max(np.abs(a)))
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    bound = HERMITICITY_RTOL * maxabs
-    if not dev <= bound:
-        raise HermiticityError(dev, bound)
-    return 0.5 * (a + a.conj().T), maxabs
-
-
-def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, with contract checks.
-
-    The input is gated on Hermiticity (1e-12 relative to max|A|), then
-    symmetrized to (A + A^dag)/2 and decomposed.  Every eigenpair passes
-    residual_gate; a violation or a LAPACK convergence failure raises
-    ConvergenceError naming the dimension.  Real input yields real vectors.
-    A zero matrix takes the same path: eigh returns zeros and the identity,
-    and both gates pass with a bound of 0.
-
-    Deterministic: identical input yields the identical decomposition.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    h, maxabs = _hermitian_part(a)
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input
-        raise ConvergenceError(
-            f"eigendecomposition of a dim={n} matrix did not converge "
-            f"within the solver's iteration cap ({exc})"
-        ) from exc
-
-    residual = residual_gate(a @ vectors, values, vectors, maxabs, f"for a dim={n} matrix")
-    return EigenSystem(values, vectors, residual)
 
 
 def _merge(values):
@@ -698,14 +615,3 @@ def leading_pair(diag, off, index: int, value: float, start: int, where: str) ->
                       f"of eigenvector {index} of {solved}, padded to {where},")
     return LeadingPair(twisted, column, order)
 
-
-def commutator_deviation(a, b, target) -> float:
-    """Frobenius norm of AB - BA - target."""
-    a = _as_square(a, "A")
-    b = _as_square(b, "B")
-    target = _as_square(target, "target")
-    if not (a.shape == b.shape == target.shape):
-        raise ValueError(
-            f"dimension mismatch: A {a.shape}, B {b.shape}, target {target.shape}"
-        )
-    return float(np.linalg.norm(a @ b - b @ a - target, "fro"))

@@ -1,4 +1,4 @@
-"""Hamiltonian builders for the Jaynes-Cummings and quantum Rabi models.
+"""The Jaynes-Cummings and quantum Rabi Hamiltonians, as parity-sector bands.
 
 Model conventions (omega = 1 scaling throughout), both in the lab frame:
 
@@ -17,17 +17,17 @@ sectors of size n_max + 1, in closed form for both chains at once (and
 for a 1-D array of couplings in one broadcast), in the chain order of
 parity_chains, which sector_label names.  linalg.merged_levels solves them
 for every layer, and the Berry loop reads its level, psi_0, eigen-residual
-gate and generator oracle off them alone.  The dense joint-space builders
-are the oracle they are tested against, and the operators of the
-acceptance gate's symmetry checks; no solve builds them.
+gate and generator oracle off them alone.  No joint-space matrix is
+built: the dense builders are the tests' oracle (tests/dense_oracle.py),
+and the acceptance gate applies H to vectors by ladder arithmetic.
 
 Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
 phase_factors(phi).  U(phi) is diagonal, so it keeps the parity chains,
 and the Berry loop needs no rotated H'(phi): its eigenpath is
 U(phi)|psi_0>, which berry.eig_family builds for every node in one
 broadcast of phase_factors over a column of phi, and which the command
-line's berry.fock_loop reads off the occupation weights of psi_0.  Both
-builders return real (float64) matrices.
+line's berry.fock_loop reads off the occupation weights of psi_0.  The
+bands are real (float64).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import SQRT2, TruncationConfig, embed, ladder_ops, qubit_ops
+from .fock import SQRT2, TruncationConfig
 
 
 class ModelKind(enum.Enum):
@@ -82,22 +82,6 @@ class ModelParams:
 
     def with_g(self, g: float) -> "ModelParams":
         return ModelParams(Omega=self.Omega, g=g, omega=self.omega)
-
-
-def build_rabi(p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
-    """Quantum Rabi Hamiltonian on the joint space."""
-    a, a_dag, n_hat = ladder_ops(cfg)
-    sx, _, sz, _, _ = qubit_ops()
-    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
-    return h + p.g * SQRT2 * embed(a + a_dag, sx, cfg)
-
-
-def build_jc(p: ModelParams, cfg: TruncationConfig) -> np.ndarray:
-    """Jaynes-Cummings Hamiltonian (rotating-wave coupling) on the joint space."""
-    a, a_dag, n_hat = ladder_ops(cfg)
-    _, _, sz, sp, sm = qubit_ops()
-    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
-    return h + p.g * SQRT2 * (embed(a, sp, cfg) + embed(a_dag, sm, cfg))
 
 
 def phase_factors(phi, cfg: TruncationConfig) -> np.ndarray:
@@ -157,20 +141,6 @@ def jc_doublet_analytic(n: int, p: ModelParams) -> DressedDoublet:
     )
 
 
-def symmetry_ops(cfg: TruncationConfig):
-    """Excitation number N = n + sz/2 and parity Pi = sz (x) (-1)^n.
-
-    [H_JC, N] = 0 (U(1) symmetry) and [H_R, Pi] = 0 (Z2 symmetry), both exact
-    on the truncated space; Pi is diagonal with entries +/-1 and Pi^2 = I.
-    """
-    _, _, n_hat = ladder_ops(cfg)
-    _, _, sz, _, _ = qubit_ops()
-    n_total = embed(n_hat, None, cfg) + 0.5 * embed(None, sz, cfg)
-    field_parity = np.diag((-1.0) ** np.arange(cfg.dim_field))
-    parity = embed(field_parity, sz, cfg)
-    return n_total, parity
-
-
 def parity_chains(cfg: TruncationConfig):
     """Joint-space indices of the two parity sectors, in chain order.
 
@@ -197,8 +167,8 @@ def sector_label(kind: ModelKind, g, cfg: TruncationConfig, sector: int) -> str:
 
 
 def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig, g=None):
-    """The two parity sectors of the H of ``kind`` (build_jc or build_rabi),
-    as bands.
+    """The two parity sectors of the H of ``kind`` (H_JC or H_R above), as
+    bands.
 
     Returns (diag, off) of shapes (2, n_max + 1) and (2, n_max): row 0 is
     the even chain, row 1 the odd one (parity_chains order).  Element j has
@@ -208,10 +178,11 @@ def parity_sectors(kind: ModelKind, p: ModelParams, cfg: TruncationConfig, g=Non
     keeps it only where element j is the excited qubit.  Each sector is the
     real symmetric tridiagonal matrix with these bands, so it is symmetric
     by construction; placed on their chains, the bands equal the dense
-    builders exactly (a property the tests check), so no caller needs to
-    build the dense matrix to trust them.  The coupling is p.g, or g if
-    given: a 1-D array of couplings gives the bands of each, bitwise those
-    of its own call, stacked as (points, 2, n_max + 1) and (points, 2, n_max).
+    matrices of the tests' oracle exactly (a property the tests check), so
+    no caller needs to build the dense matrix to trust them.  The coupling
+    is p.g, or g if given: a 1-D array of couplings gives the bands of
+    each, bitwise those of its own call, stacked as (points, 2, n_max + 1)
+    and (points, 2, n_max).
     """
     g = np.asarray(p.g if g is None else g, dtype=float)[..., None, None]
     j = np.arange(cfg.dim_field)

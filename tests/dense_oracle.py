@@ -1,15 +1,99 @@
 """Dense joint-space forms that the tests compare the band path with.
 
 The package solves every level from the bands of the two parity sectors
-(models.parity_sectors) and builds no joint-space matrix outside the
-acceptance gate's symmetry checks.  These helpers build the dense matrices,
-rotations and doublet states of order 2(n_max + 1) that the tests use as
-the oracle of that path.
+(models.parity_sectors) and builds no joint-space matrix.  These helpers
+build the dense operators, Hamiltonians, rotations and doublet states of
+order 2(n_max + 1) that the tests use as the oracle of that path, in the
+basis conventions of jcrabi.fock: qubit (|2>, |1>) = (excited, ground)
+outer, field occupation inner, so an operator embeds as
+kron(qubit_op, field_op).  a, n_hat, sx, sz, s+ and s- are float64; only
+sy and what is built from it are complex.
 """
 
 import numpy as np
 
-from jcrabi.models import ModelKind, build_jc, build_rabi, phase_factors
+from jcrabi.fock import SQRT2
+from jcrabi.models import ModelKind, phase_factors
+
+
+def ladder_ops(cfg):
+    """Annihilation, creation and number operators on the truncated field space.
+
+    a[n-1, n] = sqrt(n); a_dag = a^dag; n_hat = a_dag a = diag(0, ..., n_max).
+    The only truncation defect sits in a a_dag, whose (n_max, n_max) entry is
+    0 instead of n_max + 1.
+    """
+    ns = np.arange(1, cfg.n_max + 1, dtype=float)
+    a = np.diag(np.sqrt(ns), k=1)
+    a_dag = a.conj().T
+    n_hat = np.diag(np.arange(cfg.n_max + 1, dtype=float))
+    return a, a_dag, n_hat
+
+
+def qubit_ops():
+    """Pauli and ladder matrices in the (|2>, |1>) basis, sigma_z|2> = +|2>."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # |2><1|
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return sx, sy, sz, sp, sm
+
+
+def embed(field_op, qubit_op, cfg) -> np.ndarray:
+    """Lift operators onto the joint space as qubit_op (x) field_op.
+
+    Either factor may be None, meaning the identity on that subsystem.  The
+    qubit index is the slow/outer block index.
+    """
+    dim_f = cfg.dim_field
+    if field_op is None:
+        field_op = np.eye(dim_f)
+    else:
+        field_op = np.asarray(field_op)
+        if field_op.shape != (dim_f, dim_f):
+            raise ValueError(
+                f"field operator must be {dim_f}x{dim_f} for n_max={cfg.n_max}, "
+                f"got {field_op.shape}"
+            )
+    if qubit_op is None:
+        qubit_op = np.eye(2)
+    else:
+        qubit_op = np.asarray(qubit_op)
+        if qubit_op.shape != (2, 2):
+            raise ValueError(f"qubit operator must be 2x2, got {qubit_op.shape}")
+    return np.kron(qubit_op, field_op)
+
+
+def build_rabi(p, cfg) -> np.ndarray:
+    """Quantum Rabi Hamiltonian on the joint space."""
+    a, a_dag, n_hat = ladder_ops(cfg)
+    sx, _, sz, _, _ = qubit_ops()
+    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
+    return h + p.g * SQRT2 * embed(a + a_dag, sx, cfg)
+
+
+def build_jc(p, cfg) -> np.ndarray:
+    """Jaynes-Cummings Hamiltonian (rotating-wave coupling) on the joint space."""
+    a, a_dag, n_hat = ladder_ops(cfg)
+    _, _, sz, sp, sm = qubit_ops()
+    h = p.omega * embed(n_hat, None, cfg) + 0.5 * p.Omega * embed(None, sz, cfg)
+    return h + p.g * SQRT2 * (embed(a, sp, cfg) + embed(a_dag, sm, cfg))
+
+
+def symmetry_ops(cfg):
+    """Excitation number N = n + sz/2 and parity Pi = sz (x) (-1)^n.
+
+    [H_JC, N] = 0 (U(1) symmetry) and [H_R, Pi] = 0 (Z2 symmetry), both exact
+    on the truncated space; Pi is diagonal with entries +/-1 and Pi^2 = I.
+    """
+    _, _, n_hat = ladder_ops(cfg)
+    _, _, sz, _, _ = qubit_ops()
+    n_total = embed(n_hat, None, cfg) + 0.5 * embed(None, sz, cfg)
+    field_parity = np.diag((-1.0) ** np.arange(cfg.dim_field))
+    parity = embed(field_parity, sz, cfg)
+    return n_total, parity
+
 
 _BUILDERS = {ModelKind.JC_LAB: build_jc, ModelKind.RABI_LAB: build_rabi}
 

@@ -14,13 +14,18 @@ from jcrabi import (
     wrap_phase,
 )
 import jcrabi.berry as berry_module
-import jcrabi.models as models_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
-from jcrabi.fock import embed, ladder_ops, qubit_ops
-from jcrabi.linalg import ConvergenceError, hermitian_eig
+from jcrabi.linalg import ConvergenceError
 from jcrabi.models import ModelKind, empty_state_energy, jc_doublet_analytic, phase_factors
 
-from dense_oracle import build_hamiltonian, doublet_state_vectors, rotate_hamiltonian
+from dense_oracle import (
+    build_hamiltonian,
+    doublet_state_vectors,
+    embed,
+    ladder_ops,
+    qubit_ops,
+    rotate_hamiltonian,
+)
 
 CFG = TruncationConfig(30)
 P_RES = ModelParams(Omega=1.0, g=0.1)
@@ -123,10 +128,10 @@ class TestEigFamily:
         fam = eig_family(model, p, 1, K, CFG)
         h0 = build_hamiltonian(ModelKind(model), p, CFG)
         for k in (0, K // 4, K // 2):
-            es = hermitian_eig(rotate_hamiltonian(h0, fam.phi_grid[k], CFG))
-            j = int(np.argmin(np.abs(es.values - fam.energy)))
-            assert abs(np.vdot(es.vectors[:, j], fam.vectors[k])) >= 1.0 - 1e-10
-            assert abs(es.values[j] - fam.energy) <= 1e-12
+            values, vectors = np.linalg.eigh(rotate_hamiltonian(h0, fam.phi_grid[k], CFG))
+            j = int(np.argmin(np.abs(values - fam.energy)))
+            assert abs(np.vdot(vectors[:, j], fam.vectors[k])) >= 1.0 - 1e-10
+            assert abs(values[j] - fam.energy) <= 1e-12
 
     def test_degenerate_level_refusal_names_level_and_gap(self):
         with pytest.raises(TrackingError, match=r"phi node 0: level 1 is degenerate \(gap "):
@@ -137,14 +142,14 @@ class TestEigFamily:
         monkeypatch.setattr(berry_module, "CONTINUITY_THRESHOLD", 0.9)
         p = ModelParams(Omega=1.2, g=0.4)
         fam = eig_family(kind, p, 1, 16, CFG)
-        es = hermitian_eig(build_hamiltonian(kind, p, CFG))
-        assert fam.energy == pytest.approx(es.values[1], abs=1e-12)
+        values = np.linalg.eigvalsh(build_hamiltonian(kind, p, CFG))
+        assert fam.energy == pytest.approx(values[1], abs=1e-12)
 
     def test_tracks_through_detuned_spectrum(self):
         p = ModelParams(Omega=1.5, g=0.3)
         fam = eig_family("jc", p, 1, 64, CFG)
         assert fam.min_step_overlap >= 0.99
-        dense = hermitian_eig(build_hamiltonian(ModelKind.JC_LAB, p, CFG)).values[1]
+        dense = np.linalg.eigvalsh(build_hamiltonian(ModelKind.JC_LAB, p, CFG))[1]
         assert abs(fam.energy - dense) <= 1e-9
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -274,13 +279,12 @@ class TestNodeGate:
 
     @pytest.mark.parametrize("model", ["jc", "rabi"])
     def test_no_dense_matrix_on_the_loop_path(self, model, monkeypatch):
-        # the loop reads the bands alone: a dense builder that raises, and
-        # the fock.embed they assemble H from, are never reached
+        # the loop reads the bands alone: numpy.kron, which a joint-space
+        # operator is assembled with, is never reached
         def dense(*args, **kwargs):
             raise AssertionError("a dense joint-space matrix was built")
 
-        for name in ("build_jc", "build_rabi", "embed"):
-            monkeypatch.setattr(models_module, name, dense)
+        monkeypatch.setattr(np, "kron", dense)
         for level in (0, 1, 7):
             fam = eig_family(model, P_GATE, level, K_GATE, CFG_150)
             assert np.isfinite(fam.generator)
@@ -318,7 +322,7 @@ class TestPsi0Oracles:
     def test_levels_match_the_oracle(self, model, n_max):
         cfg = TruncationConfig(n_max)
         if model == "rabi":
-            dense = hermitian_eig(build_hamiltonian(ModelKind.RABI_LAB, self.P, cfg)).vectors
+            dense = np.linalg.eigh(build_hamiltonian(ModelKind.RABI_LAB, self.P, cfg))[1]
         # level dim - 1 takes the full eigvalsh of a Rabi sector
         for level in (0, 1, 7, cfg.dim_joint - 1):
             psi0, _, _, _, _ = berry_module._solve_level(model, self.P, level, cfg)
@@ -699,7 +703,7 @@ class TestGenerator:
         n_joint = embed(ladder_ops(CFG)[2], None, CFG)
         for Omega, g, level in ((1.0, 0.1, 1), (0.7, 0.5, 2), (1.3, 0.9, 3)):
             p = ModelParams(Omega=Omega, g=g)
-            v = hermitian_eig(build_hamiltonian(ModelKind(model), p, CFG)).vectors[:, level]
+            v = np.linalg.eigh(build_hamiltonian(ModelKind(model), p, CFG))[1][:, level]
             expected = TWO_PI * np.vdot(v, n_joint @ v).real
             assert abs(generator(model, p, level, CFG) - expected) <= 1e-12
 
@@ -736,14 +740,14 @@ class TestGenerator:
     @pytest.mark.parametrize("Omega, g", [(1.0, 0.01), (1.0, 0.5), (0.4, 0.93), (1.6, 0.1)])
     def test_rabi_matches_the_dense_column_at_nmax_150(self, Omega, g):
         # the sector eigh against column `level` of the dense joint-space
-        # hermitian_eig, whose occupation is j % (n_max + 1)
+        # eigh, whose occupation is j % (n_max + 1)
         p = ModelParams(Omega=Omega, g=g)
         h = build_hamiltonian(ModelKind.RABI_LAB, p, CFG_150)
-        es = hermitian_eig(h)
+        values, vectors = np.linalg.eigh(h)
         n = np.arange(CFG_150.dim_joint) % CFG_150.dim_field
         for level in (0, 1, 7, CFG_150.dim_joint - 1):
-            gap = np.min(np.diff(es.values[max(level - 1, 0):level + 2]))
-            dense = TWO_PI * np.dot(n, es.vectors[:, level] ** 2)
+            gap = np.min(np.diff(values[max(level - 1, 0):level + 2]))
+            dense = TWO_PI * np.dot(n, vectors[:, level] ** 2)
             bound = self.DENSE_C * EPS * np.max(np.abs(h)) / gap
             assert abs(generator("rabi", p, level, CFG_150) - dense) <= bound, level
 

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from jcrabi import (
-    ConvergenceError,
-    HermiticityError,
-    TruncationConfig,
-    commutator_deviation,
-    hermitian_eig,
-)
+from jcrabi import ConvergenceError, TruncationConfig
 from jcrabi import linalg
 from jcrabi.acceptance import _hidden_state_bands
-from jcrabi.fock import SQRT2, ladder_ops, qubit_ops
 from jcrabi.linalg import (
     EIG_RTOL,
     band_product,
@@ -21,143 +14,11 @@ from jcrabi.linalg import (
     sturm_count,
     tridiagonal,
 )
-from jcrabi.models import (
-    ModelKind,
-    ModelParams,
-    build_jc,
-    jc_doublet_analytic,
-    parity_sectors,
-    phase_factors,
-    symmetry_ops,
-)
+from jcrabi.models import ModelKind, ModelParams, jc_doublet_analytic, parity_sectors
 
 from band_oracle import sector_vector
 
-SX, SY, SZ, SP, SM = qubit_ops()
 EPS = np.finfo(float).eps
-
-
-def u_phi(phi, cfg):
-    """Dense U(phi) = exp(-i n_hat phi), qubit factor identity."""
-    return np.diag(phase_factors(phi, cfg))
-
-
-def quadratures(cfg):
-    """Field quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2)."""
-    a, a_dag, _ = ladder_ops(cfg)
-    return (a + a_dag) / SQRT2, 1j * (a_dag - a) / SQRT2
-
-
-def random_hermitian(n, rng, scale=1.0):
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (raw + raw.conj().T)
-
-
-class TestHermitianEig:
-    def test_pauli_z_spectrum(self):
-        es = hermitian_eig(SZ)
-        assert np.allclose(es.values, [-1.0, 1.0])
-
-    def test_pauli_x_spectrum_and_vectors(self):
-        es = hermitian_eig(SX)
-        assert np.allclose(es.values, [-1.0, 1.0])
-        # eigenvectors (1, -+1)/sqrt(2) up to a global phase
-        for col, expected in zip(es.vectors.T, ([1, -1], [1, 1])):
-            expected = np.asarray(expected) / np.sqrt(2)
-            assert abs(abs(np.vdot(expected, col)) - 1.0) < 1e-12
-
-    def test_reconstruction_random_200(self):
-        rng = np.random.default_rng(1)
-        a = random_hermitian(200, rng)
-        es = hermitian_eig(a)
-        recon = (es.vectors * es.values) @ es.vectors.conj().T
-        assert np.max(np.abs(a - recon)) <= 1e-10 * np.max(np.abs(a))
-
-    def test_values_ascending_and_vectors_orthonormal(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(57, rng)
-        es = hermitian_eig(a)
-        assert np.all(np.diff(es.values) >= 0)
-        gram = es.vectors.conj().T @ es.vectors
-        assert np.max(np.abs(gram - np.eye(57))) <= 1e-10
-        assert es.residual <= 1e-10 * np.max(np.abs(a))
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(3)
-        a = random_hermitian(64, rng)
-        es = hermitian_eig(a)
-        bound = 1e-10 * 64 * np.max(np.abs(a))
-        assert abs(np.trace(a).real - np.sum(es.values)) <= bound
-
-    def test_diagonal_matrix_exact(self):
-        d = np.array([0.3, -1.2, 2.5, 0.3, -0.7])
-        es = hermitian_eig(np.diag(d).astype(complex))
-        assert np.max(np.abs(es.values - np.sort(d))) <= 1e-14
-
-    def test_unitary_conjugation_covariance(self):
-        cfg = TruncationConfig(15)
-        rng = np.random.default_rng(4)
-        a = random_hermitian(cfg.dim_joint, rng)
-        u = u_phi(0.6, cfg)
-        conj = u @ a @ u.conj().T
-        v1 = hermitian_eig(a).values
-        v2 = hermitian_eig(0.5 * (conj + conj.conj().T)).values
-        assert np.max(np.abs(v1 - v2)) <= 1e-9 * np.max(np.abs(a))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        a = random_hermitian(40, rng)
-        e1, e2 = hermitian_eig(a), hermitian_eig(a)
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
-
-    def test_rejects_non_hermitian(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(HermiticityError) as err:
-            hermitian_eig(a)
-        assert err.value.deviation == pytest.approx(1.0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.zeros((2, 3)))
-
-    def test_rejects_nan_entry(self):
-        a = np.array([[1.0, np.nan], [np.nan, 2.0]])
-        with pytest.raises(HermiticityError):
-            hermitian_eig(a)
-
-    @pytest.mark.parametrize("n", [1, 3, 8])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_zero_matrix(self, n, dtype):
-        # no special case: eigh returns (zeros, identity) and both gates
-        # pass with bound 0
-        es = hermitian_eig(np.zeros((n, n), dtype=dtype))
-        assert np.array_equal(es.values, np.zeros(n))
-        assert np.array_equal(es.vectors, np.eye(n)) and es.vectors.dtype == dtype
-        assert es.residual == 0.0
-
-
-class TestRealInput:
-    def test_real_symmetric_matches_complex_cast(self):
-        rng = np.random.default_rng(8)
-        raw = rng.standard_normal((50, 50))
-        a = 0.5 * (raw + raw.T)
-        real = hermitian_eig(a)
-        cast = hermitian_eig(a.astype(complex))
-        assert real.vectors.dtype == np.float64
-        assert cast.vectors.dtype == np.complex128
-        assert np.max(np.abs(real.values - cast.values)) <= 1e-12
-        overlaps = np.abs(np.sum(real.vectors.conj() * cast.vectors, axis=0))
-        assert np.max(np.abs(overlaps - 1.0)) <= 1e-12
-
-    def test_real_non_symmetric_rejected(self):
-        with pytest.raises(HermiticityError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_integer_input_promoted(self):
-        es = hermitian_eig(np.array([[2, 1], [1, 2]]))
-        assert es.values.dtype == np.float64
-        assert np.allclose(es.values, [1.0, 3.0])
 
 
 class TestResidualGate:
@@ -436,7 +297,7 @@ class TestMergedLevels:
         merged, _ = dense_levels(diag, off)
         full = np.zeros((16, 16))
         full[:8, :8], full[8:, 8:] = dense(diag[0], off[0]), dense(diag[1], off[1])
-        assert np.max(np.abs(merged - hermitian_eig(full).values)) <= 1e-12
+        assert np.max(np.abs(merged - np.linalg.eigvalsh(full))) <= 1e-12
         for k in (1, 5, 16):
             levels = merged_levels(diag[None], off[None], k, sector_label).levels
             assert levels.shape == (1, k)
@@ -909,6 +770,110 @@ class TestLeadingPair:
             leading_pair(diag, off, 0, value, 0, "block A")
 
 
+def all_pairs(diag, off):
+    """(values, twisted, columns) of every eigenpair of one band, solved
+    the way the CLI solves a sector: merged_levels for the values, then
+    leading_pair at each, one vector per column."""
+    m = len(diag)
+    solved = merged_levels(np.asarray(diag)[None, None], np.asarray(off)[None, None], m,
+                           lambda point, block: "band")
+    values = solved.levels[0]
+    pairs = [leading_pair(diag, off, i, v, int(solved.block[0]), "band")
+             for i, v in enumerate(values)]
+    return (values, np.stack([p.twisted for p in pairs], axis=-1),
+            np.stack([p.column for p in pairs], axis=-1))
+
+
+def random_band(m, rng):
+    return rng.standard_normal(m), rng.standard_normal(m - 1)
+
+
+class TestSectorEigenpairs:
+    """Whole spectra of one band through merged_levels and leading_pair,
+    the sector path every solve takes: the eigen-gate properties a dense
+    solver would be held to, on bands."""
+
+    def test_pauli_z_spectrum(self):
+        values, twisted, columns = all_pairs(np.array([1.0, -1.0]), np.array([0.0]))
+        assert np.array_equal(values, [-1.0, 1.0])
+        for v in (twisted, columns):
+            assert np.array_equal(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_pauli_x_spectrum_and_vectors(self):
+        values, twisted, columns = all_pairs(np.zeros(2), np.array([1.0]))
+        assert np.allclose(values, [-1.0, 1.0], rtol=0.0, atol=1e-15)
+        # eigenvectors (1, -+1)/sqrt(2) up to sign, from both routes
+        for v in (twisted, columns):
+            for col, expected in zip(v.T, ([1, -1], [1, 1])):
+                expected = np.asarray(expected) / np.sqrt(2)
+                assert abs(abs(expected @ col) - 1.0) < 1e-15
+
+    def test_reconstruction_random_band(self):
+        diag, off = random_band(120, np.random.default_rng(1))
+        values, _, columns = all_pairs(diag, off)
+        recon = (columns * values) @ columns.T
+        assert np.max(np.abs(tridiagonal(diag, off) - recon)) <= 1e-10 * band_scale(diag, off)
+
+    def test_values_ascending_and_vectors_orthonormal(self):
+        diag, off = random_band(57, np.random.default_rng(2))
+        values, twisted, columns = all_pairs(diag, off)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(columns.T @ columns - np.eye(57))) <= 1e-10
+        # each twisted vector is its level's column, up to sign
+        overlaps = np.abs(np.sum(twisted * columns, axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
+        residual = band_product(diag, off, twisted) - twisted * values
+        assert np.max(np.abs(residual)) <= 1e-10 * band_scale(diag, off)
+
+    def test_trace_identity(self):
+        diag, off = random_band(64, np.random.default_rng(3))
+        values, _, _ = all_pairs(diag, off)
+        bound = 1e-10 * 64 * band_scale(diag, off)
+        assert abs(np.sum(diag) - np.sum(values)) <= bound
+
+    def test_diagonal_band_exact(self):
+        d = np.array([0.3, -1.2, 2.5, 0.9, -0.7])
+        values, twisted, columns = all_pairs(d, np.zeros(4))
+        assert np.array_equal(values, np.sort(d))
+        # a band with no links has the unit vectors as eigenvectors
+        for v in (twisted, columns):
+            assert np.array_equal(np.abs(v), np.eye(5)[:, np.argsort(d)])
+
+    def test_link_sign_similarity_covariance(self):
+        # D T D with D = diag(+-1) flips the sign of the links between rows
+        # of opposite sign: the spectrum is kept and every vector is D times
+        # the old one, up to sign
+        rng = np.random.default_rng(4)
+        diag, off = random_band(80, rng)
+        signs = rng.choice([-1.0, 1.0], 80)
+        values, twisted, columns = all_pairs(diag, off)
+        flipped = all_pairs(diag, off * signs[:-1] * signs[1:])
+        assert np.max(np.abs(flipped[0] - values)) <= 1e-12 * band_scale(diag, off)
+        for old, new in zip((twisted, columns), flipped[1:]):
+            overlaps = np.abs(np.sum(signs[:, None] * old * new, axis=0))
+            assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
+
+    def test_deterministic(self):
+        diag, off = random_band(40, np.random.default_rng(5))
+        first, second = all_pairs(diag, off), all_pairs(diag, off)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_zero_band(self, n):
+        # no special case: eigh returns (zeros, identity), the twisted
+        # sweep meets no link, and both gates pass with bound 0
+        values, twisted, columns = all_pairs(np.zeros(n), np.zeros(n - 1))
+        assert np.array_equal(values, np.zeros(n))
+        assert np.array_equal(columns, np.eye(n))
+        assert np.array_equal(np.abs(twisted[:, 0]), np.eye(n)[:, 0])
+
+    def test_integer_bands_promoted(self):
+        values, twisted, columns = all_pairs(np.array([2, 2]), np.array([1]))
+        assert values.dtype == twisted.dtype == columns.dtype == np.float64
+        assert np.allclose(values, [1.0, 3.0], rtol=0.0, atol=1e-15)
+
+
 class TestLeadingLevels:
     @pytest.mark.parametrize("m", [60, 201, 501])
     def test_within_the_certified_residual_of_eigvalsh(self, m):
@@ -1143,26 +1108,3 @@ class TestEarlyStop:
             with pytest.raises(FloatingPointError, match="overflow"):
                 full_sturm_count(diag, off, shifts)
 
-
-class TestCommutatorDeviation:
-    def test_pauli_algebra(self):
-        assert commutator_deviation(SX, SY, 2j * SZ) <= 1e-14
-
-    def test_truncated_canonical_commutator(self):
-        # [x, p] - i I has the single truncation defect -i(N + 1) at the
-        # (N, N) corner, so the Frobenius norm is exactly N + 1.
-        cfg = TruncationConfig(10)
-        x_hat, p_hat = quadratures(cfg)
-        dev = commutator_deviation(x_hat, p_hat, 1j * np.eye(cfg.dim_field))
-        assert dev == pytest.approx(11.0, abs=1e-12)
-
-    def test_jc_conserves_excitation_number(self):
-        cfg = TruncationConfig(40)
-        h = build_jc(ModelParams(Omega=1.0, g=0.3), cfg)
-        n_total, _ = symmetry_ops(cfg)
-        zero = np.zeros_like(h)
-        assert commutator_deviation(h, n_total, zero) <= 1e-12 * np.max(np.abs(h))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator_deviation(SX, np.eye(3), np.zeros((2, 2)))

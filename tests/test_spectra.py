@@ -17,8 +17,10 @@ from jcrabi import (
 )
 from jcrabi.cli import main
 from jcrabi.linalg import ConvergenceError, tridiagonal
-from jcrabi.models import ModelKind, build_jc, parity_sectors
+from jcrabi.models import ModelKind, parity_sectors
 from jcrabi.spectra import NoCrossingError, _bisect
+
+from dense_oracle import build_jc
 
 CFG = TruncationConfig(60)
 P_RES = ModelParams(Omega=1.0)

@@ -2,7 +2,7 @@
 
 spectrum_sweep, convergence_study and bloch_siegert solve the two
 closed-form parity sectors and ground_crossing the even one; the reference
-is the gated dense solve of the joint-space Hamiltonian.  The Rabi sweeps
+is np.linalg.eigvalsh of the dense joint-space Hamiltonian.  The Rabi sweeps
 that merged_levels solves from certified leading blocks are also compared
 with a full np.linalg.eigvalsh of both sectors.
 """
@@ -18,13 +18,12 @@ from jcrabi import (
     bloch_siegert,
     convergence_study,
     ground_crossing,
-    hermitian_eig,
     spectrum_sweep,
 )
 from jcrabi.linalg import LEADING_ULPS, tridiagonal
-from jcrabi.models import ModelKind, build_jc, parity_sectors
+from jcrabi.models import ModelKind, parity_sectors
 
-from dense_oracle import build_hamiltonian
+from dense_oracle import build_hamiltonian, build_jc
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -43,7 +42,7 @@ def test_sweep_rows_match_dense_spectrum(model, Omega, g_grid, n_max, data):
     table = spectrum_sweep(kind, p, g_grid, k, cfg)
     for row, g in zip(table.levels, g_grid):
         h = build_hamiltonian(kind, p.with_g(g), cfg)
-        dense = hermitian_eig(h).values[:k]
+        dense = np.linalg.eigvalsh(h)[:k]
         assert np.max(np.abs(row - dense)) <= 1e-12 * np.max(np.abs(h)), g
 
 
@@ -62,7 +61,7 @@ def test_convergence_rows_match_dense_spectrum(model, Omega, g, n_list, data):
     table = convergence_study(kind, p, g, k, n_list)
     for row, n_max in zip(table.levels, n_list):
         h = build_hamiltonian(kind, p.with_g(g), TruncationConfig(n_max))
-        dense = hermitian_eig(h).values[:k]
+        dense = np.linalg.eigvalsh(h)[:k]
         assert np.max(np.abs(row - dense)) <= 1e-12 * np.max(np.abs(h)), n_max
 
 
@@ -79,7 +78,7 @@ def test_bloch_siegert_matches_dense_spectra(Omega, g, n_max, data):
     p = ModelParams(Omega=Omega, g=g)
     h_jc = build_hamiltonian(ModelKind.JC_LAB, p, cfg)
     h_rabi = build_hamiltonian(ModelKind.RABI_LAB, p, cfg)
-    jc, rabi = hermitian_eig(h_jc).values, hermitian_eig(h_rabi).values
+    jc, rabi = np.linalg.eigvalsh(h_jc), np.linalg.eigvalsh(h_rabi)
     e_jc, e_rabi = jc[level] - jc[0], rabi[level] - rabi[0]
     assume(abs(e_jc) >= 1e-9)  # below, the relative measure is undefined or ill-conditioned
     expected = abs(e_rabi - e_jc) / abs(e_jc)
@@ -160,8 +159,8 @@ def test_wide_coupling_sweep_within_certified_distance_of_full_eigvalsh(Omega, n
 def dense_overlap_crossing(p, cfg, g_lo, g_hi):
     """Bisection to 1e-8 on the dense ground vector's weight on |1>|0>."""
     def excess(g):
-        es = hermitian_eig(build_jc(p.with_g(g), cfg))
-        return abs(es.vectors[cfg.dim_field, 0]) ** 2 - 0.5
+        vectors = np.linalg.eigh(build_jc(p.with_g(g), cfg))[1]
+        return abs(vectors[cfg.dim_field, 0]) ** 2 - 0.5
 
     lo, hi = g_lo, g_hi
     h_lo = excess(lo)

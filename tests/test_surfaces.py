@@ -9,10 +9,10 @@ from jcrabi import (
     boa_radius,
     boa_surface,
     classify_degeneracy,
-    hermitian_eig,
 )
-from jcrabi.fock import qubit_ops
 from jcrabi.models import ModelKind
+
+from dense_oracle import qubit_ops
 
 SX, SY, SZ, _, _ = qubit_ops()
 AXIS = np.linspace(-3.0, 3.0, 61)
@@ -68,7 +68,7 @@ class TestBoaSurface:
                 else:
                     spin = 0.5 * p.Omega * SZ + 2.0 * p.g * x * SX
                     offset = 0.5 * p.omega * (x**2 + pq**2)
-                lo, hi = hermitian_eig(spin).values
+                lo, hi = np.linalg.eigvalsh(spin)
                 assert s.lower[i, j] == pytest.approx(offset + lo, abs=1e-12)
                 assert s.upper[i, j] == pytest.approx(offset + hi, abs=1e-12)
 
