@@ -42,11 +42,9 @@ from .surfaces import (
 )
 from .berry import (
     LoopResult,
-    TrackedFamily,
     TrackingError,
     FockLoop,
     connection_curve,
-    eig_family,
     fock_loop,
     gauge_fix,
     wilson_loop,

@@ -10,10 +10,11 @@ that of the adiabatic (mean-field) loop, a different loop (see the report
 text).
 
 The gate is the one configuration the constants below set, and a criterion
-name states the constants it ran at.  The suite writes no file.  Tracked
-families, each with its generator oracle, are cached and shared between
-criteria; the full suite took about 1.0 s wall and 1.7 s CPU (python -m
-jcrabi verify, 2 vCPUs, Python 3.11, numpy 2.4 with OpenBLAS).
+name states the constants it ran at.  The suite writes no file.  The
+Berry loops are those jcrabi berry writes (berry.fock_loop), each with its
+generator oracle, cached and shared between criteria; the full suite took
+about 0.7 s wall and 1.3 s CPU (python -m jcrabi verify, 2 vCPUs, Python
+3.11, numpy 2.4 with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -74,6 +75,27 @@ def _refuses(path, *args) -> bool:
     except TrackingError:
         return True
     return False
+
+
+def _weight_path(loop: berry.FockLoop):
+    """(phi_grid, vectors) of the path sqrt(p_n) exp(-i n phi_k) on the
+    field space, p_n the weights of ``loop``: any two of its nodes x apart
+    overlap by chi(x), as those of the eigenpath U(phi_k) psi_0 do, so the
+    estimators give the loop's values on it."""
+    phi = loop.wilson.curve[:, 0]
+    return phi, np.sqrt(loop.weights) * np.exp(-1j * np.outer(phi, np.arange(len(loop.weights))))
+
+
+def _loop_distance(fast, slow) -> float:
+    """The largest difference between two LoopResults of one loop: of their
+    curves before the last node, and modulo 2 pi of their phases (gamma,
+    K/2 gamma, closure and unwrapped end), since a parallel-gauge closure
+    phase on the cut at pi may land on either side of it."""
+    ends = ((fast.gamma, slow.gamma), (fast.gamma_half, slow.gamma_half),
+            (fast.closure_phase, slow.closure_phase),
+            (fast.gamma_unwrapped, slow.gamma_unwrapped))
+    return max(float(np.max(np.abs(fast.curve[:-1] - slow.curve[:-1]))),
+               *(phase_distance(a, b) for a, b in ends))
 
 
 def _rabi_like_bands(rng):
@@ -169,7 +191,7 @@ def _commutator(kind: ModelKind, p: ModelParams, d, psi):
 
 
 class AcceptanceSuite:
-    """Runs the acceptance criteria, sharing tracked families across them."""
+    """Runs the acceptance criteria, sharing Berry loops across them."""
 
     def __init__(self):
         self.berry_k = BERRY_K
@@ -177,12 +199,14 @@ class AcceptanceSuite:
         self.sweep_cfg = TruncationConfig(SWEEP_NMAX)
         self._families = {}
 
-    def family(self, model: str, Omega: float, g: float, level: int = 1):
+    def family(self, model: str, Omega: float, g: float, level: int = 1) -> berry.FockLoop:
+        """The loop that jcrabi berry writes for this level, in the anchor
+        gauge, on the gate's grid (berry.fock_loop); cached."""
         key = (model, Omega, g, level)
         if key not in self._families:
             p = ModelParams(Omega=Omega, g=g)
-            self._families[key] = berry.eig_family(
-                model, p, level, self.berry_k, self.berry_cfg
+            self._families[key] = berry.fock_loop(
+                model, p, level, self.berry_k, self.berry_cfg, "anchor_component"
             )
         return self._families[key]
 
@@ -307,25 +331,22 @@ class AcceptanceSuite:
                 # degenerate and its single-level phase is undefined.  The
                 # toolkit must refuse; the chain is exercised on the nearest
                 # nondegenerate dressed level (level 3) instead.
-                args = ("jc", p, 1, self.berry_k, self.berry_cfg)
                 ok &= _check(
                     lines,
-                    _refuses(berry.fock_loop, *args, "anchor_component")
-                    and _refuses(berry.eig_family, *args),
+                    _refuses(berry.fock_loop, "jc", p, 1, self.berry_k, self.berry_cfg,
+                             "anchor_component"),
                     "Delta=0 g=1: level 1 is exactly degenerate (|1>|0> crosses the n=2 "
-                    "dressed level); fock_loop and eig_family refuse as contracted",
+                    "dressed level); fock_loop refuses as contracted",
                 )
                 fam = self.family("jc", Omega, g, level=3)
-                w = berry.wilson_loop(fam.phi_grid, fam.vectors)
                 gen = fam.generator
-                d_wg = phase_distance(w.gamma, gen)
+                d_wg = phase_distance(fam.wilson.gamma, gen)
                 d_pi = phase_distance(gen, PI)
                 ok &= _check(lines, d_wg <= tol, f"Delta=0 g=1 (level 3): |wilson - generator| mod 2pi = {d_wg:.2e} <= {tol}")
                 ok &= _check(lines, d_pi <= tol, f"Delta=0 g=1 (level 3): |generator - pi| mod 2pi = {d_pi:.2e} <= {tol}")
                 continue
             fam = self.family("jc", Omega, g)
-            w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            gen = fam.generator
+            w, gen = fam.wilson, fam.generator
             d_wg = phase_distance(w.gamma, gen)
             ok &= _check(lines, d_wg <= tol, f"Delta={delta} g={g}: |wilson - generator| mod 2pi = {d_wg:.2e} <= {tol}")
             if delta == 0.0:
@@ -342,34 +363,40 @@ class AcceptanceSuite:
         return CriterionResult(6, name, ok, lines=lines)
 
     def criterion_7(self) -> CriterionResult:
-        """Gauge invariance of the loop product under random rephasings."""
+        """Gauge invariance of the loop product under random rephasings, on
+        the weight path of the JC loop at g = 0.1."""
         lines, ok = [], True
-        fam = self.family("jc", 1.0, 0.1)
-        base = berry.wilson_loop(fam.phi_grid, fam.vectors).gamma
+        phi, vectors = _weight_path(self.family("jc", 1.0, 0.1))
+        base = berry.wilson_loop(phi, vectors).gamma
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(20):
-            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(fam.vectors)))
-            mangled = berry.wilson_loop(fam.phi_grid, fam.vectors * phases[:, None])
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(vectors)))
+            mangled = berry.wilson_loop(phi, vectors * phases[:, None])
             worst = max(worst, phase_distance(mangled.gamma, base))
-        ok &= _check(lines, worst <= 1e-10, f"max |gamma change| over 20 random per-node rephasings = {worst:.2e} <= 1e-10")
+        ok &= _check(lines, worst <= 1e-10, "jc g=0.1, path sqrt(p_n) exp(-i n phi): max |gamma change| "
+                     f"over 20 random per-node rephasings = {worst:.2e} <= 1e-10")
         return CriterionResult(7, "Wilson loop gauge invariance", ok, lines=lines)
 
     def criterion_8(self) -> CriterionResult:
-        """Parallel-transport connection integral reproduces the Wilson loop."""
+        """Parallel-transport connection integral reproduces the Wilson loop,
+        and fock_loop is the two estimators in both gauges, on the weight
+        path of each loop."""
         lines, ok = [], True
         for model in ("jc", "rabi"):
             for g in (0.01, 1.0):
                 if model == "jc" and g == 1.0:
                     # Degenerate level 1 (see criterion 6): identity checked
-                    # on the tracked level 3 family instead.
-                    fam = self.family("jc", 1.0, 1.0, level=3)
-                    label = "jc g=1 (level 3, level 1 degenerate)"
+                    # on the level 3 loop instead.
+                    level, label = 3, "jc g=1 (level 3, level 1 degenerate)"
                 else:
-                    fam = self.family(model, 1.0, g)
-                    label = f"{model} g={g}"
-                w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-                conn = berry.connection_curve(fam.phi_grid, fam.vectors, "parallel_transport")
+                    level, label = 1, f"{model} g={g}"
+                anchor = self.family(model, 1.0, g, level)
+                parallel = berry.fock_loop(model, ModelParams(Omega=1.0, g=g), level,
+                                           self.berry_k, self.berry_cfg, "parallel_transport")
+                path = _weight_path(anchor)
+                w = berry.wilson_loop(*path)
+                conn = berry.connection_curve(*path, "parallel_transport")
                 allowance = max(w.residual, conn.residual, 1e-9)
                 d = phase_distance(conn.gamma, w.gamma)
                 ok &= _check(
@@ -377,6 +404,12 @@ class AcceptanceSuite:
                     d <= allowance,
                     f"{label}: |connection(PT) - wilson| mod 2pi = {d:.2e} <= residual allowance {allowance:.2e}",
                 )
+                d = max(_loop_distance(anchor.wilson, w), _loop_distance(parallel.connection, conn),
+                        _loop_distance(anchor.connection,
+                                       berry.connection_curve(*path, "anchor_component")))
+                ok &= _check(lines, d <= 1e-12, f"{label}: fock_loop vs wilson_loop and "
+                             "connection_curve (both gauges) on sqrt(p_n) exp(-i n phi): "
+                             f"max dist = {d:.2e} <= 1e-12")
         return CriterionResult(8, "parallel-transport consistency (JC and Rabi, g in {0.01, 1})", ok, lines=lines)
 
     def criterion_9(self) -> CriterionResult:
@@ -385,8 +418,7 @@ class AcceptanceSuite:
         tol = 5e-3
         for g in (0.01, 0.1, 1.0):
             fam = self.family("rabi", 1.0, g)
-            w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            d = phase_distance(w.gamma, fam.generator)
+            d = phase_distance(fam.wilson.gamma, fam.generator)
             ok &= _check(
                 lines, d <= tol,
                 f"rabi g={g}: |wilson - 2pi<n>| mod 2pi = {d:.2e} <= {tol} (2pi<n> = {fam.generator:.6f})",
@@ -451,10 +483,8 @@ class AcceptanceSuite:
         curves = {}
         for g in (0.001, 0.01, 0.1, 1.0):
             fam = self.family("rabi", 1.0, g)
-            conn = berry.connection_curve(fam.phi_grid, fam.vectors, "anchor_component")
+            conn, w, gen = fam.connection, fam.wilson, fam.generator
             curves[g] = conn
-            w = berry.wilson_loop(fam.phi_grid, fam.vectors)
-            gen = fam.generator
             d_zero = abs(wrap_phase(conn.gamma))
             d_gen = phase_distance(conn.gamma, gen)
             verdicts.append(d_gen < d_zero)

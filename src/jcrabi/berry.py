@@ -5,17 +5,15 @@ H'(phi) = U(phi) H U(phi)^dag has a phi-independent spectrum, and the
 eigenpath of one level is exactly U(phi)|psi_0>.  Any two of its nodes x
 apart overlap by chi(x) = sum_n p_n exp(-i n x), p_n the weight of psi_0 at
 field occupation n, so every loop value is a closed form in p_n and the
-node count K.  Both loop paths take one gated level from _solve_level,
-which reads the bands of one models.parity_sectors call alone and builds
-no joint-space matrix: it solves them for values as every spectrum does,
-takes psi_0 from a leading block of the level's sector (linalg.leading_pair)
-and gates it once on the band product T psi_0 of that sector
-(linalg.band_product).  U(phi) is diagonal with unit-modulus entries and
-keeps the sector, so that one residual is the residual of every node.
-fock_loop, which the command line runs, reads the loop values off the
-closed form and builds no node.  Its oracle is the node path: eig_family
-builds the eigenpath on the loop grid (loop_grid) in one broadcast of
-models.phase_factors over the column of phi nodes.
+node count K.  fock_loop, which the command line runs, reads the loop
+values off that closed form and builds no node.  It takes one gated level
+from _solve_level, which reads the bands of one models.parity_sectors call
+alone and builds no joint-space matrix: it solves them for values as every
+spectrum does, takes psi_0 from a leading block of the level's sector
+(linalg.leading_pair) and gates it once on the band product T psi_0 of
+that sector (linalg.band_product).  U(phi) is diagonal with unit-modulus
+entries and keeps the sector, so that one residual is the residual of
+every node.
 The closed-loop phase is estimated three independent ways:
 
 * wilson_loop       -- gauge-invariant discrete loop product
@@ -26,9 +24,9 @@ The closed-loop phase is estimated three independent ways:
 * generator         -- the analytic oracle 2 pi <n_hat>, exact for rotated
                        families because |psi(phi)> = U(phi)|psi(0)> is a
                        single-valued eigenpath with constant connection;
-                       both paths carry it (.generator), from LAPACK eigh of
-                       the same leading block, not the twisted vector they
-                       read
+                       fock_loop carries it (.generator), from LAPACK eigh
+                       of the same leading block, not the twisted vector
+                       it reads
 
 The two loop estimators take a plain path, (phi_grid, vectors) with one
 vector row per node of loop_grid(K), so they serve any family of states,
@@ -51,15 +49,14 @@ import numpy as np
 
 from .fock import TruncationConfig
 from .linalg import band_product, band_scale, leading_pair, merged_levels, residual_gate
-from .models import (ModelKind, ModelParams, parity_chains, parity_sectors, phase_factors,
-                     sector_label)
+from .models import ModelKind, ModelParams, parity_chains, parity_sectors, sector_label
 
 TWO_PI = 2.0 * np.pi
 # The fewest phi nodes a loop may have; K must also be even (loop_grid).
 MIN_NODES = 16
 CONTINUITY_THRESHOLD = 0.99
 # A level closer than this to a neighbour has no single-level phase;
-# fock_loop and eig_family refuse it.
+# fock_loop refuses it.
 DEGENERACY_GAP = 1e-10
 _UNDEFINED = "the geometric phase of a single level is undefined there"
 # Width of the band above +pi that wrap_phase keeps on the +pi side: a loop
@@ -116,23 +113,6 @@ def loop_grid(K) -> np.ndarray:
 
 # The two phase conventions gauge_fix knows; see its docstring.
 GAUGES = ("parallel_transport", "anchor_component")
-
-
-@dataclass(frozen=True)
-class TrackedFamily:
-    """The eigenpath of one level on a loop grid (loop_grid).
-
-    vectors[k] = U(phi_k) vectors[0] belongs to phi_grid[k]; the rotation
-    leaves the spectrum unchanged, so every node has the eigenvalue
-    ``energy``.  min_step_overlap is the smallest |<psi_k-1|psi_k>|, and
-    generator the oracle 2 pi <n_hat> of the level (_solve_level).
-    """
-
-    phi_grid: np.ndarray
-    vectors: np.ndarray   # shape (K + 1, dim)
-    energy: float
-    min_step_overlap: float
-    generator: float
 
 
 def _level_gap(values: np.ndarray, level: int) -> float:
@@ -192,39 +172,6 @@ def _solve_level(kind, p: ModelParams, level: int, cfg: TruncationConfig):
     psi0[parity_chains(cfg)[sector]] = x
     generator = TWO_PI * float(np.dot(np.arange(cfg.dim_field), pair.column ** 2))
     return psi0, energy, residual, generator, pair.order
-
-
-def eig_family(
-    kind,
-    p: ModelParams,
-    level: int,
-    K: int,
-    cfg: TruncationConfig,
-) -> TrackedFamily:
-    """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
-    loop_grid(K), so K is an even integer >= MIN_NODES (ValueError otherwise).
-
-    ``level`` is the eigenindex at phi = 0 (0 = ground state); psi_0, its
-    energy, its one eigen-residual gate, the generator oracle and the
-    refusals of the sector solve are those of _solve_level.  Node k holds
-    U(phi_k) psi_0 and the energy of psi_0: all K + 1 nodes come from one
-    broadcast of models.phase_factors over the column of phi nodes.  U(phi_k) is diagonal
-    with unit-modulus entries, so the residual of node k is that of node 0,
-    and no node is gated again.  The first node whose step overlap
-    |<psi_k-1|psi_k>| is below CONTINUITY_THRESHOLD (a grid too coarse for
-    the level's spread in n) raises TrackingError naming it.  The command
-    line reads the same loop in closed form (fock_loop); this node path is
-    its oracle.
-    """
-    phi_grid = loop_grid(K)
-    psi0, energy, _, generator, _ = _solve_level(kind, p, level, cfg)
-    vectors = phase_factors(phi_grid[:, None], cfg) * psi0
-    overlaps = np.abs(np.einsum("kj,kj->k", vectors[:-1].conj(), vectors[1:]))
-    lost = np.flatnonzero(overlaps < CONTINUITY_THRESHOLD)
-    if lost.size:
-        k = int(lost[0])
-        raise _overlap_lost(k + 1, float(overlaps[k]), CONTINUITY_THRESHOLD)
-    return TrackedFamily(phi_grid, vectors, float(energy), float(overlaps.min()), generator)
 
 
 def _check_gauge(gauge: str):
@@ -379,7 +326,7 @@ class FockLoop:
 
     weights[n] = p_n is the weight of psi_0 at field occupation n.  wilson
     and connection are the LoopResults that wilson_loop and
-    connection_curve give on the eigenpath of eig_family; eigen_residual is
+    connection_curve give on the eigenpath U(phi_k) psi_0; eigen_residual is
     the residual_gate value of psi_0 on the band product of its sector,
     min_step_overlap the step overlap |chi(2 pi / K)|, generator the
     oracle 2 pi <n_hat> of the level and block_order the order m' of the
@@ -423,8 +370,10 @@ def fock_loop(kind, p: ModelParams, level: int, K: int, cfg: TruncationConfig,
       phase wrap(-K arg chi(dphi)) sits.
 
     |chi(dphi)| below CONTINUITY_THRESHOLD raises TrackingError at node 1.
-    eig_family with wilson_loop and connection_curve is the oracle of this
-    path: the two agree to rounding, and within 2 pi on the unwrapped
+    wilson_loop and connection_curve are the oracle of this path, on the
+    eigenpath or on any path with its overlaps, such as
+    sqrt(p_n) exp(-i n phi_k) on the field space (acceptance criterion 8):
+    the two agree to rounding, and within 2 pi on the unwrapped
     parallel-gauge phase where it sits on the cut at pi.
     """
     _check_gauge(gauge)

@@ -12,6 +12,7 @@ Flags are spelled in full, never abbreviated.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -482,7 +483,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it as it was."""
     parser = _Parser(prog="jcrabi", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"jcrabi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,8 +14,9 @@ Conventions, fixed once here to prevent silent sign bugs:
   into the two parity sectors every solve runs on.
 * Quadratures: x = (a + a^dag)/sqrt(2) and p = i(a^dag - a)/sqrt(2), the sign
   that gives the canonical [x, p] = +i away from the truncation edge.
-* Number format: every Hamiltonian band is float64; only the phases of
-  U(phi) (models.phase_factors) and the rotated eigenpath are complex.
+* Number format: every Hamiltonian band is float64; only the node
+  overlaps chi(x) of berry.fock_loop and the loop vectors that the Berry
+  estimators rephase are complex.
 """
 
 from __future__ import annotations

@@ -21,13 +21,11 @@ gate and generator oracle off them alone.  No joint-space matrix is
 built: the dense builders are the tests' oracle (tests/dense_oracle.py),
 and the acceptance gate applies H to vectors by ladder arithmetic.
 
-Phase-space rotations use U(phi) = exp(-i n_hat phi), whose diagonal is
-phase_factors(phi).  U(phi) is diagonal, so it keeps the parity chains,
-and the Berry loop needs no rotated H'(phi): its eigenpath is
-U(phi)|psi_0>, which berry.eig_family builds for every node in one
-broadcast of phase_factors over a column of phi, and which the command
-line's berry.fock_loop reads off the occupation weights of psi_0.  The
-bands are real (float64).
+Phase-space rotations use U(phi) = exp(-i n_hat phi).  U(phi) is
+diagonal, so it keeps the parity chains, and the Berry loop needs no
+rotated H'(phi): its eigenpath is U(phi)|psi_0>, whose loop values the
+command line's berry.fock_loop reads off the occupation weights of psi_0
+without building a node.  The bands are real (float64).
 """
 
 from __future__ import annotations
@@ -82,16 +80,6 @@ class ModelParams:
 
     def with_g(self, g: float) -> "ModelParams":
         return ModelParams(Omega=self.Omega, g=g, omega=self.omega)
-
-
-def phase_factors(phi, cfg: TruncationConfig) -> np.ndarray:
-    """Diagonal of U(phi) = exp(-i n_hat phi) on the joint space.
-
-    The two field halves are joined on the last axis, so a column of phi
-    values, shape (K + 1, 1), gives one diagonal per row.
-    """
-    field_phase = np.exp(-1j * phi * np.arange(cfg.dim_field))
-    return np.concatenate([field_phase, field_phase], axis=-1)
 
 
 def empty_state_energy(p: ModelParams) -> float:

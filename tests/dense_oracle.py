@@ -8,12 +8,19 @@ basis conventions of jcrabi.fock: qubit (|2>, |1>) = (excited, ground)
 outer, field occupation inner, so an operator embeds as
 kron(qubit_op, field_op).  a, n_hat, sx, sz, s+ and s- are float64; only
 sy and what is built from it are complex.
+
+The package reads the Berry loop in closed form (berry.fock_loop) and
+builds no node.  eig_family builds the nodes U(phi_k) psi_0 of the same
+loop, the path that wilson_loop and connection_curve take as its oracle.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from jcrabi import berry
 from jcrabi.fock import SQRT2
-from jcrabi.models import ModelKind, phase_factors
+from jcrabi.models import ModelKind
 
 
 def ladder_ops(cfg):
@@ -103,6 +110,16 @@ def build_hamiltonian(kind, p, cfg) -> np.ndarray:
     return _BUILDERS[ModelKind(kind)](p, cfg)
 
 
+def phase_factors(phi, cfg) -> np.ndarray:
+    """Diagonal of U(phi) = exp(-i n_hat phi) on the joint space.
+
+    The two field halves are joined on the last axis, so a column of phi
+    values, shape (K + 1, 1), gives one diagonal per row.
+    """
+    field_phase = np.exp(-1j * phi * np.arange(cfg.dim_field))
+    return np.concatenate([field_phase, field_phase], axis=-1)
+
+
 def rotate_hamiltonian(h, phi: float, cfg) -> np.ndarray:
     """U(phi) H U(phi)^dag as a dense matrix, Hermitian to rounding for a
     Hermitian H.
@@ -135,3 +152,44 @@ def doublet_state_vectors(doublet, cfg):
         v[cfg.dim_field + doublet.n] = amp_lower
         vecs.append(v)
     return tuple(vecs)
+
+
+@dataclass(frozen=True)
+class TrackedFamily:
+    """The eigenpath of one level on a loop grid (berry.loop_grid).
+
+    vectors[k] = U(phi_k) vectors[0] belongs to phi_grid[k]; the rotation
+    leaves the spectrum unchanged, so every node has the eigenvalue
+    ``energy``.  min_step_overlap is the smallest |<psi_k-1|psi_k>|, and
+    generator the oracle 2 pi <n_hat> of the level (berry._solve_level).
+    """
+
+    phi_grid: np.ndarray
+    vectors: np.ndarray   # shape (K + 1, dim)
+    energy: float
+    min_step_overlap: float
+    generator: float
+
+
+def eig_family(kind, p, level: int, K: int, cfg) -> TrackedFamily:
+    """The eigenpath of one level of H'(phi_k) over the K + 1 nodes of
+    berry.loop_grid(K), so K is an even integer >= berry.MIN_NODES
+    (ValueError otherwise).
+
+    ``level`` is the eigenindex at phi = 0 (0 = ground state); psi_0, its
+    energy, its one eigen-residual gate, the generator oracle and the
+    refusals of the sector solve are those of berry._solve_level, as in
+    berry.fock_loop.  Node k holds U(phi_k) psi_0: all K + 1 nodes come
+    from one broadcast of phase_factors over the column of phi nodes.  The
+    first node whose step overlap |<psi_k-1|psi_k>| is below
+    berry.CONTINUITY_THRESHOLD raises TrackingError naming it.
+    """
+    phi_grid = berry.loop_grid(K)
+    psi0, energy, _, generator, _ = berry._solve_level(kind, p, level, cfg)
+    vectors = phase_factors(phi_grid[:, None], cfg) * psi0
+    overlaps = np.abs(np.einsum("kj,kj->k", vectors[:-1].conj(), vectors[1:]))
+    lost = np.flatnonzero(overlaps < berry.CONTINUITY_THRESHOLD)
+    if lost.size:
+        k = int(lost[0])
+        raise berry._overlap_lost(k + 1, float(overlaps[k]), berry.CONTINUITY_THRESHOLD)
+    return TrackedFamily(phi_grid, vectors, float(energy), float(overlaps.min()), generator)

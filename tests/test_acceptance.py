@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jcrabi import TruncationConfig, acceptance, linalg, models, spectra
+from jcrabi import TruncationConfig, acceptance, berry, linalg, models, spectra
 from jcrabi.acceptance import AcceptanceSuite
 from jcrabi.models import ModelKind, ModelParams
 
@@ -225,6 +225,41 @@ def test_criteria_1_to_3_build_no_joint_space_matrix(monkeypatch):
     suite = AcceptanceSuite()
     for number in (1, 2, 3):
         assert suite.run(number).passed, number
+
+
+@pytest.mark.parametrize("field", ["generator", "wilson"])
+def test_criteria_6_and_9_detect_a_fock_loop_phase_shifted_by_1e_2(monkeypatch, field):
+    suite = AcceptanceSuite()
+    assert suite.run(6).passed and suite.run(9).passed
+    true_loop = berry.fock_loop
+
+    def shifted(*args):
+        loop = true_loop(*args)
+        if field == "generator":
+            return dataclasses.replace(loop, generator=loop.generator + 1e-2)
+        wilson = dataclasses.replace(loop.wilson, gamma=loop.wilson.gamma + 1e-2)
+        return dataclasses.replace(loop, wilson=wilson)
+
+    monkeypatch.setattr(berry, "fock_loop", shifted)
+    suite = AcceptanceSuite()
+    assert not suite.run(6).passed
+    assert not suite.run(9).passed
+
+
+def test_criteria_6_9_and_12_run_without_the_node_estimators(monkeypatch):
+    # they read the loop the CLI writes (berry.fock_loop), not the
+    # estimators on a path of nodes
+    def estimator(*args, **kwargs):
+        raise AssertionError("a node-path estimator was called")
+
+    for name in ("wilson_loop", "connection_curve", "gauge_fix"):
+        monkeypatch.setattr(berry, name, estimator)
+    suite = AcceptanceSuite()
+    for number in (6, 9):
+        assert suite.run(number).passed, number
+    report = suite.run(12)
+    assert any("VERDICT: at every coupling" in line for line in report.lines)
+    assert sorted(report.curves) == [0.001, 0.01, 0.1, 1.0]
 
 
 def test_criterion_names_state_the_configuration_that_ran(monkeypatch):

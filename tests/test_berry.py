@@ -7,7 +7,6 @@ from jcrabi import (
     TruncationConfig,
     berry_boa_jc,
     connection_curve,
-    eig_family,
     fock_loop,
     gauge_fix,
     wilson_loop,
@@ -16,13 +15,15 @@ from jcrabi import (
 import jcrabi.berry as berry_module
 from jcrabi.berry import GAUGES, MIN_NODES, TWO_PI, loop_grid, phase_distance
 from jcrabi.linalg import ConvergenceError
-from jcrabi.models import ModelKind, empty_state_energy, jc_doublet_analytic, phase_factors
+from jcrabi.models import ModelKind, empty_state_energy, jc_doublet_analytic
 
 from dense_oracle import (
     build_hamiltonian,
     doublet_state_vectors,
+    eig_family,
     embed,
     ladder_ops,
+    phase_factors,
     qubit_ops,
     rotate_hamiltonian,
 )

@@ -1,12 +1,13 @@
 """Differential tests of the Berry loop against slower, independent paths.
 
-eig_family solves each parity sector once and rephases it per node; its
+fock_loop, the loop the command line runs, reads the loop's values off the
+occupation weights of psi_0 in closed form; its reference is the node path
+of the tests, eig_family (dense_oracle) followed by wilson_loop and
+connection_curve, node by node.  eig_family rephases psi_0 per node; its
 reference is np.linalg.eigh of the full rotated Hamiltonian at every node
-of the loop.  fock_loop reads the loop's values off the occupation
-weights of psi_0 in closed form; its reference is eig_family followed by
-wilson_loop and connection_curve, node by node.  The level solve of both
-reads psi_0 and the generator from a leading block of the level's sector;
-its reference is the same solve on the full band (band_oracle).
+of the loop.  The level solve of both reads psi_0 and the generator from a
+leading block of the level's sector; its reference is the same solve on
+the full band (band_oracle).
 """
 
 from unittest.mock import patch
@@ -22,7 +23,6 @@ from jcrabi import (
     TruncationConfig,
     berry,
     connection_curve,
-    eig_family,
     fock_loop,
     wilson_loop,
 )
@@ -31,7 +31,7 @@ from jcrabi.linalg import EIG_RTOL, band_scale
 from jcrabi.models import ModelKind, parity_sectors
 
 from band_oracle import full_band_level
-from dense_oracle import build_hamiltonian, rotate_hamiltonian
+from dense_oracle import build_hamiltonian, eig_family, rotate_hamiltonian
 
 CFG = TruncationConfig(20)
 K = 32

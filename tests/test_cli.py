@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import jcrabi.berry as berry_module
-import jcrabi.models as models_module
 import jcrabi.spectra as spectra_module
-from jcrabi import __version__, acceptance
+from jcrabi import __version__, acceptance, cli
 from jcrabi.cli import _load_config, build_parser, main
 
 # The README table of what each command reads: config keys, then the flag
@@ -53,15 +52,13 @@ def read_rows(path):
 
 @pytest.fixture
 def forbid_node_path(monkeypatch):
-    """berry's node-by-node path (the eigenpath, its estimators and the
-    phase factors it is built from) raises: the CLI loop must not need it."""
+    """berry's node-by-node estimators raise: the CLI loop reads the closed
+    form (berry.fock_loop) and must not need them."""
     def node_path(*args, **kwargs):
         raise AssertionError("berry's node path called by the CLI")
 
-    for module, name in ((berry_module, "eig_family"), (berry_module, "wilson_loop"),
-                         (berry_module, "connection_curve"), (berry_module, "phase_factors"),
-                         (models_module, "phase_factors")):
-        monkeypatch.setattr(module, name, node_path)
+    for name in ("wilson_loop", "connection_curve", "gauge_fix"):
+        monkeypatch.setattr(berry_module, name, node_path)
 
 
 class TestSpectrumCommand:
@@ -802,3 +799,28 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "jcrabi" in proc.stdout
+
+
+def test_two_main_calls_build_the_parser_once(monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["crossing", "--nmax", "5", "--level", "3"]) == 1
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("jcrabi") == 1
+
+
+def test_the_shared_parser_starts_every_parse_afresh():
+    # --g appends: one parse must not leave its couplings to the next
+    for g in ("0.1", "0.2"):
+        assert build_parser().parse_args(["berry", "--g", g]).g == [float(g)]
+    assert build_parser().parse_args(["berry"]).g is None

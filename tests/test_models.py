@@ -11,7 +11,6 @@ from jcrabi.models import (
     empty_state_energy,
     parity_chains,
     parity_sectors,
-    phase_factors,
 )
 
 from dense_oracle import (
@@ -21,6 +20,7 @@ from dense_oracle import (
     doublet_state_vectors,
     embed,
     ladder_ops,
+    phase_factors,
     qubit_ops,
     rotate_hamiltonian,
     symmetry_ops,
