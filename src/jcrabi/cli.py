@@ -6,7 +6,8 @@ override the file.  Each command reads a fixed set of configuration
 fields: it takes exactly their flags and config keys, records exactly
 those fields in its output metadata, and rejects any other flag or key.
 Flags are spelled in full, never abbreviated.  Exit codes: 0 success,
-1 usage error, 2 numerical failure, 3 acceptance failure.
+1 usage error (a request that does not fit in memory among them),
+2 numerical failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -555,6 +556,11 @@ def main(argv=None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation it refused, on one line
+        print(f"usage error: the {args.command} request does not fit in memory "
+              f"({exc or 'MemoryError'})", file=sys.stderr)
         return 1
     except (RunFailure, *_NUMERICAL) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,13 +7,15 @@ below solve them and gate every eigenvalue or eigenpair they return.
 The main input is the pair of parity sectors from models.parity_sectors,
 given as bands stacked over the points: diag of shape (points, 2, m) and
 off of shape (points, 2, m - 1), m = n_max + 1.  merged_levels solves them
-for every layer and reads the structure from the bands.  A block row with
-no two adjacent nonzero links (a JC sector, or any sector at g = 0) is a
-set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values _pair_eigvalsh
-gives in closed form for all points at once.  Any other block row (Rabi at
-g != 0) is solved from a certified leading block (_leading_levels), values
-only: np.linalg.eigvalsh on the leading m' x m' blocks (tridiagonal
-assembles the stacked input) of all points at once, a merge that picks the values the k levels keep, and
+for every layer and picks one path per call from the bands.  Where no
+block of any point has two adjacent nonzero links (both JC sectors, since
+JC conserves excitation number, and Rabi at g = 0 or n_max = 1), every
+block is a set of decoupled 2 x 2 pairs and 1 x 1 blocks, whose values
+_pair_eigvalsh gives in closed form for all points at once.  Otherwise
+(Rabi at g != 0, which keeps parity only) every block is solved from a
+certified leading block (_leading_levels), values only: np.linalg.eigvalsh
+on the leading m' x m' blocks (tridiagonal assembles the stacked input) of
+all points at once, a merge that picks the values the k levels keep, and
 for each of those theta the twisted factorization of T_m' - theta I
 (_twisted_tail), whose explicit vector x, padded with zeros, has the Ritz
 residual r = sqrt(gamma_r^2 + (off[m'-1] x[m'-1])^2) / |x| in the full
@@ -23,7 +25,7 @@ far below r; the same count checks that no block hides an eigenvalue
 below the kept levels.  m' doubles from max(2k, 32) until every kept
 value is certified to LEADING_ULPS ulps of max|T|, and a full
 np.linalg.eigvalsh follows once m' reaches m.  Each kept value is then
-gated by one sturm_count call on every row: an LDL^T inertia count on the
+gated by one sturm_count call on every block: an LDL^T inertia count on the
 full bands that needs no eigensolver, whose loop stops within a few dozen
 rows, once every later pivot is certified positive.  _merge numbers the
 levels, and merged_levels reports each level's sector and in-sector index
@@ -303,26 +305,15 @@ def _twisted_tail(diag, off, theta):
     return np.abs(piv[0, 1]) / norm, gap, gap / norm, x
 
 
-class _SolveFailed(Exception):
-    """A stacked LAPACK solve of order ``order`` did not converge; ``point``
-    is the first point still open."""
-
-    def __init__(self, order: int, point: int):
-        super().__init__(order, point)
-        self.order, self.point = order, point
-
-
-def _leading_levels(diag, off, k: int, fixed=None):
+def _leading_levels(diag, off, k: int, where):
     """The min(k, m) lowest eigenvalues of every block, from leading blocks.
 
     ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
-    the bands; ``fixed`` (points, f, min(k, m)), if given, the lowest
-    values of the points' other blocks, already exact (merged_levels passes
-    its blocks of pairs).  Starting at m' = max(2k, 32), np.linalg.eigvalsh
-    solves the leading m' x m' blocks of all open points at once, and _merge
-    merges their Ritz values with ``fixed``: only the values that the k
-    lowest levels keep, a prefix of each block, are certified, and the k-th
-    level mu bounds the rest.
+    the bands.  Starting at m' = max(2k, 32), np.linalg.eigvalsh solves the
+    leading m' x m' blocks of all open points at once, and _merge merges
+    their Ritz values: only the values that the k lowest levels keep, a
+    prefix of each block, are certified, and the k-th level mu bounds the
+    rest.
 
     For each kept value theta of a block T_m', _twisted_tail gives a vector
     x with (T_m' - theta I) x = gamma_r e_r.  Padded with zeros, x has the
@@ -353,12 +344,11 @@ def _leading_levels(diag, off, k: int, fixed=None):
     of which the unkept ones are Ritz values that nothing certifies; per
     point the m' it was solved at (m for a full solve) and the largest
     certified distance of its kept values (0 for a full solve).  A LAPACK
-    failure raises _SolveFailed with the order and the first open point.
+    failure raises ConvergenceError naming the order of the blocks it
+    solved and where(point, 0), the first point still open.
     """
     n_points, n_blocks, m = diag.shape
     kb = min(k, m)
-    if fixed is None:
-        fixed = np.empty((n_points, 0, kb))
     values = np.empty((n_points, n_blocks, kb))
     size = np.full(n_points, m)
     residual = np.zeros(n_points)
@@ -369,7 +359,12 @@ def _leading_levels(diag, off, k: int, fixed=None):
         try:
             return np.linalg.eigvalsh(tridiagonal(d, o))[:, :n]
         except np.linalg.LinAlgError as exc:
-            raise _SolveFailed(d.shape[-1], int(todo[0])) from exc
+            solved = (f"the full {m}-row sectors" if d.shape[-1] == m else
+                      f"{d.shape[-1]} x {d.shape[-1]} leading blocks")
+            raise ConvergenceError(
+                f"eigenvalues of {solved} did not converge within the solver's iteration "
+                f"cap ({exc}); the first point still open is {where(int(todo[0]), 0)}"
+            ) from exc
 
     todo = np.arange(n_points)
     order = max(2 * k, _FIRST_ORDER)
@@ -380,7 +375,7 @@ def _leading_levels(diag, off, k: int, fixed=None):
         ritz = _chunked(lambda *r: lowest(*r, kb + 1), order * order, d, o)
         ritz = ritz.reshape(len(todo), n_blocks, -1)
         theta = ritz[..., :kb]
-        merged, rank = _merge(np.concatenate([theta, fixed[todo]], axis=1))
+        merged, rank = _merge(theta)
         # each block keeps a prefix of its ascending values, count of them
         count = np.count_nonzero(rank[:, :k, None] // kb == np.arange(n_blocks), axis=1)
         w = max(int(np.max(count)), 1)
@@ -429,7 +424,7 @@ class SectorLevels:
 
     levels   -- (points, k), each row ascending
     block    -- (points,) the order of the largest block solved at the point:
-                2 where every row splits into pairs, the leading-block m'
+                2 where every block splits into pairs, the leading-block m'
                 where one was certified, m for a full solve
     residual -- (points,) the largest certified distance from a kept value
                 of the point's leading blocks to an eigenvalue of its full
@@ -462,19 +457,19 @@ def merged_levels(diag, off, k: int, where) -> SectorLevels:
     """The k lowest levels at each point, from the bands of its blocks.
 
     ``diag`` (points, blocks, m) and ``off`` (points, blocks, m - 1) hold
-    the bands of every point (models.parity_sectors).  A block row none of
-    whose points has two adjacent nonzero links (every JC parity sector, and
-    any sector at g = 0) is a set of decoupled pairs: its values come from
-    the closed form of _pair_eigvalsh, over all points at once.  Every other
-    block row (Rabi at g != 0) is solved from certified leading blocks
-    (_leading_levels), which merge their values with those of the pairs.
+    the bands of every point (models.parity_sectors).  The path is chosen
+    once per call: if no block of any point has two adjacent nonzero links
+    (both JC parity sectors, and Rabi at g = 0 or n_max = 1), every block is
+    a set of decoupled pairs, whose values come from the closed form of
+    _pair_eigvalsh over all points at once.  Otherwise (Rabi at g != 0)
+    every block is solved from certified leading blocks (_leading_levels).
     _merge numbers the levels, and the points are then checked in one batch
     on the full bands.
     Every value v_i that the k levels keep (the i-th eigenvalue of its
     block) must pass the Sturm count N(v_i - tol) <= i < N(v_i + tol),
     tol = EIG_RTOL * max|T|, which bounds |lambda_i - v_i| <= tol with no
     eigensolver involved and tolerates exact clusters; one sturm_count call
-    counts every row, pairs or not, on the full bands.  A value not kept is
+    counts every block, pairs or not, on the full bands.  A value not kept is
     counted at the k-th level instead, so that the count's loop stops where
     the kept values let it, and its count is not read.  A violation raises
     ConvergenceError naming where(point, block) and the eigenvalue; so does
@@ -489,27 +484,12 @@ def merged_levels(diag, off, k: int, where) -> SectorLevels:
     """
     diag, off, scale, power = _scaled(np.asarray(diag, dtype=float),
                                       np.asarray(off, dtype=float))
-    n_points, m = len(diag), diag.shape[-1]
     linked = off != 0
-    pairs = ~np.any(linked[..., 1:] & linked[..., :-1], axis=(0, -1))
-    values = np.empty(diag.shape[:-1] + (min(k, m),))
-    block = np.full(n_points, 2)
-    residual = np.zeros(n_points)
-    if np.any(pairs):
-        values[:, pairs] = _pair_eigvalsh(diag[:, pairs], off[:, pairs])[..., :k]
-    rest = ~pairs
-    if np.any(rest):
-        try:
-            values[:, rest], block, residual = _leading_levels(
-                diag[:, rest], off[:, rest], k, values[:, pairs])
-        except _SolveFailed as exc:
-            solved = (f"the full {m}-row sectors" if exc.order == m else
-                      f"{exc.order} x {exc.order} leading blocks")
-            raise ConvergenceError(
-                f"eigenvalues of {solved} did not "
-                f"converge within the solver's iteration cap ({exc.__cause__}); the "
-                f"first point still open is {where(exc.point, np.flatnonzero(rest)[0])}"
-            ) from exc.__cause__
+    if np.any(linked[..., 1:] & linked[..., :-1]):
+        values, block, residual = _leading_levels(diag, off, k, where)
+    else:
+        values = _pair_eigvalsh(diag, off)[..., :k]
+        block, residual = np.full(len(diag), 2), np.zeros(len(diag))
     kb = values.shape[-1]
     merged, order = _merge(values)
     kept = np.zeros(merged.shape, dtype=bool)

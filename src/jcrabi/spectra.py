@@ -20,7 +20,7 @@ below the k-th level that its leading block misses.  The block m' doubles
 from max(2k, 32) until each kept value is certified to 4 ulps of max|T| (a
 full solve once m' reaches the sector), while the Sturm gate still counts
 on the full bands.  That count is one linalg.sturm_count call on every
-sector row of the batch, JC and Rabi alike; its loop stops once every
+sector of the batch, JC and Rabi alike; its loop stops once every
 band's later pivots are certified positive, within a few dozen rows.  The
 sweep and convergence tables carry the m' and the certified distance of
 each row.  The sweeps, convergence studies and Bloch-Siegert values read

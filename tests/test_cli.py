@@ -10,6 +10,7 @@ import pytest
 
 import jcrabi.berry as berry_module
 import jcrabi.spectra as spectra_module
+import jcrabi.surfaces as surfaces_module
 from jcrabi import __version__, acceptance, cli
 from jcrabi.cli import _load_config, build_parser, main
 
@@ -637,6 +638,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --g-min 0, --g-max 1e+300 and --g-step 1 give")
         assert not out.exists()
+
+    def test_usage_error_sweep_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # a grid whose bands do not fit in memory, as numpy reports it
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                              "(10000001, 2, 100) and data type float64")
+
+        monkeypatch.setattr(spectra_module, "spectrum_sweep", refused)
+        out = tmp_path / "out"
+        argv = ["spectrum", "--model", "jc", "--g-max", "1", "--g-step", "1e-7"]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: the spectrum request does not fit in "
+                                       "memory (Unable to allocate 14.9 GiB")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_usage_error_surface_out_of_memory_writes_no_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the Rabi surface runs out of memory after the JC files are written:
+        # they go too
+        real = surfaces_module.boa_surface
+
+        def refused(kind, *args):
+            if kind.model == "rabi":
+                raise MemoryError()
+            return real(kind, *args)
+
+        monkeypatch.setattr(surfaces_module, "boa_surface", refused)
+        out = tmp_path / "out"
+        assert main(["surfaces", "--model", "both", "--resolution", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: the surfaces request does not fit in memory")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     def test_usage_error_negative_g_min(self, tmp_path, capsys):
         # a negative coupling is a usage error, not a numerical failure

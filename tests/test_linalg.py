@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcrabi import ConvergenceError, TruncationConfig
 from jcrabi import linalg
@@ -238,10 +240,10 @@ def sector_label(point, block):
 
 
 def perturb_leading(monkeypatch, call, point, block, index):
-    """Make the leading-block solver add 1e-6 to value ``index`` of row
+    """Make the leading-block solver add 1e-6 to value ``index`` of
     ``block`` at ``point`` of its ``call``-th result: a solver gone wrong.
-    It is called once per merged_levels call, on all points, with only the
-    blocks that do not split into pairs."""
+    It is called once per merged_levels call whose stack has a block with
+    two adjacent nonzero links, on all points and every block."""
     true_leading = linalg._leading_levels
     calls = []
 
@@ -256,9 +258,10 @@ def perturb_leading(monkeypatch, call, point, block, index):
 
 
 def perturb_pairs(monkeypatch, point, block, index):
-    """Make the closed-form pair solver add 1e-6 to value ``index`` of row
-    ``block`` at ``point`` on every call.  It is called once, on all points,
-    with only the blocks that split into pairs."""
+    """Make the closed-form pair solver add 1e-6 to value ``index`` of
+    ``block`` at ``point`` on every call.  It is called once per
+    merged_levels call whose every block splits into pairs, on all points
+    and every block."""
     true_pairs = linalg._pair_eigvalsh
 
     def perturbed(diag, off):
@@ -307,7 +310,7 @@ class TestMergedLevels:
     def test_order_numbers_the_levels(self, k):
         # level j is eigenvalue index[j] of block sector[j], and each block
         # gives a prefix of its values, in order
-        diag, off = random_bands(8, np.random.default_rng(3))  # a full row and one of pairs
+        diag, off = random_bands(8, np.random.default_rng(3))  # a linked block and one of pairs
         solved = merged_levels(diag[None], off[None], k, sector_label)
         assert solved.sector.shape == solved.index.shape == (1, k)
         blocks = np.linalg.eigvalsh(tridiagonal(diag, off))
@@ -344,18 +347,20 @@ class TestMergedLevels:
 
     def test_perturbed_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
-        points = [random_bands(6, rng) for _ in range(2)]
-        # block 1 has the JC link pattern: it is the pair solver's row 0
-        perturb_pairs(monkeypatch, point=1, block=0, index=2)
+        diag, off = stacked([random_bands(6, rng) for _ in range(2)])
+        # block 0 gets the JC link pattern of block 1: every block is pairs,
+        # so the pair solver gives every value
+        off[:, 0, 1::2] = 0.0
+        perturb_pairs(monkeypatch, point=1, block=1, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 1 of point 1 fails the Sturm count"):
-            merged_levels(*stacked(points), 12, sector_label)
+            merged_levels(diag, off, 12, sector_label)
 
     def test_perturbed_eigvalsh_value_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(8)
         points = [random_bands(6, rng) for _ in range(2)]
-        # block 0 has every link: it is the leading-block solver's row 0,
-        # which solves it in full with eigvalsh (m = 6 < 32)
+        # block 0 has every link, so the leading-block solver takes both
+        # blocks and solves them in full with eigvalsh (m = 6 < 32)
         perturb_leading(monkeypatch, call=0, point=1, block=0, index=2)
         with pytest.raises(ConvergenceError,
                            match=r"eigenvalue 2 = .* of block 0 of point 1 fails the Sturm count"):
@@ -392,11 +397,13 @@ class TestMergedLevels:
         merged_levels(diag[:, 1:], off[:, 1:], 5, sector_label)
         merged_levels(diag, np.zeros_like(off), 5, sector_label)
         assert shapes == []
+        # one linked block sends every block to the leading solve
         merged_levels(diag, off, 5, sector_label)
-        assert shapes == [(3, 1, 7)]
+        assert shapes == [(3, 2, 7)]
 
     def test_one_point_with_adjacent_links_sends_the_row_to_eigvalsh(self, monkeypatch):
-        # the row splits into pairs only if it does so at every point
+        # the stack splits into pairs only if every block does so at every
+        # point
         shapes = count_leading(monkeypatch)
         rng = np.random.default_rng(10)
         jc = random_tridiagonal(5, rng, jc_links=True)
@@ -422,17 +429,19 @@ class TestMergedLevels:
         assert np.max(np.abs(solved.levels[0] - merged[:11])) <= EIG_RTOL * scale
         assert solved.block.tolist() == [60]
 
-    @pytest.mark.parametrize("offset, size", [(-100.0, 32), (100.0, 100)])
-    def test_pair_values_take_part_in_the_merge(self, offset, size):
-        # block 0 has random links, which no leading block certifies; block
-        # 1 splits into pairs.  Far below block 0, the pairs give all 11
-        # levels: block 0 keeps none, so m' = 32 is done once the count
-        # finds no eigenvalue of block 0 below them.  Far above, block 0
-        # keeps all 11 and needs the full solve.
+    @pytest.mark.parametrize("offset", [-100.0, 100.0])
+    def test_pair_values_take_part_in_the_merge(self, offset):
+        # block 0 has random links, block 1 the JC link pattern: the stack
+        # is not all pairs, so both blocks go to the leading solve.  Far
+        # below, block 1 gives all 11 levels, but its lowest pairs lie all
+        # along the chain, past any leading block; far above, block 0 gives
+        # them, and its random links certify no leading block.  Either way
+        # the point takes the full solve, and the merge of both blocks'
+        # values gives the levels
         diag, off = random_bands(100, np.random.default_rng(15))
         diag[1] += offset
         solved = merged_levels(diag[None], off[None], 11, sector_label)
-        assert solved.block.tolist() == [size]
+        assert solved.block.tolist() == [100]
         merged, _ = dense_levels(diag, off)
         assert np.max(np.abs(solved.levels[0] - merged[:11])) <= 1e-12 * np.max(np.abs(diag))
 
@@ -447,6 +456,34 @@ class TestMergedLevels:
         assert pairs.block.tolist() == [2] and pairs.residual.tolist() == [0.0]
         full = merged_levels(*stacked([random_bands(6, rng)]), 3, sector_label)
         assert full.block.tolist() == [6] and full.residual.tolist() == [0.0]
+
+
+class TestOnePathPerCall:
+    """merged_levels picks one path per call, which is exact for the stacks
+    the models give: their parity sectors are all pairs or all linked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(ModelKind)),
+           omega=st.floats(0.05, 5.0),
+           Omega=st.floats(0.0, 5.0),
+           g=st.lists(st.just(0.0) | st.floats(1e-3, 10.0), min_size=1, max_size=6),
+           n_max=st.sampled_from([1, 2, 3, 40]))
+    def test_parity_sectors_are_all_pairs_or_all_linked(self, kind, omega, Omega, g, n_max):
+        diag, off = parity_sectors(kind, ModelParams(Omega=Omega, omega=omega),
+                                   TruncationConfig(n_max), g=g)
+        # per sector: whether some point has two adjacent nonzero links
+        nonzero = off != 0
+        linked = np.any(nonzero[..., 1:] & nonzero[..., :-1], axis=(0, -1))
+        assert linked.shape == (2,) and linked[0] == linked[1]
+        # JC conserves excitation number: its sectors are always pairs; a
+        # Rabi sector is a linked chain unless g = 0 or it has one link
+        pairs = kind is ModelKind.JC_LAB or n_max == 1 or not any(g)
+        assert linked[0] != pairs
+        with pytest.MonkeyPatch.context() as patch:
+            shapes = count_leading(patch)
+            solved = merged_levels(diag, off, 4, sector_label)
+        assert shapes == ([] if pairs else [diag.shape])
+        assert np.all(solved.block == 2) == pairs
 
 
 class TestSolveFailure:
@@ -878,7 +915,7 @@ class TestLeadingLevels:
     @pytest.mark.parametrize("m", [60, 201, 501])
     def test_within_the_certified_residual_of_eigvalsh(self, m):
         diag, off = decaying_bands(m, 4, np.random.default_rng(m))
-        values, size, residual = linalg._leading_levels(diag, off, 11)
+        values, size, residual = linalg._leading_levels(diag, off, 11, sector_label)
         assert np.all(size < m)
         full = np.linalg.eigvalsh(tridiagonal(diag, off))[..., :11]
         scale = np.max(np.abs(diag), axis=-1)
@@ -894,7 +931,7 @@ class TestLeadingLevels:
         # tail term is the eigenvector's, above eigh's noise floor
         m, k = 201, 5
         diag, off = decaying_bands(m, 2, np.random.default_rng(1))
-        values, size, residual = linalg._leading_levels(diag, off, k)
+        values, size, residual = linalg._leading_levels(diag, off, k, sector_label)
         eps = np.finfo(float).eps
         for p in range(2):
             scale = max(np.max(np.abs(diag[p])), np.max(np.abs(off[p])))
@@ -924,7 +961,7 @@ class TestLeadingLevels:
         # square over the gap is not
         diag = np.arange(100.0) + np.array([[[0.0], [0.5]]])
         off = np.sqrt(np.arange(1.0, 100.0)) + np.zeros((1, 2, 1))
-        values, size, residual = linalg._leading_levels(diag, off, 11)
+        values, size, residual = linalg._leading_levels(diag, off, 11, sector_label)
         theta, kept, certified = certified_distances(diag[0], off[0], 32, 11)
         _, _, plain = certified_distances(diag[0], off[0], 32, 11, gap_bound=False)
         scale = np.max(diag)
@@ -950,7 +987,7 @@ class TestLeadingLevels:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rng = np.random.default_rng(3)
         diag, off = rng.standard_normal((3, 2, 100)), rng.standard_normal((3, 2, 99))
-        values, size, residual = linalg._leading_levels(diag, off, k)
+        values, size, residual = linalg._leading_levels(diag, off, k, sector_label)
         assert seen == orders + [100]
         assert size.tolist() == [100] * 3 and residual.tolist() == [0.0] * 3
         assert np.array_equal(values, real(tridiagonal(diag, off))[..., :k])
@@ -966,7 +1003,7 @@ class TestLeadingLevels:
         for diag, off in (random_bands(80, np.random.default_rng(4)),
                           (decaying[0][0], decaying[1][0])):
             off[:, 31] = 0.0
-            values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
+            values, size, residual = linalg._leading_levels(diag[None], off[None], 11, sector_label)
             theta, kept, distance = certified_distances(diag, off, 32, 11)
             scale = np.maximum(np.max(np.abs(diag), axis=-1), np.max(np.abs(off), axis=-1))
             certified = np.all(distance <= linalg.LEADING_ULPS * eps * scale[:, None])
@@ -986,7 +1023,7 @@ class TestLeadingLevels:
         # the gap bound does not apply and the point goes on to the full
         # block
         diag, off = (band[1] for band in _hidden_state_bands())
-        values, size, residual = linalg._leading_levels(diag[None], off[None], 11)
+        values, size, residual = linalg._leading_levels(diag[None], off[None], 11, sector_label)
         full = np.linalg.eigvalsh(tridiagonal(diag, off))[:, :11]
         scale = np.max(np.abs(diag))
         _, kept, _ = certified_distances(diag, off, 32, 11)
@@ -1003,20 +1040,20 @@ class TestLeadingLevels:
         rng = np.random.default_rng(5)
         diag, off = decaying_bands(100, 2, rng)
         diag[1], off[1] = rng.standard_normal((2, 100)), rng.standard_normal((2, 99))
-        values, size, _ = linalg._leading_levels(diag, off, 11)
+        values, size, _ = linalg._leading_levels(diag, off, 11, sector_label)
         assert size.tolist() == [32, 100]
         for p in range(2):
-            alone = linalg._leading_levels(diag[p:p + 1], off[p:p + 1], 11)[0]
+            alone = linalg._leading_levels(diag[p:p + 1], off[p:p + 1], 11, sector_label)[0]
             assert np.array_equal(values[p], alone[0])
 
     def test_chunks_do_not_change_the_values(self, monkeypatch):
         rng = np.random.default_rng(6)
         diag, off = decaying_bands(201, 5, rng)
         diag[3] = rng.standard_normal((2, 201))  # a point that needs the full block
-        whole = linalg._leading_levels(diag, off, 11)
+        whole = linalg._leading_levels(diag, off, 11, sector_label)
         assert whole[1].tolist() == [32, 32, 32, 201, 32]
         monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 1)
-        for a, b in zip(whole, linalg._leading_levels(diag, off, 11)):
+        for a, b in zip(whole, linalg._leading_levels(diag, off, 11, sector_label)):
             assert np.array_equal(a, b)
 
 

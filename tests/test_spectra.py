@@ -425,7 +425,8 @@ class TestJuddianPoint:
         orders = []
         for n_max in (200, 300, 500):
             diag, off = parity_sectors(ModelKind.RABI_LAB, p, TruncationConfig(n_max))
-            values, size, _ = linalg._leading_levels(diag[None], off[None], 11)
+            values, size, _ = linalg._leading_levels(
+                diag[None], off[None], 11, lambda _, sector: f"sector {sector}")
             assert size.tolist() == [32]
             _, order = linalg._merge(values[0])
             _, full_order = linalg._merge(np.linalg.eigvalsh(tridiagonal(diag, off))[:, :11])
