@@ -327,6 +327,8 @@ def _parse_range(text: str, name: str):
     _check_finite(name, hi)
     if hi <= lo:
         raise UsageError(f"{name}: need hi > lo, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"{name}: hi - lo must be finite, got {text!r}")
     return lo, hi
 
 

@@ -11,12 +11,15 @@ rows, so it builds nothing of the whole table's size; a caller that holds
 the whole table passes it as one block, and the surfaces command passes a
 generator that evaluates a slice of the grid per block.  Each piece reduces
 its columns to their distinct values, compared bit for bit so that -0.0
-stays apart from 0.0, and formats them with one call of _fmt17, an exact
-vectorized "%.17g" for 1e-4 <= |v| < 1e17 that falls back to per-value %
-for zeros, subnormals, NaN, infinities and the scientific range.
-write_json lays out a 2-D float array member from the float.__repr__ of its
-distinct values; every other member goes through json.dumps.  The heatmap
-is one grayscale PNG inside the SVG.  Every check of the JSON and SVG
+stays apart from 0.0, and formats them with one call of _fmt17 (a column
+whose distinct values are those of the previous piece keeps its text), an exact
+vectorized "%.17g" for 1e-4 <= |v| < 1e17 (in passes of _FMT_CHUNK values)
+that falls back to per-value % for zeros, subnormals, NaN, infinities and
+the scientific range; the piece's text is gathered _TEXT_ROWS rows at a
+time.  write_json lays out a 2-D float array member from the float.__repr__
+of its distinct values; every other member goes through json.dumps.  The
+heatmap is one grayscale PNG inside the SVG, shaded a slice of x-rows at a
+time straight into the PNG's rows.  Every check of the JSON and SVG
 writers and of the first CSV block runs before the file is opened; a later
 CSV block that fails its check, or a block generator that raises, removes
 the partial file.  So rejected input leaves no file.
@@ -63,8 +66,12 @@ def _table(columns, n_cols: int, first_row: int = 0) -> list:
     return table
 
 
-# Rows per written block: bounds the bytes alive at once.
-_BLOCK_ROWS = 8192
+# Rows per deduplicated block: bounds the bytes alive at once.  The
+# surfaces command's blocks are whole x-rows, so a block below a grid row
+# loses the p-mirror repeats within a row.
+_BLOCK_ROWS = 4096
+# Rows of S25 text gathered and written at once.
+_TEXT_ROWS = 2048
 
 # _fmt17 tables, built with array arithmetic so importing stays cheap.
 _U64 = np.uint64
@@ -103,8 +110,8 @@ def _scaled(m, r, s):
     return q, up
 
 
-# Values per _fmt17 pass: bounds its temporaries to a few MB.
-_FMT_CHUNK = 1 << 15
+# Values per _fmt17 pass: bounds its temporaries to about 100 kB each.
+_FMT_CHUNK = 1 << 12
 
 
 def _fmt17(values) -> np.ndarray:
@@ -217,18 +224,31 @@ def write_csv(path, header, blocks, meta: dict) -> Path:
         try:
             f.write(("\n".join(metadata_lines(meta) + [",".join(header)]) + "\n").encode())
             rows = 0
+            # per column: the distinct bits last formatted and their fields; a
+            # column that repeats them (the p column of a surface) is not
+            # formatted again
+            known = [(None, None)] * len(header)
             while table is not None:
                 for start in range(0, len(table[0]), _BLOCK_ROWS):
                     distinct = [np.unique(values[start:start + _BLOCK_ROWS].view(np.int64),
                                           return_inverse=True) for values in table]
-                    text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
-                    block = np.empty((len(distinct[0][1]), len(table)), dtype="S25")
-                    for c, ((bits, inverse), end) in enumerate(zip(distinct, ends)):
-                        block[:, c] = np.strings.add(text[:len(bits)], end)[inverse]
-                        text = text[len(bits):]
-                    raw = block.view(np.uint8)
-                    f.write(raw[raw != 0])
-                    del distinct, text  # freed before the next block builds its own
+                    stale = [c for c, (bits, _) in enumerate(distinct)
+                             if not np.array_equal(bits, known[c][0])]
+                    if stale:
+                        text = _fmt17(np.concatenate([distinct[c][0] for c in stale]).view(float))
+                        for c in stale:
+                            bits = distinct[c][0]
+                            known[c] = (bits, np.strings.add(text[:len(bits)], ends[c]))
+                            text = text[len(bits):]
+                        del text
+                    n = len(distinct[0][1])
+                    for lo in range(0, n, _TEXT_ROWS):
+                        block = np.empty((min(_TEXT_ROWS, n - lo), len(table)), dtype="S25")
+                        for c, ((_, words), (_, inverse)) in enumerate(zip(known, distinct)):
+                            block[:, c] = words[inverse[lo:lo + _TEXT_ROWS]]
+                        raw = block.view(np.uint8)
+                        f.write(raw[raw != 0])
+                    del distinct  # freed before the next block builds its own
                 rows += len(table[0])
                 columns = next(blocks, None)
                 table = None if columns is None else _table(columns, len(header), rows)
@@ -360,11 +380,15 @@ def write_svg_lines(path, series, title: str, xlabel: str, ylabel: str, meta: di
 _PNG_LEVEL = 6
 
 
-def _png_gray(pixels) -> bytes:
-    """An 8-bit grayscale PNG of a (height, width) uint8 array, no row filters."""
-    raw = np.pad(pixels, ((0, 0), (1, 0)))  # filter type 0 before each row
-    chunks = [(b"IHDR", struct.pack(">IIBBBBB", pixels.shape[1], pixels.shape[0], 8, 0, 0, 0, 0)),
-              (b"IDAT", zlib.compress(raw.tobytes(), _PNG_LEVEL)), (b"IEND", b"")]
+# x-rows of the heatmap shaded at once: bounds the float temporary.
+_SHADE_NODES = 1 << 14
+
+
+def _png_gray(raw) -> bytes:
+    """An 8-bit grayscale PNG of its raw rows: a (height, 1 + width) uint8
+    array whose column 0 holds each row's filter type."""
+    chunks = [(b"IHDR", struct.pack(">IIBBBBB", raw.shape[1] - 1, raw.shape[0], 8, 0, 0, 0, 0)),
+              (b"IDAT", zlib.compress(raw, _PNG_LEVEL)), (b"IEND", b"")]
     return b"\x89PNG\r\n\x1a\n" + b"".join(
         struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
         for kind, data in chunks)
@@ -373,7 +397,8 @@ def _png_gray(pixels) -> bytes:
 def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> Path:
     """Grayscale map of values[i, j] over (x_axis[i], p_axis[j]), drawn as
     one embedded PNG: pixel column i is x_axis[i], and the top pixel row is
-    the last p."""
+    the last p.  Slices of x-rows are shaded straight into the PNG's rows,
+    so the map's one temporary of the grid's size is its uint8 image."""
     path = Path(path)
     values = np.asarray(values, dtype=float)
     axes = (len(x_axis), len(p_axis))
@@ -385,18 +410,24 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
     ml, mt = 70.0, 40.0
     width = ml + nx * cell + 40.0
     height = mt + npts * cell + 60.0
-    if not np.all(np.isfinite(values)):
-        raise ValueError("heatmap values must be finite")
+    # a NaN is the min and the max; an infinity is one of them
     v_lo, v_hi = float(np.min(values)), float(np.max(values))
+    if not (np.isfinite(v_lo) and np.isfinite(v_hi)):
+        raise ValueError("heatmap values must be finite")
     span = v_hi - v_lo if v_hi > v_lo else 1.0
     # low gap = dark, so degeneracies stand out; np.rint rounds half to even.
-    # 255 * (values - v_lo) / span, formed in place in one temporary
-    shades = values - v_lo
-    shades *= 255
-    shades /= span
-    np.rint(shades, out=shades)
-    shades = shades.astype(np.uint8)
-    png = base64.b64encode(_png_gray(shades.T[::-1])).decode("ascii")
+    # raw[npts - 1 - j, 1 + i] is the shade of values[i, j], and column 0
+    # is every row's filter type 0
+    raw = np.zeros((npts, 1 + nx), dtype=np.uint8)
+    step = max(1, _SHADE_NODES // npts)
+    for i in range(0, nx, step):
+        # 255 * (values - v_lo) / span, formed in place in one temporary
+        shades = values[i:i + step] - v_lo
+        shades *= 255
+        shades /= span
+        np.rint(shades, out=shades)
+        raw[::-1, 1 + i:1 + i + step] = shades.T
+    png = base64.b64encode(_png_gray(raw)).decode("ascii")
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',
         "<!-- " + "; ".join(f"{k} = {v}" for k, v in meta.items()) + " -->",

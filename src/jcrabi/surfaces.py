@@ -83,22 +83,34 @@ class DegeneracyReport:
     coordinates: np.ndarray
 
 
+# Grid nodes per slice of default_gap_tolerance: bounds its temporaries.
+_SLOPE_NODES = 1 << 14
+
+
 def default_gap_tolerance(x_axis, p_axis, gap) -> float:
     """2 * (grid cell diagonal) * (max local gap slope), estimated by finite
     differences; 'degenerate on a grid' needs a resolution-aware yardstick.
-    gap[i, j] belongs to (x_axis[i], p_axis[j]); each slope is formed in one
-    grid-sized temporary."""
-    dx = np.min(np.diff(x_axis)) if len(x_axis) > 1 else 0.0
-    dp = np.min(np.diff(p_axis)) if len(p_axis) > 1 else 0.0
+    gap[i, j] belongs to (x_axis[i], p_axis[j]).  The slopes are formed in
+    slices of whole x-rows, each x slice reaching one row into the next, so
+    no temporary grows with the grid; the max is that of the whole grid."""
+    x_steps, p_steps = np.diff(x_axis), np.diff(p_axis)
+    dx = np.min(x_steps) if len(x_axis) > 1 else 0.0
+    dp = np.min(p_steps) if len(p_axis) > 1 else 0.0
     cell_diag = float(np.hypot(dx, dp))
-    slopes = []
-    for axis, steps in ((0, np.diff(x_axis)[:, None]), (1, np.diff(p_axis)[None, :])):
-        if gap.shape[axis] > 1:
-            slope = np.diff(gap, axis=axis)
-            np.abs(slope, out=slope)
-            slope /= steps
-            slopes.append(np.max(slope))
-            del slope
+    nx, npts = gap.shape
+    step = max(1, _SLOPE_NODES // max(1, npts))
+    maxima = [None, None]  # per axis, the max slope so far; NaN propagates
+    for i in range(0, nx, step):
+        rows = gap[i:i + step + 1]  # one row past the slice, for the x slopes
+        for axis, part, steps in ((0, rows, x_steps[i:i + step, None]),
+                                  (1, rows[:step], p_steps[None, :])):
+            if part.shape[axis] > 1:
+                slope = np.diff(part, axis=axis)
+                np.abs(slope, out=slope)
+                slope /= steps
+                top = np.max(slope)
+                maxima[axis] = top if maxima[axis] is None else np.maximum(maxima[axis], top)
+    slopes = [top for top in maxima if top is not None]
     max_slope = float(max(slopes)) if slopes else 0.0
     return 2.0 * cell_diag * max_slope
 

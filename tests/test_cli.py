@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -629,6 +630,17 @@ class TestExitCodes:
         nmax = ["--nmax", "5"] if argv[0] in ("spectrum", "crossing") else []
         assert main([*argv, *nmax, "--out", str(tmp_path)]) == 1
         assert f"usage error: {flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["x-range", "p-range"])
+    def test_usage_error_range_whose_width_overflows(self, tmp_path, capsys, flag):
+        # both ends are finite, but hi - lo is not: the axes would hold NaN
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surfaces", f"--{flag}=-1e308:1e308", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {flag}: hi - lo must be finite, got '-1e308:1e308'\n"
+        assert not out.exists()
 
     def test_usage_error_grid_numpy_cannot_build(self, tmp_path, capsys):
         # about 1e300 couplings: np.arange refuses before allocating

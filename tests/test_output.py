@@ -96,9 +96,34 @@ def decode_png(png):
     return rows[:, 1:]
 
 
-def heatmap_pixels(tmp_path, x_axis, p_axis, values):
+def frozen_png_gray(pixels):
+    """The PNG of a (height, width) uint8 array as the whole-grid writer
+    built it: a filter byte padded before each row, zlib level 6."""
+    raw = np.pad(pixels, ((0, 0), (1, 0)))
+    chunks = [(b"IHDR", struct.pack(">IIBBBBB", pixels.shape[1], pixels.shape[0], 8, 0, 0, 0, 0)),
+              (b"IDAT", zlib.compress(raw.tobytes(), 6)), (b"IEND", b"")]
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
+        for kind, data in chunks)
+
+
+def whole_grid_png(values):
+    """The oracle of the heatmap PNG: the whole grid shaded at once, in the
+    writer's in-place order (v - lo, * 255, / span, rint), then turned so
+    that the top row is the last p."""
+    values = np.asarray(values, dtype=float)
+    v_lo, v_hi = float(np.min(values)), float(np.max(values))
+    span = v_hi - v_lo if v_hi > v_lo else 1.0
+    shades = values - v_lo
+    shades *= 255
+    shades /= span
+    np.rint(shades, out=shades)
+    return frozen_png_gray(shades.astype(np.uint8).T[::-1])
+
+
+def heatmap_png(tmp_path, x_axis, p_axis, values):
     """Write a heatmap, check its text against the frozen lines, and return
-    its decoded pixels."""
+    its PNG bytes."""
     path = write_svg_heatmap(tmp_path / "map.svg", x_axis, p_axis, values, "t", META)
     text = path.read_text()
     head, foot, box = frozen_heatmap_lines(x_axis, p_axis, values, "t", META)
@@ -108,13 +133,16 @@ def heatmap_pixels(tmp_path, x_axis, p_axis, values):
                          r'style="image-rendering:pixelated" '
                          r'href="data:image/png;base64,([A-Za-z0-9+/=]*)"/>', lines[3])
     assert image is not None and image.group(1) == box
-    return decode_png(base64.b64decode(image.group(2), validate=True))
+    return base64.b64decode(image.group(2), validate=True)
 
 
 def check_pixels(tmp_path, x_axis, p_axis, values):
-    """Pixel (r, i) is the frozen shade of cell (x_i, p_(npts - 1 - r)): the
-    image is npts x nx and its top row holds the largest p."""
-    pixels = heatmap_pixels(tmp_path, x_axis, p_axis, values)
+    """The PNG is that of the whole-grid shading, byte for byte, and pixel
+    (r, i) is the frozen shade of cell (x_i, p_(npts - 1 - r)): the image is
+    npts x nx and its top row holds the largest p."""
+    png = heatmap_png(tmp_path, x_axis, p_axis, values)
+    assert png == whole_grid_png(values)
+    pixels = decode_png(png)
     shades = frozen_shades(values)
     nx, npts = len(x_axis), len(p_axis)
     assert pixels.shape == (npts, nx)
@@ -211,6 +239,25 @@ class TestFrozenWriterBytes:
         assert text.count("\n") == len(META) + 1 + n
         assert ",-0," in text and ",0," in text and ",nan," in text
 
+    def test_repeated_column_is_formatted_once(self, tmp_path, monkeypatch):
+        # blocks of 6 rows: column a holds the same six values (0.0 and -0.0
+        # among them) in every block, as a surface's p column does; column c
+        # changes its value in block 1 and takes the old one back in block 2
+        monkeypatch.setattr(output_module, "_BLOCK_ROWS", 6)
+        formatted = []
+
+        def counted(values):
+            formatted.append(len(values))
+            return _fmt17(values)
+
+        monkeypatch.setattr(output_module, "_fmt17", counted)
+        a = np.tile([0.5, -0.0, 0.0, 1 / 3, np.nan, 2.5], 4)
+        b = np.random.default_rng(3).standard_normal(24)
+        c = np.concatenate([np.full(6, 0.25), np.full(6, -7.0), np.full(12, 0.25)])
+        table = np.column_stack([a, b, c])
+        same_csv_bytes(tmp_path, ["a", "b", "c"], table, table.T)
+        assert formatted == [6 + 6 + 1, 6 + 1, 6 + 1, 6]
+
     def test_one_row_table(self, tmp_path):
         same_csv_bytes(tmp_path, ["phi", "partial_phase"], [[0.0, np.pi]])
 
@@ -236,23 +283,36 @@ class TestFrozenWriterBytes:
         values = np.random.default_rng(nx).standard_normal((nx, npts))
         check_pixels(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
 
+    @pytest.mark.parametrize("shade_nodes", [1, 7, 3 * 7 + 2, 10 ** 6])
+    @pytest.mark.parametrize("nx, npts", [(11, 7), (1, 7), (11, 1)])
+    def test_heatmap_shaded_in_uneven_slices(self, tmp_path, monkeypatch, shade_nodes,
+                                             nx, npts):
+        # slices of 1, 1, 3 and all 11 x-rows of 7 nodes: the last slice
+        # of 3 rows is short; a 1-node row takes slices of 1, 7, 23 and all
+        monkeypatch.setattr(output_module, "_SHADE_NODES", shade_nodes)
+        values = np.random.default_rng(nx * npts).standard_normal((nx, npts))
+        check_pixels(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
+
     def test_half_shades_round_to_even(self, tmp_path):
         # shades 0, 0.5, 1.5, 2.5, 255 exactly: round half to even gives 0, 0, 2, 2, 255
         values = np.array([[0.0, 0.5, 1.5, 2.5, 255.0]])
         pixels = check_pixels(tmp_path, [0.0], np.arange(5.0), values)
         assert pixels[::-1, 0].tolist() == [0, 0, 2, 2, 255]
 
-    @pytest.mark.parametrize("resolution, block_rows", [
-        (203, None),  # 41 209 rows: slices of 40 x-rows, the last one 3 rows
-        (15, 7),  # an x-row longer than a block: slices of one x-row, written in 7-row pieces
+    @pytest.mark.parametrize("resolution, block_rows, text_rows", [
+        (203, None, None),  # 41 209 rows: slices of 20 x-rows, the last one 3 rows
+        # an x-row longer than a block: slices of one x-row, deduplicated in
+        # 7-row pieces and written 3 rows at a time
+        (15, 7, 3),
     ], ids=["blocks", "short-blocks"])
     def test_cli_surface_rows_match_per_value_writer(self, tmp_path, monkeypatch,
-                                                     resolution, block_rows):
+                                                     resolution, block_rows, text_rows):
         # the streamed files are those of the whole-grid build: the per-row
         # CSV, and the JSON and heatmap of its gap
         if block_rows is not None:
             monkeypatch.setattr(cli_module, "_BLOCK_ROWS", block_rows)
             monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(output_module, "_TEXT_ROWS", text_rows)
         out = tmp_path / "out"
         assert main([
             "surfaces", "--model", "both", "--g", "0.4", "--resolution", str(resolution),
@@ -573,5 +633,9 @@ class TestWriteCsvMemory:
             finally:
                 tracemalloc.stop()
         gap_growth = 8 * (401 ** 2 - 201 ** 2)
-        block_text = _BLOCK_ROWS * len(SURFACE_COLUMNS) * 25  # one S25 block, about 1 MB
+        block_text = _BLOCK_ROWS * len(SURFACE_COLUMNS) * 25  # one S25 block, about 0.5 MB
         assert peaks[1] - peaks[0] <= gap_growth + 2 * block_text, peaks
+        # beside the gap, every array is bounded by a block: about 2.2 MiB at
+        # 401 nodes per axis, where one whole-grid float temporary (a slope
+        # or the heatmap's shades) alone would be 1.2 MiB more
+        assert peaks[1] - 8 * 401 ** 2 < 3 * 2 ** 20, peaks

@@ -10,7 +10,9 @@ from jcrabi import (
     boa_surface,
     classify_degeneracy,
 )
+import jcrabi.surfaces as surfaces_module
 from jcrabi.models import ModelKind
+from jcrabi.surfaces import default_gap_tolerance
 
 from dense_oracle import qubit_ops
 
@@ -118,6 +120,72 @@ class TestClassifyDegeneracy:
             for j, pv in enumerate(s.p_axis):
                 if (float(x), float(pv)) in lookup:
                     assert s.gap[i, j] <= rep.min_gap + rep.tol_gap
+
+
+def whole_grid_gap_tolerance(x_axis, p_axis, gap) -> float:
+    """The oracle of default_gap_tolerance: the same yardstick with each
+    slope formed in one grid-sized temporary."""
+    dx = np.min(np.diff(x_axis)) if len(x_axis) > 1 else 0.0
+    dp = np.min(np.diff(p_axis)) if len(p_axis) > 1 else 0.0
+    cell_diag = float(np.hypot(dx, dp))
+    slopes = []
+    for axis, steps in ((0, np.diff(x_axis)[:, None]), (1, np.diff(p_axis)[None, :])):
+        if gap.shape[axis] > 1:
+            slope = np.diff(gap, axis=axis)
+            np.abs(slope, out=slope)
+            slope /= steps
+            slopes.append(np.max(slope))
+    max_slope = float(max(slopes)) if slopes else 0.0
+    return 2.0 * cell_diag * max_slope
+
+
+def random_axes(rng, nx, npts, uniform):
+    if uniform:
+        return np.linspace(-2.0, 1.0, nx), np.linspace(-1.0, 3.0, npts)
+    # steps between 0.01 and 1: the steepest slope need not sit on the
+    # steepest gap difference
+    return (np.cumsum(rng.uniform(0.01, 1.0, nx)) - 2.0,
+            np.cumsum(rng.uniform(0.01, 1.0, npts)) - 1.0)
+
+
+class TestDefaultGapTolerance:
+    """The row-sliced tolerance is the whole-grid one, bit for bit."""
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (1, 1), (37, 23)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_whole_grid_tolerance(self, seed, shape, uniform):
+        rng = np.random.default_rng(seed)
+        x_axis, p_axis = random_axes(rng, *shape, uniform)
+        gap = rng.uniform(0.0, 3.0, shape)
+        want = whole_grid_gap_tolerance(x_axis, p_axis, gap)
+        assert default_gap_tolerance(x_axis, p_axis, gap).hex() == want.hex()
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("slice_nodes", [1, 23, 2 * 23 + 5, 5 * 23, 10 ** 6])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_slices_that_do_not_divide_the_rows(self, monkeypatch, seed, slice_nodes,
+                                                uniform):
+        # 37 x-rows of 23 nodes, in slices of 1, 1, 2, 5 and all 37 rows
+        monkeypatch.setattr(surfaces_module, "_SLOPE_NODES", slice_nodes)
+        rng = np.random.default_rng(seed)
+        x_axis, p_axis = random_axes(rng, 37, 23, uniform)
+        gap = rng.uniform(0.0, 3.0, (37, 23))
+        want = whole_grid_gap_tolerance(x_axis, p_axis, gap)
+        assert default_gap_tolerance(x_axis, p_axis, gap).hex() == want.hex()
+
+    @pytest.mark.parametrize("row", [4, 5, 6])
+    def test_steepest_step_across_a_slice_seam(self, monkeypatch, row):
+        # slices of 5 x-rows: the one steep x step, from row 4 to 5, lies
+        # across the seam of the first two slices, and only the overlap row
+        # sees it; rows 5 and 6 put it inside the second slice
+        monkeypatch.setattr(surfaces_module, "_SLOPE_NODES", 5 * 4)
+        x_axis, p_axis = np.arange(12.0), np.arange(4.0)
+        gap = np.zeros((12, 4))
+        gap[row:] = 7.0
+        tol = default_gap_tolerance(x_axis, p_axis, gap)
+        assert tol.hex() == whole_grid_gap_tolerance(x_axis, p_axis, gap).hex()
+        assert tol == 2.0 * np.hypot(1.0, 1.0) * 7.0
 
 
 class TestBerryClosedForms:
