@@ -380,10 +380,6 @@ def write_svg_lines(path, series, title: str, xlabel: str, ylabel: str, meta: di
 _PNG_LEVEL = 6
 
 
-# x-rows of the heatmap shaded at once: bounds the float temporary.
-_SHADE_NODES = 1 << 14
-
-
 def _png_gray(raw) -> bytes:
     """An 8-bit grayscale PNG of its raw rows: a (height, 1 + width) uint8
     array whose column 0 holds each row's filter type."""
@@ -419,7 +415,7 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
     # raw[npts - 1 - j, 1 + i] is the shade of values[i, j], and column 0
     # is every row's filter type 0
     raw = np.zeros((npts, 1 + nx), dtype=np.uint8)
-    step = max(1, _SHADE_NODES // npts)
+    step = max(1, _BLOCK_ROWS // npts)
     for i in range(0, nx, step):
         # 255 * (values - v_lo) / span, formed in place in one temporary
         shades = values[i:i + step] - v_lo

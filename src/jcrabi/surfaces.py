@@ -83,22 +83,23 @@ class DegeneracyReport:
     coordinates: np.ndarray
 
 
-# Grid nodes per slice of default_gap_tolerance: bounds its temporaries.
-_SLOPE_NODES = 1 << 14
-
-
 def default_gap_tolerance(x_axis, p_axis, gap) -> float:
     """2 * (grid cell diagonal) * (max local gap slope), estimated by finite
     differences; 'degenerate on a grid' needs a resolution-aware yardstick.
     gap[i, j] belongs to (x_axis[i], p_axis[j]).  The slopes are formed in
-    slices of whole x-rows, each x slice reaching one row into the next, so
-    no temporary grows with the grid; the max is that of the whole grid."""
+    slices of whole x-rows, about _BLOCK_ROWS nodes each as in the CSV
+    writer, each x slice reaching one row into the next, so no temporary
+    grows with the grid; the max is that of the whole grid."""
+    # imported here: at module level, `import jcrabi` would load the writer
+    # and build its tables, which raised that import's RSS by 0.2 MB
+    from .output import _BLOCK_ROWS
+
     x_steps, p_steps = np.diff(x_axis), np.diff(p_axis)
     dx = np.min(x_steps) if len(x_axis) > 1 else 0.0
     dp = np.min(p_steps) if len(p_axis) > 1 else 0.0
     cell_diag = float(np.hypot(dx, dp))
     nx, npts = gap.shape
-    step = max(1, _SLOPE_NODES // max(1, npts))
+    step = max(1, _BLOCK_ROWS // max(1, npts))
     maxima = [None, None]  # per axis, the max slope so far; NaN propagates
     for i in range(0, nx, step):
         rows = gap[i:i + step + 1]  # one row past the slice, for the x slopes

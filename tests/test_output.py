@@ -283,13 +283,13 @@ class TestFrozenWriterBytes:
         values = np.random.default_rng(nx).standard_normal((nx, npts))
         check_pixels(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
 
-    @pytest.mark.parametrize("shade_nodes", [1, 7, 3 * 7 + 2, 10 ** 6])
+    @pytest.mark.parametrize("block_rows", [1, 7, 3 * 7 + 2, 10 ** 6])
     @pytest.mark.parametrize("nx, npts", [(11, 7), (1, 7), (11, 1)])
-    def test_heatmap_shaded_in_uneven_slices(self, tmp_path, monkeypatch, shade_nodes,
+    def test_heatmap_shaded_in_uneven_slices(self, tmp_path, monkeypatch, block_rows,
                                              nx, npts):
         # slices of 1, 1, 3 and all 11 x-rows of 7 nodes: the last slice
         # of 3 rows is short; a 1-node row takes slices of 1, 7, 23 and all
-        monkeypatch.setattr(output_module, "_SHADE_NODES", shade_nodes)
+        monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
         values = np.random.default_rng(nx * npts).standard_normal((nx, npts))
         check_pixels(tmp_path, np.arange(float(nx)), np.arange(float(npts)), values)
 

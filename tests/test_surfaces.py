@@ -10,7 +10,7 @@ from jcrabi import (
     boa_surface,
     classify_degeneracy,
 )
-import jcrabi.surfaces as surfaces_module
+import jcrabi.output as output_module
 from jcrabi.models import ModelKind
 from jcrabi.surfaces import default_gap_tolerance
 
@@ -162,12 +162,12 @@ class TestDefaultGapTolerance:
         assert default_gap_tolerance(x_axis, p_axis, gap).hex() == want.hex()
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
-    @pytest.mark.parametrize("slice_nodes", [1, 23, 2 * 23 + 5, 5 * 23, 10 ** 6])
+    @pytest.mark.parametrize("block_rows", [1, 23, 2 * 23 + 5, 5 * 23, 10 ** 6])
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_slices_that_do_not_divide_the_rows(self, monkeypatch, seed, slice_nodes,
+    def test_slices_that_do_not_divide_the_rows(self, monkeypatch, seed, block_rows,
                                                 uniform):
         # 37 x-rows of 23 nodes, in slices of 1, 1, 2, 5 and all 37 rows
-        monkeypatch.setattr(surfaces_module, "_SLOPE_NODES", slice_nodes)
+        monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(seed)
         x_axis, p_axis = random_axes(rng, 37, 23, uniform)
         gap = rng.uniform(0.0, 3.0, (37, 23))
@@ -179,7 +179,7 @@ class TestDefaultGapTolerance:
         # slices of 5 x-rows: the one steep x step, from row 4 to 5, lies
         # across the seam of the first two slices, and only the overlap row
         # sees it; rows 5 and 6 put it inside the second slice
-        monkeypatch.setattr(surfaces_module, "_SLOPE_NODES", 5 * 4)
+        monkeypatch.setattr(output_module, "_BLOCK_ROWS", 5 * 4)
         x_axis, p_axis = np.arange(12.0), np.arange(4.0)
         gap = np.zeros((12, 4))
         gap[row:] = 7.0
