@@ -27,7 +27,7 @@ from .berry import TrackingError
 from .fock import TruncationConfig
 from .linalg import ConvergenceError
 from .models import ModelKind, ModelParams
-from .output import _BLOCK_ROWS, write_csv, write_json, write_svg_heatmap, write_svg_lines
+from .output import row_slices, write_csv, write_json, write_svg_heatmap, write_svg_lines
 
 
 class UsageError(Exception):
@@ -333,13 +333,12 @@ def _parse_range(text: str, name: str):
 
 
 def _surface_rows(kind: ModelKind, params: ModelParams, x_axis, p_axis, gap):
-    """The rows of a surface CSV as column blocks of whole x-rows, about
-    _BLOCK_ROWS rows each; every node is evaluated once, and its gap is
-    copied into gap[i, j] as its block is made."""
-    step = max(1, _BLOCK_ROWS // len(p_axis))
-    for i in range(0, len(x_axis), step):
-        grid = surfaces.boa_surface(kind, params, x_axis[i:i + step], p_axis)
-        gap[i:i + step] = grid.gap
+    """The rows of a surface CSV as column blocks, one per row_slices slice
+    of whole x-rows; every node is evaluated once, and its gap is copied
+    into gap[i, j] as its block is made."""
+    for rows in row_slices(len(x_axis), len(p_axis)):
+        grid = surfaces.boa_surface(kind, params, x_axis[rows], p_axis)
+        gap[rows] = grid.gap
         yield [np.repeat(grid.x_axis, len(p_axis)), np.tile(p_axis, len(grid.x_axis)),
                grid.lower.ravel(), grid.upper.ravel(), grid.gap.ravel()]
 

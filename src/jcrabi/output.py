@@ -11,18 +11,19 @@ rows, so it builds nothing of the whole table's size; a caller that holds
 the whole table passes it as one block, and the surfaces command passes a
 generator that evaluates a slice of the grid per block.  Each piece reduces
 its columns to their distinct values, compared bit for bit so that -0.0
-stays apart from 0.0, and formats them with one call of _fmt17 (a column
-whose distinct values are those of the previous piece keeps its text), an exact
-vectorized "%.17g" for 1e-4 <= |v| < 1e17 (in passes of _FMT_CHUNK values)
-that falls back to per-value % for zeros, subnormals, NaN, infinities and
-the scientific range; the piece's text is gathered _TEXT_ROWS rows at a
-time.  write_json lays out a 2-D float array member from the float.__repr__
-of its distinct values; every other member goes through json.dumps.  The
+stays apart from 0.0, and formats them all with one call of _fmt17: an
+exact vectorized "%.17g" for 1e-4 <= |v| < 1e17, in one pass, that falls
+back to per-value % for zeros, subnormals, NaN, infinities and the
+scientific range.  The piece's fields are gathered into one array of
+24 text bytes and one separator byte each and written at once.
+write_json lays out a 2-D float array member from the float.__repr__ of
+its distinct values; every other member goes through json.dumps.  The
 heatmap is one grayscale PNG inside the SVG, shaded a slice of x-rows at a
-time straight into the PNG's rows.  Every check of the JSON and SVG
-writers and of the first CSV block runs before the file is opened; a later
-CSV block that fails its check, or a block generator that raises, removes
-the partial file.  So rejected input leaves no file.
+time (row_slices, the slices the surfaces command evaluates its grid by)
+straight into the PNG's rows.  Every check of the JSON and SVG writers and
+of the first CSV block runs before the file is opened; a later CSV block
+that fails its check, or a block generator that raises, removes the
+partial file.  So rejected input leaves no file.
 """
 
 from __future__ import annotations
@@ -70,8 +71,15 @@ def _table(columns, n_cols: int, first_row: int = 0) -> list:
 # surfaces command's blocks are whole x-rows, so a block below a grid row
 # loses the p-mirror repeats within a row.
 _BLOCK_ROWS = 4096
-# Rows of S25 text gathered and written at once.
-_TEXT_ROWS = 2048
+
+
+def row_slices(nx: int, npts: int):
+    """The slices of whole rows, in order, that cover an (nx, npts) grid,
+    each of about _BLOCK_ROWS nodes and at least one row."""
+    step = max(1, _BLOCK_ROWS // max(1, npts))
+    for i in range(0, nx, step):
+        yield slice(i, i + step)
+
 
 # _fmt17 tables, built with array arithmetic so importing stays cheap.
 _U64 = np.uint64
@@ -110,16 +118,11 @@ def _scaled(m, r, s):
     return q, up
 
 
-# Values per _fmt17 pass: bounds its temporaries to about 100 kB each.
-_FMT_CHUNK = 1 << 12
-
-
 def _fmt17(values) -> np.ndarray:
     """"%.17g" % v for every v of a float array, as an S24 array.
 
-    1e-4 <= |v| < 1e17 goes through _fixed17, in passes of _FMT_CHUNK
-    values.  Zeros, subnormals, NaN, infinities and the scientific range are
-    formatted one by one with %.
+    1e-4 <= |v| < 1e17 goes through one _fixed17 pass.  Zeros, subnormals,
+    NaN, infinities and the scientific range are formatted one by one with %.
     """
     v = np.asarray(values, dtype=float).ravel()
     out = np.empty(v.shape, dtype="S24")
@@ -129,10 +132,9 @@ def _fmt17(values) -> np.ndarray:
     if slow.size:
         out[slow] = ["%.17g" % x for x in v[slow].tolist()]
     idx = np.flatnonzero(fast)
-    for start in range(0, len(idx), _FMT_CHUNK):
-        part = idx[start:start + _FMT_CHUNK]
-        order, text = _fixed17(v[part])
-        out[part[order]] = text
+    if idx.size:
+        order, text = _fixed17(v[idx])
+        out[idx[order]] = text
     return out
 
 
@@ -214,41 +216,33 @@ def write_csv(path, header, blocks, meta: dict) -> Path:
     the error propagates."""
     path = Path(path)
     if not header:
-        # the last column's pieces carry the line ends
+        # the last column's fields carry the line ends
         raise ValueError("table must have at least one column")
     blocks = iter(blocks)
     first = next(blocks, None)
     table = None if first is None else _table(first, len(header))
-    ends = [b","] * (len(header) - 1) + [b"\n"]
     with path.open("wb") as f:
         try:
             f.write(("\n".join(metadata_lines(meta) + [",".join(header)]) + "\n").encode())
             rows = 0
-            # per column: the distinct bits last formatted and their fields; a
-            # column that repeats them (the p column of a surface) is not
-            # formatted again
-            known = [(None, None)] * len(header)
             while table is not None:
+                # a block's fields live until the next block replaces them;
+                # freed at once, they let the allocator trim and refault the heap
                 for start in range(0, len(table[0]), _BLOCK_ROWS):
                     distinct = [np.unique(values[start:start + _BLOCK_ROWS].view(np.int64),
                                           return_inverse=True) for values in table]
-                    stale = [c for c, (bits, _) in enumerate(distinct)
-                             if not np.array_equal(bits, known[c][0])]
-                    if stale:
-                        text = _fmt17(np.concatenate([distinct[c][0] for c in stale]).view(float))
-                        for c in stale:
-                            bits = distinct[c][0]
-                            known[c] = (bits, np.strings.add(text[:len(bits)], ends[c]))
-                            text = text[len(bits):]
-                        del text
-                    n = len(distinct[0][1])
-                    for lo in range(0, n, _TEXT_ROWS):
-                        block = np.empty((min(_TEXT_ROWS, n - lo), len(table)), dtype="S25")
-                        for c, ((_, words), (_, inverse)) in enumerate(zip(known, distinct)):
-                            block[:, c] = words[inverse[lo:lo + _TEXT_ROWS]]
-                        raw = block.view(np.uint8)
-                        f.write(raw[raw != 0])
-                    del distinct  # freed before the next block builds its own
+                    text = _fmt17(np.concatenate([bits for bits, _ in distinct]).view(float))
+                    # each field: its text NUL-padded to 24 bytes, then its separator
+                    fields = np.empty((len(distinct[0][1]), len(table)),
+                                      dtype=[("text", "S24"), ("end", "S1")])
+                    offset = 0
+                    for c, (bits, inverse) in enumerate(distinct):
+                        fields["text"][:, c] = text[offset + inverse]
+                        offset += len(bits)
+                    del text  # never alive beside the next block's
+                    fields["end"] = [b","] * (len(table) - 1) + [b"\n"]
+                    raw = fields.view(np.uint8)
+                    f.write(raw[raw != 0])
                 rows += len(table[0])
                 columns = next(blocks, None)
                 table = None if columns is None else _table(columns, len(header), rows)
@@ -415,14 +409,13 @@ def write_svg_heatmap(path, x_axis, p_axis, values, title: str, meta: dict) -> P
     # raw[npts - 1 - j, 1 + i] is the shade of values[i, j], and column 0
     # is every row's filter type 0
     raw = np.zeros((npts, 1 + nx), dtype=np.uint8)
-    step = max(1, _BLOCK_ROWS // npts)
-    for i in range(0, nx, step):
+    for rows in row_slices(nx, npts):
         # 255 * (values - v_lo) / span, formed in place in one temporary
-        shades = values[i:i + step] - v_lo
+        shades = values[rows] - v_lo
         shades *= 255
         shades /= span
         np.rint(shades, out=shades)
-        raw[::-1, 1 + i:1 + i + step] = shades.T
+        raw[::-1, 1 + rows.start:1 + rows.stop] = shades.T
     png = base64.b64encode(_png_gray(raw)).decode("ascii")
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">',

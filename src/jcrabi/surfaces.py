@@ -37,7 +37,7 @@ class SurfaceGrid:
 def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
     """Evaluate the adiabatic surfaces pointwise on the given axes; a grid
     whose gap is not finite somewhere (an overflow) is a ValueError naming
-    the model and g."""
+    the model, g and the axes' extents."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     if x_axis.size == 0 or p_axis.size == 0:
@@ -61,7 +61,8 @@ def boa_surface(kind: ModelKind, p: ModelParams, x_axis, p_axis) -> SurfaceGrid:
     if not np.all(np.isfinite(gap)):
         raise ValueError(
             f"the {kind.model} surface overflows at g={p.g:g} (omega={p.omega:g}, "
-            f"Omega={p.Omega:g}): its gap is not finite"
+            f"Omega={p.Omega:g}): its gap is not finite on the grid x in [{np.min(x_axis):g}, "
+            f"{np.max(x_axis):g}], p in [{np.min(p_axis):g}, {np.max(p_axis):g}]"
         )
     return SurfaceGrid(x_axis, p_axis, upper, lower, gap)
 
@@ -85,35 +86,36 @@ class DegeneracyReport:
 
 def default_gap_tolerance(x_axis, p_axis, gap) -> float:
     """2 * (grid cell diagonal) * (max local gap slope), estimated by finite
-    differences; 'degenerate on a grid' needs a resolution-aware yardstick.
-    gap[i, j] belongs to (x_axis[i], p_axis[j]).  The slopes are formed in
-    slices of whole x-rows, about _BLOCK_ROWS nodes each as in the CSV
-    writer, each x slice reaching one row into the next, so no temporary
-    grows with the grid; the max is that of the whole grid."""
+    differences on increasing axes; 'degenerate on a grid' needs a
+    resolution-aware yardstick.  gap[i, j] belongs to (x_axis[i], p_axis[j]).
+    The slopes are formed over the writer's row_slices, each x slice
+    reaching one row into the next, so no temporary grows with the grid;
+    the max is that of the whole grid.  A yardstick that is not finite (an
+    x or p range so wide that it overflows) is a ValueError."""
     # imported here: at module level, `import jcrabi` would load the writer
     # and build its tables, which raised that import's RSS by 0.2 MB
-    from .output import _BLOCK_ROWS
+    from .output import row_slices
 
     x_steps, p_steps = np.diff(x_axis), np.diff(p_axis)
     dx = np.min(x_steps) if len(x_axis) > 1 else 0.0
     dp = np.min(p_steps) if len(p_axis) > 1 else 0.0
     cell_diag = float(np.hypot(dx, dp))
-    nx, npts = gap.shape
-    step = max(1, _BLOCK_ROWS // max(1, npts))
-    maxima = [None, None]  # per axis, the max slope so far; NaN propagates
-    for i in range(0, nx, step):
-        rows = gap[i:i + step + 1]  # one row past the slice, for the x slopes
-        for axis, part, steps in ((0, rows, x_steps[i:i + step, None]),
-                                  (1, rows[:step], p_steps[None, :])):
+    max_slope = 0.0  # the slopes are at least 0; NaN propagates
+    for rows in row_slices(*gap.shape):
+        # the x slopes take one row past the slice
+        for axis, part, steps in ((0, gap[rows.start:rows.stop + 1], x_steps[rows, None]),
+                                  (1, gap[rows], p_steps[None, :])):
             if part.shape[axis] > 1:
                 slope = np.diff(part, axis=axis)
                 np.abs(slope, out=slope)
                 slope /= steps
-                top = np.max(slope)
-                maxima[axis] = top if maxima[axis] is None else np.maximum(maxima[axis], top)
-    slopes = [top for top in maxima if top is not None]
-    max_slope = float(max(slopes)) if slopes else 0.0
-    return 2.0 * cell_diag * max_slope
+                max_slope = np.maximum(max_slope, np.max(slope))
+    tol_gap = 2.0 * cell_diag * float(max_slope)
+    if not np.isfinite(tol_gap):
+        raise ValueError(f"the gap tolerance 2 * {cell_diag:g} (cell diagonal) * {max_slope:g} "
+                         "(max gap slope) is not finite: the x or p range is too wide for this "
+                         "grid, or the gap is not finite")
+    return tol_gap
 
 
 # A minimal-gap cluster wider than this fraction of the grid extent (per
@@ -135,6 +137,7 @@ def classify_degeneracy(x_axis, p_axis, gap) -> DegeneracyReport:
     that holds the apex exactly (min_gap = 0 <= tol_gap) reads 'none'.  Measured on the
     resonant JC cone (g in {0.2, 0.5, 1}, axes +-1 and +-3, odd resolutions
     so the apex is a node): 'none' up to 19 nodes per axis, 'point' from 23.
+    A tol_gap that is not finite is a ValueError naming its two factors.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)

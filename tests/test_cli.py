@@ -428,6 +428,25 @@ class TestSurfacesCommand:
             assert main(["surfaces", "--model", "jc", "--g", g, "--resolution", resolution,
                          "--out", str(tmp_path / "jc")]) == 0
 
+    @pytest.mark.parametrize("model, g, x_range, message", [
+        pytest.param("jc", "0.6", "-8e307:8e307",
+                     "the gap tolerance 2 * 8e+307 (cell diagonal) * 1.2 (max gap slope) is "
+                     "not finite: the x or p range is too wide", id="tolerance"),
+        pytest.param("rabi", "0.4", "-4e307:4e307",
+                     "the rabi surface overflows at g=0.4 (omega=1, Omega=1): its gap is not "
+                     "finite on the grid x in [-4e+307, 4e+307], p in [-3, 3]\n", id="surface"),
+    ])
+    def test_overflowing_x_range_is_named(self, tmp_path, capsys, model, g, x_range,
+                                          message):
+        out = tmp_path / "out"
+        rc = main(["surfaces", "--model", model, "--g", g, f"--x-range={x_range}",
+                   "--resolution", "3", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"numerical failure: {message}")
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     def test_small_grid_row_count(self, tmp_path):
         rc = main([
             "surfaces", "--model", "jc", "--resolution", "2", "--out", str(tmp_path),

@@ -18,12 +18,11 @@ import zlib
 import numpy as np
 import pytest
 
-import jcrabi.cli as cli_module
 import jcrabi.output as output_module
 from jcrabi.cli import RunConfig, main
 from jcrabi.models import ModelKind, ModelParams
 from jcrabi.output import (
-    _BLOCK_ROWS, _fmt17, metadata_lines, write_csv, write_json, write_svg_heatmap,
+    _BLOCK_ROWS, _fmt17, metadata_lines, row_slices, write_csv, write_json, write_svg_heatmap,
 )
 from jcrabi.surfaces import boa_surface, classify_degeneracy
 
@@ -239,24 +238,27 @@ class TestFrozenWriterBytes:
         assert text.count("\n") == len(META) + 1 + n
         assert ",-0," in text and ",0," in text and ",nan," in text
 
-    def test_repeated_column_is_formatted_once(self, tmp_path, monkeypatch):
-        # blocks of 6 rows: column a holds the same six values (0.0 and -0.0
-        # among them) in every block, as a surface's p column does; column c
-        # changes its value in block 1 and takes the old one back in block 2
+    def test_one_fixed17_pass_per_block(self, tmp_path, monkeypatch):
+        # blocks of 6 rows: the distinct values of all three columns of a
+        # block go through one _fixed17 pass; column a holds the same six
+        # values (0.0, -0.0 and NaN among them) in every block, as a
+        # surface's p column does, and is formatted in each
         monkeypatch.setattr(output_module, "_BLOCK_ROWS", 6)
-        formatted = []
+        passes = []
 
-        def counted(values):
-            formatted.append(len(values))
-            return _fmt17(values)
+        def counted(v):
+            passes.append(len(v))
+            return fixed17(v)
 
-        monkeypatch.setattr(output_module, "_fmt17", counted)
+        fixed17 = output_module._fixed17
+        monkeypatch.setattr(output_module, "_fixed17", counted)
         a = np.tile([0.5, -0.0, 0.0, 1 / 3, np.nan, 2.5], 4)
         b = np.random.default_rng(3).standard_normal(24)
         c = np.concatenate([np.full(6, 0.25), np.full(6, -7.0), np.full(12, 0.25)])
         table = np.column_stack([a, b, c])
         same_csv_bytes(tmp_path, ["a", "b", "c"], table, table.T)
-        assert formatted == [6 + 6 + 1, 6 + 1, 6 + 1, 6]
+        # a's three fast values, b's six and c's one
+        assert passes == [3 + 6 + 1] * 4
 
     def test_one_row_table(self, tmp_path):
         same_csv_bytes(tmp_path, ["phi", "partial_phase"], [[0.0, np.pi]])
@@ -299,20 +301,18 @@ class TestFrozenWriterBytes:
         pixels = check_pixels(tmp_path, [0.0], np.arange(5.0), values)
         assert pixels[::-1, 0].tolist() == [0, 0, 2, 2, 255]
 
-    @pytest.mark.parametrize("resolution, block_rows, text_rows", [
-        (203, None, None),  # 41 209 rows: slices of 20 x-rows, the last one 3 rows
+    @pytest.mark.parametrize("resolution, block_rows", [
+        (203, None),  # 41 209 rows: slices of 20 x-rows, the last one 3 rows
         # an x-row longer than a block: slices of one x-row, deduplicated in
-        # 7-row pieces and written 3 rows at a time
-        (15, 7, 3),
+        # 7-row pieces
+        (15, 7),
     ], ids=["blocks", "short-blocks"])
     def test_cli_surface_rows_match_per_value_writer(self, tmp_path, monkeypatch,
-                                                     resolution, block_rows, text_rows):
+                                                     resolution, block_rows):
         # the streamed files are those of the whole-grid build: the per-row
         # CSV, and the JSON and heatmap of its gap
         if block_rows is not None:
-            monkeypatch.setattr(cli_module, "_BLOCK_ROWS", block_rows)
             monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
-            monkeypatch.setattr(output_module, "_TEXT_ROWS", text_rows)
         out = tmp_path / "out"
         assert main([
             "surfaces", "--model", "both", "--g", "0.4", "--resolution", str(resolution),
@@ -337,6 +337,23 @@ class TestFrozenWriterBytes:
             whole = write_svg_heatmap(tmp_path / "old.svg", x_axis, p_axis, grid.gap,
                                       f"{model} adiabatic gap", meta)
             assert (out / f"surface_gap_{model}.svg").read_bytes() == whole.read_bytes()
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("nx, npts, block_rows, rows", [
+        (11, 7, 3 * 7 + 2, [3, 3, 3, 2]),  # 3 rows per slice; the last one short
+        (11, 7, 7, [1] * 11),
+        # a row longer than a block: one row per slice
+        (3, 9, 8, [1, 1, 1]),
+        (3, _BLOCK_ROWS + 3, _BLOCK_ROWS, [1, 1, 1]),
+        (5, 1, 10 ** 6, [5]),
+        (0, 4, 8, []),
+    ])
+    def test_uneven_slices_cover_the_rows(self, monkeypatch, nx, npts, block_rows, rows):
+        monkeypatch.setattr(output_module, "_BLOCK_ROWS", block_rows)
+        covered = [np.arange(nx)[s] for s in row_slices(nx, npts)]
+        assert [len(part) for part in covered] == rows
+        assert np.concatenate(covered or [[]]).tolist() == list(range(nx))
 
 
 class TestWriteCsvShape:

@@ -82,6 +82,14 @@ class TestBoaSurface:
         with pytest.raises(ValueError):
             boa_surface(ModelKind.JC_LAB, ModelParams(), [], AXIS)
 
+    def test_overflow_names_the_grid(self):
+        # omega x^2 / 2 overflows at a huge x for any g
+        with pytest.raises(ValueError) as info:
+            boa_surface(ModelKind.RABI_LAB, ModelParams(g=0.4), [-4e307, 0.0, 4e307], AXIS)
+        assert str(info.value) == (
+            "the rabi surface overflows at g=0.4 (omega=1, Omega=1): its gap is not "
+            "finite on the grid x in [-4e+307, 4e+307], p in [-3, 3]")
+
 
 def has_row(array, row):
     """Whether the 2-D array holds row as one of its rows."""
@@ -120,6 +128,18 @@ class TestClassifyDegeneracy:
             for j, pv in enumerate(s.p_axis):
                 if (float(x), float(pv)) in lookup:
                     assert s.gap[i, j] <= rep.min_gap + rep.tol_gap
+
+
+    def test_overflowing_tolerance_is_named(self):
+        # a finite gap of about 1e308 whose cell diagonal times slope overflows
+        x_axis, p_axis = np.array([-8e307, 0.0, 8e307]), np.array([-3.0, 0.0, 3.0])
+        s = boa_surface(ModelKind.JC_LAB, ModelParams(g=0.6), x_axis, p_axis)
+        assert np.all(np.isfinite(s.gap))
+        with pytest.raises(ValueError) as info:
+            classify_degeneracy(x_axis, p_axis, s.gap)
+        assert str(info.value).startswith(
+            "the gap tolerance 2 * 8e+307 (cell diagonal) * 1.2 (max gap slope) is not "
+            "finite: the x or p range is too wide for this grid")
 
 
 def whole_grid_gap_tolerance(x_axis, p_axis, gap) -> float:
